@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .basis import ResourceLimitError, dicke_state, overlap, sector_basis
 from .dynamics import (
     GateNotReached,
+    InvarianceError,
     compute_trajectory,
     dicke_projections,
     evolve,
@@ -67,6 +68,7 @@ __all__ = [
     "compute_trajectory",
     "gate_time",
     "GateNotReached",
+    "InvarianceError",
     "dispersion",
     "dispersion_curve",
     "dispersion_asymptote_check",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -70,12 +71,13 @@ def sector_basis(n_sites: int, n_exc: int, dimension_cap: int = DEFAULT_DIMENSIO
         raise ResourceLimitError(
             f"sector dimension C({n_sites},{n_exc}) = {dim} exceeds cap {dimension_cap}"
         )
-    if n_exc == 0:
-        configs = np.zeros((1, 0), dtype=np.int64)
-    else:
-        configs = np.array(
-            [unrank_config(r, n_exc) for r in range(dim)], dtype=np.int64
-        )
+    # combinations of the descending sites come in reverse colex order, each
+    # tuple descending: flipping both axes gives colex order, rows ascending
+    descending = itertools.chain.from_iterable(
+        itertools.combinations(range(n_sites - 1, -1, -1), n_exc)
+    )
+    configs = np.fromiter(descending, dtype=np.int64, count=dim * n_exc).reshape(dim, n_exc)
+    configs = np.ascontiguousarray(configs[::-1, ::-1])
     return SectorBasis(n_sites=n_sites, n_exc=n_exc, configs=configs)
 
 

@@ -261,6 +261,7 @@ def _trajectory_run(cfg: dict, outdir: Path, xi_over_kappa: float, prefix: str =
         "min_fidelity": float(traj.fidelity.min()),
         "max_decay": float((1.0 - traj.fidelity).max()),
         "gate_reached": tg is not None,
+        "diagnostics": traj.diagnostics,
     }
 
 

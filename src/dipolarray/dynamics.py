@@ -1,9 +1,20 @@
 """Unitary sector evolution, collective-state projections, nonlinear phase,
 and gate-time extraction.
 
-Times are in units of hbar/kappa.  Evolution is exact eigendecomposition for
-block dimensions up to ``DENSE_DIM_MAX`` and adaptive Lanczos stepping above
-(per-step tolerance 1e-10); both paths agree on shared test sets.
+Times are in units of hbar/kappa.  Evolution is exact and has one engine for
+dense and CSR blocks alike.  It partitions the basis into the coarsest
+*equitable partition* that keeps the initial state constant on every cell:
+colour refinement (1-WL) seeded with the initial amplitudes and the diagonal
+energies, splitting cells by their row sums into every other cell until no
+cell splits.  The normalized cell indicators P span an invariant subspace
+that contains the initial state, so the k x k quotient Hr = P^T H P carries
+the whole dynamics; it is diagonalized once, and a projection on the initial
+state is the spectral sum C(t) = sum_j w_j exp(-i lambda_j t).  The
+symmetric (Dicke) states reduce the two-excitation sector from C(N, 2) to a
+few dozen cells on periodic lattices; a state without symmetry gives the
+discrete partition, i.e. dense diagonalization of the full block.  Every
+evolver checks the invariance residual ||H P - P Hr|| and raises
+:class:`InvarianceError` when it exceeds ``RESIDUAL_TOL``.
 
 Phase extraction: with X = C0* C2 and Y = (C0* C1)^2, the complex combination
 (X + Y)/2 factors as exp(i(arg X + arg Y)/2) * [ (|X|+|Y|) cos(rel/2)
@@ -33,15 +44,19 @@ from .hamiltonian import SpinHamiltonian
 __all__ = [
     "Trajectory",
     "GateNotReached",
+    "InvarianceError",
     "evolve",
     "dicke_projections",
     "nonlinear_phase",
     "compute_trajectory",
     "gate_time",
-    "expm_krylov",
 ]
 
-KRYLOV_TOL = 1e-10
+# refinement treats values within this fraction of max |H_ij| (of max |psi0|
+# for amplitudes) as equal; roundoff in the row sums is ~1e-15 of it
+REFINE_TOL = 1e-12
+# largest accepted ||H P - P Hr||_F, relative to max |H_ij|
+RESIDUAL_TOL = 1e-10
 MAX_THETA_STEP = np.pi / 2
 MAX_REFINEMENTS = 6
 CLIP_WARN_EXCESS = 1e-6
@@ -51,104 +66,122 @@ class GateNotReached(RuntimeError):
     """No zero of cos(Theta/2) inside the evolved time window."""
 
 
+class InvarianceError(ArithmeticError):
+    """The quotient subspace of a block is not invariant to working precision."""
+
+
 # ---------------------------------------------------------------------------
-# evolution engines
+# evolution engine
 # ---------------------------------------------------------------------------
 
-def expm_krylov(matvec, v: np.ndarray, dt: float, tol: float = KRYLOV_TOL, m_max: int = 60) -> np.ndarray:
-    """exp(-1j*dt*H) @ v for Hermitian H given through ``matvec``.
+def _levels(x: np.ndarray, tol: float) -> np.ndarray:
+    """Integer labels of ``x``, equal for values chained within ``tol``."""
+    if np.iscomplexobj(x):
+        re, im = _levels(x.real, tol), _levels(x.imag, tol)
+        return re * (im.max(initial=0) + 1) + im
+    xs = np.sort(x)
+    # upper end of every chain of values no more than tol apart
+    tops = xs[np.append(np.diff(xs) > tol, True)] if len(xs) else xs
+    return np.searchsorted(tops, x)
 
-    Lanczos with full reorthogonalization; the subspace grows until the
-    standard residual estimate drops below ``tol`` (relative to |v|), and the
-    step is subdivided when ``m_max`` vectors are not enough.
+
+def _cell_ids(*columns: np.ndarray) -> np.ndarray:
+    """Cell index per row: rows with equal integer keys share a cell."""
+    keys = np.column_stack(columns)
+    return np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def _indicator(cells: np.ndarray, weight: np.ndarray) -> sp.csr_array:
+    """dim x k matrix with ``weight[i]`` at (i, cells[i]); 32-bit indices
+    keep its products with a block at the block's index width."""
+    dim = len(cells)
+    return sp.csr_array(
+        (weight, cells.astype(np.int32), np.arange(dim + 1, dtype=np.int32)),
+        shape=(dim, int(cells.max()) + 1),
+    )
+
+
+def _row_keys(h: sp.csr_array, cells: np.ndarray, tol: float) -> np.ndarray:
+    """One integer row per basis state: its cell, then the (cell, level)
+    codes of its nonzero row sums into every cell, padded with -1.
+
+    The sums stay sparse, so the key is as wide as the widest row of ``h``.
     """
-    beta0 = np.linalg.norm(v)
-    if beta0 == 0 or dt == 0:
-        return v.copy()
-    V = [np.asarray(v, dtype=complex) / beta0]
-    alphas: list[float] = []
-    betas: list[float] = []
-    for m in range(1, m_max + 1):
-        w = matvec(V[-1])
-        a = float(np.real(np.vdot(V[-1], w)))
-        alphas.append(a)
-        w = w - a * V[-1]
-        if len(V) > 1:
-            w = w - betas[-1] * V[-2]
-        # full reorthogonalization keeps the small tridiagonal faithful
-        for u in V:
-            w = w - np.vdot(u, w) * u
-        b = float(np.linalg.norm(w))
-        T = np.zeros((m, m))
-        T[np.arange(m), np.arange(m)] = alphas
-        if m > 1:
-            off = np.array(betas)
-            T[np.arange(m - 1), np.arange(1, m)] = off
-            T[np.arange(1, m), np.arange(m - 1)] = off
-        lam, S = np.linalg.eigh(T)
-        small = S @ (np.exp(-1j * dt * lam) * S[0, :].conj())
-        err = abs(b * dt * small[-1])
-        if err < tol or b < 1e-14:
-            basis = np.column_stack(V)
-            return beta0 * (basis @ small)
-        betas.append(b)
-        V.append(w / b)
-    # not converged: halve the step
-    half = expm_krylov(matvec, v, dt / 2.0, tol=tol, m_max=m_max)
-    return expm_krylov(matvec, half, dt / 2.0, tol=tol, m_max=m_max)
+    dim = len(cells)
+    sums = h @ _indicator(cells, np.ones(dim))
+    sums.data[np.abs(sums.data) <= tol] = 0.0
+    sums.eliminate_zeros()
+    sums.sort_indices()
+    level = _levels(sums.data, tol)
+    code = sums.indices.astype(np.int64) * (level.max(initial=0) + 1) + level
+    count = np.diff(sums.indptr)
+    row = np.repeat(np.arange(dim), count)
+    slot = np.arange(len(code)) - sums.indptr[row]
+    keys = np.full((dim, int(count.max(initial=0)) + 1), -1, dtype=np.int64)
+    keys[:, 0] = cells
+    keys[row, 1 + slot] = code
+    return keys
+
+
+def _equitable_partition(h: sp.csr_array, psi0: np.ndarray, tol: float) -> np.ndarray:
+    """Coarsest equitable partition of ``h`` on which ``psi0`` is constant.
+
+    Cells start from equal (amplitude, diagonal) pairs and split by the row
+    sums of ``h`` into every cell until their number stops growing.
+    """
+    dim = h.shape[0]
+    amp_tol = REFINE_TOL * float(np.abs(psi0).max(initial=0.0))
+    cells = _cell_ids(_levels(psi0, amp_tol), _levels(h.diagonal(), tol))
+    k = int(cells.max()) + 1
+    while k < dim:
+        cells = _cell_ids(_row_keys(h, cells, tol))
+        grown = int(cells.max()) + 1
+        if grown == k:
+            break
+        k = grown
+    return cells
 
 
 class _SectorEvolver:
-    """Evolves one Hermitian block; caches what the chosen path needs."""
+    """Exact evolution of one Hermitian block from one initial state.
 
-    def __init__(self, block, psi0: np.ndarray, tol: float = KRYLOV_TOL):
-        self.psi0 = np.asarray(psi0, dtype=complex)
-        self.tol = tol
-        self.sparse = sp.issparse(block)
-        self.block = block
-        if not self.sparse:
-            lam, vec = np.linalg.eigh(block)
-            self._lam = lam
-            self._vec = vec
-            self._coef = vec.conj().T @ self.psi0
-        self._cache_t = np.array([0.0])
-        self._cache_states = self.psi0[None, :].copy()
+    ``dim`` is the reduced (quotient) dimension and ``residual`` the
+    invariance residual ||H P - P Hr||_F relative to max |H_ij|.
+    """
+
+    def __init__(self, block, psi0: np.ndarray):
+        psi0 = np.asarray(psi0, dtype=complex)
+        h = sp.csr_array(block)
+        scale = float(np.abs(h.data).max(initial=0.0)) or 1.0
+        self.cells = _equitable_partition(h, psi0, REFINE_TOL * scale)
+        sizes = np.bincount(self.cells)
+        self.dim = len(sizes)
+        self._weight = 1.0 / np.sqrt(sizes)[self.cells]
+        p = _indicator(self.cells, self._weight)
+        hp = h @ p
+        hr = p.T @ hp
+        self.residual = float(np.linalg.norm((hp - p @ hr).data)) / scale
+        if not self.residual <= RESIDUAL_TOL:
+            raise InvarianceError(
+                f"quotient of dimension {self.dim} is not invariant: "
+                f"residual {self.residual:.2e} > {RESIDUAL_TOL:.0e}"
+            )
+        self._lam, self._vec = np.linalg.eigh(hr.toarray())
+        self._coef = self._vec.conj().T @ (p.T @ psi0)
+        w = np.abs(self._coef) ** 2
+        self._w = w / w.sum()
 
     def states(self, times: np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        if not self.sparse:
-            phases = np.exp(-1j * np.outer(times, self._lam))
-            return (phases * self._coef) @ self._vec.T
-        out = np.empty((len(times), len(self.psi0)), dtype=complex)
-        psi = self.psi0.copy()
-        t_prev = 0.0
-        mv = self.block.__matmul__
-        for i, t in enumerate(times):
-            if t < t_prev:
-                raise ValueError("times must be non-decreasing for the Krylov path")
-            if t > t_prev:
-                psi = expm_krylov(mv, psi, t - t_prev, tol=self.tol)
-                t_prev = t
-            out[i] = psi
-        self._cache_t = times
-        self._cache_states = out
-        return out
+        phases = np.exp(-1j * np.outer(times, self._lam))
+        reduced = (phases * self._coef) @ self._vec.T
+        return reduced[:, self.cells] * self._weight
 
-    def state_at(self, t: float) -> np.ndarray:
-        if not self.sparse:
-            phases = np.exp(-1j * t * self._lam)
-            return self._vec @ (phases * self._coef)
-        i = int(np.searchsorted(self._cache_t, t, side="right")) - 1
-        i = max(i, 0)
-        t0 = float(self._cache_t[i])
-        psi = self._cache_states[i]
-        if t == t0:
-            return psi.copy()
-        # negative dt is fine: the step is unitary either way
-        return expm_krylov(self.block.__matmul__, psi, t - t0, tol=self.tol)
+    def projections(self, times: np.ndarray) -> np.ndarray:
+        """<psi0|psi(t)> with the weights summing to one; exactly 1 at t = 0."""
+        return 1.0 + np.expm1(-1j * np.outer(times, self._lam)) @ self._w
 
 
-def evolve(block, psi0: np.ndarray, times, tol: float = KRYLOV_TOL) -> np.ndarray:
+def evolve(block, psi0: np.ndarray, times) -> np.ndarray:
     """States exp(-1j*H*t) psi0 at the requested times, shape (T, dim).
 
     ``times`` must be non-decreasing and start at 0; psi0 must be normalized.
@@ -161,7 +194,7 @@ def evolve(block, psi0: np.ndarray, times, tol: float = KRYLOV_TOL) -> np.ndarra
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"initial state not normalized (|psi| = {nrm})")
-    return _SectorEvolver(block, psi0, tol=tol).states(times)
+    return _SectorEvolver(block, psi0).states(times)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +208,9 @@ class Trajectory:
     ``c0, c1, c2`` are the projections C_n(t) = <n|psi_n(t)> normalized so
     C_n(0) = 1; ``fidelity`` is |C2|^2; ``cos_half`` is the signed
     cos(Theta/2); ``combination`` is the raw complex combination kept for
-    diagnostics; ``theta`` is the unwrapped nonlinear phase.
+    diagnostics; ``theta`` is the unwrapped nonlinear phase.  ``gate_time``
+    and ``gate_method`` ("bisection" or "interpolation") are set by
+    :func:`gate_time`.
     """
 
     times: np.ndarray
@@ -187,7 +222,21 @@ class Trajectory:
     cos_half: np.ndarray
     combination: np.ndarray
     gate_time: float | None = None
+    gate_method: str | None = None
     _dynamics: "DickeDynamics | None" = field(default=None, repr=False)
+
+    @property
+    def diagnostics(self) -> dict:
+        """Deterministic record of how this trajectory was computed: sector
+        and quotient dimensions, the largest invariance residual, and whether
+        :func:`gate_time` bisected or fell back to linear interpolation."""
+        dyn = self._dynamics
+        return {
+            "sector_dims": [dyn.ham.dim(n) for n in (0, 1, 2)] if dyn else None,
+            "reduced_dims": dyn.reduced_dims if dyn else None,
+            "invariance_residual": dyn.residual if dyn else None,
+            "gate_time_method": self.gate_method,
+        }
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -215,30 +264,32 @@ def _fmt(x: float) -> str:
 class DickeDynamics:
     """Evolves the three symmetric sector states of one Hamiltonian."""
 
-    def __init__(self, ham: SpinHamiltonian, tol: float = KRYLOV_TOL):
+    def __init__(self, ham: SpinHamiltonian):
         for n in (0, 1, 2):
             if n not in ham.blocks:
                 raise ValueError(f"Hamiltonian is missing sector {n}")
         self.ham = ham
-        self._evolvers = {
-            n: _SectorEvolver(ham.blocks[n], dicke_state(ham.sectors[n]).amplitudes, tol=tol)
+        self._evolvers = [
+            _SectorEvolver(ham.blocks[n], dicke_state(ham.sectors[n]).amplitudes)
             for n in (0, 1, 2)
-        }
+        ]
+
+    @property
+    def reduced_dims(self) -> list[int]:
+        """Quotient dimension of sectors 0, 1, 2."""
+        return [ev.dim for ev in self._evolvers]
+
+    @property
+    def residual(self) -> float:
+        """Largest invariance residual of the three sectors."""
+        return max(ev.residual for ev in self._evolvers)
 
     def projections(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        out = []
-        for n in (0, 1, 2):
-            ev = self._evolvers[n]
-            states = ev.states(times)
-            out.append(states @ ev.psi0.conj())
-        return tuple(out)
+        times = np.asarray(times, dtype=float)
+        return tuple(ev.projections(times) for ev in self._evolvers)
 
     def projections_at(self, t: float) -> tuple[complex, complex, complex]:
-        out = []
-        for n in (0, 1, 2):
-            ev = self._evolvers[n]
-            out.append(complex(np.vdot(ev.psi0, ev.state_at(t))))
-        return tuple(out)
+        return tuple(complex(c[0]) for c in self.projections(np.array([t])))
 
 
 def dicke_projections(ham: SpinHamiltonian, times) -> Trajectory:
@@ -365,36 +416,32 @@ def gate_time(trajectory: Trajectory, rel_tol: float = 1e-4) -> float:
     i = int(flips[0])
     t_lo, t_hi = float(trajectory.times[i]), float(trajectory.times[i + 1])
     dyn = trajectory._dynamics
-    if dyn is None:
-        # no evaluator attached: linear interpolation on the sampled grid
+    if dyn is not None:
+        z_ref = _combination_at(dyn, t_lo)
+        ref = z_ref / abs(z_ref)
+
+        def signed(t: float) -> float:
+            z = _combination_at(dyn, t)
+            return float(np.real(z * np.conj(ref)))
+
+        f_lo = signed(t_lo)
+        f_hi = signed(t_hi)
+    if dyn is None or f_lo * f_hi > 0:
+        # no evaluator attached, or the re-evaluated bracket disagrees with
+        # the grid: trust the grid and interpolate linearly
         c_lo, c_hi = float(c[i]), float(c[i + 1])
         tg = t_lo + (t_hi - t_lo) * c_lo / (c_lo - c_hi)
-        trajectory.gate_time = tg
-        return tg
-
-    z_ref = _combination_at(dyn, t_lo)
-    ref = z_ref / abs(z_ref)
-
-    def signed(t: float) -> float:
-        z = _combination_at(dyn, t)
-        return float(np.real(z * np.conj(ref)))
-
-    f_lo = signed(t_lo)
-    f_hi = signed(t_hi)
-    if f_lo * f_hi > 0:
-        # bracket resolution came from the grid; trust it and interpolate
-        c_lo, c_hi = float(c[i]), float(c[i + 1])
-        tg = t_lo + (t_hi - t_lo) * c_lo / (c_lo - c_hi)
-        trajectory.gate_time = tg
-        return tg
-    while (t_hi - t_lo) > rel_tol * max(t_hi, 1e-300):
-        t_mid = 0.5 * (t_lo + t_hi)
-        f_mid = signed(t_mid)
-        if f_lo * f_mid <= 0:
-            t_hi, f_hi = t_mid, f_mid
-        else:
-            t_lo, f_lo = t_mid, f_mid
-    tg = 0.5 * (t_lo + t_hi)
+        trajectory.gate_method = "interpolation"
+    else:
+        while (t_hi - t_lo) > rel_tol * max(t_hi, 1e-300):
+            t_mid = 0.5 * (t_lo + t_hi)
+            f_mid = signed(t_mid)
+            if f_lo * f_mid <= 0:
+                t_hi, f_hi = t_mid, f_mid
+            else:
+                t_lo, f_lo = t_mid, f_mid
+        tg = 0.5 * (t_lo + t_hi)
+        trajectory.gate_method = "bisection"
     trajectory.gate_time = tg
     return tg
 

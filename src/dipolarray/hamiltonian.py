@@ -37,7 +37,8 @@ __all__ = [
 
 ZETA3 = 1.2020569031595942854  # Riemann zeta(3)
 
-# n=2 blocks above this dimension are stored sparse and applied matrix-free
+# n=2 blocks above this dimension are stored as CSR to bound memory; the
+# evolution engine takes either storage
 DENSE_DIM_MAX = 2000
 
 
@@ -45,9 +46,10 @@ DENSE_DIM_MAX = 2000
 class SpinHamiltonian:
     """Sector blocks (n = 0, 1, 2) of a dipolar spin model.
 
-    ``blocks[n]`` is a dense ndarray or a CSR matrix (dimension above
-    ``DENSE_DIM_MAX``).  Blocks are Hermitian and conserve excitation number
-    by construction; everything is immutable after assembly.
+    ``blocks[n]`` is a dense ndarray or, for dimensions above
+    ``DENSE_DIM_MAX``, a CSR matrix; the storage only bounds memory, every
+    consumer accepts both.  Blocks are Hermitian and conserve excitation
+    number by construction; everything is immutable after assembly.
     """
 
     kappa: float

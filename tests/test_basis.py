@@ -24,7 +24,7 @@ class TestSectorBasis:
             sector_basis(100, 5, dimension_cap=10**6)
 
     def test_rank_unrank_bijection_exhaustive(self):
-        for n_sites, n_exc in [(6, 2), (7, 3), (5, 0), (5, 5)]:
+        for n_sites, n_exc in [(6, 2), (7, 3), (5, 0), (5, 5), (20, 2), (12, 4)]:
             b = sector_basis(n_sites, n_exc)
             for r in range(b.dim):
                 cfg = b.unrank(r)

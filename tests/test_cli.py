@@ -96,6 +96,12 @@ n_samples = 200
         summary = json.loads((outdir / "summary.json").read_text())
         assert summary["gate_reached"] is True
         assert summary["gate_time_over_t_pi"] > 1.0
+        # periodic chain N = 12: sector 2 (dim 66) reduces to 6 pair distances
+        diag = summary["diagnostics"]
+        assert diag["sector_dims"] == [1, 12, 66]
+        assert diag["reduced_dims"] == [1, 1, 6]
+        assert diag["invariance_residual"] <= 1e-10
+        assert diag["gate_time_method"] in ("bisection", "interpolation")
         meta = json.loads((outdir / "metadata.json").read_text())
         assert meta["config"]["n_sites"] == 12
         assert "pair_sum" in meta["conventions"]
@@ -196,6 +202,10 @@ n_samples = 150
         text = (tmp_path / "o" / "mpm_sweep" / "sweep.csv").read_text()
         assert text.startswith("xi_over_kappa,")
         assert len(text.splitlines()) == 3
+        summary = json.loads((tmp_path / "o" / "mpm_sweep" / "summary.json").read_text())
+        for result in summary["results"]:
+            assert result["diagnostics"]["reduced_dims"] == [1, 1, 5]
+            assert result["diagnostics"]["gate_time_method"] in ("bisection", "interpolation", None)
 
     def test_phonon_bands_run(self, tmp_path):
         cfg = write_cfg(tmp_path, """

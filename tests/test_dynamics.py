@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+import dipolarray.dynamics as dyn_mod
 import dipolarray.hamiltonian as ham_mod
 from dipolarray.basis import dicke_state
 from dipolarray.dynamics import (
+    RESIDUAL_TOL,
+    DickeDynamics,
     GateNotReached,
+    InvarianceError,
     Trajectory,
     compute_trajectory,
     evolve,
-    expm_krylov,
     gate_time,
     ideal_quadratic_hamiltonian,
     nonlinear_phase,
@@ -79,11 +84,11 @@ class TestEvolve:
         psi0 = rng.standard_normal(60) + 1j * rng.standard_normal(60)
         psi0 /= np.linalg.norm(psi0)
         fwd = evolve(h, psi0, [0.0, 7.3])[-1]
-        back = expm_krylov((sp.csr_matrix(h)).__matmul__, fwd, -7.3)
+        back = evolve(sp.csr_matrix(-h), fwd, [0.0, 7.3])[-1]
         assert np.abs(back - psi0).max() < 1e-8
 
 
-class TestKrylov:
+class TestSpectralEngine:
     def test_matches_dense_exponential(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((80, 80))
@@ -93,8 +98,56 @@ class TestKrylov:
         lam, vec = np.linalg.eigh(h)
         for dt in (0.05, 1.0, 20.0):
             ref = vec @ (np.exp(-1j * dt * lam) * (vec.conj().T @ v))
-            out = expm_krylov(lambda x: h @ x, v, dt)
+            out = evolve(sp.csr_matrix(h), v, [0.0, dt])[-1]
             assert np.abs(out - ref).max() < 1e-9
+
+    def test_residual_above_tolerance_raises(self, monkeypatch):
+        # a refinement tolerance far above every coupling merges cells that
+        # are not equivalent; the residual check must refuse the quotient
+        monkeypatch.setattr(dyn_mod, "REFINE_TOL", 10.0)
+        ham = full_hamiltonian(build_lattice("chain", 8), 1.0, 0.3)
+        with pytest.raises(InvarianceError, match="not invariant"):
+            DickeDynamics(ham)
+
+
+# (kind, n_sites) with n_sites <= 16 that every boundary accepts
+ORACLE_LATTICES = st.one_of(
+    st.tuples(st.just("chain"), st.integers(min_value=3, max_value=16)),
+    st.tuples(st.sampled_from(["square", "triangular"]), st.sampled_from([4, 9, 16])),
+)
+
+
+def dense_spectral(block, psi0, times):
+    lam, vec = np.linalg.eigh(np.asarray(block))
+    return (np.exp(-1j * np.outer(times, lam)) * (vec.conj().T @ psi0)) @ vec.T
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lattice=ORACLE_LATTICES,
+    boundary=st.sampled_from(["open", "periodic"]),
+    xi=st.floats(min_value=-1.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_quotient_matches_dense_sector(lattice, boundary, xi, seed):
+    kind, n_sites = lattice
+    ham = full_hamiltonian(build_lattice(kind, n_sites, boundary=boundary), 1.0, xi)
+    t = np.linspace(0.0, 40.0, 25)
+    dyn = DickeDynamics(ham)
+    assert dyn.residual <= RESIDUAL_TOL
+    for n, c in enumerate(dyn.projections(t)):
+        psi0 = dicke_state(ham.sectors[n]).amplitudes
+        ref = dense_spectral(ham.blocks[n], psi0, t) @ psi0.conj()
+        np.testing.assert_allclose(c, ref, rtol=1e-10, atol=1e-12)
+    if kind == "chain" and boundary == "periodic":
+        # one cell per pair distance 1 .. N/2, e.g. 6 of 66 states at N = 12
+        assert dyn.reduced_dims[2] == n_sites // 2 < ham.dim(2)
+    # a state without symmetry takes the discrete partition, i.e. the full block
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(ham.dim(2)) + 1j * rng.standard_normal(ham.dim(2))
+    psi /= np.linalg.norm(psi)
+    ref = dense_spectral(ham.blocks[2], psi, t)
+    np.testing.assert_allclose(evolve(ham.blocks[2], psi, t), ref, rtol=1e-10, atol=1e-12)
 
 
 class TestDickeProjections:
@@ -135,7 +188,7 @@ class TestDickeProjections:
             assert np.abs(proj - cn).max() <= 1e-12
 
     def test_krylov_vs_dense_fidelity(self, monkeypatch):
-        # force the sparse path on a dense-sized problem and compare minima
+        # force CSR storage on a dense-sized problem and compare minima
         lat = periodic_chain(36)
         gp = gate_params(lat, 1.0, 0.0, use_tilde=False)
         t = np.linspace(0.0, 4.0 * gp.t_pi, 250)
