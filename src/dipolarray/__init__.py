@@ -13,7 +13,6 @@ from .dynamics import (
     GateNotReached,
     InvarianceError,
     compute_trajectory,
-    dicke_projections,
     evolve,
     gate_time,
 )
@@ -28,6 +27,7 @@ from .hamiltonian import (
 from .lattice import Lattice, build_lattice, coupling_kernel, momentum_grid
 from .phonon import (
     PhononModel,
+    UnstableCrystalError,
     build_phonon_model,
     coupling_weight_g,
     dynamical_matrix,
@@ -64,7 +64,6 @@ __all__ = [
     "theta_analytic",
     "EffectiveGateParams",
     "evolve",
-    "dicke_projections",
     "compute_trajectory",
     "gate_time",
     "GateNotReached",
@@ -84,6 +83,7 @@ __all__ = [
     "xi_kappa_sweep",
     "beta_parameter",
     "PhononModel",
+    "UnstableCrystalError",
     "build_phonon_model",
     "dynamical_matrix",
     "phonon_spectrum",

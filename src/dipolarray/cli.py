@@ -6,7 +6,8 @@ the conventions in force), a ``summary.json``, and experiment CSV data, all
 at full double precision so identical configs byte-reproduce.
 
 Exit codes: 0 success, 2 config error, 3 resource-cap error, 4 gate not
-reached.
+reached, 5 numerical error (an ``ArithmeticError`` such as an unstable
+crystal mode or a non-invariant quotient subspace).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 EXIT_NO_GATE = 4
+EXIT_NUMERICAL = 5
 
 OUT_ROOT_ENV = "SIM_OUT_ROOT"
 
@@ -200,8 +202,10 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows, preamble: tuple[str, ...] = ()) -> None:
     with open(path, "w", newline="") as fh:
+        for line in preamble:
+            fh.write(line + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -345,20 +349,17 @@ def run_stark_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
          p.mu_ee**2 - p.mu_gg**2, p.kappa, p.xi, p.b0, p.u_dd, p.beta)
         for p in pairs
     ]
-    header_meta = [
+    header_meta = (
         f"# molecule = {mol.name}",
         f"# g_label = {g_label[0]},{g_label[1]}",
         f"# e_label = {e_label[0]},{e_label[1]}",
         f"# j_max = {cfg['j_max']}",
         f"# u_dd_convention = {CONVENTIONS['u_dd_definition']}",
-    ]
-    with open(outdir / "stark.csv", "w", newline="") as fh:
-        fh.write("\n".join(header_meta) + "\n")
-        fh.write(",".join(
-            ["field_B_over_mu0", "mu_gg", "mu_ee", "mu_eg", "xi_over_kappa",
-             "b0_scaled", "kappa_joule", "xi_joule", "b0_joule", "u_dd_joule", "beta"]) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    )
+    _write_csv(outdir / "stark.csv",
+               ["field_B_over_mu0", "mu_gg", "mu_ee", "mu_eg", "xi_over_kappa",
+                "b0_scaled", "kappa_joule", "xi_joule", "b0_joule", "u_dd_joule", "beta"],
+               rows, preamble=header_meta)
     return {
         "molecule": mol.name,
         "g_label": list(g_label),
@@ -514,6 +515,9 @@ def main(argv=None) -> int:
     except GateNotReached as exc:
         print(f"gate not reached: {exc}", file=sys.stderr)
         return EXIT_NO_GATE
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

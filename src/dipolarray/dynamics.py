@@ -46,7 +46,6 @@ __all__ = [
     "GateNotReached",
     "InvarianceError",
     "evolve",
-    "dicke_projections",
     "nonlinear_phase",
     "compute_trajectory",
     "gate_time",
@@ -207,8 +206,7 @@ class Trajectory:
 
     ``c0, c1, c2`` are the projections C_n(t) = <n|psi_n(t)> normalized so
     C_n(0) = 1; ``fidelity`` is |C2|^2; ``cos_half`` is the signed
-    cos(Theta/2); ``combination`` is the raw complex combination kept for
-    diagnostics; ``theta`` is the unwrapped nonlinear phase.  ``gate_time``
+    cos(Theta/2); ``theta`` is the unwrapped nonlinear phase.  ``gate_time``
     and ``gate_method`` ("bisection" or "interpolation") are set by
     :func:`gate_time`.
     """
@@ -220,7 +218,6 @@ class Trajectory:
     fidelity: np.ndarray
     theta: np.ndarray
     cos_half: np.ndarray
-    combination: np.ndarray
     gate_time: float | None = None
     gate_method: str | None = None
     _dynamics: "DickeDynamics | None" = field(default=None, repr=False)
@@ -292,16 +289,6 @@ class DickeDynamics:
         return tuple(complex(c[0]) for c in self.projections(np.array([t])))
 
 
-def dicke_projections(ham: SpinHamiltonian, times) -> Trajectory:
-    """Evolve each sector's symmetric state and package the projections.
-
-    Equivalent to evolving any superposition across the three sectors, since
-    the blocks are decoupled and each projection is normalized by its initial
-    value.
-    """
-    return compute_trajectory(ham, times, auto_refine=False)
-
-
 def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) -> Trajectory:
     """Projections plus nonlinear phase.
 
@@ -314,19 +301,19 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
     times = np.asarray(times, dtype=float)
     dyn = DickeDynamics(ham)
     c0, c1, c2 = dyn.projections(times)
-    theta, cos_half, comb, max_step = _extract_phase(c0, c1, c2)
+    theta, cos_half, max_step = _extract_phase(c0, c1, c2)
     if auto_refine:
         confirmed = False
         for _ in range(MAX_REFINEMENTS):
             dense_times = _densify(times)
             d0, d1, d2 = dyn.projections(dense_times)
-            d_theta, d_cos, d_comb, d_step = _extract_phase(d0, d1, d2)
+            d_theta, d_cos, d_step = _extract_phase(d0, d1, d2)
             consistent = (
                 max_step <= MAX_THETA_STEP
                 and np.abs(d_theta[::2] - theta).max() <= MAX_THETA_STEP
             )
             times, c0, c1, c2 = dense_times, d0, d1, d2
-            theta, cos_half, comb, max_step = d_theta, d_cos, d_comb, d_step
+            theta, cos_half, max_step = d_theta, d_cos, d_step
             if consistent:
                 confirmed = True
                 break
@@ -344,7 +331,6 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
         fidelity=np.abs(c2) ** 2,
         theta=theta,
         cos_half=cos_half,
-        combination=comb,
         _dynamics=dyn,
     )
     return traj
@@ -356,10 +342,9 @@ def _densify(times: np.ndarray) -> np.ndarray:
 
 
 def _extract_phase(c0, c1, c2):
-    """Signed cos(Theta/2), unwrapped Theta, raw combination, max phase step."""
+    """Unwrapped Theta, signed cos(Theta/2), max phase step."""
     x = np.conj(c0) * c2
     y = (np.conj(c0) * c1) ** 2
-    comb = 0.5 * (x + y)
     rel = np.unwrap(np.angle(x) - np.angle(y))
     rel = rel - rel[0]  # Theta(0) = 0
     cos_half = 0.5 * (np.abs(x) + np.abs(y)) * np.cos(rel / 2.0)
@@ -389,12 +374,12 @@ def _extract_phase(c0, c1, c2):
     if len(nz) and theta[nz[0]] < 0:
         theta = -theta
     max_step = float(np.max(np.abs(np.diff(theta)))) if len(theta) > 1 else 0.0
-    return theta, cos_half, comb, max_step
+    return theta, cos_half, max_step
 
 
 def nonlinear_phase(trajectory: Trajectory) -> np.ndarray:
     """Unwrapped nonlinear phase of an existing trajectory."""
-    theta, _, _, _ = _extract_phase(trajectory.c0, trajectory.c1, trajectory.c2)
+    theta, _, _ = _extract_phase(trajectory.c0, trajectory.c1, trajectory.c2)
     return theta
 
 

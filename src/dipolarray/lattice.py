@@ -2,7 +2,10 @@
 
 All positions are stored in units of the lattice spacing ``a``; the spacing
 only re-enters when converting dressed molecular parameters to absolute
-energies (see :mod:`dipolarray.stark`).
+energies (see :mod:`dipolarray.stark`).  Periodic lattices use minimum-image
+displacements: :func:`displacements` is the O(N^2) pair table the coupling
+kernel needs, :func:`relative_sites` its O(N) row r_j - r_0, which is all a
+translation-invariant lattice sum (spin-wave dispersion, phonons) needs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ __all__ = [
     "build_lattice",
     "coupling_kernel",
     "momentum_grid",
+    "relative_sites",
 ]
 
 _KINDS = ("chain", "square", "triangular")
@@ -184,14 +188,12 @@ def _triangular_patch(n_sites: int) -> np.ndarray:
     return np.array([t[3] for t in cand[:n_sites]])
 
 
-def displacements(lattice: Lattice) -> np.ndarray:
-    """Pairwise displacement vectors r_i - r_j, shape (N, N, D).
+def _minimum_image(diff: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Shortest torus image of each displacement in ``diff`` (..., D).
 
-    Minimum-image displacements on periodic lattices (shortest among the
-    neighboring torus images).
+    Open lattices return ``diff`` itself.  2D tori test the neighboring
+    images m1*T1 + m2*T2 with |m1|, |m2| <= 2; ties keep the first found.
     """
-    pos = lattice.positions
-    diff = pos[:, None, :] - pos[None, :, :]
     if not lattice.periodic:
         return diff
     period = lattice.period_vectors
@@ -199,17 +201,37 @@ def displacements(lattice: Lattice) -> np.ndarray:
         box = period[0, 0]
         return diff - box * np.round(diff / box)
     best = diff.copy()
-    best_n = np.einsum("ijk,ijk->ij", best, best)
+    best_n = np.einsum("...k,...k->...", best, best)
     for m1 in range(-2, 3):
         for m2 in range(-2, 3):
             if m1 == 0 and m2 == 0:
                 continue
             cand = diff + m1 * period[0] + m2 * period[1]
-            n = np.einsum("ijk,ijk->ij", cand, cand)
+            n = np.einsum("...k,...k->...", cand, cand)
             sel = n < best_n
             best[sel] = cand[sel]
             best_n = np.where(sel, n, best_n)
     return best
+
+
+def displacements(lattice: Lattice) -> np.ndarray:
+    """Pairwise displacement vectors r_i - r_j, shape (N, N, D).
+
+    Minimum-image displacements on periodic lattices (shortest among the
+    neighboring torus images).
+    """
+    pos = lattice.positions
+    return _minimum_image(pos[:, None, :] - pos[None, :, :], lattice)
+
+
+def relative_sites(lattice: Lattice) -> np.ndarray:
+    """Displacements r_j - r_0 for j != 0, shape (N-1, D), built in O(N).
+
+    Equal to ``displacements(lattice)[1:, 0, :]``.  On a torus every site is
+    equivalent, so this one row describes every lattice sum over j != i.
+    """
+    pos = lattice.positions
+    return _minimum_image(pos[1:] - pos[0], lattice)
 
 
 def coupling_kernel(lattice: Lattice) -> np.ndarray:

@@ -23,6 +23,15 @@ and the first-order decay probability integrates [(n(w)+1) cos(Omega+ tau)
 energies (kappa, xi, b0, u_dd, k_B T) must share one unit; times are hbar
 over that unit.  Temperatures are passed in units of U_dd/(sqrt(beta) k_B),
 the natural scale of the spectrum.
+
+Every lattice sum runs over the relative sites r_j - r_0 of
+:func:`dipolarray.lattice.relative_sites`, O(N) to build, so nothing is
+cached.  Dynamical matrices and coupling weights are built for the whole
+momentum grid at once.  The two-excitation sum enumerates the ordered pairs
+(k, k') with q = -(k + k') by integer arithmetic on the fractional momentum
+coordinates and shares :func:`_decay_sum` with the one-excitation sum.  A
+negative eigenvalue of D(q) raises :class:`UnstableCrystalError`, an
+``ArithmeticError``.
 """
 
 from __future__ import annotations
@@ -31,12 +40,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Lattice, MomentumGrid, build_lattice, displacements, momentum_grid
-from .spinwave import spin_wave_energies
+from .hamiltonian import ZETA3
+from .lattice import Lattice, MomentumGrid, build_lattice, momentum_grid, relative_sites
+from .spinwave import PERTURBATION_FLAG_LEVEL, spin_wave_energies
 
 __all__ = [
     "PhononModel",
     "PhononDecay",
+    "UnstableCrystalError",
     "dynamical_matrix",
     "build_phonon_model",
     "phonon_spectrum",
@@ -46,37 +57,21 @@ __all__ = [
     "gamma2",
 ]
 
-PERTURBATION_FLAG_LEVEL = 0.5
-ZETA3 = 1.2020569031595942854
-
 _SUPPORTED = ("chain", "triangular")
 
 
-def _relative_sites(lattice: Lattice) -> np.ndarray:
-    """Minimum-image displacements of sites 1.. relative to site 0.
-
-    On a torus every site is equivalent, so one reference row describes the
-    whole crystal; the table costs O(N^2) to build and is cached per lattice.
-    """
-    # geometry is deterministic given these fields, so the key is collision-safe
-    key = (lattice.kind, lattice.n_sites, lattice.boundary)
-    hit = _REL_CACHE.get(key)
-    if hit is None:
-        hit = displacements(lattice)[1:, 0, :]
-        _REL_CACHE[key] = hit
-    return hit
+class UnstableCrystalError(ArithmeticError):
+    """The dynamical matrix has a negative eigenvalue: no stable crystal."""
 
 
-_REL_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _dyn_from_rel(rel: np.ndarray, rn: np.ndarray, nhat: np.ndarray, qvec: np.ndarray, dim: int) -> np.ndarray:
-    w = (1.0 - np.cos(rel @ qvec)) * (3.0 / rn**5)
-    d = np.empty((dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            d[a, b] = (w * (5.0 * nhat[:, a] * nhat[:, b] - (1.0 if a == b else 0.0))).sum()
-    return d
+def _dynamical_matrices(rel: np.ndarray, qvecs: np.ndarray) -> np.ndarray:
+    """D(q) = sum_j K(r_j) (1 - cos q.r_j) for every row of ``qvecs``, (M, D, D)."""
+    rn = np.linalg.norm(rel, axis=1)
+    nhat = rel / rn[:, None]
+    dim = rel.shape[1]
+    pair = 5.0 * nhat[:, :, None] * nhat[:, None, :] - np.eye(dim)  # (N-1, D, D)
+    w = (1.0 - np.cos(qvecs @ rel.T)) * (3.0 / rn**5)               # (M, N-1)
+    return (w @ pair.reshape(len(rel), dim * dim)).reshape(len(qvecs), dim, dim)
 
 
 def dynamical_matrix(lattice: Lattice, qvec: np.ndarray) -> np.ndarray:
@@ -85,11 +80,8 @@ def dynamical_matrix(lattice: Lattice, qvec: np.ndarray) -> np.ndarray:
         raise ValueError(f"unsupported crystal kind {lattice.kind!r}; expected {_SUPPORTED}")
     if not lattice.periodic:
         raise ValueError("dynamical matrix requires a periodic lattice")
-    rel = _relative_sites(lattice)
-    rn = np.linalg.norm(rel, axis=1)
-    nhat = rel / rn[:, None]
     qvec = np.atleast_1d(np.asarray(qvec, dtype=float))
-    return _dyn_from_rel(rel, rn, nhat, qvec, lattice.dimension)
+    return _dynamical_matrices(relative_sites(lattice), qvec[None, :])[0]
 
 
 @dataclass
@@ -127,20 +119,15 @@ def build_phonon_model(lattice: Lattice, beta: float, u_dd: float, kappa: float)
     if lattice.kind not in _SUPPORTED:
         raise ValueError(f"unsupported crystal kind {lattice.kind!r}; expected {_SUPPORTED}")
     grid = momentum_grid(lattice)
-    dim = lattice.dimension
-    m = grid.n_points
-    rel = _relative_sites(lattice)
-    rn = np.linalg.norm(rel, axis=1)
-    nhat = rel / rn[:, None]
-    freqs = np.empty((m, dim))
-    pols = np.empty((m, dim, dim))
-    for i, q in enumerate(grid.kvecs):
-        d = _dyn_from_rel(rel, rn, nhat, q, dim)
-        lam, vec = np.linalg.eigh(d)
-        if lam.min() < -1e-10:
-            raise ValueError(f"unstable crystal mode at q = {q}: eigenvalue {lam.min():.3e}")
-        freqs[i] = np.sqrt(np.clip(lam, 0.0, None))
-        pols[i] = vec.T  # pols[i, lam] is the polarization vector of branch lam
+    lam, vec = np.linalg.eigh(_dynamical_matrices(relative_sites(lattice), grid.kvecs))
+    unstable = np.flatnonzero(lam.min(axis=1) < -1e-10)
+    if len(unstable):
+        i = unstable[0]
+        raise UnstableCrystalError(
+            f"unstable crystal mode at q = {grid.kvecs[i]}: eigenvalue {lam[i].min():.3e}"
+        )
+    freqs = np.sqrt(np.clip(lam, 0.0, None))
+    pols = vec.transpose(0, 2, 1)  # pols[i, lam] is the polarization vector of branch lam
     spin = spin_wave_energies(lattice, grid.kvecs, kappa)
     return PhononModel(
         lattice=lattice,
@@ -168,23 +155,28 @@ def phonon_spectrum(model: PhononModel) -> dict:
     }
 
 
+def _coupling_weights(model: PhononModel, iqs: np.ndarray) -> np.ndarray:
+    """Per-branch coupling weights g_lambda at grid points ``iqs``, (m, branches).
+
+    A branch of vanishing frequency gets weight 0; it must also decouple.
+    """
+    rel = relative_sites(model.lattice)
+    q = model.grid.kvecs[iqs]
+    # sum_j sin(q.r_j) r_j / |r_j|^5, projected on each polarization below
+    force = (np.sin(q @ rel.T) / np.linalg.norm(rel, axis=1) ** 5) @ rel   # (m, D)
+    t = np.einsum("mbd,md->mb", model.pols[iqs], force)
+    f = model.freqs[iqs]
+    soft = f < 1e-12
+    coupled = soft & (np.abs(t) > 1e-12)
+    if coupled.any():
+        i = np.argwhere(coupled)[0, 0]
+        raise ValueError(f"vanishing branch frequency at q = {q[i]} with finite coupling")
+    return np.where(soft, 0.0, 9.0 * t**2 / np.where(soft, 1.0, f))
+
+
 def coupling_weight_g(model: PhononModel, iq: int) -> np.ndarray:
     """Per-branch coupling weight g_lambda at grid point ``iq`` (q != 0)."""
-    q = model.grid.kvecs[iq]
-    rel = _relative_sites(model.lattice)
-    rn = np.linalg.norm(rel, axis=1)
-    sin_qr = np.sin(rel @ q)
-    out = np.empty(model.n_branches)
-    for lam in range(model.n_branches):
-        f = model.freqs[iq, lam]
-        t = float((sin_qr * (rel @ model.pols[iq, lam]) / rn**5).sum())
-        if f < 1e-12:
-            if abs(t) > 1e-12:
-                raise ValueError(f"vanishing branch frequency at q = {q} with finite coupling")
-            out[lam] = 0.0
-        else:
-            out[lam] = 9.0 * t**2 / f
-    return out
+    return _coupling_weights(model, np.array([iq]))[0]
 
 
 @dataclass
@@ -203,15 +195,14 @@ class PhononDecay:
 
 
 def _mode_tables(model: PhononModel):
-    """Arrays over (grid point, branch) excluding q = 0: energies, g, spin.
+    """Arrays over (grid point, branch) excluding q = 0: g, energies, spin.
 
-    The grid places q = 0 first by construction.
+    The grid places q = 0 first by construction, so row r is grid point r + 1.
     """
-    keep = list(range(1, model.grid.n_points))
-    g = np.array([coupling_weight_g(model, i) for i in keep])  # (M', nb)
-    w_ph = model.freqs[keep] * model.phonon_energy_unit        # (M', nb)
-    w_sp = model.spin_energies[keep]                           # (M',)
-    return np.array(keep, dtype=int), g, w_ph, w_sp
+    g = _coupling_weights(model, np.arange(1, model.grid.n_points))  # (M', nb)
+    w_ph = model.freqs[1:] * model.phonon_energy_unit                 # (M', nb)
+    w_sp = model.spin_energies[1:]                                    # (M',)
+    return g, w_ph, w_sp
 
 
 def _occupation(w: np.ndarray, kbt: float) -> np.ndarray:
@@ -235,14 +226,16 @@ def _osc_integral(omega: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 def _decay_sum(weights: np.ndarray, w_ph: np.ndarray, w_sp: np.ndarray,
                kbt_abs: float, times: np.ndarray) -> np.ndarray:
-    """2 * sum_modes weights * [(n+1) I(w_ph + w_sp) + n I(w_ph - w_sp)]."""
-    nocc = _occupation(w_ph, kbt_abs)
-    acc = np.zeros(len(times))
-    plus = _osc_integral((w_ph + w_sp).ravel(), times)
-    minus = _osc_integral((w_ph - w_sp).ravel(), times)
+    """2 * sum_modes weights * [(n+1) I(w_ph + w_sp) + n I(w_ph - w_sp)].
+
+    ``w_sp`` broadcasts against ``w_ph``.  Only one (T x modes) integral is
+    alive at a time: the emission term is summed before the absorption one
+    is built.
+    """
     wt = weights.ravel()
-    acc += (wt * (nocc.ravel() + 1.0) * plus).sum(axis=1)
-    acc += (wt * nocc.ravel() * minus).sum(axis=1)
+    nocc = _occupation(w_ph, kbt_abs).ravel()
+    acc = (wt * (nocc + 1.0) * _osc_integral((w_ph + w_sp).ravel(), times)).sum(axis=1)
+    acc += (wt * nocc * _osc_integral((w_ph - w_sp).ravel(), times)).sum(axis=1)
     return 2.0 * acc
 
 
@@ -255,12 +248,11 @@ def gamma1_time(model: PhononModel, xi: float, b0: float, temperature: float, ti
     times = np.asarray(times, dtype=float)
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
-    _, g, w_ph, w_sp = _mode_tables(model)
+    g, w_ph, w_sp = _mode_tables(model)
     n = model.lattice.n_sites
     kbt = temperature * model.phonon_energy_unit
     coup = (xi + 4.0 * b0) ** 2 / (2.0 * n * np.sqrt(model.beta))
-    weights = coup * g
-    dec = _decay_sum(weights, w_ph, np.broadcast_to(w_sp[:, None], w_ph.shape), kbt, times)
+    dec = _decay_sum(coup * g, w_ph, w_sp[:, None], kbt, times)
     norm = dec * np.sqrt(model.beta) / (xi + 4.0 * b0) ** 2 if (xi + 4.0 * b0) != 0 else dec * 0.0
     return PhononDecay(
         times=times,
@@ -281,18 +273,20 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
     pairs with k + k' = 0 are dropped with the q = 0 mode.
     """
     times = np.asarray(times, dtype=float)
-    keep, g, w_ph, w_sp = _mode_tables(model)
+    g, w_ph, w_sp = _mode_tables(model)
     n = model.lattice.n_sites
     kbt = temperature * model.phonon_energy_unit
     amp_dom = xi + 4.0 * b0
     base = 1.0 / (2.0 * n * np.sqrt(model.beta))
 
-    dec1 = _decay_sum(base * amp_dom**2 * g, w_ph,
-                      np.broadcast_to(w_sp[:, None], w_ph.shape), kbt, times)
-    dominant = 2.0 * dec1
+    dominant = 2.0 * _decay_sum(base * amp_dom**2 * g, w_ph, w_sp[:, None], kbt, times)
 
-    # full ordered-pair sum
-    full = _gamma2_full(model, keep, g, w_ph, w_sp, xi, b0, kbt, times)
+    ik, ikp, iq = _momentum_pairs(model.grid)
+    amp = -4.0 * xi / n + amp_dom * (ikp == 0) + amp_dom * (ik == 0)
+    rows = iq - 1  # rows of the q != 0 tables
+    w_pair = model.spin_energies[ik] + model.spin_energies[ikp]
+    full = _decay_sum(base * amp[:, None] ** 2 * g[rows], w_ph[rows], w_pair[:, None], kbt, times)
+
     norm = full * np.sqrt(model.beta) / amp_dom**2 if amp_dom != 0 else full * 0.0
     corr = float(np.max(np.abs(full - dominant)) / max(np.max(dominant), 1e-300))
     return PhononDecay(
@@ -306,61 +300,25 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
     )
 
 
-def _grid_index_map(grid: MomentumGrid):
-    from .lattice import grid_labels
+def _momentum_pairs(grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid indices (k, k', q) of the ordered pairs with q = -(k + k') != 0,
+    k-major.
 
-    keys = grid_labels(grid.kvecs, grid.reciprocal_vectors, grid.n_points)
-    return {k: i for i, k in enumerate(keys)}, keys
-
-
-def _gamma2_full(model, keep, g, w_ph, w_sp, xi, b0, kbt, times):
-    grid = model.grid
-    n = model.lattice.n_sites
-    index_of, keys = _grid_index_map(grid)
+    Fractional coordinates are multiples of 1/L, so scaled by the grid size
+    they are exact integers; momenta are added modulo the reciprocal lattice
+    in those integers and located by a mixed-radix label.
+    """
     nq = grid.n_points
-    amp_dom = xi + 4.0 * b0
-    base = 1.0 / (2.0 * n * np.sqrt(model.beta))
-
-    # map from grid index to row in the q != 0 tables
-    row_of = {int(iq): r for r, iq in enumerate(keep)}
-
-    # spin-wave energy for every grid point including k = 0
-    w_sp_all = model.spin_energies
-
-    # enumerate ordered pairs; q index of -(k+k') via integer keys
-    kv = grid.kvecs
-    recip = grid.reciprocal_vectors
-    frac = np.linalg.solve(recip.T, kv.T).T  # fractional coords, multiples of 1/L
+    frac = np.linalg.solve(grid.reciprocal_vectors.T, grid.kvecs.T).T
     fr_int = np.round(frac * nq).astype(int) % nq
-
-    weights, om_p, om_m, occs = [], [], [], []
-    for ik in range(nq):
-        for ikp in range(nq):
-            if ik == 0 and ikp == 0:
-                continue
-            fq = tuple((-(fr_int[ik] + fr_int[ikp])) % nq)
-            iq = index_of.get(fq)
-            if iq is None or iq == 0:
-                continue  # q = 0 excluded
-            r = row_of[iq]
-            amp = -4.0 * xi / n
-            if ikp == 0:
-                amp += amp_dom
-            if ik == 0:
-                amp += amp_dom
-            wsum = w_sp_all[ik] + w_sp_all[ikp]
-            for lam in range(model.n_branches):
-                weights.append(base * amp**2 * g[r, lam])
-                om_p.append(w_ph[r, lam] + wsum)
-                om_m.append(w_ph[r, lam] - wsum)
-                occs.append(w_ph[r, lam])
-    weights = np.array(weights)
-    om_p = np.array(om_p)
-    om_m = np.array(om_m)
-    nocc = _occupation(np.array(occs), kbt)
-    acc = (weights * (nocc + 1.0) * _osc_integral(om_p, times)).sum(axis=1)
-    acc += (weights * nocc * _osc_integral(om_m, times)).sum(axis=1)
-    return 2.0 * acc
+    radix = nq ** np.arange(fr_int.shape[1])
+    label = fr_int @ radix
+    order = np.argsort(label)
+    ik, ikp = np.divmod(np.arange(nq * nq), nq)
+    q_label = (-(fr_int[ik] + fr_int[ikp]) % nq) @ radix
+    iq = order[np.minimum(np.searchsorted(label, q_label, sorter=order), nq - 1)]
+    keep = (label[iq] == q_label) & (iq != 0)
+    return ik[keep], ikp[keep], iq[keep]
 
 
 def gamma1_fgr(model: PhononModel, xi: float, b0: float, temperature: float,
@@ -402,7 +360,7 @@ def gamma1_fgr(model: PhononModel, xi: float, b0: float, temperature: float,
 
 
 def _fgr_rate(model: PhononModel, xi: float, b0: float, temperature: float) -> float:
-    keep, g, w_ph, w_sp = _mode_tables(model)
+    g, w_ph, w_sp = _mode_tables(model)
     kbt = temperature * model.phonon_energy_unit
     n = model.lattice.n_sites
     dim = model.lattice.dimension

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import chi_eff
-from .lattice import Lattice, MomentumGrid, build_lattice, displacements, momentum_grid
+from .lattice import Lattice, MomentumGrid, build_lattice, momentum_grid, relative_sites
 
 __all__ = [
     "Dispersion",
@@ -28,19 +28,13 @@ __all__ = [
 PERTURBATION_FLAG_LEVEL = 0.5
 
 
-def _relative_sites(lattice: Lattice) -> np.ndarray:
-    """Minimum-image displacements r_j - r_0 for j != 0, shape (N-1, D)."""
-    diff = displacements(lattice)
-    return diff[1:, 0, :]
-
-
 def spin_wave_energies(lattice: Lattice, kvecs: np.ndarray, kappa: float = 1.0) -> np.ndarray:
     """hbar*omega_k = kappa * sum_{j != 0} (4/|r_j|^3) sin^2(k.r_j / 2).
 
     The energy of the uniform (k = 0) one-excitation mode minus the energy of
     the k mode; non-negative for the repulsive kernel.
     """
-    rel = _relative_sites(lattice)
+    rel = relative_sites(lattice)
     r3 = np.linalg.norm(rel, axis=1) ** 3
     dots = np.atleast_2d(kvecs) @ rel.T
     return kappa * (4.0 * np.sin(dots / 2.0) ** 2 / r3).sum(axis=1)
@@ -50,7 +44,7 @@ def fourier_kernel(lattice: Lattice, kvecs: np.ndarray) -> np.ndarray:
     """F_k = a^3 sum_{j != 0} cos(k.r_j) / |r_j|^3 on the periodic lattice."""
     if not lattice.periodic:
         raise ValueError("fourier_kernel requires a periodic lattice")
-    rel = _relative_sites(lattice)
+    rel = relative_sites(lattice)
     r3 = np.linalg.norm(rel, axis=1) ** 3
     dots = np.atleast_2d(kvecs) @ rel.T
     return (np.cos(dots) / r3).sum(axis=1)

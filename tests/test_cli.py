@@ -1,10 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
+import dipolarray.dynamics as dynamics_mod
+import dipolarray.phonon as phonon_mod
 from dipolarray.cli import (
     EXIT_CONFIG,
     EXIT_NO_GATE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_RESOURCE,
     SCHEMAS,
@@ -174,6 +178,19 @@ t_max = 0.3
 n_samples = 60
 """)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_NO_GATE
+
+    def test_unstable_crystal_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(phonon_mod, "_dynamical_matrices",
+                            lambda rel, qvecs: -np.ones((len(qvecs), 1, 1)))
+        cfg = write_cfg(tmp_path, "experiment = phonon_bands\nkind = chain\nn_sites = 8\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        assert "numerical error: unstable crystal mode" in capsys.readouterr().err
+
+    def test_invariance_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics_mod, "RESIDUAL_TOL", -1.0)
+        cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 8\nboundary = periodic\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        assert "numerical error: quotient" in capsys.readouterr().err
 
     def test_dispersion_run(self, tmp_path):
         cfg = write_cfg(tmp_path, """

@@ -238,7 +238,6 @@ class TestNonlinearPhase:
             fidelity=np.ones(5),
             theta=np.zeros(5),
             cos_half=np.ones(5),
-            combination=ones,
         )
         with pytest.warns(RuntimeWarning, match="exceeds 1"):
             nonlinear_phase(fake)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dipolarray.lattice import build_lattice, coupling_kernel, momentum_grid
+from dipolarray.lattice import build_lattice, coupling_kernel, displacements, momentum_grid, relative_sites
 
 
 def pairwise_distances(positions):
@@ -170,3 +170,5 @@ def test_kernel_properties_random(kind, side, boundary):
     assert np.array_equal(d, d.T)
     assert (d >= 0).all()
     assert np.isclose(d[d > 0].max(), 1.0)
+    # the O(N) reference row is the O(N^2) table's column 0, bit for bit
+    assert np.array_equal(relative_sites(lat), displacements(lat)[1:, 0, :])

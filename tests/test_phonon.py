@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dipolarray.phonon as phonon_mod
-from dipolarray.lattice import build_lattice, momentum_grid
+from dipolarray.hamiltonian import ZETA3
+from dipolarray.lattice import build_lattice, grid_labels, momentum_grid
 from dipolarray.phonon import (
+    UnstableCrystalError,
     build_phonon_model,
     coupling_weight_g,
     dynamical_matrix,
@@ -13,7 +17,6 @@ from dipolarray.phonon import (
     phonon_spectrum,
 )
 
-ZETA3 = 1.2020569031595942854
 ZETA5 = 1.0369277551433699
 
 
@@ -157,9 +160,17 @@ class TestSpectrum:
 
     def test_instability_reported_with_q(self, monkeypatch):
         lat = build_lattice("chain", 8, boundary="periodic")
-        monkeypatch.setattr(phonon_mod, "_dyn_from_rel", lambda *_: np.array([[-1.0]]))
-        with pytest.raises(ValueError, match="unstable crystal mode at q"):
+        monkeypatch.setattr(phonon_mod, "_dynamical_matrices",
+                            lambda rel, qvecs: -np.ones((len(qvecs), 1, 1)))
+        with pytest.raises(UnstableCrystalError, match="unstable crystal mode at q"):
             build_phonon_model(lat, 1e4, 3.0, 1.0)
+
+    @pytest.mark.parametrize("kind,n", [("chain", 30), ("triangular", 25)])
+    def test_batched_frequencies_match_per_q(self, kind, n):
+        lat = build_lattice(kind, n, boundary="periodic")
+        model = build_phonon_model(lat, 1e4, 3.0, 1.0)
+        per_q = np.array([np.linalg.eigvalsh(dynamical_matrix(lat, q)) for q in model.grid.kvecs])
+        assert np.allclose(model.freqs**2, np.clip(per_q, 0.0, None), rtol=1e-12, atol=0)
 
 
 class TestCouplingWeight:
@@ -275,6 +286,64 @@ class TestGamma2:
         xi, b0, n = 0.05, 0.1, 36
         bound = 2.0 * 8.0 * xi / (n * (xi + 4 * b0))
         assert two.correction_ratio <= bound
+
+
+def gamma2_full_reference(model, xi, b0, temperature, times):
+    """Ordered-pair double loop over (k, k') with dict lookups of q = -(k + k')."""
+    grid = model.grid
+    n = model.lattice.n_sites
+    nq = grid.n_points
+    keys = grid_labels(grid.kvecs, grid.reciprocal_vectors, nq)
+    index_of = {k: i for i, k in enumerate(keys)}
+    frac = np.linalg.solve(grid.reciprocal_vectors.T, grid.kvecs.T).T
+    fr_int = np.round(frac * nq).astype(int) % nq
+    amp_dom = xi + 4.0 * b0
+    base = 1.0 / (2.0 * n * np.sqrt(model.beta))
+    w_ph = model.freqs * model.phonon_energy_unit
+    w_sp = model.spin_energies
+    weights, om_p, om_m, occs = [], [], [], []
+    for ik in range(nq):
+        for ikp in range(nq):
+            if ik == 0 and ikp == 0:
+                continue
+            iq = index_of.get(tuple((-(fr_int[ik] + fr_int[ikp])) % nq))
+            if iq is None or iq == 0:
+                continue
+            amp = -4.0 * xi / n
+            if ikp == 0:
+                amp += amp_dom
+            if ik == 0:
+                amp += amp_dom
+            g = coupling_weight_g(model, iq)
+            for lam in range(model.n_branches):
+                weights.append(base * amp**2 * g[lam])
+                om_p.append(w_ph[iq, lam] + w_sp[ik] + w_sp[ikp])
+                om_m.append(w_ph[iq, lam] - w_sp[ik] - w_sp[ikp])
+                occs.append(w_ph[iq, lam])
+    weights = np.array(weights)
+    nocc = phonon_mod._occupation(np.array(occs), temperature * model.phonon_energy_unit)
+    acc = (weights * (nocc + 1.0) * phonon_mod._osc_integral(np.array(om_p), times)).sum(axis=1)
+    acc += (weights * nocc * phonon_mod._osc_integral(np.array(om_m), times)).sum(axis=1)
+    return 2.0 * acc
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    lattice=st.one_of(
+        st.builds(lambda n: build_lattice("chain", n, boundary="periodic"),
+                  st.integers(min_value=2, max_value=40)),
+        st.builds(lambda n: build_lattice("triangular", n, boundary="periodic"),
+                  st.sampled_from([9, 16, 25, 36])),
+    ),
+    xi=st.floats(min_value=-0.3, max_value=0.3),
+    b0=st.floats(min_value=0.0, max_value=0.2),
+    temperature=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_gamma2_matches_pair_loop(lattice, xi, b0, temperature):
+    model = build_phonon_model(lattice, 1e4, 3.0, 1.0)
+    t = np.linspace(0.0, 60.0, 17)
+    ref = gamma2_full_reference(model, xi, b0, temperature, t)
+    assert np.allclose(gamma2(model, xi, b0, temperature, t).decay, ref, rtol=1e-12, atol=0)
 
 
 class TestGoldenRule:
