@@ -23,7 +23,8 @@ DEFAULT_DIMENSION_CAP = 10**6
 
 
 class ResourceLimitError(RuntimeError):
-    """Requested basis exceeds the configured dimension cap."""
+    """A requested computation exceeds its configured size cap: the sector
+    basis dimension cap, or the memory cap of the gamma2 pair tables."""
 
 
 def rank_config(config: tuple[int, ...]) -> int:

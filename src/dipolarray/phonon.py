@@ -27,11 +27,19 @@ the natural scale of the spectrum.
 Every lattice sum runs over the relative sites r_j - r_0 of
 :func:`dipolarray.lattice.relative_sites`, O(N) to build, so nothing is
 cached.  Dynamical matrices and coupling weights are built for the whole
-momentum grid at once.  The two-excitation sum enumerates the ordered pairs
-(k, k') with q = -(k + k') by integer arithmetic on the fractional momentum
-coordinates and shares :func:`_decay_sum` with the one-excitation sum.  A
-negative eigenvalue of D(q) raises :class:`UnstableCrystalError`, an
-``ArithmeticError``.
+momentum grid at once.  The two-excitation sum enumerates the unordered pairs
+k <= k' with q = -(k + k') by integer arithmetic on the fractional momentum
+coordinates (each term is symmetric under k <-> k', so a pair with k != k'
+counts twice) and shares :func:`_decay_sum` with the one-excitation sum.
+That sum streams the mode axis in slices of a fixed byte budget, so no
+(times x modes) array is ever held; the pair tables are O(N^2 branches)
+and :func:`gamma2` refuses up front with
+:class:`~dipolarray.basis.ResourceLimitError` when they would exceed
+``PAIR_TABLE_BYTES_MAX``.  Both sums run without the coupling amplitudes,
+which multiply the results afterwards, so the normalized curves stay exact
+when (xi + 4 b0)^2 underflows.  A negative eigenvalue of D(q), or a
+vanishing branch frequency with finite coupling, raises
+:class:`UnstableCrystalError`, an ``ArithmeticError``.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import ResourceLimitError
 from .hamiltonian import ZETA3
 from .lattice import Lattice, MomentumGrid, build_lattice, momentum_grid, relative_sites
 from .spinwave import PERTURBATION_FLAG_LEVEL, spin_wave_energies
@@ -59,9 +68,19 @@ __all__ = [
 
 _SUPPORTED = ("chain", "triangular")
 
+# (times x slice) float64 budget of one _osc_integral block in _decay_sum
+_CHUNK_BYTES = 8 * 2**20
+
+# gamma2 refuses pair tables whose estimated size exceeds this
+PAIR_TABLE_BYTES_MAX = 2**30
+
 
 class UnstableCrystalError(ArithmeticError):
-    """The dynamical matrix has a negative eigenvalue: no stable crystal."""
+    """The phonon spectrum is numerically unusable.
+
+    Raised for a negative dynamical-matrix eigenvalue (no stable crystal) and
+    for a branch whose frequency vanishes while its coupling stays finite.
+    """
 
 
 def _dynamical_matrices(rel: np.ndarray, qvecs: np.ndarray) -> np.ndarray:
@@ -170,7 +189,7 @@ def _coupling_weights(model: PhononModel, iqs: np.ndarray) -> np.ndarray:
     coupled = soft & (np.abs(t) > 1e-12)
     if coupled.any():
         i = np.argwhere(coupled)[0, 0]
-        raise ValueError(f"vanishing branch frequency at q = {q[i]} with finite coupling")
+        raise UnstableCrystalError(f"vanishing branch frequency at q = {q[i]} with finite coupling")
     return np.where(soft, 0.0, 9.0 * t**2 / np.where(soft, 1.0, f))
 
 
@@ -182,7 +201,7 @@ def coupling_weight_g(model: PhononModel, iq: int) -> np.ndarray:
 @dataclass
 class PhononDecay:
     """Decay probability of a collective excitation, raw and normalized by
-    (xi + 4 b0)^2 / sqrt(beta)."""
+    (xi + 4 b0)^2 / sqrt(beta) (0 when xi + 4 b0 == 0)."""
 
     times: np.ndarray
     decay: np.ndarray
@@ -228,14 +247,22 @@ def _decay_sum(weights: np.ndarray, w_ph: np.ndarray, w_sp: np.ndarray,
                kbt_abs: float, times: np.ndarray) -> np.ndarray:
     """2 * sum_modes weights * [(n+1) I(w_ph + w_sp) + n I(w_ph - w_sp)].
 
-    ``w_sp`` broadcasts against ``w_ph``.  Only one (T x modes) integral is
-    alive at a time: the emission term is summed before the absorption one
-    is built.
+    ``w_sp`` broadcasts against ``w_ph``.  The time curve is accumulated over
+    slices of the mode axis holding at most ``_CHUNK_BYTES`` of (T x slice)
+    float64 each; every slice of the emission and absorption integrals is
+    contracted with its weight vector at once, so memory does not grow with
+    the number of modes.
     """
     wt = weights.ravel()
     nocc = _occupation(w_ph, kbt_abs).ravel()
-    acc = (wt * (nocc + 1.0) * _osc_integral((w_ph + w_sp).ravel(), times)).sum(axis=1)
-    acc += (wt * nocc * _osc_integral((w_ph - w_sp).ravel(), times)).sum(axis=1)
+    emit, absorb = wt * (nocc + 1.0), wt * nocc
+    up, down = (w_ph + w_sp).ravel(), (w_ph - w_sp).ravel()
+    step = max(1, _CHUNK_BYTES // (8 * max(len(times), 1)))
+    acc = np.zeros(len(times))
+    for lo in range(0, len(wt), step):
+        part = slice(lo, lo + step)
+        acc += _osc_integral(up[part], times) @ emit[part]
+        acc += _osc_integral(down[part], times) @ absorb[part]
     return 2.0 * acc
 
 
@@ -243,21 +270,22 @@ def gamma1_time(model: PhononModel, xi: float, b0: float, temperature: float, ti
     """Time-resolved decay probability of the one-excitation collective state.
 
     ``temperature`` is k_B T in units of u_dd/sqrt(beta); xi and b0 share the
-    energy unit of kappa and u_dd; times are hbar over that unit.
+    energy unit of kappa and u_dd; times are hbar over that unit.  The
+    normalized curve is summed without the amplitude (xi + 4 b0)^2, so it does
+    not depend on (xi, b0); it is 0 when xi + 4 b0 == 0.
     """
     times = np.asarray(times, dtype=float)
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
     g, w_ph, w_sp = _mode_tables(model)
-    n = model.lattice.n_sites
     kbt = temperature * model.phonon_energy_unit
-    coup = (xi + 4.0 * b0) ** 2 / (2.0 * n * np.sqrt(model.beta))
-    dec = _decay_sum(coup * g, w_ph, w_sp[:, None], kbt, times)
-    norm = dec * np.sqrt(model.beta) / (xi + 4.0 * b0) ** 2 if (xi + 4.0 * b0) != 0 else dec * 0.0
+    amp = xi + 4.0 * b0
+    norm = _decay_sum(g, w_ph, w_sp[:, None], kbt, times) / (2.0 * model.lattice.n_sites)
+    dec = norm / np.sqrt(model.beta) * amp * amp
     return PhononDecay(
         times=times,
         decay=dec,
-        decay_normalized=norm,
+        decay_normalized=norm if amp != 0 else np.zeros_like(norm),
         temperature=temperature,
         beyond_perturbative=bool(dec.max(initial=0.0) > PERTURBATION_FLAG_LEVEL),
     )
@@ -267,27 +295,53 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
     """Two-excitation decay: dominant channels plus the 4 xi / N correction.
 
     The dominant part (one of the two spin waves stays at k = 0) is exactly
-    twice the one-excitation result.  The full sum runs over ordered momentum
-    pairs (k, k') != (0, 0) with the phonon pinned at q = -(k + k'), keeping
-    the -(4 xi / N) amplitude and its interference with the dominant one;
-    pairs with k + k' = 0 are dropped with the q = 0 mode.
+    twice the one-excitation result.  The full sum runs over momentum pairs
+    (k, k') != (0, 0) with the phonon pinned at q = -(k + k'), keeping the
+    -(4 xi / N) amplitude and its interference with the dominant one; pairs
+    with k + k' = 0 are dropped with the q = 0 mode.  Every term is symmetric
+    under k <-> k', so only k <= k' is enumerated, with multiplicity 2 for
+    k != k'.  The amplitude is (xi + 4 b0) - 4 xi / N on the edge pairs
+    (k = 0) and -4 xi / N on the others; each set is summed without it.
+
+    Raises :class:`~dipolarray.basis.ResourceLimitError` when the pair tables
+    would exceed ``PAIR_TABLE_BYTES_MAX``.
     """
     times = np.asarray(times, dtype=float)
-    g, w_ph, w_sp = _mode_tables(model)
+    # pairs k <= k' before the q = 0 filter, each holding the integer labels
+    # of _momentum_pairs and float tables per branch, 8 bytes a word; the
+    # word counts fit the tracemalloc peak of chain and triangular runs
+    pairs = model.grid.n_points * (model.grid.n_points + 1) // 2
+    need = pairs * 8 * (6 + 10 * model.n_branches)
+    if need > PAIR_TABLE_BYTES_MAX:
+        raise ResourceLimitError(
+            f"gamma2 pair tables need about {need / 2**20:.0f} MiB for {model.grid.n_points} "
+            f"momenta and {model.n_branches} branches; cap is {PAIR_TABLE_BYTES_MAX / 2**20:.0f} MiB"
+        )
+    dominant = 2.0 * gamma1_time(model, xi, b0, temperature, times).decay
+    g, w_ph, _ = _mode_tables(model)
     n = model.lattice.n_sites
     kbt = temperature * model.phonon_energy_unit
-    amp_dom = xi + 4.0 * b0
-    base = 1.0 / (2.0 * n * np.sqrt(model.beta))
-
-    dominant = 2.0 * _decay_sum(base * amp_dom**2 * g, w_ph, w_sp[:, None], kbt, times)
 
     ik, ikp, iq = _momentum_pairs(model.grid)
-    amp = -4.0 * xi / n + amp_dom * (ikp == 0) + amp_dom * (ik == 0)
+    n_edge = np.count_nonzero(ik == 0)  # k-major: the edge pairs lead
     rows = iq - 1  # rows of the q != 0 tables
     w_pair = model.spin_energies[ik] + model.spin_energies[ikp]
-    full = _decay_sum(base * amp[:, None] ** 2 * g[rows], w_ph[rows], w_pair[:, None], kbt, times)
-
-    norm = full * np.sqrt(model.beta) / amp_dom**2 if amp_dom != 0 else full * 0.0
+    weights = np.where(ik == ikp, 1.0, 2.0)[:, None] * g[rows]
+    edge, bulk = (
+        _decay_sum(weights[part], w_ph[rows[part]], w_pair[part, None], kbt, times) / (2.0 * n)
+        for part in (slice(None, n_edge), slice(n_edge, None))
+    )
+    amp_dom = xi + 4.0 * b0
+    amp_edge, amp_bulk = amp_dom - 4.0 * xi / n, -4.0 * xi / n
+    # the amplitudes are scaled by a power of two, so the sum stays in the
+    # normal range and is rounded once when scaled back
+    e = np.frexp(max(abs(amp_edge), abs(amp_bulk)))[1]
+    full = np.ldexp((np.ldexp(amp_edge, -e) ** 2 * edge + np.ldexp(amp_bulk, -e) ** 2 * bulk)
+                    / np.sqrt(model.beta), 2 * e)
+    if amp_dom != 0:
+        norm = (amp_edge / amp_dom) ** 2 * edge + (amp_bulk / amp_dom) ** 2 * bulk
+    else:
+        norm = np.zeros_like(full)
     corr = float(np.max(np.abs(full - dominant)) / max(np.max(dominant), 1e-300))
     return PhononDecay(
         times=times,
@@ -301,7 +355,7 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
 
 
 def _momentum_pairs(grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid indices (k, k', q) of the ordered pairs with q = -(k + k') != 0,
+    """Grid indices (k, k', q) of the pairs k <= k' with q = -(k + k') != 0,
     k-major.
 
     Fractional coordinates are multiples of 1/L, so scaled by the grid size
@@ -314,7 +368,7 @@ def _momentum_pairs(grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray, np.ndar
     radix = nq ** np.arange(fr_int.shape[1])
     label = fr_int @ radix
     order = np.argsort(label)
-    ik, ikp = np.divmod(np.arange(nq * nq), nq)
+    ik, ikp = np.triu_indices(nq)
     q_label = (-(fr_int[ik] + fr_int[ikp]) % nq) @ radix
     iq = order[np.minimum(np.searchsorted(label, q_label, sorter=order), nq - 1)]
     keep = (label[iq] == q_label) & (iq != 0)

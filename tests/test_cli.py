@@ -186,6 +186,20 @@ n_samples = 60
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
         assert "numerical error: unstable crystal mode" in capsys.readouterr().err
 
+    def test_vanishing_frequency_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(phonon_mod, "_dynamical_matrices",
+                            lambda rel, qvecs: np.zeros((len(qvecs), 1, 1)))
+        cfg = write_cfg(tmp_path, "experiment = phonon_decay\nkind = chain\nn_sites = 8\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        assert "numerical error: vanishing branch frequency" in capsys.readouterr().err
+
+    def test_gamma2_memory_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(phonon_mod, "PAIR_TABLE_BYTES_MAX", 1000)
+        cfg = write_cfg(tmp_path, "experiment = phonon_decay\nkind = chain\nn_sites = 8\n"
+                                  "n_samples = 20\ninclude_fgr = false\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
+        assert "resource limit: gamma2 pair tables" in capsys.readouterr().err
+
     def test_invariance_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(dynamics_mod, "RESIDUAL_TOL", -1.0)
         cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 8\nboundary = periodic\n")

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dipolarray.phonon as phonon_mod
+from dipolarray.basis import ResourceLimitError
 from dipolarray.hamiltonian import ZETA3
 from dipolarray.lattice import build_lattice, grid_labels, momentum_grid
 from dipolarray.phonon import (
@@ -287,6 +290,40 @@ class TestGamma2:
         bound = 2.0 * 8.0 * xi / (n * (xi + 4 * b0))
         assert two.correction_ratio <= bound
 
+    def test_pair_table_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(phonon_mod, "PAIR_TABLE_BYTES_MAX", 1000)
+        with pytest.raises(ResourceLimitError, match="gamma2 pair tables"):
+            gamma2(chain_model(12), 0.05, 0.1, 0.5, np.linspace(0, 40, 5))
+
+    def test_memory_bounded(self):
+        # one (times x ordered-pair modes) float64 array would be 96 MB here
+        model = chain_model(200)
+        t = np.linspace(0, 100, 300)
+        tracemalloc.start()
+        try:
+            gamma2(model, 0.05, 0.1, 0.5, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amp", [1e-160, 1e-170])
+@pytest.mark.parametrize("fn", [gamma1_time, gamma2])
+def test_normalized_exact_when_amplitude_square_underflows(fn, amp):
+    # (xi + 4 b0)^2 is subnormal at 1e-160 and 0 at 1e-170; the normalized
+    # curve is scale invariant in (xi, b0), so it must equal the one at
+    # xi + 4 b0 = 1
+    m = chain_model(12)
+    t = np.linspace(0, 50, 30)
+    for tiny, unit in (((amp, 0.0), (1.0, 0.0)), ((0.0, amp / 4), (0.0, 0.25))):
+        small = fn(m, *tiny, 1.0, t)
+        assert np.allclose(small.decay_normalized, fn(m, *unit, 1.0, t).decay_normalized,
+                           rtol=1e-12, atol=0)
+        assert small.decay_normalized[0] == 0.0
+        assert np.isfinite(small.decay).all() and small.decay.min() >= 0.0
+
 
 def gamma2_full_reference(model, xi, b0, temperature, times):
     """Ordered-pair double loop over (k, k') with dict lookups of q = -(k + k')."""
@@ -342,8 +379,26 @@ def gamma2_full_reference(model, xi, b0, temperature, times):
 def test_gamma2_matches_pair_loop(lattice, xi, b0, temperature):
     model = build_phonon_model(lattice, 1e4, 3.0, 1.0)
     t = np.linspace(0.0, 60.0, 17)
-    ref = gamma2_full_reference(model, xi, b0, temperature, t)
+    # the reference squares the amplitude per pair, which loses digits below
+    # the smallest normal double; run it at (xi, b0) scaled by a power of two
+    # and scale back, both exact, so it is rounded once
+    e = np.frexp(max(abs(xi), abs(b0)))[1]
+    ref = np.ldexp(gamma2_full_reference(model, np.ldexp(xi, -e), np.ldexp(b0, -e),
+                                         temperature, t), 2 * e)
     assert np.allclose(gamma2(model, xi, b0, temperature, t).decay, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("slice_modes", [1, 11])
+@pytest.mark.parametrize("make", [lambda: chain_model(30), lambda: tri_model(25)],
+                         ids=["chain30", "triangular25"])
+def test_gamma2_mode_slices_match_pair_loop(monkeypatch, make, slice_modes):
+    # 11 divides neither mode count: chain 30 has 29 edge and 420 other
+    # modes, triangular 25 has 48 and 576
+    model = make()
+    t = np.linspace(0.0, 60.0, 17)
+    monkeypatch.setattr(phonon_mod, "_CHUNK_BYTES", 8 * len(t) * slice_modes)
+    ref = gamma2_full_reference(model, 0.05, 0.1, 0.5, t)
+    assert np.allclose(gamma2(model, 0.05, 0.1, 0.5, t).decay, ref, rtol=1e-12, atol=0)
 
 
 class TestGoldenRule:
