@@ -8,7 +8,7 @@ from non-symmetric couplings (spin-wave channel) and crystal phonons.
 
 __version__ = "0.1.0"
 
-from .basis import ResourceLimitError, dicke_state, overlap, sector_basis
+from .basis import ResourceLimitError, dicke_state, sector_basis
 from .dynamics import (
     GateNotReached,
     InvarianceError,
@@ -45,7 +45,16 @@ from .spinwave import (
     perturbative_decay2,
     spin_wave_energies,
 )
-from .stark import MOLECULES, SRO, MolecularParams, beta_parameter, dressed_pair, rotor_eigensystem, xi_kappa_sweep
+from .stark import (
+    MOLECULES,
+    SRO,
+    BasisNotConvergedError,
+    MolecularParams,
+    beta_parameter,
+    dressed_pair,
+    rotor_eigensystem,
+    xi_kappa_sweep,
+)
 
 __all__ = [
     "__version__",
@@ -55,7 +64,6 @@ __all__ = [
     "momentum_grid",
     "sector_basis",
     "dicke_state",
-    "overlap",
     "ResourceLimitError",
     "exchange_hamiltonian",
     "full_hamiltonian",
@@ -82,6 +90,7 @@ __all__ = [
     "dressed_pair",
     "xi_kappa_sweep",
     "beta_parameter",
+    "BasisNotConvergedError",
     "PhononModel",
     "UnstableCrystalError",
     "build_phonon_model",

@@ -11,10 +11,8 @@ import numpy as np
 __all__ = [
     "ResourceLimitError",
     "SectorBasis",
-    "StateVector",
     "sector_basis",
     "dicke_state",
-    "overlap",
     "rank_config",
     "unrank_config",
 ]
@@ -57,12 +55,6 @@ class SectorBasis:
     def dim(self) -> int:
         return len(self.configs)
 
-    def rank(self, config: tuple[int, ...]) -> int:
-        return rank_config(config)
-
-    def unrank(self, rank: int) -> tuple[int, ...]:
-        return unrank_config(rank, self.n_exc)
-
 
 def sector_basis(n_sites: int, n_exc: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> SectorBasis:
     if not 0 <= n_exc <= n_sites:
@@ -82,25 +74,7 @@ def sector_basis(n_sites: int, n_exc: int, dimension_cap: int = DEFAULT_DIMENSIO
     return SectorBasis(n_sites=n_sites, n_exc=n_exc, configs=configs)
 
 
-@dataclass
-class StateVector:
-    sector: SectorBasis
-    amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def dicke_state(basis: SectorBasis) -> StateVector:
-    """Uniform-amplitude symmetric state of the sector (1/sqrt(dim) each)."""
-    amp = np.full(basis.dim, 1.0 / np.sqrt(basis.dim), dtype=complex)
-    return StateVector(sector=basis, amplitudes=amp)
-
-
-def overlap(psi: StateVector, phi: StateVector) -> complex:
-    """Inner product <psi|phi>; zero across different sectors."""
-    if psi.sector.n_sites != phi.sector.n_sites:
-        raise ValueError("states live on different lattices")
-    if psi.sector.n_exc != phi.sector.n_exc:
-        return 0.0 + 0.0j
-    return complex(np.vdot(psi.amplitudes, phi.amplitudes))
+def dicke_state(basis: SectorBasis) -> np.ndarray:
+    """Uniform-amplitude symmetric state of the sector: a complex array of
+    ``basis.dim`` amplitudes, 1/sqrt(dim) each, in the basis order."""
+    return np.full(basis.dim, 1.0 / np.sqrt(basis.dim), dtype=complex)

@@ -7,7 +7,7 @@ at full double precision so identical configs byte-reproduce.
 
 Exit codes: 0 success, 2 config error, 3 resource-cap error, 4 gate not
 reached, 5 numerical error (an ``ArithmeticError`` such as an unstable
-crystal mode or a non-invariant quotient subspace).
+crystal mode, a non-invariant quotient subspace or an unconverged ``j_max``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .basis import ResourceLimitError
 from .dynamics import GateNotReached, compute_trajectory, gate_time
-from .hamiltonian import chi_eff, exchange_hamiltonian, full_hamiltonian, gate_params
+from .hamiltonian import exchange_hamiltonian, full_hamiltonian, gate_params
 from .lattice import build_lattice
 from .phonon import build_phonon_model, gamma1_fgr, gamma1_time, gamma2, phonon_spectrum
 from .spinwave import (
@@ -237,6 +237,11 @@ def _metadata(cfg: dict) -> dict:
 # experiments
 # ---------------------------------------------------------------------------
 
+def _require_samples(cfg: dict) -> None:
+    if cfg["n_samples"] < 2:
+        raise ConfigError("config key 'n_samples': need at least 2 points")
+
+
 def _trajectory_run(cfg: dict, outdir: Path, xi_over_kappa: float, prefix: str = "trajectory") -> dict:
     lat = build_lattice(cfg["kind"], cfg["n_sites"], cfg["spacing"], cfg["boundary"])
     kappa = cfg["kappa"]
@@ -253,7 +258,11 @@ def _trajectory_run(cfg: dict, outdir: Path, xi_over_kappa: float, prefix: str =
         tg = gate_time(traj)
     except GateNotReached:
         tg = None
-    traj.write_csv(outdir / f"{prefix}.csv")
+    _write_csv(outdir / f"{prefix}.csv",
+               ["t", "re_c0", "im_c0", "re_c1", "im_c1", "re_c2", "im_c2",
+                "fidelity", "theta", "abs_cos_half_theta"],
+               zip(traj.times, traj.c0.real, traj.c0.imag, traj.c1.real, traj.c1.imag,
+                   traj.c2.real, traj.c2.imag, traj.fidelity, traj.theta, np.abs(traj.cos_half)))
     return {
         "chi_eff": gp.chi_eff,
         "chi_tilde_eff": gp.chi_tilde_eff,
@@ -270,6 +279,7 @@ def _trajectory_run(cfg: dict, outdir: Path, xi_over_kappa: float, prefix: str =
 
 
 def run_phase_gate(cfg: dict, outdir: Path, workers: int) -> dict:
+    _require_samples(cfg)
     summary = _trajectory_run(cfg, outdir, cfg["xi_over_kappa"])
     if not summary["gate_reached"]:
         raise GateNotReached("no gate zero inside the configured window")
@@ -277,13 +287,20 @@ def run_phase_gate(cfg: dict, outdir: Path, workers: int) -> dict:
 
 
 def run_mpm_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
-    values = [float(v) for v in cfg["xi_over_kappa_values"].split(",") if v.strip()]
-    if not values:
+    _require_samples(cfg)
+    raw = [v.strip() for v in cfg["xi_over_kappa_values"].split(",") if v.strip()]
+    if not raw:
         raise ConfigError("config key 'xi_over_kappa_values': empty list")
+    values = [float(v) for v in raw]
+    # each value writes trajectory_xi_{v:g}.csv, so no two may share that name
+    names = [f"{v:g}" for v in values]
+    clashes = [r for r, name in zip(raw, names) if names.count(name) > 1]
+    if clashes:
+        raise ConfigError(f"config key 'xi_over_kappa_values': {', '.join(clashes)} "
+                          "share trajectory_xi_*.csv file names")
 
     def one(v):
-        sub = dict(cfg)
-        return _trajectory_run(sub, outdir, v, prefix=f"trajectory_xi_{v:g}")
+        return _trajectory_run(cfg, outdir, v, prefix=f"trajectory_xi_{v:g}")
 
     results = _parallel_map(one, values, workers)
     rows = [
@@ -384,14 +401,14 @@ def run_phonon_bands(cfg: dict, outdir: Path, workers: int) -> dict:
 
 
 def run_phonon_decay(cfg: dict, outdir: Path, workers: int) -> dict:
+    _require_samples(cfg)
     lat = build_lattice(cfg["kind"], cfg["n_sites"], boundary="periodic")
     kappa = 1.0
     u_dd = cfg["u_dd_over_kappa"] * kappa
     xi = cfg["xi_over_kappa"] * kappa
     b0 = cfg["b0_over_kappa"] * kappa
+    t_pi = gate_params(lat, kappa, xi, use_tilde=True).t_pi
     model = build_phonon_model(lat, cfg["beta"], u_dd, kappa)
-    chi_t = abs(cfg["xi_over_kappa"]) * chi_eff(lat, kappa)
-    t_pi = np.pi / (2.0 * chi_t)
     times = np.linspace(0.0, cfg["t_max"] * t_pi, cfg["n_samples"])
     one = gamma1_time(model, xi, b0, cfg["temperature"], times)
     phonon_time_unit = np.sqrt(cfg["beta"]) / u_dd

@@ -1,8 +1,10 @@
 """Unitary sector evolution, collective-state projections, nonlinear phase,
 and gate-time extraction.
 
-Times are in units of hbar/kappa.  Evolution is exact and has one engine for
-dense and CSR blocks alike.  It partitions the basis into the coarsest
+Times are in units of hbar/kappa.  Evolution is exact and has one engine.
+Sector blocks of a :class:`~dipolarray.hamiltonian.SpinHamiltonian` are CSR;
+:func:`evolve` also accepts a dense array or any scipy sparse matrix and
+converts it to CSR first.  The engine partitions the basis into the coarsest
 *equitable partition* that keeps the initial state constant on every cell:
 colour refinement (1-WL) seeded with the initial amplitudes and the diagonal
 energies, splitting cells by their row sums into every other cell until no
@@ -31,7 +33,6 @@ grid dense enough that no step jumps by more than pi/2, auto-refining).
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -183,7 +184,8 @@ class _SectorEvolver:
 def evolve(block, psi0: np.ndarray, times) -> np.ndarray:
     """States exp(-1j*H*t) psi0 at the requested times, shape (T, dim).
 
-    ``times`` must be non-decreasing and start at 0; psi0 must be normalized.
+    ``block`` is a Hermitian dense array or scipy sparse matrix; ``times``
+    must be non-decreasing and start at 0; psi0 must be normalized.
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
@@ -235,28 +237,6 @@ class Trajectory:
             "gate_time_method": self.gate_method,
         }
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                ["t", "re_c0", "im_c0", "re_c1", "im_c1", "re_c2", "im_c2",
-                 "fidelity", "theta", "abs_cos_half_theta"]
-            )
-            for i in range(len(self.times)):
-                w.writerow([
-                    _fmt(self.times[i]),
-                    _fmt(self.c0[i].real), _fmt(self.c0[i].imag),
-                    _fmt(self.c1[i].real), _fmt(self.c1[i].imag),
-                    _fmt(self.c2[i].real), _fmt(self.c2[i].imag),
-                    _fmt(self.fidelity[i]),
-                    _fmt(self.theta[i]),
-                    _fmt(abs(self.cos_half[i])),
-                ])
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
 
 class DickeDynamics:
     """Evolves the three symmetric sector states of one Hamiltonian."""
@@ -267,7 +247,7 @@ class DickeDynamics:
                 raise ValueError(f"Hamiltonian is missing sector {n}")
         self.ham = ham
         self._evolvers = [
-            _SectorEvolver(ham.blocks[n], dicke_state(ham.sectors[n]).amplitudes)
+            _SectorEvolver(ham.blocks[n], dicke_state(ham.sectors[n]))
             for n in (0, 1, 2)
         ]
 
@@ -434,25 +414,3 @@ def gate_time(trajectory: Trajectory, rel_tol: float = 1e-4) -> float:
 def _combination_at(dyn: DickeDynamics, t: float) -> complex:
     c0, c1, c2 = dyn.projections_at(t)
     return 0.5 * (np.conj(c0) * c2 + (np.conj(c0) * c1) ** 2)
-
-
-def ideal_quadratic_hamiltonian(n_sites: int, chi: float, lattice=None) -> SpinHamiltonian:
-    """Diagnostic double: per-sector constants chi*(N/2 - n)^2 (exact
-    quadratic collective dephasing; Theta(t) = 2*chi*t)."""
-    from .basis import sector_basis as _sb
-
-    sectors = {n: _sb(n_sites, n) for n in (0, 1, 2)}
-    blocks = {}
-    for n in (0, 1, 2):
-        dim = sectors[n].dim
-        e = chi * (n_sites / 2.0 - n) ** 2
-        blocks[n] = e * np.eye(dim)
-    return SpinHamiltonian(
-        kappa=1.0,
-        xi=0.0,
-        lattice=lattice,
-        kernel=None,
-        blocks=blocks,
-        sectors=sectors,
-        exchange_only=True,
-    )

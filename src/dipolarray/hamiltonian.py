@@ -37,28 +37,23 @@ __all__ = [
 
 ZETA3 = 1.2020569031595942854  # Riemann zeta(3)
 
-# n=2 blocks above this dimension are stored as CSR to bound memory; the
-# evolution engine takes either storage
-DENSE_DIM_MAX = 2000
-
 
 @dataclass
 class SpinHamiltonian:
     """Sector blocks (n = 0, 1, 2) of a dipolar spin model.
 
-    ``blocks[n]`` is a dense ndarray or, for dimensions above
-    ``DENSE_DIM_MAX``, a CSR matrix; the storage only bounds memory, every
-    consumer accepts both.  Blocks are Hermitian and conserve excitation
-    number by construction; everything is immutable after assembly.
+    ``blocks[n]`` is a ``scipy.sparse.csr_array`` in the colex order of
+    ``sectors[n]``; the evolution engine needs only sparse products, so one
+    storage serves every size (``block.toarray()`` gives the dense matrix).
+    Blocks are Hermitian and conserve excitation number by construction;
+    everything is immutable after assembly.
     """
 
     kappa: float
     xi: float
     lattice: Lattice
-    kernel: np.ndarray
-    blocks: dict[int, np.ndarray | sp.csr_matrix]
+    blocks: dict[int, sp.csr_array]
     sectors: dict[int, SectorBasis]
-    exchange_only: bool
 
     @property
     def vacuum_energy(self) -> float:
@@ -69,11 +64,8 @@ class SpinHamiltonian:
         return self.blocks[n].shape[0]
 
     def is_sparse(self, n: int) -> bool:
+        """Always true since every block is CSR; kept for storage-agnostic callers."""
         return sp.issparse(self.blocks[n])
-
-    def apply(self, n: int, vec: np.ndarray) -> np.ndarray:
-        """H_n @ vec (pure; safe to call concurrently)."""
-        return self.blocks[n] @ vec
 
 
 def _zz_diagonals(kernel: np.ndarray, weight: float) -> tuple[float, np.ndarray, np.ndarray, SectorBasis]:
@@ -103,10 +95,11 @@ def _build(lattice: Lattice, kappa: float, xi: float, exchange_only: bool) -> Sp
     weight = 0.0 if exchange_only else (kappa - xi)
     e0, e1, e2, basis2 = _zz_diagonals(d, weight)
 
-    h0 = np.array([[e0]])
+    h0 = sp.csr_array(np.array([[e0]]))
 
-    h1 = 2.0 * kappa * d.copy()
+    h1 = 2.0 * kappa * d
     np.fill_diagonal(h1, e1)
+    h1 = sp.csr_array(h1)
 
     dim2 = basis2.dim
     # hop amplitudes: config {a,b} -> {a,c} with amplitude 2 kappa d_bc.
@@ -129,15 +122,12 @@ def _build(lattice: Lattice, kappa: float, xi: float, exchange_only: bool) -> Sp
         rows.append(hi * (hi - 1) // 2 + lo)
         cols.append(idx[ok])
         vals.append(2.0 * kappa * d[a[ok], c])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    # ranks fit 32 bits under the sector dimension cap; 32-bit indices keep
+    # the engine's products with this block at that width
+    rows = np.concatenate(rows).astype(np.int32)
+    cols = np.concatenate(cols).astype(np.int32)
     vals = np.concatenate(vals)
-    h2 = sp.coo_matrix((vals, (rows, cols)), shape=(dim2, dim2)).tocsr()
-    h2 = h2 + sp.diags(e2)
-    if dim2 <= DENSE_DIM_MAX:
-        h2 = h2.toarray()
-    else:
-        h2 = h2.tocsr()
+    h2 = sp.csr_array((vals, (rows, cols)), shape=(dim2, dim2)) + sp.diags_array(e2)
 
     sectors = {
         0: sector_basis(n, 0),
@@ -148,10 +138,8 @@ def _build(lattice: Lattice, kappa: float, xi: float, exchange_only: bool) -> Sp
         kappa=kappa,
         xi=0.0 if exchange_only else xi,
         lattice=lattice,
-        kernel=d,
         blocks={0: h0, 1: h1, 2: h2},
         sectors=sectors,
-        exchange_only=exchange_only,
     )
 
 

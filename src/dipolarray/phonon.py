@@ -227,8 +227,8 @@ def _mode_tables(model: PhononModel):
 def _occupation(w: np.ndarray, kbt: float) -> np.ndarray:
     if kbt <= 0.0:
         return np.zeros_like(w)
-    x = w / kbt
     with np.errstate(over="ignore"):
+        x = w / kbt
         return np.where(x < 700.0, 1.0 / np.expm1(np.clip(x, 1e-300, 700.0)), 0.0)
 
 

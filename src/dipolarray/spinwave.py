@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import chi_eff
+from .dynamics import compute_trajectory
+from .hamiltonian import full_hamiltonian, gate_params
 from .lattice import Lattice, MomentumGrid, build_lattice, momentum_grid, relative_sites
 
 __all__ = [
@@ -199,8 +200,7 @@ def fgr_scaling_diagnostic(
     dec_pert, dec_exact = [], []
     for n in n_values:
         lat = build_lattice(kind, n, boundary="periodic")
-        chi_t = abs(xi_over_kappa) * chi_eff(lat, kappa)
-        t_pi = np.pi / (2.0 * chi_t)
+        t_pi = gate_params(lat, kappa, xi, use_tilde=True).t_pi
         t = np.linspace(0.0, window_t_pi * t_pi, n_time)
         dec_pert.append(float(perturbative_decay2(lat, xi, t, kappa).decay.max()))
         if include_exact:
@@ -235,9 +235,6 @@ def _power_fit(n_values, decays, xi_over_kappa, suffix: str) -> dict:
 
 
 def _exact_max_decay(kind: str, n: int, xi_over_kappa: float, window_t_pi: float, boundary: str) -> float:
-    from .dynamics import compute_trajectory
-    from .hamiltonian import full_hamiltonian, gate_params
-
     lat = build_lattice(kind, n, boundary=boundary)
     ham = full_hamiltonian(lat, 1.0, xi_over_kappa)
     gp = gate_params(lat, 1.0, xi_over_kappa, use_tilde=True)

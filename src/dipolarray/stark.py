@@ -30,6 +30,7 @@ from scipy.linalg import eigh_tridiagonal
 __all__ = [
     "MolecularParams",
     "DressedPair",
+    "BasisNotConvergedError",
     "SRO",
     "MOLECULES",
     "rotor_eigensystem",
@@ -43,6 +44,11 @@ DEBYE = 1e-21 / const.c  # C m
 
 DEFAULT_J_MAX = 20
 CONVERGENCE_WEIGHT = 1e-8
+
+
+class BasisNotConvergedError(ArithmeticError):
+    """A dressed state keeps more than ``CONVERGENCE_WEIGHT`` of its weight in
+    the top rotor state J = j_max: the truncated basis is too small."""
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,7 @@ def dressed_pair(
     for label, vec in ((g_label, g), (e_label, e)):
         w = abs(vec[-1]) ** 2
         if w > CONVERGENCE_WEIGHT:
-            raise ValueError(
+            raise BasisNotConvergedError(
                 f"j_max = {j_max} not converged for state {label}: top-state weight {w:.2e}"
             )
     c = _cos_matrix(j_values, gm)

@@ -298,15 +298,15 @@ def test_criterion_10_phonon_decay():
 def test_criterion_11_property_suite(tmp_path):
     lat = periodic_chain(16)
     ham = full_hamiltonian(lat, 1.0, 0.1)
-    psi0 = dicke_state(ham.sectors[2]).amplitudes
+    psi0 = dicke_state(ham.sectors[2])
     times = np.linspace(0.0, 50.0, 60)
-    states_dense = evolve(np.asarray(ham.blocks[2]), psi0, times)
+    states_dense = evolve(ham.blocks[2].toarray(), psi0, times)
     states_csr = evolve(sp.csr_matrix(ham.blocks[2]), psi0, times)
     unit = max(
         np.abs(np.linalg.norm(states_dense, axis=1) - 1.0).max(),
         np.abs(np.linalg.norm(states_csr, axis=1) - 1.0).max(),
     )
-    h2 = np.asarray(ham.blocks[2])
+    h2 = ham.blocks[2].toarray()
     energies = np.real(np.einsum("ti,ij,tj->t", states_dense.conj(), h2, states_dense))
     e_dev = np.abs(energies - energies[0]).max() / max(abs(energies[0]), 1.0)
 
@@ -318,7 +318,7 @@ def test_criterion_11_property_suite(tmp_path):
         h = full_hamiltonian(lat_n, 1.0, 0.3)
         for s in (0, 1, 2):
             ref = sector_slice(hb, h.sectors[s]).real
-            worst = max(worst, np.abs(np.asarray(h.blocks[s]) - ref).max())
+            worst = max(worst, np.abs(h.blocks[s].toarray() - ref).max())
 
     fwd = evolve(h2, psi0, [0.0, 33.0])[-1]
     back = evolve(-h2, fwd, [0.0, 33.0])[-1]

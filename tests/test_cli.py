@@ -206,6 +206,60 @@ n_samples = 60
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
         assert "numerical error: quotient" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "experiment = phase_gate\nn_sites = 8\nboundary = periodic\n",
+        "experiment = mpm_sweep\nn_sites = 8\nboundary = periodic\nxi_over_kappa_values = 0.1\n",
+        "experiment = phonon_decay\nkind = chain\nn_sites = 8\n",
+    ], ids=["phase_gate", "mpm_sweep", "phonon_decay"])
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_too_few_samples_exit_code(self, tmp_path, capsys, text, n_samples):
+        cfg = write_cfg(tmp_path, text + f"n_samples = {n_samples}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: config key 'n_samples'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["0.1, 0.1000001", "0.2, 0.05, 0.2"], ids=["close", "repeated"])
+    def test_mpm_sweep_colliding_file_names(self, tmp_path, capsys, values):
+        cfg = write_cfg(tmp_path, "experiment = mpm_sweep\nn_sites = 8\nboundary = periodic\n"
+                                  f"xi_over_kappa_values = {values}\nn_samples = 20\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "xi_over_kappa_values" in err
+        assert values.split(", ")[0] + ", " in err
+        assert not (tmp_path / "o" / "mpm_sweep" / "sweep.csv").exists()
+
+    def test_phonon_decay_zero_xi_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "experiment = phonon_decay\nkind = chain\nn_sites = 8\n"
+                                  "xi_over_kappa = 0.0\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: t_pi from chi_tilde requested but xi = 0" in capsys.readouterr().err
+
+    def test_stark_unconverged_j_max_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "experiment = stark_sweep\ne_max = 200\nj_max = 9\nn_field = 3\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+        assert "numerical error: j_max = 9 not converged" in capsys.readouterr().err
+
+    def test_stark_j_max_below_minimum_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "experiment = stark_sweep\nj_max = 5\nn_field = 3\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: j_max = 5 too small" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "experiment = phase_gate\nn_sites = 8\nboundary = periodic\nt_max = 3.0\nn_samples = 40\n",
+        "experiment = mpm_sweep\nn_sites = 8\nboundary = periodic\n"
+        "xi_over_kappa_values = 0.1, 0.2\nn_samples = 40\n",
+        "experiment = stark_sweep\nn_field = 3\n",
+    ], ids=["phase_gate", "mpm_sweep", "stark_sweep"])
+    def test_csv_lines_end_in_newline(self, tmp_path, text):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        (outdir,) = (tmp_path / "o").iterdir()
+        csvs = sorted(outdir.glob("*.csv"))
+        assert csvs
+        for path in csvs:
+            data = path.read_bytes()
+            assert b"\r" not in data, path.name
+            assert data.endswith(b"\n"), path.name
+
     def test_dispersion_run(self, tmp_path):
         cfg = write_cfg(tmp_path, """
 experiment = dispersion

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 import dipolarray.dynamics as dyn_mod
-import dipolarray.hamiltonian as ham_mod
-from dipolarray.basis import dicke_state
+from dipolarray.basis import dicke_state, sector_basis
+from dipolarray.cli import main
 from dipolarray.dynamics import (
     RESIDUAL_TOL,
     DickeDynamics,
@@ -17,15 +17,25 @@ from dipolarray.dynamics import (
     compute_trajectory,
     evolve,
     gate_time,
-    ideal_quadratic_hamiltonian,
     nonlinear_phase,
 )
-from dipolarray.hamiltonian import exchange_hamiltonian, full_hamiltonian, gate_params
+from dipolarray.hamiltonian import SpinHamiltonian, exchange_hamiltonian, full_hamiltonian, gate_params
 from dipolarray.lattice import build_lattice
 
 
 def periodic_chain(n):
     return build_lattice("chain", n, boundary="periodic")
+
+
+def ideal_quadratic_hamiltonian(n_sites: int, chi: float) -> SpinHamiltonian:
+    """Diagnostic double: per-sector constants chi*(N/2 - n)^2 (exact
+    quadratic collective dephasing; Theta(t) = 2*chi*t)."""
+    sectors = {n: sector_basis(n_sites, n) for n in (0, 1, 2)}
+    blocks = {
+        n: sp.csr_array(chi * (n_sites / 2.0 - n) ** 2 * np.eye(sectors[n].dim))
+        for n in (0, 1, 2)
+    }
+    return SpinHamiltonian(kappa=1.0, xi=0.0, lattice=None, blocks=blocks, sectors=sectors)
 
 
 class TestEvolve:
@@ -71,10 +81,10 @@ class TestEvolve:
     def test_energy_conservation(self):
         lat = periodic_chain(10)
         h = full_hamiltonian(lat, 1.0, 0.1)
-        psi0 = dicke_state(h.sectors[2]).amplitudes
+        psi0 = dicke_state(h.sectors[2])
         t = np.linspace(0.0, 40.0, 50)
         states = evolve(h.blocks[2], psi0, t)
-        e = np.real(np.einsum("ti,ij,tj->t", states.conj(), h.blocks[2], states))
+        e = np.real(np.einsum("ti,ij,tj->t", states.conj(), h.blocks[2].toarray(), states))
         assert np.abs(e - e[0]).max() <= 1e-9 * max(abs(e[0]), 1.0)
 
     def test_time_reversal(self):
@@ -118,7 +128,7 @@ ORACLE_LATTICES = st.one_of(
 
 
 def dense_spectral(block, psi0, times):
-    lam, vec = np.linalg.eigh(np.asarray(block))
+    lam, vec = np.linalg.eigh(block.toarray())
     return (np.exp(-1j * np.outer(times, lam)) * (vec.conj().T @ psi0)) @ vec.T
 
 
@@ -136,7 +146,7 @@ def test_quotient_matches_dense_sector(lattice, boundary, xi, seed):
     dyn = DickeDynamics(ham)
     assert dyn.residual <= RESIDUAL_TOL
     for n, c in enumerate(dyn.projections(t)):
-        psi0 = dicke_state(ham.sectors[n]).amplitudes
+        psi0 = dicke_state(ham.sectors[n])
         ref = dense_spectral(ham.blocks[n], psi0, t) @ psi0.conj()
         np.testing.assert_allclose(c, ref, rtol=1e-10, atol=1e-12)
     if kind == "chain" and boundary == "periodic":
@@ -173,10 +183,10 @@ class TestDickeProjections:
         # independently evolved projections
         lat = periodic_chain(8)
         h = full_hamiltonian(lat, 1.0, 0.2)
-        blocks = [np.asarray(h.blocks[n]) for n in (0, 1, 2)]
+        blocks = [h.blocks[n].toarray() for n in (0, 1, 2)]
         dims = [b.shape[0] for b in blocks]
         big = block_diag(*blocks)
-        parts = [dicke_state(h.sectors[n]).amplitudes for n in (0, 1, 2)]
+        parts = [dicke_state(h.sectors[n]) for n in (0, 1, 2)]
         psi0 = np.concatenate([p / np.sqrt(3.0) for p in parts])
         t = np.linspace(0.0, 30.0, 40)
         states = evolve(big, psi0, t)
@@ -186,18 +196,6 @@ class TestDickeProjections:
             seg = states[:, ofs[n]:ofs[n + 1]]
             proj = seg @ parts[n].conj() / (1.0 / np.sqrt(3.0))
             assert np.abs(proj - cn).max() <= 1e-12
-
-    def test_krylov_vs_dense_fidelity(self, monkeypatch):
-        # force CSR storage on a dense-sized problem and compare minima
-        lat = periodic_chain(36)
-        gp = gate_params(lat, 1.0, 0.0, use_tilde=False)
-        t = np.linspace(0.0, 4.0 * gp.t_pi, 250)
-        dense = compute_trajectory(exchange_hamiltonian(lat, 1.0), t, auto_refine=False)
-        monkeypatch.setattr(ham_mod, "DENSE_DIM_MAX", 10)
-        sparse_h = exchange_hamiltonian(lat, 1.0)
-        assert sparse_h.is_sparse(2)
-        sparse = compute_trajectory(sparse_h, t, auto_refine=False)
-        assert abs(dense.fidelity.min() - sparse.fidelity.min()) < 1e-8
 
 
 class TestNonlinearPhase:
@@ -285,14 +283,24 @@ class TestGateTime:
 
 class TestTrajectoryCsv:
     def test_roundtrip(self, tmp_path):
+        cfg = tmp_path / "traj.cfg"
+        cfg.write_text("experiment = phase_gate\nkind = chain\nn_sites = 6\nboundary = periodic\n"
+                       "t_max = 3.0\nn_samples = 20\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        path = tmp_path / "phase_gate" / "trajectory.csv"
         lat = periodic_chain(6)
-        traj = compute_trajectory(exchange_hamiltonian(lat, 1.0), np.linspace(0, 5, 20))
-        path = tmp_path / "traj.csv"
-        traj.write_csv(path)
+        t_pi = gate_params(lat, 1.0, 0.0).t_pi
+        traj = compute_trajectory(exchange_hamiltonian(lat, 1.0), np.linspace(0, 3.0 * t_pi, 20))
         data = np.genfromtxt(path, delimiter=",", names=True)
         assert set(data.dtype.names) == {
             "t", "re_c0", "im_c0", "re_c1", "im_c1", "re_c2", "im_c2",
             "fidelity", "theta", "abs_cos_half_theta",
         }
-        assert np.allclose(data["t"], traj.times)
-        assert np.allclose(data["fidelity"], traj.fidelity)
+        # 17 significant digits round-trip every double exactly
+        columns = {
+            "t": traj.times, "re_c1": traj.c1.real, "im_c2": traj.c2.imag,
+            "fidelity": traj.fidelity, "theta": traj.theta,
+            "abs_cos_half_theta": np.abs(traj.cos_half),
+        }
+        for name, values in columns.items():
+            assert np.array_equal(data[name], values), name

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import dipolarray.hamiltonian as ham_mod
 from dipolarray.basis import dicke_state
 from dipolarray.hamiltonian import (
     ZETA3,
@@ -78,8 +77,7 @@ class TestBruteForceOracle:
         assert np.abs(hb - hb.conj().T).max() < 1e-14
         h = exchange_hamiltonian(lat, kappa) if exchange_only else full_hamiltonian(lat, kappa, xi)
         for sector in (0, 1, 2):
-            block = h.blocks[sector]
-            block = block.toarray() if sp.issparse(block) else block
+            block = h.blocks[sector].toarray()
             ref = sector_slice(hb, h.sectors[sector])
             assert np.abs(ref.imag).max() < 1e-14
             assert np.abs(block - ref.real).max() < 1e-12
@@ -90,13 +88,13 @@ class TestBruteForceOracle:
         hb = brute_force(lat, 1.0, 0.4, exchange_only=False)
         h = full_hamiltonian(lat, 1.0, 0.4)
         ref = sector_slice(hb, h.sectors[1])
-        assert np.allclose(np.diag(h.blocks[1]), np.diag(ref.real))
+        assert np.allclose(np.diag(h.blocks[1].toarray()), np.diag(ref.real))
 
 
 class TestExchangeHamiltonian:
     def test_n2_one_excitation_eigenvalues(self):
         h = exchange_hamiltonian(build_lattice("chain", 2), 1.0)
-        assert np.allclose(np.linalg.eigvalsh(h.blocks[1]), [-2.0, 2.0])
+        assert np.allclose(np.linalg.eigvalsh(h.blocks[1].toarray()), [-2.0, 2.0])
 
     def test_n2_two_excitation_block_is_zero(self):
         h = exchange_hamiltonian(build_lattice("chain", 2), 1.0)
@@ -106,8 +104,7 @@ class TestExchangeHamiltonian:
     def test_zero_diagonal(self):
         h = exchange_hamiltonian(build_lattice("chain", 5), 2.0)
         for n in (0, 1, 2):
-            block = h.blocks[n]
-            block = block.toarray() if sp.issparse(block) else block
+            block = h.blocks[n].toarray()
             assert np.all(np.diag(block) == 0.0)
 
     @pytest.mark.parametrize("kind,n,boundary", [("chain", 6, "open"), ("square", 9, "periodic"), ("triangular", 9, "periodic")])
@@ -115,15 +112,14 @@ class TestExchangeHamiltonian:
         lat = build_lattice(kind, n, boundary=boundary)
         for h in (exchange_hamiltonian(lat, 1.0), full_hamiltonian(lat, 1.0, 0.2)):
             for s in (0, 1, 2):
-                block = h.blocks[s]
-                block = block.toarray() if sp.issparse(block) else block
+                block = h.blocks[s].toarray()
                 assert np.abs(block - block.T).max() == 0.0
 
     def test_collective_states_are_eigenvectors_periodic(self):
         lat = build_lattice("chain", 12, boundary="periodic")
         h = exchange_hamiltonian(lat, 1.0)
         for n in (0, 1):
-            psi = dicke_state(h.sectors[n]).amplitudes
+            psi = dicke_state(h.sectors[n])
             hp = h.blocks[n] @ psi
             e = np.vdot(psi, hp)
             assert np.linalg.norm(hp - e * psi) <= 1e-12
@@ -135,8 +131,8 @@ class TestFullHamiltonian:
         hx = exchange_hamiltonian(lat, 1.0)
         hf = full_hamiltonian(lat, 1.0, 0.0)
         for n in (1, 2):
-            a = hx.blocks[n]
-            b = hf.blocks[n]
+            a = hx.blocks[n].toarray()
+            b = hf.blocks[n].toarray()
             off = b - np.diag(np.diag(b))
             assert np.allclose(off, a - np.diag(np.diag(a)))
         assert hf.vacuum_energy != 0.0
@@ -146,7 +142,7 @@ class TestFullHamiltonian:
         hx = exchange_hamiltonian(lat, 1.3)
         hf = full_hamiltonian(lat, 1.3, 1.3)
         for n in (0, 1, 2):
-            assert np.allclose(hf.blocks[n], hx.blocks[n], atol=1e-15)
+            assert np.allclose(hf.blocks[n].toarray(), hx.blocks[n].toarray(), atol=1e-15)
 
     def test_projection_identity(self):
         # <2|H_I|2> - 2<1|H_I|1> + <0|H_I|0> = -2 chi_tilde
@@ -157,29 +153,22 @@ class TestFullHamiltonian:
             for ham in (full_hamiltonian(lat, kappa, xi), full_hamiltonian(lat, kappa, 0.0)):
                 vals = []
                 for s in (0, 1, 2):
-                    psi = dicke_state(ham.sectors[s]).amplitudes
+                    psi = dicke_state(ham.sectors[s])
                     vals.append(np.real(np.vdot(psi, ham.blocks[s] @ psi)))
                 expect.append(vals[2] - 2 * vals[1] + vals[0])
             second_diff_hi = expect[0] - expect[1]
             chit = (xi / kappa) * chi_eff(lat, kappa)
             assert second_diff_hi == pytest.approx(-2.0 * chit, abs=1e-10)
 
-    def test_sparse_dense_paths_agree(self, monkeypatch):
-        # C(64,2) = 2016 exceeds the dense cap; rebuild densely and compare
-        lat = build_lattice("chain", 64)
-        h_sparse = full_hamiltonian(lat, 1.0, 0.1)
-        assert h_sparse.is_sparse(2)
-        monkeypatch.setattr(ham_mod, "DENSE_DIM_MAX", 10**7)
-        h_dense = full_hamiltonian(lat, 1.0, 0.1)
-        assert not h_dense.is_sparse(2)
-        assert np.abs(h_sparse.blocks[2].toarray() - h_dense.blocks[2]).max() == 0.0
-
-    def test_apply_matches_matmul(self):
-        lat = build_lattice("chain", 10)
-        h = full_hamiltonian(lat, 1.0, 0.2)
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal(h.dim(2))
-        assert np.allclose(h.apply(2, v), h.blocks[2] @ v)
+    @pytest.mark.parametrize("n", [5, 64])
+    def test_blocks_are_csr(self, n):
+        # one storage for small and large sectors (C(64, 2) = 2016)
+        h = full_hamiltonian(build_lattice("chain", n), 1.0, 0.1)
+        for s in (0, 1, 2):
+            assert isinstance(h.blocks[s], sp.csr_array)
+            assert h.blocks[s].has_canonical_format
+            assert h.is_sparse(s)
+            assert h.dim(s) == h.sectors[s].dim
 
 
 class TestChiEff:

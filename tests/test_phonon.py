@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,15 @@ class TestGamma1:
     def test_rejects_negative_temperature(self):
         with pytest.raises(ValueError):
             gamma1_time(chain_model(8), 0.05, 0.1, -1.0, np.linspace(0, 1, 5))
+
+    def test_tiny_temperature_no_overflow_warning(self):
+        # w / kbt overflows to inf; the occupation is 0, silently
+        m = chain_model(8)
+        t = np.linspace(0, 10, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = gamma1_time(m, 0.05, 0.1, 1e-308, t)
+        assert np.array_equal(tiny.decay, gamma1_time(m, 0.05, 0.1, 0.0, t).decay)
 
     def test_triangular_2d_runs(self):
         m = tri_model(16)

@@ -50,7 +50,7 @@ class TestDispersion:
         # their distance below the uniform mode
         lat = periodic("chain", 14)
         h = exchange_hamiltonian(lat, 1.0)
-        evals = np.sort(np.linalg.eigvalsh(h.blocks[1]))
+        evals = np.sort(np.linalg.eigvalsh(h.blocks[1].toarray()))
         g = momentum_grid(lat)
         fk = fourier_kernel(lat, g.kvecs)
         assert np.allclose(np.sort(2.0 * fk), evals, atol=1e-10)

@@ -6,6 +6,7 @@ from numpy.polynomial import legendre
 from dipolarray.stark import (
     DEBYE,
     SRO,
+    BasisNotConvergedError,
     MolecularParams,
     beta_parameter,
     dressed_pair,
@@ -95,7 +96,7 @@ class TestDressedPair:
         assert abs(p20.mu_eg - p24.mu_eg) < 1e-8
 
     def test_unconverged_jmax_raises(self):
-        with pytest.raises(ValueError, match="not converged"):
+        with pytest.raises(BasisNotConvergedError, match="not converged"):
             dressed_pair(SRO, 40.0, (0, 0), (1, 0), SPACING, j_max=8)
 
     def test_label_validation(self):
