@@ -237,7 +237,9 @@ def _metadata(cfg: dict) -> dict:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _require_samples(cfg: dict) -> None:
+def _require_time_window(cfg: dict) -> None:
+    if cfg["t_max"] <= 0:
+        raise ConfigError(f"config key 't_max': must be positive, got {cfg['t_max']}")
     if cfg["n_samples"] < 2:
         raise ConfigError("config key 'n_samples': need at least 2 points")
 
@@ -279,7 +281,7 @@ def _trajectory_run(cfg: dict, outdir: Path, xi_over_kappa: float, prefix: str =
 
 
 def run_phase_gate(cfg: dict, outdir: Path, workers: int) -> dict:
-    _require_samples(cfg)
+    _require_time_window(cfg)
     summary = _trajectory_run(cfg, outdir, cfg["xi_over_kappa"])
     if not summary["gate_reached"]:
         raise GateNotReached("no gate zero inside the configured window")
@@ -287,7 +289,7 @@ def run_phase_gate(cfg: dict, outdir: Path, workers: int) -> dict:
 
 
 def run_mpm_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
-    _require_samples(cfg)
+    _require_time_window(cfg)
     raw = [v.strip() for v in cfg["xi_over_kappa_values"].split(",") if v.strip()]
     if not raw:
         raise ConfigError("config key 'xi_over_kappa_values': empty list")
@@ -401,7 +403,7 @@ def run_phonon_bands(cfg: dict, outdir: Path, workers: int) -> dict:
 
 
 def run_phonon_decay(cfg: dict, outdir: Path, workers: int) -> dict:
-    _require_samples(cfg)
+    _require_time_window(cfg)
     lat = build_lattice(cfg["kind"], cfg["n_sites"], boundary="periodic")
     kappa = 1.0
     u_dd = cfg["u_dd_over_kappa"] * kappa
@@ -486,10 +488,12 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, workers: int
     return outdir
 
 
-def list_experiments() -> str:
-    lines = ["available experiments:"]
-    for name, schema in SCHEMAS.items():
-        lines.append(f"  {name}: {_HELP[name]}")
+def list_experiments(name: str | None = None) -> str:
+    """Every experiment, or only ``name``, with its config keys and defaults."""
+    lines = [] if name else ["available experiments:"]
+    for exp in [name] if name else SCHEMAS:
+        schema = SCHEMAS[exp]
+        lines.append(f"  {exp}: {_HELP[exp]}")
         keys = ", ".join(
             f"{k}" + ("" if schema[k][1] is None else f"={schema[k][1]}")
             for k in schema
@@ -513,9 +517,7 @@ def main(argv=None) -> int:
         if args.experiment is not None and args.experiment not in SCHEMAS:
             print(f"unknown experiment: {args.experiment}", file=sys.stderr)
             return EXIT_CONFIG
-        print(list_experiments() if args.experiment is None else
-              f"{args.experiment}: {_HELP[args.experiment]}\n    keys: " +
-              ", ".join(SCHEMAS[args.experiment]))
+        print(list_experiments(args.experiment))
         return EXIT_OK
 
     try:

@@ -181,17 +181,23 @@ class _SectorEvolver:
         return 1.0 + np.expm1(-1j * np.outer(times, self._lam)) @ self._w
 
 
+def _time_grid(times) -> np.ndarray:
+    """``times`` as a float array; it must start at 0 and never decrease."""
+    times = np.asarray(times, dtype=float)
+    if times[0] != 0.0:
+        raise ValueError("times must start at 0")
+    if np.any(np.diff(times) < 0):
+        raise ValueError("times must be non-decreasing")
+    return times
+
+
 def evolve(block, psi0: np.ndarray, times) -> np.ndarray:
     """States exp(-1j*H*t) psi0 at the requested times, shape (T, dim).
 
     ``block`` is a Hermitian dense array or scipy sparse matrix; ``times``
     must be non-decreasing and start at 0; psi0 must be normalized.
     """
-    times = np.asarray(times, dtype=float)
-    if times[0] != 0.0:
-        raise ValueError("times must start at 0")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-decreasing")
+    times = _time_grid(times)
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"initial state not normalized (|psi| = {nrm})")
@@ -277,8 +283,9 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
     at shared points; a large per-step change can alias into an apparently
     small one, so the confirmation doubling is what actually catches
     undersampling.  The returned trajectory uses the finest grid evaluated.
+    ``times`` must be non-decreasing and start at 0.
     """
-    times = np.asarray(times, dtype=float)
+    times = _time_grid(times)
     dyn = DickeDynamics(ham)
     c0, c1, c2 = dyn.projections(times)
     theta, cos_half, max_step = _extract_phase(c0, c1, c2)

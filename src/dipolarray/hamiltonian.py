@@ -87,13 +87,12 @@ def _zz_diagonals(kernel: np.ndarray, weight: float) -> tuple[float, np.ndarray,
     return e0, e1, e2, basis2
 
 
-def _build(lattice: Lattice, kappa: float, xi: float, exchange_only: bool) -> SpinHamiltonian:
+def _build(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltonian:
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     d = coupling_kernel(lattice)
     n = lattice.n_sites
-    weight = 0.0 if exchange_only else (kappa - xi)
-    e0, e1, e2, basis2 = _zz_diagonals(d, weight)
+    e0, e1, e2, basis2 = _zz_diagonals(d, kappa - xi)
 
     h0 = sp.csr_array(np.array([[e0]]))
 
@@ -136,7 +135,7 @@ def _build(lattice: Lattice, kappa: float, xi: float, exchange_only: bool) -> Sp
     }
     return SpinHamiltonian(
         kappa=kappa,
-        xi=0.0 if exchange_only else xi,
+        xi=xi,
         lattice=lattice,
         blocks={0: h0, 1: h1, 2: h2},
         sectors=sectors,
@@ -147,9 +146,11 @@ def exchange_hamiltonian(lattice: Lattice, kappa: float) -> SpinHamiltonian:
     """Pure excitation-exchange model: hops 2*kappa*d_ij, zero diagonal.
 
     This is the bare dipolar interaction of parallel transition dipoles with
-    counter-rotating terms dropped.
+    counter-rotating terms dropped.  It is the xi = kappa case of
+    :func:`full_hamiltonian`, whose sigma^z sigma^z weight then vanishes, so
+    the result stores ``xi == kappa``.
     """
-    return _build(lattice, kappa, 0.0, exchange_only=True)
+    return _build(lattice, kappa, kappa)
 
 
 def full_hamiltonian(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltonian:
@@ -159,7 +160,7 @@ def full_hamiltonian(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltoni
     weight (kappa - xi)*d_ij per unordered pair.  xi may take either sign;
     xi = kappa reduces to the pure exchange model.
     """
-    return _build(lattice, kappa, xi, exchange_only=False)
+    return _build(lattice, kappa, xi)
 
 
 def chi_eff(lattice: Lattice, kappa: float) -> float:

@@ -57,17 +57,25 @@ class Lattice:
 class MomentumGrid:
     """Quasi-momenta of a periodic lattice, in units of 1/a.
 
-    ``kvecs`` has shape (N, D); ``weights`` are the uniform 1/N quadrature
-    weights over the first Brillouin zone.
+    ``coords`` (N, D) holds the integer coordinates of each momentum, in
+    [0, side): row ``j*side + i`` holds (i, j), or (i,) on the chain, and its
+    ``kvecs`` row is sum_d (coords[d] / side) * reciprocal_vectors[d].
     """
 
     kvecs: np.ndarray
-    weights: np.ndarray
+    coords: np.ndarray
+    side: int
     reciprocal_vectors: np.ndarray
 
     @property
     def n_points(self) -> int:
         return len(self.kvecs)
+
+    def index(self, coords) -> np.ndarray:
+        """Grid rows of integer coordinates (..., D), taken modulo ``side``
+        (that is, modulo the reciprocal lattice)."""
+        c = np.asarray(coords) % self.side
+        return c @ self.side ** np.arange(c.shape[-1])
 
     def pair_fold(self) -> tuple[np.ndarray, np.ndarray]:
         """One representative per ±k pair, k = 0 excluded.
@@ -76,38 +84,10 @@ class MomentumGrid:
         pair, 1 for self-paired points (k ≡ -k up to a reciprocal vector),
         so that a fold-weighted sum equals the full-grid sum without k=0.
         """
-        kv = self.kvecs
-        key = grid_labels(kv, self.reciprocal_vectors, len(kv))
-        neg = grid_labels(-kv, self.reciprocal_vectors, len(kv))
-        zero = tuple([0] * kv.shape[1])
-        index_of = {k: i for i, k in enumerate(key)}
-        reps, mult = [], []
-        seen = set()
-        for i in range(len(kv)):
-            if key[i] == zero or key[i] in seen:
-                continue
-            j = index_of[neg[i]]
-            seen.add(key[i])
-            if j == i:
-                reps.append(i)
-                mult.append(1)
-            else:
-                seen.add(key[j])
-                reps.append(i)
-                mult.append(2)
-        return np.array(reps, dtype=int), np.array(mult, dtype=int)
-
-
-def grid_labels(kvecs: np.ndarray, recip: np.ndarray, scale: int) -> list[tuple[int, ...]]:
-    """Integer labels of momenta modulo the reciprocal lattice.
-
-    Grid fractions are multiples of 1/L with L <= scale, so scaling by
-    ``scale`` and reducing mod scale yields exact integer labels.
-    """
-    frac = np.linalg.solve(recip.T, kvecs.T).T
-    frac = frac - np.floor(frac + 1e-9)
-    scaled = np.round(frac * scale).astype(int) % scale
-    return [tuple(row) for row in scaled]
+        row = np.arange(self.n_points)
+        neg = self.index(-self.coords)
+        reps = row[(row > 0) & (neg >= row)]
+        return reps, np.where(neg[reps] == reps, 1, 2)
 
 
 def build_lattice(
@@ -251,18 +231,16 @@ def momentum_grid(lattice: Lattice) -> MomentumGrid:
     if not lattice.periodic:
         raise ValueError("momentum grid requires a periodic lattice")
     n = lattice.n_sites
+    dim = lattice.dimension
+    side = n if dim == 1 else int(round(np.sqrt(n)))
+    # integer coordinates, the first one running fastest
+    coords = np.indices((side,) * dim).reshape(dim, -1)[::-1].T
     if lattice.kind == "chain":
-        kvecs = (2.0 * np.pi * np.arange(n) / n)[:, None]
+        kvecs = 2.0 * np.pi * coords / n
         recip = np.array([[2.0 * np.pi]])
     else:
-        side = int(round(np.sqrt(n)))
-        a1, a2 = lattice.period_vectors / side
-        # reciprocal basis: b_i . a_j = 2 pi delta_ij
-        cell = np.vstack([a1, a2])
-        recip = 2.0 * np.pi * np.linalg.inv(cell).T
-        b1, b2 = recip
-        kvecs = np.array(
-            [(i / side) * b1 + (j / side) * b2 for j in range(side) for i in range(side)]
-        )
-    weights = np.full(len(kvecs), 1.0 / n)
-    return MomentumGrid(kvecs=kvecs, weights=weights, reciprocal_vectors=recip)
+        # reciprocal basis b_i . a_j = 2 pi delta_ij of the cell vectors a_j
+        recip = 2.0 * np.pi * np.linalg.inv(lattice.period_vectors / side).T
+        frac = coords / side
+        kvecs = frac[:, :1] * recip[0] + frac[:, 1:] * recip[1]
+    return MomentumGrid(kvecs=kvecs, coords=coords, side=side, reciprocal_vectors=recip)

@@ -28,8 +28,8 @@ Every lattice sum runs over the relative sites r_j - r_0 of
 :func:`dipolarray.lattice.relative_sites`, O(N) to build, so nothing is
 cached.  Dynamical matrices and coupling weights are built for the whole
 momentum grid at once.  The two-excitation sum enumerates the unordered pairs
-k <= k' with q = -(k + k') by integer arithmetic on the fractional momentum
-coordinates (each term is symmetric under k <-> k', so a pair with k != k'
+k <= k' with q = -(k + k') from the grid's integer momentum coordinates
+(each term is symmetric under k <-> k', so a pair with k != k'
 counts twice) and shares :func:`_decay_sum` with the one-excitation sum.
 That sum streams the mode axis in slices of a fixed byte budget, so no
 (times x modes) array is ever held; the pair tables are O(N^2 branches)
@@ -356,27 +356,15 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
 
 def _momentum_pairs(grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grid indices (k, k', q) of the pairs k <= k' with q = -(k + k') != 0,
-    k-major.
-
-    Fractional coordinates are multiples of 1/L, so scaled by the grid size
-    they are exact integers; momenta are added modulo the reciprocal lattice
-    in those integers and located by a mixed-radix label.
-    """
-    nq = grid.n_points
-    frac = np.linalg.solve(grid.reciprocal_vectors.T, grid.kvecs.T).T
-    fr_int = np.round(frac * nq).astype(int) % nq
-    radix = nq ** np.arange(fr_int.shape[1])
-    label = fr_int @ radix
-    order = np.argsort(label)
-    ik, ikp = np.triu_indices(nq)
-    q_label = (-(fr_int[ik] + fr_int[ikp]) % nq) @ radix
-    iq = order[np.minimum(np.searchsorted(label, q_label, sorter=order), nq - 1)]
-    keep = (label[iq] == q_label) & (iq != 0)
+    k-major."""
+    ik, ikp = np.triu_indices(grid.n_points)
+    iq = grid.index(-(grid.coords[ik] + grid.coords[ikp]))
+    keep = iq != 0
     return ik[keep], ikp[keep], iq[keep]
 
 
 def gamma1_fgr(model: PhononModel, xi: float, b0: float, temperature: float,
-               grid_factors=(1, 2), base_side: int | None = None) -> dict:
+               grid_factors=(1, 2)) -> dict:
     """Golden-rule rate by Gaussian-broadened resonance quadrature.
 
     Deltas are broadened with a per-mode width of twice the local spacing of
@@ -389,13 +377,10 @@ def gamma1_fgr(model: PhononModel, xi: float, b0: float, temperature: float,
     is reported for comparison.
     """
     lat = model.lattice
-    side = base_side or (lat.n_sites if lat.dimension == 1 else int(round(np.sqrt(lat.n_sites))))
+    side = model.grid.side
     rates = []
     for fac in grid_factors:
-        if lat.dimension == 1:
-            big = build_lattice("chain", side * fac, boundary="periodic")
-        else:
-            big = build_lattice(lat.kind, (side * fac) ** 2, boundary="periodic")
+        big = build_lattice(lat.kind, (side * fac) ** lat.dimension, boundary="periodic")
         m = build_phonon_model(big, model.beta, model.u_dd, model.kappa)
         rates.append(_fgr_rate(m, xi, b0, temperature))
     out = {
@@ -435,17 +420,13 @@ def _fgr_rate(model: PhononModel, xi: float, b0: float, temperature: float) -> f
 def _local_spacing(model: PhononModel, values: np.ndarray) -> np.ndarray:
     """Per-mode spacing of `values` (defined on the q != 0 grid) along the
     grid axes; floor avoids zero widths at symmetry points."""
-    lat = model.lattice
-    if lat.dimension == 1:
-        full = np.concatenate([[values[0]], values])  # re-insert a stand-in for q=0
+    full = np.concatenate([values[:1], values])  # re-insert a stand-in for q=0
+    if model.lattice.dimension == 1:
         d = np.abs(np.diff(full, append=full[-1]))
         d2 = np.abs(np.diff(full, prepend=full[0]))
         sp = np.maximum(d, d2)[1:]
     else:
-        side = int(round(np.sqrt(lat.n_sites)))
-        full = np.empty(lat.n_sites)
-        full[1:] = values
-        full[0] = values[0]
+        side = model.grid.side
         grid = full.reshape(side, side)
         dx = np.abs(np.diff(grid, axis=0, append=grid[:1, :]))
         dy = np.abs(np.diff(grid, axis=1, append=grid[:, :1]))

@@ -28,6 +28,9 @@ __all__ = [
 
 PERTURBATION_FLAG_LEVEL = 0.5
 
+# time points per window in fgr_scaling_diagnostic
+_SCALING_TIMES = 4000
+
 
 def spin_wave_energies(lattice: Lattice, kvecs: np.ndarray, kappa: float = 1.0) -> np.ndarray:
     """hbar*omega_k = kappa * sum_{j != 0} (4/|r_j|^3) sin^2(k.r_j / 2).
@@ -69,12 +72,18 @@ def dispersion(lattice: Lattice, kappa: float = 1.0) -> Dispersion:
     return Dispersion(grid=grid, omega=omega, kind=lattice.kind, n_sites=lattice.n_sites, kappa=kappa)
 
 
+def _require_cutoff(cutoff: int) -> None:
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
+
+
 def dispersion_curve(kind: str, ka: np.ndarray, kappa: float = 1.0, cutoff: int = 100_000) -> np.ndarray:
     """Large-cutoff dispersion at arbitrary momenta (k along a lattice axis).
 
     1D sums run over displacements 1..cutoff on both sides; 2D over the
     square patch |x|, |y| <= M with (2M+1)^2 ~ cutoff sites.
     """
+    _require_cutoff(cutoff)
     ka = np.atleast_1d(np.asarray(ka, dtype=float))
     if kind == "chain":
         d = np.arange(1, cutoff + 1, dtype=float)
@@ -103,6 +112,7 @@ def dispersion_asymptote_check(kind: str, kappa: float = 1.0, cutoff: int = 100_
     momentum decade resolvable at the effective cutoff, plus the spread of
     omega/k over that decade.
     """
+    _require_cutoff(cutoff)
     if kind == "chain":
         ka = np.geomspace(0.002, 0.05, 12)
         om = dispersion_curve("chain", ka, kappa, cutoff)
@@ -179,7 +189,6 @@ def fgr_scaling_diagnostic(
     n_values,
     xi_over_kappa: float,
     window_t_pi: float = 2.0,
-    n_time: int = 4000,
     include_exact: bool = False,
     boundary: str = "periodic",
 ) -> dict:
@@ -201,7 +210,7 @@ def fgr_scaling_diagnostic(
     for n in n_values:
         lat = build_lattice(kind, n, boundary="periodic")
         t_pi = gate_params(lat, kappa, xi, use_tilde=True).t_pi
-        t = np.linspace(0.0, window_t_pi * t_pi, n_time)
+        t = np.linspace(0.0, window_t_pi * t_pi, _SCALING_TIMES)
         dec_pert.append(float(perturbative_decay2(lat, xi, t, kappa).decay.max()))
         if include_exact:
             dec_exact.append(_exact_max_decay(kind, n, xi_over_kappa, window_t_pi, boundary))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from dipolarray.cli import (
     main,
     parse_config,
 )
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -80,6 +84,7 @@ class TestListCommand:
         out = capsys.readouterr().out
         for key in ("n_sites", "xi_over_kappa", "t_max"):
             assert key in out
+        assert "t_max=4.0" in out
 
     def test_unknown_experiment_nonzero(self, capsys):
         assert main(["list", "nonsense"]) == EXIT_CONFIG
@@ -217,6 +222,22 @@ n_samples = 60
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error: config key 'n_samples'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "experiment = phase_gate\nn_sites = 8\nboundary = periodic\n",
+        "experiment = mpm_sweep\nn_sites = 8\nboundary = periodic\nxi_over_kappa_values = 0.1\n",
+        "experiment = phonon_decay\nkind = chain\nn_sites = 8\n",
+    ], ids=["phase_gate", "mpm_sweep", "phonon_decay"])
+    @pytest.mark.parametrize("t_max", [0, -2])
+    def test_non_positive_t_max_exit_code(self, tmp_path, capsys, text, t_max):
+        cfg = write_cfg(tmp_path, text + f"t_max = {t_max}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: config key 't_max'" in capsys.readouterr().err
+
+    def test_dispersion_zero_cutoff_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "experiment = dispersion\nkind = chain\nn_sites = 8\nsum_cutoff = 0\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: cutoff must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("values", ["0.1, 0.1000001", "0.2, 0.05, 0.2"], ids=["close", "repeated"])
     def test_mpm_sweep_colliding_file_names(self, tmp_path, capsys, values):
         cfg = write_cfg(tmp_path, "experiment = mpm_sweep\nn_sites = 8\nboundary = periodic\n"
@@ -349,3 +370,18 @@ n_samples = 400
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
         summary = json.loads((tmp_path / "o" / "phase_gate" / "summary.json").read_text())
         assert 3.0 <= summary["gate_time_over_t_pi"] <= 4.0
+
+
+def test_every_experiment_has_a_shipped_config():
+    assert {parse_config(p)["experiment"] for p in SHIPPED_CONFIGS} == set(SCHEMAS)
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=[p.stem for p in SHIPPED_CONFIGS])
+def test_shipped_config_reruns_byte_identical(tmp_path, config):
+    outputs = []
+    for run in ("first", "second"):
+        assert main(["run", str(config), "--out", str(tmp_path / run)]) == EXIT_OK
+        root = tmp_path / run
+        outputs.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
+    assert outputs[0]
+    assert outputs[0] == outputs[1]

@@ -60,10 +60,14 @@ class TestEvolve:
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             evolve(np.eye(2), np.array([1.0, 0.0]), [0.0, 2.0, 1.0])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            compute_trajectory(exchange_hamiltonian(build_lattice("chain", 4), 1.0), [0.0, -1.0])
 
     def test_rejects_nonzero_start(self):
         with pytest.raises(ValueError, match="start at 0"):
             evolve(np.eye(2), np.array([1.0, 0.0]), [1.0, 2.0])
+        with pytest.raises(ValueError, match="start at 0"):
+            compute_trajectory(exchange_hamiltonian(build_lattice("chain", 4), 1.0), [1.0, 2.0])
 
     def test_unitarity_both_paths(self):
         rng = np.random.default_rng(5)

@@ -138,11 +138,15 @@ class TestFullHamiltonian:
         assert hf.vacuum_energy != 0.0
 
     def test_xi_equal_kappa_is_pure_exchange(self):
-        lat = build_lattice("chain", 5)
-        hx = exchange_hamiltonian(lat, 1.3)
-        hf = full_hamiltonian(lat, 1.3, 1.3)
-        for n in (0, 1, 2):
-            assert np.allclose(hf.blocks[n].toarray(), hx.blocks[n].toarray(), atol=1e-15)
+        for kind, n, boundary in [("chain", 5, "open"), ("square", 9, "periodic"),
+                                  ("triangular", 9, "periodic")]:
+            lat = build_lattice(kind, n, boundary=boundary)
+            hx = exchange_hamiltonian(lat, 1.3)
+            hf = full_hamiltonian(lat, 1.3, 1.3)
+            assert hx.xi == 1.3
+            for s in (0, 1, 2):
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(hx.blocks[s], part), getattr(hf.blocks[s], part))
 
     def test_projection_identity(self):
         # <2|H_I|2> - 2<1|H_I|1> + <0|H_I|0> = -2 chi_tilde

@@ -4,6 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipolarray.lattice import build_lattice, coupling_kernel, displacements, momentum_grid, relative_sites
+from dipolarray.phonon import _momentum_pairs
+
+
+def solved_labels(grid):
+    """Integer labels of the grid momenta, solved from ``kvecs`` alone.
+
+    Fractional coordinates are multiples of 1/side, so scaled by the number
+    of points (a multiple of side) they round to exact integers.
+    """
+    nq = grid.n_points
+    frac = np.linalg.solve(grid.reciprocal_vectors.T, grid.kvecs.T).T
+    return np.round(frac * nq).astype(int) % nq
 
 
 def pairwise_distances(positions):
@@ -117,7 +129,8 @@ class TestMomentumGrid:
     def test_chain_n4(self):
         g = momentum_grid(build_lattice("chain", 4, boundary="periodic"))
         assert np.allclose(sorted(g.kvecs.ravel()), [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-        assert np.allclose(g.weights, 0.25)
+        assert g.side == 4
+        assert np.array_equal(g.coords, [[0], [1], [2], [3]])
 
     def test_square_n4(self):
         g = momentum_grid(build_lattice("square", 4, boundary="periodic"))
@@ -155,6 +168,57 @@ class TestMomentumGrid:
         reps, mult = g.pair_fold()
         assert mult.sum() == n - 1
         assert 0 not in reps
+
+
+# odd and even sides: a self-inverse momentum k = -k != 0 exists only on
+# even sides
+INDEX_GRIDS = [("chain", 7), ("chain", 8), ("square", 9), ("square", 16),
+               ("triangular", 9), ("triangular", 16), ("triangular", 25), ("triangular", 36)]
+
+
+class TestMomentumIndex:
+    @pytest.mark.parametrize("kind,n", INDEX_GRIDS)
+    def test_coords_map_to_kvecs(self, kind, n):
+        g = momentum_grid(build_lattice(kind, n, boundary="periodic"))
+        side, dim = g.side, g.kvecs.shape[1]
+        assert side**dim == n
+        rows = np.arange(n)
+        assert np.array_equal(g.coords, np.stack([rows % side, rows // side][:dim], axis=1))
+        assert np.allclose(g.kvecs, (g.coords / side) @ g.reciprocal_vectors, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,n", INDEX_GRIDS)
+    def test_index_inverts_coords_modulo_side(self, kind, n):
+        g = momentum_grid(build_lattice(kind, n, boundary="periodic"))
+        assert np.array_equal(g.index(g.coords), np.arange(n))
+        shift = g.side * np.arange(-2, 3)[:, None, None]
+        assert np.array_equal(g.index(g.coords + shift), np.tile(np.arange(n), (5, 1)))
+
+    @pytest.mark.parametrize("kind,n", INDEX_GRIDS)
+    def test_pair_fold_matches_solved_labels(self, kind, n):
+        g = momentum_grid(build_lattice(kind, n, boundary="periodic"))
+        lab = solved_labels(g)
+        row_of = {tuple(r): i for i, r in enumerate(lab)}
+        reps, mult = [], []
+        for i in range(1, n):
+            j = row_of[tuple(-lab[i] % n)]
+            if j >= i:
+                reps.append(i)
+                mult.append(1 if j == i else 2)
+        got_reps, got_mult = g.pair_fold()
+        assert np.array_equal(got_reps, reps)
+        assert np.array_equal(got_mult, mult)
+        assert (np.array(mult) == 1).any() == (g.side % 2 == 0)
+
+    @pytest.mark.parametrize("kind,n", INDEX_GRIDS)
+    def test_momentum_pairs_match_solved_labels(self, kind, n):
+        g = momentum_grid(build_lattice(kind, n, boundary="periodic"))
+        lab = solved_labels(g)
+        row_of = {tuple(r): i for i, r in enumerate(lab)}
+        ref = [(k, kp, row_of[tuple(-(lab[k] + lab[kp]) % n)])
+               for k in range(n) for kp in range(k, n)]
+        ref = np.array([p for p in ref if p[2] != 0]).T
+        for got, want in zip(_momentum_pairs(g), ref):
+            assert np.array_equal(got, want)
 
 
 @settings(max_examples=25, deadline=None)

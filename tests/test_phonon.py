@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import dipolarray.phonon as phonon_mod
 from dipolarray.basis import ResourceLimitError
 from dipolarray.hamiltonian import ZETA3
-from dipolarray.lattice import build_lattice, grid_labels, momentum_grid
+from dipolarray.lattice import build_lattice, momentum_grid
 from dipolarray.phonon import (
     UnstableCrystalError,
     build_phonon_model,
@@ -20,6 +20,7 @@ from dipolarray.phonon import (
     gamma2,
     phonon_spectrum,
 )
+from test_lattice import solved_labels
 
 ZETA5 = 1.0369277551433699
 
@@ -130,18 +131,15 @@ class TestSpectrum:
     def test_even_spectrum(self):
         m = tri_model(25)
         g = m.grid
-        freqs = {tuple(np.round(q, 9)): f for q, f in zip(g.kvecs, m.freqs)}
+        fr_int = solved_labels(g)
+        index_of = {tuple(r): i for i, r in enumerate(fr_int)}
         # compare f(q) against f(-q) via the grid's pair fold
         reps, mult = g.pair_fold()
         for i, mu in zip(reps, mult):
             if mu == 1:
                 continue
-            qi = g.kvecs[i]
             # locate -q modulo reciprocal vectors
-            from dipolarray.lattice import grid_labels
-            lbl = grid_labels(np.array([-qi]), g.reciprocal_vectors, g.n_points)[0]
-            all_lbl = grid_labels(g.kvecs, g.reciprocal_vectors, g.n_points)
-            j = all_lbl.index(lbl)
+            j = index_of[tuple(-fr_int[i] % g.n_points)]
             assert np.allclose(m.freqs[i], m.freqs[j], atol=1e-10)
 
     def test_1d_zone_edge_value(self):
@@ -340,10 +338,8 @@ def gamma2_full_reference(model, xi, b0, temperature, times):
     grid = model.grid
     n = model.lattice.n_sites
     nq = grid.n_points
-    keys = grid_labels(grid.kvecs, grid.reciprocal_vectors, nq)
-    index_of = {k: i for i, k in enumerate(keys)}
-    frac = np.linalg.solve(grid.reciprocal_vectors.T, grid.kvecs.T).T
-    fr_int = np.round(frac * nq).astype(int) % nq
+    fr_int = solved_labels(grid)
+    index_of = {tuple(r): i for i, r in enumerate(fr_int)}
     amp_dom = xi + 4.0 * b0
     base = 1.0 / (2.0 * n * np.sqrt(model.beta))
     w_ph = model.freqs * model.phonon_energy_unit

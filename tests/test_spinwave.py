@@ -73,6 +73,14 @@ class TestDispersionAsymptotes:
         with pytest.raises(ValueError):
             dispersion_asymptote_check("triangular")
 
+    @pytest.mark.parametrize("kind", ["chain", "square"])
+    @pytest.mark.parametrize("cutoff", [0, -1])
+    def test_cutoff_below_one_rejected(self, kind, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be at least 1"):
+            dispersion_curve(kind, [0.1], cutoff=cutoff)
+        with pytest.raises(ValueError, match="cutoff must be at least 1"):
+            dispersion_asymptote_check(kind, cutoff=cutoff)
+
     def test_curve_matches_grid_at_commensurate_k(self):
         # the cutoff curve and the N-site grid value agree when N is large
         lat = periodic("chain", 400)
