@@ -517,7 +517,11 @@ def main(argv=None) -> int:
         if args.experiment is not None and args.experiment not in SCHEMAS:
             print(f"unknown experiment: {args.experiment}", file=sys.stderr)
             return EXIT_CONFIG
-        print(list_experiments(args.experiment))
+        try:
+            print(list_experiments(args.experiment), flush=True)
+        except BrokenPipeError:
+            # the reader left early (sim list | head); keep the exit flush quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
 
     try:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import SectorBasis, sector_basis
-from .lattice import Lattice, coupling_kernel
+from .lattice import Lattice, coupling_kernel, relative_sites
 
 __all__ = [
     "SpinHamiltonian",
@@ -165,11 +165,20 @@ def full_hamiltonian(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltoni
 
 def chi_eff(lattice: Lattice, kappa: float) -> float:
     """Collective phase-gate coupling from projecting the exchange model onto
-    the symmetric manifold: 2*kappa/(N(N-1)) * ordered pair sum of d_ij."""
+    the symmetric manifold: 2*kappa/(N(N-1)) * ordered pair sum of d_ij.
+
+    On a periodic lattice every site sees the same neighbours, so each of the
+    N kernel rows sums to sum_j 1/|r_j|^3 over the O(N) relative-site table
+    and chi_eff = 2*kappa/(N-1) * sum_j 1/|r_j|^3; open lattices sum the
+    O(N^2) kernel.
+    """
     if lattice.n_sites < 2:
         raise ValueError("need at least two sites")
-    d = coupling_kernel(lattice)
     n = lattice.n_sites
+    if lattice.periodic:
+        row = float((1.0 / np.linalg.norm(relative_sites(lattice), axis=1) ** 3).sum())
+        return 2.0 * kappa / (n - 1) * row
+    d = coupling_kernel(lattice)
     return 2.0 * kappa / (n * (n - 1)) * float(d.sum())
 
 

@@ -27,13 +27,16 @@ the natural scale of the spectrum.
 Every lattice sum runs over the relative sites r_j - r_0 of
 :func:`dipolarray.lattice.relative_sites`, O(N) to build, so nothing is
 cached.  Dynamical matrices and coupling weights are built for the whole
-momentum grid at once.  The two-excitation sum enumerates the unordered pairs
-k <= k' with q = -(k + k') from the grid's integer momentum coordinates
-(each term is symmetric under k <-> k', so a pair with k != k'
-counts twice) and shares :func:`_decay_sum` with the one-excitation sum.
-That sum streams the mode axis in slices of a fixed byte budget, so no
-(times x modes) array is ever held; the pair tables are O(N^2 branches)
-and :func:`gamma2` refuses up front with
+momentum grid at once.  The decay sums use inversion symmetry: D(-q) = D(q),
+so q and -q give the same term up to roundoff.  The one-excitation sum
+runs over one q per pair (:meth:`~dipolarray.lattice.MomentumGrid.pair_fold`),
+and the two-excitation sum over one unordered pair k <= k' per orbit
+{(k, k'), (-k, -k')}, with q = -(k + k') from the grid's integer momentum
+coordinates; each term carries its orbit size, and a pair with k != k' also
+counts twice (k <-> k').  Both share :func:`_decay_sum`, which prescales
+each mode's weight by 2 / omega^2 once and streams the mode axis in slices
+of a fixed byte budget, so no (times x modes) array is ever held; the pair
+tables are O(N^2 branches) and :func:`gamma2` refuses up front with
 :class:`~dipolarray.basis.ResourceLimitError` when they would exceed
 ``PAIR_TABLE_BYTES_MAX``.  Both sums run without the coupling amplitudes,
 which multiply the results afterwards, so the normalized curves stay exact
@@ -68,7 +71,7 @@ __all__ = [
 
 _SUPPORTED = ("chain", "triangular")
 
-# (times x slice) float64 budget of one _osc_integral block in _decay_sum
+# (slice x times) float64 budget of one sin^2 block in _decay_sum
 _CHUNK_BYTES = 8 * 2**20
 
 # gamma2 refuses pair tables whose estimated size exceeds this
@@ -232,37 +235,37 @@ def _occupation(w: np.ndarray, kbt: float) -> np.ndarray:
         return np.where(x < 700.0, 1.0 / np.expm1(np.clip(x, 1e-300, 700.0)), 0.0)
 
 
-def _osc_integral(omega: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(1 - cos(omega t)) / omega^2 as (T, modes); t^2/2 at omega -> 0."""
-    om = np.atleast_1d(omega)
-    t = times[:, None]
-    small = np.abs(om)[None, :] * np.abs(t) < 1e-6
-    x = om[None, :] * t / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = 2.0 * np.sin(x) ** 2 / om[None, :] ** 2
-    return np.where(small, t**2 / 2.0, val)
-
-
 def _decay_sum(weights: np.ndarray, w_ph: np.ndarray, w_sp: np.ndarray,
                kbt_abs: float, times: np.ndarray) -> np.ndarray:
-    """2 * sum_modes weights * [(n+1) I(w_ph + w_sp) + n I(w_ph - w_sp)].
+    """2 * sum_modes weights * [(n+1) I(w_ph + w_sp) + n I(w_ph - w_sp)],
+    I(omega) = (1 - cos(omega t)) / omega^2 = 2 sin^2(omega t / 2) / omega^2.
 
-    ``w_sp`` broadcasts against ``w_ph``.  The time curve is accumulated over
-    slices of the mode axis holding at most ``_CHUNK_BYTES`` of (T x slice)
-    float64 each; every slice of the emission and absorption integrals is
-    contracted with its weight vector at once, so memory does not grow with
-    the number of modes.
+    ``w_sp`` broadcasts against ``w_ph``.  The emission and absorption modes
+    form one mode list, and each mode's prefactor c = 2 w / omega^2 is built
+    once, so the (time x mode) work is sin^2(omega t / 2) contracted with c.
+    Modes with |omega| t_max < 1e-6 take the limit I = t^2 / 2 (exact to
+    about 1e-13) as one weight sum, which keeps c finite at omega = 0, a
+    resonance or a soft mode.  The sin^2 blocks
+    run over slices of the mode axis holding at most ``_CHUNK_BYTES`` of
+    float64 each, so memory does not grow with the number of modes.
     """
     wt = weights.ravel()
     nocc = _occupation(w_ph, kbt_abs).ravel()
-    emit, absorb = wt * (nocc + 1.0), wt * nocc
-    up, down = (w_ph + w_sp).ravel(), (w_ph - w_sp).ravel()
+    omega = np.concatenate([(w_ph + w_sp).ravel(), (w_ph - w_sp).ravel()])
+    w = np.concatenate([wt * (nocc + 1.0), wt * nocc])
+    small = np.abs(omega) * np.abs(times).max(initial=0.0) < 1e-6
+    acc = times**2 / 2.0 * w[small].sum()
+    omega, w = omega[~small], w[~small]
+    half, c = omega / 2.0, 2.0 * w / omega**2
     step = max(1, _CHUNK_BYTES // (8 * max(len(times), 1)))
-    acc = np.zeros(len(times))
-    for lo in range(0, len(wt), step):
+    buf = np.empty((min(step, len(c)), len(times)))
+    for lo in range(0, len(c), step):
         part = slice(lo, lo + step)
-        acc += _osc_integral(up[part], times) @ emit[part]
-        acc += _osc_integral(down[part], times) @ absorb[part]
+        s = buf[:len(c[part])]
+        np.multiply(half[part, None], times, out=s)
+        np.sin(s, out=s)
+        np.square(s, out=s)
+        acc += c[part] @ s
     return 2.0 * acc
 
 
@@ -272,15 +275,20 @@ def gamma1_time(model: PhononModel, xi: float, b0: float, temperature: float, ti
     ``temperature`` is k_B T in units of u_dd/sqrt(beta); xi and b0 share the
     energy unit of kappa and u_dd; times are hbar over that unit.  The
     normalized curve is summed without the amplitude (xi + 4 b0)^2, so it does
-    not depend on (xi, b0); it is 0 when xi + 4 b0 == 0.
+    not depend on (xi, b0); it is 0 when xi + 4 b0 == 0.  The sum runs over
+    one phonon q per pair +-q, weighted 2 (1 when q = -q), since D(-q) = D(q)
+    gives both the same term.
     """
     times = np.asarray(times, dtype=float)
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
     g, w_ph, w_sp = _mode_tables(model)
+    reps, mult = model.grid.pair_fold()
+    rows = reps - 1  # rows of the q != 0 tables
     kbt = temperature * model.phonon_energy_unit
     amp = xi + 4.0 * b0
-    norm = _decay_sum(g, w_ph, w_sp[:, None], kbt, times) / (2.0 * model.lattice.n_sites)
+    norm = _decay_sum(mult[:, None] * g[rows], w_ph[rows], w_sp[rows, None], kbt,
+                      times) / (2.0 * model.lattice.n_sites)
     dec = norm / np.sqrt(model.beta) * amp * amp
     return PhononDecay(
         times=times,
@@ -299,19 +307,24 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
     (k, k') != (0, 0) with the phonon pinned at q = -(k + k'), keeping the
     -(4 xi / N) amplitude and its interference with the dominant one; pairs
     with k + k' = 0 are dropped with the q = 0 mode.  Every term is symmetric
-    under k <-> k', so only k <= k' is enumerated, with multiplicity 2 for
-    k != k'.  The amplitude is (xi + 4 b0) - 4 xi / N on the edge pairs
-    (k = 0) and -4 xi / N on the others; each set is summed without it.
+    under k <-> k', and (k, k') and (-k, -k') give the same term since
+    D(-q) = D(q); so one pair k <= k' per inversion orbit is enumerated,
+    weighted by the orbit size (2, or 1 when k and k' are both their own
+    negatives) and by 2 for k != k'.  The amplitude is
+    (xi + 4 b0) - 4 xi / N on the edge pairs (k = 0) and -4 xi / N on the
+    others; each set is summed without it.
 
     Raises :class:`~dipolarray.basis.ResourceLimitError` when the pair tables
     would exceed ``PAIR_TABLE_BYTES_MAX``.
     """
     times = np.asarray(times, dtype=float)
-    # pairs k <= k' before the q = 0 filter, each holding the integer labels
-    # of _momentum_pairs and float tables per branch, 8 bytes a word; the
-    # word counts fit the tracemalloc peak of chain and triangular runs
+    # pairs k <= k' before the q = 0 and orbit filters, 8 bytes a word: the
+    # integer tables of _momentum_pairs, then float tables per branch for the
+    # half that is kept; the word counts fit the tracemalloc peak of chain
+    # and triangular runs (N >= 36, one time point; the time slices of
+    # _decay_sum add at most _CHUNK_BYTES)
     pairs = model.grid.n_points * (model.grid.n_points + 1) // 2
-    need = pairs * 8 * (6 + 10 * model.n_branches)
+    need = pairs * 8 * (7 + 4 * model.n_branches)
     if need > PAIR_TABLE_BYTES_MAX:
         raise ResourceLimitError(
             f"gamma2 pair tables need about {need / 2**20:.0f} MiB for {model.grid.n_points} "
@@ -322,11 +335,11 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
     n = model.lattice.n_sites
     kbt = temperature * model.phonon_energy_unit
 
-    ik, ikp, iq = _momentum_pairs(model.grid)
+    ik, ikp, iq, orbit = _momentum_pairs(model.grid)
     n_edge = np.count_nonzero(ik == 0)  # k-major: the edge pairs lead
     rows = iq - 1  # rows of the q != 0 tables
     w_pair = model.spin_energies[ik] + model.spin_energies[ikp]
-    weights = np.where(ik == ikp, 1.0, 2.0)[:, None] * g[rows]
+    weights = (np.where(ik == ikp, 1.0, 2.0) * orbit)[:, None] * g[rows]
     edge, bulk = (
         _decay_sum(weights[part], w_ph[rows[part]], w_pair[part, None], kbt, times) / (2.0 * n)
         for part in (slice(None, n_edge), slice(n_edge, None))
@@ -354,13 +367,23 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
     )
 
 
-def _momentum_pairs(grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _momentum_pairs(grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Grid indices (k, k', q) of the pairs k <= k' with q = -(k + k') != 0,
-    k-major."""
-    ik, ikp = np.triu_indices(grid.n_points)
+    one per inversion orbit {(k, k'), (-k, -k')}, k-major, and the orbit sizes.
+
+    The representative is the orbit's smaller pair in k-major order.  An
+    orbit has size 1 only when k and k' are both their own negatives (k' = -k
+    would put q at 0).
+    """
+    n = grid.n_points
+    ik, ikp = np.triu_indices(n)
     iq = grid.index(-(grid.coords[ik] + grid.coords[ikp]))
-    keep = iq != 0
-    return ik[keep], ikp[keep], iq[keep]
+    neg = grid.index(-grid.coords)
+    nk, nkp = neg[ik], neg[ikp]
+    code = ik * n + ikp
+    code_neg = np.minimum(nk, nkp) * n + np.maximum(nk, nkp)
+    keep = (iq != 0) & (code <= code_neg)
+    return ik[keep], ikp[keep], iq[keep], np.where(code[keep] == code_neg[keep], 1, 2)
 
 
 def gamma1_fgr(model: PhononModel, xi: float, b0: float, temperature: float,

@@ -236,7 +236,7 @@ def test_criterion_8_stark_limits():
 
 
 def test_criterion_9_phonon_bands():
-    from tests.test_phonon import hessian_dynamical_1d_richardson
+    from test_phonon import hessian_dynamical_1d_richardson
 
     gamma_dev = []
     for kind, n in (("chain", 64), ("triangular", 25)):
@@ -310,7 +310,7 @@ def test_criterion_11_property_suite(tmp_path):
     energies = np.real(np.einsum("ti,ij,tj->t", states_dense.conj(), h2, states_dense))
     e_dev = np.abs(energies - energies[0]).max() / max(abs(energies[0]), 1.0)
 
-    from tests.test_hamiltonian import brute_force, sector_slice
+    from test_hamiltonian import brute_force, sector_slice
     worst = 0.0
     for n in (3, 4):
         lat_n = build_lattice("chain", n)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +91,18 @@ class TestListCommand:
 
     def test_unknown_experiment_nonzero(self, capsys):
         assert main(["list", "nonsense"]) == EXIT_CONFIG
+
+    def test_closed_pipe_is_quiet(self):
+        # sim list | head: the reader closes the pipe before the listing is
+        # written; the command must still exit 0 without a traceback
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-m", "dipolarray.cli", "list"], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_OK
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestRunCommand:

@@ -191,6 +191,15 @@ class TestChiEff:
         lat = build_lattice("square", 16)
         assert chi_eff(lat, 3.0) == pytest.approx(3.0 * chi_eff(lat, 1.0))
 
+    @pytest.mark.parametrize("kind,n", [("chain", 2), ("chain", 7), ("chain", 64),
+                                        ("square", 4), ("square", 9), ("square", 100),
+                                        ("triangular", 9), ("triangular", 16), ("triangular", 100)])
+    def test_periodic_row_sum_matches_kernel_sum(self, kind, n):
+        # the periodic path sums one relative-site row; the kernel is O(N^2)
+        lat = build_lattice(kind, n, boundary="periodic")
+        kernel_sum = 2.0 * 1.3 / (n * (n - 1)) * coupling_kernel(lat).sum()
+        assert chi_eff(lat, 1.3) == pytest.approx(kernel_sum, rel=1e-14, abs=0)
+
 
 class TestGateParams:
     def test_t_pi_definition(self):

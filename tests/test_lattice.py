@@ -211,14 +211,45 @@ class TestMomentumIndex:
 
     @pytest.mark.parametrize("kind,n", INDEX_GRIDS)
     def test_momentum_pairs_match_solved_labels(self, kind, n):
+        # one pair per inversion orbit {(k, k'), (-k, -k')}: the smaller in
+        # k-major order, with the orbit size
         g = momentum_grid(build_lattice(kind, n, boundary="periodic"))
         lab = solved_labels(g)
         row_of = {tuple(r): i for i, r in enumerate(lab)}
-        ref = [(k, kp, row_of[tuple(-(lab[k] + lab[kp]) % n)])
-               for k in range(n) for kp in range(k, n)]
-        ref = np.array([p for p in ref if p[2] != 0]).T
-        for got, want in zip(_momentum_pairs(g), ref):
-            assert np.array_equal(got, want)
+        ref = []
+        for k in range(n):
+            for kp in range(k, n):
+                q = row_of[tuple(-(lab[k] + lab[kp]) % n)]
+                partner = tuple(sorted((row_of[tuple(-lab[k] % n)], row_of[tuple(-lab[kp] % n)])))
+                if q != 0 and (k, kp) <= partner:
+                    ref.append((k, kp, q, 1 if (k, kp) == partner else 2))
+        ref = np.array(ref).T
+        got = _momentum_pairs(g)
+        assert len(got) == len(ref)
+        for col, want in zip(got, ref):
+            assert np.array_equal(col, want)
+
+    @pytest.mark.parametrize("kind,n", INDEX_GRIDS)
+    def test_momentum_pair_orbit_weights(self, kind, n):
+        # a table symmetric under (k, k') -> (-k, -k') and k <-> k', summed
+        # over orbit representatives with the orbit weights, equals its plain
+        # sum over k <= k' with q != 0 (integers, so exactly)
+        g = momentum_grid(build_lattice(kind, n, boundary="periodic"))
+        neg = g.index(-g.coords)
+        table = np.random.default_rng(n).integers(0, 1000, size=(n, n))
+        table = table + table[np.ix_(neg, neg)]
+        table = table + table.T
+        ik, ikp = np.triu_indices(n)
+        iq = g.index(-(g.coords[ik] + g.coords[ikp]))
+        plain = table[ik[iq != 0], ikp[iq != 0]].sum()
+        k, kp, _, orbit = _momentum_pairs(g)
+        assert (orbit * table[k, kp]).sum() == plain
+        # size-1 orbits are exactly the pairs of self-inverse momenta
+        self_inverse = np.flatnonzero(neg == np.arange(n))
+        singles = {(a, b) for a in self_inverse for b in self_inverse if a <= b}
+        singles = {(a, b) for a, b in singles if g.index(-(g.coords[a] + g.coords[b])) != 0}
+        assert set(zip(k[orbit == 1], kp[orbit == 1])) == singles
+        assert bool(singles) == (g.side % 2 == 0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -276,6 +276,37 @@ class TestGamma1:
         assert np.isfinite(d.decay).all()
 
 
+def _osc_integral(omega: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(1 - cos(omega t)) / omega^2 as (T, modes); t^2/2 at omega -> 0."""
+    om = np.atleast_1d(omega)
+    t = times[:, None]
+    small = np.abs(om)[None, :] * np.abs(t) < 1e-6
+    x = om[None, :] * t / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = 2.0 * np.sin(x) ** 2 / om[None, :] ** 2
+    return np.where(small, t**2 / 2.0, val)
+
+
+@pytest.mark.filterwarnings("error")
+def test_decay_sum_soft_and_resonant_modes():
+    # emission and absorption frequencies w_ph +- w_sp at exactly 0, just
+    # under and just over |omega| t_max = 1e-6, and generic; the prescaled
+    # weights must match the (T x modes) oracle without a RuntimeWarning
+    times = np.linspace(0.0, 50.0, 21)
+    eps = 1e-6 / times[-1]
+    w_sp = np.array([0.0, 0.3, 0.3, 0.3, 0.3])[:, None]
+    w_ph = np.array([0.0, 0.3, 0.3 + 0.9 * eps, 0.3 + 1.1 * eps, 0.8])[:, None]
+    weights = np.array([0.0, 1.5, 2.0, 0.5, 1.0])[:, None]
+    kbt = 0.2
+    got = phonon_mod._decay_sum(weights, w_ph, w_sp, kbt, times)
+    nocc = phonon_mod._occupation(w_ph, kbt).ravel()
+    w = weights.ravel()
+    ref = 2.0 * (_osc_integral((w_ph + w_sp).ravel(), times) @ (w * (nocc + 1.0))
+                 + _osc_integral((w_ph - w_sp).ravel(), times) @ (w * nocc))
+    assert got[0] == 0.0
+    assert np.allclose(got, ref, rtol=1e-12, atol=0)
+
+
 class TestGamma2:
     def test_dominant_is_twice_gamma1(self):
         for model in (chain_model(16), tri_model(16)):
@@ -365,8 +396,8 @@ def gamma2_full_reference(model, xi, b0, temperature, times):
                 occs.append(w_ph[iq, lam])
     weights = np.array(weights)
     nocc = phonon_mod._occupation(np.array(occs), temperature * model.phonon_energy_unit)
-    acc = (weights * (nocc + 1.0) * phonon_mod._osc_integral(np.array(om_p), times)).sum(axis=1)
-    acc += (weights * nocc * phonon_mod._osc_integral(np.array(om_m), times)).sum(axis=1)
+    acc = (weights * (nocc + 1.0) * _osc_integral(np.array(om_p), times)).sum(axis=1)
+    acc += (weights * nocc * _osc_integral(np.array(om_m), times)).sum(axis=1)
     return 2.0 * acc
 
 
