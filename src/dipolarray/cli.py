@@ -198,17 +198,15 @@ def parse_config(path: str | Path) -> dict:
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header: list[str], rows, preamble: tuple[str, ...] = ()) -> None:
+    # "%.17g" formats a value as format(float(v), ".17g"), one template per row
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         for line in preamble:
             fh.write(line + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(row_fmt % tuple(row))
 
 
 def _json_default(obj):

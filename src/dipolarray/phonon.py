@@ -34,9 +34,12 @@ and the two-excitation sum over one unordered pair k <= k' per orbit
 {(k, k'), (-k, -k')}, with q = -(k + k') from the grid's integer momentum
 coordinates; each term carries its orbit size, and a pair with k != k' also
 counts twice (k <-> k').  Both share :func:`_decay_sum`, which prescales
-each mode's weight by 2 / omega^2 once and streams the mode axis in slices
-of a fixed byte budget, so no (times x modes) array is ever held; the pair
-tables are O(N^2 branches) and :func:`gamma2` refuses up front with
+each mode's weight by 2 / omega^2 once and hands the sin^2 sum to
+:func:`dipolarray.spinwave._sin2_sum`, the kernel of the perturbative
+two-excitation sum too: it streams the mode axis in slices of a fixed byte
+size, a few at once on the CPUs this process may use, so no (times x modes)
+array is ever held and the result does not depend on the thread count; the
+pair tables are O(N^2 branches) and :func:`gamma2` refuses up front with
 :class:`~dipolarray.basis.ResourceLimitError` when they would exceed
 ``PAIR_TABLE_BYTES_MAX``.  Both sums run without the coupling amplitudes,
 which multiply the results afterwards, so the normalized curves stay exact
@@ -54,7 +57,7 @@ import numpy as np
 from .basis import ResourceLimitError
 from .hamiltonian import ZETA3
 from .lattice import Lattice, MomentumGrid, build_lattice, momentum_grid, relative_sites
-from .spinwave import PERTURBATION_FLAG_LEVEL, spin_wave_energies
+from .spinwave import PERTURBATION_FLAG_LEVEL, _sin2_sum, spin_wave_energies
 
 __all__ = [
     "PhononModel",
@@ -70,9 +73,6 @@ __all__ = [
 ]
 
 _SUPPORTED = ("chain", "triangular")
-
-# (slice x times) float64 budget of one sin^2 block in _decay_sum
-_CHUNK_BYTES = 8 * 2**20
 
 # gamma2 refuses pair tables whose estimated size exceeds this
 PAIR_TABLE_BYTES_MAX = 2**30
@@ -245,9 +245,10 @@ def _decay_sum(weights: np.ndarray, w_ph: np.ndarray, w_sp: np.ndarray,
     once, so the (time x mode) work is sin^2(omega t / 2) contracted with c.
     Modes with |omega| t_max < 1e-6 take the limit I = t^2 / 2 (exact to
     about 1e-13) as one weight sum, which keeps c finite at omega = 0, a
-    resonance or a soft mode.  The sin^2 blocks
-    run over slices of the mode axis holding at most ``_CHUNK_BYTES`` of
-    float64 each, so memory does not grow with the number of modes.
+    resonance or a soft mode.  The rest is :func:`~dipolarray.spinwave._sin2_sum`
+    with h = omega / 2: fixed-size mode slices, at most
+    ``spinwave._CHUNK_BYTES`` of them in flight, so memory does not grow with
+    the number of modes.
     """
     wt = weights.ravel()
     nocc = _occupation(w_ph, kbt_abs).ravel()
@@ -256,16 +257,7 @@ def _decay_sum(weights: np.ndarray, w_ph: np.ndarray, w_sp: np.ndarray,
     small = np.abs(omega) * np.abs(times).max(initial=0.0) < 1e-6
     acc = times**2 / 2.0 * w[small].sum()
     omega, w = omega[~small], w[~small]
-    half, c = omega / 2.0, 2.0 * w / omega**2
-    step = max(1, _CHUNK_BYTES // (8 * max(len(times), 1)))
-    buf = np.empty((min(step, len(c)), len(times)))
-    for lo in range(0, len(c), step):
-        part = slice(lo, lo + step)
-        s = buf[:len(c[part])]
-        np.multiply(half[part, None], times, out=s)
-        np.sin(s, out=s)
-        np.square(s, out=s)
-        acc += c[part] @ s
+    acc += _sin2_sum(2.0 * w / omega**2, omega / 2.0, times)
     return 2.0 * acc
 
 
@@ -321,8 +313,8 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
     # pairs k <= k' before the q = 0 and orbit filters, 8 bytes a word: the
     # integer tables of _momentum_pairs, then float tables per branch for the
     # half that is kept; the word counts fit the tracemalloc peak of chain
-    # and triangular runs (N >= 36, one time point; the time slices of
-    # _decay_sum add at most _CHUNK_BYTES)
+    # and triangular runs (N >= 36, one time point; the sin^2 slices of
+    # spinwave._sin2_sum add at most its _CHUNK_BYTES)
     pairs = model.grid.n_points * (model.grid.n_points + 1) // 2
     need = pairs * 8 * (7 + 4 * model.n_branches)
     if need > PAIR_TABLE_BYTES_MAX:
@@ -403,8 +395,11 @@ def gamma1_fgr(model: PhononModel, xi: float, b0: float, temperature: float,
     side = model.grid.side
     rates = []
     for fac in grid_factors:
-        big = build_lattice(lat.kind, (side * fac) ** lat.dimension, boundary="periodic")
-        m = build_phonon_model(big, model.beta, model.u_dd, model.kappa)
+        if fac == 1:  # the model's own grid
+            m = model
+        else:
+            big = build_lattice(lat.kind, (side * fac) ** lat.dimension, boundary="periodic")
+            m = build_phonon_model(big, model.beta, model.u_dd, model.kappa)
         rates.append(_fgr_rate(m, xi, b0, temperature))
     out = {
         "rates": rates,

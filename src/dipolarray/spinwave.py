@@ -2,10 +2,22 @@
 and finite-size decay-scaling diagnostics.
 
 Energies are in units of kappa (hbar = 1); momenta in units of 1/a.
+
+The mode sums of the form sum_m c_m sin^2(h_m t), here and in
+:mod:`dipolarray.phonon`, share one kernel, :func:`_sin2_sum`.  It cuts the
+mode axis into slices of ``_SLICE_BYTES`` of (slice x times) float64 and runs
+up to W slices at once on a thread pool, W being the number of CPUs this
+process may run on (its affinity mask), capped so that W slices fit in
+``_CHUNK_BYTES``.  NumPy's sin, square and the BLAS contraction release the
+GIL, so the slices run in parallel; the per-slice partial sums are added in
+slice order, so every result is bitwise independent of W.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +42,64 @@ PERTURBATION_FLAG_LEVEL = 0.5
 
 # time points per window in fgr_scaling_diagnostic
 _SCALING_TIMES = 4000
+
+# (slice x times) float64 of one sin^2 block in _sin2_sum; fixed, so the
+# slicing and hence the summation order never depend on the thread count
+_SLICE_BYTES = 2**20
+# sin^2 blocks in flight at once in _sin2_sum
+_CHUNK_BYTES = 8 * 2**20
+
+
+def _sin2_workers() -> int:
+    """Threads for _sin2_sum: the CPUs in this process's affinity mask,
+    capped so that that many slices fit in ``_CHUNK_BYTES``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _CHUNK_BYTES // _SLICE_BYTES))
+
+
+def _sin2_sum(c: np.ndarray, h: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_m c_m sin^2(h_m t) at every t of ``times``, with h_m t rounded
+    exactly as ``h[m] * times``.
+
+    The mode axis runs in slices of ``_SLICE_BYTES``, up to
+    :func:`_sin2_workers` of them at once, each in its own reused buffer; the
+    partial sums are drained and added strictly in slice order.  One slice
+    runs inline.
+    """
+    step = max(1, _SLICE_BYTES // (8 * max(len(times), 1)))
+    starts = range(0, len(c), step)
+    workers = min(_sin2_workers(), len(starts))
+    bufs = [np.empty((min(step, len(c)), len(times))) for _ in range(workers)]
+
+    def block(i: int) -> np.ndarray:
+        part = slice(starts[i], starts[i] + step)
+        s = bufs[i % workers][:len(c[part])]
+        # np.errstate is context-local and a worker thread starts from the
+        # defaults, so every slice sets them, wherever it runs
+        with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+            np.multiply(h[part, None], times, out=s)
+            np.sin(s, out=s)
+            np.square(s, out=s)
+            return c[part] @ s
+
+    acc = np.zeros(len(times))
+    if workers <= 1:
+        for i in range(len(starts)):
+            acc += block(i)
+        return acc
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # slice i reuses the buffer of slice i - workers, drained before it
+        pending = deque()
+        for i in range(len(starts)):
+            if len(pending) == workers:
+                acc += pending.popleft().result()
+            pending.append(pool.submit(block, i))
+        while pending:
+            acc += pending.popleft().result()
+    return acc
 
 
 def spin_wave_energies(lattice: Lattice, kvecs: np.ndarray, kappa: float = 1.0) -> np.ndarray:
@@ -162,7 +232,7 @@ def perturbative_decay2(lattice: Lattice, xi: float, times, kappa: float = 1.0) 
 
     decay(t) = (16 xi^2 / N^2) sum_{k != 0} |F_k|^2 sin^2(omega_k t) /
     omega_k^2, summed over the full grid without k = 0 (the half-grid sum
-    with the +-k degeneracy folded in is identical).
+    with the +-k degeneracy folded in is identical) by :func:`_sin2_sum`.
     """
     if not lattice.periodic:
         raise ValueError("perturbative decay needs a periodic lattice")
@@ -173,8 +243,7 @@ def perturbative_decay2(lattice: Lattice, xi: float, times, kappa: float = 1.0) 
     kv = grid.kvecs[reps]
     fk = fourier_kernel(lattice, kv)
     om = spin_wave_energies(lattice, kv, kappa)
-    s = np.sin(np.outer(times, om))
-    decay = (16.0 * xi**2 / n**2) * ((mult * fk**2 / om**2) * s**2).sum(axis=1)
+    decay = (16.0 * xi**2 / n**2) * _sin2_sum(mult * fk**2 / om**2, om, times)
     return DecayCurve(
         times=times,
         decay=decay,

@@ -17,6 +17,7 @@ from dipolarray.cli import (
     EXIT_RESOURCE,
     SCHEMAS,
     ConfigError,
+    _write_csv,
     main,
     parse_config,
 )
@@ -385,6 +386,19 @@ n_samples = 400
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
         summary = json.loads((tmp_path / "o" / "phase_gate" / "summary.json").read_text())
         assert 3.0 <= summary["gate_time_over_t_pi"] <= 4.0
+
+
+def test_csv_writer_matches_per_value_format(tmp_path):
+    rows = [
+        (float("nan"), float("inf"), -float("inf"), -0.0),
+        (5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1),
+        (3, -7, np.int64(2**53 + 1), np.float64(1.0) / 3.0),
+        (np.float32(0.1), np.float64("nan"), 0.0, 1e-300),
+    ]
+    _write_csv(tmp_path / "out.csv", ["a", "b", "c", "d"], rows, preamble=("# note",))
+    ref = "# note\na,b,c,d\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
+    assert (tmp_path / "out.csv").read_bytes() == ref.encode()
 
 
 def test_every_experiment_has_a_shipped_config():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dipolarray.phonon as phonon_mod
+import dipolarray.spinwave as spinwave_mod
 from dipolarray.basis import ResourceLimitError
 from dipolarray.hamiltonian import ZETA3
 from dipolarray.lattice import build_lattice, momentum_grid
@@ -429,16 +430,48 @@ def test_gamma2_matches_pair_loop(lattice, xi, b0, temperature):
 @pytest.mark.parametrize("make", [lambda: chain_model(30), lambda: tri_model(25)],
                          ids=["chain30", "triangular25"])
 def test_gamma2_mode_slices_match_pair_loop(monkeypatch, make, slice_modes):
-    # 11 divides neither mode count: chain 30 has 29 edge and 420 other
+    # 11 divides neither mode count: chain 30 has 30 edge and 420 other
     # modes, triangular 25 has 48 and 576
     model = make()
     t = np.linspace(0.0, 60.0, 17)
-    monkeypatch.setattr(phonon_mod, "_CHUNK_BYTES", 8 * len(t) * slice_modes)
+    monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(t) * slice_modes)
     ref = gamma2_full_reference(model, 0.05, 0.1, 0.5, t)
     assert np.allclose(gamma2(model, 0.05, 0.1, 0.5, t).decay, ref, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("make", [lambda: chain_model(30), lambda: tri_model(25)],
+                         ids=["chain30", "triangular25"])
+def test_decay_sums_bitwise_independent_of_workers(monkeypatch, make):
+    # 13-mode slices: gamma1_time and the edge part of gamma2 run 30 modes
+    # (chain 30) or 48 (triangular 25), the other part of gamma2 420 or 576
+    model = make()
+    t = np.linspace(0.0, 60.0, 17)
+    monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(t) * 13)
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(spinwave_mod, "_sin2_workers", lambda w=workers: w)
+        one = gamma1_time(model, 0.05, 0.1, 0.5, t)
+        two = gamma2(model, 0.05, 0.1, 0.5, t)
+        runs.append([one.decay.tobytes(), two.decay.tobytes(), two.decay_normalized.tobytes()])
+    assert runs[0] == runs[1]
+
+
 class TestGoldenRule:
+    def test_grid_factor_one_reuses_model(self, monkeypatch):
+        m = chain_model(32)
+        ref = phonon_mod._fgr_rate(m, 0.05, 0.1, 5.0)
+        builds = []
+        real = phonon_mod.build_phonon_model
+
+        def counting(*args, **kwargs):
+            builds.append(args[0].n_sites)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(phonon_mod, "build_phonon_model", counting)
+        rates = gamma1_fgr(m, 0.05, 0.1, 5.0, grid_factors=(1, 2))["rates"]
+        assert rates[0] == ref
+        assert builds == [64]
+
     def test_1d_temperature_ratio(self):
         m = chain_model(64)
         r1 = gamma1_fgr(m, 0.05, 0.1, 5.0, grid_factors=(4,))["rate"]

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dipolarray.spinwave as spinwave_mod
 from dipolarray.hamiltonian import ZETA3, exchange_hamiltonian
 from dipolarray.lattice import build_lattice, momentum_grid
 from dipolarray.spinwave import (
@@ -163,6 +169,79 @@ class TestPerturbativeDecay:
     def test_requires_periodic(self):
         with pytest.raises(ValueError):
             perturbative_decay2(build_lattice("chain", 8), 0.1, [0.0, 1.0])
+
+    @pytest.mark.parametrize("slice_modes", [1, 7, None])
+    @pytest.mark.parametrize("kind, n", [("chain", 40), ("square", 36), ("chain", 3)])
+    def test_matches_dense_oracle(self, monkeypatch, kind, n, slice_modes):
+        lat = periodic(kind, n)
+        t = np.linspace(0.0, 80.0, 41)
+        if slice_modes is not None:
+            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(t) * slice_modes)
+        ref = perturbative_decay2_dense(lat, 0.05, t)
+        assert np.allclose(perturbative_decay2(lat, 0.05, t).decay, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind, n", [("chain", 40), ("square", 36)])
+    def test_bitwise_independent_of_workers(self, monkeypatch, kind, n):
+        # 5-mode slices: chain 40 folds to 20 modes, square 36 to 19
+        lat = periodic(kind, n)
+        t = np.linspace(0.0, 80.0, 41)
+        monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(t) * 5)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(spinwave_mod, "_sin2_workers", lambda w=workers: w)
+            runs.append(perturbative_decay2(lat, 0.05, t).decay.tobytes())
+        assert runs[0] == runs[1]
+
+
+def perturbative_decay2_dense(lattice, xi, times):
+    """The perturbative sum with the whole (times x modes) sin array held."""
+    n = lattice.n_sites
+    grid = momentum_grid(lattice)
+    reps, mult = grid.pair_fold()
+    kv = grid.kvecs[reps]
+    fk = fourier_kernel(lattice, kv)
+    om = spin_wave_energies(lattice, kv, 1.0)
+    s = np.sin(np.outer(times, om))
+    return (16.0 * xi**2 / n**2) * ((mult * fk**2 / om**2) * s**2).sum(axis=1)
+
+
+_PINNED_CHILD = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+import dipolarray.spinwave as sw
+from dipolarray import build_lattice, build_phonon_model, gamma2
+
+
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool started on one CPU")
+
+
+sw.ThreadPoolExecutor = NoPool
+model = build_phonon_model(build_lattice("chain", 40, boundary="periodic"), 1e4, 3.0, 1.0)
+decay = gamma2(model, 0.05, 0.1, 0.5, np.linspace(0.0, 60.0, 2000)).decay
+sys.stdout.write(f"{sw._sin2_workers()} {decay.tobytes().hex()}")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_thread_count_follows_affinity_mask():
+    from dipolarray import build_phonon_model, gamma2
+
+    # 2000 time points give 65-mode slices: several for chain 40's ~800 modes
+    model = build_phonon_model(periodic("chain", 40), 1e4, 3.0, 1.0)
+    decay = gamma2(model, 0.05, 0.1, 0.5, np.linspace(0.0, 60.0, 2000)).decay
+    cap = spinwave_mod._CHUNK_BYTES // spinwave_mod._SLICE_BYTES
+    assert spinwave_mod._sin2_workers() == min(len(os.sched_getaffinity(0)), cap)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _PINNED_CHILD], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    workers, child = out.stdout.split()
+    assert workers == "1"
+    assert child == decay.tobytes().hex()
 
 
 class TestScalingDiagnostic:
