@@ -5,18 +5,24 @@ Times are in units of hbar/kappa.  Evolution is exact and has one engine.
 Sector blocks of a :class:`~dipolarray.hamiltonian.SpinHamiltonian` are CSR;
 :func:`evolve` also accepts a dense array or any scipy sparse matrix and
 converts it to CSR first.  The engine partitions the basis into the coarsest
-*equitable partition* that keeps the initial state constant on every cell:
-colour refinement (1-WL) seeded with the initial amplitudes and the diagonal
-energies, splitting cells by their row sums into every other cell until no
-cell splits.  The normalized cell indicators P span an invariant subspace
-that contains the initial state, so the k x k quotient Hr = P^T H P carries
-the whole dynamics; it is diagonalized once, and a projection on the initial
-state is the spectral sum C(t) = sum_j w_j exp(-i lambda_j t).  The
-symmetric (Dicke) states reduce the two-excitation sector from C(N, 2) to a
-few dozen cells on periodic lattices; a state without symmetry gives the
-discrete partition, i.e. dense diagonalization of the full block.  Every
-evolver checks the invariance residual ||H P - P Hr|| and raises
-:class:`InvarianceError` when it exceeds ``RESIDUAL_TOL``.
+*equitable partition* that keeps the initial state constant on every cell
+by colour refinement (1-WL), seeded with equal initial amplitudes and
+diagonal energies.  With P the cell indicators weighted w_c = 1/sqrt|c|,
+each round forms hp = H P, Hr = P^T hp and dev = hp - P Hr.  dev[i, c] is
+w_c times the row sum of i into cell c minus its mean over the cell of i, so
+the partition is equitable when every |dev[i, c]|/w_c is within the
+refinement tolerance, and ||dev||_F is the invariance residual.  Otherwise
+cells split by their row sums into every cell and the round repeats, until
+the partition is equitable or discrete or a split adds no cell.  P then
+spans an invariant subspace that contains the initial state, so the k x k
+quotient Hr carries the whole dynamics; it is diagonalized once, and a
+projection on the initial state is the spectral sum
+C(t) = sum_j w_j exp(-i lambda_j t).  The symmetric (Dicke) states reduce
+the two-excitation sector from C(N, 2) to a few dozen cells on periodic
+lattices, and their seed is often equitable already, so one round suffices;
+a state without symmetry gives the discrete partition, i.e. dense
+diagonalization of the full block.  A residual above ``RESIDUAL_TOL``
+raises :class:`InvarianceError`.
 
 Phase extraction: with X = C0* C2 and Y = (C0* C1)^2, the complex combination
 (X + Y)/2 factors as exp(i(arg X + arg Y)/2) * [ (|X|+|Y|) cos(rel/2)
@@ -123,49 +129,44 @@ def _row_keys(h: sp.csr_array, cells: np.ndarray, tol: float) -> np.ndarray:
     return keys
 
 
-def _equitable_partition(h: sp.csr_array, psi0: np.ndarray, tol: float) -> np.ndarray:
-    """Coarsest equitable partition of ``h`` on which ``psi0`` is constant.
-
-    Cells start from equal (amplitude, diagonal) pairs and split by the row
-    sums of ``h`` into every cell until their number stops growing.
-    """
-    dim = h.shape[0]
-    amp_tol = REFINE_TOL * float(np.abs(psi0).max(initial=0.0))
-    cells = _cell_ids(_levels(psi0, amp_tol), _levels(h.diagonal(), tol))
-    k = int(cells.max()) + 1
-    while k < dim:
-        cells = _cell_ids(_row_keys(h, cells, tol))
-        grown = int(cells.max()) + 1
-        if grown == k:
-            break
-        k = grown
-    return cells
-
-
 class _SectorEvolver:
     """Exact evolution of one Hermitian block from one initial state.
 
-    ``dim`` is the reduced (quotient) dimension and ``residual`` the
-    invariance residual ||H P - P Hr||_F relative to max |H_ij|.
+    Refinement and the invariance check share one set of sparse products
+    per round, whose deviation dev = H P - P Hr is both the equitability
+    test and the residual (see the module docstring).  ``dim`` is the
+    reduced (quotient) dimension, ``rounds`` the number of splits and
+    ``residual`` ||dev||_F relative to max |H_ij|.
     """
 
     def __init__(self, block, psi0: np.ndarray):
         psi0 = np.asarray(psi0, dtype=complex)
         h = sp.csr_array(block)
         scale = float(np.abs(h.data).max(initial=0.0)) or 1.0
-        self.cells = _equitable_partition(h, psi0, REFINE_TOL * scale)
-        sizes = np.bincount(self.cells)
-        self.dim = len(sizes)
-        self._weight = 1.0 / np.sqrt(sizes)[self.cells]
-        p = _indicator(self.cells, self._weight)
-        hp = h @ p
-        hr = p.T @ hp
-        self.residual = float(np.linalg.norm((hp - p @ hr).data)) / scale
+        tol = REFINE_TOL * scale
+        # cells start from equal (amplitude, diagonal) pairs
+        amp_tol = REFINE_TOL * float(np.abs(psi0).max(initial=0.0))
+        self.cells = _cell_ids(_levels(psi0, amp_tol), _levels(h.diagonal(), tol))
+        self.rounds = 0
+        while True:
+            root = np.sqrt(np.bincount(self.cells))
+            self._weight = 1.0 / root[self.cells]
+            p = _indicator(self.cells, self._weight)
+            hp = h @ p
+            hr = p.T @ hp
+            dev = hp - p @ hr
+            if len(root) == len(self.cells) or np.all(np.abs(dev.data) * root[dev.indices] <= tol):
+                break
+            split = _cell_ids(_row_keys(h, self.cells, tol))
+            if split.max() + 1 == len(root):
+                break
+            self.cells = split
+            self.rounds += 1
+        self.dim = len(root)
+        self.residual = float(np.linalg.norm(dev.data)) / scale
         if not self.residual <= RESIDUAL_TOL:
-            raise InvarianceError(
-                f"quotient of dimension {self.dim} is not invariant: "
-                f"residual {self.residual:.2e} > {RESIDUAL_TOL:.0e}"
-            )
+            raise InvarianceError(f"quotient of dimension {self.dim} is not invariant: "
+                                  f"residual {self.residual:.2e} > {RESIDUAL_TOL:.0e}")
         self._lam, self._vec = np.linalg.eigh(hr.toarray())
         self._coef = self._vec.conj().T @ (p.T @ psi0)
         w = np.abs(self._coef) ** 2
@@ -184,6 +185,8 @@ class _SectorEvolver:
 def _time_grid(times) -> np.ndarray:
     """``times`` as a float array; it must start at 0 and never decrease."""
     times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("times must not be empty")
     if times[0] != 0.0:
         raise ValueError("times must start at 0")
     if np.any(np.diff(times) < 0):
@@ -229,17 +232,22 @@ class Trajectory:
     gate_time: float | None = None
     gate_method: str | None = None
     _dynamics: "DickeDynamics | None" = field(default=None, repr=False)
+    _refinements: int = field(default=0, repr=False)
 
     @property
     def diagnostics(self) -> dict:
-        """Deterministic record of how this trajectory was computed: sector
-        and quotient dimensions, the largest invariance residual, and whether
+        """Deterministic record of how this trajectory was computed: sector and
+        quotient dimensions, split rounds per sector, the largest invariance
+        residual, final grid size and densify rounds, and whether
         :func:`gate_time` bisected or fell back to linear interpolation."""
         dyn = self._dynamics
         return {
             "sector_dims": [dyn.ham.dim(n) for n in (0, 1, 2)] if dyn else None,
             "reduced_dims": dyn.reduced_dims if dyn else None,
+            "partition_rounds": dyn.partition_rounds if dyn else None,
             "invariance_residual": dyn.residual if dyn else None,
+            "grid_points": len(self.times),
+            "grid_refinements": self._refinements,
             "gate_time_method": self.gate_method,
         }
 
@@ -263,6 +271,11 @@ class DickeDynamics:
         return [ev.dim for ev in self._evolvers]
 
     @property
+    def partition_rounds(self) -> list[int]:
+        """Split rounds of sectors 0, 1, 2; 0 where the seed was equitable."""
+        return [ev.rounds for ev in self._evolvers]
+
+    @property
     def residual(self) -> float:
         """Largest invariance residual of the three sectors."""
         return max(ev.residual for ev in self._evolvers)
@@ -282,50 +295,40 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
     most pi/2 per step AND a doubled grid reproduces the same unwrapped phase
     at shared points; a large per-step change can alias into an apparently
     small one, so the confirmation doubling is what actually catches
-    undersampling.  The returned trajectory uses the finest grid evaluated.
-    ``times`` must be non-decreasing and start at 0.
+    undersampling.  Each doubling evaluates the projections only at the new
+    midpoints and interleaves them with the values already computed.  The
+    returned trajectory uses the finest grid evaluated.  ``times`` must be
+    non-empty, non-decreasing and start at 0.
     """
     times = _time_grid(times)
     dyn = DickeDynamics(ham)
-    c0, c1, c2 = dyn.projections(times)
-    theta, cos_half, max_step = _extract_phase(c0, c1, c2)
+    cs = dyn.projections(times)
+    theta, cos_half, max_step = _extract_phase(*cs)
+    refinements = 0
     if auto_refine:
-        confirmed = False
-        for _ in range(MAX_REFINEMENTS):
-            dense_times = _densify(times)
-            d0, d1, d2 = dyn.projections(dense_times)
-            d_theta, d_cos, d_step = _extract_phase(d0, d1, d2)
-            consistent = (
-                max_step <= MAX_THETA_STEP
-                and np.abs(d_theta[::2] - theta).max() <= MAX_THETA_STEP
-            )
-            times, c0, c1, c2 = dense_times, d0, d1, d2
-            theta, cos_half, max_step = d_theta, d_cos, d_step
+        for refinements in range(1, MAX_REFINEMENTS + 1):
+            mid = 0.5 * (times[:-1] + times[1:])
+            times = _interleave(times, mid)
+            cs = [_interleave(c, m) for c, m in zip(cs, dyn.projections(mid))]
+            d_theta, cos_half, d_step = _extract_phase(*cs)
+            consistent = (max_step <= MAX_THETA_STEP
+                          and np.abs(d_theta[::2] - theta).max() <= MAX_THETA_STEP)
+            theta, max_step = d_theta, d_step
             if consistent:
-                confirmed = True
                 break
-        if not confirmed and max_step > MAX_THETA_STEP:
-            warnings.warn(
-                "phase-step bound not reached within the refinement budget",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    traj = Trajectory(
-        times=times,
-        c0=c0,
-        c1=c1,
-        c2=c2,
-        fidelity=np.abs(c2) ** 2,
-        theta=theta,
-        cos_half=cos_half,
-        _dynamics=dyn,
-    )
-    return traj
+        else:
+            if max_step > MAX_THETA_STEP:
+                warnings.warn("phase-step bound not reached within the refinement budget",
+                              RuntimeWarning, stacklevel=2)
+    return Trajectory(times, *cs, np.abs(cs[2]) ** 2, theta, cos_half,
+                      _dynamics=dyn, _refinements=refinements)
 
 
-def _densify(times: np.ndarray) -> np.ndarray:
-    mid = 0.5 * (times[:-1] + times[1:])
-    return np.sort(np.concatenate([times, mid]))
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """``even`` at the even positions and ``odd`` (one shorter) between them."""
+    out = np.empty(len(even) + len(odd), dtype=even.dtype)
+    out[0::2], out[1::2] = even, odd
+    return out
 
 
 def _extract_phase(c0, c1, c2):
@@ -378,8 +381,11 @@ def gate_time(trajectory: Trajectory, rel_tol: float = 1e-4) -> float:
     """First zero of cos(Theta/2): sign-change bracket plus bisection.
 
     Raises :class:`GateNotReached` when the signed cosine never changes sign
-    inside the trajectory window.
+    inside the trajectory window.  Bisection stops at a relative bracket of
+    ``rel_tol`` (positive, finite) or when floats cannot halve the bracket.
     """
+    if not 0.0 < rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     c = trajectory.cos_half
     s = np.sign(c)
     flips = np.where(s[:-1] * s[1:] < 0)[0]
@@ -407,6 +413,8 @@ def gate_time(trajectory: Trajectory, rel_tol: float = 1e-4) -> float:
     else:
         while (t_hi - t_lo) > rel_tol * max(t_hi, 1e-300):
             t_mid = 0.5 * (t_lo + t_hi)
+            if t_mid in (t_lo, t_hi):
+                break
             f_mid = signed(t_mid)
             if f_lo * f_mid <= 0:
                 t_hi, f_hi = t_mid, f_mid

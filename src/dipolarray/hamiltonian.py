@@ -88,6 +88,13 @@ def _zz_diagonals(kernel: np.ndarray, weight: float) -> tuple[float, np.ndarray,
 
 
 def _build(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltonian:
+    """Sector blocks 0, 1, 2, the two-excitation block written in sorted CSR
+    order: row {p<q} holds the hops {x,p} -> {p,q} (amplitude 2 kappa d_xq)
+    and {x,q} -> {p,q} (2 kappa d_xp) for each x not in {p,q}, plus the
+    diagonal, which is left out where it is exactly 0 (xi = kappa).  As the
+    colex rank of {u<v} is v(v-1)/2 + u, the columns ascend as {x,p} for
+    x < q, {x,q} for x < q (the diagonal at x = p), then {x,p}, {x,q} per x > q.
+    """
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     d = coupling_kernel(lattice)
@@ -100,46 +107,30 @@ def _build(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltonian:
     np.fill_diagonal(h1, e1)
     h1 = sp.csr_array(h1)
 
-    dim2 = basis2.dim
-    # hop amplitudes: config {a,b} -> {a,c} with amplitude 2 kappa d_bc.
-    # colex rank of {x<y} is y(y-1)/2 + x, so ranks are computed in closed form.
-    a = basis2.configs[:, 0]
-    b = basis2.configs[:, 1]
-    rows, cols, vals = [], [], []
-    idx = np.arange(dim2)
-    for c in range(n):
-        # move the excitation at b -> c (c not in {a, b})
-        ok = (c != a) & (c != b)
-        lo = np.minimum(a[ok], c)
-        hi = np.maximum(a[ok], c)
-        rows.append(hi * (hi - 1) // 2 + lo)
-        cols.append(idx[ok])
-        vals.append(2.0 * kappa * d[b[ok], c])
-        # move the excitation at a -> c
-        lo = np.minimum(b[ok], c)
-        hi = np.maximum(b[ok], c)
-        rows.append(hi * (hi - 1) // 2 + lo)
-        cols.append(idx[ok])
-        vals.append(2.0 * kappa * d[a[ok], c])
+    # slot s of row {p<q} is column {x, keep}: the first q - 1 slots (head)
+    # keep p for x < q, x != p; the next q (mid) keep q for x < q; the rest
+    # keep p, then q, for each x > q.  Tabulated per q, shifted past x = p.
+    p, q = basis2.configs.T
+    s = np.arange(2 * n - 3)
+    site = np.arange(n)
+    head, mid = s < site[:, None] - 1, s < 2 * site[:, None] - 1
+    x = np.where(head, s, np.where(mid, s + 1 - site[:, None], (s + 3) // 2))[q]
+    x += head[q] & (s >= p[:, None])
+    keep = np.where((~head & (mid | (s % 2 == 0)))[q], q[:, None], p[:, None])
     # ranks fit 32 bits under the sector dimension cap; 32-bit indices keep
     # the engine's products with this block at that width
-    rows = np.concatenate(rows).astype(np.int32)
-    cols = np.concatenate(cols).astype(np.int32)
-    vals = np.concatenate(vals)
-    h2 = sp.csr_array((vals, (rows, cols)), shape=(dim2, dim2)) + sp.diags_array(e2)
+    hi, lo = np.maximum.outer(site, site), np.minimum.outer(site, site)
+    cols = (hi * (hi - 1) // 2 + lo).astype(np.int32)[x, keep]
+    vals = (2.0 * kappa * d)[x, (p + q)[:, None] - keep]
+    vals[np.arange(basis2.dim), p + q - 1] = e2  # mid slot of x = p
+    nz = vals != 0
+    indptr = np.zeros(basis2.dim + 1, dtype=np.int32)
+    np.cumsum(nz.sum(axis=1), out=indptr[1:])
+    h2 = sp.csr_array((vals[nz], cols[nz], indptr), shape=(basis2.dim,) * 2)
 
-    sectors = {
-        0: sector_basis(n, 0),
-        1: sector_basis(n, 1),
-        2: basis2,
-    }
-    return SpinHamiltonian(
-        kappa=kappa,
-        xi=xi,
-        lattice=lattice,
-        blocks={0: h0, 1: h1, 2: h2},
-        sectors=sectors,
-    )
+    sectors = {0: sector_basis(n, 0), 1: sector_basis(n, 1), 2: basis2}
+    return SpinHamiltonian(kappa=kappa, xi=xi, lattice=lattice,
+                           blocks={0: h0, 1: h1, 2: h2}, sectors=sectors)
 
 
 def exchange_hamiltonian(lattice: Lattice, kappa: float) -> SpinHamiltonian:

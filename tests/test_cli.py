@@ -125,7 +125,10 @@ n_samples = 200
         diag = summary["diagnostics"]
         assert diag["sector_dims"] == [1, 12, 66]
         assert diag["reduced_dims"] == [1, 1, 6]
+        assert diag["partition_rounds"] == [0, 0, 1]
         assert diag["invariance_residual"] <= 1e-10
+        rows = (outdir / "trajectory.csv").read_text().count("\n") - 1
+        assert diag["grid_points"] == rows == 199 * 2 ** diag["grid_refinements"] + 1
         assert diag["gate_time_method"] in ("bisection", "interpolation")
         meta = json.loads((outdir / "metadata.json").read_text())
         assert meta["config"]["n_sites"] == 12

@@ -9,6 +9,7 @@ import dipolarray.dynamics as dyn_mod
 from dipolarray.basis import dicke_state, sector_basis
 from dipolarray.cli import main
 from dipolarray.dynamics import (
+    REFINE_TOL,
     RESIDUAL_TOL,
     DickeDynamics,
     GateNotReached,
@@ -62,6 +63,12 @@ class TestEvolve:
             evolve(np.eye(2), np.array([1.0, 0.0]), [0.0, 2.0, 1.0])
         with pytest.raises(ValueError, match="non-decreasing"):
             compute_trajectory(exchange_hamiltonian(build_lattice("chain", 4), 1.0), [0.0, -1.0])
+
+    def test_rejects_empty_times(self):
+        with pytest.raises(ValueError, match="times must not be empty"):
+            evolve(np.eye(2), np.array([1.0, 0.0]), [])
+        with pytest.raises(ValueError, match="times must not be empty"):
+            compute_trajectory(exchange_hamiltonian(build_lattice("chain", 4), 1.0), [])
 
     def test_rejects_nonzero_start(self):
         with pytest.raises(ValueError, match="start at 0"):
@@ -124,6 +131,69 @@ class TestSpectralEngine:
             DickeDynamics(ham)
 
 
+def reference_partition(block, psi0):
+    """Colour refinement that confirms every partition with a further round
+    of row-sum keys: the reference for the evolver's single-product rounds."""
+    h = sp.csr_array(block)
+    tol = REFINE_TOL * (float(np.abs(h.data).max(initial=0.0)) or 1.0)
+    amp_tol = REFINE_TOL * float(np.abs(psi0).max(initial=0.0))
+    cells = dyn_mod._cell_ids(dyn_mod._levels(psi0, amp_tol), dyn_mod._levels(h.diagonal(), tol))
+    k = int(cells.max()) + 1
+    while k < h.shape[0]:
+        cells = dyn_mod._cell_ids(dyn_mod._row_keys(h, cells, tol))
+        grown = int(cells.max()) + 1
+        if grown == k:
+            break
+        k = grown
+    return cells
+
+
+def assert_reference_cells(block, psi0):
+    """The evolver's cells equal the reference bitwise; returns its rounds."""
+    ev = dyn_mod._SectorEvolver(block, psi0)
+    ref = reference_partition(block, psi0)
+    assert ev.cells.dtype == ref.dtype
+    assert np.array_equal(ev.cells, ref)
+    return ev.rounds
+
+
+class TestRefinement:
+    def test_splits_over_several_rounds(self):
+        # xi = kappa on an open lattice: no diagonal to seed the cells, so
+        # the one- and two-excitation sectors need one and two splits
+        ham = exchange_hamiltonian(build_lattice("triangular", 16), 1.0)
+        rounds = [assert_reference_cells(ham.blocks[n], dicke_state(ham.sectors[n]))
+                  for n in (0, 1, 2)]
+        assert rounds == [0, 1, 2]
+        assert DickeDynamics(ham).partition_rounds == rounds
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_hermitian_block(self, seed):
+        # entries on a coarse grid repeat, so the uniform state's cells split
+        rng = np.random.default_rng(seed)
+        m = 30 + 5 * seed
+        a = np.round(2.0 * rng.standard_normal((m, m))) / 2.0
+        a = a + 1j * np.round(2.0 * rng.standard_normal((m, m))) / 2.0 * (seed % 2)
+        h = (a + a.conj().T) / 2.0
+        uniform = np.full(m, 1.0 / np.sqrt(m), dtype=complex)
+        assert assert_reference_cells(h, uniform) >= 1
+        psi = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        assert assert_reference_cells(h, psi / np.linalg.norm(psi)) == 0
+
+    def test_gate_large_sectors_need_no_split(self, monkeypatch):
+        # the symmetric seeds of both benchmark sectors are already
+        # equitable: one round of products, and no row-sum keys at all
+        calls = []
+        row_keys = dyn_mod._row_keys
+        monkeypatch.setattr(dyn_mod, "_row_keys", lambda *a: calls.append(1) or row_keys(*a))
+        for kind, boundary in (("chain", "periodic"), ("square", "open")):
+            ham = full_hamiltonian(build_lattice(kind, 64, boundary=boundary), 1.0, 0.05)
+            dyn = DickeDynamics(ham)
+            assert dyn.partition_rounds == [0, 0, 0]
+            assert ham.dim(2) == 2016
+        assert calls == []
+
+
 # (kind, n_sites) with n_sites <= 16 that every boundary accepts
 ORACLE_LATTICES = st.one_of(
     st.tuples(st.just("chain"), st.integers(min_value=3, max_value=16)),
@@ -153,6 +223,8 @@ def test_quotient_matches_dense_sector(lattice, boundary, xi, seed):
         psi0 = dicke_state(ham.sectors[n])
         ref = dense_spectral(ham.blocks[n], psi0, t) @ psi0.conj()
         np.testing.assert_allclose(c, ref, rtol=1e-10, atol=1e-12)
+    for n in (0, 1, 2):
+        assert_reference_cells(ham.blocks[n], dicke_state(ham.sectors[n]))
     if kind == "chain" and boundary == "periodic":
         # one cell per pair distance 1 .. N/2, e.g. 6 of 66 states at N = 12
         assert dyn.reduced_dims[2] == n_sites // 2 < ham.dim(2)
@@ -225,6 +297,27 @@ class TestNonlinearPhase:
         assert len(traj.times) > len(coarse)
         assert np.abs(np.diff(traj.theta)).max() <= np.pi / 2 + 1e-12
 
+    def test_refined_grid_matches_direct_evaluation(self):
+        # midpoints interleaved with the coarse values reproduce, bitwise,
+        # the projections evaluated on the final grid in one go
+        ham = full_hamiltonian(build_lattice("square", 16, boundary="open"), 1.0, 0.2)
+        traj = compute_trajectory(ham, np.linspace(0.0, 60.0, 9))
+        diag = traj.diagnostics
+        assert diag["grid_refinements"] == 2
+        assert diag["grid_points"] == len(traj.times) == 8 * 2 ** diag["grid_refinements"] + 1
+        np.testing.assert_allclose(traj.times, np.linspace(0.0, 60.0, diag["grid_points"]), rtol=0, atol=1e-12)
+        for got, want in zip((traj.c0, traj.c1, traj.c2), DickeDynamics(ham).projections(traj.times)):
+            assert np.array_equal(got, want)
+
+    def test_grid_diagnostics_without_refinement(self):
+        traj = compute_trajectory(exchange_hamiltonian(periodic_chain(8), 1.0),
+                                  np.linspace(0.0, 5.0, 13), auto_refine=False)
+        diag = traj.diagnostics
+        assert (diag["grid_points"], diag["grid_refinements"]) == (13, 0)
+        # bare exchange has a zero diagonal: the symmetric pair state's seed
+        # is one cell, and one split sorts the pairs by distance
+        assert diag["partition_rounds"] == [0, 0, 1]
+
     def test_nonlinear_phase_recompute(self):
         lat = periodic_chain(8)
         traj = compute_trajectory(exchange_hamiltonian(lat, 1.0), np.linspace(0, 20, 200))
@@ -253,6 +346,22 @@ class TestGateTime:
         t = np.linspace(0.0, 2.0 * expected, 300)
         traj = compute_trajectory(h, t)
         assert gate_time(traj) == pytest.approx(expected, rel=1e-4)
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-4, np.nan, np.inf])
+    def test_rejects_bad_rel_tol(self, rel_tol):
+        traj = compute_trajectory(exchange_hamiltonian(periodic_chain(8), 1.0),
+                                  np.linspace(0.0, 10.0, 100))
+        with pytest.raises(ValueError, match="rel_tol"):
+            gate_time(traj, rel_tol=rel_tol)
+
+    def test_bisection_stops_at_float_resolution(self):
+        # a bracket below one ulp cannot be halved: bisection must end there
+        lat = periodic_chain(8)
+        t_pi = gate_params(lat, 1.0, 0.0).t_pi
+        traj = compute_trajectory(exchange_hamiltonian(lat, 1.0), np.linspace(0.0, 1.5 * t_pi, 60))
+        fine = gate_time(traj, rel_tol=1e-300)
+        assert traj.gate_method == "bisection"
+        assert fine == pytest.approx(gate_time(traj), rel=1e-4)
 
     def test_not_reached_in_short_window(self):
         h = ideal_quadratic_hamiltonian(8, 0.1)

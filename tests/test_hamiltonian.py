@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from dipolarray.basis import dicke_state
 from dipolarray.hamiltonian import (
     ZETA3,
+    _zz_diagonals,
     chi_eff,
     exchange_hamiltonian,
     full_hamiltonian,
@@ -65,6 +66,60 @@ def sector_slice(h_full, basis):
             bits &= ~(1 << (n - 1 - site))
         idx.append(bits)
     return h_full[np.ix_(idx, idx)]
+
+
+def coo_sector2_block(lattice, kappa, xi):
+    """Two-excitation block assembled hop by hop in COO form, then summed
+    with the diagonal: the reference for the sorted-CSR assembly."""
+    d = coupling_kernel(lattice)
+    n = lattice.n_sites
+    _, _, e2, basis2 = _zz_diagonals(d, kappa - xi)
+    dim2 = basis2.dim
+    a = basis2.configs[:, 0]
+    b = basis2.configs[:, 1]
+    rows, cols, vals = [], [], []
+    idx = np.arange(dim2)
+    for c in range(n):
+        # move the excitation at b -> c (c not in {a, b})
+        ok = (c != a) & (c != b)
+        lo = np.minimum(a[ok], c)
+        hi = np.maximum(a[ok], c)
+        rows.append(hi * (hi - 1) // 2 + lo)
+        cols.append(idx[ok])
+        vals.append(2.0 * kappa * d[b[ok], c])
+        # move the excitation at a -> c
+        lo = np.minimum(b[ok], c)
+        hi = np.maximum(b[ok], c)
+        rows.append(hi * (hi - 1) // 2 + lo)
+        cols.append(idx[ok])
+        vals.append(2.0 * kappa * d[a[ok], c])
+    rows = np.concatenate(rows).astype(np.int32)
+    cols = np.concatenate(cols).astype(np.int32)
+    vals = np.concatenate(vals)
+    return sp.csr_array((vals, (rows, cols)), shape=(dim2, dim2)) + sp.diags_array(e2)
+
+
+@pytest.mark.parametrize("kind,sizes", [
+    ("chain", (2, 3, 4, 5, 6, 7, 8, 13, 36, 64, 81)),
+    ("square", (4, 9, 16, 25, 36, 49, 64, 81)),
+    ("triangular", (4, 9, 16, 25, 36, 49, 64, 81)),
+])
+def test_sector2_csr_matches_coo_assembly(kind, sizes):
+    # bitwise: same entries, same order, same index dtypes; xi = kappa has
+    # an all-zero diagonal, which both leave out
+    for n in sizes:
+        for boundary in ("open", "periodic"):
+            lat = build_lattice(kind, n, boundary=boundary)
+            for kappa, xi in ((1.0, 0.0), (1.0, 0.05), (1.0, -0.4), (1.0, 1.0), (1.3, 1.3)):
+                block = full_hamiltonian(lat, kappa, xi).blocks[2]
+                ref = coo_sector2_block(lat, kappa, xi)
+                assert block.shape == ref.shape
+                for part in ("data", "indices", "indptr"):
+                    got, want = getattr(block, part), getattr(ref, part)
+                    assert got.dtype == want.dtype, (kind, n, boundary, xi, part)
+                    assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (kind, n, boundary, xi, part)
+                if xi == kappa:
+                    assert block.nnz == block.shape[0] * (2 * n - 4)
 
 
 class TestBruteForceOracle:
