@@ -50,7 +50,6 @@ from .stark import (
     SRO,
     BasisNotConvergedError,
     MolecularParams,
-    beta_parameter,
     dressed_pair,
     rotor_eigensystem,
     xi_kappa_sweep,
@@ -89,7 +88,6 @@ __all__ = [
     "rotor_eigensystem",
     "dressed_pair",
     "xi_kappa_sweep",
-    "beta_parameter",
     "BasisNotConvergedError",
     "PhononModel",
     "UnstableCrystalError",

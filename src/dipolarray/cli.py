@@ -5,6 +5,14 @@ experiment per file.  Every run writes ``metadata.json`` (config echo plus
 the conventions in force), a ``summary.json``, and experiment CSV data, all
 at full double precision so identical configs byte-reproduce.
 
+Each experiment is one entry of ``EXPERIMENTS``: the ``@experiment``
+decorator on its ``run_*`` function registers the ``sim list`` help line,
+the config keys with their types and defaults, and the runner together, so
+adding an experiment means writing one decorated function.  ``--workers``
+runs the values of an ``mpm_sweep`` or the fields of a ``stark_sweep`` on a
+thread pool; every other experiment ignores it, and the outputs are the
+same for any worker count.
+
 Exit codes: 0 success, 2 config error, 3 resource-cap error, 4 gate not
 reached, 5 numerical error (an ``ArithmeticError`` such as an unstable
 crystal mode, a non-invariant quotient subspace or an unconverged ``j_max``).
@@ -16,15 +24,18 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+import scipy.constants as const
 
 from . import __version__
 from .basis import ResourceLimitError
 from .dynamics import GateNotReached, compute_trajectory, gate_time
-from .hamiltonian import exchange_hamiltonian, full_hamiltonian, gate_params
+from .hamiltonian import full_hamiltonian, gate_params
 from .lattice import build_lattice
 from .phonon import build_phonon_model, gamma1_fgr, gamma1_time, gamma2, phonon_spectrum
 from .spinwave import (
@@ -33,7 +44,7 @@ from .spinwave import (
     fgr_scaling_diagnostic,
     fourier_kernel,
 )
-from .stark import DEFAULT_J_MAX, MOLECULES, MolecularParams
+from .stark import DEBYE, DEFAULT_J_MAX, MOLECULES, MolecularParams, dressed_pair
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,91 +69,42 @@ class ConfigError(ValueError):
     pass
 
 
+# (exception classes, exit code, message prefix); the first matching row wins
+EXIT_CODES = (
+    ((ConfigError, FileNotFoundError, IsADirectoryError), EXIT_CONFIG, "config error"),
+    (ResourceLimitError, EXIT_RESOURCE, "resource limit"),
+    (GateNotReached, EXIT_NO_GATE, "gate not reached"),
+    (ArithmeticError, EXIT_NUMERICAL, "numerical error"),
+    (ValueError, EXIT_CONFIG, "config error"),
+)
+
+
 # ---------------------------------------------------------------------------
-# config schema
+# experiment table
 # ---------------------------------------------------------------------------
+
+class Experiment(NamedTuple):
+    help: str                          # the line ``sim list`` shows
+    keys: dict[str, tuple]             # config key -> (type, default); None: required
+    run: Callable[[dict, Path, int], dict]
+
+
+EXPERIMENTS: dict[str, Experiment] = {}
+
+
+def experiment(name: str, help: str, **keys: tuple):
+    """Register the decorated runner as experiment ``name``."""
+    def register(runner):
+        EXPERIMENTS[name] = Experiment(help, keys, runner)
+        return runner
+    return register
+
 
 _LATTICE_KEYS = {
     "kind": (str, "chain"),
     "n_sites": (int, None),
     "boundary": (str, "open"),
     "spacing": (float, 1.0),
-}
-
-SCHEMAS: dict[str, dict[str, tuple]] = {
-    "phase_gate": {
-        **_LATTICE_KEYS,
-        "kappa": (float, 1.0),
-        "xi_over_kappa": (float, 0.0),
-        "t_max": (float, 4.0),       # window in units of t_pi
-        "n_samples": (int, 400),
-    },
-    "mpm_sweep": {
-        **_LATTICE_KEYS,
-        "kappa": (float, 1.0),
-        "xi_over_kappa_values": (str, None),  # comma-separated
-        "t_max": (float, 2.0),
-        "n_samples": (int, 400),
-    },
-    "dispersion": {
-        "kind": (str, "chain"),
-        "n_sites": (int, 0),          # 0: skip the finite-grid table
-        "kappa": (float, 1.0),
-        "sum_cutoff": (int, 100_000),
-        "asymptote_check": (bool, True),
-    },
-    "stark_sweep": {
-        "molecule": (str, "SrO"),
-        "b_rot_joule": (float, 0.0),   # custom molecule override (all three)
-        "mu0_debye": (float, 0.0),
-        "mass_amu": (float, 0.0),
-        "g_j": (int, 0),
-        "g_m": (int, 0),
-        "e_j": (int, 1),
-        "e_m": (int, 0),
-        "e_min": (float, 0.0),
-        "e_max": (float, 6.0),
-        "n_field": (int, 61),
-        "spacing_nm": (float, 300.0),
-        "j_max": (int, DEFAULT_J_MAX),
-    },
-    "phonon_bands": {
-        "kind": (str, "chain"),
-        "n_sites": (int, None),
-        "beta": (float, 1.0e4),
-        "u_dd_over_kappa": (float, 3.0),
-    },
-    "phonon_decay": {
-        "kind": (str, "chain"),
-        "n_sites": (int, None),
-        "beta": (float, 1.0e4),
-        "u_dd_over_kappa": (float, 3.0),
-        "xi_over_kappa": (float, 0.05),
-        "b0_over_kappa": (float, 0.1),
-        "temperature": (float, 0.5),   # k_B T in units u_dd/sqrt(beta)
-        "t_max": (float, 1.0),         # window in units of t_pi(chi_tilde)
-        "n_samples": (int, 300),
-        "include_two_excitation": (bool, True),
-        "include_fgr": (bool, True),
-    },
-    "scaling_fit": {
-        "kind": (str, "chain"),
-        "n_values": (str, "16,25,36,49,64,81"),
-        "xi_over_kappa": (float, 0.05),
-        "boundary": (str, "periodic"),
-        "window_t_pi": (float, 2.0),
-        "include_exact": (bool, True),
-    },
-}
-
-_HELP = {
-    "phase_gate": "collective-phase trajectory, gate time and t_pi for one array",
-    "mpm_sweep": "gate time and fidelity floor versus the Ising-to-exchange ratio",
-    "dispersion": "excitation dispersion on a grid and/or its small-k asymptotes",
-    "stark_sweep": "dressed dipoles and xi/kappa versus DC field for a molecule",
-    "phonon_bands": "crystal phonon branches and sound speeds",
-    "phonon_decay": "phonon-induced decay of collective excitations (+ golden-rule rate)",
-    "scaling_fit": "power-law fit of maximum decay probability versus N",
 }
 
 
@@ -178,9 +140,9 @@ def parse_config(path: str | Path) -> dict:
     if "experiment" not in raw:
         raise ConfigError("config key 'experiment': missing")
     exp = raw.pop("experiment")
-    if exp not in SCHEMAS:
+    if exp not in EXPERIMENTS:
         raise ConfigError(f"config key 'experiment': unknown experiment {exp!r}")
-    schema = SCHEMAS[exp]
+    schema = EXPERIMENTS[exp].keys
     cfg = {"experiment": exp}
     for key, val in raw.items():
         if key not in schema:
@@ -198,14 +160,15 @@ def parse_config(path: str | Path) -> dict:
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: list[str], rows, preamble: tuple[str, ...] = ()) -> None:
+def _write_csv(path: Path, header: list[str], columns, preamble: tuple[str, ...] = ()) -> None:
+    """Equal-length columns side by side; a 2-D array counts as several columns."""
     # "%.17g" formats a value as format(float(v), ".17g"), one template per row
     row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="") as fh:
         for line in preamble:
             fh.write(line + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
+        for row in np.column_stack(columns).tolist():
             fh.write(row_fmt % tuple(row))
 
 
@@ -221,14 +184,6 @@ def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
-
-
-def _metadata(cfg: dict) -> dict:
-    return {
-        "config": cfg,
-        "code_version": __version__,
-        "conventions": CONVENTIONS,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +202,8 @@ def _trajectory_run(cfg: dict, outdir: Path, xi_over_kappa: float, prefix: str =
     kappa = cfg["kappa"]
     use_tilde = xi_over_kappa != 0.0
     gp = gate_params(lat, kappa, xi_over_kappa * kappa, use_tilde=use_tilde)
-    if use_tilde:
-        ham = full_hamiltonian(lat, kappa, xi_over_kappa * kappa)
-    else:
-        # no DC field: bare exchange-only dipolar dynamics
-        ham = exchange_hamiltonian(lat, kappa)
+    # no DC field: bare exchange-only dipolar dynamics, the xi = kappa model
+    ham = full_hamiltonian(lat, kappa, xi_over_kappa * kappa if use_tilde else kappa)
     times = np.linspace(0.0, cfg["t_max"] * gp.t_pi, cfg["n_samples"])
     traj = compute_trajectory(ham, times)
     try:
@@ -261,8 +213,8 @@ def _trajectory_run(cfg: dict, outdir: Path, xi_over_kappa: float, prefix: str =
     _write_csv(outdir / f"{prefix}.csv",
                ["t", "re_c0", "im_c0", "re_c1", "im_c1", "re_c2", "im_c2",
                 "fidelity", "theta", "abs_cos_half_theta"],
-               zip(traj.times, traj.c0.real, traj.c0.imag, traj.c1.real, traj.c1.imag,
-                   traj.c2.real, traj.c2.imag, traj.fidelity, traj.theta, np.abs(traj.cos_half)))
+               [traj.times, traj.c0.real, traj.c0.imag, traj.c1.real, traj.c1.imag,
+                traj.c2.real, traj.c2.imag, traj.fidelity, traj.theta, np.abs(traj.cos_half)])
     return {
         "chi_eff": gp.chi_eff,
         "chi_tilde_eff": gp.chi_tilde_eff,
@@ -278,6 +230,12 @@ def _trajectory_run(cfg: dict, outdir: Path, xi_over_kappa: float, prefix: str =
     }
 
 
+@experiment("phase_gate", "collective-phase trajectory, gate time and t_pi for one array",
+            **_LATTICE_KEYS,
+            kappa=(float, 1.0),
+            xi_over_kappa=(float, 0.0),
+            t_max=(float, 4.0),        # window in units of t_pi
+            n_samples=(int, 400))
 def run_phase_gate(cfg: dict, outdir: Path, workers: int) -> dict:
     _require_time_window(cfg)
     summary = _trajectory_run(cfg, outdir, cfg["xi_over_kappa"])
@@ -286,6 +244,12 @@ def run_phase_gate(cfg: dict, outdir: Path, workers: int) -> dict:
     return summary
 
 
+@experiment("mpm_sweep", "gate time and fidelity floor versus the Ising-to-exchange ratio",
+            **_LATTICE_KEYS,
+            kappa=(float, 1.0),
+            xi_over_kappa_values=(str, None),  # comma-separated
+            t_max=(float, 2.0),
+            n_samples=(int, 400))
 def run_mpm_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
     _require_time_window(cfg)
     raw = [v.strip() for v in cfg["xi_over_kappa_values"].split(",") if v.strip()]
@@ -303,26 +267,29 @@ def run_mpm_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
         return _trajectory_run(cfg, outdir, v, prefix=f"trajectory_xi_{v:g}")
 
     results = _parallel_map(one, values, workers)
-    rows = [
-        (v, r["t_pi"], r["gate_time"] if r["gate_time"] is not None else float("nan"),
-         r["min_fidelity"], r["max_decay"])
-        for v, r in zip(values, results)
-    ]
-    _write_csv(outdir / "sweep.csv",
-               ["xi_over_kappa", "t_pi", "gate_time", "min_fidelity", "max_decay"], rows)
+    stats = ["t_pi", "gate_time", "min_fidelity", "max_decay"]
+    # dtype=float turns a missed gate (gate_time None) into NaN
+    table = np.array([[r[k] for k in stats] for r in results], dtype=float)
+    _write_csv(outdir / "sweep.csv", ["xi_over_kappa"] + stats, [values, table])
     return {"xi_over_kappa": values, "results": results}
 
 
+@experiment("dispersion", "excitation dispersion on a grid and/or its small-k asymptotes",
+            kind=(str, "chain"),
+            n_sites=(int, 0),          # 0: skip the finite-grid table
+            kappa=(float, 1.0),
+            sum_cutoff=(int, 100_000),
+            asymptote_check=(bool, True))
 def run_dispersion(cfg: dict, outdir: Path, workers: int) -> dict:
     summary = {}
     if cfg["n_sites"]:
         lat = build_lattice(cfg["kind"], cfg["n_sites"], boundary="periodic")
         disp = dispersion(lat, cfg["kappa"])
-        fk = fourier_kernel(lat, disp.grid.kvecs)
-        kcols = disp.grid.kvecs.shape[1]
-        rows = [tuple(disp.grid.kvecs[i]) + (disp.omega[i], fk[i]) for i in range(len(fk))]
+        kvecs = disp.grid.kvecs
+        fk = fourier_kernel(lat, kvecs)
         _write_csv(outdir / "dispersion.csv",
-                   [f"k{c}" for c in range(kcols)] + ["omega", "fourier_kernel"], rows)
+                   [f"k{c}" for c in range(kvecs.shape[1])] + ["omega", "fourier_kernel"],
+                   [kvecs, disp.omega, fk])
         summary["grid_points"] = len(fk)
     if cfg["asymptote_check"]:
         summary["asymptotes"] = dispersion_asymptote_check(cfg["kind"], cfg["kappa"], cfg["sum_cutoff"])
@@ -330,12 +297,11 @@ def run_dispersion(cfg: dict, outdir: Path, workers: int) -> dict:
 
 
 def _molecule_from_config(cfg: dict) -> MolecularParams:
-    if cfg["b_rot_joule"] > 0.0 or cfg["mu0_debye"] > 0.0 or cfg["mass_amu"] > 0.0:
-        if not (cfg["b_rot_joule"] > 0.0 and cfg["mu0_debye"] > 0.0 and cfg["mass_amu"] > 0.0):
-            raise ConfigError("config key 'b_rot_joule': custom molecules need b_rot_joule, mu0_debye and mass_amu")
-        import scipy.constants as const
-
-        from .stark import DEBYE
+    custom = (cfg["b_rot_joule"], cfg["mu0_debye"], cfg["mass_amu"])
+    if any(v != 0.0 for v in custom):
+        if not all(v > 0.0 for v in custom):
+            raise ConfigError("config key 'b_rot_joule': custom molecules need positive "
+                              "b_rot_joule, mu0_debye and mass_amu")
         return MolecularParams(
             name=cfg["molecule"],
             b_rot=cfg["b_rot_joule"],
@@ -347,25 +313,40 @@ def _molecule_from_config(cfg: dict) -> MolecularParams:
     return MOLECULES[cfg["molecule"]]
 
 
+@experiment("stark_sweep", "dressed dipoles and xi/kappa versus DC field for a molecule",
+            molecule=(str, "SrO"),
+            b_rot_joule=(float, 0.0),  # custom molecule override (all three)
+            mu0_debye=(float, 0.0),
+            mass_amu=(float, 0.0),
+            g_j=(int, 0),
+            g_m=(int, 0),
+            e_j=(int, 1),
+            e_m=(int, 0),
+            e_min=(float, 0.0),
+            e_max=(float, 6.0),
+            n_field=(int, 61),
+            spacing_nm=(float, 300.0),
+            j_max=(int, DEFAULT_J_MAX))
 def run_stark_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
     mol = _molecule_from_config(cfg)
     if cfg["n_field"] < 2:
         raise ConfigError("config key 'n_field': need at least 2 points")
+    if not cfg["spacing_nm"] > 0.0:
+        raise ConfigError(f"config key 'spacing_nm': must be positive, got {cfg['spacing_nm']}")
     grid = np.linspace(cfg["e_min"], cfg["e_max"], cfg["n_field"])
     spacing = cfg["spacing_nm"] * 1e-9
     g_label = (cfg["g_j"], cfg["g_m"])
     e_label = (cfg["e_j"], cfg["e_m"])
 
     def one(e):
-        from .stark import dressed_pair
         return dressed_pair(mol, float(e), g_label, e_label, spacing, cfg["j_max"])
 
     pairs = _parallel_map(one, grid, workers)
-    rows = [
-        (p.field, p.mu_gg, p.mu_ee, p.mu_eg, p.xi_over_kappa,
-         p.mu_ee**2 - p.mu_gg**2, p.kappa, p.xi, p.b0, p.u_dd, p.beta)
-        for p in pairs
-    ]
+
+    def column(name):
+        return np.array([getattr(p, name) for p in pairs])
+
+    mu_gg, mu_ee = column("mu_gg"), column("mu_ee")
     header_meta = (
         f"# molecule = {mol.name}",
         f"# g_label = {g_label[0]},{g_label[1]}",
@@ -376,7 +357,9 @@ def run_stark_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
     _write_csv(outdir / "stark.csv",
                ["field_B_over_mu0", "mu_gg", "mu_ee", "mu_eg", "xi_over_kappa",
                 "b0_scaled", "kappa_joule", "xi_joule", "b0_joule", "u_dd_joule", "beta"],
-               rows, preamble=header_meta)
+               [column("field"), mu_gg, mu_ee, column("mu_eg"), column("xi_over_kappa"),
+                mu_ee**2 - mu_gg**2, *map(column, ("kappa", "xi", "b0", "u_dd", "beta"))],
+               preamble=header_meta)
     return {
         "molecule": mol.name,
         "g_label": list(g_label),
@@ -384,22 +367,38 @@ def run_stark_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
         "j_max": cfg["j_max"],
         "spacing_nm": cfg["spacing_nm"],
         "first_xi_over_kappa": pairs[0].xi_over_kappa,
-        "rows": len(rows),
+        "rows": len(pairs),
     }
 
 
+@experiment("phonon_bands", "crystal phonon branches and sound speeds",
+            kind=(str, "chain"),
+            n_sites=(int, None),
+            beta=(float, 1.0e4),
+            u_dd_over_kappa=(float, 3.0))
 def run_phonon_bands(cfg: dict, outdir: Path, workers: int) -> dict:
     lat = build_lattice(cfg["kind"], cfg["n_sites"], boundary="periodic")
     model = build_phonon_model(lat, cfg["beta"], cfg["u_dd_over_kappa"], 1.0)
     spec = phonon_spectrum(model)
-    kcols = spec["qvecs"].shape[1]
     nb = spec["freqs"].shape[1]
-    rows = [tuple(spec["qvecs"][i]) + tuple(spec["freqs"][i]) for i in range(len(spec["qvecs"]))]
     _write_csv(outdir / "bands.csv",
-               [f"q{c}" for c in range(kcols)] + [f"f{b}" for b in range(nb)], rows)
+               [f"q{c}" for c in range(spec["qvecs"].shape[1])] + [f"f{b}" for b in range(nb)],
+               [spec["qvecs"], spec["freqs"]])
     return {"sound_speeds": spec["sound_speeds"], "branches": nb}
 
 
+@experiment("phonon_decay", "phonon-induced decay of collective excitations (+ golden-rule rate)",
+            kind=(str, "chain"),
+            n_sites=(int, None),
+            beta=(float, 1.0e4),
+            u_dd_over_kappa=(float, 3.0),
+            xi_over_kappa=(float, 0.05),
+            b0_over_kappa=(float, 0.1),
+            temperature=(float, 0.5),  # k_B T in units u_dd/sqrt(beta)
+            t_max=(float, 1.0),        # window in units of t_pi(chi_tilde)
+            n_samples=(int, 300),
+            include_two_excitation=(bool, True),
+            include_fgr=(bool, True))
 def run_phonon_decay(cfg: dict, outdir: Path, workers: int) -> dict:
     _require_time_window(cfg)
     lat = build_lattice(cfg["kind"], cfg["n_sites"], boundary="periodic")
@@ -412,9 +411,8 @@ def run_phonon_decay(cfg: dict, outdir: Path, workers: int) -> dict:
     times = np.linspace(0.0, cfg["t_max"] * t_pi, cfg["n_samples"])
     one = gamma1_time(model, xi, b0, cfg["temperature"], times)
     phonon_time_unit = np.sqrt(cfg["beta"]) / u_dd
-    rows = [(t, t / phonon_time_unit, d, n) for t, d, n in
-            zip(one.times, one.decay, one.decay_normalized)]
     header = ["t", "t_phonon_units", "decay_1exc", "decay_1exc_normalized"]
+    columns = [one.times, one.times / phonon_time_unit, one.decay, one.decay_normalized]
     summary = {
         "t_pi": t_pi,
         "beyond_perturbative": one.beyond_perturbative,
@@ -423,15 +421,22 @@ def run_phonon_decay(cfg: dict, outdir: Path, workers: int) -> dict:
     }
     if cfg["include_two_excitation"]:
         two = gamma2(model, xi, b0, cfg["temperature"], times)
-        rows = [r + (two.decay[i], two.decay_dominant[i]) for i, r in enumerate(rows)]
         header += ["decay_2exc_full", "decay_2exc_dominant"]
+        columns += [two.decay, two.decay_dominant]
         summary["gamma2_correction_ratio"] = two.correction_ratio
-    _write_csv(outdir / "decay.csv", header, rows)
+    _write_csv(outdir / "decay.csv", header, columns)
     if cfg["include_fgr"]:
         summary["fgr"] = gamma1_fgr(model, xi, b0, cfg["temperature"])
     return summary
 
 
+@experiment("scaling_fit", "power-law fit of maximum decay probability versus N",
+            kind=(str, "chain"),
+            n_values=(str, "16,25,36,49,64,81"),
+            xi_over_kappa=(float, 0.05),
+            boundary=(str, "periodic"),
+            window_t_pi=(float, 2.0),
+            include_exact=(bool, True))
 def run_scaling_fit(cfg: dict, outdir: Path, workers: int) -> dict:
     n_values = [int(v) for v in cfg["n_values"].split(",") if v.strip()]
     report = fgr_scaling_diagnostic(
@@ -440,26 +445,12 @@ def run_scaling_fit(cfg: dict, outdir: Path, workers: int) -> dict:
         include_exact=cfg["include_exact"],
         boundary=cfg["boundary"],
     )
-    rows = [(n, report["decay_max"][i]) +
-            ((report["decay_max_exact"][i],) if cfg["include_exact"] else ())
-            for i, n in enumerate(n_values)]
-    _write_csv(outdir / "scaling.csv",
-               ["n_sites", "decay_max_perturbative"] + (["decay_max_exact"] if cfg["include_exact"] else []),
-               rows)
+    exact = ["decay_max_exact"] if cfg["include_exact"] else []
+    _write_csv(outdir / "scaling.csv", ["n_sites", "decay_max_perturbative"] + exact,
+               [n_values, report["decay_max"]] + [report[k] for k in exact])
     key = "alpha_1d" if cfg["kind"] == "chain" else "alpha_2d"
     report[key] = report["alpha"]
     return report
-
-
-RUNNERS = {
-    "phase_gate": run_phase_gate,
-    "mpm_sweep": run_mpm_sweep,
-    "dispersion": run_dispersion,
-    "stark_sweep": run_stark_sweep,
-    "phonon_bands": run_phonon_bands,
-    "phonon_decay": run_phonon_decay,
-    "scaling_fit": run_scaling_fit,
-}
 
 
 def _parallel_map(fn, items, workers: int) -> list:
@@ -480,8 +471,9 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, workers: int
     root = Path(out_dir) if out_dir else Path(os.environ.get(OUT_ROOT_ENV, "runs"))
     outdir = root / f"{cfg['experiment']}"
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir / "metadata.json", _metadata(cfg))
-    summary = RUNNERS[cfg["experiment"]](cfg, outdir, workers)
+    _write_json(outdir / "metadata.json",
+                {"config": cfg, "code_version": __version__, "conventions": CONVENTIONS})
+    summary = EXPERIMENTS[cfg["experiment"]].run(cfg, outdir, workers)
     _write_json(outdir / "summary.json", summary)
     return outdir
 
@@ -489,12 +481,12 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, workers: int
 def list_experiments(name: str | None = None) -> str:
     """Every experiment, or only ``name``, with its config keys and defaults."""
     lines = [] if name else ["available experiments:"]
-    for exp in [name] if name else SCHEMAS:
-        schema = SCHEMAS[exp]
-        lines.append(f"  {exp}: {_HELP[exp]}")
+    for exp in [name] if name else EXPERIMENTS:
+        entry = EXPERIMENTS[exp]
+        lines.append(f"  {exp}: {entry.help}")
         keys = ", ".join(
-            f"{k}" + ("" if schema[k][1] is None else f"={schema[k][1]}")
-            for k in schema
+            f"{k}" + ("" if default is None else f"={default}")
+            for k, (_, default) in entry.keys.items()
         )
         lines.append(f"    keys: {keys}")
     return "\n".join(lines)
@@ -512,7 +504,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list":
-        if args.experiment is not None and args.experiment not in SCHEMAS:
+        if args.experiment is not None and args.experiment not in EXPERIMENTS:
             print(f"unknown experiment: {args.experiment}", file=sys.stderr)
             return EXIT_CONFIG
         try:
@@ -524,24 +516,12 @@ def main(argv=None) -> int:
 
     try:
         outdir = run(args.config, args.out, args.workers)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except GateNotReached as exc:
-        print(f"gate not reached: {exc}", file=sys.stderr)
-        return EXIT_NO_GATE
-    except ArithmeticError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except Exception as exc:
+        for classes, code, prefix in EXIT_CODES:
+            if isinstance(exc, classes):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        raise
     print(outdir)
     return EXIT_OK
 

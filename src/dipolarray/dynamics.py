@@ -53,7 +53,6 @@ __all__ = [
     "GateNotReached",
     "InvarianceError",
     "evolve",
-    "nonlinear_phase",
     "compute_trajectory",
     "gate_time",
 ]
@@ -183,10 +182,12 @@ class _SectorEvolver:
 
 
 def _time_grid(times) -> np.ndarray:
-    """``times`` as a float array; it must start at 0 and never decrease."""
+    """``times`` as a finite float array; it must start at 0 and never decrease."""
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("times must not be empty")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if times[0] != 0.0:
         raise ValueError("times must start at 0")
     if np.any(np.diff(times) < 0):
@@ -365,12 +366,6 @@ def _extract_phase(c0, c1, c2):
         theta = -theta
     max_step = float(np.max(np.abs(np.diff(theta)))) if len(theta) > 1 else 0.0
     return theta, cos_half, max_step
-
-
-def nonlinear_phase(trajectory: Trajectory) -> np.ndarray:
-    """Unwrapped nonlinear phase of an existing trajectory."""
-    theta, _, _ = _extract_phase(trajectory.c0, trajectory.c1, trajectory.c2)
-    return theta
 
 
 # ---------------------------------------------------------------------------

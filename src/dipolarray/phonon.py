@@ -210,7 +210,6 @@ class PhononDecay:
     decay: np.ndarray
     decay_normalized: np.ndarray
     temperature: float
-    fgr_rate: float | None = None
     beyond_perturbative: bool = False
     decay_dominant: np.ndarray | None = None
     correction_ratio: float | None = None

@@ -36,7 +36,6 @@ __all__ = [
     "rotor_eigensystem",
     "dressed_pair",
     "xi_kappa_sweep",
-    "beta_parameter",
     "DEBYE",
 ]
 
@@ -146,6 +145,8 @@ def dressed_pair(
 ) -> DressedPair:
     """Dipole matrix elements on adiabatically-labeled dressed states and the
     derived interaction scales at the given lattice spacing (meters)."""
+    if not spacing > 0.0:
+        raise ValueError(f"spacing must be positive, got {spacing}")
     gj, gm = g_label
     ej, em = e_label
     if (gj, gm) == (ej, em):
@@ -209,13 +210,3 @@ def xi_kappa_sweep(
     if np.any(np.diff(e_grid) <= 0):
         raise ValueError("e_grid must be strictly increasing")
     return [dressed_pair(params, e, g_label, e_label, spacing, j_max) for e in e_grid]
-
-
-def beta_parameter(params: MolecularParams, spacing: float, mu_gg: float) -> float:
-    """Crystal-stability ratio beta = U_dd / (hbar^2 / (m a^2)).
-
-    ``mu_gg`` is the dressed ground-state dipole in units of mu0 at the
-    operating field; U_dd = (mu_gg*mu0)^2/(4 pi eps0 a^3).
-    """
-    u_dd = (mu_gg * params.mu0) ** 2 / (4.0 * np.pi * const.epsilon_0 * spacing**3)
-    return u_dd * params.mass * spacing**2 / const.hbar**2

@@ -15,7 +15,7 @@ from dipolarray.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_RESOURCE,
-    SCHEMAS,
+    EXPERIMENTS,
     ConfigError,
     _write_csv,
     main,
@@ -79,8 +79,8 @@ class TestListCommand:
     def test_seven_experiments(self, capsys):
         assert main(["list"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert len(SCHEMAS) == 7
-        for name in SCHEMAS:
+        assert len(EXPERIMENTS) == 7
+        for name in EXPERIMENTS:
             assert name in out
 
     def test_phase_gate_keys_shown(self, capsys):
@@ -273,6 +273,17 @@ n_samples = 60
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error: t_pi from chi_tilde requested but xi = 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key", [
+        ("spacing_nm = 0", "spacing_nm"),
+        ("spacing_nm = -300", "spacing_nm"),
+        ("b_rot_joule = -1e-23", "b_rot_joule"),
+    ], ids=["zero_spacing", "negative_spacing", "negative_b_rot"])
+    def test_stark_invalid_input_exit_code(self, tmp_path, capsys, line, key):
+        cfg = write_cfg(tmp_path, f"experiment = stark_sweep\nn_field = 3\n{line}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"config error: config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "stark_sweep" / "stark.csv").exists()
+
     def test_stark_unconverged_j_max_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "experiment = stark_sweep\ne_max = 200\nj_max = 9\nn_field = 3\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
@@ -398,14 +409,44 @@ def test_csv_writer_matches_per_value_format(tmp_path):
         (3, -7, np.int64(2**53 + 1), np.float64(1.0) / 3.0),
         (np.float32(0.1), np.float64("nan"), 0.0, 1e-300),
     ]
-    _write_csv(tmp_path / "out.csv", ["a", "b", "c", "d"], rows, preamble=("# note",))
+    # columns as given, the first two as one 2-D block
+    columns = list(zip(*rows))
+    _write_csv(tmp_path / "out.csv", ["a", "b", "c", "d"], [np.column_stack(columns[:2]), *columns[2:]],
+               preamble=("# note",))
     ref = "# note\na,b,c,d\n" + "".join(
         ",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows)
     assert (tmp_path / "out.csv").read_bytes() == ref.encode()
 
 
+# (config, exit code, files left under the output root; None: no output root)
+EXIT_PATHS = {
+    "gate_not_reached": ("experiment = phase_gate\nkind = chain\nn_sites = 10\nboundary = periodic\n"
+                         "t_max = 0.3\nn_samples = 60\n",
+                         EXIT_NO_GATE, ["phase_gate/metadata.json", "phase_gate/trajectory.csv"]),
+    "sweep_name_clash": ("experiment = mpm_sweep\nn_sites = 8\nboundary = periodic\n"
+                         "xi_over_kappa_values = 0.1, 0.1000001\nn_samples = 20\n",
+                         EXIT_CONFIG, ["mpm_sweep/metadata.json"]),
+    "parse_error": ("experiment = phase_gate\nn_sites = eight\n", EXIT_CONFIG, None),
+    "invariance_failure": ("experiment = phase_gate\nn_sites = 8\nboundary = periodic\n",
+                           EXIT_NUMERICAL, ["phase_gate/metadata.json"]),
+}
+
+
+@pytest.mark.parametrize("path", EXIT_PATHS)
+def test_files_left_on_exit_path(tmp_path, monkeypatch, path):
+    text, code, files = EXIT_PATHS[path]
+    if path == "invariance_failure":
+        monkeypatch.setattr(dynamics_mod, "RESIDUAL_TOL", -1.0)
+    out = tmp_path / "o"
+    assert main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == code
+    if files is None:
+        assert not out.exists()
+    else:
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == files
+
+
 def test_every_experiment_has_a_shipped_config():
-    assert {parse_config(p)["experiment"] for p in SHIPPED_CONFIGS} == set(SCHEMAS)
+    assert {parse_config(p)["experiment"] for p in SHIPPED_CONFIGS} == set(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=[p.stem for p in SHIPPED_CONFIGS])

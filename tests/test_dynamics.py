@@ -14,11 +14,9 @@ from dipolarray.dynamics import (
     DickeDynamics,
     GateNotReached,
     InvarianceError,
-    Trajectory,
     compute_trajectory,
     evolve,
     gate_time,
-    nonlinear_phase,
 )
 from dipolarray.hamiltonian import SpinHamiltonian, exchange_hamiltonian, full_hamiltonian, gate_params
 from dipolarray.lattice import build_lattice
@@ -69,6 +67,13 @@ class TestEvolve:
             evolve(np.eye(2), np.array([1.0, 0.0]), [])
         with pytest.raises(ValueError, match="times must not be empty"):
             compute_trajectory(exchange_hamiltonian(build_lattice("chain", 4), 1.0), [])
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf]], ids=["nan", "inf"])
+    def test_rejects_non_finite_times(self, times):
+        with pytest.raises(ValueError, match="times must be finite"):
+            evolve(np.eye(2), np.array([1.0, 0.0]), times)
+        with pytest.raises(ValueError, match="times must be finite"):
+            compute_trajectory(full_hamiltonian(periodic_chain(8), 1.0, 0.1), times, auto_refine=False)
 
     def test_rejects_nonzero_start(self):
         with pytest.raises(ValueError, match="start at 0"):
@@ -318,24 +323,10 @@ class TestNonlinearPhase:
         # is one cell, and one split sorts the pairs by distance
         assert diag["partition_rounds"] == [0, 0, 1]
 
-    def test_nonlinear_phase_recompute(self):
-        lat = periodic_chain(8)
-        traj = compute_trajectory(exchange_hamiltonian(lat, 1.0), np.linspace(0, 20, 200))
-        assert np.allclose(nonlinear_phase(traj), traj.theta)
-
     def test_clip_warning_on_superunitary_input(self):
         ones = np.ones(5, dtype=complex)
-        fake = Trajectory(
-            times=np.linspace(0, 1, 5),
-            c0=ones,
-            c1=ones * (1.0 + 2e-6),
-            c2=ones,
-            fidelity=np.ones(5),
-            theta=np.zeros(5),
-            cos_half=np.ones(5),
-        )
         with pytest.warns(RuntimeWarning, match="exceeds 1"):
-            nonlinear_phase(fake)
+            dyn_mod._extract_phase(ones, ones * (1.0 + 2e-6), ones)
 
 
 class TestGateTime:

@@ -8,7 +8,6 @@ from dipolarray.stark import (
     SRO,
     BasisNotConvergedError,
     MolecularParams,
-    beta_parameter,
     dressed_pair,
     rotor_eigensystem,
     xi_kappa_sweep,
@@ -119,8 +118,16 @@ class TestDressedPair:
         assert p.xi == pytest.approx(p.xi_over_kappa * p.kappa, rel=1e-12)
 
     def test_beta_consistency_between_paths(self):
+        # beta from the pair's own u_dd agrees with beta from its dipole mu_gg
         p = dressed_pair(SRO, 3.0, (0, 0), (1, 0), SPACING)
-        assert p.beta == pytest.approx(beta_parameter(SRO, SPACING, p.mu_gg), rel=1e-12)
+        assert p.beta == pytest.approx(p.u_dd * SRO.mass * SPACING**2 / const.hbar**2, rel=1e-12)
+        u_dd = (p.mu_gg * SRO.mu0) ** 2 / (4 * np.pi * const.epsilon_0 * SPACING**3)
+        assert p.u_dd == pytest.approx(u_dd, rel=1e-12)
+
+    @pytest.mark.parametrize("spacing", [0.0, -SPACING, np.nan])
+    def test_rejects_non_positive_spacing(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be positive"):
+            dressed_pair(SRO, 1.0, (0, 0), (1, 0), spacing)
 
 
 class TestSweep:
@@ -148,20 +155,25 @@ class TestSweep:
 
 
 class TestBetaParameter:
+    """The crystal-stability ratio beta = U_dd m a^2 / hbar^2 of a dressed pair."""
+
     def test_spacing_scaling(self):
-        b1 = beta_parameter(SRO, SPACING, 0.5)
-        b2 = beta_parameter(SRO, 2 * SPACING, 0.5)
+        # the dressed dipoles do not depend on a, and U_dd ~ a^-3, so beta ~ 1/a
+        b1 = dressed_pair(SRO, 3.0, (0, 0), (1, 0), SPACING).beta
+        b2 = dressed_pair(SRO, 3.0, (0, 0), (1, 0), 2 * SPACING).beta
         assert b2 / b1 == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_dipole(self):
-        assert beta_parameter(SRO, SPACING, 0.0) == 0.0
+        # no field: the ground rotor state has no dipole
+        assert dressed_pair(SRO, 0.0, (0, 0), (1, 0), SPACING).beta == 0.0
 
     def test_dimensionless_against_direct_formula(self):
-        mu = 0.6 * SRO.mu0
+        p = dressed_pair(SRO, 3.0, (0, 0), (1, 0), SPACING)
+        mu = p.mu_gg * SRO.mu0
         u_dd = mu**2 / (4 * np.pi * const.epsilon_0 * SPACING**3)
         direct = u_dd * SRO.mass * SPACING**2 / const.hbar**2
-        assert beta_parameter(SRO, SPACING, 0.6) == pytest.approx(direct, rel=1e-12)
+        assert p.beta == pytest.approx(direct, rel=1e-12)
 
     def test_custom_molecule(self):
         m = MolecularParams("X", b_rot=1e-23, mu0=5 * DEBYE, mass=100 * const.u)
-        assert beta_parameter(m, 1e-7, 1.0) > 0
+        assert dressed_pair(m, 1.0, (0, 0), (1, 0), 1e-7).beta > 0
