@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -117,9 +118,20 @@ def _parse_value(raw: str, typ, key: str):
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
         raise ConfigError(f"config key '{key}': cannot parse {raw!r} as {typ.__name__}") from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"config key '{key}': must be finite, got {raw!r}")
+    return value
+
+
+def _parse_list(cfg: dict, key: str, typ) -> list:
+    """The comma-separated ``typ`` values of config ``key``, blanks skipped."""
+    values = [_parse_value(v, typ, key) for v in cfg[key].split(",") if v.strip()]
+    if not values:
+        raise ConfigError(f"config key '{key}': empty list")
+    return values
 
 
 def parse_config(path: str | Path) -> dict:
@@ -252,13 +264,10 @@ def run_phase_gate(cfg: dict, outdir: Path, workers: int) -> dict:
             n_samples=(int, 400))
 def run_mpm_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
     _require_time_window(cfg)
-    raw = [v.strip() for v in cfg["xi_over_kappa_values"].split(",") if v.strip()]
-    if not raw:
-        raise ConfigError("config key 'xi_over_kappa_values': empty list")
-    values = [float(v) for v in raw]
+    values = _parse_list(cfg, "xi_over_kappa_values", float)
     # each value writes trajectory_xi_{v:g}.csv, so no two may share that name
     names = [f"{v:g}" for v in values]
-    clashes = [r for r, name in zip(raw, names) if names.count(name) > 1]
+    clashes = [str(v) for v, name in zip(values, names) if names.count(name) > 1]
     if clashes:
         raise ConfigError(f"config key 'xi_over_kappa_values': {', '.join(clashes)} "
                           "share trajectory_xi_*.csv file names")
@@ -438,7 +447,7 @@ def run_phonon_decay(cfg: dict, outdir: Path, workers: int) -> dict:
             window_t_pi=(float, 2.0),
             include_exact=(bool, True))
 def run_scaling_fit(cfg: dict, outdir: Path, workers: int) -> dict:
-    n_values = [int(v) for v in cfg["n_values"].split(",") if v.strip()]
+    n_values = _parse_list(cfg, "n_values", int)
     report = fgr_scaling_diagnostic(
         cfg["kind"], n_values, cfg["xi_over_kappa"],
         window_t_pi=cfg["window_t_pi"],

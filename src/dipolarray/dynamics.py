@@ -22,7 +22,8 @@ the two-excitation sector from C(N, 2) to a few dozen cells on periodic
 lattices, and their seed is often equitable already, so one round suffices;
 a state without symmetry gives the discrete partition, i.e. dense
 diagonalization of the full block.  A residual above ``RESIDUAL_TOL``
-raises :class:`InvarianceError`.
+raises :class:`InvarianceError`.  A :class:`Trajectory` keeps lambda and w
+of sectors 0, 1 and 2, all that :func:`gate_time` needs off the grid.
 
 Phase extraction: with X = C0* C2 and Y = (C0* C1)^2, the complex combination
 (X + Y)/2 factors as exp(i(arg X + arg Y)/2) * [ (|X|+|Y|) cos(rel/2)
@@ -40,7 +41,7 @@ grid dense enough that no step jumps by more than pi/2, auto-refining).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -134,8 +135,9 @@ class _SectorEvolver:
     Refinement and the invariance check share one set of sparse products
     per round, whose deviation dev = H P - P Hr is both the equitability
     test and the residual (see the module docstring).  ``dim`` is the
-    reduced (quotient) dimension, ``rounds`` the number of splits and
-    ``residual`` ||dev||_F relative to max |H_ij|.
+    reduced (quotient) dimension, ``rounds`` the number of splits,
+    ``residual`` ||dev||_F relative to max |H_ij|, and ``lam`` and ``w`` the
+    quotient eigenvalues and the initial state's weights on them.
     """
 
     def __init__(self, block, psi0: np.ndarray):
@@ -166,19 +168,21 @@ class _SectorEvolver:
         if not self.residual <= RESIDUAL_TOL:
             raise InvarianceError(f"quotient of dimension {self.dim} is not invariant: "
                                   f"residual {self.residual:.2e} > {RESIDUAL_TOL:.0e}")
-        self._lam, self._vec = np.linalg.eigh(hr.toarray())
+        self.lam, self._vec = np.linalg.eigh(hr.toarray())
         self._coef = self._vec.conj().T @ (p.T @ psi0)
         w = np.abs(self._coef) ** 2
-        self._w = w / w.sum()
+        self.w = w / w.sum()
 
     def states(self, times: np.ndarray) -> np.ndarray:
-        phases = np.exp(-1j * np.outer(times, self._lam))
+        phases = np.exp(-1j * np.outer(times, self.lam))
         reduced = (phases * self._coef) @ self._vec.T
         return reduced[:, self.cells] * self._weight
 
-    def projections(self, times: np.ndarray) -> np.ndarray:
-        """<psi0|psi(t)> with the weights summing to one; exactly 1 at t = 0."""
-        return 1.0 + np.expm1(-1j * np.outer(times, self._lam)) @ self._w
+
+def _projections(spectra, times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """<psi0|psi(t)> of each (eigenvalues, weights) spectrum; the weights sum
+    to one, so every projection is exactly 1 at t = 0."""
+    return tuple(1.0 + np.expm1(-1j * np.outer(times, lam)) @ w for lam, w in spectra)
 
 
 def _time_grid(times) -> np.ndarray:
@@ -218,9 +222,14 @@ class Trajectory:
 
     ``c0, c1, c2`` are the projections C_n(t) = <n|psi_n(t)> normalized so
     C_n(0) = 1; ``fidelity`` is |C2|^2; ``cos_half`` is the signed
-    cos(Theta/2); ``theta`` is the unwrapped nonlinear phase.  ``gate_time``
-    and ``gate_method`` ("bisection" or "interpolation") are set by
-    :func:`gate_time`.
+    cos(Theta/2); ``theta`` is the unwrapped nonlinear phase.  ``spectra``
+    holds one (eigenvalues, weights) pair per sector 0, 1, 2, from which
+    C_n(t) = sum_j w_j exp(-i lambda_j t) at any t.  ``diagnostics`` is the
+    deterministic record of how the trajectory was computed: sector and
+    quotient dimensions, split rounds per sector, the largest invariance
+    residual, final grid size and densify rounds; :func:`gate_time` sets
+    ``gate_time`` and ``diagnostics["gate_time_method"]`` ("bisection" or
+    "interpolation").
     """
 
     times: np.ndarray
@@ -230,63 +239,9 @@ class Trajectory:
     fidelity: np.ndarray
     theta: np.ndarray
     cos_half: np.ndarray
+    spectra: tuple[tuple[np.ndarray, np.ndarray], ...]
+    diagnostics: dict
     gate_time: float | None = None
-    gate_method: str | None = None
-    _dynamics: "DickeDynamics | None" = field(default=None, repr=False)
-    _refinements: int = field(default=0, repr=False)
-
-    @property
-    def diagnostics(self) -> dict:
-        """Deterministic record of how this trajectory was computed: sector and
-        quotient dimensions, split rounds per sector, the largest invariance
-        residual, final grid size and densify rounds, and whether
-        :func:`gate_time` bisected or fell back to linear interpolation."""
-        dyn = self._dynamics
-        return {
-            "sector_dims": [dyn.ham.dim(n) for n in (0, 1, 2)] if dyn else None,
-            "reduced_dims": dyn.reduced_dims if dyn else None,
-            "partition_rounds": dyn.partition_rounds if dyn else None,
-            "invariance_residual": dyn.residual if dyn else None,
-            "grid_points": len(self.times),
-            "grid_refinements": self._refinements,
-            "gate_time_method": self.gate_method,
-        }
-
-
-class DickeDynamics:
-    """Evolves the three symmetric sector states of one Hamiltonian."""
-
-    def __init__(self, ham: SpinHamiltonian):
-        for n in (0, 1, 2):
-            if n not in ham.blocks:
-                raise ValueError(f"Hamiltonian is missing sector {n}")
-        self.ham = ham
-        self._evolvers = [
-            _SectorEvolver(ham.blocks[n], dicke_state(ham.sectors[n]))
-            for n in (0, 1, 2)
-        ]
-
-    @property
-    def reduced_dims(self) -> list[int]:
-        """Quotient dimension of sectors 0, 1, 2."""
-        return [ev.dim for ev in self._evolvers]
-
-    @property
-    def partition_rounds(self) -> list[int]:
-        """Split rounds of sectors 0, 1, 2; 0 where the seed was equitable."""
-        return [ev.rounds for ev in self._evolvers]
-
-    @property
-    def residual(self) -> float:
-        """Largest invariance residual of the three sectors."""
-        return max(ev.residual for ev in self._evolvers)
-
-    def projections(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        times = np.asarray(times, dtype=float)
-        return tuple(ev.projections(times) for ev in self._evolvers)
-
-    def projections_at(self, t: float) -> tuple[complex, complex, complex]:
-        return tuple(complex(c[0]) for c in self.projections(np.array([t])))
 
 
 def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) -> Trajectory:
@@ -302,15 +257,16 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
     non-empty, non-decreasing and start at 0.
     """
     times = _time_grid(times)
-    dyn = DickeDynamics(ham)
-    cs = dyn.projections(times)
+    evolvers = [_SectorEvolver(ham.blocks[n], dicke_state(ham.sectors[n])) for n in (0, 1, 2)]
+    spectra = tuple((ev.lam, ev.w) for ev in evolvers)
+    cs = _projections(spectra, times)
     theta, cos_half, max_step = _extract_phase(*cs)
     refinements = 0
     if auto_refine:
         for refinements in range(1, MAX_REFINEMENTS + 1):
             mid = 0.5 * (times[:-1] + times[1:])
             times = _interleave(times, mid)
-            cs = [_interleave(c, m) for c, m in zip(cs, dyn.projections(mid))]
+            cs = [_interleave(c, m) for c, m in zip(cs, _projections(spectra, mid))]
             d_theta, cos_half, d_step = _extract_phase(*cs)
             consistent = (max_step <= MAX_THETA_STEP
                           and np.abs(d_theta[::2] - theta).max() <= MAX_THETA_STEP)
@@ -321,8 +277,16 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
             if max_step > MAX_THETA_STEP:
                 warnings.warn("phase-step bound not reached within the refinement budget",
                               RuntimeWarning, stacklevel=2)
-    return Trajectory(times, *cs, np.abs(cs[2]) ** 2, theta, cos_half,
-                      _dynamics=dyn, _refinements=refinements)
+    diagnostics = {
+        "sector_dims": [ham.dim(n) for n in (0, 1, 2)],
+        "reduced_dims": [ev.dim for ev in evolvers],
+        "partition_rounds": [ev.rounds for ev in evolvers],
+        "invariance_residual": max(ev.residual for ev in evolvers),
+        "grid_points": len(times),
+        "grid_refinements": refinements,
+        "gate_time_method": None,  # set by gate_time
+    }
+    return Trajectory(times, *cs, np.abs(cs[2]) ** 2, theta, cos_half, spectra, diagnostics)
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
@@ -373,11 +337,14 @@ def _extract_phase(c0, c1, c2):
 # ---------------------------------------------------------------------------
 
 def gate_time(trajectory: Trajectory, rel_tol: float = 1e-4) -> float:
-    """First zero of cos(Theta/2): sign-change bracket plus bisection.
+    """First zero of cos(Theta/2): a sign-change bracket of the sampled
+    ``cos_half``, bisected on projections evaluated from ``trajectory.spectra``.
 
-    Raises :class:`GateNotReached` when the signed cosine never changes sign
-    inside the trajectory window.  Bisection stops at a relative bracket of
-    ``rel_tol`` (positive, finite) or when floats cannot halve the bracket.
+    Where the re-evaluated bracket disagrees with the grid, the zero is
+    linearly interpolated on the grid instead; ``diagnostics["gate_time_method"]``
+    records which ran.  Raises :class:`GateNotReached` when the signed cosine
+    never changes sign inside the window.  Bisection stops at a relative
+    bracket of ``rel_tol`` (positive, finite) or when floats cannot halve it.
     """
     if not 0.0 < rel_tol < np.inf:
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
@@ -388,23 +355,23 @@ def gate_time(trajectory: Trajectory, rel_tol: float = 1e-4) -> float:
         raise GateNotReached("no zero of cos(Theta/2) in the evolved window")
     i = int(flips[0])
     t_lo, t_hi = float(trajectory.times[i]), float(trajectory.times[i + 1])
-    dyn = trajectory._dynamics
-    if dyn is not None:
-        z_ref = _combination_at(dyn, t_lo)
-        ref = z_ref / abs(z_ref)
 
-        def signed(t: float) -> float:
-            z = _combination_at(dyn, t)
-            return float(np.real(z * np.conj(ref)))
+    def combination(t: float) -> complex:
+        c0, c1, c2 = (complex(proj[0]) for proj in _projections(trajectory.spectra, np.array([t])))
+        return 0.5 * (np.conj(c0) * c2 + (np.conj(c0) * c1) ** 2)
 
-        f_lo = signed(t_lo)
-        f_hi = signed(t_hi)
-    if dyn is None or f_lo * f_hi > 0:
-        # no evaluator attached, or the re-evaluated bracket disagrees with
-        # the grid: trust the grid and interpolate linearly
+    z_ref = combination(t_lo)
+    ref = z_ref / abs(z_ref)
+
+    def signed(t: float) -> float:
+        return float(np.real(combination(t) * np.conj(ref)))
+
+    f_lo = signed(t_lo)
+    if f_lo * signed(t_hi) > 0:
+        # the re-evaluated bracket disagrees with the grid: trust the grid
         c_lo, c_hi = float(c[i]), float(c[i + 1])
         tg = t_lo + (t_hi - t_lo) * c_lo / (c_lo - c_hi)
-        trajectory.gate_method = "interpolation"
+        method = "interpolation"
     else:
         while (t_hi - t_lo) > rel_tol * max(t_hi, 1e-300):
             t_mid = 0.5 * (t_lo + t_hi)
@@ -412,15 +379,11 @@ def gate_time(trajectory: Trajectory, rel_tol: float = 1e-4) -> float:
                 break
             f_mid = signed(t_mid)
             if f_lo * f_mid <= 0:
-                t_hi, f_hi = t_mid, f_mid
+                t_hi = t_mid
             else:
                 t_lo, f_lo = t_mid, f_mid
         tg = 0.5 * (t_lo + t_hi)
-        trajectory.gate_method = "bisection"
+        method = "bisection"
+    trajectory.diagnostics["gate_time_method"] = method
     trajectory.gate_time = tg
     return tg
-
-
-def _combination_at(dyn: DickeDynamics, t: float) -> complex:
-    c0, c1, c2 = dyn.projections_at(t)
-    return 0.5 * (np.conj(c0) * c2 + (np.conj(c0) * c1) ** 2)

@@ -95,7 +95,7 @@ def _build(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltonian:
     colex rank of {u<v} is v(v-1)/2 + u, the columns ascend as {x,p} for
     x < q, {x,q} for x < q (the diagonal at x = p), then {x,p}, {x,q} per x > q.
     """
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     d = coupling_kernel(lattice)
     n = lattice.n_sites
@@ -163,6 +163,8 @@ def chi_eff(lattice: Lattice, kappa: float) -> float:
     and chi_eff = 2*kappa/(N-1) * sum_j 1/|r_j|^3; open lattices sum the
     O(N^2) kernel.
     """
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     if lattice.n_sites < 2:
         raise ValueError("need at least two sites")
     n = lattice.n_sites

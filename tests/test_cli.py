@@ -267,6 +267,27 @@ n_samples = 60
         assert values.split(", ")[0] + ", " in err
         assert not (tmp_path / "o" / "mpm_sweep" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("text, key, error", [
+        ("experiment = mpm_sweep\nn_sites = 8\nxi_over_kappa_values = 0.1, abc\n",
+         "xi_over_kappa_values", "cannot parse 'abc' as float"),
+        ("experiment = mpm_sweep\nn_sites = 8\nxi_over_kappa_values = 0.1, nan\n",
+         "xi_over_kappa_values", "must be finite, got 'nan'"),
+        ("experiment = scaling_fit\nn_values = 8, abc, 12\n", "n_values", "cannot parse 'abc' as int"),
+        ("experiment = scaling_fit\nn_values = 8, nan, 12\n", "n_values", "cannot parse 'nan' as int"),
+    ], ids=["sweep_text", "sweep_nan", "scaling_text", "scaling_nan"])
+    def test_bad_list_entry_names_key(self, tmp_path, capsys, text, key, error):
+        assert main(["run", write_cfg(tmp_path, text), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"config error: config key '{key}': {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "experiment = phase_gate\nn_sites = 8\n",
+        "experiment = mpm_sweep\nn_sites = 8\nxi_over_kappa_values = 0.1\n",
+    ], ids=["phase_gate", "mpm_sweep"])
+    def test_zero_kappa_exit_code(self, tmp_path, capsys, text):
+        cfg = write_cfg(tmp_path, text + "kappa = 0\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: kappa must be positive, got 0.0" in capsys.readouterr().err
+
     def test_phonon_decay_zero_xi_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "experiment = phonon_decay\nkind = chain\nn_sites = 8\n"
                                   "xi_over_kappa = 0.0\n")
@@ -443,6 +464,23 @@ def test_files_left_on_exit_path(tmp_path, monkeypatch, path):
         assert not out.exists()
     else:
         assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == files
+
+
+# a valid value for every key that some experiment requires
+REQUIRED_VALUES = {"n_sites": "8", "xi_over_kappa_values": "0.1"}
+FLOAT_KEYS = [(name, key) for name, exp in EXPERIMENTS.items()
+              for key, (typ, _) in exp.keys.items() if typ is float]
+
+
+@pytest.mark.parametrize("name, key", FLOAT_KEYS, ids=[f"{n}.{k}" for n, k in FLOAT_KEYS])
+def test_non_finite_float_key_exit_code(tmp_path, capsys, name, key):
+    required = [k for k, (_, default) in EXPERIMENTS[name].keys.items() if default is None]
+    lines = [f"experiment = {name}"] + [f"{k} = {REQUIRED_VALUES[k]}" for k in required]
+    for value in ("nan", "inf", "-inf"):
+        cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"config error: config key '{key}': must be finite, got '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_every_experiment_has_a_shipped_config():

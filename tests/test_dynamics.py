@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,7 +14,6 @@ from dipolarray.cli import main
 from dipolarray.dynamics import (
     REFINE_TOL,
     RESIDUAL_TOL,
-    DickeDynamics,
     GateNotReached,
     InvarianceError,
     compute_trajectory,
@@ -133,7 +135,7 @@ class TestSpectralEngine:
         monkeypatch.setattr(dyn_mod, "REFINE_TOL", 10.0)
         ham = full_hamiltonian(build_lattice("chain", 8), 1.0, 0.3)
         with pytest.raises(InvarianceError, match="not invariant"):
-            DickeDynamics(ham)
+            compute_trajectory(ham, [0.0])
 
 
 def reference_partition(block, psi0):
@@ -170,7 +172,7 @@ class TestRefinement:
         rounds = [assert_reference_cells(ham.blocks[n], dicke_state(ham.sectors[n]))
                   for n in (0, 1, 2)]
         assert rounds == [0, 1, 2]
-        assert DickeDynamics(ham).partition_rounds == rounds
+        assert compute_trajectory(ham, [0.0]).diagnostics["partition_rounds"] == rounds
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_hermitian_block(self, seed):
@@ -193,8 +195,8 @@ class TestRefinement:
         monkeypatch.setattr(dyn_mod, "_row_keys", lambda *a: calls.append(1) or row_keys(*a))
         for kind, boundary in (("chain", "periodic"), ("square", "open")):
             ham = full_hamiltonian(build_lattice(kind, 64, boundary=boundary), 1.0, 0.05)
-            dyn = DickeDynamics(ham)
-            assert dyn.partition_rounds == [0, 0, 0]
+            diag = compute_trajectory(ham, [0.0]).diagnostics
+            assert diag["partition_rounds"] == [0, 0, 0]
             assert ham.dim(2) == 2016
         assert calls == []
 
@@ -222,9 +224,10 @@ def test_quotient_matches_dense_sector(lattice, boundary, xi, seed):
     kind, n_sites = lattice
     ham = full_hamiltonian(build_lattice(kind, n_sites, boundary=boundary), 1.0, xi)
     t = np.linspace(0.0, 40.0, 25)
-    dyn = DickeDynamics(ham)
-    assert dyn.residual <= RESIDUAL_TOL
-    for n, c in enumerate(dyn.projections(t)):
+    traj = compute_trajectory(ham, t, auto_refine=False)
+    diag = traj.diagnostics
+    assert diag["invariance_residual"] <= RESIDUAL_TOL
+    for n, c in enumerate((traj.c0, traj.c1, traj.c2)):
         psi0 = dicke_state(ham.sectors[n])
         ref = dense_spectral(ham.blocks[n], psi0, t) @ psi0.conj()
         np.testing.assert_allclose(c, ref, rtol=1e-10, atol=1e-12)
@@ -232,7 +235,7 @@ def test_quotient_matches_dense_sector(lattice, boundary, xi, seed):
         assert_reference_cells(ham.blocks[n], dicke_state(ham.sectors[n]))
     if kind == "chain" and boundary == "periodic":
         # one cell per pair distance 1 .. N/2, e.g. 6 of 66 states at N = 12
-        assert dyn.reduced_dims[2] == n_sites // 2 < ham.dim(2)
+        assert diag["reduced_dims"][2] == n_sites // 2 < ham.dim(2)
     # a state without symmetry takes the discrete partition, i.e. the full block
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(ham.dim(2)) + 1j * rng.standard_normal(ham.dim(2))
@@ -311,7 +314,7 @@ class TestNonlinearPhase:
         assert diag["grid_refinements"] == 2
         assert diag["grid_points"] == len(traj.times) == 8 * 2 ** diag["grid_refinements"] + 1
         np.testing.assert_allclose(traj.times, np.linspace(0.0, 60.0, diag["grid_points"]), rtol=0, atol=1e-12)
-        for got, want in zip((traj.c0, traj.c1, traj.c2), DickeDynamics(ham).projections(traj.times)):
+        for got, want in zip((traj.c0, traj.c1, traj.c2), dyn_mod._projections(traj.spectra, traj.times)):
             assert np.array_equal(got, want)
 
     def test_grid_diagnostics_without_refinement(self):
@@ -351,8 +354,31 @@ class TestGateTime:
         t_pi = gate_params(lat, 1.0, 0.0).t_pi
         traj = compute_trajectory(exchange_hamiltonian(lat, 1.0), np.linspace(0.0, 1.5 * t_pi, 60))
         fine = gate_time(traj, rel_tol=1e-300)
-        assert traj.gate_method == "bisection"
+        assert traj.diagnostics["gate_time_method"] == "bisection"
         assert fine == pytest.approx(gate_time(traj), rel=1e-4)
+
+    @pytest.mark.parametrize("xi_over_kappa, window, method", [
+        (0.05, 2.0, "bisection"),
+        (0.0, 4.5, "interpolation"),  # the exchange model, t_pi from chi_eff
+    ], ids=["mpm", "exchange"])
+    def test_gate_time_from_spectra_alone(self, xi_over_kappa, window, method):
+        # the trajectory keeps no reference to its Hamiltonian, and the gate
+        # time evaluated from its spectra is bitwise the same without it
+        lat = periodic_chain(12)
+        use_tilde = xi_over_kappa != 0.0
+        xi = xi_over_kappa if use_tilde else 1.0
+        times = np.linspace(0.0, window * gate_params(lat, 1.0, xi_over_kappa, use_tilde=use_tilde).t_pi, 400)
+        alive = full_hamiltonian(lat, 1.0, xi)
+        kept = compute_trajectory(alive, times)
+        ham = full_hamiltonian(lat, 1.0, xi)
+        traj = compute_trajectory(ham, times)
+        dead = weakref.ref(ham)
+        del ham
+        gc.collect()
+        assert dead() is None
+        assert gate_time(traj) == gate_time(kept)
+        assert traj.diagnostics == kept.diagnostics
+        assert kept.diagnostics["gate_time_method"] == method
 
     def test_not_reached_in_short_window(self):
         h = ideal_quadratic_hamiltonian(8, 0.1)

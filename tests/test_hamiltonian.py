@@ -255,6 +255,13 @@ class TestChiEff:
         kernel_sum = 2.0 * 1.3 / (n * (n - 1)) * coupling_kernel(lat).sum()
         assert chi_eff(lat, 1.3) == pytest.approx(kernel_sum, rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_rejects_non_positive_kappa(self, kappa, boundary):
+        # the same refusal as the Hamiltonian builders, before t_pi divides by chi
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            chi_eff(build_lattice("chain", 8, boundary=boundary), kappa)
+
 
 class TestGateParams:
     def test_t_pi_definition(self):
