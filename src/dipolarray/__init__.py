@@ -29,12 +29,11 @@ from .phonon import (
     PhononModel,
     UnstableCrystalError,
     build_phonon_model,
-    coupling_weight_g,
     dynamical_matrix,
     gamma1_fgr,
     gamma1_time,
     gamma2,
-    phonon_spectrum,
+    sound_speeds,
 )
 from .spinwave import (
     dispersion,
@@ -93,8 +92,7 @@ __all__ = [
     "UnstableCrystalError",
     "build_phonon_model",
     "dynamical_matrix",
-    "phonon_spectrum",
-    "coupling_weight_g",
+    "sound_speeds",
     "gamma1_time",
     "gamma1_fgr",
     "gamma2",

@@ -38,7 +38,7 @@ from .basis import ResourceLimitError
 from .dynamics import GateNotReached, compute_trajectory, gate_time
 from .hamiltonian import full_hamiltonian, gate_params
 from .lattice import build_lattice
-from .phonon import build_phonon_model, gamma1_fgr, gamma1_time, gamma2, phonon_spectrum
+from .phonon import build_phonon_model, gamma1_fgr, gamma1_time, gamma2, sound_speeds
 from .spinwave import (
     dispersion,
     dispersion_asymptote_check,
@@ -105,7 +105,6 @@ _LATTICE_KEYS = {
     "kind": (str, "chain"),
     "n_sites": (int, None),
     "boundary": (str, "open"),
-    "spacing": (float, 1.0),
 }
 
 
@@ -210,7 +209,7 @@ def _require_time_window(cfg: dict) -> None:
 
 
 def _trajectory_run(cfg: dict, outdir: Path, xi_over_kappa: float, prefix: str = "trajectory") -> dict:
-    lat = build_lattice(cfg["kind"], cfg["n_sites"], cfg["spacing"], cfg["boundary"])
+    lat = build_lattice(cfg["kind"], cfg["n_sites"], boundary=cfg["boundary"])
     kappa = cfg["kappa"]
     use_tilde = xi_over_kappa != 0.0
     gp = gate_params(lat, kappa, xi_over_kappa * kappa, use_tilde=use_tilde)
@@ -388,12 +387,11 @@ def run_stark_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
 def run_phonon_bands(cfg: dict, outdir: Path, workers: int) -> dict:
     lat = build_lattice(cfg["kind"], cfg["n_sites"], boundary="periodic")
     model = build_phonon_model(lat, cfg["beta"], cfg["u_dd_over_kappa"], 1.0)
-    spec = phonon_spectrum(model)
-    nb = spec["freqs"].shape[1]
+    kvecs, nb = model.grid.kvecs, model.n_branches
     _write_csv(outdir / "bands.csv",
-               [f"q{c}" for c in range(spec["qvecs"].shape[1])] + [f"f{b}" for b in range(nb)],
-               [spec["qvecs"], spec["freqs"]])
-    return {"sound_speeds": spec["sound_speeds"], "branches": nb}
+               [f"q{c}" for c in range(kvecs.shape[1])] + [f"f{b}" for b in range(nb)],
+               [kvecs, model.freqs])
+    return {"sound_speeds": sound_speeds(model), "branches": nb}
 
 
 @experiment("phonon_decay", "phonon-induced decay of collective excitations (+ golden-rule rate)",

@@ -1,11 +1,12 @@
 """Array geometries, the r^-3 coupling kernel, and Brillouin-zone grids.
 
-All positions are stored in units of the lattice spacing ``a``; the spacing
-only re-enters when converting dressed molecular parameters to absolute
-energies (see :mod:`dipolarray.stark`).  Periodic lattices use minimum-image
-displacements: :func:`displacements` is the O(N^2) pair table the coupling
-kernel needs, :func:`relative_sites` its O(N) row r_j - r_0, which is all a
-translation-invariant lattice sum (spin-wave dispersion, phonons) needs.
+All positions are in units of the lattice spacing ``a``, so a lattice does
+not store it; it only enters when converting dressed molecular parameters
+to absolute energies, as an argument of :mod:`dipolarray.stark`.  Periodic
+lattices use minimum-image displacements: :func:`displacements` is the
+O(N^2) pair table the coupling kernel needs, :func:`relative_sites` its O(N)
+row r_j - r_0, which is all a translation-invariant lattice sum (spin-wave
+dispersion, phonons) needs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class Lattice:
     kind: str
     dimension: int
     n_sites: int
-    spacing: float
     boundary: str
     positions: np.ndarray = field(repr=False)
     period_vectors: np.ndarray | None = field(repr=False, default=None)
@@ -90,12 +90,7 @@ class MomentumGrid:
         return reps, np.where(neg[reps] == reps, 1, 2)
 
 
-def build_lattice(
-    kind: str,
-    n_sites: int,
-    spacing: float = 1.0,
-    boundary: str = "open",
-) -> Lattice:
+def build_lattice(kind: str, n_sites: int, boundary: str = "open") -> Lattice:
     """Generate a deterministic site arrangement.
 
     chain: sites 0..N-1 on a line.  square: L x L integer grid (N must be a
@@ -108,8 +103,6 @@ def build_lattice(
         raise ValueError(f"unknown boundary {boundary!r}; expected one of {_BOUNDARIES}")
     if n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {n_sites}")
-    if spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
 
     period = None
     if kind == "chain":
@@ -146,7 +139,6 @@ def build_lattice(
         kind=kind,
         dimension=dimension,
         n_sites=n_sites,
-        spacing=float(spacing),
         boundary=boundary,
         positions=positions,
         period_vectors=period,

@@ -25,15 +25,17 @@ over that unit.  Temperatures are passed in units of U_dd/(sqrt(beta) k_B),
 the natural scale of the spectrum.
 
 Every lattice sum runs over the relative sites r_j - r_0 of
-:func:`dipolarray.lattice.relative_sites`, O(N) to build, so nothing is
-cached.  Dynamical matrices and coupling weights are built for the whole
-momentum grid at once.  The decay sums use inversion symmetry: D(-q) = D(q),
-so q and -q give the same term up to roundoff.  The one-excitation sum
-runs over one q per pair (:meth:`~dipolarray.lattice.MomentumGrid.pair_fold`),
-and the two-excitation sum over one unordered pair k <= k' per orbit
-{(k, k'), (-k, -k')}, with q = -(k + k') from the grid's integer momentum
-coordinates; each term carries its orbit size, and a pair with k != k' also
-counts twice (k <-> k').  Both share :func:`_decay_sum`, which prescales
+:func:`dipolarray.lattice.relative_sites`, O(N) to build.
+:func:`build_phonon_model` tabulates f_lambda(q), g_lambda(q) (0 at q = 0,
+where the acoustic modes are soft and uncoupled) and the spin-wave energies
+once for the whole grid, and every decay sum indexes those tables by grid
+point.  The decay sums use inversion symmetry: D(-q) = D(q), so q and -q
+give the same term up to roundoff.  The one-excitation sum runs over one q
+per pair (:meth:`~dipolarray.lattice.MomentumGrid.pair_fold`), and the
+two-excitation sum over one unordered pair k <= k' per orbit {(k, k'),
+(-k, -k')}, with q = -(k + k') from the grid's integer momentum coordinates;
+each term carries its orbit size, and a pair with k != k' also counts twice
+(k <-> k').  Both share :func:`_decay_sum`, which prescales
 each mode's weight by 2 / omega^2 once and hands the sin^2 sum to
 :func:`dipolarray.spinwave._sin2_sum`, the kernel of the perturbative
 two-excitation sum too: it streams the mode axis in slices of a fixed byte
@@ -44,8 +46,9 @@ pair tables are O(N^2 branches) and :func:`gamma2` refuses up front with
 ``PAIR_TABLE_BYTES_MAX``.  Both sums run without the coupling amplitudes,
 which multiply the results afterwards, so the normalized curves stay exact
 when (xi + 4 b0)^2 underflows.  A negative eigenvalue of D(q), or a
-vanishing branch frequency with finite coupling, raises
-:class:`UnstableCrystalError`, an ``ArithmeticError``.
+vanishing branch frequency with finite coupling, makes
+:func:`build_phonon_model` raise :class:`UnstableCrystalError`, an
+``ArithmeticError``.
 """
 
 from __future__ import annotations
@@ -65,8 +68,7 @@ __all__ = [
     "UnstableCrystalError",
     "dynamical_matrix",
     "build_phonon_model",
-    "phonon_spectrum",
-    "coupling_weight_g",
+    "sound_speeds",
     "gamma1_time",
     "gamma1_fgr",
     "gamma2",
@@ -110,10 +112,12 @@ def dynamical_matrix(lattice: Lattice, qvec: np.ndarray) -> np.ndarray:
 class PhononModel:
     """Phonon branches, polarizations, and coupling weights on the BZ grid.
 
-    ``freqs[iq, lam]`` is the dimensionless f_lambda(q); multiply by
-    u_dd/sqrt(beta) for mode energies.  ``spin_energies`` is the spin-wave
-    dispersion on the same grid in units of kappa (already multiplied by
-    kappa).  kappa and u_dd must be given in the same energy unit.
+    Every table is indexed by grid point, q = 0 first.  ``freqs[iq, lam]``
+    is the dimensionless f_lambda(q); multiply by u_dd/sqrt(beta) for mode
+    energies.  ``g[iq, lam]`` is the coupling weight g_lambda(q), 0 at q = 0.
+    ``spin_energies`` is the spin-wave dispersion on the same grid in units
+    of kappa (already multiplied by kappa).  kappa and u_dd must be given in
+    the same energy unit.
     """
 
     lattice: Lattice
@@ -123,6 +127,7 @@ class PhononModel:
     grid: MomentumGrid
     freqs: np.ndarray = field(repr=False)
     pols: np.ndarray = field(repr=False)
+    g: np.ndarray = field(repr=False)
     spin_energies: np.ndarray = field(repr=False)
 
     @property
@@ -135,13 +140,14 @@ class PhononModel:
 
 
 def build_phonon_model(lattice: Lattice, beta: float, u_dd: float, kappa: float) -> PhononModel:
-    """Diagonalize the dynamical matrix on the full momentum grid."""
+    """Diagonalize the dynamical matrix and tabulate the couplings on the full grid."""
     if beta <= 0 or u_dd <= 0 or kappa <= 0:
         raise ValueError("beta, u_dd and kappa must be positive")
     if lattice.kind not in _SUPPORTED:
         raise ValueError(f"unsupported crystal kind {lattice.kind!r}; expected {_SUPPORTED}")
     grid = momentum_grid(lattice)
-    lam, vec = np.linalg.eigh(_dynamical_matrices(relative_sites(lattice), grid.kvecs))
+    rel = relative_sites(lattice)
+    lam, vec = np.linalg.eigh(_dynamical_matrices(rel, grid.kvecs))
     unstable = np.flatnonzero(lam.min(axis=1) < -1e-10)
     if len(unstable):
         i = unstable[0]
@@ -150,55 +156,34 @@ def build_phonon_model(lattice: Lattice, beta: float, u_dd: float, kappa: float)
         )
     freqs = np.sqrt(np.clip(lam, 0.0, None))
     pols = vec.transpose(0, 2, 1)  # pols[i, lam] is the polarization vector of branch lam
-    spin = spin_wave_energies(lattice, grid.kvecs, kappa)
-    return PhononModel(
-        lattice=lattice,
-        beta=beta,
-        u_dd=u_dd,
-        kappa=kappa,
-        grid=grid,
-        freqs=freqs,
-        pols=pols,
-        spin_energies=spin,
-    )
+    g = np.zeros_like(freqs)  # q = 0: soft acoustic modes, uncoupled
+    g[1:] = _coupling_weights(rel, grid.kvecs[1:], pols[1:], freqs[1:])
+    return PhononModel(lattice=lattice, beta=beta, u_dd=u_dd, kappa=kappa, grid=grid, freqs=freqs,
+                       pols=pols, g=g, spin_energies=spin_wave_energies(lattice, grid.kvecs, kappa))
 
 
-def phonon_spectrum(model: PhononModel) -> dict:
-    """Sorted branch table plus sound speeds from the smallest 10% of |q|."""
+def sound_speeds(model: PhononModel) -> list[float]:
+    """Per-branch sound speed: mean f_lambda(q) / |q| over the smallest 10% of |q| > 0."""
     qn = np.linalg.norm(model.grid.kvecs, axis=1)
     sel = (qn > 0) & (qn <= np.quantile(qn[qn > 0], 0.1) + 1e-12)
-    speeds = []
-    for lam in range(model.n_branches):
-        speeds.append(float(np.mean(model.freqs[sel, lam] / qn[sel])))
-    return {
-        "qvecs": model.grid.kvecs,
-        "freqs": model.freqs,
-        "sound_speeds": speeds,
-    }
+    return [float(np.mean(model.freqs[sel, lam] / qn[sel])) for lam in range(model.n_branches)]
 
 
-def _coupling_weights(model: PhononModel, iqs: np.ndarray) -> np.ndarray:
-    """Per-branch coupling weights g_lambda at grid points ``iqs``, (m, branches).
+def _coupling_weights(rel: np.ndarray, q: np.ndarray, pols: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Per-branch coupling weights g_lambda at momenta ``q`` (m, D) with
+    polarizations ``pols`` (m, branches, D) and frequencies ``f`` (m, branches).
 
     A branch of vanishing frequency gets weight 0; it must also decouple.
     """
-    rel = relative_sites(model.lattice)
-    q = model.grid.kvecs[iqs]
     # sum_j sin(q.r_j) r_j / |r_j|^5, projected on each polarization below
     force = (np.sin(q @ rel.T) / np.linalg.norm(rel, axis=1) ** 5) @ rel   # (m, D)
-    t = np.einsum("mbd,md->mb", model.pols[iqs], force)
-    f = model.freqs[iqs]
+    t = np.einsum("mbd,md->mb", pols, force)
     soft = f < 1e-12
     coupled = soft & (np.abs(t) > 1e-12)
     if coupled.any():
         i = np.argwhere(coupled)[0, 0]
         raise UnstableCrystalError(f"vanishing branch frequency at q = {q[i]} with finite coupling")
     return np.where(soft, 0.0, 9.0 * t**2 / np.where(soft, 1.0, f))
-
-
-def coupling_weight_g(model: PhononModel, iq: int) -> np.ndarray:
-    """Per-branch coupling weight g_lambda at grid point ``iq`` (q != 0)."""
-    return _coupling_weights(model, np.array([iq]))[0]
 
 
 @dataclass
@@ -209,21 +194,9 @@ class PhononDecay:
     times: np.ndarray
     decay: np.ndarray
     decay_normalized: np.ndarray
-    temperature: float
     beyond_perturbative: bool = False
     decay_dominant: np.ndarray | None = None
     correction_ratio: float | None = None
-
-
-def _mode_tables(model: PhononModel):
-    """Arrays over (grid point, branch) excluding q = 0: g, energies, spin.
-
-    The grid places q = 0 first by construction, so row r is grid point r + 1.
-    """
-    g = _coupling_weights(model, np.arange(1, model.grid.n_points))  # (M', nb)
-    w_ph = model.freqs[1:] * model.phonon_energy_unit                 # (M', nb)
-    w_sp = model.spin_energies[1:]                                    # (M',)
-    return g, w_ph, w_sp
 
 
 def _occupation(w: np.ndarray, kbt: float) -> np.ndarray:
@@ -273,19 +246,16 @@ def gamma1_time(model: PhononModel, xi: float, b0: float, temperature: float, ti
     times = np.asarray(times, dtype=float)
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
-    g, w_ph, w_sp = _mode_tables(model)
     reps, mult = model.grid.pair_fold()
-    rows = reps - 1  # rows of the q != 0 tables
     kbt = temperature * model.phonon_energy_unit
     amp = xi + 4.0 * b0
-    norm = _decay_sum(mult[:, None] * g[rows], w_ph[rows], w_sp[rows, None], kbt,
-                      times) / (2.0 * model.lattice.n_sites)
+    norm = _decay_sum(mult[:, None] * model.g[reps], model.freqs[reps] * model.phonon_energy_unit,
+                      model.spin_energies[reps, None], kbt, times) / (2.0 * model.lattice.n_sites)
     dec = norm / np.sqrt(model.beta) * amp * amp
     return PhononDecay(
         times=times,
         decay=dec,
         decay_normalized=norm if amp != 0 else np.zeros_like(norm),
-        temperature=temperature,
         beyond_perturbative=bool(dec.max(initial=0.0) > PERTURBATION_FLAG_LEVEL),
     )
 
@@ -322,17 +292,16 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
             f"momenta and {model.n_branches} branches; cap is {PAIR_TABLE_BYTES_MAX / 2**20:.0f} MiB"
         )
     dominant = 2.0 * gamma1_time(model, xi, b0, temperature, times).decay
-    g, w_ph, _ = _mode_tables(model)
+    w_ph = model.freqs * model.phonon_energy_unit
     n = model.lattice.n_sites
     kbt = temperature * model.phonon_energy_unit
 
     ik, ikp, iq, orbit = _momentum_pairs(model.grid)
     n_edge = np.count_nonzero(ik == 0)  # k-major: the edge pairs lead
-    rows = iq - 1  # rows of the q != 0 tables
     w_pair = model.spin_energies[ik] + model.spin_energies[ikp]
-    weights = (np.where(ik == ikp, 1.0, 2.0) * orbit)[:, None] * g[rows]
+    weights = (np.where(ik == ikp, 1.0, 2.0) * orbit)[:, None] * model.g[iq]
     edge, bulk = (
-        _decay_sum(weights[part], w_ph[rows[part]], w_pair[part, None], kbt, times) / (2.0 * n)
+        _decay_sum(weights[part], w_ph[iq[part]], w_pair[part, None], kbt, times) / (2.0 * n)
         for part in (slice(None, n_edge), slice(n_edge, None))
     )
     amp_dom = xi + 4.0 * b0
@@ -351,7 +320,6 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
         times=times,
         decay=full,
         decay_normalized=norm,
-        temperature=temperature,
         beyond_perturbative=bool(full.max(initial=0.0) > PERTURBATION_FLAG_LEVEL),
         decay_dominant=dominant,
         correction_ratio=corr,
@@ -416,7 +384,9 @@ def gamma1_fgr(model: PhononModel, xi: float, b0: float, temperature: float,
 
 
 def _fgr_rate(model: PhononModel, xi: float, b0: float, temperature: float) -> float:
-    g, w_ph, w_sp = _mode_tables(model)
+    # the q != 0 rows
+    g, w_sp = model.g[1:], model.spin_energies[1:]
+    w_ph = model.freqs[1:] * model.phonon_energy_unit
     kbt = temperature * model.phonon_energy_unit
     n = model.lattice.n_sites
     dim = model.lattice.dimension

@@ -108,6 +108,8 @@ def spin_wave_energies(lattice: Lattice, kvecs: np.ndarray, kappa: float = 1.0) 
     The energy of the uniform (k = 0) one-excitation mode minus the energy of
     the k mode; non-negative for the repulsive kernel.
     """
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     rel = relative_sites(lattice)
     r3 = np.linalg.norm(rel, axis=1) ** 3
     dots = np.atleast_2d(kvecs) @ rel.T
@@ -128,9 +130,6 @@ def fourier_kernel(lattice: Lattice, kvecs: np.ndarray) -> np.ndarray:
 class Dispersion:
     grid: MomentumGrid
     omega: np.ndarray
-    kind: str
-    n_sites: int
-    kappa: float
 
 
 def dispersion(lattice: Lattice, kappa: float = 1.0) -> Dispersion:
@@ -139,7 +138,7 @@ def dispersion(lattice: Lattice, kappa: float = 1.0) -> Dispersion:
         raise ValueError("dispersion requires a periodic lattice")
     grid = momentum_grid(lattice)
     omega = spin_wave_energies(lattice, grid.kvecs, kappa)
-    return Dispersion(grid=grid, omega=omega, kind=lattice.kind, n_sites=lattice.n_sites, kappa=kappa)
+    return Dispersion(grid=grid, omega=omega)
 
 
 def _require_cutoff(cutoff: int) -> None:
@@ -147,19 +146,26 @@ def _require_cutoff(cutoff: int) -> None:
         raise ValueError(f"cutoff must be at least 1, got {cutoff}")
 
 
+def _square_half_width(cutoff: int) -> int:
+    """Half-width M of the 2D patch |x|, |y| <= M, (2M+1)^2 ~ cutoff sites."""
+    return max(int(np.sqrt(cutoff) // 2), 8)
+
+
 def dispersion_curve(kind: str, ka: np.ndarray, kappa: float = 1.0, cutoff: int = 100_000) -> np.ndarray:
     """Large-cutoff dispersion at arbitrary momenta (k along a lattice axis).
 
     1D sums run over displacements 1..cutoff on both sides; 2D over the
-    square patch |x|, |y| <= M with (2M+1)^2 ~ cutoff sites.
+    square patch |x|, |y| <= M of :func:`_square_half_width`.
     """
     _require_cutoff(cutoff)
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     ka = np.atleast_1d(np.asarray(ka, dtype=float))
     if kind == "chain":
         d = np.arange(1, cutoff + 1, dtype=float)
         return kappa * (8.0 * np.sin(np.outer(ka, d) / 2.0) ** 2 / d**3).sum(axis=1)
     if kind == "square":
-        m = max(int(np.sqrt(cutoff) // 2), 8)
+        m = _square_half_width(cutoff)
         x, y = np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1), indexing="ij")
         x = x.ravel().astype(float)
         y = y.ravel().astype(float)
@@ -179,8 +185,9 @@ def dispersion_asymptote_check(kind: str, kappa: float = 1.0, cutoff: int = 100_
     1D: |hbar omega| vs kappa*(3 - 2 ln ka)*(ka)^2 for ka <= 0.05 (the
     magnitude of the quadratic-log law); reports the max relative deviation.
     2D: least-squares slope c of hbar omega ~ c*kappa*|ka| over the smallest
-    momentum decade resolvable at the effective cutoff, plus the spread of
-    omega/k over that decade.
+    momentum decade resolvable on the summed patch of :func:`dispersion_curve`
+    (``effective_sites`` = (2M+1)^2 sites, k from 2 pi/(2M+1)), plus the
+    spread of omega/k over that decade.
     """
     _require_cutoff(cutoff)
     if kind == "chain":
@@ -196,7 +203,7 @@ def dispersion_asymptote_check(kind: str, kappa: float = 1.0, cutoff: int = 100_
             "max_rel_deviation": float(dev.max()),
         }
     if kind == "square":
-        m = max(int(np.sqrt(cutoff) // 2), 50)
+        m = _square_half_width(cutoff)
         n_eff = (2 * m + 1) ** 2
         k0 = 2.0 * np.pi / (2 * m + 1)
         ka = np.geomspace(k0, 10.0 * k0, 12)
@@ -269,8 +276,8 @@ def fgr_scaling_diagnostic(
     squares on log-log data; decay = prefactor * N^alpha.
     """
     n_values = list(n_values)
-    if len(n_values) < 3:
-        raise ValueError("need at least 3 lattice sizes for a power-law fit")
+    if len(set(n_values)) < 3:
+        raise ValueError(f"need at least 3 distinct lattice sizes for a power-law fit, got {n_values}")
     if kind not in ("chain", "square"):
         raise ValueError(f"unsupported lattice kind {kind!r}")
     kappa = 1.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dipolarray.dynamics as dynamics_mod
+import dipolarray.hamiltonian as hamiltonian_mod
 import dipolarray.phonon as phonon_mod
 from dipolarray.cli import (
     EXIT_CONFIG,
@@ -224,6 +225,12 @@ n_samples = 60
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
         assert "resource limit: gamma2 pair tables" in capsys.readouterr().err
 
+    def test_assembly_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(hamiltonian_mod, "ASSEMBLY_BYTES_MAX", 1000)
+        cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 8\nboundary = periodic\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
+        assert "resource limit: two-excitation assembly" in capsys.readouterr().err
+
     def test_invariance_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(dynamics_mod, "RESIDUAL_TOL", -1.0)
         cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 8\nboundary = periodic\n")
@@ -256,6 +263,27 @@ n_samples = 60
         cfg = write_cfg(tmp_path, "experiment = dispersion\nkind = chain\nn_sites = 8\nsum_cutoff = 0\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error: cutoff must be at least 1" in capsys.readouterr().err
+
+    def test_dispersion_negative_kappa_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "experiment = dispersion\nkind = chain\nn_sites = 8\nkappa = -1\n"
+                                  "asymptote_check = false\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: kappa must be positive, got -1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["8, 8, 8", "8, 8, 16"])
+    def test_scaling_fit_repeated_sizes_exit_code(self, tmp_path, capsys, values):
+        cfg = write_cfg(tmp_path, f"experiment = scaling_fit\nn_values = {values}\ninclude_exact = false\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: need at least 3 distinct lattice sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "experiment = phase_gate\nn_sites = 8\n",
+        "experiment = mpm_sweep\nn_sites = 8\nxi_over_kappa_values = 0.1\n",
+    ], ids=["phase_gate", "mpm_sweep"])
+    def test_spacing_key_unknown(self, tmp_path, capsys, text):
+        cfg = write_cfg(tmp_path, text + "spacing = 2.0\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: config key 'spacing': unknown" in capsys.readouterr().err
 
     @pytest.mark.parametrize("values", ["0.1, 0.1000001", "0.2, 0.05, 0.2"], ids=["close", "repeated"])
     def test_mpm_sweep_colliding_file_names(self, tmp_path, capsys, values):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dipolarray.basis import dicke_state
+import dipolarray.hamiltonian as hamiltonian_mod
+from dipolarray.basis import ResourceLimitError, dicke_state
 from dipolarray.hamiltonian import (
     ZETA3,
     _zz_diagonals,
@@ -228,6 +229,26 @@ class TestFullHamiltonian:
             assert h.blocks[s].has_canonical_format
             assert h.is_sparse(s)
             assert h.dim(s) == h.sectors[s].dim
+
+
+    @pytest.mark.parametrize("kind, boundary, largest", [
+        ("chain", "periodic", 295), ("chain", "open", 295),
+        ("square", "periodic", 289), ("triangular", "periodic", 289),
+    ])
+    def test_assembly_cap_admits_up_to_largest(self, monkeypatch, kind, boundary, largest):
+        # the guard runs before any table is built: past it, the kernel stub stops the build
+        class Admitted(Exception):
+            pass
+
+        def stop(lattice):
+            raise Admitted
+
+        monkeypatch.setattr(hamiltonian_mod, "coupling_kernel", stop)
+        with pytest.raises(Admitted):
+            full_hamiltonian(build_lattice(kind, largest, boundary=boundary), 1.0, 0.05)
+        bigger = largest + 1 if kind == "chain" else (int(largest**0.5) + 1) ** 2
+        with pytest.raises(ResourceLimitError, match="two-excitation assembly"):
+            full_hamiltonian(build_lattice(kind, bigger, boundary=boundary), 1.0, 0.05)
 
 
 class TestChiEff:

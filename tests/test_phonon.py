@@ -14,12 +14,11 @@ from dipolarray.lattice import build_lattice, momentum_grid
 from dipolarray.phonon import (
     UnstableCrystalError,
     build_phonon_model,
-    coupling_weight_g,
     dynamical_matrix,
     gamma1_fgr,
     gamma1_time,
     gamma2,
-    phonon_spectrum,
+    sound_speeds,
 )
 from test_lattice import solved_labels
 
@@ -157,9 +156,9 @@ class TestSpectrum:
         assert ratio[0] == pytest.approx(2.0 * np.sqrt(3.0 * ZETA3), rel=0.01)
 
     def test_sound_speeds_reported(self):
-        spec = phonon_spectrum(chain_model(64))
-        assert len(spec["sound_speeds"]) == 1
-        assert spec["sound_speeds"][0] == pytest.approx(2.0 * np.sqrt(3.0 * ZETA3), rel=0.02)
+        speeds = sound_speeds(chain_model(64))
+        assert len(speeds) == 1
+        assert speeds[0] == pytest.approx(2.0 * np.sqrt(3.0 * ZETA3), rel=0.02)
 
     def test_instability_reported_with_q(self, monkeypatch):
         lat = build_lattice("chain", 8, boundary="periodic")
@@ -177,12 +176,37 @@ class TestSpectrum:
 
 
 class TestCouplingWeight:
+    @pytest.mark.parametrize("model", [chain_model, tri_model], ids=["chain", "triangular"])
+    def test_table_zero_at_q0(self, model):
+        m = model(16)
+        assert m.g.shape == m.freqs.shape
+        assert (m.g[0] == 0.0).all()
+        assert (m.g[1:] >= 0.0).all() and m.g[1:].max() > 0.0
+
+    def test_built_once_per_model(self, monkeypatch):
+        calls = []
+        weights = phonon_mod._coupling_weights
+        monkeypatch.setattr(phonon_mod, "_coupling_weights", lambda *a: calls.append(1) or weights(*a))
+        m = chain_model(12)
+        assert calls == [1]
+        t = np.linspace(0, 40, 5)
+        gamma1_time(m, 0.05, 0.1, 0.5, t)
+        gamma2(m, 0.05, 0.1, 0.5, t)
+        gamma1_fgr(m, 0.05, 0.1, 0.5, grid_factors=(1,))
+        assert calls == [1]
+
+    def test_vanishing_frequency_refused_by_model(self, monkeypatch):
+        monkeypatch.setattr(phonon_mod, "_dynamical_matrices",
+                            lambda rel, qvecs: np.zeros((len(qvecs), 1, 1)))
+        with pytest.raises(UnstableCrystalError, match="vanishing branch frequency"):
+            chain_model(8)
+
     def test_even_in_q(self):
         m = chain_model(16)
         g = m.grid
         for i in range(1, 8):
             j = (g.n_points - i) % g.n_points  # index of -q on the chain grid
-            assert coupling_weight_g(m, i) == pytest.approx(coupling_weight_g(m, j), rel=1e-10)
+            assert m.g[i] == pytest.approx(m.g[j], rel=1e-10)
 
     def test_small_q_linear_with_taylor_coefficient(self):
         # g ~ 9 (2 zeta3 q)^2 / (2 sqrt(3 zeta3) q) = 6 sqrt(3) zeta3^(3/2) q
@@ -190,7 +214,7 @@ class TestCouplingWeight:
         expect = 6.0 * np.sqrt(3.0) * ZETA3**1.5
         for i in (1, 2, 3):
             q = m.grid.kvecs[i, 0]
-            g = coupling_weight_g(m, i)[0]
+            g = m.g[i, 0]
             assert g / q == pytest.approx(expect, rel=0.01)
 
     def test_transverse_suppressed_on_mirror_axis(self):
@@ -199,7 +223,7 @@ class TestCouplingWeight:
         # find a grid point with q_y == 0 and q_x != 0
         idx = [i for i, q in enumerate(m.grid.kvecs)
                if abs(q[1]) < 1e-12 and abs(q[0]) > 1e-12][0]
-        g = coupling_weight_g(m, idx)
+        g = m.g[idx]
         pol_x = [abs(m.pols[idx, lam, 0]) for lam in range(2)]
         lam_l = int(np.argmax(pol_x))  # longitudinal branch: polarization along q
         lam_t = 1 - lam_l
@@ -389,7 +413,7 @@ def gamma2_full_reference(model, xi, b0, temperature, times):
                 amp += amp_dom
             if ik == 0:
                 amp += amp_dom
-            g = coupling_weight_g(model, iq)
+            g = model.g[iq]
             for lam in range(model.n_branches):
                 weights.append(base * amp**2 * g[lam])
                 om_p.append(w_ph[iq, lam] + w_sp[ik] + w_sp[ikp])

@@ -51,6 +51,17 @@ class TestDispersion:
         with pytest.raises(ValueError):
             dispersion(build_lattice("chain", 8))
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
+    def test_non_positive_kappa_rejected(self, kappa):
+        lat = periodic("chain", 8)
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            spin_wave_energies(lat, momentum_grid(lat).kvecs, kappa)
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            dispersion(lat, kappa)
+        for kind in ("chain", "square"):
+            with pytest.raises(ValueError, match="kappa must be positive"):
+                dispersion_curve(kind, [0.1], kappa, cutoff=100)
+
     def test_matches_one_excitation_spectrum(self):
         # one-excitation block eigenvalues are 2 kappa F_k: the dispersion is
         # their distance below the uniform mode
@@ -74,6 +85,19 @@ class TestDispersionAsymptotes:
         assert rep["effective_sites"] >= 10_000
         assert rep["slope"] > 0
         assert rep["ratio_min"] <= rep["ratio_max"]
+
+    @pytest.mark.parametrize("cutoff", [2000, 9999, 10_000, 100_000])
+    def test_2d_report_describes_summed_patch(self, cutoff):
+        rep = dispersion_asymptote_check("square", cutoff=cutoff)
+        side = int(round(np.sqrt(rep["effective_sites"])))
+        assert side**2 == rep["effective_sites"] and side % 2 == 1
+        ka = np.array(rep["ka"])
+        assert ka[0] == 2.0 * np.pi / side
+        x, y = np.meshgrid(np.arange(side) - side // 2, np.arange(side) - side // 2)
+        x, y = x[(x != 0) | (y != 0)], y[(x != 0) | (y != 0)]
+        r3 = np.hypot(x, y) ** 3
+        patch = [(4.0 * np.sin(k * x / 2.0) ** 2 / r3).sum() for k in ka]
+        assert np.allclose(rep["omega"], patch, rtol=1e-12, atol=0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
