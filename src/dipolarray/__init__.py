@@ -51,7 +51,6 @@ from .stark import (
     MolecularParams,
     dressed_pair,
     rotor_eigensystem,
-    xi_kappa_sweep,
 )
 
 __all__ = [
@@ -86,7 +85,6 @@ __all__ = [
     "MOLECULES",
     "rotor_eigensystem",
     "dressed_pair",
-    "xi_kappa_sweep",
     "BasisNotConvergedError",
     "PhononModel",
     "UnstableCrystalError",

@@ -23,8 +23,9 @@ DEFAULT_DIMENSION_CAP = 10**6
 class ResourceLimitError(RuntimeError):
     """A requested computation exceeds its configured size cap: the sector
     basis dimension cap, the memory cap of the two-excitation assembly
-    (``hamiltonian.ASSEMBLY_BYTES_MAX``), or the memory cap of the gamma2
-    pair tables (``phonon.PAIR_TABLE_BYTES_MAX``)."""
+    (``hamiltonian.ASSEMBLY_BYTES_MAX``), the memory cap of the dense
+    quotient diagonalization (``dynamics.QUOTIENT_BYTES_MAX``), or the
+    memory cap of the gamma2 pair tables (``phonon.PAIR_TABLE_BYTES_MAX``)."""
 
 
 def rank_config(config: tuple[int, ...]) -> int:

@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy.constants as const
 
 from . import __version__
 from .basis import ResourceLimitError
@@ -45,7 +44,7 @@ from .spinwave import (
     fgr_scaling_diagnostic,
     fourier_kernel,
 )
-from .stark import DEBYE, DEFAULT_J_MAX, MOLECULES, MolecularParams, dressed_pair
+from .stark import AMU, DEBYE, DEFAULT_J_MAX, MOLECULES, MolecularParams, dressed_pair
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -314,7 +313,7 @@ def _molecule_from_config(cfg: dict) -> MolecularParams:
             name=cfg["molecule"],
             b_rot=cfg["b_rot_joule"],
             mu0=cfg["mu0_debye"] * DEBYE,
-            mass=cfg["mass_amu"] * const.u,
+            mass=cfg["mass_amu"] * AMU,
         )
     if cfg["molecule"] not in MOLECULES:
         raise ConfigError(f"config key 'molecule': unknown molecule {cfg['molecule']!r}")

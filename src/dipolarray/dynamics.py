@@ -22,8 +22,11 @@ the two-excitation sector from C(N, 2) to a few dozen cells on periodic
 lattices, and their seed is often equitable already, so one round suffices;
 a state without symmetry gives the discrete partition, i.e. dense
 diagonalization of the full block.  A residual above ``RESIDUAL_TOL``
-raises :class:`InvarianceError`.  A :class:`Trajectory` keeps lambda and w
-of sectors 0, 1 and 2, all that :func:`gate_time` needs off the grid.
+raises :class:`InvarianceError`, and a quotient whose dense eigh would need
+more than ``QUOTIENT_BYTES_MAX`` (about 40 k^2 bytes at dimension k) raises
+:class:`~dipolarray.basis.ResourceLimitError`.  A :class:`Trajectory` keeps
+lambda and w of sectors 0, 1 and 2, all that :func:`gate_time` needs off the
+grid.
 
 Phase extraction: with X = C0* C2 and Y = (C0* C1)^2, the complex combination
 (X + Y)/2 factors as exp(i(arg X + arg Y)/2) * [ (|X|+|Y|) cos(rel/2)
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import dicke_state
+from .basis import ResourceLimitError, dicke_state
 from .hamiltonian import SpinHamiltonian
 
 __all__ = [
@@ -63,6 +66,8 @@ __all__ = [
 REFINE_TOL = 1e-12
 # largest accepted ||H P - P Hr||_F, relative to max |H_ij|
 RESIDUAL_TOL = 1e-10
+# the dense quotient Hr and its eigh peak at about 40 k^2 bytes; refused above
+QUOTIENT_BYTES_MAX = 2**30
 MAX_THETA_STEP = np.pi / 2
 MAX_REFINEMENTS = 6
 CLIP_WARN_EXCESS = 1e-6
@@ -164,6 +169,10 @@ class _SectorEvolver:
             self.cells = split
             self.rounds += 1
         self.dim = len(root)
+        need = 40 * self.dim**2
+        if need > QUOTIENT_BYTES_MAX:
+            raise ResourceLimitError(f"quotient of dimension {self.dim} needs about {need / 2**20:.0f} MiB "
+                                     f"to diagonalize; cap is {QUOTIENT_BYTES_MAX / 2**20:.0f} MiB")
         self.residual = float(np.linalg.norm(dev.data)) / scale
         if not self.residual <= RESIDUAL_TOL:
             raise InvarianceError(f"quotient of dimension {self.dim} is not invariant: "

@@ -141,7 +141,7 @@ class PhononModel:
 
 def build_phonon_model(lattice: Lattice, beta: float, u_dd: float, kappa: float) -> PhononModel:
     """Diagonalize the dynamical matrix and tabulate the couplings on the full grid."""
-    if beta <= 0 or u_dd <= 0 or kappa <= 0:
+    if not (beta > 0 and u_dd > 0 and kappa > 0):
         raise ValueError("beta, u_dd and kappa must be positive")
     if lattice.kind not in _SUPPORTED:
         raise ValueError(f"unsupported crystal kind {lattice.kind!r}; expected {_SUPPORTED}")

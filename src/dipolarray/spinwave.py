@@ -16,9 +16,8 @@ slice order, so every result is bitwise independent of W.
 from __future__ import annotations
 
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,41 +64,27 @@ def _sin2_sum(c: np.ndarray, h: np.ndarray, times: np.ndarray) -> np.ndarray:
     exactly as ``h[m] * times``.
 
     The mode axis runs in slices of ``_SLICE_BYTES``, up to
-    :func:`_sin2_workers` of them at once, each in its own reused buffer; the
-    partial sums are drained and added strictly in slice order.  One slice
-    runs inline.
+    :func:`_sin2_workers` of them at once; ``map`` yields the partial sums in
+    slice order and they are added in that order.  One worker runs inline.
     """
     step = max(1, _SLICE_BYTES // (8 * max(len(times), 1)))
     starts = range(0, len(c), step)
     workers = min(_sin2_workers(), len(starts))
-    bufs = [np.empty((min(step, len(c)), len(times))) for _ in range(workers)]
 
-    def block(i: int) -> np.ndarray:
-        part = slice(starts[i], starts[i] + step)
-        s = bufs[i % workers][:len(c[part])]
+    def block(start: int) -> np.ndarray:
+        part = slice(start, start + step)
         # np.errstate is context-local and a worker thread starts from the
         # defaults, so every slice sets them, wherever it runs
         with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
-            np.multiply(h[part, None], times, out=s)
+            s = np.multiply(h[part, None], times)
             np.sin(s, out=s)
             np.square(s, out=s)
             return c[part] @ s
 
-    acc = np.zeros(len(times))
     if workers <= 1:
-        for i in range(len(starts)):
-            acc += block(i)
-        return acc
+        return sum(map(block, starts), np.zeros(len(times)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # slice i reuses the buffer of slice i - workers, drained before it
-        pending = deque()
-        for i in range(len(starts)):
-            if len(pending) == workers:
-                acc += pending.popleft().result()
-            pending.append(pool.submit(block, i))
-        while pending:
-            acc += pending.popleft().result()
-    return acc
+        return sum(pool.map(block, starts), np.zeros(len(times)))
 
 
 def spin_wave_energies(lattice: Lattice, kvecs: np.ndarray, kappa: float = 1.0) -> np.ndarray:
@@ -229,8 +214,6 @@ class DecayCurve:
 
     times: np.ndarray
     decay: np.ndarray
-    matrix_elements: np.ndarray = field(repr=False)  # (4 xi / N) F_k per mode
-    kvecs: np.ndarray = field(repr=False)
     beyond_perturbative: bool = False
 
 
@@ -251,13 +234,8 @@ def perturbative_decay2(lattice: Lattice, xi: float, times, kappa: float = 1.0) 
     fk = fourier_kernel(lattice, kv)
     om = spin_wave_energies(lattice, kv, kappa)
     decay = (16.0 * xi**2 / n**2) * _sin2_sum(mult * fk**2 / om**2, om, times)
-    return DecayCurve(
-        times=times,
-        decay=decay,
-        matrix_elements=(4.0 * xi / n) * fk,
-        kvecs=kv,
-        beyond_perturbative=bool(decay.max(initial=0.0) > PERTURBATION_FLAG_LEVEL),
-    )
+    return DecayCurve(times=times, decay=decay,
+                      beyond_perturbative=bool(decay.max(initial=0.0) > PERTURBATION_FLAG_LEVEL))
 
 
 def fgr_scaling_diagnostic(

@@ -5,6 +5,11 @@ block is tridiagonal in J with the standard cos(theta) couplings
 
     <J+1, M| cos theta |J, M> = sqrt( ((J+1)^2 - M^2) / ((2J+1)(2J+3)) ).
 
+One dense matrix of these couplings, ``_cos_matrix``, serves both the block
+that :func:`rotor_eigensystem` hands to ``numpy.linalg.eigh`` and the dipole
+matrix elements of :func:`dressed_pair`.  At zero field the block is
+diagonal and its eigenpairs are exactly J(J+1) and the identity.
+
 Internally the field is dimensionless (E in units of B/mu0) and dipoles come
 out in units of mu0.  Dressed states are labeled adiabatically by their
 zero-field parent (J, M): within a fixed-M block with nonzero couplings the
@@ -17,6 +22,9 @@ Absolute energy scales for a molecule at spacing a:
     B0    = (mu_ee^2 - mu_gg^2) / (8 pi eps0 a^3)
     U_dd  = mu_gg^2 / (4 pi eps0 a^3)      (ground-state repulsion)
     beta  = U_dd * m * a^2 / hbar^2
+
+The SI constants are CODATA 2022 literals (the values of ``scipy.constants``
+1.17), so importing the module loads no scipy.
 """
 
 from __future__ import annotations
@@ -24,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.constants as const
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "MolecularParams",
@@ -35,11 +41,22 @@ __all__ = [
     "MOLECULES",
     "rotor_eigensystem",
     "dressed_pair",
-    "xi_kappa_sweep",
     "DEBYE",
+    "C_LIGHT",
+    "H_PLANCK",
+    "HBAR",
+    "AMU",
+    "EPSILON_0",
 ]
 
-DEBYE = 1e-21 / const.c  # C m
+# CODATA 2022, SI
+C_LIGHT = 299792458.0  # m / s
+H_PLANCK = 6.62607015e-34  # J s
+HBAR = H_PLANCK / (2.0 * np.pi)  # J s
+AMU = 1.66053906892e-27  # kg
+EPSILON_0 = 8.8541878188e-12  # F / m
+
+DEBYE = 1e-21 / C_LIGHT  # C m
 
 DEFAULT_J_MAX = 20
 CONVERGENCE_WEIGHT = 1e-8
@@ -63,9 +80,9 @@ class MolecularParams:
 # SrO X^1 Sigma+: B = 0.33798 cm^-1, mu0 = 8.89 D, mass 87.906 + 15.995 u
 SRO = MolecularParams(
     name="SrO",
-    b_rot=const.h * const.c * 100.0 * 0.33798,
+    b_rot=H_PLANCK * C_LIGHT * 100.0 * 0.33798,
     mu0=8.89 * DEBYE,
-    mass=(87.9056 + 15.9949) * const.u,
+    mass=(87.9056 + 15.9949) * AMU,
 )
 
 MOLECULES = {"SrO": SRO}
@@ -76,25 +93,26 @@ def _cos_couplings(j_values: np.ndarray, m: int) -> np.ndarray:
     return np.sqrt(((j + 1.0) ** 2 - m**2) / ((2.0 * j + 1.0) * (2.0 * j + 3.0)))
 
 
+def _cos_matrix(j_values: np.ndarray, m: int) -> np.ndarray:
+    off = _cos_couplings(j_values, m)
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
 def rotor_eigensystem(e_field: float, m: int, j_max: int = DEFAULT_J_MAX):
-    """Eigenpairs of the fixed-M rotor block.
+    """Eigenpairs of the fixed-M rotor block diag(J(J+1)) - E cos(theta).
 
     ``e_field`` is in units of B/mu0.  Returns (j_values, energies, vectors):
     energies in units of B, ascending (adiabatic order); vectors are columns
-    over the |J, M> basis with J = |M| .. j_max.
+    over the |J, M> basis with J = |M| .. j_max, each with its
+    largest-magnitude component positive.
     """
-    if e_field < 0:
-        raise ValueError("e_field must be non-negative")
-    if j_max < max(abs(m), 0) + 8:
+    if not 0.0 <= e_field < np.inf:
+        raise ValueError(f"e_field must be finite and non-negative, got {e_field}")
+    if j_max < abs(m) + 8:
         raise ValueError(f"j_max = {j_max} too small for a converged M = {m} block")
     j_values = np.arange(abs(m), j_max + 1)
-    diag = j_values * (j_values + 1.0)
-    off = -e_field * _cos_couplings(j_values, m)
-    if e_field == 0.0:
-        energies = diag.astype(float)
-        vectors = np.eye(len(j_values))
-    else:
-        energies, vectors = eigh_tridiagonal(diag.astype(float), off)
+    block = np.diag(j_values * (j_values + 1.0)) - e_field * _cos_matrix(j_values, m)
+    energies, vectors = np.linalg.eigh(block)
     # gauge: largest-magnitude component positive, for reproducible vectors
     idx = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
@@ -102,26 +120,15 @@ def rotor_eigensystem(e_field: float, m: int, j_max: int = DEFAULT_J_MAX):
     return j_values, energies, vectors * signs
 
 
-def _cos_matrix(j_values: np.ndarray, m: int) -> np.ndarray:
-    n = len(j_values)
-    c = np.zeros((n, n))
-    off = _cos_couplings(j_values, m)
-    c[np.arange(n - 1), np.arange(1, n)] = off
-    c[np.arange(1, n), np.arange(n - 1)] = off
-    return c
-
-
 @dataclass(frozen=True)
 class DressedPair:
     """Dressed dipole moments and interaction scales for one state pair.
 
     Dipoles are in units of mu0; kappa/xi/b0/u_dd in Joules; beta is
-    dimensionless.  ``field`` is in units of B/mu0, ``spacing`` in meters.
+    dimensionless.  ``field`` is in units of B/mu0.
     """
 
     field: float
-    g_label: tuple[int, int]
-    e_label: tuple[int, int]
     mu_gg: float
     mu_ee: float
     mu_eg: float
@@ -131,18 +138,10 @@ class DressedPair:
     b0: float
     u_dd: float
     beta: float
-    spacing: float
-    j_max: int
 
 
-def dressed_pair(
-    params: MolecularParams,
-    e_field: float,
-    g_label: tuple[int, int],
-    e_label: tuple[int, int],
-    spacing: float,
-    j_max: int = DEFAULT_J_MAX,
-) -> DressedPair:
+def dressed_pair(params: MolecularParams, e_field: float, g_label: tuple[int, int],
+                 e_label: tuple[int, int], spacing: float, j_max: int = DEFAULT_J_MAX) -> DressedPair:
     """Dipole matrix elements on adiabatically-labeled dressed states and the
     derived interaction scales at the given lattice spacing (meters)."""
     if not spacing > 0.0:
@@ -173,40 +172,11 @@ def dressed_pair(
     xi_over_kappa = 1.0 - (mu_ee - mu_gg) ** 2 / (2.0 * mu_eg**2)
 
     mu0 = params.mu0
-    geom = 1.0 / (8.0 * np.pi * const.epsilon_0 * spacing**3)
+    geom = 1.0 / (8.0 * np.pi * EPSILON_0 * spacing**3)
     kappa = (mu_eg * mu0) ** 2 * geom
     xi = xi_over_kappa * kappa
     b0 = ((mu_ee * mu0) ** 2 - (mu_gg * mu0) ** 2) * geom
     u_dd = (mu_gg * mu0) ** 2 * (2.0 * geom)
-    beta = u_dd * params.mass * spacing**2 / const.hbar**2
-    return DressedPair(
-        field=e_field,
-        g_label=g_label,
-        e_label=e_label,
-        mu_gg=mu_gg,
-        mu_ee=mu_ee,
-        mu_eg=abs(mu_eg),
-        xi_over_kappa=xi_over_kappa,
-        kappa=kappa,
-        xi=xi,
-        b0=b0,
-        u_dd=u_dd,
-        beta=beta,
-        spacing=spacing,
-        j_max=j_max,
-    )
-
-
-def xi_kappa_sweep(
-    params: MolecularParams,
-    g_label: tuple[int, int],
-    e_label: tuple[int, int],
-    e_grid,
-    spacing: float,
-    j_max: int = DEFAULT_J_MAX,
-) -> list[DressedPair]:
-    """Dressed-pair table over a monotone field grid (units B/mu0)."""
-    e_grid = np.asarray(e_grid, dtype=float)
-    if np.any(np.diff(e_grid) <= 0):
-        raise ValueError("e_grid must be strictly increasing")
-    return [dressed_pair(params, e, g_label, e_label, spacing, j_max) for e in e_grid]
+    beta = u_dd * params.mass * spacing**2 / HBAR**2
+    return DressedPair(field=e_field, mu_gg=mu_gg, mu_ee=mu_ee, mu_eg=abs(mu_eg),
+                       xi_over_kappa=xi_over_kappa, kappa=kappa, xi=xi, b0=b0, u_dd=u_dd, beta=beta)

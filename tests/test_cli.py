@@ -231,6 +231,12 @@ n_samples = 60
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
         assert "resource limit: two-excitation assembly" in capsys.readouterr().err
 
+    def test_quotient_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics_mod, "QUOTIENT_BYTES_MAX", 1000)
+        cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 8\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
+        assert "resource limit: quotient of dimension" in capsys.readouterr().err
+
     def test_invariance_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(dynamics_mod, "RESIDUAL_TOL", -1.0)
         cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 8\nboundary = periodic\n")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 import dipolarray.dynamics as dyn_mod
-from dipolarray.basis import dicke_state, sector_basis
+from dipolarray.basis import ResourceLimitError, dicke_state, sector_basis
 from dipolarray.cli import main
 from dipolarray.dynamics import (
     REFINE_TOL,
@@ -128,6 +128,27 @@ class TestSpectralEngine:
             ref = vec @ (np.exp(-1j * dt * lam) * (vec.conj().T @ v))
             out = evolve(sp.csr_matrix(h), v, [0.0, dt])[-1]
             assert np.abs(out - ref).max() < 1e-9
+
+    def test_quotient_memory_cap(self, monkeypatch):
+        # open chain 12: the reflection pairs the C(12, 2) = 66 two-excitation
+        # states into (66 + 6) / 2 = 36 cells
+        ham = full_hamiltonian(build_lattice("chain", 12), 1.0, 0.3)
+        assert compute_trajectory(ham, [0.0]).diagnostics["reduced_dims"] == [1, 6, 36]
+        monkeypatch.setattr(dyn_mod, "QUOTIENT_BYTES_MAX", 40 * 36**2)
+        compute_trajectory(ham, [0.0])
+        monkeypatch.setattr(dyn_mod, "QUOTIENT_BYTES_MAX", 40 * 36**2 - 1)
+        with pytest.raises(ResourceLimitError, match="quotient of dimension 36"):
+            compute_trajectory(ham, [0.0])
+
+    def test_quotient_cap_admits_open_chain_to_143(self):
+        # the open chain's sector-2 quotient has (C(N, 2) + N // 2) / 2 cells
+        def cells(n):
+            return (n * (n - 1) // 2 + n // 2) // 2
+
+        for n in (7, 8, 13):
+            ham = full_hamiltonian(build_lattice("chain", n), 1.0, 0.3)
+            assert compute_trajectory(ham, [0.0]).diagnostics["reduced_dims"][2] == cells(n)
+        assert 40 * cells(143) ** 2 <= dyn_mod.QUOTIENT_BYTES_MAX < 40 * cells(144) ** 2
 
     def test_residual_above_tolerance_raises(self, monkeypatch):
         # a refinement tolerance far above every coupling merges cells that

@@ -160,6 +160,14 @@ class TestSpectrum:
         assert len(speeds) == 1
         assert speeds[0] == pytest.approx(2.0 * np.sqrt(3.0 * ZETA3), rel=0.02)
 
+    @pytest.mark.parametrize("beta, u_dd, kappa", [
+        (0.0, 3.0, 1.0), (1e4, -3.0, 1.0), (1e4, 3.0, 0.0),
+        (np.nan, 3.0, 1.0), (1e4, np.nan, 1.0), (1e4, 3.0, np.nan),
+    ])
+    def test_rejects_non_positive_parameters(self, beta, u_dd, kappa):
+        with pytest.raises(ValueError, match="must be positive"):
+            chain_model(8, beta, u_dd, kappa)
+
     def test_instability_reported_with_q(self, monkeypatch):
         lat = build_lattice("chain", 8, boundary="periodic")
         monkeypatch.setattr(phonon_mod, "_dynamical_matrices",

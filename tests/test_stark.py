@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.constants as const
 from numpy.polynomial import legendre
 
+from dipolarray import stark
 from dipolarray.stark import (
     DEBYE,
     SRO,
@@ -10,10 +16,32 @@ from dipolarray.stark import (
     MolecularParams,
     dressed_pair,
     rotor_eigensystem,
-    xi_kappa_sweep,
 )
 
 SPACING = 300e-9
+
+
+def sweep(g_label, e_label, grid):
+    return [dressed_pair(SRO, e, g_label, e_label, SPACING) for e in grid]
+
+
+class TestConstants:
+    @pytest.mark.parametrize("name, scipy_name", [
+        ("C_LIGHT", "c"), ("H_PLANCK", "h"), ("HBAR", "hbar"), ("AMU", "u"), ("EPSILON_0", "epsilon_0"),
+    ])
+    def test_literal_equals_scipy(self, name, scipy_name):
+        assert getattr(stark, name) == getattr(const, scipy_name)
+
+    def test_cli_import_loads_no_scipy_linalg_or_constants(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+        child = "import sys, dipolarray.cli; print(' '.join(sorted(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        loaded = [m for m in out.stdout.split()
+                  if m.startswith(("scipy.linalg", "scipy.constants"))]
+        assert loaded == []
 
 
 class TestRotorEigensystem:
@@ -21,6 +49,23 @@ class TestRotorEigensystem:
         js, energies, vectors = rotor_eigensystem(0.0, 0, 20)
         assert np.array_equal(energies, js * (js + 1.0))
         assert np.array_equal(vectors, np.eye(len(js)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_zero_field_spectrum_nonzero_m(self, m):
+        js, energies, vectors = rotor_eigensystem(0.0, m, 20)
+        assert np.array_equal(js, np.arange(m, 21))
+        assert np.array_equal(energies, js * (js + 1.0))
+        assert np.array_equal(vectors, np.eye(len(js)))
+
+    def test_matches_dense_block(self):
+        # eigenpairs of the block built term by term from the couplings
+        js, energies, vectors = rotor_eigensystem(2.5, 1, 20)
+        block = np.diag(js * (js + 1.0))
+        for i, c in enumerate(stark._cos_couplings(js, 1)):
+            block[i, i + 1] = block[i + 1, i] = -2.5 * c
+        assert np.all(np.diff(energies) > 0)
+        assert np.abs(block @ vectors - vectors * energies).max() < 1e-12
+        assert np.all(vectors[np.abs(vectors).argmax(axis=0), np.arange(len(js))] > 0)
 
     def test_cos_coupling_against_quadrature(self):
         # <J',M=0|cos theta|J,0> as a Legendre integral oracle:
@@ -58,6 +103,11 @@ class TestRotorEigensystem:
     def test_rejects_negative_field(self):
         with pytest.raises(ValueError):
             rotor_eigensystem(-1.0, 0, 20)
+
+    @pytest.mark.parametrize("e_field", [np.nan, np.inf])
+    def test_rejects_non_finite_field(self, e_field):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            rotor_eigensystem(e_field, 0, 20)
 
 
 class TestDressedPair:
@@ -133,25 +183,21 @@ class TestDressedPair:
 class TestSweep:
     def test_first_row_is_unity_for_both_pairs(self):
         for pair in [((0, 0), (1, 0)), ((1, 0), (2, 0))]:
-            rows = xi_kappa_sweep(SRO, pair[0], pair[1], np.linspace(0.0, 0.5, 6), SPACING)
+            rows = sweep(pair[0], pair[1], np.linspace(0.0, 0.5, 6))
             assert rows[0].xi_over_kappa == pytest.approx(1.0, abs=1e-6)
 
     def test_continuity(self):
         grid = np.arange(0.0, 4.0 + 1e-12, 0.01)
-        rows = xi_kappa_sweep(SRO, (0, 0), (1, 0), grid, SPACING)
+        rows = sweep((0, 0), (1, 0), grid)
         vals = np.array([r.xi_over_kappa for r in rows])
         assert np.abs(np.diff(vals)).max() < 0.05
 
     def test_mu_gg_monotone_at_small_field(self):
         grid = np.linspace(0.0, 1.0, 21)[1:]
-        rows = xi_kappa_sweep(SRO, (0, 0), (1, 0), grid, SPACING)
+        rows = sweep((0, 0), (1, 0), grid)
         mg = np.array([r.mu_gg for r in rows])
         assert np.all(np.diff(mg) > 0)
         assert np.all(mg > 0)
-
-    def test_rejects_nonmonotone_grid(self):
-        with pytest.raises(ValueError):
-            xi_kappa_sweep(SRO, (0, 0), (1, 0), [0.0, 0.5, 0.4], SPACING)
 
 
 class TestBetaParameter:
