@@ -1,14 +1,20 @@
 """Unitary sector evolution, collective-state projections, nonlinear phase,
 and gate-time extraction.
 
-Times are in units of hbar/kappa.  Evolution is exact and has one engine.
-Sector blocks of a :class:`~dipolarray.hamiltonian.SpinHamiltonian` are CSR;
-:func:`evolve` also accepts a dense array or any scipy sparse matrix and
-converts it to CSR first.  The engine partitions the basis into the coarsest
+Times are in units of hbar/kappa.  Evolution is exact and has one engine,
+on numpy alone.  Sector blocks of a
+:class:`~dipolarray.hamiltonian.SpinHamiltonian` are
+:class:`~dipolarray.hamiltonian.CSRBlock`s; :func:`evolve` also accepts a
+dense array or any object with ``tocsr()`` (a scipy sparse matrix) and
+converts it first.  The engine partitions the basis into the coarsest
 *equitable partition* that keeps the initial state constant on every cell
 by colour refinement (1-WL), seeded with equal initial amplitudes and
 diagonal energies.  With P the cell indicators weighted w_c = 1/sqrt|c|,
-each round forms hp = H P, Hr = P^T hp and dev = hp - P Hr.  dev[i, c] is
+each round forms Hr = P^T H P and dev = H P - P Hr over row slices whose
+stored entries and (rows x k) sums each fit ``_SLICE_BYTES``: Hr sums the
+entries w_i h_ij w_j by (cell of the row, cell of the column), a slice of
+H P is a ``bincount`` of its entries by (row, cell of the column), and
+P Hr is a gather.  dev[i, c] is
 w_c times the row sum of i into cell c minus its mean over the cell of i, so
 the partition is equitable when every |dev[i, c]|/w_c is within the
 refinement tolerance, and ||dev||_F is the invariance residual.  Otherwise
@@ -24,7 +30,8 @@ a state without symmetry gives the discrete partition, i.e. dense
 diagonalization of the full block.  A residual above ``RESIDUAL_TOL``
 raises :class:`InvarianceError`, and a quotient whose dense eigh would need
 more than ``QUOTIENT_BYTES_MAX`` (about 40 k^2 bytes at dimension k) raises
-:class:`~dipolarray.basis.ResourceLimitError`.  A :class:`Trajectory` keeps
+:class:`~dipolarray.basis.ResourceLimitError` in the first round that
+reaches it, before that Hr is formed.  A :class:`Trajectory` keeps
 lambda and w of sectors 0, 1 and 2, all that :func:`gate_time` needs off the
 grid.
 
@@ -47,10 +54,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import ResourceLimitError, dicke_state
-from .hamiltonian import SpinHamiltonian
+from .hamiltonian import CSRBlock, SpinHamiltonian
 
 __all__ = [
     "Trajectory",
@@ -68,6 +74,11 @@ REFINE_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 # the dense quotient Hr and its eigh peak at about 40 k^2 bytes; refused above
 QUOTIENT_BYTES_MAX = 2**30
+# float64 of one row slice's stored entries, and of its (rows x cells) sums
+# of H P: no temporary of the engine grows with the block.  Slices of this
+# size also stay in cache and in the allocator's heap; 1 MiB slices of the
+# gate_large sectors were mapped and page-faulted afresh on every call
+_SLICE_BYTES = 2**18
 MAX_THETA_STEP = np.pi / 2
 MAX_REFINEMENTS = 6
 CLIP_WARN_EXCESS = 1e-6
@@ -102,52 +113,154 @@ def _cell_ids(*columns: np.ndarray) -> np.ndarray:
     return np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
 
 
-def _indicator(cells: np.ndarray, weight: np.ndarray) -> sp.csr_array:
-    """dim x k matrix with ``weight[i]`` at (i, cells[i]); 32-bit indices
-    keep its products with a block at the block's index width."""
-    dim = len(cells)
-    return sp.csr_array(
-        (weight, cells.astype(np.int32), np.arange(dim + 1, dtype=np.int32)),
-        shape=(dim, int(cells.max()) + 1),
-    )
+def _as_block(block) -> CSRBlock:
+    """``block`` as a :class:`CSRBlock`: a dense array, a CSRBlock, or any
+    object with ``tocsr()`` (a scipy sparse matrix), whose entries are sorted
+    and duplicates summed."""
+    if isinstance(block, CSRBlock):
+        return block
+    if not hasattr(block, "tocsr"):
+        a = np.asarray(block)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"block must be a square matrix, got shape {a.shape}")
+        return CSRBlock.from_dense(a.astype(np.result_type(a, float), copy=False))
+    m = block.tocsr()
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise ValueError(f"block must be a square matrix, got shape {m.shape}")
+    key = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(m.indptr)) + m.indices
+    pos, vals = _sum_by_key(key, np.asarray(m.data))
+    return CSRBlock.from_entries(pos // n, pos % n, vals, m.shape)
 
 
-def _row_keys(h: sp.csr_array, cells: np.ndarray, tol: float) -> np.ndarray:
+def _sum_by_key(key: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the sum of ``vals`` at each."""
+    pos, at = np.unique(key, return_inverse=True)
+    return pos, _bincount(at.reshape(-1), vals, len(pos))
+
+
+def _row_slices(h: CSRBlock, k: int) -> list[tuple[int, int]]:
+    """Row ranges lo..hi whose (rows x k) sums and whose stored entries each
+    fit ``_SLICE_BYTES`` of float64; at least one row each."""
+    per = _SLICE_BYTES // 8
+    out, lo, dim = [], 0, h.shape[0]
+    while lo < dim:
+        hi = min(lo + per // k, int(np.searchsorted(h.indptr, h.indptr[lo] + per, side="right")) - 1)
+        hi = max(lo + 1, min(hi, dim))
+        out.append((lo, hi))
+        lo = hi
+    return out
+
+
+def _slice_entries(h: CSRBlock, lo: int, hi: int, cells: np.ndarray, scale: np.ndarray | None):
+    """Row counts of rows lo..hi-1, then the cell of the column and the value
+    times ``scale`` of that cell for each of their stored entries."""
+    a, b = h.indptr[lo], h.indptr[hi]
+    cell = cells[h.indices[a:b].astype(np.intp)]
+    vals = h.data[a:b] if scale is None else h.data[a:b] * scale[cell]
+    return np.diff(h.indptr[lo:hi + 1]), cell, vals
+
+
+def _cell_sums(h: CSRBlock, lo: int, hi: int, cells: np.ndarray, k: int,
+               scale: np.ndarray | None = None) -> np.ndarray:
+    """Dense (hi - lo) x k sums of rows lo..hi-1 of ``h`` into every cell,
+    each entry times ``scale`` of its column's cell; each (row, cell) sum
+    runs in entry order, as a sparse product with the cell indicator does."""
+    count, key, vals = _slice_entries(h, lo, hi, cells, scale)
+    key += np.repeat(np.arange(0, (hi - lo) * k, k), count)
+    return _bincount(key, vals, (hi - lo) * k).reshape(hi - lo, k)
+
+
+def _bincount(key: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """np.bincount with real or complex weights, float even with no weights."""
+    if not np.iscomplexobj(vals):
+        return np.bincount(key, vals, n).astype(float, copy=False)
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(key, vals.real, n)
+    out.imag = np.bincount(key, vals.imag, n)
+    return out
+
+
+def _row_keys(h: CSRBlock, cells: np.ndarray, tol: float) -> np.ndarray:
     """One integer row per basis state: its cell, then the (cell, level)
-    codes of its nonzero row sums into every cell, padded with -1.
+    codes of its row sums into every cell beyond ``tol``, padded with -1.
 
-    The sums stay sparse, so the key is as wide as the widest row of ``h``.
+    The key is as wide as the most cells one row reaches.
     """
-    dim = len(cells)
-    sums = h @ _indicator(cells, np.ones(dim))
-    sums.data[np.abs(sums.data) <= tol] = 0.0
-    sums.eliminate_zeros()
-    sums.sort_indices()
-    level = _levels(sums.data, tol)
-    code = sums.indices.astype(np.int64) * (level.max(initial=0) + 1) + level
-    count = np.diff(sums.indptr)
-    row = np.repeat(np.arange(dim), count)
-    slot = np.arange(len(code)) - sums.indptr[row]
+    dim, k = len(cells), int(cells.max()) + 1
+    # every nonzero sum has a stored entry, so nnz bounds their number
+    row, col = np.empty(h.nnz, dtype=np.int32), np.empty(h.nnz, dtype=np.int32)
+    val = np.empty(h.nnz, dtype=h.data.dtype)
+    n = 0
+    for lo, hi in _row_slices(h, k):
+        sums = _cell_sums(h, lo, hi, cells, k)
+        i, c = np.nonzero(np.abs(sums) > tol)
+        row[n:n + len(i)], col[n:n + len(i)], val[n:n + len(i)] = i + lo, c, sums[i, c]
+        n += len(i)
+    row, col, val = row[:n], col[:n], val[:n]
+    level = _levels(val, tol)
+    code = col * np.int64(level.max(initial=0) + 1) + level
+    count = np.bincount(row, minlength=dim)
+    start = np.zeros(dim, dtype=np.int64)
+    np.cumsum(count[:-1], out=start[1:])
     keys = np.full((dim, int(count.max(initial=0)) + 1), -1, dtype=np.int64)
     keys[:, 0] = cells
-    keys[row, 1 + slot] = code
+    keys[row, 1 + np.arange(len(row)) - start[row]] = code
     return keys
+
+
+def _quotient(h: CSRBlock, cells: np.ndarray, weight: np.ndarray, root: np.ndarray,
+              tol: float) -> tuple[np.ndarray, bool, float]:
+    """Hr = P^T H P, whether dev = H P - P Hr is within ``tol`` of zero on
+    every |dev[i, c]| root[c], and ||dev||_F.
+
+    Two passes over row slices, so every temporary is slice-sized: the first
+    adds each slice's w_i h_ij w_j into Hr by (cell of i, cell of j), the
+    second forms the slice's hp = H P and dev from the finished Hr.  Each
+    slice's ``bincount`` starts from the Hr rows it adds to, so every Hr
+    entry is summed in entry order and no result depends on the slicing.
+    """
+    k = len(root)
+    col_weight = 1.0 / root
+    slices = _row_slices(h, k)
+    hr = np.zeros((k, k), dtype=np.result_type(h.data, float))
+    first = np.unique(cells, return_index=True)[1]  # first row of every cell
+    for lo, hi in slices:
+        count, cell, vals = _slice_entries(h, lo, hi, cells, col_weight)
+        vals *= np.repeat(weight[lo:hi], count)
+        ids, local = np.unique(cells[lo:hi], return_inverse=True)
+        cell += np.repeat(local * k, count)
+        # the rows of cells begun in earlier slices lead their own sums
+        begun = np.flatnonzero(first[ids] < lo)
+        carry = (begun * k)[:, None] + np.arange(k)
+        hr[ids] = _bincount(np.concatenate([carry.ravel(), cell]),
+                            np.concatenate([hr[ids[begun]].ravel(), vals]), len(ids) * k).reshape(-1, k)
+    worst, sumsq = np.zeros(k), 0.0
+    for lo, hi in slices:
+        dev = _cell_sums(h, lo, hi, cells, k, col_weight)
+        phr = np.take(hr, cells[lo:hi], axis=0)  # rows lo..hi-1 of P Hr
+        phr *= weight[lo:hi, None]
+        dev -= phr
+        sumsq += float(np.vdot(dev, dev).real)
+        np.maximum(worst, np.abs(dev).max(axis=0), out=worst)
+    # root > 0 keeps the order, so this is the largest |dev[i, c]| root[c]
+    return hr, bool((worst * root).max() <= tol), float(np.sqrt(sumsq))
 
 
 class _SectorEvolver:
     """Exact evolution of one Hermitian block from one initial state.
 
-    Refinement and the invariance check share one set of sparse products
-    per round, whose deviation dev = H P - P Hr is both the equitability
-    test and the residual (see the module docstring).  ``dim`` is the
-    reduced (quotient) dimension, ``rounds`` the number of splits,
-    ``residual`` ||dev||_F relative to max |H_ij|, and ``lam`` and ``w`` the
-    quotient eigenvalues and the initial state's weights on them.
+    Refinement and the invariance check share each round's products, whose
+    deviation dev = H P - P Hr is both the equitability test and the
+    residual (see the module docstring).  ``dim`` is the reduced
+    (quotient) dimension, ``rounds`` the number of splits, ``residual``
+    ||dev||_F relative to max |H_ij|, and ``lam`` and ``w`` the quotient
+    eigenvalues and the initial state's weights on them.
     """
 
     def __init__(self, block, psi0: np.ndarray):
         psi0 = np.asarray(psi0, dtype=complex)
-        h = sp.csr_array(block)
+        h = _as_block(block)
         scale = float(np.abs(h.data).max(initial=0.0)) or 1.0
         tol = REFINE_TOL * scale
         # cells start from equal (amplitude, diagonal) pairs
@@ -156,29 +269,30 @@ class _SectorEvolver:
         self.rounds = 0
         while True:
             root = np.sqrt(np.bincount(self.cells))
+            self.dim = len(root)
+            # refinement only splits cells, so a quotient too large now stays so
+            need = 40 * self.dim**2
+            if need > QUOTIENT_BYTES_MAX:
+                raise ResourceLimitError(f"quotient of dimension {self.dim} or more needs about {need / 2**20:.0f} MiB "
+                                         f"to diagonalize; cap is {QUOTIENT_BYTES_MAX / 2**20:.0f} MiB")
             self._weight = 1.0 / root[self.cells]
-            p = _indicator(self.cells, self._weight)
-            hp = h @ p
-            hr = p.T @ hp
-            dev = hp - p @ hr
-            if len(root) == len(self.cells) or np.all(np.abs(dev.data) * root[dev.indices] <= tol):
+            hr, equitable, dev_norm = _quotient(h, self.cells, self._weight, root, tol)
+            if self.dim == len(self.cells) or equitable:
                 break
             split = _cell_ids(_row_keys(h, self.cells, tol))
-            if split.max() + 1 == len(root):
+            if split.max() + 1 == self.dim:
                 break
             self.cells = split
             self.rounds += 1
-        self.dim = len(root)
-        need = 40 * self.dim**2
-        if need > QUOTIENT_BYTES_MAX:
-            raise ResourceLimitError(f"quotient of dimension {self.dim} needs about {need / 2**20:.0f} MiB "
-                                     f"to diagonalize; cap is {QUOTIENT_BYTES_MAX / 2**20:.0f} MiB")
-        self.residual = float(np.linalg.norm(dev.data)) / scale
+        self.residual = dev_norm / scale
         if not self.residual <= RESIDUAL_TOL:
             raise InvarianceError(f"quotient of dimension {self.dim} is not invariant: "
                                   f"residual {self.residual:.2e} > {RESIDUAL_TOL:.0e}")
-        self.lam, self._vec = np.linalg.eigh(hr.toarray())
-        self._coef = self._vec.conj().T @ (p.T @ psi0)
+        # in column order: numpy's eigh copies a row-ordered matrix column by
+        # column, which threaded BLAS makes slower than a small eigh itself
+        hr = np.asfortranarray(hr)
+        self.lam, self._vec = np.linalg.eigh(hr)
+        self._coef = self._vec.conj().T @ _bincount(self.cells, self._weight * psi0, self.dim)
         w = np.abs(self._coef) ** 2
         self.w = w / w.sum()
 
@@ -208,17 +322,35 @@ def _time_grid(times) -> np.ndarray:
     return times
 
 
+def _hermitian_defect(h: CSRBlock) -> float:
+    """max |H - H^dagger| over the entries either stores."""
+    n, rows = h.shape[0], h.rows()
+    key = np.concatenate([rows * n + h.indices, h.indices * np.int64(n) + rows])
+    return float(np.abs(_sum_by_key(key, np.concatenate([h.data, -h.data.conj()]))[1]).max(initial=0.0))
+
+
 def evolve(block, psi0: np.ndarray, times) -> np.ndarray:
     """States exp(-1j*H*t) psi0 at the requested times, shape (T, dim).
 
-    ``block`` is a Hermitian dense array or scipy sparse matrix; ``times``
-    must be non-decreasing and start at 0; psi0 must be normalized.
+    ``block`` is a Hermitian matrix: a dense array, a
+    :class:`~dipolarray.hamiltonian.CSRBlock`, or any object with
+    ``tocsr()`` such as a scipy sparse matrix.  ``psi0`` must be normalized
+    and as long as the block; ``times`` must be non-decreasing and start at
+    0.  A block that differs from its conjugate transpose by more than
+    ``REFINE_TOL`` of its largest entry raises ``ValueError``.
     """
     times = _time_grid(times)
+    h = _as_block(block)
+    psi0 = np.asarray(psi0)
+    if psi0.shape != (h.shape[0],):
+        raise ValueError(f"psi0 has shape {psi0.shape}, block has shape {h.shape}")
     nrm = np.linalg.norm(psi0)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"initial state not normalized (|psi| = {nrm})")
-    return _SectorEvolver(block, psi0).states(times)
+    defect = _hermitian_defect(h)
+    if defect > REFINE_TOL * float(np.abs(h.data).max(initial=0.0)):
+        raise ValueError(f"block is not Hermitian: max |H - H^dagger| = {defect:.3g}")
+    return _SectorEvolver(h, psi0).states(times)
 
 
 # ---------------------------------------------------------------------------

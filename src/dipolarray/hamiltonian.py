@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import ResourceLimitError, SectorBasis, sector_basis
 from .lattice import Lattice, coupling_kernel, relative_sites
 
 __all__ = [
+    "CSRBlock",
     "SpinHamiltonian",
     "EffectiveGateParams",
     "exchange_hamiltonian",
@@ -42,34 +42,91 @@ ZETA3 = 1.2020569031595942854  # Riemann zeta(3)
 ASSEMBLY_BYTES_MAX = 2**30
 
 
+@dataclass(frozen=True, eq=False)
+class CSRBlock:
+    """A square block in compressed sparse rows: row i holds ``data[s]`` at
+    columns ``indices[s]`` for s in ``indptr[i]:indptr[i + 1]``, columns
+    ascending and without duplicates; ``indices`` and ``indptr`` are int32.
+    ``toarray()`` gives the dense matrix, ``@`` multiplies vectors and dense
+    arrays, and ``np.asarray(block)`` is the dense matrix too.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, shape) -> CSRBlock:
+        """The block holding ``vals`` at (``rows``, ``cols``); entries must be
+        in row-major order without duplicates, as ``np.nonzero`` gives them."""
+        indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls(np.asarray(vals), np.asarray(cols, dtype=np.int32), indptr, tuple(shape))
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> CSRBlock:
+        rows, cols = np.nonzero(a)
+        return cls.from_entries(rows, cols, a[rows, cols], a.shape)
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def rows(self) -> np.ndarray:
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def diagonal(self) -> np.ndarray:
+        n = self.shape[0]
+        on = np.flatnonzero(self.indices == np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr)))
+        out = np.zeros(n, dtype=self.data.dtype)
+        out[self.indices[on]] = self.data[on]
+        return out
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self.rows(), self.indices] = self.data
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.toarray() if dtype is None else self.toarray().astype(dtype)
+
+    def __matmul__(self, other) -> np.ndarray:
+        other = np.asarray(other)
+        terms = self.data.reshape((-1,) + (1,) * (other.ndim - 1)) * other[self.indices]
+        out = np.zeros((self.shape[0],) + other.shape[1:], dtype=terms.dtype)
+        np.add.at(out, self.rows(), terms)
+        return out
+
+
 @dataclass
 class SpinHamiltonian:
     """Sector blocks (n = 0, 1, 2) of a dipolar spin model.
 
-    ``blocks[n]`` is a ``scipy.sparse.csr_array`` in the colex order of
-    ``sectors[n]``; the evolution engine needs only sparse products, so one
-    storage serves every size (``block.toarray()`` gives the dense matrix).
-    Blocks are Hermitian and conserve excitation number by construction;
-    everything is immutable after assembly.
+    ``blocks[n]`` is a :class:`CSRBlock` in the colex order of
+    ``sectors[n]``; the evolution engine needs only its rows, so one storage
+    serves every size (``block.toarray()`` gives the dense matrix).  Blocks
+    are Hermitian and conserve excitation number by construction; everything
+    is immutable after assembly.
     """
 
     kappa: float
     xi: float
     lattice: Lattice
-    blocks: dict[int, sp.csr_array]
+    blocks: dict[int, CSRBlock]
     sectors: dict[int, SectorBasis]
 
     @property
     def vacuum_energy(self) -> float:
-        b = self.blocks[0]
-        return float(b[0, 0])
+        return float(self.blocks[0].toarray()[0, 0])
 
     def dim(self, n: int) -> int:
         return self.blocks[n].shape[0]
 
     def is_sparse(self, n: int) -> bool:
         """Always true since every block is CSR; kept for storage-agnostic callers."""
-        return sp.issparse(self.blocks[n])
+        return isinstance(self.blocks[n], CSRBlock)
 
 
 def _zz_diagonals(kernel: np.ndarray, weight: float) -> tuple[float, np.ndarray, np.ndarray, SectorBasis]:
@@ -113,11 +170,11 @@ def _build(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltonian:
     d = coupling_kernel(lattice)
     e0, e1, e2, basis2 = _zz_diagonals(d, kappa - xi)
 
-    h0 = sp.csr_array(np.array([[e0]]))
+    h0 = CSRBlock.from_dense(np.array([[e0]]))
 
     h1 = 2.0 * kappa * d
     np.fill_diagonal(h1, e1)
-    h1 = sp.csr_array(h1)
+    h1 = CSRBlock.from_dense(h1)
 
     # slot s of row {p<q} is column {x, keep}: the first q - 1 slots (head)
     # keep p for x < q, x != p; the next q (mid) keep q for x < q; the rest
@@ -129,8 +186,7 @@ def _build(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltonian:
     x = np.where(head, s, np.where(mid, s + 1 - site[:, None], (s + 3) // 2))[q]
     x += head[q] & (s >= p[:, None])
     keep = np.where((~head & (mid | (s % 2 == 0)))[q], q[:, None], p[:, None])
-    # ranks fit 32 bits under the sector dimension cap; 32-bit indices keep
-    # the engine's products with this block at that width
+    # ranks fit 32 bits under the sector dimension cap
     hi, lo = np.maximum.outer(site, site), np.minimum.outer(site, site)
     cols = (hi * (hi - 1) // 2 + lo).astype(np.int32)[x, keep]
     vals = (2.0 * kappa * d)[x, (p + q)[:, None] - keep]
@@ -138,7 +194,7 @@ def _build(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltonian:
     nz = vals != 0
     indptr = np.zeros(basis2.dim + 1, dtype=np.int32)
     np.cumsum(nz.sum(axis=1), out=indptr[1:])
-    h2 = sp.csr_array((vals[nz], cols[nz], indptr), shape=(basis2.dim,) * 2)
+    h2 = CSRBlock(vals[nz], cols[nz], indptr, (basis2.dim,) * 2)
 
     sectors = {0: sector_basis(n, 0), 1: sector_basis(n, 1), 2: basis2}
     return SpinHamiltonian(kappa=kappa, xi=xi, lattice=lattice,

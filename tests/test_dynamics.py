@@ -1,5 +1,7 @@
 import gc
 import weakref
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from dipolarray.dynamics import (
     evolve,
     gate_time,
 )
-from dipolarray.hamiltonian import SpinHamiltonian, exchange_hamiltonian, full_hamiltonian, gate_params
+from dipolarray.hamiltonian import CSRBlock, SpinHamiltonian, exchange_hamiltonian, full_hamiltonian, gate_params
 from dipolarray.lattice import build_lattice
 
 
@@ -159,16 +161,43 @@ class TestSpectralEngine:
             compute_trajectory(ham, [0.0])
 
 
+def scipy_csr(block):
+    """``block`` as a scipy CSR array: a CSRBlock's own triple, else scipy's conversion."""
+    if isinstance(block, CSRBlock):
+        return sp.csr_array((block.data, block.indices, block.indptr), shape=block.shape)
+    return sp.csr_array(block)
+
+
+def scipy_row_keys(h, cells, tol):
+    """Row keys of the evolver from scipy sparse products: each row's cell,
+    then the (cell, level) codes of its row sums beyond ``tol``, padded with -1."""
+    dim = len(cells)
+    indicator = sp.csr_array((np.ones(dim), cells.astype(np.int32), np.arange(dim + 1, dtype=np.int32)),
+                             shape=(dim, int(cells.max()) + 1))
+    sums = h @ indicator
+    sums.data[np.abs(sums.data) <= tol] = 0.0
+    sums.eliminate_zeros()
+    sums.sort_indices()
+    level = dyn_mod._levels(sums.data, tol)
+    code = sums.indices.astype(np.int64) * (level.max(initial=0) + 1) + level
+    count = np.diff(sums.indptr)
+    row = np.repeat(np.arange(dim), count)
+    keys = np.full((dim, int(count.max(initial=0)) + 1), -1, dtype=np.int64)
+    keys[:, 0] = cells
+    keys[row, 1 + np.arange(len(code)) - sums.indptr[row]] = code
+    return keys
+
+
 def reference_partition(block, psi0):
     """Colour refinement that confirms every partition with a further round
     of row-sum keys: the reference for the evolver's single-product rounds."""
-    h = sp.csr_array(block)
+    h = scipy_csr(block)
     tol = REFINE_TOL * (float(np.abs(h.data).max(initial=0.0)) or 1.0)
     amp_tol = REFINE_TOL * float(np.abs(psi0).max(initial=0.0))
     cells = dyn_mod._cell_ids(dyn_mod._levels(psi0, amp_tol), dyn_mod._levels(h.diagonal(), tol))
     k = int(cells.max()) + 1
     while k < h.shape[0]:
-        cells = dyn_mod._cell_ids(dyn_mod._row_keys(h, cells, tol))
+        cells = dyn_mod._cell_ids(scipy_row_keys(h, cells, tol))
         grown = int(cells.max()) + 1
         if grown == k:
             break
@@ -263,6 +292,193 @@ def test_quotient_matches_dense_sector(lattice, boundary, xi, seed):
     psi /= np.linalg.norm(psi)
     ref = dense_spectral(ham.blocks[2], psi, t)
     np.testing.assert_allclose(evolve(ham.blocks[2], psi, t), ref, rtol=1e-10, atol=1e-12)
+
+
+def scipy_evolver(block, psi0):
+    """The evolver's refinement rounds with scipy.sparse products: per round
+    hp = H P, Hr = P^T hp and dev = hp - P Hr for the indicator P weighted
+    1/sqrt|c|.  Returns cells, rounds, dense Hr, residual, lam and w."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    h = scipy_csr(block)
+    scale = float(np.abs(h.data).max(initial=0.0)) or 1.0
+    tol = REFINE_TOL * scale
+    amp_tol = REFINE_TOL * float(np.abs(psi0).max(initial=0.0))
+    cells = dyn_mod._cell_ids(dyn_mod._levels(psi0, amp_tol), dyn_mod._levels(h.diagonal(), tol))
+    rounds = 0
+    while True:
+        root = np.sqrt(np.bincount(cells))
+        weight = 1.0 / root[cells]
+        p = sp.csr_array((weight, cells.astype(np.int32), np.arange(len(cells) + 1, dtype=np.int32)),
+                         shape=(len(cells), len(root)))
+        hp = h @ p
+        hr = p.T @ hp
+        dev = hp - p @ hr
+        if len(root) == len(cells) or np.all(np.abs(dev.data) * root[dev.indices] <= tol):
+            break
+        split = dyn_mod._cell_ids(scipy_row_keys(h, cells, tol))
+        if split.max() + 1 == len(root):
+            break
+        cells, rounds = split, rounds + 1
+    lam, vec = np.linalg.eigh(hr.toarray())
+    coef = vec.conj().T @ (p.T @ psi0)
+    w = np.abs(coef) ** 2
+    return SimpleNamespace(cells=cells, rounds=rounds, hr=hr.toarray(), weight=weight, root=root,
+                           tol=tol, residual=float(np.linalg.norm(dev.data)) / scale, lam=lam, w=w / w.sum())
+
+
+def assert_matches_scipy(block, psi0):
+    """Cells and rounds of the evolver equal the scipy round's.  The engine
+    sums Hr term by term, w_i h_ij w_j, where the sparse product first sums
+    each row into hp, so each entry agrees to 64 eps of max |Hr| and each
+    eigenvalue to k times that (Weyl), the projection on psi0 to 1e-10 over
+    t <= 40 and the residuals to 1e-13.  Row slices of 256 KiB and of one
+    row give bitwise the same quotient."""
+    ref = scipy_evolver(block, psi0)
+    entry_tol = 64 * np.finfo(float).eps * (float(np.abs(ref.hr).max(initial=0.0)) or 1.0)
+    times = np.linspace(0.0, 40.0, 25)
+    (want,) = dyn_mod._projections([(ref.lam, ref.w)], times)
+    runs = []
+    for slice_bytes in (dyn_mod._SLICE_BYTES, 1):
+        with mock.patch.object(dyn_mod, "_SLICE_BYTES", slice_bytes):
+            ev = dyn_mod._SectorEvolver(block, psi0)
+            hr = dyn_mod._quotient(dyn_mod._as_block(block), ev.cells, ref.weight, ref.root, ref.tol)[0]
+        assert np.array_equal(ev.cells, ref.cells)
+        assert ev.rounds == ref.rounds
+        np.testing.assert_allclose(hr, ref.hr, rtol=0, atol=entry_tol)
+        np.testing.assert_allclose(ev.lam, ref.lam, rtol=0, atol=len(ref.lam) * entry_tol)
+        (got,) = dyn_mod._projections([(ev.lam, ev.w)], times)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        assert ev.residual <= RESIDUAL_TOL and abs(ev.residual - ref.residual) <= 1e-13
+        runs.append((hr, ev.lam, ev.w))
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
+    return ev
+
+
+def assert_csr_matches_scipy(block):
+    """data, indices and indptr (values and dtypes) of scipy's CSR of the same entries."""
+    ref = sp.csr_array(block.toarray())
+    assert block.shape == ref.shape
+    for part in ("data", "indices", "indptr"):
+        got, want = getattr(block, part), getattr(ref, part)
+        assert got.dtype == want.dtype, part
+        assert np.array_equal(got, want), part
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lattice=ORACLE_LATTICES,
+    boundary=st.sampled_from(["open", "periodic"]),
+    xi=st.floats(min_value=-1.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_engine_matches_scipy_products(lattice, boundary, xi, seed):
+    kind, n_sites = lattice
+    ham = full_hamiltonian(build_lattice(kind, n_sites, boundary=boundary), 1.0, xi)
+    for n in (0, 1, 2):
+        assert_csr_matches_scipy(ham.blocks[n])
+        assert_matches_scipy(ham.blocks[n], dicke_state(ham.sectors[n]))
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(ham.dim(2)) + 1j * rng.standard_normal(ham.dim(2))
+    assert_matches_scipy(ham.blocks[2], psi / np.linalg.norm(psi))
+
+
+@pytest.mark.parametrize("kind, n_sites, boundary, xi, rounds", [
+    ("chain", 64, "periodic", 0.05, 0),  # the gate_large sectors
+    ("square", 64, "open", 0.05, 0),
+    ("triangular", 16, "open", 1.0, 2),  # bare exchange: two splits
+])
+def test_engine_matches_scipy_on_large_sectors(kind, n_sites, boundary, xi, rounds):
+    ham = full_hamiltonian(build_lattice(kind, n_sites, boundary=boundary), 1.0, xi)
+    assert_csr_matches_scipy(ham.blocks[2])
+    assert assert_matches_scipy(ham.blocks[2], dicke_state(ham.sectors[2])).rounds == rounds
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_engine_matches_scipy_on_random_hermitian(seed):
+    # coarse-grid entries, real for even seeds and complex for odd ones
+    rng = np.random.default_rng(seed)
+    m = 30 + 5 * seed
+    a = np.round(2.0 * rng.standard_normal((m, m))) / 2.0
+    a = a + 1j * np.round(2.0 * rng.standard_normal((m, m))) / 2.0 * (seed % 2)
+    h = (a + a.conj().T) / 2.0
+    assert assert_matches_scipy(h, np.full(m, 1.0 / np.sqrt(m), dtype=complex)).rounds >= 1
+
+
+def test_slices_bound_every_temporary(monkeypatch):
+    # open chain 40: dim 780, 77 entries a row, quotient 400.  The stored
+    # entries and the (rows x k) sums of every slice stay within the slice,
+    # and the spectrum is the same bitwise
+    ham = full_hamiltonian(build_lattice("chain", 40), 1.0, 0.3)
+    psi0 = dicke_state(ham.sectors[2])
+    whole = dyn_mod._SectorEvolver(ham.blocks[2], psi0)
+    assert (ham.dim(2), whole.dim) == (780, 400)
+    entries, sums = [], []
+    slice_entries, cell_sums = dyn_mod._slice_entries, dyn_mod._cell_sums
+
+    def record(store, f):
+        return lambda *a: store.append(f(*a)) or store[-1]
+
+    monkeypatch.setattr(dyn_mod, "_slice_entries", record(entries, slice_entries))
+    monkeypatch.setattr(dyn_mod, "_cell_sums", record(sums, cell_sums))
+    monkeypatch.setattr(dyn_mod, "_SLICE_BYTES", 2**14)
+    sliced = dyn_mod._SectorEvolver(ham.blocks[2], psi0)
+    assert max(vals.nbytes for _, _, vals in entries) <= 2**14
+    assert max(s.nbytes for s in sums) <= 2**14
+    # both passes cover every entry, the second every (row, cell) sum
+    assert sum(len(vals) for _, _, vals in entries) == 2 * ham.blocks[2].nnz
+    assert sum(s.nbytes for s in sums) == ham.dim(2) * whole.dim * 8
+    assert np.array_equal(sliced.lam, whole.lam) and np.array_equal(sliced.w, whole.w)
+
+
+class TestBlockInput:
+    def test_scipy_input_is_sorted_and_summed(self):
+        # unsorted columns and duplicate entries, as a COO array may hold them
+        rows = np.array([1, 0, 0, 1, 0, 2, 2])
+        cols = np.array([0, 2, 1, 0, 0, 2, 0])
+        vals = np.array([0.5, 2.0, 1.0, 0.5, 3.0, -1.0, 2.0])
+        coo = sp.coo_array((vals, (rows, cols)), shape=(3, 3))
+        block = dyn_mod._as_block(coo)
+        assert np.array_equal(block.toarray(), coo.toarray())
+        assert_csr_matches_scipy(block)
+
+    def test_block_products_and_diagonal(self):
+        rng = np.random.default_rng(3)
+        a = np.where(rng.random((7, 7)) < 0.4, rng.standard_normal((7, 7)), 0.0)
+        block = CSRBlock.from_dense(a)
+        assert_csr_matches_scipy(block)
+        v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        m = rng.standard_normal((7, 3))
+        np.testing.assert_allclose(block @ v, a @ v, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(block @ m, a @ m, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(block.diagonal(), np.diag(a))
+        assert np.array_equal(np.asarray(block), a)
+        assert block.nnz == np.count_nonzero(a)
+
+    def test_rejects_state_of_other_length(self):
+        with pytest.raises(ValueError, match=r"psi0 has shape \(2,\), block has shape \(3, 3\)"):
+            evolve(np.eye(3), np.array([1.0, 0.0]), [0.0, 1.0])
+
+    def test_rejects_non_square_block(self):
+        with pytest.raises(ValueError, match="square"):
+            evolve(np.ones((2, 3)), np.array([1.0, 0.0]), [0.0, 1.0])
+
+    @pytest.mark.parametrize("block", [
+        np.array([[1.0, 2.0], [0.0, 1.0]]),  # upper triangle only
+        np.array([[1.0, 2.0j], [2.0j, 1.0]]),  # symmetric, not Hermitian
+        np.array([[1.0 + 1e-6j, 0.0], [0.0, 1.0]]),  # complex diagonal
+    ], ids=["triangular", "complex-symmetric", "complex-diagonal"])
+    def test_rejects_non_hermitian_block(self, block):
+        for form in (block, sp.csr_array(block)):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                evolve(form, np.array([1.0, 0.0]), [0.0, 1.0])
+
+    def test_accepts_hermitian_complex_block(self):
+        h = np.array([[1.0, 2.0j], [-2.0j, -0.5]])
+        lam, vec = np.linalg.eigh(h)
+        psi0 = np.array([1.0, 0.0])
+        ref = vec @ (np.exp(-1j * 0.7 * lam) * (vec.conj().T @ psi0))
+        np.testing.assert_allclose(evolve(h, psi0, [0.0, 0.7])[-1], ref, rtol=1e-12, atol=1e-14)
 
 
 class TestDickeProjections:

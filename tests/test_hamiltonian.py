@@ -6,6 +6,7 @@ import dipolarray.hamiltonian as hamiltonian_mod
 from dipolarray.basis import ResourceLimitError, dicke_state
 from dipolarray.hamiltonian import (
     ZETA3,
+    CSRBlock,
     _zz_diagonals,
     chi_eff,
     exchange_hamiltonian,
@@ -155,7 +156,7 @@ class TestExchangeHamiltonian:
     def test_n2_two_excitation_block_is_zero(self):
         h = exchange_hamiltonian(build_lattice("chain", 2), 1.0)
         assert h.blocks[2].shape == (1, 1)
-        assert h.blocks[2][0, 0] == 0.0
+        assert h.blocks[2].toarray()[0, 0] == 0.0
 
     def test_zero_diagonal(self):
         h = exchange_hamiltonian(build_lattice("chain", 5), 2.0)
@@ -222,11 +223,17 @@ class TestFullHamiltonian:
 
     @pytest.mark.parametrize("n", [5, 64])
     def test_blocks_are_csr(self, n):
-        # one storage for small and large sectors (C(64, 2) = 2016)
+        # one storage for small and large sectors (C(64, 2) = 2016): int32
+        # indices, columns strictly ascending within every row
         h = full_hamiltonian(build_lattice("chain", n), 1.0, 0.1)
         for s in (0, 1, 2):
-            assert isinstance(h.blocks[s], sp.csr_array)
-            assert h.blocks[s].has_canonical_format
+            block = h.blocks[s]
+            assert isinstance(block, CSRBlock)
+            assert block.indices.dtype == block.indptr.dtype == np.int32
+            assert block.indptr[0] == 0 and block.indptr[-1] == block.nnz == len(block.indices)
+            rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+            key = rows.astype(np.int64) * block.shape[1] + block.indices
+            assert np.all(np.diff(key) > 0)
             assert h.is_sparse(s)
             assert h.dim(s) == h.sectors[s].dim
 

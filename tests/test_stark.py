@@ -32,16 +32,22 @@ class TestConstants:
     def test_literal_equals_scipy(self, name, scipy_name):
         assert getattr(stark, name) == getattr(const, scipy_name)
 
-    def test_cli_import_loads_no_scipy_linalg_or_constants(self):
+    def test_cli_run_loads_no_scipy(self, tmp_path):
+        # the library is numpy-only: importing the cli and running a gate
+        # config (sector assembly, evolution, gate time) loads no scipy module
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
-        child = "import sys, dipolarray.cli; print(' '.join(sorted(sys.modules)))"
+        cfg = tmp_path / "gate.cfg"
+        cfg.write_text("experiment = phase_gate\nkind = chain\nn_sites = 8\nboundary = periodic\n"
+                       "xi_over_kappa = 0.05\nt_max = 1.6\nn_samples = 40\n")
+        child = ("import sys, dipolarray.cli\n"
+                 f"dipolarray.cli.run({str(cfg)!r}, {str(tmp_path)!r})\n"
+                 "print(' '.join(sorted(sys.modules)))")
         out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
                              text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        loaded = [m for m in out.stdout.split()
-                  if m.startswith(("scipy.linalg", "scipy.constants"))]
-        assert loaded == []
+        assert (tmp_path / "phase_gate" / "summary.json").is_file()
+        assert [m for m in out.stdout.split() if m.split(".")[0] == "scipy"] == []
 
 
 class TestRotorEigensystem:
