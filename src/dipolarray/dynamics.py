@@ -9,21 +9,23 @@ dense array or any object with ``tocsr()`` (a scipy sparse matrix) and
 converts it first.  The engine partitions the basis into the coarsest
 *equitable partition* that keeps the initial state constant on every cell
 by colour refinement (1-WL), seeded with equal initial amplitudes and
-diagonal energies.  With P the cell indicators weighted w_c = 1/sqrt|c|,
-each round forms Hr = P^T H P and dev = H P - P Hr over row slices whose
-stored entries and (rows x k) sums each fit ``_SLICE_BYTES``: Hr sums the
-entries w_i h_ij w_j by (cell of the row, cell of the column), a slice of
-H P is a ``bincount`` of its entries by (row, cell of the column), and
-P Hr is a gather.  dev[i, c] is
-w_c times the row sum of i into cell c minus its mean over the cell of i, so
-the partition is equitable when every |dev[i, c]|/w_c is within the
-refinement tolerance, and ||dev||_F is the invariance residual.  Otherwise
-cells split by their row sums into every cell and the round repeats, until
-the partition is equitable or discrete or a split adds no cell.  P then
-spans an invariant subspace that contains the initial state, so the k x k
-quotient Hr carries the whole dynamics; it is diagonalized once, and a
-projection on the initial state is the spectral sum
-C(t) = sum_j w_j exp(-i lambda_j t).  The symmetric (Dicke) states reduce
+diagonal energies.  With S[i, c] the sum of row i of H into cell c and
+P the cell indicators weighted 1/sqrt|c|, each round takes the quotient
+from the first row f(a) of every cell a, Hr[a, c] = sqrt|a| S[f(a), c] /
+sqrt|c|, and makes one pass over row slices whose stored entries and
+(rows x k) sums each fit ``_SLICE_BYTES``: a ``bincount`` of a slice's
+entries by (row, cell of the column) gives its rows of S, and the
+deviation D[i, c] = (S[i, c] - S[f(a), c]) / sqrt|c| with a the cell of i.
+D is exactly H P - P Hr, so the partition is equitable when every row sum
+is within the refinement tolerance of its cell's first row, and ||D||_F is
+the invariance residual; since P^T D = P^T H P - Hr, the Hermitian matrix
+``eigh`` reads from the lower triangle of Hr lies within 2 ||D||_F of
+P^T H P.  Otherwise cells split by their row sums into every cell and the
+round repeats, until the partition is equitable or discrete or a split adds
+no cell.  P then spans an invariant subspace that contains the initial
+state, so the k x k quotient Hr carries the whole dynamics; it is
+diagonalized once, and a projection on the initial state is the spectral
+sum C(t) = sum_j w_j exp(-i lambda_j t).  The symmetric (Dicke) states reduce
 the two-excitation sector from C(N, 2) to a few dozen cells on periodic
 lattices, and their seed is often equitable already, so one round suffices;
 a state without symmetry gives the discrete partition, i.e. dense
@@ -152,23 +154,14 @@ def _row_slices(h: CSRBlock, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _slice_entries(h: CSRBlock, lo: int, hi: int, cells: np.ndarray, scale: np.ndarray | None):
-    """Row counts of rows lo..hi-1, then the cell of the column and the value
-    times ``scale`` of that cell for each of their stored entries."""
-    a, b = h.indptr[lo], h.indptr[hi]
-    cell = cells[h.indices[a:b].astype(np.intp)]
-    vals = h.data[a:b] if scale is None else h.data[a:b] * scale[cell]
-    return np.diff(h.indptr[lo:hi + 1]), cell, vals
-
-
-def _cell_sums(h: CSRBlock, lo: int, hi: int, cells: np.ndarray, k: int,
-               scale: np.ndarray | None = None) -> np.ndarray:
+def _cell_sums(h: CSRBlock, lo: int, hi: int, cells: np.ndarray, k: int) -> np.ndarray:
     """Dense (hi - lo) x k sums of rows lo..hi-1 of ``h`` into every cell,
-    each entry times ``scale`` of its column's cell; each (row, cell) sum
-    runs in entry order, as a sparse product with the cell indicator does."""
-    count, key, vals = _slice_entries(h, lo, hi, cells, scale)
-    key += np.repeat(np.arange(0, (hi - lo) * k, k), count)
-    return _bincount(key, vals, (hi - lo) * k).reshape(hi - lo, k)
+    each (row, cell) sum in entry order, as a sparse product with the cell
+    indicator does."""
+    a, b = h.indptr[lo], h.indptr[hi]
+    key = cells[h.indices[a:b].astype(np.intp)]
+    key += np.repeat(np.arange(0, (hi - lo) * k, k), np.diff(h.indptr[lo:hi + 1]))
+    return _bincount(key, h.data[a:b], (hi - lo) * k).reshape(hi - lo, k)
 
 
 def _bincount(key: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -209,52 +202,49 @@ def _row_keys(h: CSRBlock, cells: np.ndarray, tol: float) -> np.ndarray:
     return keys
 
 
-def _quotient(h: CSRBlock, cells: np.ndarray, weight: np.ndarray, root: np.ndarray,
+def _quotient(h: CSRBlock, cells: np.ndarray, root: np.ndarray,
               tol: float) -> tuple[np.ndarray, bool, float]:
-    """Hr = P^T H P, whether dev = H P - P Hr is within ``tol`` of zero on
-    every |dev[i, c]| root[c], and ||dev||_F.
+    """Hr from the first row f(a) of every cell a, whether every row sum is
+    within ``tol`` of its cell's first row, and ||D||_F for the deviation
+    D = H P - P Hr.
 
-    Two passes over row slices, so every temporary is slice-sized: the first
-    adds each slice's w_i h_ij w_j into Hr by (cell of i, cell of j), the
-    second forms the slice's hp = H P and dev from the finished Hr.  Each
-    slice's ``bincount`` starts from the Hr rows it adds to, so every Hr
-    entry is summed in entry order and no result depends on the slicing.
+    With S[i, c] the sum of row i into cell c, Hr[a, c] = root[a] S[f(a), c]
+    / root[c], formed in column order, the order ``eigh`` reads, and
+    D[i, c] = (S[i, c] - S[f(a), c]) / root[c].  The k first rows are summed
+    up front; D takes one pass over row slices.  Every (row, cell) sum runs
+    in entry order, so D is exactly zero on the first rows and no result
+    depends on the slicing.
     """
     k = len(root)
-    col_weight = 1.0 / root
-    slices = _row_slices(h, k)
-    hr = np.zeros((k, k), dtype=np.result_type(h.data, float))
-    first = np.unique(cells, return_index=True)[1]  # first row of every cell
-    for lo, hi in slices:
-        count, cell, vals = _slice_entries(h, lo, hi, cells, col_weight)
-        vals *= np.repeat(weight[lo:hi], count)
-        ids, local = np.unique(cells[lo:hi], return_inverse=True)
-        cell += np.repeat(local * k, count)
-        # the rows of cells begun in earlier slices lead their own sums
-        begun = np.flatnonzero(first[ids] < lo)
-        carry = (begun * k)[:, None] + np.arange(k)
-        hr[ids] = _bincount(np.concatenate([carry.ravel(), cell]),
-                            np.concatenate([hr[ids[begun]].ravel(), vals]), len(ids) * k).reshape(-1, k)
-    worst, sumsq = np.zeros(k), 0.0
-    for lo, hi in slices:
-        dev = _cell_sums(h, lo, hi, cells, k, col_weight)
-        phr = np.take(hr, cells[lo:hi], axis=0)  # rows lo..hi-1 of P Hr
-        phr *= weight[lo:hi, None]
-        dev -= phr
+    first = np.unique(cells, return_index=True)[1]
+    # positions of the stored entries of rows first[0], first[1], ...
+    count = np.diff(h.indptr)[first]
+    at = np.arange(count.sum()) + np.repeat(h.indptr[first] - np.cumsum(count) + count, count)
+    key = cells[h.indices[at].astype(np.intp)] * k + np.repeat(np.arange(k), count)
+    s_first = _bincount(key, h.data[at], k * k).reshape(k, k)  # [c, a] = S[f(a), c]
+    hr = s_first * root
+    hr /= root[:, None]
+    # from here [a, c]: the pass gathers whole rows, and gathering them from columns
+    # made the open chain N = 81 round (k = 1640) a quarter slower
+    s_first = np.ascontiguousarray(s_first.T)
+    worst, sumsq = 0.0, 0.0
+    for lo, hi in _row_slices(h, k):
+        dev = _cell_sums(h, lo, hi, cells, k)
+        dev -= s_first[cells[lo:hi]]
+        worst = max(worst, float(np.abs(dev).max()))
+        dev /= root
         sumsq += float(np.vdot(dev, dev).real)
-        np.maximum(worst, np.abs(dev).max(axis=0), out=worst)
-    # root > 0 keeps the order, so this is the largest |dev[i, c]| root[c]
-    return hr, bool((worst * root).max() <= tol), float(np.sqrt(sumsq))
+    return hr.T, worst <= tol, float(np.sqrt(sumsq))
 
 
 class _SectorEvolver:
     """Exact evolution of one Hermitian block from one initial state.
 
-    Refinement and the invariance check share each round's products, whose
-    deviation dev = H P - P Hr is both the equitability test and the
+    Refinement and the invariance check share each round's pass, whose
+    deviation D = H P - P Hr is both the equitability test and the
     residual (see the module docstring).  ``dim`` is the reduced
     (quotient) dimension, ``rounds`` the number of splits, ``residual``
-    ||dev||_F relative to max |H_ij|, and ``lam`` and ``w`` the quotient
+    ||D||_F relative to max |H_ij|, and ``lam`` and ``w`` the quotient
     eigenvalues and the initial state's weights on them.
     """
 
@@ -275,8 +265,7 @@ class _SectorEvolver:
             if need > QUOTIENT_BYTES_MAX:
                 raise ResourceLimitError(f"quotient of dimension {self.dim} or more needs about {need / 2**20:.0f} MiB "
                                          f"to diagonalize; cap is {QUOTIENT_BYTES_MAX / 2**20:.0f} MiB")
-            self._weight = 1.0 / root[self.cells]
-            hr, equitable, dev_norm = _quotient(h, self.cells, self._weight, root, tol)
+            hr, equitable, dev_norm = _quotient(h, self.cells, root, tol)
             if self.dim == len(self.cells) or equitable:
                 break
             split = _cell_ids(_row_keys(h, self.cells, tol))
@@ -288,9 +277,7 @@ class _SectorEvolver:
         if not self.residual <= RESIDUAL_TOL:
             raise InvarianceError(f"quotient of dimension {self.dim} is not invariant: "
                                   f"residual {self.residual:.2e} > {RESIDUAL_TOL:.0e}")
-        # in column order: numpy's eigh copies a row-ordered matrix column by
-        # column, which threaded BLAS makes slower than a small eigh itself
-        hr = np.asfortranarray(hr)
+        self._weight = 1.0 / root[self.cells]
         self.lam, self._vec = np.linalg.eigh(hr)
         self._coef = self._vec.conj().T @ _bincount(self.cells, self._weight * psi0, self.dim)
         w = np.abs(self._coef) ** 2
@@ -369,8 +356,7 @@ class Trajectory:
     deterministic record of how the trajectory was computed: sector and
     quotient dimensions, split rounds per sector, the largest invariance
     residual, final grid size and densify rounds; :func:`gate_time` sets
-    ``gate_time`` and ``diagnostics["gate_time_method"]`` ("bisection" or
-    "interpolation").
+    ``diagnostics["gate_time_method"]`` ("bisection" or "interpolation").
     """
 
     times: np.ndarray
@@ -382,7 +368,6 @@ class Trajectory:
     cos_half: np.ndarray
     spectra: tuple[tuple[np.ndarray, np.ndarray], ...]
     diagnostics: dict
-    gate_time: float | None = None
 
 
 def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) -> Trajectory:
@@ -444,7 +429,7 @@ def _extract_phase(c0, c1, c2):
     rel = np.unwrap(np.angle(x) - np.angle(y))
     rel = rel - rel[0]  # Theta(0) = 0
     cos_half = 0.5 * (np.abs(x) + np.abs(y)) * np.cos(rel / 2.0)
-    excess = np.max(cos_half) - 1.0
+    excess = np.max(np.abs(cos_half)) - 1.0
     if excess > CLIP_WARN_EXCESS:
         warnings.warn(
             f"|cos(Theta/2)| exceeds 1 by {excess:.2e}; phase no longer well defined",
@@ -526,5 +511,4 @@ def gate_time(trajectory: Trajectory, rel_tol: float = 1e-4) -> float:
         tg = 0.5 * (t_lo + t_hi)
         method = "bisection"
     trajectory.diagnostics["gate_time_method"] = method
-    trajectory.gate_time = tg
     return tg

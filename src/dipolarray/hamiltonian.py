@@ -248,7 +248,6 @@ class EffectiveGateParams:
     chi_eff: float
     chi_tilde_eff: float
     t_pi: float
-    use_tilde: bool
 
 
 def gate_params(lattice: Lattice, kappa: float, xi: float, use_tilde: bool | None = None) -> EffectiveGateParams:
@@ -264,12 +263,7 @@ def gate_params(lattice: Lattice, kappa: float, xi: float, use_tilde: bool | Non
     if use_tilde and xi == 0.0:
         raise ValueError("t_pi from chi_tilde requested but xi = 0")
     sel = chit if use_tilde else chi
-    return EffectiveGateParams(
-        chi_eff=chi,
-        chi_tilde_eff=chit,
-        t_pi=np.pi / (2.0 * abs(sel)),
-        use_tilde=use_tilde,
-    )
+    return EffectiveGateParams(chi_eff=chi, chi_tilde_eff=chit, t_pi=np.pi / (2.0 * abs(sel)))
 
 
 def theta_analytic(lattice_kind: str, kappa: float, t: float | np.ndarray, n_sites: int) -> float | np.ndarray:

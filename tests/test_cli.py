@@ -22,6 +22,7 @@ from dipolarray.cli import (
     main,
     parse_config,
 )
+from record_golden import GOLDEN, assert_matches_golden
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
@@ -530,3 +531,4 @@ def test_shipped_config_reruns_byte_identical(tmp_path, config):
         outputs.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
     assert outputs[0]
     assert outputs[0] == outputs[1]
+    assert_matches_golden(tmp_path / "first", GOLDEN / f"{config.stem}.json")

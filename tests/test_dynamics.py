@@ -322,14 +322,15 @@ def scipy_evolver(block, psi0):
     lam, vec = np.linalg.eigh(hr.toarray())
     coef = vec.conj().T @ (p.T @ psi0)
     w = np.abs(coef) ** 2
-    return SimpleNamespace(cells=cells, rounds=rounds, hr=hr.toarray(), weight=weight, root=root,
+    return SimpleNamespace(cells=cells, rounds=rounds, hr=hr.toarray(), root=root,
                            tol=tol, residual=float(np.linalg.norm(dev.data)) / scale, lam=lam, w=w / w.sum())
 
 
 def assert_matches_scipy(block, psi0):
     """Cells and rounds of the evolver equal the scipy round's.  The engine
-    sums Hr term by term, w_i h_ij w_j, where the sparse product first sums
-    each row into hp, so each entry agrees to 64 eps of max |Hr| and each
+    takes Hr from the first row of every cell, where the sparse product
+    P^T H P sums whole cells; on an equitable partition the two differ by
+    roundoff, so each entry agrees to 64 eps of max |Hr| and each
     eigenvalue to k times that (Weyl), the projection on psi0 to 1e-10 over
     t <= 40 and the residuals to 1e-13.  Row slices of 256 KiB and of one
     row give bitwise the same quotient."""
@@ -341,7 +342,7 @@ def assert_matches_scipy(block, psi0):
     for slice_bytes in (dyn_mod._SLICE_BYTES, 1):
         with mock.patch.object(dyn_mod, "_SLICE_BYTES", slice_bytes):
             ev = dyn_mod._SectorEvolver(block, psi0)
-            hr = dyn_mod._quotient(dyn_mod._as_block(block), ev.cells, ref.weight, ref.root, ref.tol)[0]
+            hr = dyn_mod._quotient(dyn_mod._as_block(block), ev.cells, ref.root, ref.tol)[0]
         assert np.array_equal(ev.cells, ref.cells)
         assert ev.rounds == ref.rounds
         np.testing.assert_allclose(hr, ref.hr, rtol=0, atol=entry_tol)
@@ -405,30 +406,52 @@ def test_engine_matches_scipy_on_random_hermitian(seed):
     assert assert_matches_scipy(h, np.full(m, 1.0 / np.sqrt(m), dtype=complex)).rounds >= 1
 
 
+def recording_cell_sums(monkeypatch):
+    """Patch the engine's one block reader; returns the list of (number of
+    stored entries, sums) of every slice it reads."""
+    calls, cell_sums = [], dyn_mod._cell_sums
+
+    def record(h, lo, hi, *rest):
+        calls.append((int(h.indptr[hi] - h.indptr[lo]), cell_sums(h, lo, hi, *rest)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(dyn_mod, "_cell_sums", record)
+    return calls
+
+
 def test_slices_bound_every_temporary(monkeypatch):
-    # open chain 40: dim 780, 77 entries a row, quotient 400.  The stored
-    # entries and the (rows x k) sums of every slice stay within the slice,
-    # and the spectrum is the same bitwise
+    # open chain 40: dim 780, 77 entries a row, quotient 400, equitable from
+    # the seed.  The stored entries and the (rows x k) sums of every slice
+    # stay within the slice, the one round covers every (row, cell) sum
+    # exactly once, and the spectrum is the same bitwise
     ham = full_hamiltonian(build_lattice("chain", 40), 1.0, 0.3)
-    psi0 = dicke_state(ham.sectors[2])
-    whole = dyn_mod._SectorEvolver(ham.blocks[2], psi0)
-    assert (ham.dim(2), whole.dim) == (780, 400)
-    entries, sums = [], []
-    slice_entries, cell_sums = dyn_mod._slice_entries, dyn_mod._cell_sums
-
-    def record(store, f):
-        return lambda *a: store.append(f(*a)) or store[-1]
-
-    monkeypatch.setattr(dyn_mod, "_slice_entries", record(entries, slice_entries))
-    monkeypatch.setattr(dyn_mod, "_cell_sums", record(sums, cell_sums))
+    block, psi0 = ham.blocks[2], dicke_state(ham.sectors[2])
+    whole = dyn_mod._SectorEvolver(block, psi0)
+    assert (ham.dim(2), whole.dim, whole.rounds) == (780, 400, 0)
+    calls = recording_cell_sums(monkeypatch)
     monkeypatch.setattr(dyn_mod, "_SLICE_BYTES", 2**14)
-    sliced = dyn_mod._SectorEvolver(ham.blocks[2], psi0)
-    assert max(vals.nbytes for _, _, vals in entries) <= 2**14
-    assert max(s.nbytes for s in sums) <= 2**14
-    # both passes cover every entry, the second every (row, cell) sum
-    assert sum(len(vals) for _, _, vals in entries) == 2 * ham.blocks[2].nnz
-    assert sum(s.nbytes for s in sums) == ham.dim(2) * whole.dim * 8
+    sliced = dyn_mod._SectorEvolver(block, psi0)
+    assert max(n * block.data.itemsize for n, _ in calls) <= 2**14
+    assert max(sums.nbytes for _, sums in calls) <= 2**14
+    assert sum(sums.nbytes for _, sums in calls) == ham.dim(2) * whole.dim * 8
     assert np.array_equal(sliced.lam, whole.lam) and np.array_equal(sliced.w, whole.w)
+
+
+@pytest.mark.parametrize("kind, n_sites, boundary, xi, rounds", [
+    ("chain", 64, "periodic", 0.05, [0, 0, 0]),  # the gate_large sectors
+    ("square", 64, "open", 0.05, [0, 0, 0]),
+    ("triangular", 16, "open", 1.0, [0, 1, 2]),  # bare exchange
+])
+def test_block_passes_per_round(monkeypatch, kind, n_sites, boundary, xi, rounds):
+    # a round that ends equitable reads the block once; a split round reads
+    # it once more for the row keys
+    ham = full_hamiltonian(build_lattice(kind, n_sites, boundary=boundary), 1.0, xi)
+    calls = recording_cell_sums(monkeypatch)
+    for n in (0, 1, 2):
+        calls.clear()
+        ev = dyn_mod._SectorEvolver(ham.blocks[n], dicke_state(ham.sectors[n]))
+        assert ev.rounds == rounds[n]
+        assert sum(len(sums) for _, sums in calls) == (2 * ev.rounds + 1) * ham.dim(n)
 
 
 class TestBlockInput:
@@ -567,6 +590,11 @@ class TestNonlinearPhase:
         ones = np.ones(5, dtype=complex)
         with pytest.warns(RuntimeWarning, match="exceeds 1"):
             dyn_mod._extract_phase(ones, ones * (1.0 + 2e-6), ones)
+        # below -1: cos(Theta/2) reaches -1.00001 at t = 1
+        t = np.linspace(0.0, 1.0, 41)
+        ones = np.ones_like(t, dtype=complex)
+        with pytest.warns(RuntimeWarning, match="exceeds 1 by 1.00e-05"):
+            dyn_mod._extract_phase(ones, ones, (1.0 + 2e-5 * t) * np.exp(2j * np.pi * t))
 
 
 class TestGateTime:
