@@ -22,10 +22,12 @@ DEFAULT_DIMENSION_CAP = 10**6
 
 class ResourceLimitError(RuntimeError):
     """A requested computation exceeds its configured size cap: the sector
-    basis dimension cap, the memory cap of the two-excitation assembly
-    (``hamiltonian.ASSEMBLY_BYTES_MAX``), the memory cap of the dense
-    quotient diagonalization (``dynamics.QUOTIENT_BYTES_MAX``), or the
-    memory cap of the gamma2 pair tables (``phonon.PAIR_TABLE_BYTES_MAX``)."""
+    basis dimension cap (``DEFAULT_DIMENSION_CAP``), the memory cap of the
+    two-excitation assembly (``hamiltonian.ASSEMBLY_BYTES_MAX``), the memory
+    cap of the dense quotient diagonalization (``dynamics.QUOTIENT_BYTES_MAX``),
+    the memory cap of the gamma2 pair tables (``phonon.PAIR_TABLE_BYTES_MAX``),
+    or the memory cap of the large-cutoff dispersion tables
+    (``spinwave.DISPERSION_BYTES_MAX``)."""
 
 
 def rank_config(config: tuple[int, ...]) -> int:
@@ -59,13 +61,13 @@ class SectorBasis:
         return len(self.configs)
 
 
-def sector_basis(n_sites: int, n_exc: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> SectorBasis:
+def sector_basis(n_sites: int, n_exc: int) -> SectorBasis:
     if not 0 <= n_exc <= n_sites:
         raise ValueError(f"need 0 <= n_exc <= n_sites, got {n_exc}, {n_sites}")
     dim = comb(n_sites, n_exc)
-    if dim > dimension_cap:
+    if dim > DEFAULT_DIMENSION_CAP:
         raise ResourceLimitError(
-            f"sector dimension C({n_sites},{n_exc}) = {dim} exceeds cap {dimension_cap}"
+            f"sector dimension C({n_sites},{n_exc}) = {dim} exceeds cap {DEFAULT_DIMENSION_CAP}"
         )
     # combinations of the descending sites come in reverse colex order, each
     # tuple descending: flipping both axes gives colex order, rows ascending

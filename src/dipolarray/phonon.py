@@ -7,7 +7,7 @@ lengths are in a and energies in U_dd, the per-pair Hessian is
 
     K_ab(r) = (3/rho^5) (5 n_a n_b - delta_ab),      n = r/|r|,
 
-and the dynamical matrix D(q) = sum_{j != 0} K(r_j) (1 - cos q.r_j) has
+and the dynamical matrix D(q) = sum_{j != 0} 2 K(r_j) sin^2(q.r_j / 2) has
 eigenvalues f_lambda(q)^2 with mode energies hbar*omega = (U_dd/sqrt(beta))
 f_lambda(q): acoustic branches, one longitudinal in 1D and two in 2D.
 
@@ -37,13 +37,13 @@ two-excitation sum over one unordered pair k <= k' per orbit {(k, k'),
 each term carries its orbit size, and a pair with k != k' also counts twice
 (k <-> k').  Both share :func:`_decay_sum`, which prescales
 each mode's weight by 2 / omega^2 once and hands the sin^2 sum to
-:func:`dipolarray.spinwave._sin2_sum`, the kernel of the perturbative
-two-excitation sum too: it streams the mode axis in slices of a fixed byte
-size, a few at once on the CPUs this process may use, so no (times x modes)
-array is ever held and the result does not depend on the thread count; the
-pair tables are O(N^2 branches) and :func:`gamma2` refuses up front with
-:class:`~dipolarray.basis.ResourceLimitError` when they would exceed
-``PAIR_TABLE_BYTES_MAX``.  Both sums run without the coupling amplitudes,
+:func:`dipolarray.spinwave._sin2_sum`, the kernel of the dynamical matrices
+and of every spin-wave lattice sum too: it streams the mode axis in slices
+of a fixed byte size, a few at once on the CPUs this process may use, so no
+(times x modes) array is ever held and the result does not depend on the
+thread count; the pair tables are O(N^2 branches) and :func:`gamma2`
+refuses up front with :class:`~dipolarray.basis.ResourceLimitError` when
+they would exceed ``PAIR_TABLE_BYTES_MAX``.  Both sums run without the coupling amplitudes,
 which multiply the results afterwards, so the normalized curves stay exact
 when (xi + 4 b0)^2 underflows.  A negative eigenvalue of D(q), or a
 vanishing branch frequency with finite coupling, makes
@@ -89,13 +89,15 @@ class UnstableCrystalError(ArithmeticError):
 
 
 def _dynamical_matrices(rel: np.ndarray, qvecs: np.ndarray) -> np.ndarray:
-    """D(q) = sum_j K(r_j) (1 - cos q.r_j) for every row of ``qvecs``, (M, D, D)."""
+    """D(q) = sum_j 2 K(r_j) sin^2(q.r_j / 2) for every row of ``qvecs``,
+    (M, D, D): :func:`~dipolarray.spinwave._sin2_sum` with h = r_j / 2 and
+    one weight column per matrix entry."""
     rn = np.linalg.norm(rel, axis=1)
     nhat = rel / rn[:, None]
     dim = rel.shape[1]
     pair = 5.0 * nhat[:, :, None] * nhat[:, None, :] - np.eye(dim)  # (N-1, D, D)
-    w = (1.0 - np.cos(qvecs @ rel.T)) * (3.0 / rn**5)               # (M, N-1)
-    return (w @ pair.reshape(len(rel), dim * dim)).reshape(len(qvecs), dim, dim)
+    c = (6.0 / rn**5)[:, None] * pair.reshape(len(rel), dim * dim)
+    return _sin2_sum(c, rel / 2.0, qvecs).reshape(len(qvecs), dim, dim)
 
 
 def dynamical_matrix(lattice: Lattice, qvec: np.ndarray) -> np.ndarray:

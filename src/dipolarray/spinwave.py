@@ -3,14 +3,18 @@ and finite-size decay-scaling diagnostics.
 
 Energies are in units of kappa (hbar = 1); momenta in units of 1/a.
 
-The mode sums of the form sum_m c_m sin^2(h_m t), here and in
-:mod:`dipolarray.phonon`, share one kernel, :func:`_sin2_sum`.  It cuts the
-mode axis into slices of ``_SLICE_BYTES`` of (slice x times) float64 and runs
-up to W slices at once on a thread pool, W being the number of CPUs this
-process may run on (its affinity mask), capped so that W slices fit in
-``_CHUNK_BYTES``.  NumPy's sin, square and the BLAS contraction release the
-GIL, so the slices run in parallel; the per-slice partial sums are added in
-slice order, so every result is bitwise independent of W.
+Every lattice and mode sum of the form sum_m c_m sin^2(h_m . t), here and in
+:mod:`dipolarray.phonon`, runs through one kernel, :func:`_sin2_sum`: the
+band omega_k (h = r_j / 2 against the momenta), the Fourier kernel
+F_k = F_0 - omega_k / 2 kappa, the large-cutoff sums of
+:func:`dispersion_curve`, the perturbative decay, the phonon dynamical
+matrices (one weight column per matrix entry) and the phonon decay sums.  It
+cuts the mode axis into slices of ``_SLICE_BYTES`` of (slice x times)
+float64 and runs up to W slices at once on a thread pool, W being the number
+of CPUs this process may run on (its affinity mask), capped so that W slices
+fit in ``_CHUNK_BYTES``.  NumPy's sin, square and the BLAS contraction
+release the GIL, so the slices run in parallel; the per-slice partial sums
+are added in slice order, so every result is bitwise independent of W.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import ResourceLimitError
 from .dynamics import compute_trajectory
 from .hamiltonian import full_hamiltonian, gate_params
 from .lattice import Lattice, MomentumGrid, build_lattice, momentum_grid, relative_sites
@@ -48,6 +53,12 @@ _SLICE_BYTES = 2**20
 # sin^2 blocks in flight at once in _sin2_sum
 _CHUNK_BYTES = 8 * 2**20
 
+# dispersion_curve refuses displacement tables whose estimated size exceeds this
+DISPERSION_BYTES_MAX = 2**30
+# bytes per summed site of those tables, fitted to the tracemalloc peak
+# beyond the sin^2 slices of _sin2_sum (which add at most _CHUNK_BYTES)
+_DISPERSION_SITE_BYTES = {"chain": 25, "square": 34}
+
 
 def _sin2_workers() -> int:
     """Threads for _sin2_sum: the CPUs in this process's affinity mask,
@@ -60,12 +71,15 @@ def _sin2_workers() -> int:
 
 
 def _sin2_sum(c: np.ndarray, h: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """sum_m c_m sin^2(h_m t) at every t of ``times``, with h_m t rounded
-    exactly as ``h[m] * times``.
+    """sum_m c_m sin^2(h_m . t) at every t of ``times``.
 
-    The mode axis runs in slices of ``_SLICE_BYTES``, up to
-    :func:`_sin2_workers` of them at once; ``map`` yields the partial sums in
-    slice order and they are added in that order.  One worker runs inline.
+    A (modes,) ``h`` gives the phase h_m t rounded exactly as
+    ``h[m] * times``; a (modes, D) ``h`` takes (T, D) ``times`` and the dot
+    product of h_m with each row.  ``c`` is (modes,) or (modes, W), and the
+    result (T,) or (T, W).  The mode axis runs in slices of
+    ``_SLICE_BYTES``, up to :func:`_sin2_workers` of them at once; ``map``
+    yields the partial sums in slice order and they are added in that order.
+    One worker runs inline.
     """
     step = max(1, _SLICE_BYTES // (8 * max(len(times), 1)))
     starts = range(0, len(c), step)
@@ -76,39 +90,40 @@ def _sin2_sum(c: np.ndarray, h: np.ndarray, times: np.ndarray) -> np.ndarray:
         # np.errstate is context-local and a worker thread starts from the
         # defaults, so every slice sets them, wherever it runs
         with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
-            s = np.multiply(h[part, None], times)
+            s = np.multiply(h[part, None], times) if h.ndim == 1 else h[part] @ times.T
             np.sin(s, out=s)
             np.square(s, out=s)
-            return c[part] @ s
+            return c[part].T @ s
 
+    zero = np.zeros(c.shape[1:] + (len(times),))
     if workers <= 1:
-        return sum(map(block, starts), np.zeros(len(times)))
+        return sum(map(block, starts), zero).T
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(block, starts), np.zeros(len(times)))
+        return sum(pool.map(block, starts), zero).T
 
 
 def spin_wave_energies(lattice: Lattice, kvecs: np.ndarray, kappa: float = 1.0) -> np.ndarray:
-    """hbar*omega_k = kappa * sum_{j != 0} (4/|r_j|^3) sin^2(k.r_j / 2).
+    """hbar*omega_k = kappa * sum_{j != 0} (4/|r_j|^3) sin^2(k.r_j / 2) on the
+    periodic lattice, by :func:`_sin2_sum` with h = r_j / 2.
 
     The energy of the uniform (k = 0) one-excitation mode minus the energy of
     the k mode; non-negative for the repulsive kernel.
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
+    if not lattice.periodic:
+        raise ValueError("spin-wave energies require a periodic lattice")
     rel = relative_sites(lattice)
     r3 = np.linalg.norm(rel, axis=1) ** 3
-    dots = np.atleast_2d(kvecs) @ rel.T
-    return kappa * (4.0 * np.sin(dots / 2.0) ** 2 / r3).sum(axis=1)
+    return kappa * _sin2_sum(4.0 / r3, rel / 2.0, np.atleast_2d(kvecs))
 
 
 def fourier_kernel(lattice: Lattice, kvecs: np.ndarray) -> np.ndarray:
-    """F_k = a^3 sum_{j != 0} cos(k.r_j) / |r_j|^3 on the periodic lattice."""
-    if not lattice.periodic:
-        raise ValueError("fourier_kernel requires a periodic lattice")
-    rel = relative_sites(lattice)
-    r3 = np.linalg.norm(rel, axis=1) ** 3
-    dots = np.atleast_2d(kvecs) @ rel.T
-    return (np.cos(dots) / r3).sum(axis=1)
+    """F_k = a^3 sum_{j != 0} cos(k.r_j) / |r_j|^3 on the periodic lattice,
+    as F_0 - omega_k / 2 kappa from :func:`spin_wave_energies`
+    (1 - cos x = 2 sin^2(x / 2))."""
+    band = spin_wave_energies(lattice, kvecs)
+    return (1.0 / np.linalg.norm(relative_sites(lattice), axis=1) ** 3).sum() - band / 2.0
 
 
 @dataclass
@@ -140,28 +155,35 @@ def dispersion_curve(kind: str, ka: np.ndarray, kappa: float = 1.0, cutoff: int 
     """Large-cutoff dispersion at arbitrary momenta (k along a lattice axis).
 
     1D sums run over displacements 1..cutoff on both sides; 2D over the
-    square patch |x|, |y| <= M of :func:`_square_half_width`.
+    square patch |x|, |y| <= M of :func:`_square_half_width`; both by
+    :func:`_sin2_sum` with h = x / 2.  Raises
+    :class:`~dipolarray.basis.ResourceLimitError` when the displacement
+    tables would exceed ``DISPERSION_BYTES_MAX``.
     """
     _require_cutoff(cutoff)
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
+    if kind not in ("chain", "square"):
+        raise ValueError(f"unsupported lattice kind {kind!r}")
+    m = _square_half_width(cutoff)
+    sites = cutoff if kind == "chain" else (2 * m + 1) ** 2
+    need = sites * _DISPERSION_SITE_BYTES[kind]
+    if need > DISPERSION_BYTES_MAX:
+        raise ResourceLimitError(
+            f"dispersion tables need about {need / 2**20:.0f} MiB at sum_cutoff = {cutoff}; "
+            f"cap is {DISPERSION_BYTES_MAX / 2**20:.0f} MiB"
+        )
     ka = np.atleast_1d(np.asarray(ka, dtype=float))
     if kind == "chain":
-        d = np.arange(1, cutoff + 1, dtype=float)
-        return kappa * (8.0 * np.sin(np.outer(ka, d) / 2.0) ** 2 / d**3).sum(axis=1)
-    if kind == "square":
-        m = _square_half_width(cutoff)
-        x, y = np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1), indexing="ij")
-        x = x.ravel().astype(float)
-        y = y.ravel().astype(float)
+        x = np.arange(1, cutoff + 1, dtype=float)
+        c = 8.0 / x**3
+    else:
+        side = np.arange(-m, m + 1, dtype=float)
+        x, y = (a.ravel() for a in np.meshgrid(side, side, indexing="ij"))
         sel = (x != 0) | (y != 0)
         x, y = x[sel], y[sel]
-        r3 = (x**2 + y**2) ** 1.5
-        out = np.empty(len(ka))
-        for i, k in enumerate(ka):
-            out[i] = kappa * (4.0 * np.sin(k * x / 2.0) ** 2 / r3).sum()
-        return out
-    raise ValueError(f"unsupported lattice kind {kind!r}")
+        c = 4.0 / (x**2 + y**2) ** 1.5
+    return kappa * _sin2_sum(c, x / 2.0, ka)
 
 
 def dispersion_asymptote_check(kind: str, kappa: float = 1.0, cutoff: int = 100_000) -> dict:
@@ -249,10 +271,12 @@ def fgr_scaling_diagnostic(
     """Power-law fit of the maximum decay probability versus N.
 
     The estimator is the perturbative sum of :func:`perturbative_decay2`,
-    maximized over [0, window_t_pi * t_pi(N)]; optionally the exact sector
-    dynamics is run alongside and fitted the same way.  Fits are least
+    maximized over [0, window_t_pi * t_pi(N)] (window_t_pi > 0); optionally
+    the exact sector dynamics is run alongside and fitted the same way.  Fits are least
     squares on log-log data; decay = prefactor * N^alpha.
     """
+    if not window_t_pi > 0:
+        raise ValueError(f"window_t_pi must be positive, got {window_t_pi}")
     n_values = list(n_values)
     if len(set(n_values)) < 3:
         raise ValueError(f"need at least 3 distinct lattice sizes for a power-law fit, got {n_values}")

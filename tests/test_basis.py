@@ -20,7 +20,7 @@ class TestSectorBasis:
 
     def test_dimension_cap(self):
         with pytest.raises(ResourceLimitError):
-            sector_basis(100, 5, dimension_cap=10**6)
+            sector_basis(100, 5)
 
     def test_rank_unrank_bijection_exhaustive(self):
         for n_sites, n_exc in [(6, 2), (7, 3), (5, 0), (5, 5), (20, 2), (12, 4)]:

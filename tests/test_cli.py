@@ -10,6 +10,7 @@ import pytest
 import dipolarray.dynamics as dynamics_mod
 import dipolarray.hamiltonian as hamiltonian_mod
 import dipolarray.phonon as phonon_mod
+import dipolarray.spinwave as spinwave_mod
 from dipolarray.cli import (
     EXIT_CONFIG,
     EXIT_NO_GATE,
@@ -226,6 +227,13 @@ n_samples = 60
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
         assert "resource limit: gamma2 pair tables" in capsys.readouterr().err
 
+    def test_dispersion_memory_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spinwave_mod, "DISPERSION_BYTES_MAX", 1000)
+        cfg = write_cfg(tmp_path, "experiment = dispersion\nkind = chain\nsum_cutoff = 1000\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert "resource limit: dispersion tables need about" in err and "sum_cutoff = 1000;" in err
+
     def test_assembly_cap_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(hamiltonian_mod, "ASSEMBLY_BYTES_MAX", 1000)
         cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 8\nboundary = periodic\n")
@@ -282,6 +290,14 @@ n_samples = 60
         cfg = write_cfg(tmp_path, f"experiment = scaling_fit\nn_values = {values}\ninclude_exact = false\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error: need at least 3 distinct lattice sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("include_exact", ["false", "true"])
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    def test_scaling_fit_non_positive_window_exit_code(self, tmp_path, capsys, window, include_exact):
+        cfg = write_cfg(tmp_path, f"experiment = scaling_fit\nwindow_t_pi = {window}\n"
+                                  f"include_exact = {include_exact}\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: window_t_pi must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         "experiment = phase_gate\nn_sites = 8\n",

@@ -10,7 +10,7 @@ import dipolarray.phonon as phonon_mod
 import dipolarray.spinwave as spinwave_mod
 from dipolarray.basis import ResourceLimitError
 from dipolarray.hamiltonian import ZETA3
-from dipolarray.lattice import build_lattice, momentum_grid
+from dipolarray.lattice import build_lattice, momentum_grid, relative_sites
 from dipolarray.phonon import (
     UnstableCrystalError,
     build_phonon_model,
@@ -109,6 +109,21 @@ class TestDynamicalMatrix:
         for q in g.kvecs[::5]:
             d = dynamical_matrix(lat, q)
             assert np.abs(d - d.T).max() < 1e-12
+
+    @pytest.mark.parametrize("slice_modes", [2, None])
+    @pytest.mark.parametrize("kind, n", [("chain", 40), ("triangular", 49)])
+    def test_matches_one_minus_cos_oracle(self, monkeypatch, kind, n, slice_modes):
+        lat = build_lattice(kind, n, boundary="periodic")
+        rel = relative_sites(lat)
+        q = momentum_grid(lat).kvecs
+        if slice_modes is not None:
+            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(q) * slice_modes)
+        rn = np.linalg.norm(rel, axis=1)
+        nhat = rel / rn[:, None]
+        pair = 5.0 * nhat[:, :, None] * nhat[:, None, :] - np.eye(lat.dimension)
+        ref = np.einsum("qj,jab->qab", (1.0 - np.cos(q @ rel.T)) * (3.0 / rn**5), pair)
+        got = phonon_mod._dynamical_matrices(rel, q)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_rejects_square_and_open(self):
         with pytest.raises(ValueError, match="unsupported"):

@@ -1,14 +1,17 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dipolarray.phonon as phonon_mod
 import dipolarray.spinwave as spinwave_mod
+from dipolarray.basis import ResourceLimitError
 from dipolarray.hamiltonian import ZETA3, exchange_hamiltonian
-from dipolarray.lattice import build_lattice, momentum_grid
+from dipolarray.lattice import build_lattice, momentum_grid, relative_sites
 from dipolarray.spinwave import (
     dispersion,
     dispersion_asymptote_check,
@@ -48,8 +51,22 @@ class TestDispersion:
             assert (d.omega >= -1e-12).all()
 
     def test_open_boundary_rejected(self):
+        open_chain = build_lattice("chain", 8)
         with pytest.raises(ValueError):
-            dispersion(build_lattice("chain", 8))
+            dispersion(open_chain)
+        with pytest.raises(ValueError, match="periodic lattice"):
+            spin_wave_energies(open_chain, np.array([[np.pi]]))
+
+    @pytest.mark.parametrize("slice_modes", [3, None])
+    @pytest.mark.parametrize("kind, n", [("chain", 40), ("square", 36), ("triangular", 49)])
+    def test_matches_dense_oracle(self, monkeypatch, kind, n, slice_modes):
+        lat = periodic(kind, n)
+        kv = momentum_grid(lat).kvecs
+        if slice_modes is not None:
+            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(kv) * slice_modes)
+        rel = relative_sites(lat)
+        dense = (4.0 * np.sin(kv @ rel.T / 2.0) ** 2 / np.linalg.norm(rel, axis=1) ** 3).sum(axis=1)
+        assert np.allclose(spin_wave_energies(lat, kv, 1.0), dense, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
     def test_non_positive_kappa_rejected(self, kappa):
@@ -103,6 +120,39 @@ class TestDispersionAsymptotes:
         with pytest.raises(ValueError):
             dispersion_asymptote_check("triangular")
 
+    def test_1d_memory_bounded(self):
+        # 3 float64 words per site (2.3 MiB at the default cutoff), plus one
+        # sin^2 slice per worker; the (momenta x sites) temporaries of a
+        # dense sum would take 9.2 MiB each
+        tracemalloc.start()
+        try:
+            dispersion_asymptote_check("chain")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20 + spinwave_mod._sin2_workers() * spinwave_mod._SLICE_BYTES
+
+    @pytest.mark.parametrize("kind", ["chain", "square"])
+    def test_table_estimate_bounds_peak(self, kind):
+        cutoff = 10**6
+        m = spinwave_mod._square_half_width(cutoff)
+        sites = cutoff if kind == "chain" else (2 * m + 1) ** 2
+        tracemalloc.start()
+        try:
+            dispersion_curve(kind, np.geomspace(0.002, 0.05, 12), cutoff=cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sites * spinwave_mod._DISPERSION_SITE_BYTES[kind] + spinwave_mod._CHUNK_BYTES
+
+    @pytest.mark.parametrize("kind", ["chain", "square"])
+    def test_table_cap_raises(self, kind):
+        # refused before any table is built
+        with pytest.raises(ResourceLimitError, match="sum_cutoff = 10000000000"):
+            dispersion_curve(kind, [0.1], cutoff=10**10)
+        with pytest.raises(ResourceLimitError, match="dispersion tables"):
+            dispersion_asymptote_check(kind, cutoff=10**10)
+
     @pytest.mark.parametrize("kind", ["chain", "square"])
     @pytest.mark.parametrize("cutoff", [0, -1])
     def test_cutoff_below_one_rejected(self, kind, cutoff):
@@ -138,6 +188,15 @@ class TestFourierKernel:
     def test_requires_periodic(self):
         with pytest.raises(ValueError):
             fourier_kernel(build_lattice("chain", 8), np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("kind, n", [("chain", 40), ("square", 36), ("triangular", 49)])
+    def test_matches_cos_oracle(self, kind, n):
+        # F_k crosses zero, so the bound is absolute, in units of F_0
+        lat = periodic(kind, n)
+        kv = momentum_grid(lat).kvecs
+        rel = relative_sites(lat)
+        dense = (np.cos(kv @ rel.T) / np.linalg.norm(rel, axis=1) ** 3).sum(axis=1)
+        assert np.abs(fourier_kernel(lat, kv) - dense).max() <= 1e-13 * dense[0]
 
 
 class TestPerturbativeDecay:
@@ -206,14 +265,19 @@ class TestPerturbativeDecay:
 
     @pytest.mark.parametrize("kind, n", [("chain", 40), ("square", 36)])
     def test_bitwise_independent_of_workers(self, monkeypatch, kind, n):
-        # 5-mode slices: chain 40 folds to 20 modes, square 36 to 19
+        # 5-mode slices: chain 40 folds to 20 modes, square 36 to 19; the
+        # band (vector phase) and the dynamical matrices (matrix weights) run
+        # the 39 or 35 relative sites against the full grid
         lat = periodic(kind, n)
         t = np.linspace(0.0, 80.0, 41)
+        kv = momentum_grid(lat).kvecs
         monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(t) * 5)
         runs = []
         for workers in (1, 2):
             monkeypatch.setattr(spinwave_mod, "_sin2_workers", lambda w=workers: w)
-            runs.append(perturbative_decay2(lat, 0.05, t).decay.tobytes())
+            runs.append([perturbative_decay2(lat, 0.05, t).decay.tobytes(),
+                         spin_wave_energies(lat, kv, 1.0).tobytes(),
+                         phonon_mod._dynamical_matrices(relative_sites(lat), kv).tobytes()])
         assert runs[0] == runs[1]
 
 
@@ -272,6 +336,11 @@ class TestScalingDiagnostic:
     def test_needs_three_sizes(self):
         with pytest.raises(ValueError):
             fgr_scaling_diagnostic("chain", [16, 25], 0.05)
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, np.nan])
+    def test_non_positive_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window_t_pi must be positive"):
+            fgr_scaling_diagnostic("chain", [8, 10, 12], 0.05, window_t_pi=window)
 
     def test_1d_regression_values(self):
         rep = fgr_scaling_diagnostic("chain", [16, 25, 36, 49, 64, 81], 0.05)
