@@ -9,7 +9,9 @@ from math import comb
 import numpy as np
 
 __all__ = [
+    "MEMORY_BYTES_MAX",
     "ResourceLimitError",
+    "require_memory",
     "SectorBasis",
     "sector_basis",
     "dicke_state",
@@ -18,16 +20,24 @@ __all__ = [
 ]
 
 DEFAULT_DIMENSION_CAP = 10**6
+# every size-dependent table refuses up front when its estimate exceeds this
+MEMORY_BYTES_MAX = 2**30
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested computation exceeds its configured size cap: the sector
-    basis dimension cap (``DEFAULT_DIMENSION_CAP``), the memory cap of the
-    two-excitation assembly (``hamiltonian.ASSEMBLY_BYTES_MAX``), the memory
-    cap of the dense quotient diagonalization (``dynamics.QUOTIENT_BYTES_MAX``),
-    the memory cap of the gamma2 pair tables (``phonon.PAIR_TABLE_BYTES_MAX``),
-    or the memory cap of the large-cutoff dispersion tables
-    (``spinwave.DISPERSION_BYTES_MAX``)."""
+    """A requested computation exceeds a size cap: the sector basis dimension
+    cap (``DEFAULT_DIMENSION_CAP``, a count) or the one memory budget
+    (``MEMORY_BYTES_MAX``), which :func:`require_memory` checks against each
+    module's own byte estimate."""
+
+
+def require_memory(need: int, subject: str, detail: str) -> None:
+    """Raise :class:`ResourceLimitError` when ``need`` bytes exceed
+    ``MEMORY_BYTES_MAX``; the message reads "<subject> about <need> MiB
+    <detail>; cap is <cap> MiB"."""
+    if need > MEMORY_BYTES_MAX:
+        raise ResourceLimitError(f"{subject} about {need / 2**20:.0f} MiB {detail}; "
+                                 f"cap is {MEMORY_BYTES_MAX / 2**20:.0f} MiB")
 
 
 def rank_config(config: tuple[int, ...]) -> int:

@@ -31,11 +31,11 @@ lattices, and their seed is often equitable already, so one round suffices;
 a state without symmetry gives the discrete partition, i.e. dense
 diagonalization of the full block.  A residual above ``RESIDUAL_TOL``
 raises :class:`InvarianceError`, and a quotient whose dense eigh would need
-more than ``QUOTIENT_BYTES_MAX`` (about 40 k^2 bytes at dimension k) raises
-:class:`~dipolarray.basis.ResourceLimitError` in the first round that
-reaches it, before that Hr is formed.  A :class:`Trajectory` keeps
-lambda and w of sectors 0, 1 and 2, all that :func:`gate_time` needs off the
-grid.
+about 40 k^2 bytes at dimension k, more than the memory budget
+``basis.MEMORY_BYTES_MAX``, raises :class:`~dipolarray.basis.ResourceLimitError`
+in the first round that reaches it, before that Hr is formed.  A
+:class:`Trajectory` keeps lambda and w of sectors 0, 1 and 2, all that
+:func:`gate_time` needs off the grid.
 
 Phase extraction: with X = C0* C2 and Y = (C0* C1)^2, the complex combination
 (X + Y)/2 factors as exp(i(arg X + arg Y)/2) * [ (|X|+|Y|) cos(rel/2)
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ResourceLimitError, dicke_state
+from .basis import dicke_state, require_memory
 from .hamiltonian import CSRBlock, SpinHamiltonian
 
 __all__ = [
@@ -74,8 +74,6 @@ __all__ = [
 REFINE_TOL = 1e-12
 # largest accepted ||H P - P Hr||_F, relative to max |H_ij|
 RESIDUAL_TOL = 1e-10
-# the dense quotient Hr and its eigh peak at about 40 k^2 bytes; refused above
-QUOTIENT_BYTES_MAX = 2**30
 # float64 of one row slice's stored entries, and of its (rows x cells) sums
 # of H P: no temporary of the engine grows with the block.  Slices of this
 # size also stay in cache and in the allocator's heap; 1 MiB slices of the
@@ -260,11 +258,10 @@ class _SectorEvolver:
         while True:
             root = np.sqrt(np.bincount(self.cells))
             self.dim = len(root)
-            # refinement only splits cells, so a quotient too large now stays so
-            need = 40 * self.dim**2
-            if need > QUOTIENT_BYTES_MAX:
-                raise ResourceLimitError(f"quotient of dimension {self.dim} or more needs about {need / 2**20:.0f} MiB "
-                                         f"to diagonalize; cap is {QUOTIENT_BYTES_MAX / 2**20:.0f} MiB")
+            # the dense Hr and its eigh peak at about 40 k^2 bytes; refinement
+            # only splits cells, so a quotient too large now stays so
+            require_memory(40 * self.dim**2, f"quotient of dimension {self.dim} or more needs",
+                           "to diagonalize")
             hr, equitable, dev_norm = _quotient(h, self.cells, root, tol)
             if self.dim == len(self.cells) or equitable:
                 break

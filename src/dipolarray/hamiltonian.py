@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .basis import ResourceLimitError, SectorBasis, sector_basis
+from .basis import SectorBasis, require_memory, sector_basis
 from .lattice import Lattice, coupling_kernel, relative_sites
 
 __all__ = [
@@ -37,9 +37,6 @@ __all__ = [
 ]
 
 ZETA3 = 1.2020569031595942854  # Riemann zeta(3)
-
-# _build refuses two-excitation tables whose estimated size exceeds this
-ASSEMBLY_BYTES_MAX = 2**30
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,17 +153,14 @@ def _build(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltonian:
     colex rank of {u<v} is v(v-1)/2 + u, the columns ascend as {x,p} for
     x < q, {x,q} for x < q (the diagonal at x = p), then {x,p}, {x,q} per x > q.
     Raises :class:`~dipolarray.basis.ResourceLimitError` when the slot tables
-    would exceed ``ASSEMBLY_BYTES_MAX``.
+    would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     n = lattice.n_sites
     # C(N,2) rows of 2N - 3 slots; the slot tables below peak at 41.3-43.3
     # bytes per slot under tracemalloc (N = 36...160, every lattice kind)
-    need = comb(n, 2) * (2 * n - 3) * 42
-    if need > ASSEMBLY_BYTES_MAX:
-        raise ResourceLimitError(f"two-excitation assembly needs about {need / 2**20:.0f} MiB for "
-                                 f"{n} sites; cap is {ASSEMBLY_BYTES_MAX / 2**20:.0f} MiB")
+    require_memory(comb(n, 2) * (2 * n - 3) * 42, "two-excitation assembly needs", f"for {n} sites")
     d = coupling_kernel(lattice)
     e0, e1, e2, basis2 = _zz_diagonals(d, kappa - xi)
 

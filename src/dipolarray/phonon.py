@@ -41,13 +41,14 @@ each mode's weight by 2 / omega^2 once and hands the sin^2 sum to
 and of every spin-wave lattice sum too: it streams the mode axis in slices
 of a fixed byte size, a few at once on the CPUs this process may use, so no
 (times x modes) array is ever held and the result does not depend on the
-thread count; the pair tables are O(N^2 branches) and :func:`gamma2`
-refuses up front with :class:`~dipolarray.basis.ResourceLimitError` when
-they would exceed ``PAIR_TABLE_BYTES_MAX``.  Both sums run without the coupling amplitudes,
-which multiply the results afterwards, so the normalized curves stay exact
-when (xi + 4 b0)^2 underflows.  A negative eigenvalue of D(q), or a
-vanishing branch frequency with finite coupling, makes
-:func:`build_phonon_model` raise :class:`UnstableCrystalError`, an
+thread count.  The coupling tables of :func:`build_phonon_model` are
+O(N^2) and the pair tables of :func:`gamma2` O(N^2 branches); both refuse
+up front with :class:`~dipolarray.basis.ResourceLimitError` when they would
+exceed the memory budget ``basis.MEMORY_BYTES_MAX``.  Both sums run without
+the coupling amplitudes, which multiply the results afterwards, so the
+normalized curves stay exact when (xi + 4 b0)^2 underflows.  A negative
+eigenvalue of D(q), or a vanishing branch frequency with finite coupling,
+makes :func:`build_phonon_model` raise :class:`UnstableCrystalError`, an
 ``ArithmeticError``.
 """
 
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import ResourceLimitError
+from .basis import require_memory
 from .hamiltonian import ZETA3
 from .lattice import Lattice, MomentumGrid, build_lattice, momentum_grid, relative_sites
 from .spinwave import PERTURBATION_FLAG_LEVEL, _sin2_sum, spin_wave_energies
@@ -75,9 +76,6 @@ __all__ = [
 ]
 
 _SUPPORTED = ("chain", "triangular")
-
-# gamma2 refuses pair tables whose estimated size exceeds this
-PAIR_TABLE_BYTES_MAX = 2**30
 
 
 class UnstableCrystalError(ArithmeticError):
@@ -142,11 +140,20 @@ class PhononModel:
 
 
 def build_phonon_model(lattice: Lattice, beta: float, u_dd: float, kappa: float) -> PhononModel:
-    """Diagonalize the dynamical matrix and tabulate the couplings on the full grid."""
+    """Diagonalize the dynamical matrix and tabulate the couplings on the full grid.
+
+    Raises :class:`~dipolarray.basis.ResourceLimitError` when the coupling
+    tables would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
+    """
     if not (beta > 0 and u_dd > 0 and kappa > 0):
         raise ValueError("beta, u_dd and kappa must be positive")
     if lattice.kind not in _SUPPORTED:
         raise ValueError(f"unsupported crystal kind {lattice.kind!r}; expected {_SUPPORTED}")
+    # the two (modes x N - 1) float64 temporaries of _coupling_weights; the
+    # tracemalloc peak is 16.1-16.4 bytes per N^2 (chain and triangular,
+    # N = 500...1024)
+    n = lattice.n_sites
+    require_memory(16 * n**2, "phonon coupling tables need", f"for {n} sites")
     grid = momentum_grid(lattice)
     rel = relative_sites(lattice)
     lam, vec = np.linalg.eigh(_dynamical_matrices(rel, grid.kvecs))
@@ -278,7 +285,7 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
     others; each set is summed without it.
 
     Raises :class:`~dipolarray.basis.ResourceLimitError` when the pair tables
-    would exceed ``PAIR_TABLE_BYTES_MAX``.
+    would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
     """
     times = np.asarray(times, dtype=float)
     # pairs k <= k' before the q = 0 and orbit filters, 8 bytes a word: the
@@ -287,12 +294,8 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
     # and triangular runs (N >= 36, one time point; the sin^2 slices of
     # spinwave._sin2_sum add at most its _CHUNK_BYTES)
     pairs = model.grid.n_points * (model.grid.n_points + 1) // 2
-    need = pairs * 8 * (7 + 4 * model.n_branches)
-    if need > PAIR_TABLE_BYTES_MAX:
-        raise ResourceLimitError(
-            f"gamma2 pair tables need about {need / 2**20:.0f} MiB for {model.grid.n_points} "
-            f"momenta and {model.n_branches} branches; cap is {PAIR_TABLE_BYTES_MAX / 2**20:.0f} MiB"
-        )
+    require_memory(pairs * 8 * (7 + 4 * model.n_branches), "gamma2 pair tables need",
+                   f"for {model.grid.n_points} momenta and {model.n_branches} branches")
     dominant = 2.0 * gamma1_time(model, xi, b0, temperature, times).decay
     w_ph = model.freqs * model.phonon_energy_unit
     n = model.lattice.n_sites

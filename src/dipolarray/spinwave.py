@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ResourceLimitError
+from .basis import require_memory
 from .dynamics import compute_trajectory
 from .hamiltonian import full_hamiltonian, gate_params
 from .lattice import Lattice, MomentumGrid, build_lattice, momentum_grid, relative_sites
@@ -53,9 +53,8 @@ _SLICE_BYTES = 2**20
 # sin^2 blocks in flight at once in _sin2_sum
 _CHUNK_BYTES = 8 * 2**20
 
-# dispersion_curve refuses displacement tables whose estimated size exceeds this
-DISPERSION_BYTES_MAX = 2**30
-# bytes per summed site of those tables, fitted to the tracemalloc peak
+# bytes per summed site of the dispersion_curve displacement tables, fitted
+# to the tracemalloc peak
 # beyond the sin^2 slices of _sin2_sum (which add at most _CHUNK_BYTES)
 _DISPERSION_SITE_BYTES = {"chain": 25, "square": 34}
 
@@ -122,7 +121,11 @@ def fourier_kernel(lattice: Lattice, kvecs: np.ndarray) -> np.ndarray:
     """F_k = a^3 sum_{j != 0} cos(k.r_j) / |r_j|^3 on the periodic lattice,
     as F_0 - omega_k / 2 kappa from :func:`spin_wave_energies`
     (1 - cos x = 2 sin^2(x / 2))."""
-    band = spin_wave_energies(lattice, kvecs)
+    return _kernel_from_band(lattice, spin_wave_energies(lattice, kvecs))
+
+
+def _kernel_from_band(lattice: Lattice, band: np.ndarray) -> np.ndarray:
+    """F_k = F_0 - band / 2 from the kappa = 1 band of the same momenta."""
     return (1.0 / np.linalg.norm(relative_sites(lattice), axis=1) ** 3).sum() - band / 2.0
 
 
@@ -158,7 +161,7 @@ def dispersion_curve(kind: str, ka: np.ndarray, kappa: float = 1.0, cutoff: int 
     square patch |x|, |y| <= M of :func:`_square_half_width`; both by
     :func:`_sin2_sum` with h = x / 2.  Raises
     :class:`~dipolarray.basis.ResourceLimitError` when the displacement
-    tables would exceed ``DISPERSION_BYTES_MAX``.
+    tables would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
     """
     _require_cutoff(cutoff)
     if not kappa > 0:
@@ -167,12 +170,8 @@ def dispersion_curve(kind: str, ka: np.ndarray, kappa: float = 1.0, cutoff: int 
         raise ValueError(f"unsupported lattice kind {kind!r}")
     m = _square_half_width(cutoff)
     sites = cutoff if kind == "chain" else (2 * m + 1) ** 2
-    need = sites * _DISPERSION_SITE_BYTES[kind]
-    if need > DISPERSION_BYTES_MAX:
-        raise ResourceLimitError(
-            f"dispersion tables need about {need / 2**20:.0f} MiB at sum_cutoff = {cutoff}; "
-            f"cap is {DISPERSION_BYTES_MAX / 2**20:.0f} MiB"
-        )
+    require_memory(sites * _DISPERSION_SITE_BYTES[kind], "dispersion tables need",
+                   f"at sum_cutoff = {cutoff}")
     ka = np.atleast_1d(np.asarray(ka, dtype=float))
     if kind == "chain":
         x = np.arange(1, cutoff + 1, dtype=float)
@@ -253,8 +252,9 @@ def perturbative_decay2(lattice: Lattice, xi: float, times, kappa: float = 1.0) 
     grid = momentum_grid(lattice)
     reps, mult = grid.pair_fold()
     kv = grid.kvecs[reps]
-    fk = fourier_kernel(lattice, kv)
-    om = spin_wave_energies(lattice, kv, kappa)
+    band = spin_wave_energies(lattice, kv)
+    fk = _kernel_from_band(lattice, band)
+    om = kappa * band
     decay = (16.0 * xi**2 / n**2) * _sin2_sum(mult * fk**2 / om**2, om, times)
     return DecayCurve(times=times, decay=decay,
                       beyond_perturbative=bool(decay.max(initial=0.0) > PERTURBATION_FLAG_LEVEL))

@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import require_memory
+
 __all__ = [
     "MolecularParams",
     "DressedPair",
@@ -104,12 +106,18 @@ def rotor_eigensystem(e_field: float, m: int, j_max: int = DEFAULT_J_MAX):
     ``e_field`` is in units of B/mu0.  Returns (j_values, energies, vectors):
     energies in units of B, ascending (adiabatic order); vectors are columns
     over the |J, M> basis with J = |M| .. j_max, each with its
-    largest-magnitude component positive.
+    largest-magnitude component positive.  Raises
+    :class:`~dipolarray.basis.ResourceLimitError` when the dense blocks would
+    exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
     """
     if not 0.0 <= e_field < np.inf:
         raise ValueError(f"e_field must be finite and non-negative, got {e_field}")
     if j_max < abs(m) + 8:
         raise ValueError(f"j_max = {j_max} too small for a converged M = {m} block")
+    # four dense float64 blocks: the tracemalloc peak of dressed_pair is
+    # 32.0-32.2 bytes per entry (j_max = 200...800)
+    require_memory(32 * (j_max - abs(m) + 1) ** 2, "Stark rotor blocks need",
+                   f"at j_max = {j_max}")
     j_values = np.arange(abs(m), j_max + 1)
     block = np.diag(j_values * (j_values + 1.0)) - e_field * _cos_matrix(j_values, m)
     energies, vectors = np.linalg.eigh(block)

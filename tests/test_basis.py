@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dipolarray.basis as basis_mod
 from dipolarray.basis import (
+    MEMORY_BYTES_MAX,
     ResourceLimitError,
     dicke_state,
     rank_config,
+    require_memory,
     sector_basis,
     unrank_config,
 )
@@ -33,6 +36,18 @@ class TestSectorBasis:
     def test_configs_strictly_increasing(self):
         b = sector_basis(8, 3)
         assert np.all(np.diff(b.configs, axis=1) > 0)
+
+
+def test_require_memory(monkeypatch):
+    assert MEMORY_BYTES_MAX == 2**30
+    require_memory(2**30, "tables need", "for 8 sites")
+    with pytest.raises(ResourceLimitError) as err:
+        require_memory(3 * 2**29, "tables need", "for 8 sites")
+    assert str(err.value) == "tables need about 1536 MiB for 8 sites; cap is 1024 MiB"
+    monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 1000)
+    require_memory(1000, "tables need", "for 8 sites")
+    with pytest.raises(ResourceLimitError, match="^tables need about 0 MiB for 8 sites; cap is 0 MiB$"):
+        require_memory(1001, "tables need", "for 8 sites")
 
 
 @settings(max_examples=50, deadline=None)

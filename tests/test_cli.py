@@ -7,10 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dipolarray.basis as basis_mod
 import dipolarray.dynamics as dynamics_mod
-import dipolarray.hamiltonian as hamiltonian_mod
 import dipolarray.phonon as phonon_mod
-import dipolarray.spinwave as spinwave_mod
 from dipolarray.cli import (
     EXIT_CONFIG,
     EXIT_NO_GATE,
@@ -220,31 +219,27 @@ n_samples = 60
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
         assert "numerical error: vanishing branch frequency" in capsys.readouterr().err
 
-    def test_gamma2_memory_cap_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(phonon_mod, "PAIR_TABLE_BYTES_MAX", 1000)
-        cfg = write_cfg(tmp_path, "experiment = phonon_decay\nkind = chain\nn_sites = 8\n"
-                                  "n_samples = 20\ninclude_fgr = false\n")
+    @pytest.mark.parametrize("text, budget, message", [
+        ("experiment = phase_gate\nn_sites = 8\nboundary = periodic\n", 1000,
+         "two-excitation assembly needs about 0 MiB for 8 sites;"),
+        # open chain 20: assembly needs 295 260 B, the 100-cell sector-2 quotient 400 000 B
+        ("experiment = phase_gate\nn_sites = 20\n", 300_000,
+         "quotient of dimension 100 or more needs about 0 MiB to diagonalize;"),
+        # chain 8: the coupling tables need 1024 B, the gamma2 pair tables 3168 B
+        ("experiment = phonon_decay\nkind = chain\nn_sites = 8\nn_samples = 20\ninclude_fgr = false\n",
+         2000, "gamma2 pair tables need about 0 MiB for 8 momenta and 1 branches;"),
+        ("experiment = phonon_bands\nkind = chain\nn_sites = 8\n", 1000,
+         "phonon coupling tables need about 0 MiB for 8 sites;"),
+        ("experiment = dispersion\nkind = chain\nsum_cutoff = 1000\n", 1000,
+         "dispersion tables need about 0 MiB at sum_cutoff = 1000;"),
+        ("experiment = stark_sweep\nn_field = 2\n", 1000,
+         "Stark rotor blocks need about 0 MiB at j_max = 20;"),
+    ], ids=["assembly", "quotient", "gamma2", "phonon_model", "dispersion", "stark"])
+    def test_memory_budget_exit_code(self, tmp_path, capsys, monkeypatch, text, budget, message):
+        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", budget)
+        cfg = write_cfg(tmp_path, text)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
-        assert "resource limit: gamma2 pair tables" in capsys.readouterr().err
-
-    def test_dispersion_memory_cap_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(spinwave_mod, "DISPERSION_BYTES_MAX", 1000)
-        cfg = write_cfg(tmp_path, "experiment = dispersion\nkind = chain\nsum_cutoff = 1000\n")
-        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
-        err = capsys.readouterr().err
-        assert "resource limit: dispersion tables need about" in err and "sum_cutoff = 1000;" in err
-
-    def test_assembly_cap_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(hamiltonian_mod, "ASSEMBLY_BYTES_MAX", 1000)
-        cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 8\nboundary = periodic\n")
-        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
-        assert "resource limit: two-excitation assembly" in capsys.readouterr().err
-
-    def test_quotient_cap_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(dynamics_mod, "QUOTIENT_BYTES_MAX", 1000)
-        cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 8\n")
-        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
-        assert "resource limit: quotient of dimension" in capsys.readouterr().err
+        assert f"resource limit: {message} cap is 0 MiB" in capsys.readouterr().err
 
     def test_invariance_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(dynamics_mod, "RESIDUAL_TOL", -1.0)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+import dipolarray.basis as basis_mod
 import dipolarray.dynamics as dyn_mod
 from dipolarray.basis import ResourceLimitError, dicke_state, sector_basis
 from dipolarray.cli import main
@@ -136,9 +137,9 @@ class TestSpectralEngine:
         # states into (66 + 6) / 2 = 36 cells
         ham = full_hamiltonian(build_lattice("chain", 12), 1.0, 0.3)
         assert compute_trajectory(ham, [0.0]).diagnostics["reduced_dims"] == [1, 6, 36]
-        monkeypatch.setattr(dyn_mod, "QUOTIENT_BYTES_MAX", 40 * 36**2)
+        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 40 * 36**2)
         compute_trajectory(ham, [0.0])
-        monkeypatch.setattr(dyn_mod, "QUOTIENT_BYTES_MAX", 40 * 36**2 - 1)
+        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 40 * 36**2 - 1)
         with pytest.raises(ResourceLimitError, match="quotient of dimension 36"):
             compute_trajectory(ham, [0.0])
 
@@ -150,7 +151,7 @@ class TestSpectralEngine:
         for n in (7, 8, 13):
             ham = full_hamiltonian(build_lattice("chain", n), 1.0, 0.3)
             assert compute_trajectory(ham, [0.0]).diagnostics["reduced_dims"][2] == cells(n)
-        assert 40 * cells(143) ** 2 <= dyn_mod.QUOTIENT_BYTES_MAX < 40 * cells(144) ** 2
+        assert 40 * cells(143) ** 2 <= basis_mod.MEMORY_BYTES_MAX < 40 * cells(144) ** 2
 
     def test_residual_above_tolerance_raises(self, monkeypatch):
         # a refinement tolerance far above every coupling merges cells that

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -20,3 +22,14 @@ def test_star_import():
     namespace = {}
     exec("from dipolarray import *", namespace)
     assert set(dipolarray.__all__) <= namespace.keys()
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "dipolarray.basis"])
+def test_one_memory_budget(name):
+    # the size caps live in basis: other modules call require_memory with
+    # their own byte estimate and neither raise the error nor keep a cap
+    nodes = list(ast.walk(ast.parse(inspect.getsource(importlib.import_module(name)))))
+    raised = [n.lineno for n in nodes if isinstance(n, ast.Call)
+              and getattr(n.func, "id", getattr(n.func, "attr", None)) == "ResourceLimitError"]
+    caps = [n.id for n in nodes if isinstance(n, ast.Name) and n.id.endswith("_BYTES_MAX")]
+    assert (raised, caps) == ([], [])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dipolarray.basis as basis_mod
 import dipolarray.phonon as phonon_mod
 import dipolarray.spinwave as spinwave_mod
 from dipolarray.basis import ResourceLimitError
@@ -189,6 +190,14 @@ class TestSpectrum:
                             lambda rel, qvecs: -np.ones((len(qvecs), 1, 1)))
         with pytest.raises(UnstableCrystalError, match="unstable crystal mode at q"):
             build_phonon_model(lat, 1e4, 3.0, 1.0)
+
+    def test_coupling_table_budget(self, monkeypatch):
+        # 16 bytes per N^2, checked before any table is built
+        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 16 * 8**2)
+        chain_model(8)
+        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 16 * 8**2 - 1)
+        with pytest.raises(ResourceLimitError, match="^phonon coupling tables need about 0 MiB for 8 sites;"):
+            chain_model(8)
 
     @pytest.mark.parametrize("kind,n", [("chain", 30), ("triangular", 25)])
     def test_batched_frequencies_match_per_q(self, kind, n):
@@ -378,9 +387,10 @@ class TestGamma2:
         assert two.correction_ratio <= bound
 
     def test_pair_table_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(phonon_mod, "PAIR_TABLE_BYTES_MAX", 1000)
+        model = chain_model(12)
+        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 1000)
         with pytest.raises(ResourceLimitError, match="gamma2 pair tables"):
-            gamma2(chain_model(12), 0.05, 0.1, 0.5, np.linspace(0, 40, 5))
+            gamma2(model, 0.05, 0.1, 0.5, np.linspace(0, 40, 5))
 
     def test_memory_bounded(self):
         # one (times x ordered-pair modes) float64 array would be 96 MB here

@@ -8,7 +8,8 @@ import pytest
 import scipy.constants as const
 from numpy.polynomial import legendre
 
-from dipolarray import stark
+from dipolarray import basis, stark
+from dipolarray.basis import ResourceLimitError
 from dipolarray.stark import (
     DEBYE,
     SRO,
@@ -114,6 +115,15 @@ class TestRotorEigensystem:
     def test_rejects_non_finite_field(self, e_field):
         with pytest.raises(ValueError, match="finite and non-negative"):
             rotor_eigensystem(e_field, 0, 20)
+
+    def test_memory_budget(self, monkeypatch):
+        # 32 bytes per entry of the J = |M|..j_max block, checked before any
+        # block is built
+        monkeypatch.setattr(basis, "MEMORY_BYTES_MAX", 32 * 19**2)
+        rotor_eigensystem(1.0, 2, 20)
+        monkeypatch.setattr(basis, "MEMORY_BYTES_MAX", 32 * 19**2 - 1)
+        with pytest.raises(ResourceLimitError, match="^Stark rotor blocks need about 0 MiB at j_max = 20;"):
+            rotor_eigensystem(1.0, 2, 20)
 
 
 class TestDressedPair:
