@@ -38,13 +38,8 @@ from .dynamics import GateNotReached, compute_trajectory, gate_time
 from .hamiltonian import full_hamiltonian, gate_params
 from .lattice import build_lattice
 from .phonon import build_phonon_model, gamma1_fgr, gamma1_time, gamma2, sound_speeds
-from .spinwave import (
-    dispersion,
-    dispersion_asymptote_check,
-    fgr_scaling_diagnostic,
-    fourier_kernel,
-)
-from .stark import AMU, DEBYE, DEFAULT_J_MAX, MOLECULES, MolecularParams, dressed_pair
+from .spinwave import dispersion, dispersion_asymptote_check, fgr_scaling_diagnostic
+from .stark import AMU, DEBYE, DEFAULT_J_MAX, MOLECULES, MolecularParams, dressed_pair, require_rotor_memory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -293,11 +288,10 @@ def run_dispersion(cfg: dict, outdir: Path, workers: int) -> dict:
         lat = build_lattice(cfg["kind"], cfg["n_sites"], boundary="periodic")
         disp = dispersion(lat, cfg["kappa"])
         kvecs = disp.grid.kvecs
-        fk = fourier_kernel(lat, kvecs)
         _write_csv(outdir / "dispersion.csv",
                    [f"k{c}" for c in range(kvecs.shape[1])] + ["omega", "fourier_kernel"],
-                   [kvecs, disp.omega, fk])
-        summary["grid_points"] = len(fk)
+                   [kvecs, disp.omega, disp.fourier_kernel])
+        summary["grid_points"] = len(kvecs)
     if cfg["asymptote_check"]:
         summary["asymptotes"] = dispersion_asymptote_check(cfg["kind"], cfg["kappa"], cfg["sum_cutoff"])
     return summary
@@ -348,6 +342,8 @@ def run_stark_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
     def one(e):
         return dressed_pair(mol, float(e), g_label, e_label, spacing, cfg["j_max"])
 
+    # the pool holds up to one rotor block per worker at once
+    require_rotor_memory(cfg["j_max"], cfg["g_m"], min(workers, len(grid)))
     pairs = _parallel_map(one, grid, workers)
 
     def column(name):
@@ -473,6 +469,8 @@ def _parallel_map(fn, items, workers: int) -> list:
 
 def run(config_path: str | Path, out_dir: str | Path | None = None, workers: int = 1) -> Path:
     """Execute one configured experiment; returns the output directory."""
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
     cfg = parse_config(config_path)
     root = Path(out_dir) if out_dir else Path(os.environ.get(OUT_ROOT_ENV, "runs"))
     outdir = root / f"{cfg['experiment']}"

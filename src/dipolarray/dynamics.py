@@ -20,9 +20,11 @@ D is exactly H P - P Hr, so the partition is equitable when every row sum
 is within the refinement tolerance of its cell's first row, and ||D||_F is
 the invariance residual; since P^T D = P^T H P - Hr, the Hermitian matrix
 ``eigh`` reads from the lower triangle of Hr lies within 2 ||D||_F of
-P^T H P.  Otherwise cells split by their row sums into every cell and the
-round repeats, until the partition is equitable or discrete or a split adds
-no cell.  P then spans an invariant subspace that contains the initial
+P^T H P.  Otherwise cells split by the deviations beyond the tolerance,
+which the pass keeps (two rows of a cell have equal sums into every cell
+exactly when they deviate equally from its first row), so every round
+reads the block once and every split adds a cell, until the partition is
+equitable; the discrete one always is.  P then spans an invariant subspace that contains the initial
 state, so the k x k quotient Hr carries the whole dynamics; it is
 diagonalized once, and a projection on the initial state is the spectral
 sum C(t) = sum_j w_j exp(-i lambda_j t).  The symmetric (Dicke) states reduce
@@ -79,6 +81,8 @@ RESIDUAL_TOL = 1e-10
 # size also stay in cache and in the allocator's heap; 1 MiB slices of the
 # gate_large sectors were mapped and page-faulted afresh on every call
 _SLICE_BYTES = 2**18
+# gate_time bisects its bracket down to this fraction of the gate time
+GATE_REL_TOL = 1e-4
 MAX_THETA_STEP = np.pi / 2
 MAX_REFINEMENTS = 6
 CLIP_WARN_EXCESS = 1e-6
@@ -172,46 +176,18 @@ def _bincount(key: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _row_keys(h: CSRBlock, cells: np.ndarray, tol: float) -> np.ndarray:
-    """One integer row per basis state: its cell, then the (cell, level)
-    codes of its row sums into every cell beyond ``tol``, padded with -1.
-
-    The key is as wide as the most cells one row reaches.
-    """
-    dim, k = len(cells), int(cells.max()) + 1
-    # every nonzero sum has a stored entry, so nnz bounds their number
-    row, col = np.empty(h.nnz, dtype=np.int32), np.empty(h.nnz, dtype=np.int32)
-    val = np.empty(h.nnz, dtype=h.data.dtype)
-    n = 0
-    for lo, hi in _row_slices(h, k):
-        sums = _cell_sums(h, lo, hi, cells, k)
-        i, c = np.nonzero(np.abs(sums) > tol)
-        row[n:n + len(i)], col[n:n + len(i)], val[n:n + len(i)] = i + lo, c, sums[i, c]
-        n += len(i)
-    row, col, val = row[:n], col[:n], val[:n]
-    level = _levels(val, tol)
-    code = col * np.int64(level.max(initial=0) + 1) + level
-    count = np.bincount(row, minlength=dim)
-    start = np.zeros(dim, dtype=np.int64)
-    np.cumsum(count[:-1], out=start[1:])
-    keys = np.full((dim, int(count.max(initial=0)) + 1), -1, dtype=np.int64)
-    keys[:, 0] = cells
-    keys[row, 1 + np.arange(len(row)) - start[row]] = code
-    return keys
-
-
 def _quotient(h: CSRBlock, cells: np.ndarray, root: np.ndarray,
-              tol: float) -> tuple[np.ndarray, bool, float]:
-    """Hr from the first row f(a) of every cell a, whether every row sum is
-    within ``tol`` of its cell's first row, and ||D||_F for the deviation
-    D = H P - P Hr.
+              tol: float) -> tuple[np.ndarray, tuple[np.ndarray, ...], float]:
+    """Hr from the first row f(a) of every cell a, the (row, cell, value)
+    triples of every row sum more than ``tol`` from its cell's first row,
+    and ||D||_F for the deviation D = H P - P Hr.
 
     With S[i, c] the sum of row i into cell c, Hr[a, c] = root[a] S[f(a), c]
     / root[c], formed in column order, the order ``eigh`` reads, and
     D[i, c] = (S[i, c] - S[f(a), c]) / root[c].  The k first rows are summed
-    up front; D takes one pass over row slices.  Every (row, cell) sum runs
-    in entry order, so D is exactly zero on the first rows and no result
-    depends on the slicing.
+    up front; D and the triples take one pass over row slices.  Every
+    (row, cell) sum runs in entry order, so D is exactly zero on the first
+    rows and no result depends on the slicing.
     """
     k = len(root)
     first = np.unique(cells, return_index=True)[1]
@@ -225,22 +201,36 @@ def _quotient(h: CSRBlock, cells: np.ndarray, root: np.ndarray,
     # from here [a, c]: the pass gathers whole rows, and gathering them from columns
     # made the open chain N = 81 round (k = 1640) a quarter slower
     s_first = np.ascontiguousarray(s_first.T)
-    worst, sumsq = 0.0, 0.0
+    found, sumsq = [], 0.0
     for lo, hi in _row_slices(h, k):
         dev = _cell_sums(h, lo, hi, cells, k)
         dev -= s_first[cells[lo:hi]]
-        worst = max(worst, float(np.abs(dev).max()))
+        # a 2-D np.nonzero took a tenth of the open square N = 64 round
+        at = np.flatnonzero(np.abs(dev) > tol)
+        found.append((at // k + lo, at % k, dev.reshape(-1)[at]))
         dev /= root
         sumsq += float(np.vdot(dev, dev).real)
-    return hr.T, worst <= tol, float(np.sqrt(sumsq))
+    return hr.T, tuple(map(np.concatenate, zip(*found))), float(np.sqrt(sumsq))
+
+
+def _split(cells: np.ndarray, row: np.ndarray, col: np.ndarray, val: np.ndarray, tol: float) -> np.ndarray:
+    """``cells`` split by the deviations ``val`` (rows ``row`` ascending, then
+    cells ``col``): a row's key is its cell, then the (cell, level) codes of
+    its deviations, padded with -1 to the most deviations of one row."""
+    level = _levels(val, tol)
+    at = np.arange(len(row)) - np.searchsorted(row, row)  # place within the row
+    keys = np.full((len(cells), int(at.max(initial=-1)) + 2), -1, dtype=np.int64)
+    keys[:, 0] = cells
+    keys[row, 1 + at] = col * np.int64(level.max(initial=0) + 1) + level
+    return _cell_ids(keys)
 
 
 class _SectorEvolver:
     """Exact evolution of one Hermitian block from one initial state.
 
     Refinement and the invariance check share each round's pass, whose
-    deviation D = H P - P Hr is both the equitability test and the
-    residual (see the module docstring).  ``dim`` is the reduced
+    deviation D = H P - P Hr is the equitability test, the split keys and
+    the residual (see the module docstring).  ``dim`` is the reduced
     (quotient) dimension, ``rounds`` the number of splits, ``residual``
     ||D||_F relative to max |H_ij|, and ``lam`` and ``w`` the quotient
     eigenvalues and the initial state's weights on them.
@@ -250,6 +240,8 @@ class _SectorEvolver:
         psi0 = np.asarray(psi0, dtype=complex)
         h = _as_block(block)
         scale = float(np.abs(h.data).max(initial=0.0)) or 1.0
+        if not scale < np.inf:
+            raise ValueError(f"block entries must be finite, got max |H_ij| = {scale}")
         tol = REFINE_TOL * scale
         # cells start from equal (amplitude, diagonal) pairs
         amp_tol = REFINE_TOL * float(np.abs(psi0).max(initial=0.0))
@@ -262,13 +254,10 @@ class _SectorEvolver:
             # only splits cells, so a quotient too large now stays so
             require_memory(40 * self.dim**2, f"quotient of dimension {self.dim} or more needs",
                            "to diagonalize")
-            hr, equitable, dev_norm = _quotient(h, self.cells, root, tol)
-            if self.dim == len(self.cells) or equitable:
+            hr, deviations, dev_norm = _quotient(h, self.cells, root, tol)
+            if not len(deviations[0]):
                 break
-            split = _cell_ids(_row_keys(h, self.cells, tol))
-            if split.max() + 1 == self.dim:
-                break
-            self.cells = split
+            self.cells = _split(self.cells, *deviations, tol)
             self.rounds += 1
         self.residual = dev_norm / scale
         if not self.residual <= RESIDUAL_TOL:
@@ -329,7 +318,7 @@ def evolve(block, psi0: np.ndarray, times) -> np.ndarray:
     if psi0.shape != (h.shape[0],):
         raise ValueError(f"psi0 has shape {psi0.shape}, block has shape {h.shape}")
     nrm = np.linalg.norm(psi0)
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:
         raise ValueError(f"initial state not normalized (|psi| = {nrm})")
     defect = _hermitian_defect(h)
     if defect > REFINE_TOL * float(np.abs(h.data).max(initial=0.0)):
@@ -459,7 +448,7 @@ def _extract_phase(c0, c1, c2):
 # gate time
 # ---------------------------------------------------------------------------
 
-def gate_time(trajectory: Trajectory, rel_tol: float = 1e-4) -> float:
+def gate_time(trajectory: Trajectory) -> float:
     """First zero of cos(Theta/2): a sign-change bracket of the sampled
     ``cos_half``, bisected on projections evaluated from ``trajectory.spectra``.
 
@@ -467,10 +456,8 @@ def gate_time(trajectory: Trajectory, rel_tol: float = 1e-4) -> float:
     linearly interpolated on the grid instead; ``diagnostics["gate_time_method"]``
     records which ran.  Raises :class:`GateNotReached` when the signed cosine
     never changes sign inside the window.  Bisection stops at a relative
-    bracket of ``rel_tol`` (positive, finite) or when floats cannot halve it.
+    bracket of ``GATE_REL_TOL`` or when floats cannot halve it.
     """
-    if not 0.0 < rel_tol < np.inf:
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     c = trajectory.cos_half
     s = np.sign(c)
     flips = np.where(s[:-1] * s[1:] < 0)[0]
@@ -496,7 +483,7 @@ def gate_time(trajectory: Trajectory, rel_tol: float = 1e-4) -> float:
         tg = t_lo + (t_hi - t_lo) * c_lo / (c_lo - c_hi)
         method = "interpolation"
     else:
-        while (t_hi - t_lo) > rel_tol * max(t_hi, 1e-300):
+        while (t_hi - t_lo) > GATE_REL_TOL * max(t_hi, 1e-300):
             t_mid = 0.5 * (t_lo + t_hi)
             if t_mid in (t_lo, t_hi):
                 break

@@ -155,8 +155,8 @@ def _build(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltonian:
     Raises :class:`~dipolarray.basis.ResourceLimitError` when the slot tables
     would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not (0 < kappa < np.inf and abs(xi) < np.inf):
+        raise ValueError(f"need a positive finite kappa and a finite xi, got {kappa} and {xi}")
     n = lattice.n_sites
     # C(N,2) rows of 2N - 3 slots; the slot tables below peak at 41.3-43.3
     # bytes per slot under tracemalloc (N = 36...160, every lattice kind)
@@ -227,6 +227,8 @@ def chi_eff(lattice: Lattice, kappa: float) -> float:
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
+    if not kappa < np.inf:
+        raise ValueError(f"kappa must be finite, got {kappa}")
     if lattice.n_sites < 2:
         raise ValueError("need at least two sites")
     n = lattice.n_sites
@@ -251,6 +253,8 @@ def gate_params(lattice: Lattice, kappa: float, xi: float, use_tilde: bool | Non
     projection chi_tilde when xi != 0, else chi_eff.
     """
     chi = chi_eff(lattice, kappa)
+    if not abs(xi) < np.inf:
+        raise ValueError(f"xi must be finite, got {xi}")
     chit = (xi / kappa) * chi
     if use_tilde is None:
         use_tilde = xi != 0.0

@@ -131,17 +131,22 @@ def _kernel_from_band(lattice: Lattice, band: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Dispersion:
+    """omega_k and the Fourier kernel F_k at the momenta ``grid.kvecs``."""
+
     grid: MomentumGrid
     omega: np.ndarray
+    fourier_kernel: np.ndarray
 
 
 def dispersion(lattice: Lattice, kappa: float = 1.0) -> Dispersion:
-    """Excitation dispersion on the discrete momentum grid of the lattice."""
-    if not lattice.periodic:
-        raise ValueError("dispersion requires a periodic lattice")
+    """Excitation dispersion and Fourier kernel on the discrete momentum
+    grid of the lattice, both from one kappa = 1 band: omega = kappa * band
+    and F_k = F_0 - band / 2."""
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     grid = momentum_grid(lattice)
-    omega = spin_wave_energies(lattice, grid.kvecs, kappa)
-    return Dispersion(grid=grid, omega=omega)
+    band = spin_wave_energies(lattice, grid.kvecs)
+    return Dispersion(grid=grid, omega=kappa * band, fourier_kernel=_kernel_from_band(lattice, band))
 
 
 def _require_cutoff(cutoff: int) -> None:

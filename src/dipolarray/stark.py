@@ -42,6 +42,7 @@ __all__ = [
     "SRO",
     "MOLECULES",
     "rotor_eigensystem",
+    "require_rotor_memory",
     "dressed_pair",
     "DEBYE",
     "C_LIGHT",
@@ -100,6 +101,13 @@ def _cos_matrix(j_values: np.ndarray, m: int) -> np.ndarray:
     return np.diag(off, 1) + np.diag(off, -1)
 
 
+def require_rotor_memory(j_max: int, m: int, blocks: int = 1) -> None:
+    """Refuse ``blocks`` fixed-M rotor blocks in memory at once, J = |M| .. j_max."""
+    # four dense float64 blocks: dressed_pair peaks at 32.0-32.2 B per entry (j_max 200-800)
+    require_memory(32 * blocks * (j_max - abs(m) + 1) ** 2, "Stark rotor blocks need",
+                   f"at j_max = {j_max}" + (f" on {blocks} workers" if blocks > 1 else ""))
+
+
 def rotor_eigensystem(e_field: float, m: int, j_max: int = DEFAULT_J_MAX):
     """Eigenpairs of the fixed-M rotor block diag(J(J+1)) - E cos(theta).
 
@@ -114,10 +122,7 @@ def rotor_eigensystem(e_field: float, m: int, j_max: int = DEFAULT_J_MAX):
         raise ValueError(f"e_field must be finite and non-negative, got {e_field}")
     if j_max < abs(m) + 8:
         raise ValueError(f"j_max = {j_max} too small for a converged M = {m} block")
-    # four dense float64 blocks: the tracemalloc peak of dressed_pair is
-    # 32.0-32.2 bytes per entry (j_max = 200...800)
-    require_memory(32 * (j_max - abs(m) + 1) ** 2, "Stark rotor blocks need",
-                   f"at j_max = {j_max}")
+    require_rotor_memory(j_max, m)
     j_values = np.arange(abs(m), j_max + 1)
     block = np.diag(j_values * (j_values + 1.0)) - e_field * _cos_matrix(j_values, m)
     energies, vectors = np.linalg.eigh(block)

@@ -241,6 +241,21 @@ n_samples = 60
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
         assert f"resource limit: {message} cap is 0 MiB" in capsys.readouterr().err
 
+    def test_stark_budget_covers_every_worker(self, tmp_path, capsys, monkeypatch):
+        # one 21 x 21 block (j_max = 20) needs 32 * 441 = 14 112 B: the budget
+        # admits one block in flight but not two
+        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 20_000)
+        cfg = write_cfg(tmp_path, "experiment = stark_sweep\nn_field = 4\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "w2"), "--workers", "2"]) == EXIT_RESOURCE
+        assert "Stark rotor blocks need about 0 MiB at j_max = 20 on 2 workers;" in capsys.readouterr().err
+        assert main(["run", cfg, "--out", str(tmp_path / "w1"), "--workers", "1"]) == EXIT_OK
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_code(self, tmp_path, capsys, workers):
+        cfg = write_cfg(tmp_path, "experiment = stark_sweep\nn_field = 2\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", workers]) == EXIT_CONFIG
+        assert f"config error: --workers must be at least 1, got {workers}" in capsys.readouterr().err
+
     def test_invariance_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(dynamics_mod, "RESIDUAL_TOL", -1.0)
         cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 8\nboundary = periodic\n")

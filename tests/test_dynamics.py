@@ -61,6 +61,16 @@ class TestEvolve:
         with pytest.raises(ValueError, match="normalized"):
             evolve(np.eye(2), np.array([1.0, 1.0]), [0.0, 1.0])
 
+    def test_rejects_non_finite_state(self):
+        with pytest.raises(ValueError, match="normalized"):
+            evolve(np.eye(2), np.array([np.nan, 0.0]), [0.0, 1.0])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_block(self, entry):
+        # a ValueError up front, not an InvarianceError after refinement
+        with pytest.raises(ValueError, match="block entries must be finite"):
+            evolve(np.array([[entry, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]), [0.0, 1.0])
+
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             evolve(np.eye(2), np.array([1.0, 0.0]), [0.0, 2.0, 1.0])
@@ -169,49 +179,76 @@ def scipy_csr(block):
     return sp.csr_array(block)
 
 
-def scipy_row_keys(h, cells, tol):
-    """Row keys of the evolver from scipy sparse products: each row's cell,
-    then the (cell, level) codes of its row sums beyond ``tol``, padded with -1."""
+def scipy_indicator(cells):
     dim = len(cells)
-    indicator = sp.csr_array((np.ones(dim), cells.astype(np.int32), np.arange(dim + 1, dtype=np.int32)),
-                             shape=(dim, int(cells.max()) + 1))
-    sums = h @ indicator
+    return sp.csr_array((np.ones(dim), cells.astype(np.int32), np.arange(dim + 1, dtype=np.int32)),
+                        shape=(dim, int(cells.max()) + 1))
+
+
+def padded_keys(cells, sums, tol):
+    """Each row's cell, then the (cell, level) codes of the entries of the
+    sparse ``sums`` beyond ``tol``, padded with -1."""
     sums.data[np.abs(sums.data) <= tol] = 0.0
     sums.eliminate_zeros()
     sums.sort_indices()
     level = dyn_mod._levels(sums.data, tol)
     code = sums.indices.astype(np.int64) * (level.max(initial=0) + 1) + level
     count = np.diff(sums.indptr)
-    row = np.repeat(np.arange(dim), count)
-    keys = np.full((dim, int(count.max(initial=0)) + 1), -1, dtype=np.int64)
+    row = np.repeat(np.arange(len(cells)), count)
+    keys = np.full((len(cells), int(count.max(initial=0)) + 1), -1, dtype=np.int64)
     keys[:, 0] = cells
     keys[row, 1 + np.arange(len(code)) - sums.indptr[row]] = code
     return keys
 
 
-def reference_partition(block, psi0):
+def scipy_row_keys(h, cells, tol):
+    """Split keys of the evolver from scipy sparse products: each row's sums
+    into every cell minus those of its cell's first row."""
+    sums = h @ scipy_indicator(cells)
+    first = np.unique(cells, return_index=True)[1]
+    return padded_keys(cells, sp.csr_array(sums - sums[first[cells]]), tol)
+
+
+def scipy_row_sum_keys(h, cells, tol):
+    """Split keys of plain colour refinement: each row's sums into every cell."""
+    return padded_keys(cells, sp.csr_array(h @ scipy_indicator(cells)), tol)
+
+
+def reference_partition(block, psi0, row_keys=scipy_row_keys):
     """Colour refinement that confirms every partition with a further round
-    of row-sum keys: the reference for the evolver's single-product rounds."""
+    of ``row_keys``: the reference for the evolver's single-pass rounds.
+    Returns the cells and the number of rounds that split."""
     h = scipy_csr(block)
     tol = REFINE_TOL * (float(np.abs(h.data).max(initial=0.0)) or 1.0)
     amp_tol = REFINE_TOL * float(np.abs(psi0).max(initial=0.0))
     cells = dyn_mod._cell_ids(dyn_mod._levels(psi0, amp_tol), dyn_mod._levels(h.diagonal(), tol))
-    k = int(cells.max()) + 1
+    k, rounds = int(cells.max()) + 1, 0
     while k < h.shape[0]:
-        cells = dyn_mod._cell_ids(scipy_row_keys(h, cells, tol))
+        cells = dyn_mod._cell_ids(row_keys(h, cells, tol))
         grown = int(cells.max()) + 1
         if grown == k:
             break
-        k = grown
-    return cells
+        k, rounds = grown, rounds + 1
+    return cells, rounds
+
+
+def same_partition(a, b):
+    """``a`` and ``b`` label the same cells, up to relabeling."""
+    pairs = np.unique(np.column_stack([a, b]), axis=0)
+    return len(pairs) == len(np.unique(a)) == len(np.unique(b))
 
 
 def assert_reference_cells(block, psi0):
-    """The evolver's cells equal the reference bitwise; returns its rounds."""
+    """The evolver's cells equal the deviation-key reference bitwise, and
+    the row-sum refinement up to relabeling, in as many rounds; returns the
+    rounds."""
     ev = dyn_mod._SectorEvolver(block, psi0)
-    ref = reference_partition(block, psi0)
+    ref, rounds = reference_partition(block, psi0)
     assert ev.cells.dtype == ref.dtype
     assert np.array_equal(ev.cells, ref)
+    row_sum_cells, row_sum_rounds = reference_partition(block, psi0, scipy_row_sum_keys)
+    assert same_partition(ev.cells, row_sum_cells)
+    assert ev.rounds == rounds == row_sum_rounds
     return ev.rounds
 
 
@@ -238,18 +275,14 @@ class TestRefinement:
         psi = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         assert assert_reference_cells(h, psi / np.linalg.norm(psi)) == 0
 
-    def test_gate_large_sectors_need_no_split(self, monkeypatch):
+    def test_gate_large_sectors_need_no_split(self):
         # the symmetric seeds of both benchmark sectors are already
-        # equitable: one round of products, and no row-sum keys at all
-        calls = []
-        row_keys = dyn_mod._row_keys
-        monkeypatch.setattr(dyn_mod, "_row_keys", lambda *a: calls.append(1) or row_keys(*a))
+        # equitable: one round, and no split
         for kind, boundary in (("chain", "periodic"), ("square", "open")):
             ham = full_hamiltonian(build_lattice(kind, 64, boundary=boundary), 1.0, 0.05)
             diag = compute_trajectory(ham, [0.0]).diagnostics
             assert diag["partition_rounds"] == [0, 0, 0]
             assert ham.dim(2) == 2016
-        assert calls == []
 
 
 # (kind, n_sites) with n_sites <= 16 that every boundary accepts
@@ -334,8 +367,11 @@ def assert_matches_scipy(block, psi0):
     roundoff, so each entry agrees to 64 eps of max |Hr| and each
     eigenvalue to k times that (Weyl), the projection on psi0 to 1e-10 over
     t <= 40 and the residuals to 1e-13.  Row slices of 256 KiB and of one
-    row give bitwise the same quotient."""
+    row give bitwise the same quotient.  The cells are those of row-sum
+    refinement up to relabeling, in as many rounds."""
     ref = scipy_evolver(block, psi0)
+    row_sum_cells, row_sum_rounds = reference_partition(block, psi0, scipy_row_sum_keys)
+    assert same_partition(ref.cells, row_sum_cells) and ref.rounds == row_sum_rounds
     entry_tol = 64 * np.finfo(float).eps * (float(np.abs(ref.hr).max(initial=0.0)) or 1.0)
     times = np.linspace(0.0, 40.0, 25)
     (want,) = dyn_mod._projections([(ref.lam, ref.w)], times)
@@ -442,17 +478,17 @@ def test_slices_bound_every_temporary(monkeypatch):
     ("chain", 64, "periodic", 0.05, [0, 0, 0]),  # the gate_large sectors
     ("square", 64, "open", 0.05, [0, 0, 0]),
     ("triangular", 16, "open", 1.0, [0, 1, 2]),  # bare exchange
+    ("square", 49, "open", 0.05, [0, 0, 1]),
 ])
 def test_block_passes_per_round(monkeypatch, kind, n_sites, boundary, xi, rounds):
-    # a round that ends equitable reads the block once; a split round reads
-    # it once more for the row keys
+    # every round reads the block once, whether it ends equitable or splits
     ham = full_hamiltonian(build_lattice(kind, n_sites, boundary=boundary), 1.0, xi)
     calls = recording_cell_sums(monkeypatch)
     for n in (0, 1, 2):
         calls.clear()
         ev = dyn_mod._SectorEvolver(ham.blocks[n], dicke_state(ham.sectors[n]))
         assert ev.rounds == rounds[n]
-        assert sum(len(sums) for _, sums in calls) == (2 * ev.rounds + 1) * ham.dim(n)
+        assert sum(len(sums) for _, sums in calls) == (ev.rounds + 1) * ham.dim(n)
 
 
 class TestBlockInput:
@@ -607,21 +643,15 @@ class TestGateTime:
         traj = compute_trajectory(h, t)
         assert gate_time(traj) == pytest.approx(expected, rel=1e-4)
 
-    @pytest.mark.parametrize("rel_tol", [0.0, -1e-4, np.nan, np.inf])
-    def test_rejects_bad_rel_tol(self, rel_tol):
-        traj = compute_trajectory(exchange_hamiltonian(periodic_chain(8), 1.0),
-                                  np.linspace(0.0, 10.0, 100))
-        with pytest.raises(ValueError, match="rel_tol"):
-            gate_time(traj, rel_tol=rel_tol)
-
-    def test_bisection_stops_at_float_resolution(self):
+    def test_bisection_stops_at_float_resolution(self, monkeypatch):
         # a bracket below one ulp cannot be halved: bisection must end there
         lat = periodic_chain(8)
         t_pi = gate_params(lat, 1.0, 0.0).t_pi
         traj = compute_trajectory(exchange_hamiltonian(lat, 1.0), np.linspace(0.0, 1.5 * t_pi, 60))
-        fine = gate_time(traj, rel_tol=1e-300)
+        coarse = gate_time(traj)
+        monkeypatch.setattr(dyn_mod, "GATE_REL_TOL", 1e-300)
+        assert gate_time(traj) == pytest.approx(coarse, rel=1e-4)
         assert traj.diagnostics["gate_time_method"] == "bisection"
-        assert fine == pytest.approx(gate_time(traj), rel=1e-4)
 
     @pytest.mark.parametrize("xi_over_kappa, window, method", [
         (0.05, 2.0, "bisection"),

@@ -183,6 +183,12 @@ class TestExchangeHamiltonian:
 
 
 class TestFullHamiltonian:
+    @pytest.mark.parametrize("kappa, xi", [(1.0, np.nan), (np.inf, 0.1), (1.0, -np.inf)])
+    def test_rejects_non_finite_couplings(self, kappa, xi):
+        # refused before assembly rather than as a non-invariant quotient
+        with pytest.raises(ValueError, match="need a positive finite kappa and a finite xi"):
+            full_hamiltonian(build_lattice("chain", 6), kappa, xi)
+
     def test_xi_zero_adds_only_diagonal(self):
         lat = build_lattice("chain", 5)
         hx = exchange_hamiltonian(lat, 1.0)
@@ -306,6 +312,13 @@ class TestGateParams:
     def test_rejects_tilde_with_zero_xi(self):
         with pytest.raises(ValueError):
             gate_params(build_lattice("chain", 4), 1.0, 0.0, use_tilde=True)
+
+    @pytest.mark.parametrize("kappa, xi, message", [(np.inf, 0.1, "kappa must be finite"),
+                                                    (1.0, np.nan, "xi must be finite")])
+    def test_rejects_non_finite_couplings(self, kappa, xi, message):
+        # neither returns t_pi = NaN
+        with pytest.raises(ValueError, match=message):
+            gate_params(build_lattice("chain", 4), kappa, xi)
 
     def test_t_pi_ratio_36_vs_81(self):
         g36 = gate_params(build_lattice("chain", 36), 1.0, 0.0, use_tilde=False)

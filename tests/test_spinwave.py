@@ -68,6 +68,18 @@ class TestDispersion:
         dense = (4.0 * np.sin(kv @ rel.T / 2.0) ** 2 / np.linalg.norm(rel, axis=1) ** 3).sum(axis=1)
         assert np.allclose(spin_wave_energies(lat, kv, 1.0), dense, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("kind, n", [("chain", 16), ("triangular", 16)])
+    def test_one_band_gives_omega_and_kernel(self, monkeypatch, kind, n):
+        # one sin^2 sum serves both, bitwise equal to the separate calls
+        lat = periodic(kind, n)
+        kv = momentum_grid(lat).kvecs
+        calls, sin2_sum = [], spinwave_mod._sin2_sum
+        monkeypatch.setattr(spinwave_mod, "_sin2_sum", lambda *a: calls.append(1) or sin2_sum(*a))
+        d = dispersion(lat, 1.7)
+        assert len(calls) == 1
+        assert np.array_equal(d.omega, spin_wave_energies(lat, kv, 1.7))
+        assert np.array_equal(d.fourier_kernel, fourier_kernel(lat, kv))
+
     @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
     def test_non_positive_kappa_rejected(self, kappa):
         lat = periodic("chain", 8)
