@@ -27,15 +27,23 @@ reads the block once and every split adds a cell, until the partition is
 equitable; the discrete one always is.  P then spans an invariant subspace that contains the initial
 state, so the k x k quotient Hr carries the whole dynamics; it is
 diagonalized once, and a projection on the initial state is the spectral
-sum C(t) = sum_j w_j exp(-i lambda_j t).  The symmetric (Dicke) states reduce
-the two-excitation sector from C(N, 2) to a few dozen cells on periodic
-lattices, and their seed is often equitable already, so one round suffices;
-a state without symmetry gives the discrete partition, i.e. dense
-diagonalization of the full block.  A residual above ``RESIDUAL_TOL``
-raises :class:`InvarianceError`, and a quotient whose dense eigh would need
-about 40 k^2 bytes at dimension k, more than the memory budget
-``basis.MEMORY_BYTES_MAX``, raises :class:`~dipolarray.basis.ResourceLimitError`
-in the first round that reaches it, before that Hr is formed.  A
+sum C(t) = sum_j w_j exp(-i lambda_j t).  A state without symmetry gives the
+discrete partition, i.e. dense diagonalization of the full block.
+
+:func:`compute_trajectory` takes each sector's block and initial state from
+:meth:`~dipolarray.hamiltonian.SpinHamiltonian.dicke_sectors`, which has two
+sources.  On open lattices it gives the assembled block with the Dicke
+state, and refinement finds the quotient.  On periodic lattices it gives the
+translation-orbit block with the Dicke state on the orbits, and no sector
+block is assembled; the two-excitation sector has about N/2 orbits, which
+refinement merges into point-group cells on 2D tori.  Both seeds are often
+equitable already, so one round suffices.
+
+A residual above ``RESIDUAL_TOL`` raises :class:`InvarianceError`, and a
+quotient whose dense eigh would need about 40 k^2 bytes at dimension k, more
+than the memory budget ``basis.MEMORY_BYTES_MAX``, raises
+:class:`~dipolarray.basis.ResourceLimitError` in the first round that
+reaches it, before that Hr is formed.  A
 :class:`Trajectory` keeps lambda and w of sectors 0, 1 and 2, all that
 :func:`gate_time` needs off the grid.
 
@@ -59,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import dicke_state, require_memory
+from .basis import require_memory
 from .hamiltonian import CSRBlock, SpinHamiltonian
 
 __all__ = [
@@ -366,10 +374,12 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
     undersampling.  Each doubling evaluates the projections only at the new
     midpoints and interleaves them with the values already computed.  The
     returned trajectory uses the finest grid evaluated.  ``times`` must be
-    non-empty, non-decreasing and start at 0.
+    non-empty, non-decreasing and start at 0.  The sectors come from
+    ``ham.dicke_sectors()``: translation orbits on a periodic lattice, which
+    assemble no block, else the assembled blocks.
     """
     times = _time_grid(times)
-    evolvers = [_SectorEvolver(ham.blocks[n], dicke_state(ham.sectors[n])) for n in (0, 1, 2)]
+    evolvers = [_SectorEvolver(block, psi0) for block, psi0 in ham.dicke_sectors()]
     spectra = tuple((ev.lam, ev.w) for ev in evolvers)
     cs = _projections(spectra, times)
     theta, cos_half, max_step = _extract_phase(*cs)

@@ -21,8 +21,8 @@ from math import comb
 
 import numpy as np
 
-from .basis import SectorBasis, require_memory, sector_basis
-from .lattice import Lattice, coupling_kernel, relative_sites
+from .basis import SectorBasis, dicke_state, require_memory, sector_basis
+from .lattice import Lattice, coupling_kernel, momentum_grid, relative_sites
 
 __all__ = [
     "CSRBlock",
@@ -97,33 +97,134 @@ class CSRBlock:
         return out
 
 
-@dataclass
 class SpinHamiltonian:
-    """Sector blocks (n = 0, 1, 2) of a dipolar spin model.
+    """Sector blocks (n = 0, 1, 2) of a dipolar spin model on ``lattice``.
 
     ``blocks[n]`` is a :class:`CSRBlock` in the colex order of
     ``sectors[n]``; the evolution engine needs only its rows, so one storage
     serves every size (``block.toarray()`` gives the dense matrix).  Blocks
-    are Hermitian and conserve excitation number by construction; everything
-    is immutable after assembly.
+    are Hermitian and conserve excitation number by construction.  They are
+    assembled when ``blocks`` or ``sectors`` is first read, and that read
+    raises :class:`~dipolarray.basis.ResourceLimitError` when the assembly
+    would exceed the memory budget ``basis.MEMORY_BYTES_MAX``; ``dim``,
+    ``vacuum_energy`` and :meth:`dicke_sectors` on a periodic lattice never
+    assemble.  ``blocks`` and ``sectors`` may also be given, for a model
+    without a lattice (``lattice`` None).
     """
 
-    kappa: float
-    xi: float
-    lattice: Lattice
-    blocks: dict[int, CSRBlock]
-    sectors: dict[int, SectorBasis]
+    def __init__(self, kappa: float, xi: float, lattice: Lattice | None,
+                 blocks: dict[int, CSRBlock] | None = None,
+                 sectors: dict[int, SectorBasis] | None = None):
+        if not (0 < kappa < np.inf and abs(xi) < np.inf):
+            raise ValueError(f"need a positive finite kappa and a finite xi, got {kappa} and {xi}")
+        self.kappa, self.xi, self.lattice = kappa, xi, lattice
+        self._assembled = None if blocks is None else (blocks, sectors)
+
+    def _assembly(self) -> tuple[dict[int, CSRBlock], dict[int, SectorBasis]]:
+        if self._assembled is None:
+            self._assembled = _build(self.lattice, self.kappa, self.xi)
+        return self._assembled
+
+    @property
+    def blocks(self) -> dict[int, CSRBlock]:
+        return self._assembly()[0]
+
+    @property
+    def sectors(self) -> dict[int, SectorBasis]:
+        return self._assembly()[1]
 
     @property
     def vacuum_energy(self) -> float:
-        return float(self.blocks[0].toarray()[0, 0])
+        """(kappa - xi) * sum_{i<j} d_ij, from the kernel."""
+        return float((self.kappa - self.xi) * _pair_sum(self.lattice))
 
     def dim(self, n: int) -> int:
-        return self.blocks[n].shape[0]
+        """C(N, n), or the given block's dimension for a model without a lattice."""
+        if self.lattice is None:
+            return self.blocks[n].shape[0]
+        return comb(self.lattice.n_sites, n)
 
     def is_sparse(self, n: int) -> bool:
         """Always true since every block is CSR; kept for storage-agnostic callers."""
         return isinstance(self.blocks[n], CSRBlock)
+
+    def dicke_sectors(self) -> list[tuple[CSRBlock, np.ndarray]]:
+        """(block, initial state) per sector n = 0, 1, 2 whose evolution gives
+        the symmetric (Dicke) state's: the translation-orbit blocks of
+        :func:`_orbit_sectors` on a periodic lattice, which read no sector
+        block, and otherwise the assembled blocks with the Dicke states."""
+        if self.lattice is not None and self.lattice.periodic:
+            return _orbit_sectors(self.lattice, self.kappa, self.xi)
+        return [(self.blocks[n], dicke_state(self.sectors[n])) for n in (0, 1, 2)]
+
+
+def _site_couplings(lattice: Lattice) -> np.ndarray:
+    """1/|r_j|^3 over the O(N) ``relative_sites`` table of a periodic lattice:
+    the couplings of any one site."""
+    return 1.0 / np.linalg.norm(relative_sites(lattice), axis=1) ** 3
+
+
+def _pair_sum(lattice: Lattice) -> float:
+    """D = sum_{i<j} d_ij: N/2 times one site's couplings on a torus, half
+    the kernel's sum otherwise."""
+    if lattice.periodic:
+        return 0.5 * lattice.n_sites * float(_site_couplings(lattice).sum())
+    return 0.5 * coupling_kernel(lattice).sum(axis=1).sum()
+
+
+# bytes per entry of the k x N hop tables of _orbit_sectors (k ~ N/2 orbits):
+# its tracemalloc peak is 40.1-40.4 B per entry at N >= 400 on every lattice
+# kind, and at most 52 B at N = 64; the quotient's eigh adds its 40 k^2 bytes
+_ORBIT_BYTES_PER_ENTRY = 44
+
+
+def _orbit_sectors(lattice: Lattice, kappa: float, xi: float) -> list[tuple[CSRBlock, np.ndarray]]:
+    """Sectors 0, 1, 2 on translation orbits of a periodic lattice.
+
+    The Dicke states are translation-invariant, so each sector's dynamics
+    lives on its orbits: sectors 0 and 1 are one orbit each, and the pairs
+    {p, p + delta} of sector 2 form one orbit per separation delta ~ -delta,
+    of size s = N (N/2 where 2 delta = 0).  Orbit a's row R[a, c] sums the
+    representative row {0, delta_a} into each orbit c: the diagonal and the
+    hops 0 -> x (amplitude 2 kappa d(x), to the orbit of x - delta) and
+    delta -> x (2 kappa d(x - delta), to the orbit of x) for x not in
+    {0, delta}, from the O(N) ``relative_sites`` couplings.  The block is
+    the symmetric quotient Hr[a, c] = sqrt(s_a / s_c) R[a, c] and the
+    initial state sqrt(s_a / C(N, 2)), the Dicke state on the normalized orbit
+    indicators.  Group arithmetic runs on the integer cell coordinates of
+    :func:`~dipolarray.lattice.momentum_grid`, the same group Z_side^D.
+    Raises :class:`~dipolarray.basis.ResourceLimitError` when the hop tables
+    and the quotient's eigh would exceed the memory budget.
+    """
+    n = lattice.n_sites
+    grid = momentum_grid(lattice)
+    reps, mult = grid.pair_fold()
+    k = len(reps)
+    require_memory(_ORBIT_BYTES_PER_ENTRY * k * n + 40 * k**2, "translation-orbit tables need",
+                   f"for {n} sites")
+    couplings = _site_couplings(lattice)
+    row = float(couplings.sum())
+    total = 0.5 * n * row
+    weight = kappa - xi
+    cell = lattice.period_vectors / grid.side
+    site = grid.index(np.rint(lattice.positions @ np.linalg.inv(cell)).astype(np.int64))
+    d = np.zeros(n)
+    d[site[1:]] = couplings  # d[g]: the coupling across group element g
+    # orbit of every group element; element 0 takes a dropped extra column k
+    orbit = np.searchsorted(reps, np.minimum(np.arange(n), grid.index(-grid.coords)))
+    orbit[0] = k
+    diff = grid.index(grid.coords - grid.coords[reps][:, None])  # [a, x] = x - delta_a
+    key = np.arange(0, k * (k + 1), k + 1)[:, None]
+    r = (np.bincount((key + orbit[diff]).ravel(), np.broadcast_to(d, diff.shape).ravel(), k * (k + 1))
+         + np.bincount((key + orbit).ravel(), d[diff].ravel(), k * (k + 1)))
+    r = 2.0 * kappa * r.reshape(k, k + 1)[:, :k]
+    r[np.diag_indices(k)] += weight * (total - 2.0 * (2.0 * row - 2.0 * d[reps]))
+    root = np.sqrt(mult)
+    hr = r * root[:, None] / root
+    return [(CSRBlock.from_dense(np.array([[weight * total]])), np.ones(1, dtype=complex)),
+            (CSRBlock.from_dense(np.array([[weight * (total - 2.0 * row) + 2.0 * kappa * row]])),
+             np.ones(1, dtype=complex)),
+            (CSRBlock.from_dense(hr), np.sqrt(mult / (n - 1)).astype(complex))]
 
 
 def _zz_diagonals(kernel: np.ndarray, weight: float) -> tuple[float, np.ndarray, np.ndarray, SectorBasis]:
@@ -145,22 +246,20 @@ def _zz_diagonals(kernel: np.ndarray, weight: float) -> tuple[float, np.ndarray,
     return e0, e1, e2, basis2
 
 
-def _build(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltonian:
-    """Sector blocks 0, 1, 2, the two-excitation block written in sorted CSR
-    order: row {p<q} holds the hops {x,p} -> {p,q} (amplitude 2 kappa d_xq)
-    and {x,q} -> {p,q} (2 kappa d_xp) for each x not in {p,q}, plus the
-    diagonal, which is left out where it is exactly 0 (xi = kappa).  As the
-    colex rank of {u<v} is v(v-1)/2 + u, the columns ascend as {x,p} for
-    x < q, {x,q} for x < q (the diagonal at x = p), then {x,p}, {x,q} per x > q.
-    Raises :class:`~dipolarray.basis.ResourceLimitError` when the slot tables
-    would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
+def _build(lattice: Lattice, kappa: float, xi: float) -> tuple[dict[int, CSRBlock], dict[int, SectorBasis]]:
+    """Sector blocks 0, 1, 2 and their bases, the two-excitation block written
+    in sorted CSR order: row {p<q} holds the hops {x,p} -> {p,q} (amplitude
+    2 kappa d_xq) and {x,q} -> {p,q} (2 kappa d_xp) for each x not in {p,q},
+    plus the diagonal, which is left out where it is exactly 0 (xi = kappa).
+    As the colex rank of {u<v} is v(v-1)/2 + u, the columns ascend as {x,p}
+    for x < q, {x,q} for x < q (the diagonal at x = p), then {x,p}, {x,q} per
+    x > q.  Raises :class:`~dipolarray.basis.ResourceLimitError` when the slot
+    tables would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
     """
-    if not (0 < kappa < np.inf and abs(xi) < np.inf):
-        raise ValueError(f"need a positive finite kappa and a finite xi, got {kappa} and {xi}")
     n = lattice.n_sites
-    # C(N,2) rows of 2N - 3 slots; the slot tables below peak at 41.3-43.3
+    # C(N,2) rows of 2N - 3 slots; the slot tables below peak at 25.3-26.7
     # bytes per slot under tracemalloc (N = 36...160, every lattice kind)
-    require_memory(comb(n, 2) * (2 * n - 3) * 42, "two-excitation assembly needs", f"for {n} sites")
+    require_memory(comb(n, 2) * (2 * n - 3) * 27, "two-excitation assembly needs", f"for {n} sites")
     d = coupling_kernel(lattice)
     e0, e1, e2, basis2 = _zz_diagonals(d, kappa - xi)
 
@@ -173,26 +272,36 @@ def _build(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltonian:
     # slot s of row {p<q} is column {x, keep}: the first q - 1 slots (head)
     # keep p for x < q, x != p; the next q (mid) keep q for x < q; the rest
     # keep p, then q, for each x > q.  Tabulated per q, shifted past x = p.
-    p, q = basis2.configs.T
-    s = np.arange(2 * n - 3)
-    site = np.arange(n)
-    head, mid = s < site[:, None] - 1, s < 2 * site[:, None] - 1
-    x = np.where(head, s, np.where(mid, s + 1 - site[:, None], (s + 3) // 2))[q]
+    # Flat takes on x * N + keep give the column, and on x * N + other, with
+    # other the site of {p, q} not kept, the amplitude 2 kappa d_{x, other}.
+    # Tables are int32: sites, slots and x * N + site fit 32 bits, and so do
+    # ranks under the sector dimension cap.  Each is dropped once used, which
+    # holds the peak near 27 B per slot
+    p, q = basis2.configs.T.astype(np.int32)
+    s = np.arange(2 * n - 3, dtype=np.int32)
+    site = np.arange(n, dtype=np.int32)[:, None]
+    head, mid = s < site - 1, s < 2 * site - 1
+    x = np.where(head, s, np.where(mid, s + 1 - site, (s + 3) // 2))[q]
     x += head[q] & (s >= p[:, None])
-    keep = np.where((~head & (mid | (s % 2 == 0)))[q], q[:, None], p[:, None])
-    # ranks fit 32 bits under the sector dimension cap
-    hi, lo = np.maximum.outer(site, site), np.minimum.outer(site, site)
-    cols = (hi * (hi - 1) // 2 + lo).astype(np.int32)[x, keep]
-    vals = (2.0 * kappa * d)[x, (p + q)[:, None] - keep]
+    x *= n
+    keeps_q = (~head & (mid | (s % 2 == 0)))[q]
+    keep = np.where(keeps_q, q[:, None], p[:, None])
+    keep += x
+    other = np.where(keeps_q, p[:, None], q[:, None])
+    other += x
+    del x, keeps_q
+    hi, lo = np.maximum(site, site.T), np.minimum(site, site.T)
+    cols = (hi * (hi - 1) // 2 + lo).take(keep)
+    del keep
+    vals = (2.0 * kappa * d).take(other)
+    del other
     vals[np.arange(basis2.dim), p + q - 1] = e2  # mid slot of x = p
     nz = vals != 0
     indptr = np.zeros(basis2.dim + 1, dtype=np.int32)
     np.cumsum(nz.sum(axis=1), out=indptr[1:])
     h2 = CSRBlock(vals[nz], cols[nz], indptr, (basis2.dim,) * 2)
 
-    sectors = {0: sector_basis(n, 0), 1: sector_basis(n, 1), 2: basis2}
-    return SpinHamiltonian(kappa=kappa, xi=xi, lattice=lattice,
-                           blocks={0: h0, 1: h1, 2: h2}, sectors=sectors)
+    return {0: h0, 1: h1, 2: h2}, {0: sector_basis(n, 0), 1: sector_basis(n, 1), 2: basis2}
 
 
 def exchange_hamiltonian(lattice: Lattice, kappa: float) -> SpinHamiltonian:
@@ -203,7 +312,7 @@ def exchange_hamiltonian(lattice: Lattice, kappa: float) -> SpinHamiltonian:
     :func:`full_hamiltonian`, whose sigma^z sigma^z weight then vanishes, so
     the result stores ``xi == kappa``.
     """
-    return _build(lattice, kappa, kappa)
+    return SpinHamiltonian(kappa, kappa, lattice)
 
 
 def full_hamiltonian(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltonian:
@@ -211,9 +320,14 @@ def full_hamiltonian(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltoni
 
     Exchange 2*kappa*d_ij as in :func:`exchange_hamiltonian`; sigma^z sigma^z
     weight (kappa - xi)*d_ij per unordered pair.  xi may take either sign;
-    xi = kappa reduces to the pure exchange model.
+    xi = kappa reduces to the pure exchange model.  Returns at once: the
+    blocks are assembled on their first read, which raises
+    :class:`~dipolarray.basis.ResourceLimitError` past the memory budget,
+    and :func:`~dipolarray.dynamics.compute_trajectory` takes its quotient
+    from the assembled blocks on open lattices and from translation orbits,
+    without any block, on periodic ones (:meth:`SpinHamiltonian.dicke_sectors`).
     """
-    return _build(lattice, kappa, xi)
+    return SpinHamiltonian(kappa, xi, lattice)
 
 
 def chi_eff(lattice: Lattice, kappa: float) -> float:
@@ -233,8 +347,7 @@ def chi_eff(lattice: Lattice, kappa: float) -> float:
         raise ValueError("need at least two sites")
     n = lattice.n_sites
     if lattice.periodic:
-        row = float((1.0 / np.linalg.norm(relative_sites(lattice), axis=1) ** 3).sum())
-        return 2.0 * kappa / (n - 1) * row
+        return 2.0 * kappa / (n - 1) * float(_site_couplings(lattice).sum())
     d = coupling_kernel(lattice)
     return 2.0 * kappa / (n * (n - 1)) * float(d.sum())
 

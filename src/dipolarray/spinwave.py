@@ -108,8 +108,7 @@ def spin_wave_energies(lattice: Lattice, kvecs: np.ndarray, kappa: float = 1.0) 
     The energy of the uniform (k = 0) one-excitation mode minus the energy of
     the k mode; non-negative for the repulsive kernel.
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _require_couplings(kappa)
     if not lattice.periodic:
         raise ValueError("spin-wave energies require a periodic lattice")
     rel = relative_sites(lattice)
@@ -142,11 +141,20 @@ def dispersion(lattice: Lattice, kappa: float = 1.0) -> Dispersion:
     """Excitation dispersion and Fourier kernel on the discrete momentum
     grid of the lattice, both from one kappa = 1 band: omega = kappa * band
     and F_k = F_0 - band / 2."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _require_couplings(kappa)
     grid = momentum_grid(lattice)
     band = spin_wave_energies(lattice, grid.kvecs)
     return Dispersion(grid=grid, omega=kappa * band, fourier_kernel=_kernel_from_band(lattice, band))
+
+
+def _require_couplings(kappa: float, xi: float = 0.0) -> None:
+    """Refuse a non-positive or non-finite kappa and a non-finite xi."""
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not kappa < np.inf:
+        raise ValueError(f"kappa must be finite, got {kappa}")
+    if not abs(xi) < np.inf:
+        raise ValueError(f"xi must be finite, got {xi}")
 
 
 def _require_cutoff(cutoff: int) -> None:
@@ -169,8 +177,7 @@ def dispersion_curve(kind: str, ka: np.ndarray, kappa: float = 1.0, cutoff: int 
     tables would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
     """
     _require_cutoff(cutoff)
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _require_couplings(kappa)
     if kind not in ("chain", "square"):
         raise ValueError(f"unsupported lattice kind {kind!r}")
     m = _square_half_width(cutoff)
@@ -250,6 +257,7 @@ def perturbative_decay2(lattice: Lattice, xi: float, times, kappa: float = 1.0) 
     omega_k^2, summed over the full grid without k = 0 (the half-grid sum
     with the +-k degeneracy folded in is identical) by :func:`_sin2_sum`.
     """
+    _require_couplings(kappa, xi)
     if not lattice.periodic:
         raise ValueError("perturbative decay needs a periodic lattice")
     times = np.asarray(times, dtype=float)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -191,8 +192,30 @@ n_field = 5
         assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG
 
     def test_resource_cap_exit_code(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 2000\nboundary = periodic\n")
+        # open lattices assemble sector 2, refused up front past N = 342
+        cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 400\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
+        assert "two-excitation assembly needs" in capsys.readouterr().err
+
+    def test_periodic_runs_past_the_assembly_cap(self, tmp_path, capsys):
+        # periodic chain N = 400: assembling its C(400, 2) = 79 800 pair
+        # states would need 1.7 GB, its 200 translation orbits take 3 MiB
+        cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 400\nboundary = periodic\n"
+                                  "xi_over_kappa = 0.05\nt_max = 2.5\n")
+        tracemalloc.start()
+        try:
+            assert main(["run", cfg, "--out", str(tmp_path / "periodic")]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        summary = json.loads((tmp_path / "periodic" / "phase_gate" / "summary.json").read_text())
+        assert summary["diagnostics"]["sector_dims"] == [1, 400, 79800]
+        assert summary["diagnostics"]["reduced_dims"] == [1, 1, 200]
+        # the open chain past the assembly cap is still refused up front
+        cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 343\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "open")]) == EXIT_RESOURCE
+        assert "two-excitation assembly needs" in capsys.readouterr().err
 
     def test_gate_not_reached_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """
@@ -220,9 +243,13 @@ n_samples = 60
         assert "numerical error: vanishing branch frequency" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, budget, message", [
-        ("experiment = phase_gate\nn_sites = 8\nboundary = periodic\n", 1000,
+        # open lattices assemble sector 2 (open chain 8: 9828 B); periodic ones
+        # build translation-orbit tables instead (periodic chain 8: 2048 B)
+        ("experiment = phase_gate\nn_sites = 8\n", 1000,
          "two-excitation assembly needs about 0 MiB for 8 sites;"),
-        # open chain 20: assembly needs 295 260 B, the 100-cell sector-2 quotient 400 000 B
+        ("experiment = phase_gate\nn_sites = 8\nboundary = periodic\n", 1000,
+         "translation-orbit tables need about 0 MiB for 8 sites;"),
+        # open chain 20: assembly needs 189 810 B, the 100-cell sector-2 quotient 400 000 B
         ("experiment = phase_gate\nn_sites = 20\n", 300_000,
          "quotient of dimension 100 or more needs about 0 MiB to diagonalize;"),
         # chain 8: the coupling tables need 1024 B, the gamma2 pair tables 3168 B
@@ -234,7 +261,7 @@ n_samples = 60
          "dispersion tables need about 0 MiB at sum_cutoff = 1000;"),
         ("experiment = stark_sweep\nn_field = 2\n", 1000,
          "Stark rotor blocks need about 0 MiB at j_max = 20;"),
-    ], ids=["assembly", "quotient", "gamma2", "phonon_model", "dispersion", "stark"])
+    ], ids=["assembly", "orbits", "quotient", "gamma2", "phonon_model", "dispersion", "stark"])
     def test_memory_budget_exit_code(self, tmp_path, capsys, monkeypatch, text, budget, message):
         monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", budget)
         cfg = write_cfg(tmp_path, text)

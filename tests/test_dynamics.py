@@ -6,12 +6,13 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 import dipolarray.basis as basis_mod
 import dipolarray.dynamics as dyn_mod
+import dipolarray.hamiltonian as hamiltonian_mod
 from dipolarray.basis import ResourceLimitError, dicke_state, sector_basis
 from dipolarray.cli import main
 from dipolarray.dynamics import (
@@ -491,6 +492,96 @@ def test_block_passes_per_round(monkeypatch, kind, n_sites, boundary, xi, rounds
         assert sum(len(sums) for _, sums in calls) == (ev.rounds + 1) * ham.dim(n)
 
 
+# ---------------------------------------------------------------------------
+# translation orbits: the periodic path against the assembled refinement path
+# ---------------------------------------------------------------------------
+
+def orbits_against_assembly(kind, n_sites, xi):
+    """compute_trajectory on a periodic lattice (translation orbits) against
+    the evolvers of the assembled blocks from the Dicke states.  The
+    projections must agree within 64 ||H|| t eps, ||H|| the largest quotient
+    eigenvalue: the measured gap reached 14 ||H|| t eps (square 196), so a flat
+    bound fails as N grows.  Returns the (reduced_dims, partition_rounds) of
+    both paths."""
+    ham = full_hamiltonian(build_lattice(kind, n_sites, boundary="periodic"), 1.0, xi)
+    times = np.linspace(0.0, 40.0, 30)
+    traj = compute_trajectory(ham, times, auto_refine=False)
+    ref = [dyn_mod._SectorEvolver(ham.blocks[n], dicke_state(ham.sectors[n])) for n in (0, 1, 2)]
+    norm = max(float(np.abs(ev.lam).max()) for ev in ref)
+    bound = 64 * norm * times[-1] * np.finfo(float).eps
+    for got, want in zip((traj.c0, traj.c1, traj.c2), dyn_mod._projections([(ev.lam, ev.w) for ev in ref], times)):
+        assert np.abs(got - want).max() <= bound
+    diag = traj.diagnostics
+    assert diag["sector_dims"] == [len(ev.cells) for ev in ref]
+    return ((diag["reduced_dims"], diag["partition_rounds"]),
+            ([ev.dim for ev in ref], [ev.rounds for ev in ref]))
+
+
+@pytest.mark.parametrize("kind, n_sites", [
+    ("chain", 2), ("chain", 3), ("chain", 12), ("chain", 25), ("chain", 36), ("chain", 64), ("chain", 81),
+    ("square", 4), ("square", 9), ("square", 16), ("square", 49), ("square", 64), ("square", 81),
+    ("triangular", 4), ("triangular", 9), ("triangular", 16), ("triangular", 49), ("triangular", 64),
+    ("triangular", 81),
+])
+@pytest.mark.parametrize("xi", [0.05, -0.4])
+def test_orbits_match_assembled_refinement(kind, n_sites, xi):
+    # odd and even sides; on 2D tori the evolver's refinement of the orbit
+    # block recovers the point-group cells of the assembled path
+    orbit, assembled = orbits_against_assembly(kind, n_sites, xi)
+    assert orbit == assembled
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lattice=st.one_of(
+        st.tuples(st.just("chain"), st.integers(min_value=2, max_value=40)),
+        st.tuples(st.sampled_from(["square", "triangular"]), st.sampled_from([4, 9, 16, 25, 36, 49])),
+    ),
+    xi=st.floats(min_value=-1.0, max_value=1.0),
+)
+def test_orbits_match_assembled_refinement_drawn(lattice, xi):
+    # xi = 0 and xi = kappa seed the two paths differently; see the next test
+    assume(abs(xi) > 1e-6 and abs(1.0 - xi) > 1e-6)
+    orbit, assembled = orbits_against_assembly(*lattice, xi)
+    assert orbit == assembled
+
+
+@pytest.mark.parametrize("kind, n_sites, xi, orbit, assembled", [
+    # bare exchange: the assembled seed is one cell, while the orbit block's
+    # diagonal holds each orbit's hops into itself, 4 kappa d(2 delta), which
+    # on odd sides already tells every orbit apart
+    ("chain", 81, 1.0, ([1, 1, 40], [0, 0, 0]), ([1, 1, 40], [0, 0, 1])),
+    ("square", 49, 1.0, ([1, 1, 9], [0, 0, 0]), ([1, 1, 9], [0, 0, 1])),
+    ("triangular", 81, 1.0, ([1, 1, 11], [0, 0, 0]), ([1, 1, 11], [0, 0, 1])),
+    # xi = 0: the orbit diagonals 4 kappa (d(delta) + d(2 delta)) coincide for
+    # delta = N/5 and 2N/5 and need a split; at N = 5 the one orbit cell is
+    # itself equitable, so the orbit quotient is coarser
+    ("chain", 5, 0.0, ([1, 1, 1], [0, 0, 0]), ([1, 1, 2], [0, 0, 0])),
+    ("chain", 20, 0.0, ([1, 1, 10], [0, 0, 1]), ([1, 1, 10], [0, 0, 0])),
+    ("square", 25, 0.0, ([1, 1, 5], [0, 0, 1]), ([1, 1, 5], [0, 0, 0])),
+    # half-size orbits: on the 10 x 10 torus delta = (5, 0) and (3, 4) lie at
+    # one distance, so the assembled seed joins them and a split parts them
+    ("square", 100, 0.05, ([1, 1, 20], [0, 0, 0]), ([1, 1, 20], [0, 0, 1])),
+])
+def test_orbit_partition_differences(kind, n_sites, xi, orbit, assembled):
+    # the seeds differ, never the projections
+    assert orbits_against_assembly(kind, n_sites, xi) == (orbit, assembled)
+
+
+def test_periodic_trajectory_reads_no_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sector blocks assembled")
+
+    monkeypatch.setattr(hamiltonian_mod, "_build", refuse)
+    for kind, n_sites in (("chain", 64), ("square", 49), ("triangular", 36)):
+        ham = full_hamiltonian(build_lattice(kind, n_sites, boundary="periodic"), 1.0, 0.05)
+        traj = compute_trajectory(ham, np.linspace(0.0, 5.0, 20))
+        assert traj.diagnostics["sector_dims"] == [1, n_sites, n_sites * (n_sites - 1) // 2]
+        assert ham.vacuum_energy > 0.0
+    with pytest.raises(AssertionError, match="sector blocks assembled"):
+        compute_trajectory(full_hamiltonian(build_lattice("chain", 8), 1.0, 0.05), [0.0])
+
+
 class TestBlockInput:
     def test_scipy_input_is_sorted_and_summed(self):
         # unsorted columns and duplicate entries, as a COO array may hold them
@@ -619,8 +710,9 @@ class TestNonlinearPhase:
                                   np.linspace(0.0, 5.0, 13), auto_refine=False)
         diag = traj.diagnostics
         assert (diag["grid_points"], diag["grid_refinements"]) == (13, 0)
-        # bare exchange has a zero diagonal: the symmetric pair state's seed
-        # is one cell, and one split sorts the pairs by distance
+        # bare exchange: each orbit's diagonal is its hops into itself,
+        # 4 kappa d(2 delta), equal for delta = 1 and 3 on the 8-site ring,
+        # so one split sorts the pairs by distance
         assert diag["partition_rounds"] == [0, 0, 1]
 
     def test_clip_warning_on_superunitary_input(self):

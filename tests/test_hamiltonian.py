@@ -1,9 +1,13 @@
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import dipolarray.hamiltonian as hamiltonian_mod
 from dipolarray.basis import ResourceLimitError, dicke_state
+from dipolarray.dynamics import _SectorEvolver
 from dipolarray.hamiltonian import (
     ZETA3,
     CSRBlock,
@@ -245,11 +249,12 @@ class TestFullHamiltonian:
 
 
     @pytest.mark.parametrize("kind, boundary, largest", [
-        ("chain", "periodic", 295), ("chain", "open", 295),
-        ("square", "periodic", 289), ("triangular", "periodic", 289),
+        ("chain", "periodic", 342), ("chain", "open", 342),
+        ("square", "periodic", 324), ("triangular", "periodic", 324),
     ])
     def test_assembly_cap_admits_up_to_largest(self, monkeypatch, kind, boundary, largest):
-        # the guard runs before any table is built: past it, the kernel stub stops the build
+        # the guard runs on the first block read, before any table is built:
+        # past it, the kernel stub stops the build
         class Admitted(Exception):
             pass
 
@@ -258,10 +263,44 @@ class TestFullHamiltonian:
 
         monkeypatch.setattr(hamiltonian_mod, "coupling_kernel", stop)
         with pytest.raises(Admitted):
-            full_hamiltonian(build_lattice(kind, largest, boundary=boundary), 1.0, 0.05)
+            full_hamiltonian(build_lattice(kind, largest, boundary=boundary), 1.0, 0.05).blocks
         bigger = largest + 1 if kind == "chain" else (int(largest**0.5) + 1) ** 2
+        ham = full_hamiltonian(build_lattice(kind, bigger, boundary=boundary), 1.0, 0.05)
+        assert ham.dim(2) == bigger * (bigger - 1) // 2
         with pytest.raises(ResourceLimitError, match="two-excitation assembly"):
-            full_hamiltonian(build_lattice(kind, bigger, boundary=boundary), 1.0, 0.05)
+            ham.blocks
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind, n, boundary", [
+    ("chain", 100, "open"), ("square", 64, "open"), ("triangular", 64, "open"), ("square", 64, "periodic"),
+])
+def test_assembly_estimate_bounds_peak(kind, n, boundary):
+    # the guard's 27 B per slot covers the slot tables' peak (25.3-26.7 B)
+    lattice = build_lattice(kind, n, boundary=boundary)
+    _, peak = traced_peak(hamiltonian_mod._build, lattice, 1.0, 0.05)
+    assert peak <= comb(n, 2) * (2 * n - 3) * 27
+
+
+@pytest.mark.parametrize("kind, n", [("chain", 64), ("chain", 400), ("square", 400), ("triangular", 400)])
+def test_orbit_estimate_bounds_peak(kind, n):
+    # the orbit tables' guard covers both the tables and the engine's
+    # refinement and eigh of the orbit block that follow them
+    lattice = build_lattice(kind, n, boundary="periodic")
+    k = len(hamiltonian_mod.momentum_grid(lattice).pair_fold()[0])
+    need = hamiltonian_mod._ORBIT_BYTES_PER_ENTRY * k * n + 40 * k**2
+    sectors, peak = traced_peak(hamiltonian_mod._orbit_sectors, lattice, 1.0, 0.05)
+    assert peak <= need
+    _, peak = traced_peak(lambda: [_SectorEvolver(block, psi0) for block, psi0 in sectors])
+    assert peak <= need
 
 
 class TestChiEff:

@@ -91,6 +91,26 @@ class TestDispersion:
             with pytest.raises(ValueError, match="kappa must be positive"):
                 dispersion_curve(kind, [0.1], kappa, cutoff=100)
 
+    def test_infinite_kappa_rejected(self):
+        # inf passes "kappa > 0": the band would read [nan, inf, ...]
+        lat = periodic("chain", 8)
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            spin_wave_energies(lat, momentum_grid(lat).kvecs, np.inf)
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            dispersion(lat, np.inf)
+        for kind in ("chain", "square"):
+            with pytest.raises(ValueError, match="kappa must be finite"):
+                dispersion_curve(kind, [0.1], np.inf, cutoff=100)
+
+    @pytest.mark.parametrize("xi, kappa, message", [
+        (np.nan, 1.0, "xi must be finite"), (np.inf, 1.0, "xi must be finite"),
+        (0.05, np.inf, "kappa must be finite"), (0.05, np.nan, "kappa must be positive"),
+    ])
+    def test_decay2_rejects_non_finite_couplings(self, xi, kappa, message):
+        # before, these returned an all-NaN decay with only RuntimeWarnings
+        with pytest.raises(ValueError, match=message):
+            perturbative_decay2(periodic("chain", 8), xi, np.linspace(0.0, 1.0, 5), kappa)
+
     def test_matches_one_excitation_spectrum(self):
         # one-excitation block eigenvalues are 2 kappa F_k: the dispersion is
         # their distance below the uniform mode
