@@ -2,42 +2,39 @@
 and gate-time extraction.
 
 Times are in units of hbar/kappa.  Evolution is exact and has one engine,
-on numpy alone.  Sector blocks of a
-:class:`~dipolarray.hamiltonian.SpinHamiltonian` are
-:class:`~dipolarray.hamiltonian.CSRBlock`s; :func:`evolve` also accepts a
-dense array or any object with ``tocsr()`` (a scipy sparse matrix) and
-converts it first.  The engine partitions the basis into the coarsest
+on numpy alone, which reads a dense Hermitian block; :func:`evolve` copies
+anything with ``toarray()`` (an assembled sector block, a scipy sparse
+matrix) dense first.  The engine partitions the basis into the coarsest
 *equitable partition* that keeps the initial state constant on every cell
 by colour refinement (1-WL), seeded with equal initial amplitudes and
-diagonal energies.  With S[i, c] the sum of row i of H into cell c and
-P the cell indicators weighted 1/sqrt|c|, each round takes the quotient
-from the first row f(a) of every cell a, Hr[a, c] = sqrt|a| S[f(a), c] /
-sqrt|c|, and makes one pass over row slices whose stored entries and
-(rows x k) sums each fit ``_SLICE_BYTES``: a ``bincount`` of a slice's
-entries by (row, cell of the column) gives its rows of S, and the
-deviation D[i, c] = (S[i, c] - S[f(a), c]) / sqrt|c| with a the cell of i.
-D is exactly H P - P Hr, so the partition is equitable when every row sum
-is within the refinement tolerance of its cell's first row, and ||D||_F is
-the invariance residual; since P^T D = P^T H P - Hr, the Hermitian matrix
+diagonal energies.  With S[i, c] the sum of row i of H into cell c and P
+the cell indicators weighted 1/sqrt|c|, each round takes the quotient from
+the first row f(a), the lowest, of every cell a, Hr[a, c] = sqrt|a|
+S[f(a), c] / sqrt|c|, in one pass over ascending slices of rows whose
+rows, keys and (rows x k) sums each fit ``_SLICE_BYTES``: a ``bincount``
+of each row in column order gives its row of S, and the deviation D[i, c]
+= (S[i, c] - S[f(a), c]) / sqrt|c| with a the cell of i.  D is exactly
+H P - P Hr, so the partition is equitable when every row sum is within the
+refinement tolerance of its cell's first row, and ||D||_F is the
+invariance residual; since P^T D = P^T H P - Hr, the Hermitian matrix
 ``eigh`` reads from the lower triangle of Hr lies within 2 ||D||_F of
 P^T H P.  Otherwise cells split by the deviations beyond the tolerance,
 which the pass keeps (two rows of a cell have equal sums into every cell
 exactly when they deviate equally from its first row), so every round
 reads the block once and every split adds a cell, until the partition is
-equitable; the discrete one always is.  P then spans an invariant subspace that contains the initial
-state, so the k x k quotient Hr carries the whole dynamics; it is
-diagonalized once, and a projection on the initial state is the spectral
-sum C(t) = sum_j w_j exp(-i lambda_j t).  A state without symmetry gives the
-discrete partition, i.e. dense diagonalization of the full block.
+equitable; the discrete one always is.  P then spans an invariant subspace
+that contains the initial state, so the k x k quotient Hr carries the
+whole dynamics; it is diagonalized once, and a projection on the initial
+state is the spectral sum C(t) = sum_j w_j exp(-i lambda_j t), taken in
+time slices whose tables fit ``_SLICE_BYTES``.  A state without symmetry
+gives the discrete partition, i.e. dense diagonalization of the full block.
 
 :func:`compute_trajectory` takes each sector's block and initial state from
-:meth:`~dipolarray.hamiltonian.SpinHamiltonian.dicke_sectors`, which has two
-sources.  On open lattices it gives the assembled block with the Dicke
-state, and refinement finds the quotient.  On periodic lattices it gives the
-translation-orbit block with the Dicke state on the orbits, and no sector
-block is assembled; the two-excitation sector has about N/2 orbits, which
-refinement merges into point-group cells on 2D tori.  Both seeds are often
-equitable already, so one round suffices.
+:meth:`~dipolarray.hamiltonian.SpinHamiltonian.dicke_sectors`: the Dicke
+state on the orbits of the lattice's symmetry group, translations on a
+torus (about N/2 pair orbits, which refinement merges into point-group
+cells in 2D) and the point group of an open patch (about C(N, 2)/|G|).  No
+sector block is assembled, and the seed is often equitable already.
 
 A residual above ``RESIDUAL_TOL`` raises :class:`InvarianceError`, and a
 quotient whose dense eigh would need about 40 k^2 bytes at dimension k, more
@@ -64,11 +61,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .basis import require_memory
-from .hamiltonian import CSRBlock, SpinHamiltonian
+from .hamiltonian import SpinHamiltonian
 
 __all__ = [
     "Trajectory",
@@ -84,10 +82,10 @@ __all__ = [
 REFINE_TOL = 1e-12
 # largest accepted ||H P - P Hr||_F, relative to max |H_ij|
 RESIDUAL_TOL = 1e-10
-# float64 of one row slice's stored entries, and of its (rows x cells) sums
-# of H P: no temporary of the engine grows with the block.  Slices of this
-# size also stay in cache and in the allocator's heap; 1 MiB slices of the
-# gate_large sectors were mapped and page-faulted afresh on every call
+# one slice of block rows, keys or (rows x cells) sums, or of the projections'
+# (times x eigenvalues) tables: no temporary grows with the block or the grid.
+# Slices of this size also stay in cache and in the allocator's heap; 1 MiB
+# slices of the gate_large sectors were mapped and page-faulted afresh on every call
 _SLICE_BYTES = 2**18
 # gate_time bisects its bracket down to this fraction of the gate time
 GATE_REL_TOL = 1e-4
@@ -125,53 +123,11 @@ def _cell_ids(*columns: np.ndarray) -> np.ndarray:
     return np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
 
 
-def _as_block(block) -> CSRBlock:
-    """``block`` as a :class:`CSRBlock`: a dense array, a CSRBlock, or any
-    object with ``tocsr()`` (a scipy sparse matrix), whose entries are sorted
-    and duplicates summed."""
-    if isinstance(block, CSRBlock):
-        return block
-    if not hasattr(block, "tocsr"):
-        a = np.asarray(block)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"block must be a square matrix, got shape {a.shape}")
-        return CSRBlock.from_dense(a.astype(np.result_type(a, float), copy=False))
-    m = block.tocsr()
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError(f"block must be a square matrix, got shape {m.shape}")
-    key = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(m.indptr)) + m.indices
-    pos, vals = _sum_by_key(key, np.asarray(m.data))
-    return CSRBlock.from_entries(pos // n, pos % n, vals, m.shape)
-
-
-def _sum_by_key(key: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and the sum of ``vals`` at each."""
-    pos, at = np.unique(key, return_inverse=True)
-    return pos, _bincount(at.reshape(-1), vals, len(pos))
-
-
-def _row_slices(h: CSRBlock, k: int) -> list[tuple[int, int]]:
-    """Row ranges lo..hi whose (rows x k) sums and whose stored entries each
-    fit ``_SLICE_BYTES`` of float64; at least one row each."""
-    per = _SLICE_BYTES // 8
-    out, lo, dim = [], 0, h.shape[0]
-    while lo < dim:
-        hi = min(lo + per // k, int(np.searchsorted(h.indptr, h.indptr[lo] + per, side="right")) - 1)
-        hi = max(lo + 1, min(hi, dim))
-        out.append((lo, hi))
-        lo = hi
-    return out
-
-
-def _cell_sums(h: CSRBlock, lo: int, hi: int, cells: np.ndarray, k: int) -> np.ndarray:
-    """Dense (hi - lo) x k sums of rows lo..hi-1 of ``h`` into every cell,
-    each (row, cell) sum in entry order, as a sparse product with the cell
-    indicator does."""
-    a, b = h.indptr[lo], h.indptr[hi]
-    key = cells[h.indices[a:b].astype(np.intp)]
-    key += np.repeat(np.arange(0, (hi - lo) * k, k), np.diff(h.indptr[lo:hi + 1]))
-    return _bincount(key, h.data[a:b], (hi - lo) * k).reshape(hi - lo, k)
+def _cell_sums(rows: np.ndarray, key: np.ndarray, k: int) -> np.ndarray:
+    """(len(rows) x k) sums of the dense ``rows`` into every cell, each in
+    column order; ``key`` holds cell + k * (row within the slice) for at
+    least as many rows."""
+    return _bincount(key[:rows.size], rows.ravel(), len(rows) * k).reshape(-1, k)
 
 
 def _bincount(key: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -184,41 +140,36 @@ def _bincount(key: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _quotient(h: CSRBlock, cells: np.ndarray, root: np.ndarray,
+def _quotient(h: np.ndarray, cells: np.ndarray, root: np.ndarray,
               tol: float) -> tuple[np.ndarray, tuple[np.ndarray, ...], float]:
     """Hr from the first row f(a) of every cell a, the (row, cell, value)
     triples of every row sum more than ``tol`` from its cell's first row,
     and ||D||_F for the deviation D = H P - P Hr.
 
     With S[i, c] the sum of row i into cell c, Hr[a, c] = root[a] S[f(a), c]
-    / root[c], formed in column order, the order ``eigh`` reads, and
-    D[i, c] = (S[i, c] - S[f(a), c]) / root[c].  The k first rows are summed
-    up front; D and the triples take one pass over row slices.  Every
-    (row, cell) sum runs in entry order, so D is exactly zero on the first
-    rows and no result depends on the slicing.
+    / root[c] and D[i, c] = (S[i, c] - S[f(a), c]) / root[c], in one pass
+    over ascending row slices: a cell's first row comes before its other
+    rows.  Every (row, cell) sum runs in column order, so D is exactly zero
+    on the first rows and no result depends on the slicing.
     """
-    k = len(root)
-    first = np.unique(cells, return_index=True)[1]
-    # positions of the stored entries of rows first[0], first[1], ...
-    count = np.diff(h.indptr)[first]
-    at = np.arange(count.sum()) + np.repeat(h.indptr[first] - np.cumsum(count) + count, count)
-    key = cells[h.indices[at].astype(np.intp)] * k + np.repeat(np.arange(k), count)
-    s_first = _bincount(key, h.data[at], k * k).reshape(k, k)  # [c, a] = S[f(a), c]
-    hr = s_first * root
-    hr /= root[:, None]
-    # from here [a, c]: the pass gathers whole rows, and gathering them from columns
-    # made the open chain N = 81 round (k = 1640) a quarter slower
-    s_first = np.ascontiguousarray(s_first.T)
+    dim, k = len(cells), len(root)
+    step = max(1, _SLICE_BYTES // (8 * dim))
+    key = (cells + k * np.arange(min(step, dim))[:, None]).ravel()
+    first_of = np.full(dim, -1)  # the cell whose first row each row is, or -1
+    first_of[np.unique(cells, return_index=True)[1]] = np.arange(k)
+    s_first = np.empty((k, k), dtype=np.result_type(h, float))  # [a, c] = S[f(a), c]
     found, sumsq = [], 0.0
-    for lo, hi in _row_slices(h, k):
-        dev = _cell_sums(h, lo, hi, cells, k)
-        dev -= s_first[cells[lo:hi]]
+    for lo in range(0, dim, step):
+        dev = _cell_sums(h[lo:lo + step], key, k)
+        at = first_of[lo:lo + step]
+        s_first[at[at >= 0]] = dev[at >= 0]
+        dev -= s_first[cells[lo:lo + step]]
         # a 2-D np.nonzero took a tenth of the open square N = 64 round
         at = np.flatnonzero(np.abs(dev) > tol)
         found.append((at // k + lo, at % k, dev.reshape(-1)[at]))
         dev /= root
         sumsq += float(np.vdot(dev, dev).real)
-    return hr.T, tuple(map(np.concatenate, zip(*found))), float(np.sqrt(sumsq))
+    return s_first * root[:, None] / root, tuple(map(np.concatenate, zip(*found))), float(np.sqrt(sumsq))
 
 
 def _split(cells: np.ndarray, row: np.ndarray, col: np.ndarray, val: np.ndarray, tol: float) -> np.ndarray:
@@ -246,14 +197,14 @@ class _SectorEvolver:
 
     def __init__(self, block, psi0: np.ndarray):
         psi0 = np.asarray(psi0, dtype=complex)
-        h = _as_block(block)
-        scale = float(np.abs(h.data).max(initial=0.0)) or 1.0
+        h = np.asarray(block)
+        scale = float(np.abs(h).max(initial=0.0)) or 1.0
         if not scale < np.inf:
             raise ValueError(f"block entries must be finite, got max |H_ij| = {scale}")
         tol = REFINE_TOL * scale
         # cells start from equal (amplitude, diagonal) pairs
         amp_tol = REFINE_TOL * float(np.abs(psi0).max(initial=0.0))
-        self.cells = _cell_ids(_levels(psi0, amp_tol), _levels(h.diagonal(), tol))
+        self.cells = _cell_ids(_levels(psi0, amp_tol), _levels(np.diagonal(h), tol))
         self.rounds = 0
         while True:
             root = np.sqrt(np.bincount(self.cells))
@@ -285,8 +236,16 @@ class _SectorEvolver:
 
 def _projections(spectra, times: np.ndarray) -> tuple[np.ndarray, ...]:
     """<psi0|psi(t)> of each (eigenvalues, weights) spectrum; the weights sum
-    to one, so every projection is exactly 1 at t = 0."""
-    return tuple(1.0 + np.expm1(-1j * np.outer(times, lam)) @ w for lam, w in spectra)
+    to one, so every projection is exactly 1 at t = 0.  Times are taken in
+    slices whose (times x eigenvalues) complex tables fit ``_SLICE_BYTES``."""
+    out = []
+    for lam, w in spectra:
+        c = np.empty(len(times), dtype=complex)
+        step = max(1, _SLICE_BYTES // (16 * len(lam)))
+        for lo in range(0, len(times), step):
+            c[lo:lo + step] = 1.0 + np.expm1(-1j * np.outer(times[lo:lo + step], lam)) @ w
+        out.append(c)
+    return tuple(out)
 
 
 def _time_grid(times) -> np.ndarray:
@@ -303,33 +262,33 @@ def _time_grid(times) -> np.ndarray:
     return times
 
 
-def _hermitian_defect(h: CSRBlock) -> float:
-    """max |H - H^dagger| over the entries either stores."""
-    n, rows = h.shape[0], h.rows()
-    key = np.concatenate([rows * n + h.indices, h.indices * np.int64(n) + rows])
-    return float(np.abs(_sum_by_key(key, np.concatenate([h.data, -h.data.conj()]))[1]).max(initial=0.0))
-
-
 def evolve(block, psi0: np.ndarray, times) -> np.ndarray:
     """States exp(-1j*H*t) psi0 at the requested times, shape (T, dim).
 
-    ``block`` is a Hermitian matrix: a dense array, a
-    :class:`~dipolarray.hamiltonian.CSRBlock`, or any object with
-    ``tocsr()`` such as a scipy sparse matrix.  ``psi0`` must be normalized
-    and as long as the block; ``times`` must be non-decreasing and start at
-    0.  A block that differs from its conjugate transpose by more than
-    ``REFINE_TOL`` of its largest entry raises ``ValueError``.
+    ``block`` is a Hermitian matrix: a dense array, or anything with
+    ``toarray()``, whose dense copy is checked against the memory budget.
+    ``psi0`` must be normalized and as long as the block; ``times`` must be
+    non-decreasing and start at 0.  A block that differs from its conjugate
+    transpose by more than ``REFINE_TOL`` of its largest entry raises
+    ``ValueError``.
     """
     times = _time_grid(times)
-    h = _as_block(block)
+    if hasattr(block, "toarray"):
+        # the copy and the Hermitian check's difference, 8 bytes an entry each
+        require_memory(16 * prod(block.shape), "a dense copy of the block needs", f"for shape {block.shape}")
+        block = block.toarray()
+    h = np.asarray(block)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"block must be a square matrix, got shape {h.shape}")
     psi0 = np.asarray(psi0)
     if psi0.shape != (h.shape[0],):
         raise ValueError(f"psi0 has shape {psi0.shape}, block has shape {h.shape}")
     nrm = np.linalg.norm(psi0)
     if not abs(nrm - 1.0) <= 1e-9:
         raise ValueError(f"initial state not normalized (|psi| = {nrm})")
-    defect = _hermitian_defect(h)
-    if defect > REFINE_TOL * float(np.abs(h.data).max(initial=0.0)):
+    with np.errstate(invalid="ignore"):  # inf - inf; the evolver refuses non-finite entries
+        defect = float(np.abs(h - h.conj().T).max(initial=0.0))
+    if defect > REFINE_TOL * float(np.abs(h).max(initial=0.0)):
         raise ValueError(f"block is not Hermitian: max |H - H^dagger| = {defect:.3g}")
     return _SectorEvolver(h, psi0).states(times)
 
@@ -375,8 +334,8 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
     midpoints and interleaves them with the values already computed.  The
     returned trajectory uses the finest grid evaluated.  ``times`` must be
     non-empty, non-decreasing and start at 0.  The sectors come from
-    ``ham.dicke_sectors()``: translation orbits on a periodic lattice, which
-    assemble no block, else the assembled blocks.
+    ``ham.dicke_sectors()``: dense orbit blocks of the lattice's symmetry
+    group, with no sector block assembled.
     """
     times = _time_grid(times)
     evolvers = [_SectorEvolver(block, psi0) for block, psi0 in ham.dicke_sectors()]

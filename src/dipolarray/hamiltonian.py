@@ -17,12 +17,13 @@ cancels them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
-from .basis import SectorBasis, dicke_state, require_memory, sector_basis
-from .lattice import Lattice, coupling_kernel, momentum_grid, relative_sites
+from .basis import SectorBasis, require_memory, sector_basis
+from .lattice import Lattice, _point_group_maps, coupling_kernel, momentum_grid, relative_sites
 
 __all__ = [
     "CSRBlock",
@@ -44,8 +45,7 @@ class CSRBlock:
     """A square block in compressed sparse rows: row i holds ``data[s]`` at
     columns ``indices[s]`` for s in ``indptr[i]:indptr[i + 1]``, columns
     ascending and without duplicates; ``indices`` and ``indptr`` are int32.
-    ``toarray()`` gives the dense matrix, ``@`` multiplies vectors and dense
-    arrays, and ``np.asarray(block)`` is the dense matrix too.
+    ``toarray()`` and ``np.asarray(block)`` give the dense matrix.
     """
 
     data: np.ndarray
@@ -54,84 +54,53 @@ class CSRBlock:
     shape: tuple[int, int]
 
     @classmethod
-    def from_entries(cls, rows, cols, vals, shape) -> CSRBlock:
-        """The block holding ``vals`` at (``rows``, ``cols``); entries must be
-        in row-major order without duplicates, as ``np.nonzero`` gives them."""
-        indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-        return cls(np.asarray(vals), np.asarray(cols, dtype=np.int32), indptr, tuple(shape))
-
-    @classmethod
     def from_dense(cls, a: np.ndarray) -> CSRBlock:
         rows, cols = np.nonzero(a)
-        return cls.from_entries(rows, cols, a[rows, cols], a.shape)
+        indptr = np.zeros(a.shape[0] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=a.shape[0]), out=indptr[1:])
+        return cls(a[rows, cols], cols.astype(np.int32), indptr, a.shape)
 
     @property
     def nnz(self) -> int:
         return len(self.data)
 
-    def rows(self) -> np.ndarray:
-        """Row index of every stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
-    def diagonal(self) -> np.ndarray:
-        n = self.shape[0]
-        on = np.flatnonzero(self.indices == np.repeat(np.arange(n, dtype=np.int32), np.diff(self.indptr)))
-        out = np.zeros(n, dtype=self.data.dtype)
-        out[self.indices[on]] = self.data[on]
-        return out
-
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.data.dtype)
-        out[self.rows(), self.indices] = self.data
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
         return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return self.toarray() if dtype is None else self.toarray().astype(dtype)
 
-    def __matmul__(self, other) -> np.ndarray:
-        other = np.asarray(other)
-        terms = self.data.reshape((-1,) + (1,) * (other.ndim - 1)) * other[self.indices]
-        out = np.zeros((self.shape[0],) + other.shape[1:], dtype=terms.dtype)
-        np.add.at(out, self.rows(), terms)
-        return out
-
 
 class SpinHamiltonian:
     """Sector blocks (n = 0, 1, 2) of a dipolar spin model on ``lattice``.
 
-    ``blocks[n]`` is a :class:`CSRBlock` in the colex order of
-    ``sectors[n]``; the evolution engine needs only its rows, so one storage
-    serves every size (``block.toarray()`` gives the dense matrix).  Blocks
-    are Hermitian and conserve excitation number by construction.  They are
-    assembled when ``blocks`` or ``sectors`` is first read, and that read
-    raises :class:`~dipolarray.basis.ResourceLimitError` when the assembly
-    would exceed the memory budget ``basis.MEMORY_BYTES_MAX``; ``dim``,
-    ``vacuum_energy`` and :meth:`dicke_sectors` on a periodic lattice never
-    assemble.  ``blocks`` and ``sectors`` may also be given, for a model
-    without a lattice (``lattice`` None).
+    :meth:`dicke_sectors` gives each sector on the orbits of the lattice's
+    symmetry group, all the gate dynamics needs.  ``blocks[n]`` is the
+    assembled :class:`CSRBlock` in the colex order of ``sectors[n]``,
+    Hermitian and excitation-conserving by construction; both are assembled
+    on the first read of either, which raises
+    :class:`~dipolarray.basis.ResourceLimitError` past the memory budget
+    ``basis.MEMORY_BYTES_MAX``.  Nothing else assembles.
     """
 
-    def __init__(self, kappa: float, xi: float, lattice: Lattice | None,
-                 blocks: dict[int, CSRBlock] | None = None,
-                 sectors: dict[int, SectorBasis] | None = None):
+    def __init__(self, kappa: float, xi: float, lattice: Lattice):
         if not (0 < kappa < np.inf and abs(xi) < np.inf):
             raise ValueError(f"need a positive finite kappa and a finite xi, got {kappa} and {xi}")
         self.kappa, self.xi, self.lattice = kappa, xi, lattice
-        self._assembled = None if blocks is None else (blocks, sectors)
 
+    @cached_property
     def _assembly(self) -> tuple[dict[int, CSRBlock], dict[int, SectorBasis]]:
-        if self._assembled is None:
-            self._assembled = _build(self.lattice, self.kappa, self.xi)
-        return self._assembled
+        return _build(self.lattice, self.kappa, self.xi)
 
     @property
     def blocks(self) -> dict[int, CSRBlock]:
-        return self._assembly()[0]
+        return self._assembly[0]
 
     @property
     def sectors(self) -> dict[int, SectorBasis]:
-        return self._assembly()[1]
+        return self._assembly[1]
 
     @property
     def vacuum_energy(self) -> float:
@@ -139,23 +108,19 @@ class SpinHamiltonian:
         return float((self.kappa - self.xi) * _pair_sum(self.lattice))
 
     def dim(self, n: int) -> int:
-        """C(N, n), or the given block's dimension for a model without a lattice."""
-        if self.lattice is None:
-            return self.blocks[n].shape[0]
+        """C(N, n)."""
         return comb(self.lattice.n_sites, n)
 
     def is_sparse(self, n: int) -> bool:
         """Always true since every block is CSR; kept for storage-agnostic callers."""
         return isinstance(self.blocks[n], CSRBlock)
 
-    def dicke_sectors(self) -> list[tuple[CSRBlock, np.ndarray]]:
-        """(block, initial state) per sector n = 0, 1, 2 whose evolution gives
-        the symmetric (Dicke) state's: the translation-orbit blocks of
-        :func:`_orbit_sectors` on a periodic lattice, which read no sector
-        block, and otherwise the assembled blocks with the Dicke states."""
-        if self.lattice is not None and self.lattice.periodic:
-            return _orbit_sectors(self.lattice, self.kappa, self.xi)
-        return [(self.blocks[n], dicke_state(self.sectors[n])) for n in (0, 1, 2)]
+    def dicke_sectors(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(dense block, initial state) per sector n = 0, 1, 2 whose evolution
+        gives the Dicke state's: :func:`_orbit_sectors` on translation orbits
+        of a periodic lattice, on point-group orbits of an open one."""
+        source = _torus_orbits if self.lattice.periodic else _patch_orbits
+        return _orbit_sectors(self.kappa, self.xi, self.lattice.n_sites, *source(self.lattice))
 
 
 def _site_couplings(lattice: Lattice) -> np.ndarray:
@@ -172,59 +137,113 @@ def _pair_sum(lattice: Lattice) -> float:
     return 0.5 * coupling_kernel(lattice).sum(axis=1).sum()
 
 
-# bytes per entry of the k x N hop tables of _orbit_sectors (k ~ N/2 orbits):
-# its tracemalloc peak is 40.1-40.4 B per entry at N >= 400 on every lattice
-# kind, and at most 52 B at N = 64; the quotient's eigh adds its 40 k^2 bytes
+# bytes per entry of the k x N hop tables and of the k x k block _orbit_sectors
+# sums, and of the (maps + 2) x pairs tables labelling an open patch's pairs;
+# tracemalloc peaks: 40-44 B per hop entry on tori (57 B at N = 64, within
+# the block term), 17-24 B per block entry and 34-55 B per label entry
 _ORBIT_BYTES_PER_ENTRY = 44
+_ORBIT_BLOCK_BYTES = 32
+_LABEL_BYTES = 40
 
 
-def _orbit_sectors(lattice: Lattice, kappa: float, xi: float) -> list[tuple[CSRBlock, np.ndarray]]:
-    """Sectors 0, 1, 2 on translation orbits of a periodic lattice.
+def _orbit_sectors(kappa: float, xi: float, n: int, total: float,
+                   sectors) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Dense blocks and initial states of sectors 0, 1, 2 on the orbits of a
+    symmetry group of the lattice, which holds the Dicke states invariant.
 
-    The Dicke states are translation-invariant, so each sector's dynamics
-    lives on its orbits: sectors 0 and 1 are one orbit each, and the pairs
-    {p, p + delta} of sector 2 form one orbit per separation delta ~ -delta,
-    of size s = N (N/2 where 2 delta = 0).  Orbit a's row R[a, c] sums the
-    representative row {0, delta_a} into each orbit c: the diagonal and the
-    hops 0 -> x (amplitude 2 kappa d(x), to the orbit of x - delta) and
-    delta -> x (2 kappa d(x - delta), to the orbit of x) for x not in
-    {0, delta}, from the O(N) ``relative_sites`` couplings.  The block is
-    the symmetric quotient Hr[a, c] = sqrt(s_a / s_c) R[a, c] and the
-    initial state sqrt(s_a / C(N, 2)), the Dicke state on the normalized orbit
-    indicators.  Group arithmetic runs on the integer cell coordinates of
-    :func:`~dipolarray.lattice.momentum_grid`, the same group Z_side^D.
-    Raises :class:`~dipolarray.basis.ResourceLimitError` when the hop tables
-    and the quotient's eigh would exceed the memory budget.
+    ``total`` is D = sum_{i<j} d_ij.  Per sector 1, 2, ``sectors`` gives the
+    k orbit sizes s (up to a factor); the cut of each representative (its
+    sites' row sums less twice its pair's coupling), whose diagonal is
+    (kappa - xi)(D - 2 cut); and (orbit, coupling) hop tables [a, x]: moving
+    an excitation of representative a onto site x lands in orbit
+    ``orbit[a, x]`` (k, dropped, where x is excited) with amplitude 2 kappa
+    ``coupling[a, x]``.  With R[a, c] representative a's row summed into
+    orbit c, the block is sqrt(s_a / s_c) R[a, c] and the state
+    sqrt(s_a / sum s).  The hop tables, which may come from a generator,
+    are built after each sector's memory checks.
     """
+    weight = kappa - xi
+    out = [(np.array([[weight * total]]), np.ones(1, dtype=complex))]
+    for sizes, cut, hops in sectors:
+        k = len(sizes)
+        require_memory(40 * k**2, f"quotient of dimension {k} or more needs", "to diagonalize")
+        require_memory(_ORBIT_BYTES_PER_ENTRY * k * n + _ORBIT_BLOCK_BYTES * k**2, "orbit tables need",
+                       f"for {n} sites")
+        key = np.arange(0, k * (k + 1), k + 1)[:, None]  # column k takes the dropped hops
+        r = np.zeros(k * (k + 1))
+        for orbit, coupling in hops:
+            at = key + orbit
+            r += np.bincount(at.ravel(), np.broadcast_to(coupling, at.shape).ravel(), k * (k + 1))
+        r = 2.0 * kappa * r.reshape(k, k + 1)[:, :k]
+        r[np.diag_indices(k)] += weight * (total - 2.0 * cut)
+        root = np.sqrt(sizes)
+        out.append((r * root[:, None] / root, np.sqrt(sizes / sizes.sum()).astype(complex)))
+    return out
+
+
+def _torus_orbits(lattice: Lattice):
+    """D and the sectors of :func:`_orbit_sectors` on translation orbits,
+    sites named by their element of Z_side^D, the integer cell coordinates of
+    :func:`~dipolarray.lattice.momentum_grid`.  Sector 1 is one orbit; sector
+    2 one per delta ~ -delta, {p, p + delta} of size N (N/2 where 2 delta = 0),
+    whose hops 0 -> x (coupling d(x)) land in the orbit of x - delta and
+    delta -> x (d(x - delta)) in that of x."""
     n = lattice.n_sites
     grid = momentum_grid(lattice)
     reps, mult = grid.pair_fold()
-    k = len(reps)
-    require_memory(_ORBIT_BYTES_PER_ENTRY * k * n + 40 * k**2, "translation-orbit tables need",
-                   f"for {n} sites")
     couplings = _site_couplings(lattice)
     row = float(couplings.sum())
-    total = 0.5 * n * row
-    weight = kappa - xi
     cell = lattice.period_vectors / grid.side
     site = grid.index(np.rint(lattice.positions @ np.linalg.inv(cell)).astype(np.int64))
     d = np.zeros(n)
     d[site[1:]] = couplings  # d[g]: the coupling across group element g
-    # orbit of every group element; element 0 takes a dropped extra column k
+    # orbit of every group element; element 0 takes the dropped label k
     orbit = np.searchsorted(reps, np.minimum(np.arange(n), grid.index(-grid.coords)))
-    orbit[0] = k
-    diff = grid.index(grid.coords - grid.coords[reps][:, None])  # [a, x] = x - delta_a
-    key = np.arange(0, k * (k + 1), k + 1)[:, None]
-    r = (np.bincount((key + orbit[diff]).ravel(), np.broadcast_to(d, diff.shape).ravel(), k * (k + 1))
-         + np.bincount((key + orbit).ravel(), d[diff].ravel(), k * (k + 1)))
-    r = 2.0 * kappa * r.reshape(k, k + 1)[:, :k]
-    r[np.diag_indices(k)] += weight * (total - 2.0 * (2.0 * row - 2.0 * d[reps]))
-    root = np.sqrt(mult)
-    hr = r * root[:, None] / root
-    return [(CSRBlock.from_dense(np.array([[weight * total]])), np.ones(1, dtype=complex)),
-            (CSRBlock.from_dense(np.array([[weight * (total - 2.0 * row) + 2.0 * kappa * row]])),
-             np.ones(1, dtype=complex)),
-            (CSRBlock.from_dense(hr), np.sqrt(mult / (n - 1)).astype(complex))]
+    orbit[0] = len(reps)
+
+    def hops():
+        diff = grid.index(grid.coords - grid.coords[reps][:, None])  # [a, x] = x - delta_a
+        yield orbit[diff], d
+        yield orbit, d[diff]
+
+    # all N hops of the one site orbit land in it: their sum is its entry
+    one_orbit = (np.ones(1), row, [(np.zeros(1, dtype=np.intp), row)])
+    return 0.5 * n * row, [one_orbit, (mult, 2.0 * row - 2.0 * d[reps], hops())]
+
+
+def _patch_orbits(lattice: Lattice):
+    """D and the sectors of :func:`_orbit_sectors` on the orbits of an open
+    patch's point-group maps, each site and pair (by colex rank) labelled
+    with its least image; the labels, and the quotient of the fewest orbits
+    the maps allow, are checked against the memory budget first."""
+    n = lattice.n_sites
+    maps = _point_group_maps(lattice)
+    pairs = comb(n, 2)
+    require_memory(_LABEL_BYTES * (len(maps) + 2) * pairs, "pair-orbit labels need", f"for {n} sites")
+    fewest = -(-pairs // len(maps))
+    require_memory(40 * fewest**2, f"quotient of dimension {fewest} or more needs", "to diagonalize")
+    q, p = np.tril_indices(n, -1)  # colex order
+    lo, hi = np.minimum(maps[:, p], maps[:, q]), np.maximum(maps[:, p], maps[:, q])
+    reps, label, sizes = np.unique((hi * (hi - 1) // 2 + lo).min(axis=0),
+                                   return_inverse=True, return_counts=True)
+    rp, rq = p[reps], q[reps]
+    label = np.append(label, len(reps))  # at rank `pairs`: a site excited twice
+
+    def orbit(u, v):
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        return label[np.where(lo == hi, pairs, hi * (hi - 1) // 2 + lo)]
+
+    d = coupling_kernel(lattice)
+    row = d.sum(axis=1)
+    x = np.arange(n)
+
+    def hops():
+        yield orbit(x, rq[:, None]), d[rp]
+        yield orbit(rp[:, None], x), d[rq]
+
+    first, site_orbit, site_sizes = np.unique(maps.min(axis=0), return_inverse=True, return_counts=True)
+    return 0.5 * row.sum(), [(site_sizes, row[first], [(site_orbit, d[first])]),
+                             (sizes, row[rp] + row[rq] - 2.0 * d[rp, rq], hops())]
 
 
 def _zz_diagonals(kernel: np.ndarray, weight: float) -> tuple[float, np.ndarray, np.ndarray, SectorBasis]:
@@ -321,23 +340,18 @@ def full_hamiltonian(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltoni
     Exchange 2*kappa*d_ij as in :func:`exchange_hamiltonian`; sigma^z sigma^z
     weight (kappa - xi)*d_ij per unordered pair.  xi may take either sign;
     xi = kappa reduces to the pure exchange model.  Returns at once: the
-    blocks are assembled on their first read, which raises
-    :class:`~dipolarray.basis.ResourceLimitError` past the memory budget,
-    and :func:`~dipolarray.dynamics.compute_trajectory` takes its quotient
-    from the assembled blocks on open lattices and from translation orbits,
-    without any block, on periodic ones (:meth:`SpinHamiltonian.dicke_sectors`).
+    dynamics reads :meth:`SpinHamiltonian.dicke_sectors`, and the blocks
+    are assembled only on their first read.
     """
     return SpinHamiltonian(kappa, xi, lattice)
 
 
 def chi_eff(lattice: Lattice, kappa: float) -> float:
     """Collective phase-gate coupling from projecting the exchange model onto
-    the symmetric manifold: 2*kappa/(N(N-1)) * ordered pair sum of d_ij.
-
-    On a periodic lattice every site sees the same neighbours, so each of the
-    N kernel rows sums to sum_j 1/|r_j|^3 over the O(N) relative-site table
-    and chi_eff = 2*kappa/(N-1) * sum_j 1/|r_j|^3; open lattices sum the
-    O(N^2) kernel.
+    the symmetric manifold: 2*kappa/(N(N-1)) * ordered pair sum of d_ij,
+    i.e. 4*kappa*D/(N(N-1)) with the pair sum D of :func:`_pair_sum`, which
+    sums the O(N) relative-site table on a periodic lattice, where every site
+    sees the same neighbours, and the O(N^2) kernel on an open one.
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
@@ -346,10 +360,7 @@ def chi_eff(lattice: Lattice, kappa: float) -> float:
     if lattice.n_sites < 2:
         raise ValueError("need at least two sites")
     n = lattice.n_sites
-    if lattice.periodic:
-        return 2.0 * kappa / (n - 1) * float(_site_couplings(lattice).sum())
-    d = coupling_kernel(lattice)
-    return 2.0 * kappa / (n * (n - 1)) * float(d.sum())
+    return 4.0 * kappa * _pair_sum(lattice) / (n * (n - 1))
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,32 @@ def _triangular_patch(n_sites: int) -> np.ndarray:
     return np.array([t[3] for t in cand[:n_sites]])
 
 
+def _point_group_maps(lattice: Lattice) -> np.ndarray:
+    """Site permutations (G, N) of an open patch, identity first: the maps of
+    the lattice's point group (the chain's reflection, D4 of the square
+    lattice, D6 of the triangular one), about the centroid, that carry the
+    sites onto themselves.  Row g holds the image site of every site."""
+    if lattice.dimension == 1:
+        maps, cell = np.array([[[1.0]], [[-1.0]]]), np.eye(1)
+    else:
+        m = 4 if lattice.kind == "square" else 6
+        a = 2.0 * np.pi * np.arange(m) / m
+        rot = np.stack([np.cos(a), -np.sin(a), np.sin(a), np.cos(a)], axis=-1).reshape(-1, 2, 2)
+        maps = np.concatenate([rot, rot * [1.0, -1.0]])  # then each after the reflection y -> -y
+        cell = np.eye(2) if lattice.kind == "square" else np.vstack([_TRI_A1, _TRI_A2])
+    to_cell, centroid = np.linalg.inv(cell), lattice.positions.mean(axis=0)
+    own = np.rint(lattice.positions @ to_cell).astype(np.int64)
+    lo, span = own.min(axis=0), np.ptp(own, axis=0) + 1
+    site = np.full(np.prod(span), -1)
+    site[np.ravel_multi_index(tuple((own - lo).T), span)] = np.arange(lattice.n_sites)
+    # cell coordinates of every image; a map is kept when each lands on a site
+    frac = (np.einsum("gij,nj->gni", maps, lattice.positions - centroid) + centroid) @ to_cell - lo
+    near = np.rint(frac).astype(np.int64)
+    on = np.all((np.abs(frac - near) < 1e-6) & (near >= 0) & (near < span), axis=-1)
+    image = np.where(on, site[np.ravel_multi_index(tuple(np.moveaxis(near, -1, 0)), span, mode="clip")], -1)
+    return image[np.all(image >= 0, axis=1)]
+
+
 def _minimum_image(diff: np.ndarray, lattice: Lattice) -> np.ndarray:
     """Shortest torus image of each displacement in ``diff`` (..., D).
 

@@ -192,10 +192,24 @@ n_field = 5
         assert main(["run", "/nonexistent/path.cfg"]) == EXIT_CONFIG
 
     def test_resource_cap_exit_code(self, tmp_path, capsys):
-        # open lattices assemble sector 2, refused up front past N = 342
+        # the reflection leaves the open chain N = 400 at least C(400, 2) / 2 =
+        # 39 900 pair orbits, a quotient refused before any orbit table
         cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 400\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
-        assert "two-excitation assembly needs" in capsys.readouterr().err
+        assert "quotient of dimension 39900 or more needs" in capsys.readouterr().err
+
+    def test_open_chain_refused_before_any_large_table(self, tmp_path, capsys):
+        # open chain N = 150: at least 5588 pair orbits, whose quotient would
+        # need about 1191 MiB; the refusal comes before the orbit labels
+        cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 150\nxi_over_kappa = 0.05\n")
+        tracemalloc.start()
+        try:
+            assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert "quotient of dimension 5588 or more needs about 1191 MiB" in capsys.readouterr().err
 
     def test_periodic_runs_past_the_assembly_cap(self, tmp_path, capsys):
         # periodic chain N = 400: assembling its C(400, 2) = 79 800 pair
@@ -212,10 +226,11 @@ n_field = 5
         summary = json.loads((tmp_path / "periodic" / "phase_gate" / "summary.json").read_text())
         assert summary["diagnostics"]["sector_dims"] == [1, 400, 79800]
         assert summary["diagnostics"]["reduced_dims"] == [1, 1, 200]
-        # the open chain past the assembly cap is still refused up front
-        cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 343\n")
+        # the open chain of that size is refused up front: its reflection
+        # leaves at least 39 900 pair orbits
+        cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 400\n")
         assert main(["run", cfg, "--out", str(tmp_path / "open")]) == EXIT_RESOURCE
-        assert "two-excitation assembly needs" in capsys.readouterr().err
+        assert "quotient of dimension 39900 or more needs" in capsys.readouterr().err
 
     def test_gate_not_reached_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, """
@@ -243,15 +258,16 @@ n_samples = 60
         assert "numerical error: vanishing branch frequency" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, budget, message", [
-        # open lattices assemble sector 2 (open chain 8: 9828 B); periodic ones
-        # build translation-orbit tables instead (periodic chain 8: 2048 B)
+        # open lattices label pairs by point-group orbit (open chain 8: 4480 B);
+        # the orbit tables of sector 2 on the periodic chain 8 need 1792 B
         ("experiment = phase_gate\nn_sites = 8\n", 1000,
-         "two-excitation assembly needs about 0 MiB for 8 sites;"),
+         "pair-orbit labels need about 0 MiB for 8 sites;"),
         ("experiment = phase_gate\nn_sites = 8\nboundary = periodic\n", 1000,
-         "translation-orbit tables need about 0 MiB for 8 sites;"),
-        # open chain 20: assembly needs 189 810 B, the 100-cell sector-2 quotient 400 000 B
+         "orbit tables need about 0 MiB for 8 sites;"),
+        # open chain 20: the reflection leaves at least 95 of its 190 pairs
+        # as orbits (there are 100), a quotient of 361 000 B
         ("experiment = phase_gate\nn_sites = 20\n", 300_000,
-         "quotient of dimension 100 or more needs about 0 MiB to diagonalize;"),
+         "quotient of dimension 95 or more needs about 0 MiB to diagonalize;"),
         # chain 8: the coupling tables need 1024 B, the gamma2 pair tables 3168 B
         ("experiment = phonon_decay\nkind = chain\nn_sites = 8\nn_samples = 20\ninclude_fgr = false\n",
          2000, "gamma2 pair tables need about 0 MiB for 8 momenta and 1 branches;"),
@@ -261,7 +277,7 @@ n_samples = 60
          "dispersion tables need about 0 MiB at sum_cutoff = 1000;"),
         ("experiment = stark_sweep\nn_field = 2\n", 1000,
          "Stark rotor blocks need about 0 MiB at j_max = 20;"),
-    ], ids=["assembly", "orbits", "quotient", "gamma2", "phonon_model", "dispersion", "stark"])
+    ], ids=["labels", "orbits", "quotient", "gamma2", "phonon_model", "dispersion", "stark"])
     def test_memory_budget_exit_code(self, tmp_path, capsys, monkeypatch, text, budget, message):
         monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", budget)
         cfg = write_cfg(tmp_path, text)

@@ -1,5 +1,7 @@
 import gc
+import tracemalloc
 import weakref
+from math import comb
 from types import SimpleNamespace
 from unittest import mock
 
@@ -24,7 +26,7 @@ from dipolarray.dynamics import (
     evolve,
     gate_time,
 )
-from dipolarray.hamiltonian import CSRBlock, SpinHamiltonian, exchange_hamiltonian, full_hamiltonian, gate_params
+from dipolarray.hamiltonian import CSRBlock, exchange_hamiltonian, full_hamiltonian, gate_params
 from dipolarray.lattice import build_lattice
 
 
@@ -32,15 +34,15 @@ def periodic_chain(n):
     return build_lattice("chain", n, boundary="periodic")
 
 
-def ideal_quadratic_hamiltonian(n_sites: int, chi: float) -> SpinHamiltonian:
-    """Diagnostic double: per-sector constants chi*(N/2 - n)^2 (exact
+def ideal_quadratic_hamiltonian(n_sites: int, chi: float) -> SimpleNamespace:
+    """Diagnostic stand-in for a SpinHamiltonian, with the two methods
+    compute_trajectory reads: per-sector constants chi*(N/2 - n)^2 (exact
     quadratic collective dephasing; Theta(t) = 2*chi*t)."""
-    sectors = {n: sector_basis(n_sites, n) for n in (0, 1, 2)}
-    blocks = {
-        n: sp.csr_array(chi * (n_sites / 2.0 - n) ** 2 * np.eye(sectors[n].dim))
-        for n in (0, 1, 2)
-    }
-    return SpinHamiltonian(kappa=1.0, xi=0.0, lattice=None, blocks=blocks, sectors=sectors)
+    def dicke_sectors():
+        return [(chi * (n_sites / 2.0 - n) ** 2 * np.eye(comb(n_sites, n)), dicke_state(sector_basis(n_sites, n)))
+                for n in (0, 1, 2)]
+
+    return SimpleNamespace(dicke_sectors=dicke_sectors, dim=lambda n: comb(n_sites, n))
 
 
 class TestEvolve:
@@ -146,11 +148,17 @@ class TestSpectralEngine:
     def test_quotient_memory_cap(self, monkeypatch):
         # open chain 12: the reflection pairs the C(12, 2) = 66 two-excitation
         # states into (66 + 6) / 2 = 36 cells
+        # point-group orbits; the engine's cap is checked on the assembled block,
+        # whose first round already has them as cells
         ham = full_hamiltonian(build_lattice("chain", 12), 1.0, 0.3)
         assert compute_trajectory(ham, [0.0]).diagnostics["reduced_dims"] == [1, 6, 36]
+        block, psi0 = ham.blocks[2].toarray(), dicke_state(ham.sectors[2])
         monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 40 * 36**2)
-        compute_trajectory(ham, [0.0])
+        assert dyn_mod._SectorEvolver(block, psi0).dim == 36
         monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 40 * 36**2 - 1)
+        with pytest.raises(ResourceLimitError, match="quotient of dimension 36"):
+            dyn_mod._SectorEvolver(block, psi0)
+        # the orbit path refuses the same quotient before its orbit tables
         with pytest.raises(ResourceLimitError, match="quotient of dimension 36"):
             compute_trajectory(ham, [0.0])
 
@@ -319,8 +327,9 @@ def test_quotient_matches_dense_sector(lattice, boundary, xi, seed):
     for n in (0, 1, 2):
         assert_reference_cells(ham.blocks[n], dicke_state(ham.sectors[n]))
     if kind == "chain" and boundary == "periodic":
-        # one cell per pair distance 1 .. N/2, e.g. 6 of 66 states at N = 12
-        assert diag["reduced_dims"][2] == n_sites // 2 < ham.dim(2)
+        # one cell per pair distance 1 .. N/2, e.g. 6 of 66 states at N = 12,
+        # except one cell for both at N = 5, xi = 0 (test_orbit_partition_differences)
+        assert diag["reduced_dims"][2] == (1 if (n_sites, xi) == (5, 0.0) else n_sites // 2) < ham.dim(2)
     # a state without symmetry takes the discrete partition, i.e. the full block
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(ham.dim(2)) + 1j * rng.standard_normal(ham.dim(2))
@@ -380,7 +389,7 @@ def assert_matches_scipy(block, psi0):
     for slice_bytes in (dyn_mod._SLICE_BYTES, 1):
         with mock.patch.object(dyn_mod, "_SLICE_BYTES", slice_bytes):
             ev = dyn_mod._SectorEvolver(block, psi0)
-            hr = dyn_mod._quotient(dyn_mod._as_block(block), ev.cells, ref.root, ref.tol)[0]
+            hr = dyn_mod._quotient(np.asarray(block), ev.cells, ref.root, ref.tol)[0]
         assert np.array_equal(ev.cells, ref.cells)
         assert ev.rounds == ref.rounds
         np.testing.assert_allclose(hr, ref.hr, rtol=0, atol=entry_tol)
@@ -445,33 +454,34 @@ def test_engine_matches_scipy_on_random_hermitian(seed):
 
 
 def recording_cell_sums(monkeypatch):
-    """Patch the engine's one block reader; returns the list of (number of
-    stored entries, sums) of every slice it reads."""
+    """Patch the engine's one block reader; returns the list of (rows, key,
+    sums) of every slice it reads."""
     calls, cell_sums = [], dyn_mod._cell_sums
 
-    def record(h, lo, hi, *rest):
-        calls.append((int(h.indptr[hi] - h.indptr[lo]), cell_sums(h, lo, hi, *rest)))
-        return calls[-1][1]
+    def record(rows, key, k):
+        calls.append((rows, key, cell_sums(rows, key, k)))
+        return calls[-1][2]
 
     monkeypatch.setattr(dyn_mod, "_cell_sums", record)
     return calls
 
 
 def test_slices_bound_every_temporary(monkeypatch):
-    # open chain 40: dim 780, 77 entries a row, quotient 400, equitable from
-    # the seed.  The stored entries and the (rows x k) sums of every slice
-    # stay within the slice, the one round covers every (row, cell) sum
-    # exactly once, and the spectrum is the same bitwise
+    # open chain 40: dim 780, quotient 400, equitable from the seed.  The
+    # rows, the bincount keys and the (rows x k) sums of every slice stay
+    # within the slice, the one round covers every (row, cell) sum exactly
+    # once, and the spectrum is the same bitwise
     ham = full_hamiltonian(build_lattice("chain", 40), 1.0, 0.3)
-    block, psi0 = ham.blocks[2], dicke_state(ham.sectors[2])
+    block, psi0 = ham.blocks[2].toarray(), dicke_state(ham.sectors[2])
     whole = dyn_mod._SectorEvolver(block, psi0)
     assert (ham.dim(2), whole.dim, whole.rounds) == (780, 400, 0)
     calls = recording_cell_sums(monkeypatch)
     monkeypatch.setattr(dyn_mod, "_SLICE_BYTES", 2**14)
     sliced = dyn_mod._SectorEvolver(block, psi0)
-    assert max(n * block.data.itemsize for n, _ in calls) <= 2**14
-    assert max(sums.nbytes for _, sums in calls) <= 2**14
-    assert sum(sums.nbytes for _, sums in calls) == ham.dim(2) * whole.dim * 8
+    assert max(rows.nbytes for rows, _, _ in calls) <= 2**14
+    assert max(key.nbytes for _, key, _ in calls) <= 2**14
+    assert max(sums.nbytes for _, _, sums in calls) <= 2**14
+    assert sum(sums.nbytes for _, _, sums in calls) == ham.dim(2) * whole.dim * 8
     assert np.array_equal(sliced.lam, whole.lam) and np.array_equal(sliced.w, whole.w)
 
 
@@ -489,21 +499,22 @@ def test_block_passes_per_round(monkeypatch, kind, n_sites, boundary, xi, rounds
         calls.clear()
         ev = dyn_mod._SectorEvolver(ham.blocks[n], dicke_state(ham.sectors[n]))
         assert ev.rounds == rounds[n]
-        assert sum(len(sums) for _, sums in calls) == (ev.rounds + 1) * ham.dim(n)
+        assert sum(len(sums) for _, _, sums in calls) == (ev.rounds + 1) * ham.dim(n)
 
 
 # ---------------------------------------------------------------------------
-# translation orbits: the periodic path against the assembled refinement path
+# symmetry orbits: the orbit path against the assembled refinement path
 # ---------------------------------------------------------------------------
 
-def orbits_against_assembly(kind, n_sites, xi):
-    """compute_trajectory on a periodic lattice (translation orbits) against
-    the evolvers of the assembled blocks from the Dicke states.  The
-    projections must agree within 64 ||H|| t eps, ||H|| the largest quotient
-    eigenvalue: the measured gap reached 14 ||H|| t eps (square 196), so a flat
+def orbits_against_assembly(kind, n_sites, xi, boundary="periodic"):
+    """compute_trajectory (symmetry orbits: translations on a periodic
+    lattice, the point group on an open one) against the evolvers of the
+    assembled blocks from the Dicke states.  The projections must agree
+    within 64 ||H|| t eps, ||H|| the largest quotient eigenvalue: the
+    measured gap reached 14 ||H|| t eps (periodic square 196), so a flat
     bound fails as N grows.  Returns the (reduced_dims, partition_rounds) of
     both paths."""
-    ham = full_hamiltonian(build_lattice(kind, n_sites, boundary="periodic"), 1.0, xi)
+    ham = full_hamiltonian(build_lattice(kind, n_sites, boundary=boundary), 1.0, xi)
     times = np.linspace(0.0, 40.0, 30)
     traj = compute_trajectory(ham, times, auto_refine=False)
     ref = [dyn_mod._SectorEvolver(ham.blocks[n], dicke_state(ham.sectors[n])) for n in (0, 1, 2)]
@@ -531,6 +542,22 @@ def test_orbits_match_assembled_refinement(kind, n_sites, xi):
     assert orbit == assembled
 
 
+@pytest.mark.parametrize("kind, n_sites", [
+    # the reflection on the chain; D4 on every square; on the triangular
+    # patches D6 (7, 19, 61), a reflection (16, 49) or nothing (30)
+    ("chain", 2), ("chain", 3), ("chain", 12), ("chain", 25), ("chain", 49), ("chain", 64),
+    ("square", 4), ("square", 9), ("square", 16), ("square", 49), ("square", 64), ("square", 81), ("square", 100),
+    ("triangular", 7), ("triangular", 16), ("triangular", 19), ("triangular", 30), ("triangular", 49),
+    ("triangular", 61),
+])
+@pytest.mark.parametrize("xi", [0.05, -0.4])
+def test_patch_orbits_match_assembled_refinement(kind, n_sites, xi):
+    # the assembled refinement ends on the point-group pair orbits, which the
+    # open path starts from
+    orbit, assembled = orbits_against_assembly(kind, n_sites, xi, "open")
+    assert orbit == assembled
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     lattice=st.one_of(
@@ -544,6 +571,24 @@ def test_orbits_match_assembled_refinement_drawn(lattice, xi):
     assume(abs(xi) > 1e-6 and abs(1.0 - xi) > 1e-6)
     orbit, assembled = orbits_against_assembly(*lattice, xi)
     assert orbit == assembled
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lattice=st.one_of(
+        st.tuples(st.just("chain"), st.integers(min_value=2, max_value=40)),
+        st.tuples(st.just("square"), st.sampled_from([4, 9, 16, 25, 36, 49])),
+        st.tuples(st.just("triangular"), st.integers(min_value=2, max_value=49)),
+    ),
+    xi=st.floats(min_value=-1.0, max_value=1.0),
+)
+def test_patch_orbits_match_assembled_refinement_drawn(lattice, xi):
+    # the projections agree at every xi; the quotients too away from xi = 0,
+    # where the orbit quotient can be coarser (see the next test), while
+    # the split rounds differ with the seeds
+    orbit, assembled = orbits_against_assembly(*lattice, xi, "open")
+    if abs(xi) > 1e-6:
+        assert orbit[0] == assembled[0]
 
 
 @pytest.mark.parametrize("kind, n_sites, xi, orbit, assembled", [
@@ -568,43 +613,98 @@ def test_orbit_partition_differences(kind, n_sites, xi, orbit, assembled):
     assert orbits_against_assembly(kind, n_sites, xi) == (orbit, assembled)
 
 
+@pytest.mark.parametrize("kind, n_sites, xi, orbit, assembled", [
+    # bare exchange: the assembled seed is one cell in sectors 1 and 2, while
+    # the orbit blocks' diagonals hold each orbit's hops into itself, which
+    # tell the site orbits apart at once and the pair orbits after one split
+    ("chain", 12, 1.0, ([1, 6, 36], [0, 0, 1]), ([1, 6, 36], [0, 1, 1])),
+    ("square", 49, 1.0, ([1, 10, 171], [0, 0, 1]), ([1, 10, 171], [0, 1, 2])),
+    ("triangular", 61, 1.0, ([1, 9, 180], [0, 0, 1]), ([1, 9, 180], [0, 1, 1])),
+    # xi = 0: every row of the one-excitation block sums to kappa D, so the
+    # Dicke state is one of its eigenvectors.  The assembled seed parts the
+    # sites by their diagonal kappa (D - 2 sum_j d_ij); the orbit seed, whose
+    # diagonal adds the hops within each orbit, can merge them, and the orbit
+    # quotient is then coarser (chain 4; sectors 1 and 2 of triangular 5),
+    # or split them in another order (triangular 8)
+    ("chain", 4, 0.0, ([1, 1, 3], [0, 0, 0]), ([1, 2, 3], [0, 0, 0])),
+    ("triangular", 5, 0.0, ([1, 2, 4], [0, 0, 0]), ([1, 3, 6], [0, 0, 1])),
+    ("triangular", 8, 0.0, ([1, 5, 16], [0, 1, 1]), ([1, 5, 16], [0, 0, 1])),
+    # triangular patches with one reflection: pairs of different orbits share
+    # a diagonal, so the assembled seed joins them and a split parts them;
+    # the orbit seed tells them apart by orbit size or by the hops within
+    ("triangular", 14, 0.05, ([1, 9, 51], [0, 0, 0]), ([1, 9, 51], [0, 0, 1])),
+    ("triangular", 36, -0.4, ([1, 21, 330], [0, 0, 0]), ([1, 21, 330], [0, 0, 1])),
+])
+def test_patch_orbit_partition_differences(kind, n_sites, xi, orbit, assembled):
+    # the seeds differ, never the projections
+    assert orbits_against_assembly(kind, n_sites, xi, "open") == (orbit, assembled)
+
+
 def test_periodic_trajectory_reads_no_block(monkeypatch):
+    # no lattice of either boundary assembles a sector block for its dynamics
     def refuse(*args):
         raise AssertionError("sector blocks assembled")
 
     monkeypatch.setattr(hamiltonian_mod, "_build", refuse)
-    for kind, n_sites in (("chain", 64), ("square", 49), ("triangular", 36)):
-        ham = full_hamiltonian(build_lattice(kind, n_sites, boundary="periodic"), 1.0, 0.05)
-        traj = compute_trajectory(ham, np.linspace(0.0, 5.0, 20))
-        assert traj.diagnostics["sector_dims"] == [1, n_sites, n_sites * (n_sites - 1) // 2]
-        assert ham.vacuum_energy > 0.0
+    for boundary in ("periodic", "open"):
+        for kind, n_sites in (("chain", 64), ("square", 49), ("triangular", 36)):
+            ham = full_hamiltonian(build_lattice(kind, n_sites, boundary=boundary), 1.0, 0.05)
+            traj = compute_trajectory(ham, np.linspace(0.0, 5.0, 20))
+            assert traj.diagnostics["sector_dims"] == [1, n_sites, n_sites * (n_sites - 1) // 2]
+            assert ham.vacuum_energy > 0.0
     with pytest.raises(AssertionError, match="sector blocks assembled"):
-        compute_trajectory(full_hamiltonian(build_lattice("chain", 8), 1.0, 0.05), [0.0])
+        full_hamiltonian(build_lattice("chain", 8), 1.0, 0.05).blocks
+
+
+def test_open_chain_refused_before_any_large_table():
+    # open chain N = 150: the reflection leaves at least 5588 pair orbits, a
+    # quotient of about 1191 MiB, refused before the orbit labels are built
+    ham = full_hamiltonian(build_lattice("chain", 150), 1.0, 0.05)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="quotient of dimension 5588 or more needs about 1191 MiB"):
+            compute_trajectory(ham, np.linspace(0.0, 1.0, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 class TestBlockInput:
     def test_scipy_input_is_sorted_and_summed(self):
-        # unsorted columns and duplicate entries, as a COO array may hold them
+        # unsorted columns and duplicate entries, as a COO array may hold them:
+        # evolve reads the dense copy, whose duplicates are summed
         rows = np.array([1, 0, 0, 1, 0, 2, 2])
         cols = np.array([0, 2, 1, 0, 0, 2, 0])
         vals = np.array([0.5, 2.0, 1.0, 0.5, 3.0, -1.0, 2.0])
         coo = sp.coo_array((vals, (rows, cols)), shape=(3, 3))
-        block = dyn_mod._as_block(coo)
-        assert np.array_equal(block.toarray(), coo.toarray())
-        assert_csr_matches_scipy(block)
+        h = np.array([[3.0, 1.0, 2.0], [1.0, 0.0, 0.0], [2.0, 0.0, -1.0]])
+        psi0 = np.array([0.6, 0.8j, 0.0])
+        states = evolve(coo, psi0, [0.0, 0.7])
+        assert np.array_equal(states, evolve(h, psi0, [0.0, 0.7]))
+        lam, vec = np.linalg.eigh(h)
+        ref = vec @ (np.exp(-0.7j * lam) * (vec.conj().T @ psi0))
+        np.testing.assert_allclose(states[-1], ref, rtol=1e-12, atol=1e-14)
 
-    def test_block_products_and_diagonal(self):
+    def test_block_storage(self):
         rng = np.random.default_rng(3)
         a = np.where(rng.random((7, 7)) < 0.4, rng.standard_normal((7, 7)), 0.0)
         block = CSRBlock.from_dense(a)
         assert_csr_matches_scipy(block)
-        v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        m = rng.standard_normal((7, 3))
-        np.testing.assert_allclose(block @ v, a @ v, rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(block @ m, a @ m, rtol=1e-14, atol=1e-14)
-        assert np.array_equal(block.diagonal(), np.diag(a))
+        assert np.array_equal(block.toarray(), a)
         assert np.array_equal(np.asarray(block), a)
         assert block.nnz == np.count_nonzero(a)
+
+    def test_dense_copy_within_memory_budget(self, monkeypatch):
+        # 16 bytes an entry: the dense copy and the Hermitian check's difference
+        psi0 = np.full(50, 1.0 / np.sqrt(50.0))
+        block = sp.csr_array(np.eye(50))
+        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 16 * 50**2)
+        evolve(block, psi0, [0.0, 1.0])
+        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 16 * 50**2 - 1)
+        with pytest.raises(ResourceLimitError, match=r"dense copy of the block needs .* for shape \(50, 50\)"):
+            evolve(block, psi0, [0.0, 1.0])
+        evolve(np.eye(50), psi0, [0.0, 1.0])  # a dense array is read in place
 
     def test_rejects_state_of_other_length(self):
         with pytest.raises(ValueError, match=r"psi0 has shape \(2,\), block has shape \(3, 3\)"):
@@ -630,6 +730,27 @@ class TestBlockInput:
         psi0 = np.array([1.0, 0.0])
         ref = vec @ (np.exp(-1j * 0.7 * lam) * (vec.conj().T @ psi0))
         np.testing.assert_allclose(evolve(h, psi0, [0.0, 0.7])[-1], ref, rtol=1e-12, atol=1e-14)
+
+
+def test_projections_bounded_by_slices():
+    # k = 2000 eigenvalues at 10^4 times: a whole (times x k) complex table
+    # would take 320 MB; each slice's tables fit _SLICE_BYTES, and the values
+    # agree with the unsliced formula at roundoff
+    rng = np.random.default_rng(4)
+    lam = np.sort(rng.uniform(-50.0, 50.0, 2000))
+    w = rng.random(2000)
+    w /= w.sum()
+    times = np.linspace(0.0, 100.0, 10_000)
+    tracemalloc.start()
+    try:
+        (got,) = dyn_mod._projections([(lam, w)], times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * dyn_mod._SLICE_BYTES + got.nbytes
+    some = times[::20]
+    want = 1.0 + np.expm1(-1j * np.outer(some, lam)) @ w
+    np.testing.assert_allclose(got[::20], want, rtol=0, atol=1e-13)
 
 
 class TestDickeProjections:

@@ -181,7 +181,7 @@ class TestExchangeHamiltonian:
         h = exchange_hamiltonian(lat, 1.0)
         for n in (0, 1):
             psi = dicke_state(h.sectors[n])
-            hp = h.blocks[n] @ psi
+            hp = h.blocks[n].toarray() @ psi
             e = np.vdot(psi, hp)
             assert np.linalg.norm(hp - e * psi) <= 1e-12
 
@@ -225,7 +225,7 @@ class TestFullHamiltonian:
                 vals = []
                 for s in (0, 1, 2):
                     psi = dicke_state(ham.sectors[s])
-                    vals.append(np.real(np.vdot(psi, ham.blocks[s] @ psi)))
+                    vals.append(np.real(np.vdot(psi, ham.blocks[s].toarray() @ psi)))
                 expect.append(vals[2] - 2 * vals[1] + vals[0])
             second_diff_hi = expect[0] - expect[1]
             chit = (xi / kappa) * chi_eff(lat, kappa)
@@ -290,14 +290,24 @@ def test_assembly_estimate_bounds_peak(kind, n, boundary):
     assert peak <= comb(n, 2) * (2 * n - 3) * 27
 
 
-@pytest.mark.parametrize("kind, n", [("chain", 64), ("chain", 400), ("square", 400), ("triangular", 400)])
-def test_orbit_estimate_bounds_peak(kind, n):
-    # the orbit tables' guard covers both the tables and the engine's
-    # refinement and eigh of the orbit block that follow them
-    lattice = build_lattice(kind, n, boundary="periodic")
-    k = len(hamiltonian_mod.momentum_grid(lattice).pair_fold()[0])
-    need = hamiltonian_mod._ORBIT_BYTES_PER_ENTRY * k * n + 40 * k**2
-    sectors, peak = traced_peak(hamiltonian_mod._orbit_sectors, lattice, 1.0, 0.05)
+ORBIT_PEAK_LATTICES = [("chain", 64, "periodic"), ("chain", 400, "periodic"), ("square", 400, "periodic"),
+                       ("triangular", 400, "periodic"), ("chain", 100, "open"), ("square", 144, "open"),
+                       ("triangular", 61, "open"), ("triangular", 64, "open")]
+
+
+@pytest.mark.parametrize("kind, n, boundary", ORBIT_PEAK_LATTICES,
+                         ids=[f"{k}-{n}" + ("-open" if b == "open" else "") for k, n, b in ORBIT_PEAK_LATTICES])
+def test_orbit_estimate_bounds_peak(kind, n, boundary):
+    # the orbit guards cover the pair labels of an open patch, the orbit
+    # tables and blocks, and the engine's refinement and eigh of the orbit
+    # blocks that follow them
+    lattice = build_lattice(kind, n, boundary=boundary)
+    sectors, peak = traced_peak(full_hamiltonian(lattice, 1.0, 0.05).dicke_sectors)
+    k = len(sectors[2][0])
+    need = max(40 * k**2, hamiltonian_mod._ORBIT_BYTES_PER_ENTRY * k * n + hamiltonian_mod._ORBIT_BLOCK_BYTES * k**2)
+    if boundary == "open":
+        maps = len(hamiltonian_mod._point_group_maps(lattice))
+        need = max(need, hamiltonian_mod._LABEL_BYTES * (maps + 2) * comb(n, 2))
     assert peak <= need
     _, peak = traced_peak(lambda: [_SectorEvolver(block, psi0) for block, psi0 in sectors])
     assert peak <= need

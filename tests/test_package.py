@@ -33,3 +33,16 @@ def test_one_memory_budget(name):
               and getattr(n.func, "id", getattr(n.func, "attr", None)) == "ResourceLimitError"]
     caps = [n.id for n in nodes if isinstance(n, ast.Name) and n.id.endswith("_BYTES_MAX")]
     assert (raised, caps) == ([], [])
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "dipolarray.hamiltonian"])
+def test_assembled_blocks_stay_in_hamiltonian(name):
+    # the library evolves the orbit blocks of SpinHamiltonian.dicke_sectors:
+    # only hamiltonian names CSRBlock, and no other module reads the
+    # assembled .blocks or .sectors
+    nodes = list(ast.walk(ast.parse(inspect.getsource(importlib.import_module(name)))))
+    named = [n.lineno for n in nodes if (isinstance(n, ast.Name) and n.id == "CSRBlock")
+             or (isinstance(n, ast.Attribute) and n.attr == "CSRBlock")
+             or (isinstance(n, ast.ImportFrom) and any(a.name == "CSRBlock" for a in n.names))]
+    reads = [n.lineno for n in nodes if isinstance(n, ast.Attribute) and n.attr in ("blocks", "sectors")]
+    assert (named, reads) == ([], [])
