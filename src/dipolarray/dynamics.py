@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -192,7 +193,8 @@ class _SectorEvolver:
     the residual (see the module docstring).  ``dim`` is the reduced
     (quotient) dimension, ``rounds`` the number of splits, ``residual``
     ||D||_F relative to max |H_ij|, and ``lam`` and ``w`` the quotient
-    eigenvalues and the initial state's weights on them.
+    eigenvalues and the initial state's weights on them, from an eigh on
+    first use, so the caller may drop the block before it.
     """
 
     def __init__(self, block, psi0: np.ndarray):
@@ -223,14 +225,30 @@ class _SectorEvolver:
             raise InvarianceError(f"quotient of dimension {self.dim} is not invariant: "
                                   f"residual {self.residual:.2e} > {RESIDUAL_TOL:.0e}")
         self._weight = 1.0 / root[self.cells]
-        self.lam, self._vec = np.linalg.eigh(hr)
-        self._coef = self._vec.conj().T @ _bincount(self.cells, self._weight * psi0, self.dim)
-        w = np.abs(self._coef) ** 2
-        self.w = w / w.sum()
+        self._hr = hr
+        self._start = _bincount(self.cells, self._weight * psi0, self.dim)
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Eigenvalues, eigenvectors, initial-state coefficients and weights
+        of the quotient, diagonalized on first use and Hr then dropped: a
+        caller that drops the block first keeps it out of the eigh."""
+        lam, vec = np.linalg.eigh(self.__dict__.pop("_hr"))
+        coef = vec.conj().T @ self._start
+        w = np.abs(coef) ** 2
+        return lam, vec, coef, w / w.sum()
+
+    @property
+    def lam(self) -> np.ndarray:
+        return self._spectrum[0]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self._spectrum[3]
 
     def states(self, times: np.ndarray) -> np.ndarray:
-        phases = np.exp(-1j * np.outer(times, self.lam))
-        reduced = (phases * self._coef) @ self._vec.T
+        lam, vec, coef, _ = self._spectrum
+        reduced = (np.exp(-1j * np.outer(times, lam)) * coef) @ vec.T
         return reduced[:, self.cells] * self._weight
 
 
@@ -338,6 +356,7 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
     group, with no sector block assembled.
     """
     times = _time_grid(times)
+    # every block is refined and dropped before any quotient's eigh
     evolvers = [_SectorEvolver(block, psi0) for block, psi0 in ham.dicke_sectors()]
     spectra = tuple((ev.lam, ev.w) for ev in evolvers)
     cs = _projections(spectra, times)

@@ -16,6 +16,7 @@ cancels them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -115,12 +116,13 @@ class SpinHamiltonian:
         """Always true since every block is CSR; kept for storage-agnostic callers."""
         return isinstance(self.blocks[n], CSRBlock)
 
-    def dicke_sectors(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def dicke_sectors(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(dense block, initial state) per sector n = 0, 1, 2 whose evolution
         gives the Dicke state's: :func:`_orbit_sectors` on translation orbits
-        of a periodic lattice, on point-group orbits of an open one."""
+        of a periodic lattice, on point-group orbits of an open one.  Each
+        block is built when the previous one has been taken."""
         source = _torus_orbits if self.lattice.periodic else _patch_orbits
-        return _orbit_sectors(self.kappa, self.xi, self.lattice.n_sites, *source(self.lattice))
+        yield from _orbit_sectors(self.kappa, self.xi, self.lattice.n_sites, *source(self.lattice))
 
 
 def _site_couplings(lattice: Lattice) -> np.ndarray:
@@ -147,7 +149,7 @@ _LABEL_BYTES = 40
 
 
 def _orbit_sectors(kappa: float, xi: float, n: int, total: float,
-                   sectors) -> list[tuple[np.ndarray, np.ndarray]]:
+                   sectors) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Dense blocks and initial states of sectors 0, 1, 2 on the orbits of a
     symmetry group of the lattice, which holds the Dicke states invariant.
 
@@ -160,10 +162,11 @@ def _orbit_sectors(kappa: float, xi: float, n: int, total: float,
     ``coupling[a, x]``.  With R[a, c] representative a's row summed into
     orbit c, the block is sqrt(s_a / s_c) R[a, c] and the state
     sqrt(s_a / sum s).  The hop tables, which may come from a generator,
-    are built after each sector's memory checks.
+    are built after each sector's memory checks, and each sector is built
+    when the previous one has been taken.
     """
     weight = kappa - xi
-    out = [(np.array([[weight * total]]), np.ones(1, dtype=complex))]
+    yield np.array([[weight * total]]), np.ones(1, dtype=complex)
     for sizes, cut, hops in sectors:
         k = len(sizes)
         require_memory(40 * k**2, f"quotient of dimension {k} or more needs", "to diagonalize")
@@ -174,11 +177,13 @@ def _orbit_sectors(kappa: float, xi: float, n: int, total: float,
         for orbit, coupling in hops:
             at = key + orbit
             r += np.bincount(at.ravel(), np.broadcast_to(coupling, at.shape).ravel(), k * (k + 1))
+        del orbit, coupling, at  # the yielded sector holds no hop table
         r = 2.0 * kappa * r.reshape(k, k + 1)[:, :k]
         r[np.diag_indices(k)] += weight * (total - 2.0 * cut)
         root = np.sqrt(sizes)
-        out.append((r * root[:, None] / root, np.sqrt(sizes / sizes.sum()).astype(complex)))
-    return out
+        r *= root[:, None]
+        r /= root
+        yield r, np.sqrt(sizes / sizes.sum()).astype(complex)
 
 
 def _torus_orbits(lattice: Lattice):

@@ -30,6 +30,8 @@ _BOUNDARIES = ("open", "periodic")
 # primitive vectors of the triangular lattice (nearest-neighbor distance 1)
 _TRI_A1 = np.array([1.0, 0.0])
 _TRI_A2 = np.array([0.5, np.sqrt(3.0) / 2.0])
+# the 25 stacked torus images of one block of _minimum_image, in bytes
+_IMAGE_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,9 @@ def _minimum_image(diff: np.ndarray, lattice: Lattice) -> np.ndarray:
     """Shortest torus image of each displacement in ``diff`` (..., D).
 
     Open lattices return ``diff`` itself.  2D tori test the neighboring
-    images m1*T1 + m2*T2 with |m1|, |m2| <= 2; ties keep the first found.
+    images m1*T1 + m2*T2 with |m1|, |m2| <= 2, all 25 at once for a block of
+    displacements whose stacked images fit ``_IMAGE_BLOCK_BYTES``; ties keep
+    the first in the order of diff itself, then m1 and m2 ascending.
     """
     if not lattice.periodic:
         return diff
@@ -198,18 +202,17 @@ def _minimum_image(diff: np.ndarray, lattice: Lattice) -> np.ndarray:
     if lattice.dimension == 1:
         box = period[0, 0]
         return diff - box * np.round(diff / box)
-    best = diff.copy()
-    best_n = np.einsum("...k,...k->...", best, best)
-    for m1 in range(-2, 3):
-        for m2 in range(-2, 3):
-            if m1 == 0 and m2 == 0:
-                continue
-            cand = diff + m1 * period[0] + m2 * period[1]
-            n = np.einsum("...k,...k->...", cand, cand)
-            sel = n < best_n
-            best[sel] = cand[sel]
-            best_n = np.where(sel, n, best_n)
-    return best
+    m1, m2 = np.divmod(np.delete(np.arange(25), 12), 5)  # m1 major, (0, 0) left out
+    t1, t2 = (m1 - 2)[:, None] * period[0], (m2 - 2)[:, None] * period[1]
+    flat = diff.reshape(-1, 2)
+    best = np.empty_like(flat)
+    step = max(1, _IMAGE_BLOCK_BYTES // (25 * flat.itemsize * 2))
+    for lo in range(0, len(flat), step):
+        d = flat[lo:lo + step, None, :]
+        cand = np.concatenate([d, d + t1 + t2], axis=1)  # (block, 25, 2)
+        n = np.einsum("...k,...k->...", cand, cand)
+        best[lo:lo + step] = cand[np.arange(len(cand)), n.argmin(axis=1)]
+    return best.reshape(diff.shape)
 
 
 def displacements(lattice: Lattice) -> np.ndarray:

@@ -26,30 +26,34 @@ the natural scale of the spectrum.
 
 Every lattice sum runs over the relative sites r_j - r_0 of
 :func:`dipolarray.lattice.relative_sites`, O(N) to build.
-:func:`build_phonon_model` tabulates f_lambda(q), g_lambda(q) (0 at q = 0,
-where the acoustic modes are soft and uncoupled) and the spin-wave energies
-once for the whole grid, and every decay sum indexes those tables by grid
-point.  The decay sums use inversion symmetry: D(-q) = D(q), so q and -q
-give the same term up to roundoff.  The one-excitation sum runs over one q
-per pair (:meth:`~dipolarray.lattice.MomentumGrid.pair_fold`), and the
-two-excitation sum over one unordered pair k <= k' per orbit {(k, k'),
-(-k, -k')}, with q = -(k + k') from the grid's integer momentum coordinates;
-each term carries its orbit size, and a pair with k != k' also counts twice
-(k <-> k').  Both share :func:`_decay_sum`, which prescales
-each mode's weight by 2 / omega^2 once and hands the sin^2 sum to
-:func:`dipolarray.spinwave._sin2_sum`, the kernel of the dynamical matrices
-and of every spin-wave lattice sum too: it streams the mode axis in slices
-of a fixed byte size, a few at once on the CPUs this process may use, so no
-(times x modes) array is ever held and the result does not depend on the
-thread count.  The coupling tables of :func:`build_phonon_model` are
-O(N^2) and the pair tables of :func:`gamma2` O(N^2 branches); both refuse
-up front with :class:`~dipolarray.basis.ResourceLimitError` when they would
-exceed the memory budget ``basis.MEMORY_BYTES_MAX``.  Both sums run without
-the coupling amplitudes, which multiply the results afterwards, so the
-normalized curves stay exact when (xi + 4 b0)^2 underflows.  A negative
-eigenvalue of D(q), or a vanishing branch frequency with finite coupling,
-makes :func:`build_phonon_model` raise :class:`UnstableCrystalError`, an
-``ArithmeticError``.
+:func:`build_phonon_model` takes D(q), the spin-wave band and the coupling
+force sum_j sin(q.r_j) r_j / |r_j|^5 for the whole grid from one pass of
+:func:`dipolarray.spinwave._sin2_sum` (the force is its sine partner), then
+tabulates f_lambda(q), g_lambda(q) (0 at q = 0, where the acoustic modes are
+soft and uncoupled) and the spin-wave energies once, and every decay sum
+indexes those tables by grid point.  The decay sums use inversion symmetry:
+D(-q) = D(q), so q and -q give the same term up to roundoff.  The
+one-excitation sum runs over one q per pair
+(:meth:`~dipolarray.lattice.MomentumGrid.pair_fold`), and the two-excitation
+sum over one unordered pair k <= k' per orbit {(k, k'), (-k, -k')}, with q =
+-(k + k') from the grid's integer momentum coordinates; each term carries
+its orbit size, and a pair with k != k' also counts twice (k <-> k').  Both
+share :func:`_decay_sum`, which prescales each mode's weight by 2 / omega^2
+once and hands the sin^2 sum to the kernel, which streams the mode axis in
+slices of a fixed byte size, a few at once on the CPUs this process may use,
+so no (times x modes) array is ever held and the result does not depend on
+the thread count.  :func:`gamma2` enumerates its pairs in blocks of k rows
+whose tables fit the kernel's slice size and the kernel sums them as they
+are made, so no table of the phonon layer grows as N^2: it holds O(N D^2)
+per-momentum tables and bounded blocks.  :func:`build_phonon_model` and
+:func:`gamma2` refuse up front with
+:class:`~dipolarray.basis.ResourceLimitError` when their per-momentum tables
+would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.  Both decay sums
+run without the coupling amplitudes, which multiply the results afterwards,
+so the normalized curves stay exact when (xi + 4 b0)^2 underflows.  A
+negative eigenvalue of D(q), or a vanishing branch frequency with finite
+coupling, makes :func:`build_phonon_model` raise
+:class:`UnstableCrystalError`, an ``ArithmeticError``.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ import numpy as np
 from .basis import require_memory
 from .hamiltonian import ZETA3
 from .lattice import Lattice, MomentumGrid, build_lattice, momentum_grid, relative_sites
-from .spinwave import PERTURBATION_FLAG_LEVEL, _sin2_sum, spin_wave_energies
+from .spinwave import _SLICE_BYTES, PERTURBATION_FLAG_LEVEL, _require_couplings, _sin2_sum
 
 __all__ = [
     "PhononModel",
@@ -86,16 +90,20 @@ class UnstableCrystalError(ArithmeticError):
     """
 
 
-def _dynamical_matrices(rel: np.ndarray, qvecs: np.ndarray) -> np.ndarray:
-    """D(q) = sum_j 2 K(r_j) sin^2(q.r_j / 2) for every row of ``qvecs``,
-    (M, D, D): :func:`~dipolarray.spinwave._sin2_sum` with h = r_j / 2 and
-    one weight column per matrix entry."""
+def _lattice_sums(rel: np.ndarray, qvecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D(q) = sum_j 2 K(r_j) sin^2(q.r_j / 2) (M, D, D), the kappa = 1
+    spin-wave band sum_j (4 / |r_j|^3) sin^2(q.r_j / 2) (M,) and the coupling
+    force sum_j sin(q.r_j) r_j / |r_j|^5 (M, D) at every row of ``qvecs``:
+    one :func:`~dipolarray.spinwave._sin2_sum` pass with h = r_j / 2, one
+    weight column per matrix entry and the band, and the force as the sine
+    partner (sin(q.r_j) = sin(2 h_j . q))."""
     rn = np.linalg.norm(rel, axis=1)
     nhat = rel / rn[:, None]
     dim = rel.shape[1]
     pair = 5.0 * nhat[:, :, None] * nhat[:, None, :] - np.eye(dim)  # (N-1, D, D)
-    c = (6.0 / rn**5)[:, None] * pair.reshape(len(rel), dim * dim)
-    return _sin2_sum(c, rel / 2.0, qvecs).reshape(len(qvecs), dim, dim)
+    c = np.column_stack([(6.0 / rn**5)[:, None] * pair.reshape(len(rel), dim * dim), 4.0 / rn**3])
+    sums, force = _sin2_sum([(c, rel / 2.0, rel / (rn**5)[:, None])], qvecs)
+    return sums[:, :-1].reshape(len(qvecs), dim, dim), sums[:, -1], force
 
 
 def dynamical_matrix(lattice: Lattice, qvec: np.ndarray) -> np.ndarray:
@@ -105,7 +113,7 @@ def dynamical_matrix(lattice: Lattice, qvec: np.ndarray) -> np.ndarray:
     if not lattice.periodic:
         raise ValueError("dynamical matrix requires a periodic lattice")
     qvec = np.atleast_1d(np.asarray(qvec, dtype=float))
-    return _dynamical_matrices(relative_sites(lattice), qvec[None, :])[0]
+    return _lattice_sums(relative_sites(lattice), qvec[None, :])[0][0]
 
 
 @dataclass
@@ -142,21 +150,25 @@ class PhononModel:
 def build_phonon_model(lattice: Lattice, beta: float, u_dd: float, kappa: float) -> PhononModel:
     """Diagonalize the dynamical matrix and tabulate the couplings on the full grid.
 
-    Raises :class:`~dipolarray.basis.ResourceLimitError` when the coupling
+    D(q), the spin-wave band and the coupling force come from one kernel
+    pass (:func:`_lattice_sums`).  Raises
+    :class:`~dipolarray.basis.ResourceLimitError` when the per-momentum
     tables would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
     """
     if not (beta > 0 and u_dd > 0 and kappa > 0):
         raise ValueError("beta, u_dd and kappa must be positive")
     if lattice.kind not in _SUPPORTED:
         raise ValueError(f"unsupported crystal kind {lattice.kind!r}; expected {_SUPPORTED}")
-    # the two (modes x N - 1) float64 temporaries of _coupling_weights; the
-    # tracemalloc peak is 16.1-16.4 bytes per N^2 (chain and triangular,
-    # N = 500...1024)
+    _require_couplings(kappa)
+    # the per-momentum tables and the kernel's queued partial sums (two per
+    # thread, each weights x momenta); the tracemalloc peak less
+    # spinwave._CHUNK_BYTES was 442 (chain) and 970 (triangular) bytes per
+    # site at 8 threads, N = 4096 and 8100
     n = lattice.n_sites
-    require_memory(16 * n**2, "phonon coupling tables need", f"for {n} sites")
+    require_memory(512 * lattice.dimension * n, "phonon tables need", f"for {n} sites")
     grid = momentum_grid(lattice)
-    rel = relative_sites(lattice)
-    lam, vec = np.linalg.eigh(_dynamical_matrices(rel, grid.kvecs))
+    dyn, band, force = _lattice_sums(relative_sites(lattice), grid.kvecs)
+    lam, vec = np.linalg.eigh(dyn)
     unstable = np.flatnonzero(lam.min(axis=1) < -1e-10)
     if len(unstable):
         i = unstable[0]
@@ -166,26 +178,33 @@ def build_phonon_model(lattice: Lattice, beta: float, u_dd: float, kappa: float)
     freqs = np.sqrt(np.clip(lam, 0.0, None))
     pols = vec.transpose(0, 2, 1)  # pols[i, lam] is the polarization vector of branch lam
     g = np.zeros_like(freqs)  # q = 0: soft acoustic modes, uncoupled
-    g[1:] = _coupling_weights(rel, grid.kvecs[1:], pols[1:], freqs[1:])
+    g[1:] = _coupling_weights(force[1:], grid.kvecs[1:], pols[1:], freqs[1:])
     return PhononModel(lattice=lattice, beta=beta, u_dd=u_dd, kappa=kappa, grid=grid, freqs=freqs,
-                       pols=pols, g=g, spin_energies=spin_wave_energies(lattice, grid.kvecs, kappa))
+                       pols=pols, g=g, spin_energies=kappa * band)
 
 
 def sound_speeds(model: PhononModel) -> list[float]:
-    """Per-branch sound speed: mean f_lambda(q) / |q| over the smallest 10% of |q| > 0."""
+    """Per-branch sound speed: mean f_lambda(q) / |q| over the smallest 10% of |q| > 0.
+
+    The cut is the linearly interpolated 10% quantile of the sorted |q| > 0
+    (what ``np.quantile`` returns, without importing ``numpy.ma``).
+    """
     qn = np.linalg.norm(model.grid.kvecs, axis=1)
-    sel = (qn > 0) & (qn <= np.quantile(qn[qn > 0], 0.1) + 1e-12)
+    ranked = np.sort(qn[qn > 0])
+    at = 0.1 * (len(ranked) - 1)
+    lo = int(at)
+    cut = ranked[lo] + (ranked[min(lo + 1, len(ranked) - 1)] - ranked[lo]) * (at - lo)
+    sel = (qn > 0) & (qn <= cut + 1e-12)
     return [float(np.mean(model.freqs[sel, lam] / qn[sel])) for lam in range(model.n_branches)]
 
 
-def _coupling_weights(rel: np.ndarray, q: np.ndarray, pols: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Per-branch coupling weights g_lambda at momenta ``q`` (m, D) with
-    polarizations ``pols`` (m, branches, D) and frequencies ``f`` (m, branches).
+def _coupling_weights(force: np.ndarray, q: np.ndarray, pols: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Per-branch coupling weights g_lambda from the coupling force (m, D) at
+    momenta ``q`` (m, D), with polarizations ``pols`` (m, branches, D) and
+    frequencies ``f`` (m, branches).
 
     A branch of vanishing frequency gets weight 0; it must also decouple.
     """
-    # sum_j sin(q.r_j) r_j / |r_j|^5, projected on each polarization below
-    force = (np.sin(q @ rel.T) / np.linalg.norm(rel, axis=1) ** 5) @ rel   # (m, D)
     t = np.einsum("mbd,md->mb", pols, force)
     soft = f < 1e-12
     coupled = soft & (np.abs(t) > 1e-12)
@@ -216,30 +235,38 @@ def _occupation(w: np.ndarray, kbt: float) -> np.ndarray:
         return np.where(x < 700.0, 1.0 / np.expm1(np.clip(x, 1e-300, 700.0)), 0.0)
 
 
-def _decay_sum(weights: np.ndarray, w_ph: np.ndarray, w_sp: np.ndarray,
-               kbt_abs: float, times: np.ndarray) -> np.ndarray:
+def _decay_sum(parts, kbt_abs: float, times: np.ndarray) -> np.ndarray:
     """2 * sum_modes weights * [(n+1) I(w_ph + w_sp) + n I(w_ph - w_sp)],
-    I(omega) = (1 - cos(omega t)) / omega^2 = 2 sin^2(omega t / 2) / omega^2.
+    I(omega) = (1 - cos(omega t)) / omega^2 = 2 sin^2(omega t / 2) / omega^2,
+    over the modes of every (weights, w_ph, w_sp) triple of ``parts``, which
+    may be a generator.
 
     ``w_sp`` broadcasts against ``w_ph``.  The emission and absorption modes
-    form one mode list, and each mode's prefactor c = 2 w / omega^2 is built
-    once, so the (time x mode) work is sin^2(omega t / 2) contracted with c.
-    Modes with |omega| t_max < 1e-6 take the limit I = t^2 / 2 (exact to
-    about 1e-13) as one weight sum, which keeps c finite at omega = 0, a
-    resonance or a soft mode.  The rest is :func:`~dipolarray.spinwave._sin2_sum`
-    with h = omega / 2: fixed-size mode slices, at most
-    ``spinwave._CHUNK_BYTES`` of them in flight, so memory does not grow with
-    the number of modes.
+    of a triple form one mode list, and each mode's prefactor c = 2 w /
+    omega^2 is built once, so the (time x mode) work is sin^2(omega t / 2)
+    contracted with c.  Modes with |omega| t_max < 1e-6 take the limit I =
+    t^2 / 2 (exact to about 1e-13) as one weight sum per triple, which keeps
+    c finite at omega = 0, a resonance or a soft mode.  The rest is
+    :func:`~dipolarray.spinwave._sin2_sum` with h = omega / 2, which sums
+    the triples as they come, so memory does not grow with the number of
+    modes.
     """
-    wt = weights.ravel()
-    nocc = _occupation(w_ph, kbt_abs).ravel()
-    omega = np.concatenate([(w_ph + w_sp).ravel(), (w_ph - w_sp).ravel()])
-    w = np.concatenate([wt * (nocc + 1.0), wt * nocc])
-    small = np.abs(omega) * np.abs(times).max(initial=0.0) < 1e-6
-    acc = times**2 / 2.0 * w[small].sum()
-    omega, w = omega[~small], w[~small]
-    acc += _sin2_sum(2.0 * w / omega**2, omega / 2.0, times)
-    return 2.0 * acc
+    t_max = np.abs(times).max(initial=0.0)
+    limit = []  # the weight sums of the t^2 / 2 modes, triple by triple
+
+    def modes():
+        for weights, w_ph, w_sp in parts:
+            wt = weights.ravel()
+            nocc = _occupation(w_ph, kbt_abs).ravel()
+            omega = np.concatenate([(w_ph + w_sp).ravel(), (w_ph - w_sp).ravel()])
+            w = np.concatenate([wt * (nocc + 1.0), wt * nocc])
+            small = np.abs(omega) * t_max < 1e-6
+            limit.append(w[small].sum())
+            omega, w = omega[~small], w[~small]
+            yield 2.0 * w / omega**2, omega / 2.0
+
+    acc = _sin2_sum(modes(), times)
+    return 2.0 * (times**2 / 2.0 * sum(limit) + acc)
 
 
 def gamma1_time(model: PhononModel, xi: float, b0: float, temperature: float, times) -> PhononDecay:
@@ -258,8 +285,8 @@ def gamma1_time(model: PhononModel, xi: float, b0: float, temperature: float, ti
     reps, mult = model.grid.pair_fold()
     kbt = temperature * model.phonon_energy_unit
     amp = xi + 4.0 * b0
-    norm = _decay_sum(mult[:, None] * model.g[reps], model.freqs[reps] * model.phonon_energy_unit,
-                      model.spin_energies[reps, None], kbt, times) / (2.0 * model.lattice.n_sites)
+    norm = _decay_sum([(mult[:, None] * model.g[reps], model.freqs[reps] * model.phonon_energy_unit,
+                        model.spin_energies[reps, None])], kbt, times) / (2.0 * model.lattice.n_sites)
     dec = norm / np.sqrt(model.beta) * amp * amp
     return PhononDecay(
         times=times,
@@ -284,31 +311,36 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
     (xi + 4 b0) - 4 xi / N on the edge pairs (k = 0) and -4 xi / N on the
     others; each set is summed without it.
 
-    Raises :class:`~dipolarray.basis.ResourceLimitError` when the pair tables
-    would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
+    The pairs are enumerated in blocks of k rows whose tables fit
+    ``spinwave._SLICE_BYTES`` (the edge row k = 0 alone, then the rest) and
+    summed by the kernel as they come, so no table grows as N^2.  Raises
+    :class:`~dipolarray.basis.ResourceLimitError` when the per-momentum
+    tables would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
     """
     times = np.asarray(times, dtype=float)
-    # pairs k <= k' before the q = 0 and orbit filters, 8 bytes a word: the
-    # integer tables of _momentum_pairs, then float tables per branch for the
-    # half that is kept; the word counts fit the tracemalloc peak of chain
-    # and triangular runs (N >= 36, one time point; the sin^2 slices of
-    # spinwave._sin2_sum add at most its _CHUNK_BYTES)
-    pairs = model.grid.n_points * (model.grid.n_points + 1) // 2
-    require_memory(pairs * 8 * (7 + 4 * model.n_branches), "gamma2 pair tables need",
-                   f"for {model.grid.n_points} momenta and {model.n_branches} branches")
+    grid = model.grid
+    # per momentum and branch, with one k row per pair block: the
+    # tracemalloc peak was 292 (chain) and 212 (triangular) bytes at 1
+    # thread, 688 and 650 at 8 (N = 1024...8192); a larger block adds about
+    # spinwave._SLICE_BYTES, and the sin^2 slices at most _CHUNK_BYTES
+    require_memory(704 * model.n_branches * grid.n_points, "gamma2 tables need",
+                   f"for {grid.n_points} momenta and {model.n_branches} branches")
     dominant = 2.0 * gamma1_time(model, xi, b0, temperature, times).decay
     w_ph = model.freqs * model.phonon_energy_unit
     n = model.lattice.n_sites
     kbt = temperature * model.phonon_energy_unit
+    # k rows per pair block: 8 bytes a word, the integer tables of
+    # _momentum_pairs, then float tables per branch for the half that is kept
+    rows = max(1, _SLICE_BYTES // (8 * (7 + 4 * model.n_branches) * grid.n_points))
 
-    ik, ikp, iq, orbit = _momentum_pairs(model.grid)
-    n_edge = np.count_nonzero(ik == 0)  # k-major: the edge pairs lead
-    w_pair = model.spin_energies[ik] + model.spin_energies[ikp]
-    weights = (np.where(ik == ikp, 1.0, 2.0) * orbit)[:, None] * model.g[iq]
-    edge, bulk = (
-        _decay_sum(weights[part], w_ph[iq[part]], w_pair[part, None], kbt, times) / (2.0 * n)
-        for part in (slice(None, n_edge), slice(n_edge, None))
-    )
+    def parts(first: int, stop: int):
+        for k in range(first, stop, rows):
+            ik, ikp, iq, orbit = _momentum_pairs(grid, slice(k, min(k + rows, stop)))
+            weights = (np.where(ik == ikp, 1.0, 2.0) * orbit)[:, None] * model.g[iq]
+            yield weights, w_ph[iq], (model.spin_energies[ik] + model.spin_energies[ikp])[:, None]
+
+    edge, bulk = (_decay_sum(parts(first, stop), kbt, times) / (2.0 * n)
+                  for first, stop in ((0, 1), (1, grid.n_points)))
     amp_dom = xi + 4.0 * b0
     amp_edge, amp_bulk = amp_dom - 4.0 * xi / n, -4.0 * xi / n
     # the amplitudes are scaled by a power of two, so the sum stays in the
@@ -331,16 +363,20 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
     )
 
 
-def _momentum_pairs(grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _momentum_pairs(grid: MomentumGrid,
+                    rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Grid indices (k, k', q) of the pairs k <= k' with q = -(k + k') != 0,
-    one per inversion orbit {(k, k'), (-k, -k')}, k-major, and the orbit sizes.
+    one per inversion orbit {(k, k'), (-k, -k')}, k-major, and the orbit
+    sizes, for the k of ``rows``.
 
     The representative is the orbit's smaller pair in k-major order.  An
     orbit has size 1 only when k and k' are both their own negatives (k' = -k
     would put q at 0).
     """
     n = grid.n_points
-    ik, ikp = np.triu_indices(n)
+    ks = np.arange(n)[rows]
+    at, ikp = np.nonzero(np.arange(n) >= ks[:, None])
+    ik = ks[at]
     iq = grid.index(-(grid.coords[ik] + grid.coords[ikp]))
     neg = grid.index(-grid.coords)
     nk, nkp = neg[ik], neg[ikp]

@@ -7,12 +7,17 @@ Every lattice and mode sum of the form sum_m c_m sin^2(h_m . t), here and in
 :mod:`dipolarray.phonon`, runs through one kernel, :func:`_sin2_sum`: the
 band omega_k (h = r_j / 2 against the momenta), the Fourier kernel
 F_k = F_0 - omega_k / 2 kappa, the large-cutoff sums of
-:func:`dispersion_curve`, the perturbative decay, the phonon dynamical
-matrices (one weight column per matrix entry) and the phonon decay sums.  It
-cuts the mode axis into slices of ``_SLICE_BYTES`` of (slice x times)
-float64 and runs up to W slices at once on a thread pool, W being the number
-of CPUs this process may run on (its affinity mask), capped so that W slices
-fit in ``_CHUNK_BYTES``.  NumPy's sin, square and the BLAS contraction
+:func:`dispersion_curve`, the perturbative decay, the phonon lattice sums
+(the dynamical matrices, one weight column per matrix entry, and the band,
+with the coupling force sum_j sin(q.r_j) r_j / |r_j|^5 as the kernel's sine
+partner sum_m s_m sin(2 h_m . t) from the same phases) and the phonon decay
+sums, whose two-excitation modes arrive as a stream of pair blocks.  It
+cuts the mode axis into slices whose (slice x times) float64 tables (sin^2,
+or sin and cos with a sine partner) fit ``_SLICE_BYTES`` and runs up to W
+slices at once on a thread pool, W being the number of CPUs this process
+may run on (its affinity mask), capped so that W slices fit in
+``_CHUNK_BYTES``; at most 2 W slices are queued, so a stream of blocks is
+made as it is summed.  NumPy's sin, cos, square and the BLAS contraction
 release the GIL, so the slices run in parallel; the per-slice partial sums
 are added in slice order, so every result is bitwise independent of W.
 """
@@ -20,8 +25,11 @@ are added in slice order, so every result is bitwise independent of W.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, islice
 
 import numpy as np
 
@@ -47,10 +55,10 @@ PERTURBATION_FLAG_LEVEL = 0.5
 # time points per window in fgr_scaling_diagnostic
 _SCALING_TIMES = 4000
 
-# (slice x times) float64 of one sin^2 block in _sin2_sum; fixed, so the
-# slicing and hence the summation order never depend on the thread count
+# the (slice x times) float64 tables of one slice in _sin2_sum; fixed, so
+# the slicing and hence the summation order never depend on the thread count
 _SLICE_BYTES = 2**20
-# sin^2 blocks in flight at once in _sin2_sum
+# slices in flight at once in _sin2_sum
 _CHUNK_BYTES = 8 * 2**20
 
 # bytes per summed site of the dispersion_curve displacement tables, fitted
@@ -69,36 +77,68 @@ def _sin2_workers() -> int:
     return max(1, min(cpus, _CHUNK_BYTES // _SLICE_BYTES))
 
 
-def _sin2_sum(c: np.ndarray, h: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """sum_m c_m sin^2(h_m . t) at every t of ``times``.
+def _sin2_sum(blocks, times: np.ndarray):
+    """sum_m c_m sin^2(x_m) at every t of ``times``, x_m = h_m . t, over the
+    mode axis given as ``blocks`` of (c, h) or (c, h, s); with s, also the
+    sine partner sum_m s_m sin(2 x_m) from the same phases.
 
-    A (modes,) ``h`` gives the phase h_m t rounded exactly as
-    ``h[m] * times``; a (modes, D) ``h`` takes (T, D) ``times`` and the dot
-    product of h_m with each row.  ``c`` is (modes,) or (modes, W), and the
-    result (T,) or (T, W).  The mode axis runs in slices of
-    ``_SLICE_BYTES``, up to :func:`_sin2_workers` of them at once; ``map``
-    yields the partial sums in slice order and they are added in that order.
-    One worker runs inline.
+    A (modes,) ``h`` gives the phase h_m t rounded exactly as ``h[m] *
+    times``; a (modes, D) ``h`` takes (T, D) ``times`` and the dot product of
+    h_m with each row.  ``c`` and ``s`` are (modes,) or (modes, W), and each
+    sum (T,) or (T, W); with s the result is the pair (sin^2 sum, sine sum).
+    ``blocks`` may be a generator: each block is cut into slices whose
+    (slice x times) tables fit ``_SLICE_BYTES`` (one table, or sin and cos
+    with s), up to :func:`_sin2_workers` of them run at once and twice that
+    many are queued, so a stream of blocks is consumed as it is summed.  The
+    partial sums are added in slice order, so the result depends on the
+    blocks and ``_SLICE_BYTES`` but not on the thread count.  One worker, or
+    a single slice, runs inline.
     """
-    step = max(1, _SLICE_BYTES // (8 * max(len(times), 1)))
-    starts = range(0, len(c), step)
-    workers = min(_sin2_workers(), len(starts))
+    def slices():
+        for c, h, *s in blocks:
+            step = max(1, _SLICE_BYTES // (8 * (1 + len(s)) * max(len(times), 1)))
+            for start in range(0, max(len(c), 1), step):
+                part = slice(start, start + step)
+                yield c[part], h[part], *(w[part] for w in s)
 
-    def block(start: int) -> np.ndarray:
-        part = slice(start, start + step)
+    def partial(part):
+        c, h, *s = part
         # np.errstate is context-local and a worker thread starts from the
         # defaults, so every slice sets them, wherever it runs
         with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
-            s = np.multiply(h[part, None], times) if h.ndim == 1 else h[part] @ times.T
-            np.sin(s, out=s)
-            np.square(s, out=s)
-            return c[part].T @ s
+            x = np.multiply(h[:, None], times) if h.ndim == 1 else h @ times.T
+            if not s:
+                np.sin(x, out=x)
+                return [c.T @ np.square(x, out=x)]
+            cos = np.cos(x)
+            np.sin(x, out=x)
+            cos *= x
+            return [c.T @ np.square(x, out=x), s[0].T @ cos]
 
-    zero = np.zeros(c.shape[1:] + (len(times),))
-    if workers <= 1:
-        return sum(map(block, starts), zero).T
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(block, starts), zero).T
+    parts = slices()
+    head = list(islice(parts, _sin2_workers()))
+    if len(head) <= 1:
+        total = reduce(_add, map(partial, chain(head, parts)))
+    else:
+        with ThreadPoolExecutor(max_workers=len(head)) as pool:
+            total = reduce(_add, _in_order(pool, partial, chain(head, parts), 2 * len(head)))
+    return total[0].T if len(total) == 1 else (total[0].T, 2.0 * total[1].T)
+
+
+def _add(a: list, b: list) -> list:
+    return [x + y for x, y in zip(a, b)]
+
+
+def _in_order(pool: ThreadPoolExecutor, fn, items, ahead: int):
+    """``fn`` over ``items`` on ``pool``, yielded in item order, with at most
+    ``ahead`` tasks submitted and not yet yielded."""
+    pending = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def spin_wave_energies(lattice: Lattice, kvecs: np.ndarray, kappa: float = 1.0) -> np.ndarray:
@@ -113,7 +153,7 @@ def spin_wave_energies(lattice: Lattice, kvecs: np.ndarray, kappa: float = 1.0) 
         raise ValueError("spin-wave energies require a periodic lattice")
     rel = relative_sites(lattice)
     r3 = np.linalg.norm(rel, axis=1) ** 3
-    return kappa * _sin2_sum(4.0 / r3, rel / 2.0, np.atleast_2d(kvecs))
+    return kappa * _sin2_sum([(4.0 / r3, rel / 2.0)], np.atleast_2d(kvecs))
 
 
 def fourier_kernel(lattice: Lattice, kvecs: np.ndarray) -> np.ndarray:
@@ -194,7 +234,7 @@ def dispersion_curve(kind: str, ka: np.ndarray, kappa: float = 1.0, cutoff: int 
         sel = (x != 0) | (y != 0)
         x, y = x[sel], y[sel]
         c = 4.0 / (x**2 + y**2) ** 1.5
-    return kappa * _sin2_sum(c, x / 2.0, ka)
+    return kappa * _sin2_sum([(c, x / 2.0)], ka)
 
 
 def dispersion_asymptote_check(kind: str, kappa: float = 1.0, cutoff: int = 100_000) -> dict:
@@ -268,7 +308,7 @@ def perturbative_decay2(lattice: Lattice, xi: float, times, kappa: float = 1.0) 
     band = spin_wave_energies(lattice, kv)
     fk = _kernel_from_band(lattice, band)
     om = kappa * band
-    decay = (16.0 * xi**2 / n**2) * _sin2_sum(mult * fk**2 / om**2, om, times)
+    decay = (16.0 * xi**2 / n**2) * _sin2_sum([(mult * fk**2 / om**2, om)], times)
     return DecayCurve(times=times, decay=decay,
                       beyond_perturbative=bool(decay.max(initial=0.0) > PERTURBATION_FLAG_LEVEL))
 

@@ -10,7 +10,6 @@ import pytest
 
 import dipolarray.basis as basis_mod
 import dipolarray.dynamics as dynamics_mod
-import dipolarray.phonon as phonon_mod
 from dipolarray.cli import (
     EXIT_CONFIG,
     EXIT_NO_GATE,
@@ -24,6 +23,7 @@ from dipolarray.cli import (
     parse_config,
 )
 from record_golden import GOLDEN, assert_matches_golden
+from test_phonon import with_matrices
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
@@ -95,6 +95,20 @@ class TestListCommand:
 
     def test_unknown_experiment_nonzero(self, capsys):
         assert main(["list", "nonsense"]) == EXIT_CONFIG
+
+    def test_phonon_bands_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.quantile imports numpy.ma on its first call; sound_speeds cuts
+        # by a sort instead
+        cfg = write_cfg(tmp_path, "experiment = phonon_bands\nkind = chain\nn_sites = 16\n")
+        child = ("import sys\nfrom dipolarray.cli import main\n"
+                 f"assert main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+                 "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split()[-1] == "False"
 
     def test_closed_pipe_is_quiet(self):
         # sim list | head: the reader closes the pipe before the listing is
@@ -244,15 +258,13 @@ n_samples = 60
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_NO_GATE
 
     def test_unstable_crystal_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(phonon_mod, "_dynamical_matrices",
-                            lambda rel, qvecs: -np.ones((len(qvecs), 1, 1)))
+        with_matrices(monkeypatch, lambda m: -np.ones((m, 1, 1)))
         cfg = write_cfg(tmp_path, "experiment = phonon_bands\nkind = chain\nn_sites = 8\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
         assert "numerical error: unstable crystal mode" in capsys.readouterr().err
 
     def test_vanishing_frequency_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(phonon_mod, "_dynamical_matrices",
-                            lambda rel, qvecs: np.zeros((len(qvecs), 1, 1)))
+        with_matrices(monkeypatch, lambda m: np.zeros((m, 1, 1)))
         cfg = write_cfg(tmp_path, "experiment = phonon_decay\nkind = chain\nn_sites = 8\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
         assert "numerical error: vanishing branch frequency" in capsys.readouterr().err
@@ -268,11 +280,11 @@ n_samples = 60
         # as orbits (there are 100), a quotient of 361 000 B
         ("experiment = phase_gate\nn_sites = 20\n", 300_000,
          "quotient of dimension 95 or more needs about 0 MiB to diagonalize;"),
-        # chain 8: the coupling tables need 1024 B, the gamma2 pair tables 3168 B
+        # chain 8: the phonon tables need 4096 B, the gamma2 tables 5632 B
         ("experiment = phonon_decay\nkind = chain\nn_sites = 8\nn_samples = 20\ninclude_fgr = false\n",
-         2000, "gamma2 pair tables need about 0 MiB for 8 momenta and 1 branches;"),
+         5000, "gamma2 tables need about 0 MiB for 8 momenta and 1 branches;"),
         ("experiment = phonon_bands\nkind = chain\nn_sites = 8\n", 1000,
-         "phonon coupling tables need about 0 MiB for 8 sites;"),
+         "phonon tables need about 0 MiB for 8 sites;"),
         ("experiment = dispersion\nkind = chain\nsum_cutoff = 1000\n", 1000,
          "dispersion tables need about 0 MiB at sum_cutoff = 1000;"),
         ("experiment = stark_sweep\nn_field = 2\n", 1000,

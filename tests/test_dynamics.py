@@ -656,6 +656,22 @@ def test_periodic_trajectory_reads_no_block(monkeypatch):
         full_hamiltonian(build_lattice("chain", 8), 1.0, 0.05).blocks
 
 
+def test_blocks_dropped_before_eigh():
+    # open chain 81: the sector-2 quotient is its whole orbit block (k =
+    # 1640); each block is refined and dropped before the quotient's eigh,
+    # so the peak stays within the engine's 40 k^2 estimate
+    ham = full_hamiltonian(build_lattice("chain", 81), 1.0, 0.05)
+    tracemalloc.start()
+    try:
+        traj = compute_trajectory(ham, np.linspace(0.0, 5.0, 50), auto_refine=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = traj.diagnostics["reduced_dims"][2]
+    assert k == 1640
+    assert peak <= 40 * k**2
+
+
 def test_open_chain_refused_before_any_large_table():
     # open chain N = 150: the reflection leaves at least 5588 pair orbits, a
     # quotient of about 1191 MiB, refused before the orbit labels are built

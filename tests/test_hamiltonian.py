@@ -302,14 +302,14 @@ def test_orbit_estimate_bounds_peak(kind, n, boundary):
     # tables and blocks, and the engine's refinement and eigh of the orbit
     # blocks that follow them
     lattice = build_lattice(kind, n, boundary=boundary)
-    sectors, peak = traced_peak(full_hamiltonian(lattice, 1.0, 0.05).dicke_sectors)
+    sectors, peak = traced_peak(lambda: list(full_hamiltonian(lattice, 1.0, 0.05).dicke_sectors()))
     k = len(sectors[2][0])
     need = max(40 * k**2, hamiltonian_mod._ORBIT_BYTES_PER_ENTRY * k * n + hamiltonian_mod._ORBIT_BLOCK_BYTES * k**2)
     if boundary == "open":
         maps = len(hamiltonian_mod._point_group_maps(lattice))
         need = max(need, hamiltonian_mod._LABEL_BYTES * (maps + 2) * comb(n, 2))
     assert peak <= need
-    _, peak = traced_peak(lambda: [_SectorEvolver(block, psi0) for block, psi0 in sectors])
+    _, peak = traced_peak(lambda: [_SectorEvolver(block, psi0).lam for block, psi0 in sectors])
     assert peak <= need
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dipolarray.lattice as lattice_mod
 from dipolarray.lattice import build_lattice, coupling_kernel, displacements, momentum_grid, relative_sites
 from dipolarray.phonon import _momentum_pairs
 
@@ -69,6 +70,43 @@ class TestBuildLattice:
             lat = build_lattice(kind, n)
             d = pairwise_distances(lat.positions)
             assert d[~np.eye(n, dtype=bool)].min() > 0
+
+
+def minimum_image_loop(diff, lattice):
+    """The neighboring torus images tried one at a time, m1 then m2
+    ascending, a strictly shorter one replacing the best so far; returns the
+    images and the number of exact ties met."""
+    period = lattice.period_vectors
+    best = diff.copy()
+    best_n = np.einsum("...k,...k->...", best, best)
+    ties = 0
+    for m1 in range(-2, 3):
+        for m2 in range(-2, 3):
+            if m1 == 0 and m2 == 0:
+                continue
+            cand = diff + m1 * period[0] + m2 * period[1]
+            n = np.einsum("...k,...k->...", cand, cand)
+            ties += int(np.count_nonzero(n == best_n))
+            sel = n < best_n
+            best[sel] = cand[sel]
+            best_n = np.where(sel, n, best_n)
+    return best, ties
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular"])
+@pytest.mark.parametrize("side", [2, 4, 6, 10])
+def test_minimum_image_matches_loop(monkeypatch, kind, side):
+    # even tori put sites half a period apart, whose images tie exactly; the
+    # stacked pass keeps the loop's first-found image, bit for bit, in one
+    # block and in blocks of 7 displacements
+    lat = build_lattice(kind, side * side, boundary="periodic")
+    pos = lat.positions
+    want, ties = minimum_image_loop(pos[:, None, :] - pos[None, :, :], lat)
+    assert ties > 0
+    for block in (lattice_mod._IMAGE_BLOCK_BYTES, 7 * 25 * 16):
+        monkeypatch.setattr(lattice_mod, "_IMAGE_BLOCK_BYTES", block)
+        assert displacements(lat).tobytes() == want.tobytes()
+        assert relative_sites(lat).tobytes() == want[1:, 0].tobytes()
 
 
 class TestCouplingKernel:

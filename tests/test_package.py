@@ -46,3 +46,31 @@ def test_assembled_blocks_stay_in_hamiltonian(name):
              or (isinstance(n, ast.ImportFrom) and any(a.name == "CSRBlock" for a in n.names))]
     reads = [n.lineno for n in nodes if isinstance(n, ast.Attribute) and n.attr in ("blocks", "sectors")]
     assert (named, reads) == ([], [])
+
+
+def np_attributes(node: ast.AST, names: tuple[str, ...]) -> list[int]:
+    """Lines of the ``np.<name>`` references under ``node``."""
+    return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr in names
+            and isinstance(n.value, ast.Name) and n.value.id == "np"]
+
+
+@pytest.mark.parametrize("name", ["dipolarray.phonon", "dipolarray.spinwave"])
+def test_trig_only_in_the_kernel(name):
+    # every lattice and mode sum takes its sines and cosines from
+    # spinwave._sin2_sum, which slices, threads and bounds them
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    outside = [line for node in tree.body if getattr(node, "name", None) != "_sin2_sum"
+               for line in np_attributes(node, ("sin", "cos"))]
+    assert outside == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_masked_arrays(name):
+    # np.quantile and np.percentile import numpy.ma on their first call,
+    # which every run that reaches them pays
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    imports = [n.lineno for n in ast.walk(tree)
+               if (isinstance(n, ast.Import) and any(a.name.startswith("numpy.ma") for a in n.names))
+               or (isinstance(n, ast.ImportFrom) and (n.module or "").startswith("numpy")
+                   and ((n.module or "").startswith("numpy.ma") or any(a.name == "ma" for a in n.names)))]
+    assert (np_attributes(tree, ("quantile", "percentile", "ma")), imports) == ([], [])

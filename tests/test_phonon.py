@@ -21,6 +21,8 @@ from dipolarray.phonon import (
     gamma2,
     sound_speeds,
 )
+from dipolarray.spinwave import spin_wave_energies
+from test_hamiltonian import traced_peak
 from test_lattice import solved_labels
 
 ZETA5 = 1.0369277551433699
@@ -32,6 +34,14 @@ def chain_model(n, beta=1e4, u_dd=3.0, kappa=1.0):
 
 def tri_model(n, beta=1e4, u_dd=3.0, kappa=1.0):
     return build_phonon_model(build_lattice("triangular", n, boundary="periodic"), beta, u_dd, kappa)
+
+
+def with_matrices(monkeypatch, make):
+    """Replace the dynamical matrices of the model's lattice sums by
+    ``make(number of momenta)``, keeping the band and force of the real pass."""
+    real = phonon_mod._lattice_sums
+    monkeypatch.setattr(phonon_mod, "_lattice_sums",
+                        lambda rel, qvecs: (make(len(qvecs)),) + real(rel, qvecs)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +128,31 @@ class TestDynamicalMatrix:
         rel = relative_sites(lat)
         q = momentum_grid(lat).kvecs
         if slice_modes is not None:
-            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(q) * slice_modes)
+            # the pass holds a sin and a cos table per slice
+            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 16 * len(q) * slice_modes)
         rn = np.linalg.norm(rel, axis=1)
         nhat = rel / rn[:, None]
         pair = 5.0 * nhat[:, :, None] * nhat[:, None, :] - np.eye(lat.dimension)
         ref = np.einsum("qj,jab->qab", (1.0 - np.cos(q @ rel.T)) * (3.0 / rn**5), pair)
-        got = phonon_mod._dynamical_matrices(rel, q)
+        got = phonon_mod._lattice_sums(rel, q)[0]
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("slice_modes", [1, 7, None])
+    @pytest.mark.parametrize("kind, n", [("chain", 40), ("triangular", 49)])
+    def test_force_and_band_match_dense_formulas(self, monkeypatch, kind, n, slice_modes):
+        # the sine partner of the same pass: sum_j sin(q.r_j) r_j / |r_j|^5,
+        # and the band of the same sin^2 tables against spin_wave_energies
+        lat = build_lattice(kind, n, boundary="periodic")
+        rel = relative_sites(lat)
+        q = momentum_grid(lat).kvecs
+        band_ref = spin_wave_energies(lat, q)
+        if slice_modes is not None:
+            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 16 * len(q) * slice_modes)
+        rn = np.linalg.norm(rel, axis=1)
+        ref = (np.sin(q @ rel.T) / rn**5) @ rel
+        _, band, force = phonon_mod._lattice_sums(rel, q)
+        assert np.abs(force - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(band - band_ref).max() <= 1e-13 * np.abs(band_ref).max()
 
     def test_rejects_square_and_open(self):
         with pytest.raises(ValueError, match="unsupported"):
@@ -176,6 +204,17 @@ class TestSpectrum:
         assert len(speeds) == 1
         assert speeds[0] == pytest.approx(2.0 * np.sqrt(3.0 * ZETA3), rel=0.02)
 
+    @pytest.mark.parametrize("kind, sizes", [("chain", range(2, 130)),
+                                             ("triangular", [s * s for s in range(2, 30)])])
+    def test_sound_speed_momenta_match_quantile(self, kind, sizes):
+        # the sort-based cut selects the momenta of the np.quantile cut
+        for n in sizes:
+            model = build_phonon_model(build_lattice(kind, n, boundary="periodic"), 1e4, 3.0, 1.0)
+            qn = np.linalg.norm(model.grid.kvecs, axis=1)
+            sel = (qn > 0) & (qn <= np.quantile(qn[qn > 0], 0.1) + 1e-12)
+            ref = [float(np.mean(model.freqs[sel, lam] / qn[sel])) for lam in range(model.n_branches)]
+            assert sound_speeds(model) == ref, n
+
     @pytest.mark.parametrize("beta, u_dd, kappa", [
         (0.0, 3.0, 1.0), (1e4, -3.0, 1.0), (1e4, 3.0, 0.0),
         (np.nan, 3.0, 1.0), (1e4, np.nan, 1.0), (1e4, 3.0, np.nan),
@@ -186,17 +225,16 @@ class TestSpectrum:
 
     def test_instability_reported_with_q(self, monkeypatch):
         lat = build_lattice("chain", 8, boundary="periodic")
-        monkeypatch.setattr(phonon_mod, "_dynamical_matrices",
-                            lambda rel, qvecs: -np.ones((len(qvecs), 1, 1)))
+        with_matrices(monkeypatch, lambda m: -np.ones((m, 1, 1)))
         with pytest.raises(UnstableCrystalError, match="unstable crystal mode at q"):
             build_phonon_model(lat, 1e4, 3.0, 1.0)
 
     def test_coupling_table_budget(self, monkeypatch):
-        # 16 bytes per N^2, checked before any table is built
-        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 16 * 8**2)
+        # 512 bytes per site and dimension, checked before any table is built
+        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 512 * 8)
         chain_model(8)
-        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 16 * 8**2 - 1)
-        with pytest.raises(ResourceLimitError, match="^phonon coupling tables need about 0 MiB for 8 sites;"):
+        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 512 * 8 - 1)
+        with pytest.raises(ResourceLimitError, match="^phonon tables need about 0 MiB for 8 sites;"):
             chain_model(8)
 
     @pytest.mark.parametrize("kind,n", [("chain", 30), ("triangular", 25)])
@@ -228,8 +266,7 @@ class TestCouplingWeight:
         assert calls == [1]
 
     def test_vanishing_frequency_refused_by_model(self, monkeypatch):
-        monkeypatch.setattr(phonon_mod, "_dynamical_matrices",
-                            lambda rel, qvecs: np.zeros((len(qvecs), 1, 1)))
+        with_matrices(monkeypatch, lambda m: np.zeros((m, 1, 1)))
         with pytest.raises(UnstableCrystalError, match="vanishing branch frequency"):
             chain_model(8)
 
@@ -355,7 +392,7 @@ def test_decay_sum_soft_and_resonant_modes():
     w_ph = np.array([0.0, 0.3, 0.3 + 0.9 * eps, 0.3 + 1.1 * eps, 0.8])[:, None]
     weights = np.array([0.0, 1.5, 2.0, 0.5, 1.0])[:, None]
     kbt = 0.2
-    got = phonon_mod._decay_sum(weights, w_ph, w_sp, kbt, times)
+    got = phonon_mod._decay_sum([(weights, w_ph, w_sp)], kbt, times)
     nocc = phonon_mod._occupation(w_ph, kbt).ravel()
     w = weights.ravel()
     ref = 2.0 * (_osc_integral((w_ph + w_sp).ravel(), times) @ (w * (nocc + 1.0))
@@ -387,10 +424,33 @@ class TestGamma2:
         assert two.correction_ratio <= bound
 
     def test_pair_table_cap_raises(self, monkeypatch):
+        # 704 bytes per momentum and branch
         model = chain_model(12)
-        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 1000)
-        with pytest.raises(ResourceLimitError, match="gamma2 pair tables"):
+        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 704 * 12)
+        gamma2(model, 0.05, 0.1, 0.5, np.linspace(0, 40, 5))
+        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 704 * 12 - 1)
+        with pytest.raises(ResourceLimitError, match="^gamma2 tables need about 0 MiB for 12 momenta and 1 branches;"):
             gamma2(model, 0.05, 0.1, 0.5, np.linspace(0, 40, 5))
+
+    @pytest.mark.parametrize("kind, n", [("chain", 1024), ("chain", 4096), ("triangular", 1024),
+                                         ("triangular", 4096)])
+    def test_estimates_bound_peaks(self, kind, n):
+        # build_phonon_model: 512 bytes per site and dimension beyond the
+        # kernel's slices in flight; gamma2: 704 per momentum and branch
+        # beyond those and one pair block
+        lat = build_lattice(kind, n, boundary="periodic")
+        model, peak = traced_peak(build_phonon_model, lat, 1e4, 3.0, 1.0)
+        assert peak <= 512 * lat.dimension * n + spinwave_mod._CHUNK_BYTES
+        _, peak = traced_peak(gamma2, model, 0.05, 0.1, 0.5, np.linspace(0, 100, 3))
+        assert peak <= 704 * model.n_branches * n + spinwave_mod._CHUNK_BYTES + spinwave_mod._SLICE_BYTES
+
+    def test_phonon_layer_memory_linear(self):
+        # chain 2048: the dense force and pair tables took 64 and 155 MiB
+        lat = build_lattice("chain", 2048, boundary="periodic")
+        model, peak = traced_peak(build_phonon_model, lat, 1e4, 3.0, 1.0)
+        assert peak < 32 * 2**20
+        _, peak = traced_peak(gamma2, model, 0.05, 0.1, 0.5, np.linspace(0, 100, 3))
+        assert peak < 32 * 2**20
 
     def test_memory_bounded(self):
         # one (times x ordered-pair modes) float64 array would be 96 MB here
@@ -488,10 +548,14 @@ def test_gamma2_matches_pair_loop(lattice, xi, b0, temperature):
                          ids=["chain30", "triangular25"])
 def test_gamma2_mode_slices_match_pair_loop(monkeypatch, make, slice_modes):
     # 11 divides neither mode count: chain 30 has 30 edge and 420 other
-    # modes, triangular 25 has 48 and 576
+    # modes, triangular 25 has 48 and 576; the pairs come in blocks of 7 k
+    # rows, which divides neither the 29 nor the 24 rows after the edge row,
+    # and each block's modes are cut into slices again
     model = make()
     t = np.linspace(0.0, 60.0, 17)
     monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(t) * slice_modes)
+    n = model.grid.n_points
+    monkeypatch.setattr(phonon_mod, "_SLICE_BYTES", 7 * 8 * (7 + 4 * model.n_branches) * n)
     ref = gamma2_full_reference(model, 0.05, 0.1, 0.5, t)
     assert np.allclose(gamma2(model, 0.05, 0.1, 0.5, t).decay, ref, rtol=1e-12, atol=0)
 

@@ -11,6 +11,7 @@ import dipolarray.phonon as phonon_mod
 import dipolarray.spinwave as spinwave_mod
 from dipolarray.basis import ResourceLimitError
 from dipolarray.hamiltonian import ZETA3, exchange_hamiltonian
+from dipolarray.phonon import build_phonon_model, gamma2
 from dipolarray.lattice import build_lattice, momentum_grid, relative_sites
 from dipolarray.spinwave import (
     dispersion,
@@ -298,18 +299,24 @@ class TestPerturbativeDecay:
     @pytest.mark.parametrize("kind, n", [("chain", 40), ("square", 36)])
     def test_bitwise_independent_of_workers(self, monkeypatch, kind, n):
         # 5-mode slices: chain 40 folds to 20 modes, square 36 to 19; the
-        # band (vector phase) and the dynamical matrices (matrix weights) run
-        # the 39 or 35 relative sites against the full grid
+        # band (vector phase) and the phonon lattice sums (matrix weights and
+        # the sine partner) run the 39 or 35 relative sites against the full
+        # grid; gamma2 on a crystal of as many sites (triangular in 2D) runs
+        # one k row per pair block
         lat = periodic(kind, n)
         t = np.linspace(0.0, 80.0, 41)
         kv = momentum_grid(lat).kvecs
+        model = build_phonon_model(periodic(kind if kind == "chain" else "triangular", n), 1e4, 3.0, 1.0)
         monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(t) * 5)
+        monkeypatch.setattr(phonon_mod, "_SLICE_BYTES", 8 * len(t) * 5)
         runs = []
         for workers in (1, 2):
             monkeypatch.setattr(spinwave_mod, "_sin2_workers", lambda w=workers: w)
+            two = gamma2(model, 0.05, 0.1, 0.5, t)
             runs.append([perturbative_decay2(lat, 0.05, t).decay.tobytes(),
                          spin_wave_energies(lat, kv, 1.0).tobytes(),
-                         phonon_mod._dynamical_matrices(relative_sites(lat), kv).tobytes()])
+                         *(a.tobytes() for a in phonon_mod._lattice_sums(relative_sites(lat), kv)),
+                         two.decay.tobytes(), two.decay_normalized.tobytes()])
         assert runs[0] == runs[1]
 
 
