@@ -170,7 +170,11 @@ def _quotient(h: np.ndarray, cells: np.ndarray, root: np.ndarray,
         found.append((at // k + lo, at % k, dev.reshape(-1)[at]))
         dev /= root
         sumsq += float(np.vdot(dev, dev).real)
-    return s_first * root[:, None] / root, tuple(map(np.concatenate, zip(*found))), float(np.sqrt(sumsq))
+    # in place: two k x k temporaries here set the peak of a large block's
+    # refinement
+    s_first *= root[:, None]
+    s_first /= root
+    return s_first, tuple(map(np.concatenate, zip(*found))), float(np.sqrt(sumsq))
 
 
 def _split(cells: np.ndarray, row: np.ndarray, col: np.ndarray, val: np.ndarray, tol: float) -> np.ndarray:

@@ -11,15 +11,21 @@ F_k = F_0 - omega_k / 2 kappa, the large-cutoff sums of
 (the dynamical matrices, one weight column per matrix entry, and the band,
 with the coupling force sum_j sin(q.r_j) r_j / |r_j|^5 as the kernel's sine
 partner sum_m s_m sin(2 h_m . t) from the same phases) and the phonon decay
-sums, whose two-excitation modes arrive as a stream of pair blocks.  It
-cuts the mode axis into slices whose (slice x times) float64 tables (sin^2,
-or sin and cos with a sine partner) fit ``_SLICE_BYTES`` and runs up to W
-slices at once on a thread pool, W being the number of CPUs this process
-may run on (its affinity mask), capped so that W slices fit in
-``_CHUNK_BYTES``; at most 2 W slices are queued, so a stream of blocks is
-made as it is summed.  NumPy's sin, cos, square and the BLAS contraction
-release the GIL, so the slices run in parallel; the per-slice partial sums
-are added in slice order, so every result is bitwise independent of W.
+sums, whose two-excitation modes arrive as a stream of pair blocks.  On an
+evenly spaced time grid, as every decay sum's ``np.linspace`` is, it splits
+each time into a coarse and a fine part and takes sin and cos at about
+2 sqrt(T) phases per mode instead of T, summing over the modes with one
+complex matrix product; there a sum differs from the direct one at the level
+of a few ulps of the phases.  On every other grid (the momenta, geomspace
+grids) each phase is rounded exactly as ``h[m] * times`` or the dot product.
+It cuts the mode axis into slices whose float64 or complex tables fit
+``_SLICE_BYTES`` and runs up to W slices at once on a thread pool, W being
+the number of CPUs this process may run on (its affinity mask), capped so
+that W slices fit in ``_CHUNK_BYTES``; at most 2 W slices are queued, so a
+stream of blocks is made as it is summed.  NumPy's sin, cos, square and the
+BLAS contractions release the GIL, so the slices run in parallel; the
+per-slice partial sums are added in slice order, so every result is bitwise
+independent of W.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
+from math import isqrt
 
 import numpy as np
 
@@ -55,8 +62,8 @@ PERTURBATION_FLAG_LEVEL = 0.5
 # time points per window in fgr_scaling_diagnostic
 _SCALING_TIMES = 4000
 
-# the (slice x times) float64 tables of one slice in _sin2_sum; fixed, so
-# the slicing and hence the summation order never depend on the thread count
+# the (slice x phases) tables of one slice in _sin2_sum; fixed, so the
+# slicing and hence the summation order never depend on the thread count
 _SLICE_BYTES = 2**20
 # slices in flight at once in _sin2_sum
 _CHUNK_BYTES = 8 * 2**20
@@ -82,21 +89,38 @@ def _sin2_sum(blocks, times: np.ndarray):
     mode axis given as ``blocks`` of (c, h) or (c, h, s); with s, also the
     sine partner sum_m s_m sin(2 x_m) from the same phases.
 
-    A (modes,) ``h`` gives the phase h_m t rounded exactly as ``h[m] *
-    times``; a (modes, D) ``h`` takes (T, D) ``times`` and the dot product of
-    h_m with each row.  ``c`` and ``s`` are (modes,) or (modes, W), and each
-    sum (T,) or (T, W); with s the result is the pair (sin^2 sum, sine sum).
+    A (modes,) ``h`` takes 1-D ``times``; a (modes, D) ``h`` takes (T, D)
+    ``times`` and the dot product of h_m with each row.  ``c`` and ``s`` are
+    (modes,) or (modes, W), and each sum (T,) or (T, W); with s the result is
+    the pair (sin^2 sum, sine sum).
+
+    On an evenly spaced 1-D grid (see :func:`_time_split`) every t is T_a +
+    tau_b, and a slice takes sin and cos at the A + B ~ 2 sqrt(T) coarse and
+    fine phases of each mode only, then sums over the modes with one complex
+    GEMM.  The phases h_m T_a and h_m tau_b are each rounded once, so a sum
+    differs from the direct one at the level of a few ulps of the phases;
+    small phases keep their relative precision.  On any other grid the phase
+    is h_m t rounded exactly as ``h[m] * times`` (or the dot product), and
+    one sin^2 table, or a sin and a cos table with s, is contracted with the
+    weights.
+
     ``blocks`` may be a generator: each block is cut into slices whose
-    (slice x times) tables fit ``_SLICE_BYTES`` (one table, or sin and cos
-    with s), up to :func:`_sin2_workers` of them run at once and twice that
-    many are queued, so a stream of blocks is consumed as it is summed.  The
-    partial sums are added in slice order, so the result depends on the
-    blocks and ``_SLICE_BYTES`` but not on the thread count.  One worker, or
-    a single slice, runs inline.
+    (slice x phases) tables fit ``_SLICE_BYTES``, up to :func:`_sin2_workers`
+    of them run at once and twice that many are queued, so a stream of blocks
+    is consumed as it is summed.  The partial sums are added in slice order,
+    so the result depends on the blocks and ``_SLICE_BYTES`` but not on the
+    thread count.  One worker, or a single slice, runs inline.
     """
+    split = _time_split(times)
+
     def slices():
         for c, h, *s in blocks:
-            step = max(1, _SLICE_BYTES // (8 * (1 + len(s)) * max(len(times), 1)))
+            if split is None:
+                mode_bytes = 8 * (1 + len(s)) * max(len(times), 1)
+            else:
+                # the coarse and fine tables and the weighted fine table
+                mode_bytes = 16 * (len(split[0]) + len(split[1]) * (1 + sum(map(_columns, (c, *s)))))
+            step = max(1, _SLICE_BYTES // mode_bytes)
             for start in range(0, max(len(c), 1), step):
                 part = slice(start, start + step)
                 yield c[part], h[part], *(w[part] for w in s)
@@ -106,6 +130,8 @@ def _sin2_sum(blocks, times: np.ndarray):
         # np.errstate is context-local and a worker thread starts from the
         # defaults, so every slice sets them, wherever it runs
         with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+            if split is not None:
+                return split_sums(c, h, s)
             x = np.multiply(h[:, None], times) if h.ndim == 1 else h @ times.T
             if not s:
                 np.sin(x, out=x)
@@ -115,6 +141,35 @@ def _sin2_sum(blocks, times: np.ndarray):
             cos *= x
             return [c.T @ np.square(x, out=x), s[0].T @ cos]
 
+    def split_sums(c, h, s):
+        # with F(x) = 1 - e^{2ix} = 2 sin^2 x - 2i sin x cos x, which keeps
+        # the relative precision of small x where 1 - cos 2x would cancel,
+        # 1 - e^{2ih(T_a + tau_b)} = F_a - F_a F_b + F_b; the sin^2 sum is
+        # 1/2 Re and the sine sum -Im of its weighted sum over the modes: two
+        # GEMVs and one complex GEMM, the weights as columns of the fine factor
+        m = len(h)
+        weights = [w.reshape(m, _columns(w)) for w in (c, *s)]
+        wt = np.concatenate(weights, axis=1)
+        fa, fb = map(one_minus_exp2i, (np.multiply(h[:, None], t) for t in split))
+        k, nb = wt.shape[1], len(split[1])
+        z = (fa.T @ (fb[:, None, :] * wt[:, :, None]).reshape(m, k * nb)).reshape(-1, k, nb)
+        np.subtract((fa.T @ wt)[:, :, None], z, out=z)
+        z += (fb.T @ wt).T
+        z = z.transpose(0, 2, 1).reshape(-1, k)[:len(times)]
+        wc = weights[0].shape[1]
+        sums = [0.5 * z[:, :wc].real, -z[:, wc:].imag][:1 + len(s)]
+        return [x if w.ndim == 2 else x[:, 0] for x, w in zip(sums, (c, *s))]
+
+    def one_minus_exp2i(x):
+        sin = np.sin(x)
+        cos = np.cos(x, out=x)
+        f = np.empty(x.shape, dtype=complex)
+        np.multiply(sin, cos, out=f.imag)
+        f.imag *= -2.0
+        sin *= sin
+        np.multiply(sin, 2.0, out=f.real)
+        return f
+
     parts = slices()
     head = list(islice(parts, _sin2_workers()))
     if len(head) <= 1:
@@ -122,7 +177,35 @@ def _sin2_sum(blocks, times: np.ndarray):
     else:
         with ThreadPoolExecutor(max_workers=len(head)) as pool:
             total = reduce(_add, _in_order(pool, partial, chain(head, parts), 2 * len(head)))
+    if split is not None:
+        return total[0] if len(total) == 1 else tuple(total)
     return total[0].T if len(total) == 1 else (total[0].T, 2.0 * total[1].T)
+
+
+def _time_split(times: np.ndarray):
+    """The coarse times T_a = t_{aB} and the fine offsets tau_b = b dt, b <
+    B = ceil(sqrt(T)), of a 1-D grid of T > 3 points t_n = t_0 + n dt (to 4
+    ulps of its largest |t|) with t_0 dt >= 0; else None.
+
+    Every t_n is then T_a + tau_b with n = a B + b, and the two phases of a
+    point share its sign, so their sum never cancels.  The check is O(T).
+    """
+    n = len(times) if times.ndim == 1 else 0
+    if n <= 3:
+        return None
+    t0, t1 = times[0], times[-1]
+    dt = (t1 - t0) / (n - 1)
+    if not (np.isfinite(dt) and dt != 0 and t0 * dt >= 0):
+        return None
+    if not np.abs(times - (t0 + np.arange(n) * dt)).max() <= 4 * np.spacing(max(abs(t0), abs(t1))):
+        return None
+    b = isqrt(n - 1) + 1
+    return times[::b], np.arange(b) * dt
+
+
+def _columns(w: np.ndarray) -> int:
+    """Weight columns of a (modes,) or (modes, W) array."""
+    return w.shape[1] if w.ndim == 2 else 1
 
 
 def _add(a: list, b: list) -> list:

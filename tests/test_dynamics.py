@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -313,6 +313,9 @@ def dense_spectral(block, psi0, times):
     xi=st.floats(min_value=-1.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# xi so small that the two pair distances of the periodic chain 5 share a cell
+@example(lattice=("chain", 5), boundary="periodic", xi=5e-324, seed=0)
+@example(lattice=("chain", 5), boundary="periodic", xi=1.66053906892e-27, seed=0)
 def test_quotient_matches_dense_sector(lattice, boundary, xi, seed):
     kind, n_sites = lattice
     ham = full_hamiltonian(build_lattice(kind, n_sites, boundary=boundary), 1.0, xi)
@@ -327,9 +330,17 @@ def test_quotient_matches_dense_sector(lattice, boundary, xi, seed):
     for n in (0, 1, 2):
         assert_reference_cells(ham.blocks[n], dicke_state(ham.sectors[n]))
     if kind == "chain" and boundary == "periodic":
-        # one cell per pair distance 1 .. N/2, e.g. 6 of 66 states at N = 12,
-        # except one cell for both at N = 5, xi = 0 (test_orbit_partition_differences)
-        assert diag["reduced_dims"][2] == (1 if (n_sites, xi) == (5, 0.0) else n_sites // 2) < ham.dim(2)
+        # one cell per pair distance 1 .. N/2, e.g. 6 of 66 states at N = 12.
+        # At N = 5 both distances have the same hops (the 2 x 2 orbit block's
+        # rows differ on the diagonal alone), so refinement keeps them in one
+        # cell whenever their diagonals differ by no more than REFINE_TOL of
+        # the block's largest entry, as at xi = 0 (test_orbit_partition_differences)
+        expected = n_sites // 2
+        if n_sites == 5:
+            orbit_block = list(ham.dicke_sectors())[2][0]
+            gap = np.ptp(np.diagonal(orbit_block))
+            expected = 1 if gap <= REFINE_TOL * np.abs(orbit_block).max() else 2
+        assert diag["reduced_dims"][2] == expected < ham.dim(2)
     # a state without symmetry takes the discrete partition, i.e. the full block
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(ham.dim(2)) + 1j * rng.standard_normal(ham.dim(2))
@@ -669,6 +680,23 @@ def test_blocks_dropped_before_eigh():
         tracemalloc.stop()
     k = traj.diagnostics["reduced_dims"][2]
     assert k == 1640
+    assert peak <= 40 * k**2
+
+
+def test_refinement_within_quotient_estimate():
+    # open triangular 64: the patch's point group is trivial, so sector 2's
+    # orbit block is the whole pair block and refines to the discrete
+    # partition (k = 2016); the block, Hr and each round's row sums stay
+    # within the engine's 40 k^2 estimate while the evolvers are built
+    ham = full_hamiltonian(build_lattice("triangular", 64), 1.0, 0.05)
+    tracemalloc.start()
+    try:
+        evolvers = [dyn_mod._SectorEvolver(block, psi0) for block, psi0 in ham.dicke_sectors()]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = evolvers[2].dim
+    assert k == 2016
     assert peak <= 40 * k**2
 
 

@@ -1,0 +1,189 @@
+"""The sin^2 kernel's two routes: the split sums on evenly spaced grids
+against direct per-element sums and mpmath, the direct route bitwise on every
+other grid, and both bitwise independent of the thread count."""
+
+import tracemalloc
+from functools import reduce
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dipolarray.spinwave as spinwave_mod
+from dipolarray.lattice import build_lattice
+from dipolarray.spinwave import _sin2_sum, _time_split, perturbative_decay2
+
+EPS = np.finfo(float).eps
+
+
+def direct_sums(c, h, times, s=None):
+    """The kernel's direct route on one thread: per slice of modes, the
+    phases h[m] * times, one sin^2 table (and cos * sin with s), contracted
+    with the weights and added in slice order."""
+    step = max(1, spinwave_mod._SLICE_BYTES // (8 * (1 + (s is not None)) * len(times)))
+    parts = []
+    for start in range(0, max(len(c), 1), step):
+        part = slice(start, start + step)
+        x = np.multiply(h[part, None], times)
+        sin = np.sin(x)
+        terms = [c[part].T @ np.square(sin)]
+        if s is not None:
+            terms.append(s[part].T @ (np.cos(x) * sin))
+        parts.append(terms)
+    total = reduce(lambda a, b: [x + y for x, y in zip(a, b)], parts)
+    return total[0].T if s is None else (total[0].T, 2.0 * total[1].T)
+
+
+def per_element(c, h, times, s=None):
+    """Sums of every (time, mode) term, each phase rounded as t * h, with
+    their sensitivity to the phases: sum |c| (sin^2 x + |x sin 2x|), and
+    sum |s| (|sin 2x| + |2x cos 2x|) for the sine partner."""
+    x = np.multiply.outer(times, h)
+    sin2, sin2x = np.sin(x) ** 2, np.sin(2.0 * x)
+    out = [(sin2 @ c, (sin2 + np.abs(x * sin2x)) @ np.abs(c))]
+    if s is not None:
+        out.append((sin2x @ s, (np.abs(sin2x) + np.abs(2.0 * x * np.cos(2.0 * x))) @ np.abs(s)))
+    return out
+
+
+def weight_array(draw, modes: int, columns, signed: bool):
+    """(modes,) weights, or (modes, columns): 0 or 1e-6 to 1 in magnitude,
+    so that no term underflows, which would cost either route its relative
+    precision."""
+    shape = (modes,) if columns is None else (modes, columns)
+    size = int(np.prod(shape))
+    vals = np.array(draw(st.lists(st.just(0.0) | st.floats(1e-6, 1.0), min_size=size, max_size=size)))
+    if signed:
+        vals *= draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size))
+    return vals.reshape(shape)
+
+
+@st.composite
+def even_grid_sums(draw):
+    n = draw(st.integers(min_value=4, max_value=5000))
+    t_end = draw(st.floats(1e-3, 3000.0))
+    t0 = draw(st.just(0.0) | st.floats(0.0, 100.0))
+    times = np.linspace(t0, t0 + t_end, n)
+    modes = draw(st.integers(min_value=0, max_value=24))
+    # |h| times the last time from 1e-6 (the t^2 / 2 limit of the phonon
+    # decay sums lies just below) to 1e3 radians, either sign
+    log_phase = np.array(draw(st.lists(st.floats(-6.0, 3.0), min_size=modes, max_size=modes)))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=modes, max_size=modes)))
+    h = signs * 10.0**log_phase / times[-1]
+    columns = draw(st.sampled_from([None, 1, 3]))
+    c = weight_array(draw, modes, columns, signed=False)
+    if draw(st.booleans()):
+        # the decay sums' prefactor 2 w / omega^2, large for small phases
+        c = 2.0 * c / (h**2 if columns is None else h[:, None] ** 2)
+    s = weight_array(draw, modes, draw(st.sampled_from([None, 2])), signed=True) if draw(st.booleans()) else None
+    cuts = sorted(draw(st.lists(st.integers(0, modes), max_size=3)))
+    return times, c, h, s, [0, *cuts, modes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=even_grid_sums())
+def test_even_grid_matches_per_element_sums(case):
+    times, c, h, s, edges = case
+    assert _time_split(times) is not None
+    blocks = ((c[a:b], h[a:b], *(() if s is None else (s[a:b],))) for a, b in zip(edges, edges[1:]))
+    got = _sin2_sum(blocks, times)
+    got = [got] if s is None else list(got)
+    for value, (want, sensitivity) in zip(got, per_element(c, h, times, s)):
+        assert value.shape == want.shape
+        # rtol 1e-12 on the sum plus its first-order change under a relative
+        # phase error of 1: the two routes round each phase differently,
+        # which alone moves a few-mode sum near a zero of sin^2 at large phase
+        # by about eps |x cot x| relative
+        assert np.all(np.abs(value - want) <= 1e-12 * sensitivity)
+    if (c >= 0).all() and np.abs(np.multiply.outer(times, h)).max(initial=0.0) <= 1.0:
+        np.testing.assert_allclose(got[0], per_element(c, h, times)[0][0], rtol=1e-12, atol=0)
+
+
+def test_even_grid_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    times = np.linspace(0.0, 50.0, 1000)
+    # |h| t_max from 7.5e-7 to 565: the decay prefactor 2 / h^2 makes the
+    # sum rest on the small phases, which the split keeps to relative precision
+    h = np.array([1.5e-8, -3e-4, 0.37, -2.1, 11.3])
+    c = 2.0 / h**2
+    s = np.array([0.5, -1.0, 0.25, 2.0, -0.75])
+    got, sine = _sin2_sum([(c, h, s)], times)
+    assert got[0] == 0.0 and sine[0] == 0.0
+    with mpmath.workdps(40):
+        for i in (1, 2, 37, 500, 999):
+            x = [mpmath.mpf(float(hm)) * mpmath.mpf(float(times[i])) for hm in h]
+            want = sum(mpmath.mpf(float(cm)) * mpmath.sin(xm) ** 2 for cm, xm in zip(c, x))
+            want_s = sum(mpmath.mpf(float(sm)) * mpmath.sin(2 * xm) for sm, xm in zip(s, x))
+            assert abs(got[i] - float(want)) <= 8 * EPS * float(want)
+            # the sine sum has mixed signs and phases up to 565: a phase
+            # error of a few ulps bounds it
+            bound = sum(abs(float(sm)) * (1.0 + 2.0 * abs(float(xm))) for sm, xm in zip(s, x))
+            assert abs(sine[i] - float(want_s)) <= 8 * EPS * bound
+
+
+UNEVEN = {
+    "geomspace": np.geomspace(1e-3, 50.0, 200),
+    "three points": np.linspace(0.0, 50.0, 3),
+    "across zero": np.linspace(-5.0, 5.0, 200),
+    "toward zero": np.linspace(50.0, 0.0, 200),
+    "one point 16 ulps off": np.linspace(0.0, 50.0, 200) + np.where(np.arange(200) == 77, 16 * np.spacing(50.0), 0.0),
+    "random": np.sort(np.random.default_rng(3).uniform(0.0, 50.0, 200)),
+}
+
+
+@pytest.mark.parametrize("name", list(UNEVEN))
+def test_uneven_grid_bitwise_direct(monkeypatch, name):
+    times = UNEVEN[name]
+    rng = np.random.default_rng(5)
+    h, c, s = rng.uniform(-3.0, 3.0, 40), rng.random(40), rng.uniform(-1.0, 1.0, 40)
+    assert _time_split(times) is None
+    # 7-mode slices, so the partial sums of several slices are added
+    monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 16 * len(times) * 7)
+    for workers in (1, 2):
+        monkeypatch.setattr(spinwave_mod, "_sin2_workers", lambda w=workers: w)
+        assert np.array_equal(_sin2_sum([(c, h)], times), direct_sums(c, h, times))
+        got, want = _sin2_sum([(c, h, s)], times), direct_sums(c, h, times, s)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_even_grid_bitwise_independent_of_workers(monkeypatch):
+    rng = np.random.default_rng(6)
+    times = np.linspace(0.0, 80.0, 997)
+    h, c, s = rng.uniform(-3.0, 3.0, 50), rng.random((50, 2)), rng.uniform(-1.0, 1.0, 50)
+    # a few modes per slice: ceil(sqrt(997)) = 32 fine and 32 coarse times
+    monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 16 * (32 + 32 * 4) * 4)
+    blocks = lambda: iter([(c[:17], h[:17], s[:17]), (c[17:17], h[17:17], s[17:17]), (c[17:], h[17:], s[17:])])
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(spinwave_mod, "_sin2_workers", lambda w=workers: w)
+        runs.append([a.tobytes() for a in _sin2_sum(blocks(), times)])
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_empty_mode_blocks():
+    times = np.linspace(0.0, 10.0, 50)
+    none = np.zeros(0)
+    assert np.array_equal(_sin2_sum([(none, none)], times), np.zeros(50))
+    got, sine = _sin2_sum([(np.zeros((0, 3)), none, np.zeros((0, 2)))], times)
+    assert got.shape == (50, 3) and sine.shape == (50, 2)
+    assert not got.any() and not sine.any()
+
+
+def test_decay2_memory_bounded(monkeypatch):
+    # chain 2000 folds to 1000 modes: at 4000 times a whole (modes x times)
+    # table would take 32 MB; each split slice's tables fit _SLICE_BYTES,
+    # which with the sin and cos temporaries and the O(T) partial sums stays
+    # within 1.5 slices per worker
+    monkeypatch.setattr(spinwave_mod, "_sin2_workers", lambda: 2)
+    lat = build_lattice("chain", 2000, boundary="periodic")
+    times = np.linspace(0.0, 100.0, 4000)
+    assert _time_split(times) is not None
+    tracemalloc.start()
+    try:
+        decay = perturbative_decay2(lat, 0.05, times).decay
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decay[0] == 0.0 and decay.max() > 0.0
+    assert peak < 2**20 + 1.5 * 2 * spinwave_mod._SLICE_BYTES

@@ -543,6 +543,14 @@ def test_gamma2_matches_pair_loop(lattice, xi, b0, temperature):
     assert np.allclose(gamma2(model, xi, b0, temperature, t).decay, ref, rtol=1e-12, atol=0)
 
 
+def split_slice_bytes(times, modes: int) -> int:
+    """A ``spinwave._SLICE_BYTES`` that cuts the decay sums into slices of
+    ``modes`` modes on the evenly spaced ``times``: 16 bytes per coarse, fine
+    and weighted fine phase of a mode."""
+    coarse, fine = spinwave_mod._time_split(times)
+    return modes * 16 * (len(coarse) + 2 * len(fine))
+
+
 @pytest.mark.parametrize("slice_modes", [1, 11])
 @pytest.mark.parametrize("make", [lambda: chain_model(30), lambda: tri_model(25)],
                          ids=["chain30", "triangular25"])
@@ -553,7 +561,7 @@ def test_gamma2_mode_slices_match_pair_loop(monkeypatch, make, slice_modes):
     # and each block's modes are cut into slices again
     model = make()
     t = np.linspace(0.0, 60.0, 17)
-    monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(t) * slice_modes)
+    monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", split_slice_bytes(t, slice_modes))
     n = model.grid.n_points
     monkeypatch.setattr(phonon_mod, "_SLICE_BYTES", 7 * 8 * (7 + 4 * model.n_branches) * n)
     ref = gamma2_full_reference(model, 0.05, 0.1, 0.5, t)
@@ -567,7 +575,7 @@ def test_decay_sums_bitwise_independent_of_workers(monkeypatch, make):
     # (chain 30) or 48 (triangular 25), the other part of gamma2 420 or 576
     model = make()
     t = np.linspace(0.0, 60.0, 17)
-    monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(t) * 13)
+    monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", split_slice_bytes(t, 13))
     runs = []
     for workers in (1, 2):
         monkeypatch.setattr(spinwave_mod, "_sin2_workers", lambda w=workers: w)
