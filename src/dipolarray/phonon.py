@@ -28,7 +28,9 @@ Every lattice sum runs over the relative sites r_j - r_0 of
 :func:`dipolarray.lattice.relative_sites`, O(N) to build.
 :func:`build_phonon_model` takes D(q), the spin-wave band and the coupling
 force sum_j sin(q.r_j) r_j / |r_j|^5 for the whole grid from one pass of
-:func:`dipolarray.spinwave._sin2_sum` (the force is its sine partner), then
+:func:`dipolarray.spinwave._sin2_sum` (the force is its sine partner), which
+on the evenly spaced chain grid and the product grid of a torus takes sin and
+cos at one phase per site and axis, not one per site and momentum, then
 tabulates f_lambda(q), g_lambda(q) (0 at q = 0, where the acoustic modes are
 soft and uncoupled) and the spin-wave energies once, and every decay sum
 indexes those tables by grid point.  The decay sums use inversion symmetry:

@@ -12,20 +12,21 @@ F_k = F_0 - omega_k / 2 kappa, the large-cutoff sums of
 with the coupling force sum_j sin(q.r_j) r_j / |r_j|^5 as the kernel's sine
 partner sum_m s_m sin(2 h_m . t) from the same phases) and the phonon decay
 sums, whose two-excitation modes arrive as a stream of pair blocks.  On an
-evenly spaced time grid, as every decay sum's ``np.linspace`` is, it splits
-each time into a coarse and a fine part and takes sin and cos at about
-2 sqrt(T) phases per mode instead of T, summing over the modes with one
-complex matrix product; there a sum differs from the direct one at the level
-of a few ulps of the phases.  On every other grid (the momenta, geomspace
-grids) each phase is rounded exactly as ``h[m] * times`` or the dot product.
-It cuts the mode axis into slices whose float64 or complex tables fit
-``_SLICE_BYTES`` and runs up to W slices at once on a thread pool, W being
-the number of CPUs this process may run on (its affinity mask), capped so
-that W slices fit in ``_CHUNK_BYTES``; at most 2 W slices are queued, so a
-stream of blocks is made as it is summed.  NumPy's sin, cos, square and the
-BLAS contractions release the GIL, so the slices run in parallel; the
-per-slice partial sums are added in slice order, so every result is bitwise
-independent of W.
+evenly spaced grid, as every decay sum's ``np.linspace`` and the chain's
+momenta are, and on the product grid of a torus's momenta, it splits each
+point into a coarse and a fine part, builds the factors of both parts from
+one sin and one cos per mode and axis by angle addition, and sums over the
+modes with one complex matrix product; there a sum differs from the direct
+one at the level of a few ulps of the phases.  On every other grid (momentum
+subsets, geomspace grids) each phase is rounded exactly as ``h[m] * times``
+or the dot product.  It cuts the mode axis into slices whose float64 or
+complex tables fit ``_SLICE_BYTES`` and runs up to W slices at once on a
+thread pool, W being the number of CPUs this process may run on (its
+affinity mask), capped so that W slices fit in ``_CHUNK_BYTES``; at most 2 W
+slices are queued, so a stream of blocks is made as it is summed.  NumPy's
+sin, cos, square and the BLAS contractions release the GIL, so the slices run
+in parallel; the per-slice partial sums are added in slice order, so every
+result is bitwise independent of W.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,15 +96,20 @@ def _sin2_sum(blocks, times: np.ndarray):
     (modes,) or (modes, W), and each sum (T,) or (T, W); with s the result is
     the pair (sin^2 sum, sine sum).
 
-    On an evenly spaced 1-D grid (see :func:`_time_split`) every t is T_a +
-    tau_b, and a slice takes sin and cos at the A + B ~ 2 sqrt(T) coarse and
-    fine phases of each mode only, then sums over the modes with one complex
-    GEMM.  The phases h_m T_a and h_m tau_b are each rounded once, so a sum
-    differs from the direct one at the level of a few ulps of the phases;
-    small phases keep their relative precision.  On any other grid the phase
-    is h_m t rounded exactly as ``h[m] * times`` (or the dot product), and
-    one sin^2 table, or a sin and a cos table with s, is contracted with the
-    weights.
+    A (T, 1) ``times`` and (modes, 1) ``h`` run as 1-D: the dot product is
+    one multiply, so the direct route gives the same bits.  On an evenly
+    spaced 1-D grid or a product grid (see :func:`_time_split`) every t is
+    t_0 + a coarse + b fine, a < A, b < B, and a slice tabulates F(x) = 1 -
+    e^{2ix} at the A coarse and B fine phases of each mode as (rows x modes)
+    tables, from sin and cos at the fine step, the coarse step and t_0 only:
+    rows [n, 2n) follow from rows [0, n) by F(x + y) = F(x) (1 - F(y)) + F(y)
+    and the step doubles by F(2y) = F(y) (2 - F(y)), neither of which has a 1
+    - cos in it.  It then sums over the modes with one complex GEMM.  Each
+    phase carries a few ulps more than h_m t rounded once, so a sum differs
+    from the direct one at that level; small phases keep their relative
+    precision.  On any other grid the phase is h_m t rounded exactly as
+    ``h[m] * times`` (or the dot product), and one sin^2 table, or a sin and
+    a cos table with s, is contracted with the weights.
 
     ``blocks`` may be a generator: each block is cut into slices whose
     (slice x phases) tables fit ``_SLICE_BYTES``, up to :func:`_sin2_workers`
@@ -111,15 +118,21 @@ def _sin2_sum(blocks, times: np.ndarray):
     so the result depends on the blocks and ``_SLICE_BYTES`` but not on the
     thread count.  One worker, or a single slice, runs inline.
     """
+    if times.ndim == 2 and times.shape[1] == 1:
+        # a 1-D dot product is one multiply: the direct route stays bitwise
+        # and an evenly spaced axis can split
+        times = times[:, 0]
     split = _time_split(times)
 
     def slices():
         for c, h, *s in blocks:
+            if h.ndim > times.ndim:
+                h = h[:, 0]
             if split is None:
                 mode_bytes = 8 * (1 + len(s)) * max(len(times), 1)
             else:
                 # the coarse and fine tables and the weighted fine table
-                mode_bytes = 16 * (len(split[0]) + len(split[1]) * (1 + sum(map(_columns, (c, *s)))))
+                mode_bytes = 16 * (split.a + split.b * (1 + sum(map(_columns, (c, *s)))))
             step = max(1, _SLICE_BYTES // mode_bytes)
             for start in range(0, max(len(c), 1), step):
                 part = slice(start, start + step)
@@ -149,16 +162,37 @@ def _sin2_sum(blocks, times: np.ndarray):
         # GEMVs and one complex GEMM, the weights as columns of the fine factor
         m = len(h)
         weights = [w.reshape(m, _columns(w)) for w in (c, *s)]
-        wt = np.concatenate(weights, axis=1)
-        fa, fb = map(one_minus_exp2i, (np.multiply(h[:, None], t) for t in split))
-        k, nb = wt.shape[1], len(split[1])
-        z = (fa.T @ (fb[:, None, :] * wt[:, :, None]).reshape(m, k * nb)).reshape(-1, k, nb)
-        np.subtract((fa.T @ wt)[:, :, None], z, out=z)
-        z += (fb.T @ wt).T
-        z = z.transpose(0, 2, 1).reshape(-1, k)[:len(times)]
+        # (columns x modes) in row order, so that the weighted fine table
+        # below is too and the GEMM takes it without a copy
+        wt = np.ascontiguousarray(np.concatenate(weights, axis=1).T)
+        # the phases of the steps: h times a scalar, or the dot product
+        fa = factor_table(np.dot(h, split.coarse), split.a, np.dot(h, split.t0) if np.any(split.t0) else None)
+        fb = factor_table(np.dot(h, split.fine), split.b)
+        k, nb = len(wt), split.b
+        z = (fa @ (fb[:, None, :] * wt).reshape(nb * k, m).T).reshape(-1, nb, k)
+        np.subtract((fa @ wt.T)[:, None, :], z, out=z)
+        z += fb @ wt.T
+        z = z.reshape(-1, k)[:len(times)]
         wc = weights[0].shape[1]
         sums = [0.5 * z[:, :wc].real, -z[:, wc:].imag][:1 + len(s)]
         return [x if w.ndim == 2 else x[:, 0] for x, w in zip(sums, (c, *s))]
+
+    def factor_table(step, count, start=None):
+        # F(start + r step), r < count, as (count x modes): rows [n, 2n)
+        # from rows [0, n) by F(x + y) = F(x) (1 - F(y)) + F(y) with
+        # F(y) = F(n step), doubled by F(2y) = F(y) (2 - F(y)); sin and cos
+        # run only at the step and the start
+        f = np.empty((count, len(step)), dtype=complex)
+        f[0] = 0.0 if start is None else one_minus_exp2i(start)
+        fy, n = one_minus_exp2i(step), 1
+        while n < count:
+            rows = min(n, count - n)
+            np.multiply(f[:rows], 1.0 - fy, out=f[n:n + rows])
+            f[n:n + rows] += fy
+            n *= 2
+            if n < count:
+                fy *= 2.0 - fy
+        return f
 
     def one_minus_exp2i(x):
         sin = np.sin(x)
@@ -182,25 +216,51 @@ def _sin2_sum(blocks, times: np.ndarray):
     return total[0].T if len(total) == 1 else (total[0].T, 2.0 * total[1].T)
 
 
-def _time_split(times: np.ndarray):
-    """The coarse times T_a = t_{aB} and the fine offsets tau_b = b dt, b <
-    B = ceil(sqrt(T)), of a 1-D grid of T > 3 points t_n = t_0 + n dt (to 4
-    ulps of its largest |t|) with t_0 dt >= 0; else None.
+class _Split(NamedTuple):
+    """A grid t_{aB + b} = t0 + a coarse + b fine, a < A, b < B, of
+    :func:`_time_split`; scalars on a 1-D grid, (D,) rows on a product grid."""
 
-    Every t_n is then T_a + tau_b with n = a B + b, and the two phases of a
-    point share its sign, so their sum never cancels.  The check is O(T).
+    t0: float | np.ndarray
+    fine: float | np.ndarray
+    coarse: float | np.ndarray
+    a: int
+    b: int
+
+
+def _time_split(times: np.ndarray) -> _Split | None:
+    """The split of an evenly spaced 1-D grid or of a product grid; else None.
+
+    A 1-D grid of T > 3 points t_n = t_0 + n dt with t_0 dt >= 0 splits with
+    B = ceil(sqrt(T)) fine steps dt and A = ceil(T / B) coarse steps B dt;
+    the two phases of a point then share its sign, so their sum never
+    cancels.  A (s^2, D) grid, s >= 2, whose row j s + i is t_0 + i d_1 +
+    j d_2 splits with the fine step d_1, the coarse step d_2 and A = B = s;
+    its phases h . d may cancel, as the direct route's dot products may.
+    Either form must hold to 4 ulps of the grid's largest |t|, since the
+    kernel evaluates the form, not the rows; the check is O(T).
     """
-    n = len(times) if times.ndim == 1 else 0
-    if n <= 3:
+    n = len(times)
+    if times.ndim == 1:
+        if n <= 3:
+            return None
+        t0 = times[0]
+        fine = (times[-1] - t0) / (n - 1)
+        if not (np.isfinite(fine) and fine != 0 and t0 * fine >= 0):
+            return None
+        b = isqrt(n - 1) + 1
+        split = _Split(t0, fine, b * fine, -(-n // b), b)
+        grid = t0 + np.arange(n) * fine
+    else:
+        s = isqrt(n)
+        if s < 2 or s * s != n:
+            return None
+        t0 = times[0]
+        split = _Split(t0, (times[s - 1] - t0) / (s - 1), (times[n - s] - t0) / (s - 1), s, s)
+        row = np.arange(n)
+        grid = t0 + np.multiply.outer(row % s, split.fine) + np.multiply.outer(row // s, split.coarse)
+    if not np.abs(times - grid).max() <= 4 * np.spacing(np.abs(times).max()):
         return None
-    t0, t1 = times[0], times[-1]
-    dt = (t1 - t0) / (n - 1)
-    if not (np.isfinite(dt) and dt != 0 and t0 * dt >= 0):
-        return None
-    if not np.abs(times - (t0 + np.arange(n) * dt)).max() <= 4 * np.spacing(max(abs(t0), abs(t1))):
-        return None
-    b = isqrt(n - 1) + 1
-    return times[::b], np.arange(b) * dt
+    return split
 
 
 def _columns(w: np.ndarray) -> int:

@@ -23,6 +23,7 @@ from dipolarray.phonon import (
 )
 from dipolarray.spinwave import spin_wave_energies
 from test_hamiltonian import traced_peak
+from test_kernel import split_slice_bytes
 from test_lattice import solved_labels
 
 ZETA5 = 1.0369277551433699
@@ -128,8 +129,9 @@ class TestDynamicalMatrix:
         rel = relative_sites(lat)
         q = momentum_grid(lat).kvecs
         if slice_modes is not None:
-            # the pass holds a sin and a cos table per slice
-            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 16 * len(q) * slice_modes)
+            # D^2 + 1 weight columns and D sine-partner columns per mode
+            columns = lat.dimension**2 + 1 + lat.dimension
+            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", split_slice_bytes(q, slice_modes, columns))
         rn = np.linalg.norm(rel, axis=1)
         nhat = rel / rn[:, None]
         pair = 5.0 * nhat[:, :, None] * nhat[:, None, :] - np.eye(lat.dimension)
@@ -147,7 +149,9 @@ class TestDynamicalMatrix:
         q = momentum_grid(lat).kvecs
         band_ref = spin_wave_energies(lat, q)
         if slice_modes is not None:
-            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 16 * len(q) * slice_modes)
+            # D^2 + 1 weight columns and D sine-partner columns per mode
+            columns = lat.dimension**2 + 1 + lat.dimension
+            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", split_slice_bytes(q, slice_modes, columns))
         rn = np.linalg.norm(rel, axis=1)
         ref = (np.sin(q @ rel.T) / rn**5) @ rel
         _, band, force = phonon_mod._lattice_sums(rel, q)
@@ -541,14 +545,6 @@ def test_gamma2_matches_pair_loop(lattice, xi, b0, temperature):
     ref = np.ldexp(gamma2_full_reference(model, np.ldexp(xi, -e), np.ldexp(b0, -e),
                                          temperature, t), 2 * e)
     assert np.allclose(gamma2(model, xi, b0, temperature, t).decay, ref, rtol=1e-12, atol=0)
-
-
-def split_slice_bytes(times, modes: int) -> int:
-    """A ``spinwave._SLICE_BYTES`` that cuts the decay sums into slices of
-    ``modes`` modes on the evenly spaced ``times``: 16 bytes per coarse, fine
-    and weighted fine phase of a mode."""
-    coarse, fine = spinwave_mod._time_split(times)
-    return modes * 16 * (len(coarse) + 2 * len(fine))
 
 
 @pytest.mark.parametrize("slice_modes", [1, 11])

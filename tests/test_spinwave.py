@@ -22,6 +22,7 @@ from dipolarray.spinwave import (
     perturbative_decay2,
     spin_wave_energies,
 )
+from test_kernel import split_slice_bytes
 
 
 def periodic(kind, n):
@@ -64,7 +65,7 @@ class TestDispersion:
         lat = periodic(kind, n)
         kv = momentum_grid(lat).kvecs
         if slice_modes is not None:
-            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(kv) * slice_modes)
+            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", split_slice_bytes(kv, slice_modes))
         rel = relative_sites(lat)
         dense = (4.0 * np.sin(kv @ rel.T / 2.0) ** 2 / np.linalg.norm(rel, axis=1) ** 3).sum(axis=1)
         assert np.allclose(spin_wave_energies(lat, kv, 1.0), dense, rtol=1e-12, atol=0)
@@ -292,22 +293,23 @@ class TestPerturbativeDecay:
         lat = periodic(kind, n)
         t = np.linspace(0.0, 80.0, 41)
         if slice_modes is not None:
-            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(t) * slice_modes)
+            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", split_slice_bytes(t, slice_modes))
         ref = perturbative_decay2_dense(lat, 0.05, t)
         assert np.allclose(perturbative_decay2(lat, 0.05, t).decay, ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kind, n", [("chain", 40), ("square", 36)])
     def test_bitwise_independent_of_workers(self, monkeypatch, kind, n):
-        # 5-mode slices: chain 40 folds to 20 modes, square 36 to 19; the
-        # band (vector phase) and the phonon lattice sums (matrix weights and
-        # the sine partner) run the 39 or 35 relative sites against the full
-        # grid; gamma2 on a crystal of as many sites (triangular in 2D) runs
-        # one k row per pair block
+        # 5-mode slices of the decay sums (chain 40 folds to 20 modes, square
+        # 36 to 19) and of the band (vector phase), which runs the 39 or 35
+        # relative sites against the full grid; the phonon lattice sums
+        # (matrix weights and the sine partner) run them in 2- or 1-mode
+        # slices; gamma2 on a crystal of as many sites (triangular in 2D)
+        # runs one k row per pair block
         lat = periodic(kind, n)
         t = np.linspace(0.0, 80.0, 41)
         kv = momentum_grid(lat).kvecs
         model = build_phonon_model(periodic(kind if kind == "chain" else "triangular", n), 1e4, 3.0, 1.0)
-        monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 8 * len(t) * 5)
+        monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", split_slice_bytes(t, 5))
         monkeypatch.setattr(phonon_mod, "_SLICE_BYTES", 8 * len(t) * 5)
         runs = []
         for workers in (1, 2):
