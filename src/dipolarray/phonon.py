@@ -42,9 +42,8 @@ sum over one unordered pair k <= k' per orbit {(k, k'), (-k, -k')}, with q =
 its orbit size, and a pair with k != k' also counts twice (k <-> k').  Both
 share :func:`_decay_sum`, which prescales each mode's weight by 2 / omega^2
 once and hands the sin^2 sum to the kernel, which streams the mode axis in
-slices of a fixed byte size, a few at once on the CPUs this process may use,
-so no (times x modes) array is ever held and the result does not depend on
-the thread count.  :func:`gamma2` enumerates its pairs in blocks of k rows
+slices of a fixed byte size, one at a time, so no (times x modes) array is
+ever held.  :func:`gamma2` enumerates its pairs in blocks of k rows
 whose tables fit the kernel's slice size and the kernel sums them as they
 are made, so no table of the phonon layer grows as N^2: it holds O(N D^2)
 per-momentum tables and bounded blocks.  :func:`build_phonon_model` and
@@ -162,10 +161,9 @@ def build_phonon_model(lattice: Lattice, beta: float, u_dd: float, kappa: float)
     if lattice.kind not in _SUPPORTED:
         raise ValueError(f"unsupported crystal kind {lattice.kind!r}; expected {_SUPPORTED}")
     _require_couplings(kappa)
-    # the per-momentum tables and the kernel's queued partial sums (two per
-    # thread, each weights x momenta); the tracemalloc peak less
-    # spinwave._CHUNK_BYTES was 442 (chain) and 970 (triangular) bytes per
-    # site at 8 threads, N = 4096 and 8100
+    # the per-momentum tables; the tracemalloc peak less the kernel's one
+    # slice (spinwave._SLICE_BYTES) was 216 (chain) and 456 (triangular)
+    # bytes per site at N = 4096 and 8100, and 351 and 609 at N = 1024
     n = lattice.n_sites
     require_memory(512 * lattice.dimension * n, "phonon tables need", f"for {n} sites")
     grid = momentum_grid(lattice)
@@ -322,9 +320,9 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
     times = np.asarray(times, dtype=float)
     grid = model.grid
     # per momentum and branch, with one k row per pair block: the
-    # tracemalloc peak was 292 (chain) and 212 (triangular) bytes at 1
-    # thread, 688 and 650 at 8 (N = 1024...8192); a larger block adds about
-    # spinwave._SLICE_BYTES, and the sin^2 slices at most _CHUNK_BYTES
+    # tracemalloc peak was at most 292 (chain) and 233 (triangular) bytes
+    # (N = 1024...8192); a larger block and the kernel's one slice add about
+    # spinwave._SLICE_BYTES each
     require_memory(704 * model.n_branches * grid.n_points, "gamma2 tables need",
                    f"for {grid.n_points} momenta and {model.n_branches} branches")
     dominant = 2.0 * gamma1_time(model, xi, b0, temperature, times).decay

@@ -20,23 +20,15 @@ modes with one complex matrix product; there a sum differs from the direct
 one at the level of a few ulps of the phases.  On every other grid (momentum
 subsets, geomspace grids) each phase is rounded exactly as ``h[m] * times``
 or the dot product.  It cuts the mode axis into slices whose float64 or
-complex tables fit ``_SLICE_BYTES`` and runs up to W slices at once on a
-thread pool, W being the number of CPUs this process may run on (its
-affinity mask), capped so that W slices fit in ``_CHUNK_BYTES``; at most 2 W
-slices are queued, so a stream of blocks is made as it is summed.  NumPy's
-sin, cos, square and the BLAS contractions release the GIL, so the slices run
-in parallel; the per-slice partial sums are added in slice order, so every
-result is bitwise independent of W.
+complex tables fit ``_SLICE_BYTES`` and runs them one at a time, adding the
+partial sums in slice order, so a stream of blocks is made as it is summed
+and the summation order is fixed by the slicing alone.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice
 from math import isqrt
 from typing import NamedTuple
 
@@ -65,25 +57,12 @@ PERTURBATION_FLAG_LEVEL = 0.5
 _SCALING_TIMES = 4000
 
 # the (slice x phases) tables of one slice in _sin2_sum; fixed, so the
-# slicing and hence the summation order never depend on the thread count
+# slicing and hence the summation order depend on the blocks alone
 _SLICE_BYTES = 2**20
-# slices in flight at once in _sin2_sum
-_CHUNK_BYTES = 8 * 2**20
 
 # bytes per summed site of the dispersion_curve displacement tables, fitted
-# to the tracemalloc peak
-# beyond the sin^2 slices of _sin2_sum (which add at most _CHUNK_BYTES)
+# to the tracemalloc peak beyond the one sin^2 slice of _sin2_sum
 _DISPERSION_SITE_BYTES = {"chain": 25, "square": 34}
-
-
-def _sin2_workers() -> int:
-    """Threads for _sin2_sum: the CPUs in this process's affinity mask,
-    capped so that that many slices fit in ``_CHUNK_BYTES``."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _CHUNK_BYTES // _SLICE_BYTES))
 
 
 def _sin2_sum(blocks, times: np.ndarray):
@@ -112,11 +91,10 @@ def _sin2_sum(blocks, times: np.ndarray):
     a cos table with s, is contracted with the weights.
 
     ``blocks`` may be a generator: each block is cut into slices whose
-    (slice x phases) tables fit ``_SLICE_BYTES``, up to :func:`_sin2_workers`
-    of them run at once and twice that many are queued, so a stream of blocks
-    is consumed as it is summed.  The partial sums are added in slice order,
-    so the result depends on the blocks and ``_SLICE_BYTES`` but not on the
-    thread count.  One worker, or a single slice, runs inline.
+    (slice x phases) tables fit ``_SLICE_BYTES``, and the slices run one at a
+    time, so a stream of blocks is consumed as it is summed.  The partial
+    sums are added in slice order, so the summation order depends on the
+    blocks and ``_SLICE_BYTES`` only.
     """
     if times.ndim == 2 and times.shape[1] == 1:
         # a 1-D dot product is one multiply: the direct route stays bitwise
@@ -140,19 +118,16 @@ def _sin2_sum(blocks, times: np.ndarray):
 
     def partial(part):
         c, h, *s = part
-        # np.errstate is context-local and a worker thread starts from the
-        # defaults, so every slice sets them, wherever it runs
-        with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
-            if split is not None:
-                return split_sums(c, h, s)
-            x = np.multiply(h[:, None], times) if h.ndim == 1 else h @ times.T
-            if not s:
-                np.sin(x, out=x)
-                return [c.T @ np.square(x, out=x)]
-            cos = np.cos(x)
+        if split is not None:
+            return split_sums(c, h, s)
+        x = np.multiply(h[:, None], times) if h.ndim == 1 else h @ times.T
+        if not s:
             np.sin(x, out=x)
-            cos *= x
-            return [c.T @ np.square(x, out=x), s[0].T @ cos]
+            return [c.T @ np.square(x, out=x)]
+        cos = np.cos(x)
+        np.sin(x, out=x)
+        cos *= x
+        return [c.T @ np.square(x, out=x), s[0].T @ cos]
 
     def split_sums(c, h, s):
         # with F(x) = 1 - e^{2ix} = 2 sin^2 x - 2i sin x cos x, which keeps
@@ -204,13 +179,7 @@ def _sin2_sum(blocks, times: np.ndarray):
         np.multiply(sin, 2.0, out=f.real)
         return f
 
-    parts = slices()
-    head = list(islice(parts, _sin2_workers()))
-    if len(head) <= 1:
-        total = reduce(_add, map(partial, chain(head, parts)))
-    else:
-        with ThreadPoolExecutor(max_workers=len(head)) as pool:
-            total = reduce(_add, _in_order(pool, partial, chain(head, parts), 2 * len(head)))
+    total = reduce(_add, map(partial, slices()))
     if split is not None:
         return total[0] if len(total) == 1 else tuple(total)
     return total[0].T if len(total) == 1 else (total[0].T, 2.0 * total[1].T)
@@ -270,18 +239,6 @@ def _columns(w: np.ndarray) -> int:
 
 def _add(a: list, b: list) -> list:
     return [x + y for x, y in zip(a, b)]
-
-
-def _in_order(pool: ThreadPoolExecutor, fn, items, ahead: int):
-    """``fn`` over ``items`` on ``pool``, yielded in item order, with at most
-    ``ahead`` tasks submitted and not yet yielded."""
-    pending = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) == ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
 
 
 def spin_wave_energies(lattice: Lattice, kvecs: np.ndarray, kappa: float = 1.0) -> np.ndarray:

@@ -1,7 +1,7 @@
 """The sin^2 kernel's two routes: the split sums on evenly spaced grids and
 product momentum grids against direct per-element sums and mpmath, the
-direct route bitwise on every other grid, both bitwise independent of the
-thread count, and the split route's trig budget."""
+direct route bitwise on every other grid, and the split route's trig
+budget."""
 
 import tracemalloc
 from functools import reduce
@@ -29,7 +29,7 @@ def split_slice_bytes(times, modes: int, columns: int = 1) -> int:
 
 
 def direct_sums(c, h, times, s=None):
-    """The kernel's direct route on one thread: per slice of modes, the
+    """The kernel's direct route: per slice of modes, the
     phases h[m] * times (or the dot products), one sin^2 table (and cos * sin
     with s), contracted with the weights and added in slice order."""
     step = max(1, spinwave_mod._SLICE_BYTES // (8 * (1 + (s is not None)) * len(times)))
@@ -221,25 +221,9 @@ def test_uneven_grid_bitwise_direct(monkeypatch, name):
     assert _time_split(times) is None
     # 7-mode slices, so the partial sums of several slices are added
     monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 16 * len(times) * 7)
-    for workers in (1, 2):
-        monkeypatch.setattr(spinwave_mod, "_sin2_workers", lambda w=workers: w)
-        assert np.array_equal(_sin2_sum([(c, h)], times), direct_sums(c, h, times))
-        got, want = _sin2_sum([(c, h, s)], times), direct_sums(c, h, times, s)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-def test_even_grid_bitwise_independent_of_workers(monkeypatch):
-    rng = np.random.default_rng(6)
-    times = np.linspace(0.0, 80.0, 997)
-    h, c, s = rng.uniform(-3.0, 3.0, 50), rng.random((50, 2)), rng.uniform(-1.0, 1.0, 50)
-    # a few modes per slice: ceil(sqrt(997)) = 32 fine and 32 coarse times
-    monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 16 * (32 + 32 * 4) * 4)
-    blocks = lambda: iter([(c[:17], h[:17], s[:17]), (c[17:17], h[17:17], s[17:17]), (c[17:], h[17:], s[17:])])
-    runs = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(spinwave_mod, "_sin2_workers", lambda w=workers: w)
-        runs.append([a.tobytes() for a in _sin2_sum(blocks(), times)])
-    assert runs[0] == runs[1] == runs[2]
+    assert np.array_equal(_sin2_sum([(c, h)], times), direct_sums(c, h, times))
+    got, want = _sin2_sum([(c, h, s)], times), direct_sums(c, h, times, s)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_empty_mode_blocks():
@@ -251,12 +235,11 @@ def test_empty_mode_blocks():
     assert not got.any() and not sine.any()
 
 
-def test_decay2_memory_bounded(monkeypatch):
+def test_decay2_memory_bounded():
     # chain 2000 folds to 1000 modes: at 4000 times a whole (modes x times)
     # table would take 32 MB; each split slice's tables fit _SLICE_BYTES,
     # which with the sin and cos temporaries and the O(T) partial sums stays
-    # within 1.5 slices per worker
-    monkeypatch.setattr(spinwave_mod, "_sin2_workers", lambda: 2)
+    # within 1.5 slices
     lat = build_lattice("chain", 2000, boundary="periodic")
     times = np.linspace(0.0, 100.0, 4000)
     assert _time_split(times) is not None
@@ -267,7 +250,7 @@ def test_decay2_memory_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert decay[0] == 0.0 and decay.max() > 0.0
-    assert peak < 2**20 + 1.5 * 2 * spinwave_mod._SLICE_BYTES
+    assert peak < 2**20 + 1.5 * spinwave_mod._SLICE_BYTES
 
 
 def trig_calls(monkeypatch):

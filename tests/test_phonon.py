@@ -440,13 +440,13 @@ class TestGamma2:
                                          ("triangular", 4096)])
     def test_estimates_bound_peaks(self, kind, n):
         # build_phonon_model: 512 bytes per site and dimension beyond the
-        # kernel's slices in flight; gamma2: 704 per momentum and branch
-        # beyond those and one pair block
+        # kernel's one slice; gamma2: 704 per momentum and branch beyond that
+        # slice and one pair block
         lat = build_lattice(kind, n, boundary="periodic")
         model, peak = traced_peak(build_phonon_model, lat, 1e4, 3.0, 1.0)
-        assert peak <= 512 * lat.dimension * n + spinwave_mod._CHUNK_BYTES
+        assert peak <= 512 * lat.dimension * n + spinwave_mod._SLICE_BYTES
         _, peak = traced_peak(gamma2, model, 0.05, 0.1, 0.5, np.linspace(0, 100, 3))
-        assert peak <= 704 * model.n_branches * n + spinwave_mod._CHUNK_BYTES + spinwave_mod._SLICE_BYTES
+        assert peak <= 704 * model.n_branches * n + 2 * spinwave_mod._SLICE_BYTES
 
     def test_phonon_layer_memory_linear(self):
         # chain 2048: the dense force and pair tables took 64 and 155 MiB
@@ -554,31 +554,18 @@ def test_gamma2_mode_slices_match_pair_loop(monkeypatch, make, slice_modes):
     # 11 divides neither mode count: chain 30 has 30 edge and 420 other
     # modes, triangular 25 has 48 and 576; the pairs come in blocks of 7 k
     # rows, which divides neither the 29 nor the 24 rows after the edge row,
-    # and each block's modes are cut into slices again
+    # and each block's modes are cut into slices again; the dominant part,
+    # twice gamma1_time over 30 or 48 modes, against one unsliced call
     model = make()
     t = np.linspace(0.0, 60.0, 17)
+    one = gamma1_time(model, 0.05, 0.1, 0.5, t).decay
     monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", split_slice_bytes(t, slice_modes))
     n = model.grid.n_points
     monkeypatch.setattr(phonon_mod, "_SLICE_BYTES", 7 * 8 * (7 + 4 * model.n_branches) * n)
     ref = gamma2_full_reference(model, 0.05, 0.1, 0.5, t)
-    assert np.allclose(gamma2(model, 0.05, 0.1, 0.5, t).decay, ref, rtol=1e-12, atol=0)
-
-
-@pytest.mark.parametrize("make", [lambda: chain_model(30), lambda: tri_model(25)],
-                         ids=["chain30", "triangular25"])
-def test_decay_sums_bitwise_independent_of_workers(monkeypatch, make):
-    # 13-mode slices: gamma1_time and the edge part of gamma2 run 30 modes
-    # (chain 30) or 48 (triangular 25), the other part of gamma2 420 or 576
-    model = make()
-    t = np.linspace(0.0, 60.0, 17)
-    monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", split_slice_bytes(t, 13))
-    runs = []
-    for workers in (1, 2):
-        monkeypatch.setattr(spinwave_mod, "_sin2_workers", lambda w=workers: w)
-        one = gamma1_time(model, 0.05, 0.1, 0.5, t)
-        two = gamma2(model, 0.05, 0.1, 0.5, t)
-        runs.append([one.decay.tobytes(), two.decay.tobytes(), two.decay_normalized.tobytes()])
-    assert runs[0] == runs[1]
+    two = gamma2(model, 0.05, 0.1, 0.5, t)
+    assert np.allclose(two.decay, ref, rtol=1e-12, atol=0)
+    assert np.allclose(two.decay_dominant, 2.0 * one, rtol=1e-12, atol=0)
 
 
 class TestGoldenRule:

@@ -1,13 +1,9 @@
-import os
-import subprocess
-import sys
+import threading
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dipolarray.phonon as phonon_mod
 import dipolarray.spinwave as spinwave_mod
 from dipolarray.basis import ResourceLimitError
 from dipolarray.hamiltonian import ZETA3, exchange_hamiltonian
@@ -156,15 +152,15 @@ class TestDispersionAsymptotes:
 
     def test_1d_memory_bounded(self):
         # 3 float64 words per site (2.3 MiB at the default cutoff), plus one
-        # sin^2 slice per worker; the (momenta x sites) temporaries of a
-        # dense sum would take 9.2 MiB each
+        # sin^2 slice; the (momenta x sites) temporaries of a dense sum would
+        # take 9.2 MiB each
         tracemalloc.start()
         try:
             dispersion_asymptote_check("chain")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20 + spinwave_mod._sin2_workers() * spinwave_mod._SLICE_BYTES
+        assert peak < 4 * 2**20 + spinwave_mod._SLICE_BYTES
 
     @pytest.mark.parametrize("kind", ["chain", "square"])
     def test_table_estimate_bounds_peak(self, kind):
@@ -177,7 +173,7 @@ class TestDispersionAsymptotes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= sites * spinwave_mod._DISPERSION_SITE_BYTES[kind] + spinwave_mod._CHUNK_BYTES
+        assert peak <= sites * spinwave_mod._DISPERSION_SITE_BYTES[kind] + spinwave_mod._SLICE_BYTES
 
     @pytest.mark.parametrize("kind", ["chain", "square"])
     def test_table_cap_raises(self, kind):
@@ -297,30 +293,6 @@ class TestPerturbativeDecay:
         ref = perturbative_decay2_dense(lat, 0.05, t)
         assert np.allclose(perturbative_decay2(lat, 0.05, t).decay, ref, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("kind, n", [("chain", 40), ("square", 36)])
-    def test_bitwise_independent_of_workers(self, monkeypatch, kind, n):
-        # 5-mode slices of the decay sums (chain 40 folds to 20 modes, square
-        # 36 to 19) and of the band (vector phase), which runs the 39 or 35
-        # relative sites against the full grid; the phonon lattice sums
-        # (matrix weights and the sine partner) run them in 2- or 1-mode
-        # slices; gamma2 on a crystal of as many sites (triangular in 2D)
-        # runs one k row per pair block
-        lat = periodic(kind, n)
-        t = np.linspace(0.0, 80.0, 41)
-        kv = momentum_grid(lat).kvecs
-        model = build_phonon_model(periodic(kind if kind == "chain" else "triangular", n), 1e4, 3.0, 1.0)
-        monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", split_slice_bytes(t, 5))
-        monkeypatch.setattr(phonon_mod, "_SLICE_BYTES", 8 * len(t) * 5)
-        runs = []
-        for workers in (1, 2):
-            monkeypatch.setattr(spinwave_mod, "_sin2_workers", lambda w=workers: w)
-            two = gamma2(model, 0.05, 0.1, 0.5, t)
-            runs.append([perturbative_decay2(lat, 0.05, t).decay.tobytes(),
-                         spin_wave_energies(lat, kv, 1.0).tobytes(),
-                         *(a.tobytes() for a in phonon_mod._lattice_sums(relative_sites(lat), kv)),
-                         two.decay.tobytes(), two.decay_normalized.tobytes()])
-        assert runs[0] == runs[1]
-
 
 def perturbative_decay2_dense(lattice, xi, times):
     """The perturbative sum with the whole (times x modes) sin array held."""
@@ -334,43 +306,27 @@ def perturbative_decay2_dense(lattice, xi, times):
     return (16.0 * xi**2 / n**2) * ((mult * fk**2 / om**2) * s**2).sum(axis=1)
 
 
-_PINNED_CHILD = """
-import os, sys
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-import numpy as np
-import dipolarray.spinwave as sw
-from dipolarray import build_lattice, build_phonon_model, gamma2
+def test_kernel_starts_no_thread(monkeypatch):
+    # 2000 time points give 65-mode slices: several for chain 40's ~800
+    # gamma2 modes; 5-mode slices cut the model's 39 relative sites
+    lat = periodic("chain", 40)
+    t = np.linspace(0.0, 60.0, 2000)
+    model_slice = split_slice_bytes(momentum_grid(lat).kvecs, 5, 3)
 
+    def run():
+        with monkeypatch.context() as m:
+            m.setattr(spinwave_mod, "_SLICE_BYTES", model_slice)
+            model = build_phonon_model(lat, 1e4, 3.0, 1.0)
+        decay = gamma2(model, 0.05, 0.1, 0.5, t).decay
+        return [a.tobytes() for a in (model.freqs, model.pols, model.g, model.spin_energies, decay)]
 
-class NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a thread pool started on one CPU")
+    want = run()
 
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
 
-sw.ThreadPoolExecutor = NoPool
-model = build_phonon_model(build_lattice("chain", 40, boundary="periodic"), 1e4, 3.0, 1.0)
-decay = gamma2(model, 0.05, 0.1, 0.5, np.linspace(0.0, 60.0, 2000)).decay
-sys.stdout.write(f"{sw._sin2_workers()} {decay.tobytes().hex()}")
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
-def test_thread_count_follows_affinity_mask():
-    from dipolarray import build_phonon_model, gamma2
-
-    # 2000 time points give 65-mode slices: several for chain 40's ~800 modes
-    model = build_phonon_model(periodic("chain", 40), 1e4, 3.0, 1.0)
-    decay = gamma2(model, 0.05, 0.1, 0.5, np.linspace(0.0, 60.0, 2000)).decay
-    cap = spinwave_mod._CHUNK_BYTES // spinwave_mod._SLICE_BYTES
-    assert spinwave_mod._sin2_workers() == min(len(os.sched_getaffinity(0)), cap)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", _PINNED_CHILD], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    workers, child = out.stdout.split()
-    assert workers == "1"
-    assert child == decay.tobytes().hex()
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert run() == want
 
 
 class TestScalingDiagnostic:
