@@ -25,9 +25,9 @@ reads the block once and every split adds a cell, until the partition is
 equitable; the discrete one always is.  P then spans an invariant subspace
 that contains the initial state, so the k x k quotient Hr carries the
 whole dynamics; it is diagonalized once, and a projection on the initial
-state is the spectral sum C(t) = sum_j w_j exp(-i lambda_j t), taken in
-time slices whose tables fit ``_SLICE_BYTES``.  A state without symmetry
-gives the discrete partition, i.e. dense diagonalization of the full block.
+state is the spectral sum C(t) = sum_j w_j exp(-i lambda_j t), one sin^2
+kernel call for all sectors.  A state without symmetry gives the discrete
+partition, i.e. dense diagonalization of the full block.
 
 :func:`compute_trajectory` takes each sector's block and initial state from
 :meth:`~dipolarray.hamiltonian.SpinHamiltonian.dicke_sectors`: the Dicke
@@ -68,6 +68,7 @@ import numpy as np
 
 from .basis import require_memory
 from .hamiltonian import SpinHamiltonian
+from .sin2 import _sin2_sum
 
 __all__ = [
     "Trajectory",
@@ -83,10 +84,9 @@ __all__ = [
 REFINE_TOL = 1e-12
 # largest accepted ||H P - P Hr||_F, relative to max |H_ij|
 RESIDUAL_TOL = 1e-10
-# one slice of block rows, keys or (rows x cells) sums, or of the projections'
-# (times x eigenvalues) tables: no temporary grows with the block or the grid.
-# Slices of this size also stay in cache and in the allocator's heap; 1 MiB
-# slices of the gate_large sectors were mapped and page-faulted afresh on every call
+# one slice of block rows, keys or (rows x cells) sums of a refinement pass;
+# slices this small stay in cache and in the allocator's heap, where 1 MiB
+# slices of the gate_large sectors were page-faulted afresh on every call
 _SLICE_BYTES = 2**18
 # gate_time bisects its bracket down to this fraction of the gate time
 GATE_REL_TOL = 1e-4
@@ -202,7 +202,7 @@ class _SectorEvolver:
     """
 
     def __init__(self, block, psi0: np.ndarray):
-        psi0 = np.asarray(psi0, dtype=complex)
+        psi0 = np.asarray(psi0, dtype=np.result_type(psi0, float))
         h = np.asarray(block)
         scale = float(np.abs(h).max(initial=0.0)) or 1.0
         if not scale < np.inf:
@@ -257,17 +257,18 @@ class _SectorEvolver:
 
 
 def _projections(spectra, times: np.ndarray) -> tuple[np.ndarray, ...]:
-    """<psi0|psi(t)> of each (eigenvalues, weights) spectrum; the weights sum
-    to one, so every projection is exactly 1 at t = 0.  Times are taken in
-    slices whose (times x eigenvalues) complex tables fit ``_SLICE_BYTES``."""
-    out = []
-    for lam, w in spectra:
-        c = np.empty(len(times), dtype=complex)
-        step = max(1, _SLICE_BYTES // (16 * len(lam)))
-        for lo in range(0, len(times), step):
-            c[lo:lo + step] = 1.0 + np.expm1(-1j * np.outer(times[lo:lo + step], lam)) @ w
-        out.append(c)
-    return tuple(out)
+    """<psi0|psi(t)> = sum_j w_j e^{-i lambda_j t} of each (eigenvalues,
+    weights) spectrum: the carrier e^{-i lambda_d t} of its heaviest
+    eigenvalue times 1 + sum_j w_j (e^{-i (lambda_j - lambda_d) t} - 1), that
+    is 1 plus the sin^2 sum with weights -2 w at h = (lambda - lambda_d) / 2
+    and i times its sine partner with weights -w, one weight column per
+    spectrum of one :func:`~dipolarray.sin2._sin2_sum` call.  Each is exactly
+    1 at t = 0, and a one-term spectrum exactly its carrier."""
+    heaviest = np.array([lam[np.argmax(w)] for lam, w in spectra])
+    re, im = _sin2_sum([(np.outer(-2.0 * w, unit), (lam - top) / 2.0, np.outer(-w, unit))
+                        for (lam, w), top, unit in zip(spectra, heaviest, np.eye(len(spectra)))], times)
+    carrier = np.exp(-1j * np.outer(times, heaviest))
+    return tuple(carrier[:, d] * (1.0 + re[:, d] + 1j * im[:, d]) for d in range(len(spectra)))
 
 
 def _time_grid(times) -> np.ndarray:
@@ -352,8 +353,8 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
     most pi/2 per step AND a doubled grid reproduces the same unwrapped phase
     at shared points; a large per-step change can alias into an apparently
     small one, so the confirmation doubling is what actually catches
-    undersampling.  Each doubling evaluates the projections only at the new
-    midpoints and interleaves them with the values already computed.  The
+    undersampling.  Each doubling interleaves the midpoints with the times
+    and evaluates the projections on the whole doubled grid at once.  The
     returned trajectory uses the finest grid evaluated.  ``times`` must be
     non-empty, non-decreasing and start at 0.  The sectors come from
     ``ham.dicke_sectors()``: dense orbit blocks of the lattice's symmetry
@@ -368,9 +369,8 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
     refinements = 0
     if auto_refine:
         for refinements in range(1, MAX_REFINEMENTS + 1):
-            mid = 0.5 * (times[:-1] + times[1:])
-            times = _interleave(times, mid)
-            cs = [_interleave(c, m) for c, m in zip(cs, _projections(spectra, mid))]
+            times = _interleave(times, 0.5 * (times[:-1] + times[1:]))
+            cs = _projections(spectra, times)
             d_theta, cos_half, d_step = _extract_phase(*cs)
             consistent = (max_step <= MAX_THETA_STEP
                           and np.abs(d_theta[::2] - theta).max() <= MAX_THETA_STEP)
@@ -466,10 +466,10 @@ def gate_time(trajectory: Trajectory) -> float:
     ref = z_ref / abs(z_ref)
 
     def signed(t: float) -> float:
+        # |z_ref| > 0 at t_lo, so t is past the zero where this is <= 0
         return float(np.real(combination(t) * np.conj(ref)))
 
-    f_lo = signed(t_lo)
-    if f_lo * signed(t_hi) > 0:
+    if signed(t_hi) > 0:
         # the re-evaluated bracket disagrees with the grid: trust the grid
         c_lo, c_hi = float(c[i]), float(c[i + 1])
         tg = t_lo + (t_hi - t_lo) * c_lo / (c_lo - c_hi)
@@ -479,11 +479,7 @@ def gate_time(trajectory: Trajectory) -> float:
             t_mid = 0.5 * (t_lo + t_hi)
             if t_mid in (t_lo, t_hi):
                 break
-            f_mid = signed(t_mid)
-            if f_lo * f_mid <= 0:
-                t_hi = t_mid
-            else:
-                t_lo, f_lo = t_mid, f_mid
+            t_lo, t_hi = (t_lo, t_mid) if signed(t_mid) <= 0 else (t_mid, t_hi)
         tg = 0.5 * (t_lo + t_hi)
         method = "bisection"
     trajectory.diagnostics["gate_time_method"] = method

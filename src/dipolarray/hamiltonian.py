@@ -166,7 +166,7 @@ def _orbit_sectors(kappa: float, xi: float, n: int, total: float,
     when the previous one has been taken.
     """
     weight = kappa - xi
-    yield np.array([[weight * total]]), np.ones(1, dtype=complex)
+    yield np.array([[weight * total]]), np.ones(1)
     for sizes, cut, hops in sectors:
         k = len(sizes)
         require_memory(40 * k**2, f"quotient of dimension {k} or more needs", "to diagonalize")
@@ -183,7 +183,7 @@ def _orbit_sectors(kappa: float, xi: float, n: int, total: float,
         root = np.sqrt(sizes)
         r *= root[:, None]
         r /= root
-        yield r, np.sqrt(sizes / sizes.sum()).astype(complex)
+        yield r, np.sqrt(sizes / sizes.sum())
 
 
 def _torus_orbits(lattice: Lattice):

@@ -130,9 +130,8 @@ def build_lattice(kind: str, n_sites: int, boundary: str = "open") -> Lattice:
                 raise ValueError(
                     f"periodic triangular lattice needs a perfect-square n_sites, got {n_sites}"
                 )
-            positions = np.array(
-                [i * _TRI_A1 + j * _TRI_A2 for j in range(side) for i in range(side)]
-            )
+            j, i = divmod(np.arange(n_sites), side)
+            positions = i[:, None] * _TRI_A1 + j[:, None] * _TRI_A2
             period = np.vstack([side * _TRI_A1, side * _TRI_A2])
         else:
             positions = _triangular_patch(n_sites)

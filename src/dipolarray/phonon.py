@@ -28,9 +28,7 @@ Every lattice sum runs over the relative sites r_j - r_0 of
 :func:`dipolarray.lattice.relative_sites`, O(N) to build.
 :func:`build_phonon_model` takes D(q), the spin-wave band and the coupling
 force sum_j sin(q.r_j) r_j / |r_j|^5 for the whole grid from one pass of
-:func:`dipolarray.spinwave._sin2_sum` (the force is its sine partner), which
-on the evenly spaced chain grid and the product grid of a torus takes sin and
-cos at one phase per site and axis, not one per site and momentum, then
+:func:`dipolarray.sin2._sin2_sum` (the force is its sine partner), then
 tabulates f_lambda(q), g_lambda(q) (0 at q = 0, where the acoustic modes are
 soft and uncoupled) and the spin-wave energies once, and every decay sum
 indexes those tables by grid point.  The decay sums use inversion symmetry:
@@ -66,7 +64,8 @@ import numpy as np
 from .basis import require_memory
 from .hamiltonian import ZETA3
 from .lattice import Lattice, MomentumGrid, build_lattice, momentum_grid, relative_sites
-from .spinwave import _SLICE_BYTES, PERTURBATION_FLAG_LEVEL, _require_couplings, _sin2_sum
+from .sin2 import _SLICE_BYTES, _sin2_sum
+from .spinwave import PERTURBATION_FLAG_LEVEL, _require_couplings
 
 __all__ = [
     "PhononModel",
@@ -95,7 +94,7 @@ def _lattice_sums(rel: np.ndarray, qvecs: np.ndarray) -> tuple[np.ndarray, np.nd
     """D(q) = sum_j 2 K(r_j) sin^2(q.r_j / 2) (M, D, D), the kappa = 1
     spin-wave band sum_j (4 / |r_j|^3) sin^2(q.r_j / 2) (M,) and the coupling
     force sum_j sin(q.r_j) r_j / |r_j|^5 (M, D) at every row of ``qvecs``:
-    one :func:`~dipolarray.spinwave._sin2_sum` pass with h = r_j / 2, one
+    one :func:`~dipolarray.sin2._sin2_sum` pass with h = r_j / 2, one
     weight column per matrix entry and the band, and the force as the sine
     partner (sin(q.r_j) = sin(2 h_j . q))."""
     rn = np.linalg.norm(rel, axis=1)
@@ -162,7 +161,7 @@ def build_phonon_model(lattice: Lattice, beta: float, u_dd: float, kappa: float)
         raise ValueError(f"unsupported crystal kind {lattice.kind!r}; expected {_SUPPORTED}")
     _require_couplings(kappa)
     # the per-momentum tables; the tracemalloc peak less the kernel's one
-    # slice (spinwave._SLICE_BYTES) was 216 (chain) and 456 (triangular)
+    # slice (sin2._SLICE_BYTES) was 216 (chain) and 456 (triangular)
     # bytes per site at N = 4096 and 8100, and 351 and 609 at N = 1024
     n = lattice.n_sites
     require_memory(512 * lattice.dimension * n, "phonon tables need", f"for {n} sites")
@@ -247,7 +246,7 @@ def _decay_sum(parts, kbt_abs: float, times: np.ndarray) -> np.ndarray:
     contracted with c.  Modes with |omega| t_max < 1e-6 take the limit I =
     t^2 / 2 (exact to about 1e-13) as one weight sum per triple, which keeps
     c finite at omega = 0, a resonance or a soft mode.  The rest is
-    :func:`~dipolarray.spinwave._sin2_sum` with h = omega / 2, which sums
+    :func:`~dipolarray.sin2._sin2_sum` with h = omega / 2, which sums
     the triples as they come, so memory does not grow with the number of
     modes.
     """
@@ -312,7 +311,7 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
     others; each set is summed without it.
 
     The pairs are enumerated in blocks of k rows whose tables fit
-    ``spinwave._SLICE_BYTES`` (the edge row k = 0 alone, then the rest) and
+    ``sin2._SLICE_BYTES`` (the edge row k = 0 alone, then the rest) and
     summed by the kernel as they come, so no table grows as N^2.  Raises
     :class:`~dipolarray.basis.ResourceLimitError` when the per-momentum
     tables would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
@@ -322,7 +321,7 @@ def gamma2(model: PhononModel, xi: float, b0: float, temperature: float, times) 
     # per momentum and branch, with one k row per pair block: the
     # tracemalloc peak was at most 292 (chain) and 233 (triangular) bytes
     # (N = 1024...8192); a larger block and the kernel's one slice add about
-    # spinwave._SLICE_BYTES each
+    # sin2._SLICE_BYTES each
     require_memory(704 * model.n_branches * grid.n_points, "gamma2 tables need",
                    f"for {grid.n_points} momenta and {model.n_branches} branches")
     dominant = 2.0 * gamma1_time(model, xi, b0, temperature, times).decay

@@ -15,6 +15,7 @@ from scipy.linalg import block_diag
 import dipolarray.basis as basis_mod
 import dipolarray.dynamics as dyn_mod
 import dipolarray.hamiltonian as hamiltonian_mod
+import dipolarray.sin2 as sin2_mod
 from dipolarray.basis import ResourceLimitError, dicke_state, sector_basis
 from dipolarray.cli import main
 from dipolarray.dynamics import (
@@ -776,9 +777,58 @@ class TestBlockInput:
         np.testing.assert_allclose(evolve(h, psi0, [0.0, 0.7])[-1], ref, rtol=1e-12, atol=1e-14)
 
 
+def expm1_projections(spectra, times):
+    """The spectral sums as 1 + expm1(-i lambda t) @ w, each phase rounded
+    once as t * lambda: the projections before the sin^2 kernel took them."""
+    return [1.0 + np.expm1(-1j * np.outer(times, lam)) @ w for lam, w in spectra]
+
+
+@st.composite
+def projection_cases(draw):
+    """1 to 3 spectra of 1 to 300 eigenvalues, |lambda| up to 10^-2 to 10^3,
+    with weights summing to one, on an evenly spaced grid from 0, its
+    midpoints or a single point."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spectra = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.just(1) | st.integers(1, 300))
+        lam = rng.uniform(-1.0, 1.0, k) * 10.0 ** draw(st.floats(-2.0, 3.0))
+        w = rng.random(k) * (rng.random(k) < draw(st.floats(0.2, 1.0)))
+        w[rng.integers(k)] += 1.0  # at least one term
+        spectra.append((lam, w / w.sum()))
+    t_end = 10.0 ** draw(st.floats(-2.0, 3.0))
+    grid = np.linspace(0.0, t_end, draw(st.integers(2, 2000)))
+    kind = draw(st.sampled_from(["even", "midpoints", "point"]))
+    if kind == "midpoints":
+        grid = 0.5 * (grid[:-1] + grid[1:])
+    elif kind == "point":
+        grid = grid[-1:]
+    return spectra, grid
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=projection_cases())
+def test_projections_match_expm1_formula(case):
+    # within 1e-12 of the phases' scale: sum w |lambda t| for the expm1
+    # formula's rounding, and |lambda_d t| for the carrier's; a one-term
+    # spectrum is exactly its carrier, whose imaginary part is the expm1
+    # formula's bit for bit, and every projection is exactly 1 at t = 0
+    spectra, times = case
+    got = dyn_mod._projections(spectra, times)
+    for c, want, (lam, w) in zip(got, expm1_projections(spectra, times), spectra):
+        scale = np.abs(np.outer(times, lam)) @ w + np.abs(times * lam[np.argmax(w)])
+        assert np.all(np.abs(c - want) <= 1e-12 * (1.0 + scale))
+        if len(lam) == 1:
+            assert np.array_equal(c.imag, want.imag)
+        if times[0] == 0.0:
+            assert c[0] == 1.0
+
+
 def test_projections_bounded_by_slices():
     # k = 2000 eigenvalues at 10^4 times: a whole (times x k) complex table
-    # would take 320 MB; each slice's tables fit _SLICE_BYTES, and the values
+    # would take 320 MB; the kernel's slice tables fit sin2._SLICE_BYTES, and
+    # beside them only (times,) complex arrays are held: the kernel's (times x
+    # 2) product and partial sums, the carrier and the output.  The values
     # agree with the unsliced formula at roundoff
     rng = np.random.default_rng(4)
     lam = np.sort(rng.uniform(-50.0, 50.0, 2000))
@@ -791,7 +841,7 @@ def test_projections_bounded_by_slices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * dyn_mod._SLICE_BYTES + got.nbytes
+    assert peak <= sin2_mod._SLICE_BYTES + 8 * got.nbytes
     some = times[::20]
     want = 1.0 + np.expm1(-1j * np.outer(some, lam)) @ w
     np.testing.assert_allclose(got[::20], want, rtol=0, atol=1e-13)
@@ -859,8 +909,8 @@ class TestNonlinearPhase:
         assert np.abs(np.diff(traj.theta)).max() <= np.pi / 2 + 1e-12
 
     def test_refined_grid_matches_direct_evaluation(self):
-        # midpoints interleaved with the coarse values reproduce, bitwise,
-        # the projections evaluated on the final grid in one go
+        # each doubling interleaves the midpoints with the times and
+        # evaluates the whole grid: bitwise the projections on the final grid
         ham = full_hamiltonian(build_lattice("square", 16, boundary="open"), 1.0, 0.2)
         traj = compute_trajectory(ham, np.linspace(0.0, 60.0, 9))
         diag = traj.diagnostics

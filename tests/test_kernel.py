@@ -11,15 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dipolarray.spinwave as spinwave_mod
+import dipolarray.sin2 as sin2_mod
 from dipolarray.lattice import build_lattice, momentum_grid, relative_sites
-from dipolarray.spinwave import _sin2_sum, _time_split, perturbative_decay2
+from dipolarray.sin2 import _sin2_sum, _time_split
+from dipolarray.spinwave import perturbative_decay2
 
 EPS = np.finfo(float).eps
 
 
 def split_slice_bytes(times, modes: int, columns: int = 1) -> int:
-    """A ``spinwave._SLICE_BYTES`` that cuts a kernel call on the split grid
+    """A ``sin2._SLICE_BYTES`` that cuts a kernel call on the split grid
     ``times`` into slices of ``modes`` modes: 16 bytes per coarse, fine and
     weighted fine factor of a mode, with ``columns`` weight and sine-partner
     columns; a (T, 1) grid splits as its one axis."""
@@ -32,7 +33,7 @@ def direct_sums(c, h, times, s=None):
     """The kernel's direct route: per slice of modes, the
     phases h[m] * times (or the dot products), one sin^2 table (and cos * sin
     with s), contracted with the weights and added in slice order."""
-    step = max(1, spinwave_mod._SLICE_BYTES // (8 * (1 + (s is not None)) * len(times)))
+    step = max(1, sin2_mod._SLICE_BYTES // (8 * (1 + (s is not None)) * len(times)))
     parts = []
     for start in range(0, max(len(c), 1), step):
         part = slice(start, start + step)
@@ -220,7 +221,7 @@ def test_uneven_grid_bitwise_direct(monkeypatch, name):
     h, c, s = rng.uniform(-3.0, 3.0, (40, *times.shape[1:])), rng.random(40), rng.uniform(-1.0, 1.0, 40)
     assert _time_split(times) is None
     # 7-mode slices, so the partial sums of several slices are added
-    monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", 16 * len(times) * 7)
+    monkeypatch.setattr(sin2_mod, "_SLICE_BYTES", 16 * len(times) * 7)
     assert np.array_equal(_sin2_sum([(c, h)], times), direct_sums(c, h, times))
     got, want = _sin2_sum([(c, h, s)], times), direct_sums(c, h, times, s)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -250,7 +251,7 @@ def test_decay2_memory_bounded():
     finally:
         tracemalloc.stop()
     assert decay[0] == 0.0 and decay.max() > 0.0
-    assert peak < 2**20 + 1.5 * spinwave_mod._SLICE_BYTES
+    assert peak < 2**20 + 1.5 * sin2_mod._SLICE_BYTES
 
 
 def trig_calls(monkeypatch):

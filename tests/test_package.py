@@ -54,14 +54,15 @@ def np_attributes(node: ast.AST, names: tuple[str, ...]) -> list[int]:
             and isinstance(n.value, ast.Name) and n.value.id == "np"]
 
 
-@pytest.mark.parametrize("name", ["dipolarray.phonon", "dipolarray.spinwave"])
+@pytest.mark.parametrize("name", ["dipolarray.phonon", "dipolarray.spinwave", "dipolarray.dynamics"])
 def test_trig_only_in_the_kernel(name):
-    # every lattice and mode sum takes its sines and cosines from
-    # spinwave._sin2_sum, which slices, threads and bounds them
+    # every lattice and mode sum takes its sines and cosines, and every
+    # spectral sum of the projections its phase factors, from
+    # sin2._sin2_sum, which slices and bounds them; dynamics keeps only the
+    # carrier's exp, the phase's cos and the states' exp
     tree = ast.parse(inspect.getsource(importlib.import_module(name)))
-    outside = [line for node in tree.body if getattr(node, "name", None) != "_sin2_sum"
-               for line in np_attributes(node, ("sin", "cos"))]
-    assert outside == []
+    names = ("expm1",) if name == "dipolarray.dynamics" else ("sin", "cos")
+    assert np_attributes(tree, names) == []
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dipolarray.sin2 as sin2_mod
 import dipolarray.spinwave as spinwave_mod
 from dipolarray.basis import ResourceLimitError
 from dipolarray.hamiltonian import ZETA3, exchange_hamiltonian
@@ -61,7 +62,7 @@ class TestDispersion:
         lat = periodic(kind, n)
         kv = momentum_grid(lat).kvecs
         if slice_modes is not None:
-            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", split_slice_bytes(kv, slice_modes))
+            monkeypatch.setattr(sin2_mod, "_SLICE_BYTES", split_slice_bytes(kv, slice_modes))
         rel = relative_sites(lat)
         dense = (4.0 * np.sin(kv @ rel.T / 2.0) ** 2 / np.linalg.norm(rel, axis=1) ** 3).sum(axis=1)
         assert np.allclose(spin_wave_energies(lat, kv, 1.0), dense, rtol=1e-12, atol=0)
@@ -160,7 +161,7 @@ class TestDispersionAsymptotes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20 + spinwave_mod._SLICE_BYTES
+        assert peak < 4 * 2**20 + sin2_mod._SLICE_BYTES
 
     @pytest.mark.parametrize("kind", ["chain", "square"])
     def test_table_estimate_bounds_peak(self, kind):
@@ -173,7 +174,7 @@ class TestDispersionAsymptotes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= sites * spinwave_mod._DISPERSION_SITE_BYTES[kind] + spinwave_mod._SLICE_BYTES
+        assert peak <= sites * spinwave_mod._DISPERSION_SITE_BYTES[kind] + sin2_mod._SLICE_BYTES
 
     @pytest.mark.parametrize("kind", ["chain", "square"])
     def test_table_cap_raises(self, kind):
@@ -289,7 +290,7 @@ class TestPerturbativeDecay:
         lat = periodic(kind, n)
         t = np.linspace(0.0, 80.0, 41)
         if slice_modes is not None:
-            monkeypatch.setattr(spinwave_mod, "_SLICE_BYTES", split_slice_bytes(t, slice_modes))
+            monkeypatch.setattr(sin2_mod, "_SLICE_BYTES", split_slice_bytes(t, slice_modes))
         ref = perturbative_decay2_dense(lat, 0.05, t)
         assert np.allclose(perturbative_decay2(lat, 0.05, t).decay, ref, rtol=1e-12, atol=0)
 
@@ -315,7 +316,7 @@ def test_kernel_starts_no_thread(monkeypatch):
 
     def run():
         with monkeypatch.context() as m:
-            m.setattr(spinwave_mod, "_SLICE_BYTES", model_slice)
+            m.setattr(sin2_mod, "_SLICE_BYTES", model_slice)
             model = build_phonon_model(lat, 1e4, 3.0, 1.0)
         decay = gamma2(model, 0.05, 0.1, 0.5, t).decay
         return [a.tobytes() for a in (model.freqs, model.pols, model.g, model.spin_energies, decay)]
