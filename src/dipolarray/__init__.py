@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .basis import ResourceLimitError, dicke_state, sector_basis
 from .dynamics import (
     GateNotReached,
-    InvarianceError,
     compute_trajectory,
     evolve,
     gate_time,
@@ -72,7 +71,6 @@ __all__ = [
     "compute_trajectory",
     "gate_time",
     "GateNotReached",
-    "InvarianceError",
     "dispersion",
     "dispersion_curve",
     "dispersion_asymptote_check",

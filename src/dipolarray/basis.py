@@ -40,6 +40,13 @@ def require_memory(need: int, subject: str, detail: str) -> None:
                                  f"cap is {MEMORY_BYTES_MAX / 2**20:.0f} MiB")
 
 
+def _require_eigh_memory(k: int) -> None:
+    """:func:`require_memory` for the dense eigh of a quotient of dimension
+    ``k`` and lower bound, about 40 k^2 bytes with its block, eigenvectors
+    and workspace."""
+    require_memory(40 * k**2, f"quotient of dimension {k} or more needs", "to diagonalize")
+
+
 def rank_config(config: tuple[int, ...]) -> int:
     """Colexicographic rank of a strictly increasing index tuple."""
     return sum(comb(c, t + 1) for t, c in enumerate(config))

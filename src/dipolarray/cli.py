@@ -15,7 +15,7 @@ same for any worker count.
 
 Exit codes: 0 success, 2 config error, 3 resource-cap error, 4 gate not
 reached, 5 numerical error (an ``ArithmeticError`` such as an unstable
-crystal mode, a non-invariant quotient subspace or an unconverged ``j_max``).
+crystal mode, a vanishing branch frequency or an unconverged ``j_max``).
 """
 
 from __future__ import annotations

@@ -2,45 +2,22 @@
 and gate-time extraction.
 
 Times are in units of hbar/kappa.  Evolution is exact and has one engine,
-on numpy alone, which reads a dense Hermitian block; :func:`evolve` copies
-anything with ``toarray()`` (an assembled sector block, a scipy sparse
-matrix) dense first.  The engine partitions the basis into the coarsest
-*equitable partition* that keeps the initial state constant on every cell
-by colour refinement (1-WL), seeded with equal initial amplitudes and
-diagonal energies.  With S[i, c] the sum of row i of H into cell c and P
-the cell indicators weighted 1/sqrt|c|, each round takes the quotient from
-the first row f(a), the lowest, of every cell a, Hr[a, c] = sqrt|a|
-S[f(a), c] / sqrt|c|, in one pass over ascending slices of rows whose
-rows, keys and (rows x k) sums each fit ``_SLICE_BYTES``: a ``bincount``
-of each row in column order gives its row of S, and the deviation D[i, c]
-= (S[i, c] - S[f(a), c]) / sqrt|c| with a the cell of i.  D is exactly
-H P - P Hr, so the partition is equitable when every row sum is within the
-refinement tolerance of its cell's first row, and ||D||_F is the
-invariance residual; since P^T D = P^T H P - Hr, the Hermitian matrix
-``eigh`` reads from the lower triangle of Hr lies within 2 ||D||_F of
-P^T H P.  Otherwise cells split by the deviations beyond the tolerance,
-which the pass keeps (two rows of a cell have equal sums into every cell
-exactly when they deviate equally from its first row), so every round
-reads the block once and every split adds a cell, until the partition is
-equitable; the discrete one always is.  P then spans an invariant subspace
-that contains the initial state, so the k x k quotient Hr carries the
-whole dynamics; it is diagonalized once, and a projection on the initial
-state is the spectral sum C(t) = sum_j w_j exp(-i lambda_j t), one sin^2
-kernel call for all sectors.  A state without symmetry gives the discrete
-partition, i.e. dense diagonalization of the full block.
+on numpy alone: a dense Hermitian block is diagonalized once, and the
+projection of the evolved state on the initial one is the spectral sum
+C(t) = sum_j w_j exp(-i lambda_j t), one sin^2 kernel call for all sectors.
+:func:`evolve` copies anything with ``toarray()`` (an assembled sector
+block, a scipy sparse matrix) dense first and diagonalizes the whole block.
 
 :func:`compute_trajectory` takes each sector's block and initial state from
 :meth:`~dipolarray.hamiltonian.SpinHamiltonian.dicke_sectors`: the Dicke
-state on the orbits of the lattice's symmetry group, translations on a
-torus (about N/2 pair orbits, which refinement merges into point-group
-cells in 2D) and the point group of an open patch (about C(N, 2)/|G|).  No
-sector block is assembled, and the seed is often equitable already.
-
-A residual above ``RESIDUAL_TOL`` raises :class:`InvarianceError`, and a
-quotient whose dense eigh would need about 40 k^2 bytes at dimension k, more
-than the memory budget ``basis.MEMORY_BYTES_MAX``, raises
-:class:`~dipolarray.basis.ResourceLimitError` in the first round that
-reaches it, before that Hr is formed.  A
+state on the orbits of the lattice's symmetry group, the space group of a
+torus (about N/|G| pair orbits for a point group G, which holds -1) and
+the point group of an open patch (about C(N, 2)/|G|).  The group leaves the
+Dicke state invariant, so the orbit block is an exact quotient, with no
+tolerance; no sector block is assembled.  A dense eigh of dimension k needs about 40 k^2
+bytes, and past the memory budget ``basis.MEMORY_BYTES_MAX`` the orbit
+builder and :func:`evolve` raise
+:class:`~dipolarray.basis.ResourceLimitError` before it.  A
 :class:`Trajectory` keeps lambda and w of sectors 0, 1 and 2, all that
 :func:`gate_time` needs off the grid.
 
@@ -61,33 +38,22 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from math import prod
 
 import numpy as np
 
-from .basis import require_memory
+from .basis import _require_eigh_memory, require_memory
 from .hamiltonian import SpinHamiltonian
 from .sin2 import _sin2_sum
 
 __all__ = [
     "Trajectory",
     "GateNotReached",
-    "InvarianceError",
     "evolve",
     "compute_trajectory",
     "gate_time",
 ]
 
-# refinement treats values within this fraction of max |H_ij| (of max |psi0|
-# for amplitudes) as equal; roundoff in the row sums is ~1e-15 of it
-REFINE_TOL = 1e-12
-# largest accepted ||H P - P Hr||_F, relative to max |H_ij|
-RESIDUAL_TOL = 1e-10
-# one slice of block rows, keys or (rows x cells) sums of a refinement pass;
-# slices this small stay in cache and in the allocator's heap, where 1 MiB
-# slices of the gate_large sectors were page-faulted afresh on every call
-_SLICE_BYTES = 2**18
 # gate_time bisects its bracket down to this fraction of the gate time
 GATE_REL_TOL = 1e-4
 MAX_THETA_STEP = np.pi / 2
@@ -99,162 +65,9 @@ class GateNotReached(RuntimeError):
     """No zero of cos(Theta/2) inside the evolved time window."""
 
 
-class InvarianceError(ArithmeticError):
-    """The quotient subspace of a block is not invariant to working precision."""
-
-
 # ---------------------------------------------------------------------------
 # evolution engine
 # ---------------------------------------------------------------------------
-
-def _levels(x: np.ndarray, tol: float) -> np.ndarray:
-    """Integer labels of ``x``, equal for values chained within ``tol``."""
-    if np.iscomplexobj(x):
-        re, im = _levels(x.real, tol), _levels(x.imag, tol)
-        return re * (im.max(initial=0) + 1) + im
-    xs = np.sort(x)
-    # upper end of every chain of values no more than tol apart
-    tops = xs[np.append(np.diff(xs) > tol, True)] if len(xs) else xs
-    return np.searchsorted(tops, x)
-
-
-def _cell_ids(*columns: np.ndarray) -> np.ndarray:
-    """Cell index per row: rows with equal integer keys share a cell."""
-    keys = np.column_stack(columns)
-    return np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
-
-
-def _cell_sums(rows: np.ndarray, key: np.ndarray, k: int) -> np.ndarray:
-    """(len(rows) x k) sums of the dense ``rows`` into every cell, each in
-    column order; ``key`` holds cell + k * (row within the slice) for at
-    least as many rows."""
-    return _bincount(key[:rows.size], rows.ravel(), len(rows) * k).reshape(-1, k)
-
-
-def _bincount(key: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
-    """np.bincount with real or complex weights, float even with no weights."""
-    if not np.iscomplexobj(vals):
-        return np.bincount(key, vals, n).astype(float, copy=False)
-    out = np.empty(n, dtype=complex)
-    out.real = np.bincount(key, vals.real, n)
-    out.imag = np.bincount(key, vals.imag, n)
-    return out
-
-
-def _quotient(h: np.ndarray, cells: np.ndarray, root: np.ndarray,
-              tol: float) -> tuple[np.ndarray, tuple[np.ndarray, ...], float]:
-    """Hr from the first row f(a) of every cell a, the (row, cell, value)
-    triples of every row sum more than ``tol`` from its cell's first row,
-    and ||D||_F for the deviation D = H P - P Hr.
-
-    With S[i, c] the sum of row i into cell c, Hr[a, c] = root[a] S[f(a), c]
-    / root[c] and D[i, c] = (S[i, c] - S[f(a), c]) / root[c], in one pass
-    over ascending row slices: a cell's first row comes before its other
-    rows.  Every (row, cell) sum runs in column order, so D is exactly zero
-    on the first rows and no result depends on the slicing.
-    """
-    dim, k = len(cells), len(root)
-    step = max(1, _SLICE_BYTES // (8 * dim))
-    key = (cells + k * np.arange(min(step, dim))[:, None]).ravel()
-    first_of = np.full(dim, -1)  # the cell whose first row each row is, or -1
-    first_of[np.unique(cells, return_index=True)[1]] = np.arange(k)
-    s_first = np.empty((k, k), dtype=np.result_type(h, float))  # [a, c] = S[f(a), c]
-    found, sumsq = [], 0.0
-    for lo in range(0, dim, step):
-        dev = _cell_sums(h[lo:lo + step], key, k)
-        at = first_of[lo:lo + step]
-        s_first[at[at >= 0]] = dev[at >= 0]
-        dev -= s_first[cells[lo:lo + step]]
-        # a 2-D np.nonzero took a tenth of the open square N = 64 round
-        at = np.flatnonzero(np.abs(dev) > tol)
-        found.append((at // k + lo, at % k, dev.reshape(-1)[at]))
-        dev /= root
-        sumsq += float(np.vdot(dev, dev).real)
-    # in place: two k x k temporaries here set the peak of a large block's
-    # refinement
-    s_first *= root[:, None]
-    s_first /= root
-    return s_first, tuple(map(np.concatenate, zip(*found))), float(np.sqrt(sumsq))
-
-
-def _split(cells: np.ndarray, row: np.ndarray, col: np.ndarray, val: np.ndarray, tol: float) -> np.ndarray:
-    """``cells`` split by the deviations ``val`` (rows ``row`` ascending, then
-    cells ``col``): a row's key is its cell, then the (cell, level) codes of
-    its deviations, padded with -1 to the most deviations of one row."""
-    level = _levels(val, tol)
-    at = np.arange(len(row)) - np.searchsorted(row, row)  # place within the row
-    keys = np.full((len(cells), int(at.max(initial=-1)) + 2), -1, dtype=np.int64)
-    keys[:, 0] = cells
-    keys[row, 1 + at] = col * np.int64(level.max(initial=0) + 1) + level
-    return _cell_ids(keys)
-
-
-class _SectorEvolver:
-    """Exact evolution of one Hermitian block from one initial state.
-
-    Refinement and the invariance check share each round's pass, whose
-    deviation D = H P - P Hr is the equitability test, the split keys and
-    the residual (see the module docstring).  ``dim`` is the reduced
-    (quotient) dimension, ``rounds`` the number of splits, ``residual``
-    ||D||_F relative to max |H_ij|, and ``lam`` and ``w`` the quotient
-    eigenvalues and the initial state's weights on them, from an eigh on
-    first use, so the caller may drop the block before it.
-    """
-
-    def __init__(self, block, psi0: np.ndarray):
-        psi0 = np.asarray(psi0, dtype=np.result_type(psi0, float))
-        h = np.asarray(block)
-        scale = float(np.abs(h).max(initial=0.0)) or 1.0
-        if not scale < np.inf:
-            raise ValueError(f"block entries must be finite, got max |H_ij| = {scale}")
-        tol = REFINE_TOL * scale
-        # cells start from equal (amplitude, diagonal) pairs
-        amp_tol = REFINE_TOL * float(np.abs(psi0).max(initial=0.0))
-        self.cells = _cell_ids(_levels(psi0, amp_tol), _levels(np.diagonal(h), tol))
-        self.rounds = 0
-        while True:
-            root = np.sqrt(np.bincount(self.cells))
-            self.dim = len(root)
-            # the dense Hr and its eigh peak at about 40 k^2 bytes; refinement
-            # only splits cells, so a quotient too large now stays so
-            require_memory(40 * self.dim**2, f"quotient of dimension {self.dim} or more needs",
-                           "to diagonalize")
-            hr, deviations, dev_norm = _quotient(h, self.cells, root, tol)
-            if not len(deviations[0]):
-                break
-            self.cells = _split(self.cells, *deviations, tol)
-            self.rounds += 1
-        self.residual = dev_norm / scale
-        if not self.residual <= RESIDUAL_TOL:
-            raise InvarianceError(f"quotient of dimension {self.dim} is not invariant: "
-                                  f"residual {self.residual:.2e} > {RESIDUAL_TOL:.0e}")
-        self._weight = 1.0 / root[self.cells]
-        self._hr = hr
-        self._start = _bincount(self.cells, self._weight * psi0, self.dim)
-
-    @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Eigenvalues, eigenvectors, initial-state coefficients and weights
-        of the quotient, diagonalized on first use and Hr then dropped: a
-        caller that drops the block first keeps it out of the eigh."""
-        lam, vec = np.linalg.eigh(self.__dict__.pop("_hr"))
-        coef = vec.conj().T @ self._start
-        w = np.abs(coef) ** 2
-        return lam, vec, coef, w / w.sum()
-
-    @property
-    def lam(self) -> np.ndarray:
-        return self._spectrum[0]
-
-    @property
-    def w(self) -> np.ndarray:
-        return self._spectrum[3]
-
-    def states(self, times: np.ndarray) -> np.ndarray:
-        lam, vec, coef, _ = self._spectrum
-        reduced = (np.exp(-1j * np.outer(times, lam)) * coef) @ vec.T
-        return reduced[:, self.cells] * self._weight
-
 
 def _projections(spectra, times: np.ndarray) -> tuple[np.ndarray, ...]:
     """<psi0|psi(t)> = sum_j w_j e^{-i lambda_j t} of each (eigenvalues,
@@ -289,11 +102,11 @@ def evolve(block, psi0: np.ndarray, times) -> np.ndarray:
     """States exp(-1j*H*t) psi0 at the requested times, shape (T, dim).
 
     ``block`` is a Hermitian matrix: a dense array, or anything with
-    ``toarray()``, whose dense copy is checked against the memory budget.
-    ``psi0`` must be normalized and as long as the block; ``times`` must be
-    non-decreasing and start at 0.  A block that differs from its conjugate
-    transpose by more than ``REFINE_TOL`` of its largest entry raises
-    ``ValueError``.
+    ``toarray()``, whose dense copy is checked against the memory budget,
+    as is its eigh.  ``psi0`` must be normalized and as long as the block;
+    ``times`` must be non-decreasing and start at 0.  A block with a
+    non-finite entry, or one that differs from its conjugate transpose by
+    more than 1e-12 of its largest entry, raises ``ValueError``.
     """
     times = _time_grid(times)
     if hasattr(block, "toarray"):
@@ -303,17 +116,29 @@ def evolve(block, psi0: np.ndarray, times) -> np.ndarray:
     h = np.asarray(block)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"block must be a square matrix, got shape {h.shape}")
+    _require_eigh_memory(len(h))
     psi0 = np.asarray(psi0)
     if psi0.shape != (h.shape[0],):
         raise ValueError(f"psi0 has shape {psi0.shape}, block has shape {h.shape}")
     nrm = np.linalg.norm(psi0)
     if not abs(nrm - 1.0) <= 1e-9:
         raise ValueError(f"initial state not normalized (|psi| = {nrm})")
-    with np.errstate(invalid="ignore"):  # inf - inf; the evolver refuses non-finite entries
-        defect = float(np.abs(h - h.conj().T).max(initial=0.0))
-    if defect > REFINE_TOL * float(np.abs(h).max(initial=0.0)):
+    scale = float(np.abs(h).max(initial=0.0))
+    if not scale < np.inf:
+        raise ValueError(f"block entries must be finite, got max |H_ij| = {scale}")
+    defect = float(np.abs(h - h.conj().T).max(initial=0.0))
+    if defect > 1e-12 * scale:
         raise ValueError(f"block is not Hermitian: max |H - H^dagger| = {defect:.3g}")
-    return _SectorEvolver(h, psi0).states(times)
+    lam, vec = np.linalg.eigh(h)
+    return (np.exp(-1j * np.outer(times, lam)) * (vec.conj().T @ psi0)) @ vec.T
+
+
+def _weights(block: np.ndarray, psi0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of ``block`` and the weights of ``psi0`` on its
+    eigenvectors, normalized to sum 1."""
+    lam, vec = np.linalg.eigh(block)
+    w = np.abs(vec.conj().T @ psi0) ** 2
+    return lam, w / w.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +155,9 @@ class Trajectory:
     holds one (eigenvalues, weights) pair per sector 0, 1, 2, from which
     C_n(t) = sum_j w_j exp(-i lambda_j t) at any t.  ``diagnostics`` is the
     deterministic record of how the trajectory was computed: sector and
-    quotient dimensions, split rounds per sector, the largest invariance
-    residual, final grid size and densify rounds; :func:`gate_time` sets
-    ``diagnostics["gate_time_method"]`` ("bisection" or "interpolation").
+    quotient (orbit block) dimensions, final grid size and densify rounds;
+    :func:`gate_time` sets ``diagnostics["gate_time_method"]``
+    ("bisection" or "interpolation").
     """
 
     times: np.ndarray
@@ -358,12 +183,11 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
     returned trajectory uses the finest grid evaluated.  ``times`` must be
     non-empty, non-decreasing and start at 0.  The sectors come from
     ``ham.dicke_sectors()``: dense orbit blocks of the lattice's symmetry
-    group, with no sector block assembled.
+    group, each diagonalized as it comes, with no sector block assembled.
     """
     times = _time_grid(times)
-    # every block is refined and dropped before any quotient's eigh
-    evolvers = [_SectorEvolver(block, psi0) for block, psi0 in ham.dicke_sectors()]
-    spectra = tuple((ev.lam, ev.w) for ev in evolvers)
+    # each block is diagonalized before the next one is built
+    spectra = tuple(_weights(block, psi0) for block, psi0 in ham.dicke_sectors())
     cs = _projections(spectra, times)
     theta, cos_half, max_step = _extract_phase(*cs)
     refinements = 0
@@ -383,9 +207,7 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
                               RuntimeWarning, stacklevel=2)
     diagnostics = {
         "sector_dims": [ham.dim(n) for n in (0, 1, 2)],
-        "reduced_dims": [ev.dim for ev in evolvers],
-        "partition_rounds": [ev.rounds for ev in evolvers],
-        "invariance_residual": max(ev.residual for ev in evolvers),
+        "reduced_dims": [len(lam) for lam, _ in spectra],
         "grid_points": len(times),
         "grid_refinements": refinements,
         "gate_time_method": None,  # set by gate_time

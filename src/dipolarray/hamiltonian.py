@@ -12,6 +12,13 @@ unordered pair is (kappa - xi)*d_ij, and
 Constant (configuration-independent) terms are kept on the diagonals so the
 vacuum energy is explicit; the nonlinear phase is a second difference and
 cancels them.
+
+The dynamics reads each sector on the orbits of the lattice's symmetry
+group, which leaves the Dicke states invariant: on a torus its translations
+and its point group (the chain's reflection, D4, D6), on an open patch the
+point group about the centroid.  The orbit block is the exact quotient of
+the sector, with no tolerance; the assembled blocks are built only when
+read.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from math import comb
 
 import numpy as np
 
-from .basis import SectorBasis, require_memory, sector_basis
-from .lattice import Lattice, _point_group_maps, coupling_kernel, momentum_grid, relative_sites
+from .basis import SectorBasis, _require_eigh_memory, require_memory, sector_basis
+from .lattice import Lattice, _cell, _point_group, _point_group_maps, coupling_kernel, momentum_grid, relative_sites
 
 __all__ = [
     "CSRBlock",
@@ -118,9 +125,10 @@ class SpinHamiltonian:
 
     def dicke_sectors(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(dense block, initial state) per sector n = 0, 1, 2 whose evolution
-        gives the Dicke state's: :func:`_orbit_sectors` on translation orbits
-        of a periodic lattice, on point-group orbits of an open one.  Each
-        block is built when the previous one has been taken."""
+        gives the Dicke state's: :func:`_orbit_sectors` on the space-group
+        orbits (translations and point group) of a periodic lattice, on the
+        point-group orbits of an open one.  Each block is built when the
+        previous one has been taken."""
         source = _torus_orbits if self.lattice.periodic else _patch_orbits
         yield from _orbit_sectors(self.kappa, self.xi, self.lattice.n_sites, *source(self.lattice))
 
@@ -169,7 +177,7 @@ def _orbit_sectors(kappa: float, xi: float, n: int, total: float,
     yield np.array([[weight * total]]), np.ones(1)
     for sizes, cut, hops in sectors:
         k = len(sizes)
-        require_memory(40 * k**2, f"quotient of dimension {k} or more needs", "to diagonalize")
+        _require_eigh_memory(k)
         require_memory(_ORBIT_BYTES_PER_ENTRY * k * n + _ORBIT_BLOCK_BYTES * k**2, "orbit tables need",
                        f"for {n} sites")
         key = np.arange(0, k * (k + 1), k + 1)[:, None]  # column k takes the dropped hops
@@ -187,24 +195,28 @@ def _orbit_sectors(kappa: float, xi: float, n: int, total: float,
 
 
 def _torus_orbits(lattice: Lattice):
-    """D and the sectors of :func:`_orbit_sectors` on translation orbits,
-    sites named by their element of Z_side^D, the integer cell coordinates of
-    :func:`~dipolarray.lattice.momentum_grid`.  Sector 1 is one orbit; sector
-    2 one per delta ~ -delta, {p, p + delta} of size N (N/2 where 2 delta = 0),
-    whose hops 0 -> x (coupling d(x)) land in the orbit of x - delta and
-    delta -> x (d(x - delta)) in that of x."""
+    """D and the sectors of :func:`_orbit_sectors` on the orbits of the
+    torus's space group, its translations and point group, sites named by
+    their element of Z_side^D, the integer cell coordinates of
+    :func:`~dipolarray.lattice.momentum_grid`.  Sector 1 is one orbit.
+    Sector 2 has one per class of delta under the point group, which holds
+    -delta: the pairs {p, p + g delta}, labelled by the least image of
+    delta and sized by the class (times N/2).  The hops 0 -> x (coupling
+    d(x)) of its representative {0, delta} land in the orbit of x - delta,
+    and delta -> x (d(x - delta)) in that of x."""
     n = lattice.n_sites
     grid = momentum_grid(lattice)
-    reps, mult = grid.pair_fold()
     couplings = _site_couplings(lattice)
     row = float(couplings.sum())
-    cell = lattice.period_vectors / grid.side
-    site = grid.index(np.rint(lattice.positions @ np.linalg.inv(cell)).astype(np.int64))
+    site = grid.index(np.rint(lattice.positions @ np.linalg.inv(_cell(lattice))).astype(np.int64))
     d = np.zeros(n)
     d[site[1:]] = couplings  # d[g]: the coupling across group element g
-    # orbit of every group element; element 0 takes the dropped label k
-    orbit = np.searchsorted(reps, np.minimum(np.arange(n), grid.index(-grid.coords)))
-    orbit[0] = len(reps)
+    # orbit of every group element by its least image; element 0, a class of
+    # its own, sorts last and so takes the dropped label k
+    least = grid.index(grid.coords @ _point_group(lattice)).min(axis=0)
+    least[0] = n
+    reps, orbit, sizes = np.unique(least, return_inverse=True, return_counts=True)
+    reps, sizes = reps[:-1], sizes[:-1]
 
     def hops():
         diff = grid.index(grid.coords - grid.coords[reps][:, None])  # [a, x] = x - delta_a
@@ -213,7 +225,7 @@ def _torus_orbits(lattice: Lattice):
 
     # all N hops of the one site orbit land in it: their sum is its entry
     one_orbit = (np.ones(1), row, [(np.zeros(1, dtype=np.intp), row)])
-    return 0.5 * n * row, [one_orbit, (mult, 2.0 * row - 2.0 * d[reps], hops())]
+    return 0.5 * n * row, [one_orbit, (sizes, 2.0 * row - 2.0 * d[reps], hops())]
 
 
 def _patch_orbits(lattice: Lattice):
@@ -226,7 +238,7 @@ def _patch_orbits(lattice: Lattice):
     pairs = comb(n, 2)
     require_memory(_LABEL_BYTES * (len(maps) + 2) * pairs, "pair-orbit labels need", f"for {n} sites")
     fewest = -(-pairs // len(maps))
-    require_memory(40 * fewest**2, f"quotient of dimension {fewest} or more needs", "to diagonalize")
+    _require_eigh_memory(fewest)
     q, p = np.tril_indices(n, -1)  # colex order
     lo, hi = np.minimum(maps[:, p], maps[:, q]), np.maximum(maps[:, p], maps[:, q])
     reps, label, sizes = np.unique((hi * (hi - 1) // 2 + lo).min(axis=0),

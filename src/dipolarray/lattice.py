@@ -161,26 +161,39 @@ def _triangular_patch(n_sites: int) -> np.ndarray:
     return np.array([t[3] for t in cand[:n_sites]])
 
 
+def _cell(lattice: Lattice) -> np.ndarray:
+    """Primitive cell vectors (rows), in which every site has integer
+    coordinates."""
+    return np.vstack([_TRI_A1, _TRI_A2]) if lattice.kind == "triangular" else np.eye(lattice.dimension)
+
+
+def _point_group(lattice: Lattice) -> np.ndarray:
+    """Integer matrices (G, D, D) of the lattice's point group, identity
+    first: the chain's reflection, D4 of the square lattice, D6 of the
+    triangular one.  They act on row vectors of cell coordinates, c -> c @
+    M[g]: each Cartesian rotation or reflection R conjugated into the cell
+    basis, A R^T A^-1 with the cell vectors the rows of A."""
+    if lattice.dimension == 1:
+        return np.array([[[1]], [[-1]]])
+    m = 4 if lattice.kind == "square" else 6
+    a = 2.0 * np.pi * np.arange(m) / m
+    rot = np.stack([np.cos(a), -np.sin(a), np.sin(a), np.cos(a)], axis=-1).reshape(-1, 2, 2)
+    maps = np.concatenate([rot, rot * [1.0, -1.0]])  # then each after the reflection y -> -y
+    cell = _cell(lattice)
+    return np.rint(cell @ maps.transpose(0, 2, 1) @ np.linalg.inv(cell)).astype(np.int64)
+
+
 def _point_group_maps(lattice: Lattice) -> np.ndarray:
     """Site permutations (G, N) of an open patch, identity first: the maps of
-    the lattice's point group (the chain's reflection, D4 of the square
-    lattice, D6 of the triangular one), about the centroid, that carry the
-    sites onto themselves.  Row g holds the image site of every site."""
-    if lattice.dimension == 1:
-        maps, cell = np.array([[[1.0]], [[-1.0]]]), np.eye(1)
-    else:
-        m = 4 if lattice.kind == "square" else 6
-        a = 2.0 * np.pi * np.arange(m) / m
-        rot = np.stack([np.cos(a), -np.sin(a), np.sin(a), np.cos(a)], axis=-1).reshape(-1, 2, 2)
-        maps = np.concatenate([rot, rot * [1.0, -1.0]])  # then each after the reflection y -> -y
-        cell = np.eye(2) if lattice.kind == "square" else np.vstack([_TRI_A1, _TRI_A2])
-    to_cell, centroid = np.linalg.inv(cell), lattice.positions.mean(axis=0)
-    own = np.rint(lattice.positions @ to_cell).astype(np.int64)
+    :func:`_point_group` about the centroid that carry the sites onto
+    themselves.  Row g holds the image site of every site."""
+    own = np.rint(lattice.positions @ np.linalg.inv(_cell(lattice))).astype(np.int64)
     lo, span = own.min(axis=0), np.ptp(own, axis=0) + 1
     site = np.full(np.prod(span), -1)
     site[np.ravel_multi_index(tuple((own - lo).T), span)] = np.arange(lattice.n_sites)
     # cell coordinates of every image; a map is kept when each lands on a site
-    frac = (np.einsum("gij,nj->gni", maps, lattice.positions - centroid) + centroid) @ to_cell - lo
+    centroid = own.mean(axis=0)
+    frac = (own - centroid) @ _point_group(lattice) + centroid - lo
     near = np.rint(frac).astype(np.int64)
     on = np.all((np.abs(frac - near) < 1e-6) & (near >= 0) & (near < span), axis=-1)
     image = np.where(on, site[np.ravel_multi_index(tuple(np.moveaxis(near, -1, 0)), span, mode="clip")], -1)

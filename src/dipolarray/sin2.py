@@ -44,7 +44,13 @@ def _sin2_sum(blocks, times: np.ndarray):
     - cos in it.  It then sums over the modes with one complex GEMM.  Each
     phase carries a few ulps more than h_m t rounded once, so a sum differs
     from the direct one at that level; small phases keep their relative
-    precision.  On any other grid the phase is h_m t rounded exactly as
+    precision.  The sin^2 sum also has an absolute floor, which the direct
+    route lacks: F_a - F_a F_b + F_b rounds terms of size up to 2, and each
+    doubled table row adds a rounding of |1 - F| ~ 1, so it is about
+    sqrt(T) eps sum_m |c_m| min(1, x_m^2).  It shows near the zeros of
+    sin^2, where the phases' rounding moves the sum least: beyond that
+    part, 40-digit mpmath measured at most 0.8 of it (T <= 5000, phases to
+    940).  On any other grid the phase is h_m t rounded exactly as
     ``h[m] * times`` (or the dot product), and one sin^2 table, or a sin and
     a cos table with s, is contracted with the weights.
 

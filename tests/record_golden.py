@@ -11,9 +11,7 @@ each config's first run with its file through :func:`assert_matches_golden`.
 
 One tolerance holds for every file:
 
-- summary floats agree within ``RTOL`` relative, except roundoff-level
-  diagnostics (the keys of ``ABS_TOL``), which agree within that absolute
-  bound;
+- summary floats agree within ``RTOL`` relative;
 - CSV entries and each column's largest magnitude agree within ``CSV_RTOL``
   of the recorded largest magnitude, and column sums within that times the
   row count;
@@ -37,8 +35,6 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 EVERY = 20
 RTOL = 1e-9
 CSV_RTOL = 1e-8
-# roundoff-level values move by O(1) relative under a change of summation order
-ABS_TOL = {"invariance_residual": 1e-13}
 
 
 def _csv_digest(path: Path) -> dict:
@@ -67,21 +63,21 @@ def digest(root: Path) -> dict:
     return out
 
 
-def _mismatches(got, want, where: str, key: str | None = None):
+def _mismatches(got, want, where: str):
     if isinstance(want, dict):
         if not isinstance(got, dict) or got.keys() != want.keys():
             yield f"{where}: keys {sorted(got) if isinstance(got, dict) else got!r} != {sorted(want)}"
             return
         for k in want:
-            yield from _mismatches(got[k], want[k], f"{where}.{k}", k)
+            yield from _mismatches(got[k], want[k], f"{where}.{k}")
     elif isinstance(want, list):
         if not isinstance(got, list) or len(got) != len(want):
             yield f"{where}: {got!r} != {want!r}"
             return
         for i, (g, w) in enumerate(zip(got, want)):
-            yield from _mismatches(g, w, f"{where}[{i}]", key)
+            yield from _mismatches(g, w, f"{where}[{i}]")
     elif type(want) is float and type(got) is float:
-        tol = ABS_TOL[key] if key in ABS_TOL else RTOL * abs(want)
+        tol = RTOL * abs(want)
         if not abs(got - want) <= tol:
             yield f"{where}: {got!r} != {want!r} (tolerance {tol:.3g})"
     elif type(got) is not type(want) or got != want:

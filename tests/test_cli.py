@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import dipolarray.basis as basis_mod
-import dipolarray.dynamics as dynamics_mod
 from dipolarray.cli import (
     EXIT_CONFIG,
     EXIT_NO_GATE,
@@ -142,8 +141,6 @@ n_samples = 200
         diag = summary["diagnostics"]
         assert diag["sector_dims"] == [1, 12, 66]
         assert diag["reduced_dims"] == [1, 1, 6]
-        assert diag["partition_rounds"] == [0, 0, 1]
-        assert diag["invariance_residual"] <= 1e-10
         rows = (outdir / "trajectory.csv").read_text().count("\n") - 1
         assert diag["grid_points"] == rows == 199 * 2 ** diag["grid_refinements"] + 1
         assert diag["gate_time_method"] in ("bisection", "interpolation")
@@ -310,12 +307,6 @@ n_samples = 60
         cfg = write_cfg(tmp_path, "experiment = stark_sweep\nn_field = 2\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o"), "--workers", workers]) == EXIT_CONFIG
         assert f"config error: --workers must be at least 1, got {workers}" in capsys.readouterr().err
-
-    def test_invariance_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(dynamics_mod, "RESIDUAL_TOL", -1.0)
-        cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 8\nboundary = periodic\n")
-        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
-        assert "numerical error: quotient" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         "experiment = phase_gate\nn_sites = 8\nboundary = periodic\n",
@@ -564,16 +555,16 @@ EXIT_PATHS = {
                          "xi_over_kappa_values = 0.1, 0.1000001\nn_samples = 20\n",
                          EXIT_CONFIG, ["mpm_sweep/metadata.json"]),
     "parse_error": ("experiment = phase_gate\nn_sites = eight\n", EXIT_CONFIG, None),
-    "invariance_failure": ("experiment = phase_gate\nn_sites = 8\nboundary = periodic\n",
-                           EXIT_NUMERICAL, ["phase_gate/metadata.json"]),
+    "unstable_crystal": ("experiment = phonon_bands\nkind = chain\nn_sites = 8\n",
+                         EXIT_NUMERICAL, ["phonon_bands/metadata.json"]),
 }
 
 
 @pytest.mark.parametrize("path", EXIT_PATHS)
 def test_files_left_on_exit_path(tmp_path, monkeypatch, path):
     text, code, files = EXIT_PATHS[path]
-    if path == "invariance_failure":
-        monkeypatch.setattr(dynamics_mod, "RESIDUAL_TOL", -1.0)
+    if path == "unstable_crystal":
+        with_matrices(monkeypatch, lambda m: -np.ones((m, 1, 1)))
     out = tmp_path / "o"
     assert main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == code
     if files is None:

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 import dipolarray.hamiltonian as hamiltonian_mod
 from dipolarray.basis import ResourceLimitError, dicke_state
-from dipolarray.dynamics import _SectorEvolver
+from dipolarray.dynamics import _weights
 from dipolarray.hamiltonian import (
     ZETA3,
     CSRBlock,
@@ -299,8 +299,8 @@ ORBIT_PEAK_LATTICES = [("chain", 64, "periodic"), ("chain", 400, "periodic"), ("
                          ids=[f"{k}-{n}" + ("-open" if b == "open" else "") for k, n, b in ORBIT_PEAK_LATTICES])
 def test_orbit_estimate_bounds_peak(kind, n, boundary):
     # the orbit guards cover the pair labels of an open patch, the orbit
-    # tables and blocks, and the engine's refinement and eigh of the orbit
-    # blocks that follow them
+    # tables and blocks, and the engine's eigh of the orbit blocks that
+    # follow them
     lattice = build_lattice(kind, n, boundary=boundary)
     sectors, peak = traced_peak(lambda: list(full_hamiltonian(lattice, 1.0, 0.05).dicke_sectors()))
     k = len(sectors[2][0])
@@ -309,7 +309,7 @@ def test_orbit_estimate_bounds_peak(kind, n, boundary):
         maps = len(hamiltonian_mod._point_group_maps(lattice))
         need = max(need, hamiltonian_mod._LABEL_BYTES * (maps + 2) * comb(n, 2))
     assert peak <= need
-    _, peak = traced_peak(lambda: [_SectorEvolver(block, psi0).lam for block, psi0 in sectors])
+    _, peak = traced_peak(lambda: [_weights(block, psi0) for block, psi0 in sectors])
     assert peak <= need
 
 

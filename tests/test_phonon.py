@@ -399,6 +399,18 @@ def _osc_sensitivity(omega: np.ndarray, times: np.ndarray) -> np.ndarray:
     return np.where(small, 1.5 * t**2, val)
 
 
+def _osc_floor(omega: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """2 min(1, x^2) / omega^2, x = omega t / 2, as (T, modes): the weight of
+    a term of :func:`_osc_integral` in the sin^2 kernel's absolute floor on
+    split grids (see sin2._sin2_sum); t^2 / 2 at omega -> 0."""
+    om = np.atleast_1d(omega)
+    t = times[:, None]
+    x = om[None, :] * t / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = 2.0 * np.minimum(1.0, x**2) / om[None, :] ** 2
+    return np.where(np.abs(x) < 1e-6, t**2 / 2.0, val)
+
+
 @pytest.mark.filterwarnings("error")
 def test_decay_sum_soft_and_resonant_modes():
     # emission and absorption frequencies w_ph +- w_sp at exactly 0, just
@@ -502,7 +514,8 @@ def test_normalized_exact_when_amplitude_square_underflows(fn, amp):
 
 def gamma2_full_reference(model, xi, b0, temperature, times):
     """Ordered-pair double loop over (k, k') with dict lookups of q = -(k + k'):
-    the decay and its sensitivity, the same sum over :func:`_osc_sensitivity`."""
+    the decay, and the same sums over :func:`_osc_sensitivity` and
+    :func:`_osc_floor`."""
     grid = model.grid
     n = model.lattice.n_sites
     nq = grid.n_points
@@ -534,7 +547,7 @@ def gamma2_full_reference(model, xi, b0, temperature, times):
     weights = np.array(weights)
     nocc = phonon_mod._occupation(np.array(occs), temperature * model.phonon_energy_unit)
     sums = []
-    for term in (_osc_integral, _osc_sensitivity):
+    for term in (_osc_integral, _osc_sensitivity, _osc_floor):
         acc = (weights * (nocc + 1.0) * term(np.array(om_p), times)).sum(axis=1)
         acc += (weights * nocc * term(np.array(om_m), times)).sum(axis=1)
         sums.append(2.0 * acc)
@@ -563,11 +576,15 @@ def test_gamma2_matches_pair_loop(lattice, xi, b0, temperature):
     # the smallest normal double; run it at (xi, b0) scaled by a power of two
     # and scale back, both exact, so it is rounded once
     e = np.frexp(max(abs(xi), abs(b0)))[1]
-    ref, sensitivity = (np.ldexp(x, 2 * e) for x in gamma2_full_reference(
+    ref, sensitivity, floor = (np.ldexp(x, 2 * e) for x in gamma2_full_reference(
         model, np.ldexp(xi, -e), np.ldexp(b0, -e), temperature, t))
-    # 1e-12 of the sum plus its phase sensitivity, as the kernel's tests bound
-    # it: near a zero of sin^2 a flat rtol fails on the phases' rounding alone
-    assert np.all(np.abs(gamma2(model, xi, b0, temperature, t).decay - ref) <= 1e-12 * sensitivity)
+    # 1e-12 of the sum plus its phase sensitivity and the split route's
+    # floor, as the kernel's tests bound it: near a zero of sin^2 a flat rtol
+    # fails on the phases' rounding alone.  The floor has not shown here: on
+    # chains 2 to 4 over 1201 values of xi at temperature 0 the error stayed
+    # below 3.3e-4 of the sensitivity term, which the soft modes keep large
+    bound = 1e-12 * sensitivity + 2.0 * np.sqrt(len(t)) * np.finfo(float).eps * floor
+    assert np.all(np.abs(gamma2(model, xi, b0, temperature, t).decay - ref) <= bound)
 
 
 @pytest.mark.parametrize("slice_modes", [1, 11])
@@ -585,7 +602,7 @@ def test_gamma2_mode_slices_match_pair_loop(monkeypatch, make, slice_modes):
     monkeypatch.setattr(sin2_mod, "_SLICE_BYTES", split_slice_bytes(t, slice_modes))
     n = model.grid.n_points
     monkeypatch.setattr(phonon_mod, "_SLICE_BYTES", 7 * 8 * (7 + 4 * model.n_branches) * n)
-    ref, _ = gamma2_full_reference(model, 0.05, 0.1, 0.5, t)
+    ref = gamma2_full_reference(model, 0.05, 0.1, 0.5, t)[0]
     two = gamma2(model, 0.05, 0.1, 0.5, t)
     assert np.allclose(two.decay, ref, rtol=1e-12, atol=0)
     assert np.allclose(two.decay_dominant, 2.0 * one, rtol=1e-12, atol=0)
