@@ -1,9 +1,10 @@
 """dipolarray: collective-excitation dynamics and decoherence on polar-molecule lattices.
 
-Core pipeline: build a lattice geometry and its r^-3 coupling kernel, assemble
-the spin Hamiltonian per excitation sector, evolve the symmetric collective
-states to extract the nonlinear phase and gate time, and quantify decoherence
-from non-symmetric couplings (spin-wave channel) and crystal phonons.
+Core pipeline: build a lattice geometry and its r^-3 coupling kernel, build
+the spin Hamiltonian per excitation sector on the orbits of the lattice's
+symmetry group, evolve the symmetric collective states to extract the
+nonlinear phase and gate time, and quantify decoherence from non-symmetric
+couplings (spin-wave channel) and crystal phonons.
 """
 
 __version__ = "0.1.0"
@@ -18,7 +19,6 @@ from .dynamics import (
 from .hamiltonian import (
     EffectiveGateParams,
     chi_eff,
-    exchange_hamiltonian,
     full_hamiltonian,
     gate_params,
     theta_analytic,
@@ -61,7 +61,6 @@ __all__ = [
     "sector_basis",
     "dicke_state",
     "ResourceLimitError",
-    "exchange_hamiltonian",
     "full_hamiltonian",
     "chi_eff",
     "gate_params",

@@ -5,8 +5,8 @@ Times are in units of hbar/kappa.  Evolution is exact and has one engine,
 on numpy alone: a dense Hermitian block is diagonalized once, and the
 projection of the evolved state on the initial one is the spectral sum
 C(t) = sum_j w_j exp(-i lambda_j t), one sin^2 kernel call for all sectors.
-:func:`evolve` copies anything with ``toarray()`` (an assembled sector
-block, a scipy sparse matrix) dense first and diagonalizes the whole block.
+:func:`evolve` diagonalizes the whole block it is given, a dense array or
+anything with ``toarray()`` (a scipy sparse matrix), copied dense first.
 
 :func:`compute_trajectory` takes each sector's block and initial state from
 :meth:`~dipolarray.hamiltonian.SpinHamiltonian.dicke_sectors`: the Dicke
@@ -14,9 +14,9 @@ state on the orbits of the lattice's symmetry group, the space group of a
 torus (about N/|G| pair orbits for a point group G, which holds -1) and
 the point group of an open patch (about C(N, 2)/|G|).  The group leaves the
 Dicke state invariant, so the orbit block is an exact quotient, with no
-tolerance; no sector block is assembled.  A dense eigh of dimension k needs about 40 k^2
-bytes, and past the memory budget ``basis.MEMORY_BYTES_MAX`` the orbit
-builder and :func:`evolve` raise
+tolerance, and the C(N, 2)-row sector is never built.  A dense eigh of
+dimension k needs about 40 k^2 bytes, and past the memory budget
+``basis.MEMORY_BYTES_MAX`` the orbit builder and :func:`evolve` raise
 :class:`~dipolarray.basis.ResourceLimitError` before it.  A
 :class:`Trajectory` keeps lambda and w of sectors 0, 1 and 2, all that
 :func:`gate_time` needs off the grid.
@@ -183,7 +183,7 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
     returned trajectory uses the finest grid evaluated.  ``times`` must be
     non-empty, non-decreasing and start at 0.  The sectors come from
     ``ham.dicke_sectors()``: dense orbit blocks of the lattice's symmetry
-    group, each diagonalized as it comes, with no sector block assembled.
+    group, each diagonalized as it comes.
     """
     times = _time_grid(times)
     # each block is diagonalized before the next one is built

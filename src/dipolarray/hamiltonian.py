@@ -13,31 +13,28 @@ Constant (configuration-independent) terms are kept on the diagonals so the
 vacuum energy is explicit; the nonlinear phase is a second difference and
 cancels them.
 
-The dynamics reads each sector on the orbits of the lattice's symmetry
-group, which leaves the Dicke states invariant: on a torus its translations
-and its point group (the chain's reflection, D4, D6), on an open patch the
-point group about the centroid.  The orbit block is the exact quotient of
-the sector, with no tolerance; the assembled blocks are built only when
-read.
+Each sector is held on the orbits of the lattice's symmetry group, which
+leaves the Dicke states invariant: on a torus its translations and its
+point group (the chain's reflection, D4, D6), on an open patch the point
+group about the centroid.  The orbit block is the exact quotient of the
+sector, with no tolerance, and the only form of the Hamiltonian the
+library builds.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 import numpy as np
 
-from .basis import SectorBasis, _require_eigh_memory, require_memory, sector_basis
+from .basis import _require_eigh_memory, require_memory
 from .lattice import Lattice, _cell, _point_group, _point_group_maps, coupling_kernel, momentum_grid, relative_sites
 
 __all__ = [
-    "CSRBlock",
     "SpinHamiltonian",
     "EffectiveGateParams",
-    "exchange_hamiltonian",
     "full_hamiltonian",
     "chi_eff",
     "gate_params",
@@ -48,67 +45,32 @@ __all__ = [
 ZETA3 = 1.2020569031595942854  # Riemann zeta(3)
 
 
-@dataclass(frozen=True, eq=False)
-class CSRBlock:
-    """A square block in compressed sparse rows: row i holds ``data[s]`` at
-    columns ``indices[s]`` for s in ``indptr[i]:indptr[i + 1]``, columns
-    ascending and without duplicates; ``indices`` and ``indptr`` are int32.
-    ``toarray()`` and ``np.asarray(block)`` give the dense matrix.
-    """
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: tuple[int, int]
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> CSRBlock:
-        rows, cols = np.nonzero(a)
-        indptr = np.zeros(a.shape[0] + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=a.shape[0]), out=indptr[1:])
-        return cls(a[rows, cols], cols.astype(np.int32), indptr, a.shape)
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=self.data.dtype)
-        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
-        return out
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return self.toarray() if dtype is None else self.toarray().astype(dtype)
+def _require_couplings(kappa: float, xi: float = 0.0) -> None:
+    """Refuse a non-positive or non-finite kappa and a non-finite xi."""
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not kappa < np.inf:
+        raise ValueError(f"kappa must be finite, got {kappa}")
+    if not abs(xi) < np.inf:
+        raise ValueError(f"xi must be finite, got {xi}")
 
 
 class SpinHamiltonian:
     """Sector blocks (n = 0, 1, 2) of a dipolar spin model on ``lattice``.
 
     :meth:`dicke_sectors` gives each sector on the orbits of the lattice's
-    symmetry group, all the gate dynamics needs.  ``blocks[n]`` is the
-    assembled :class:`CSRBlock` in the colex order of ``sectors[n]``,
-    Hermitian and excitation-conserving by construction; both are assembled
-    on the first read of either, which raises
-    :class:`~dipolarray.basis.ResourceLimitError` past the memory budget
-    ``basis.MEMORY_BYTES_MAX``.  Nothing else assembles.
+    symmetry group, all the gate dynamics needs.  ``blocks[n]`` is the same
+    dense orbit block, built anew on each read; it and :meth:`is_sparse`
+    remain for callers that count the sector-2 block.
     """
 
     def __init__(self, kappa: float, xi: float, lattice: Lattice):
-        if not (0 < kappa < np.inf and abs(xi) < np.inf):
-            raise ValueError(f"need a positive finite kappa and a finite xi, got {kappa} and {xi}")
+        _require_couplings(kappa, xi)
         self.kappa, self.xi, self.lattice = kappa, xi, lattice
 
-    @cached_property
-    def _assembly(self) -> tuple[dict[int, CSRBlock], dict[int, SectorBasis]]:
-        return _build(self.lattice, self.kappa, self.xi)
-
     @property
-    def blocks(self) -> dict[int, CSRBlock]:
-        return self._assembly[0]
-
-    @property
-    def sectors(self) -> dict[int, SectorBasis]:
-        return self._assembly[1]
+    def blocks(self) -> dict[int, np.ndarray]:
+        return {n: block for n, (block, _) in enumerate(self.dicke_sectors())}
 
     @property
     def vacuum_energy(self) -> float:
@@ -120,8 +82,8 @@ class SpinHamiltonian:
         return comb(self.lattice.n_sites, n)
 
     def is_sparse(self, n: int) -> bool:
-        """Always true since every block is CSR; kept for storage-agnostic callers."""
-        return isinstance(self.blocks[n], CSRBlock)
+        """False: every block is a dense orbit block."""
+        return False
 
     def dicke_sectors(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """(dense block, initial state) per sector n = 0, 1, 2 whose evolution
@@ -263,102 +225,15 @@ def _patch_orbits(lattice: Lattice):
                              (sizes, row[rp] + row[rq] - 2.0 * d[rp, rq], hops())]
 
 
-def _zz_diagonals(kernel: np.ndarray, weight: float) -> tuple[float, np.ndarray, np.ndarray, SectorBasis]:
-    """Diagonal energies of the sigma^z sigma^z part for sectors 0, 1, 2.
-
-    For a configuration S the pair sum is  D - 2 * sum(pairs cut by S),
-    where D = sum_{i<j} d_ij; the cut pairs are those with exactly one
-    endpoint excited.
-    """
-    n = kernel.shape[0]
-    row = kernel.sum(axis=1)
-    total = 0.5 * row.sum()
-    e0 = weight * total
-    e1 = weight * (total - 2.0 * row)
-    basis2 = sector_basis(n, 2)
-    a = basis2.configs[:, 0]
-    b = basis2.configs[:, 1]
-    e2 = weight * (total - 2.0 * (row[a] + row[b] - 2.0 * kernel[a, b]))
-    return e0, e1, e2, basis2
-
-
-def _build(lattice: Lattice, kappa: float, xi: float) -> tuple[dict[int, CSRBlock], dict[int, SectorBasis]]:
-    """Sector blocks 0, 1, 2 and their bases, the two-excitation block written
-    in sorted CSR order: row {p<q} holds the hops {x,p} -> {p,q} (amplitude
-    2 kappa d_xq) and {x,q} -> {p,q} (2 kappa d_xp) for each x not in {p,q},
-    plus the diagonal, which is left out where it is exactly 0 (xi = kappa).
-    As the colex rank of {u<v} is v(v-1)/2 + u, the columns ascend as {x,p}
-    for x < q, {x,q} for x < q (the diagonal at x = p), then {x,p}, {x,q} per
-    x > q.  Raises :class:`~dipolarray.basis.ResourceLimitError` when the slot
-    tables would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
-    """
-    n = lattice.n_sites
-    # C(N,2) rows of 2N - 3 slots; the slot tables below peak at 25.3-26.7
-    # bytes per slot under tracemalloc (N = 36...160, every lattice kind)
-    require_memory(comb(n, 2) * (2 * n - 3) * 27, "two-excitation assembly needs", f"for {n} sites")
-    d = coupling_kernel(lattice)
-    e0, e1, e2, basis2 = _zz_diagonals(d, kappa - xi)
-
-    h0 = CSRBlock.from_dense(np.array([[e0]]))
-
-    h1 = 2.0 * kappa * d
-    np.fill_diagonal(h1, e1)
-    h1 = CSRBlock.from_dense(h1)
-
-    # slot s of row {p<q} is column {x, keep}: the first q - 1 slots (head)
-    # keep p for x < q, x != p; the next q (mid) keep q for x < q; the rest
-    # keep p, then q, for each x > q.  Tabulated per q, shifted past x = p.
-    # Flat takes on x * N + keep give the column, and on x * N + other, with
-    # other the site of {p, q} not kept, the amplitude 2 kappa d_{x, other}.
-    # Tables are int32: sites, slots and x * N + site fit 32 bits, and so do
-    # ranks under the sector dimension cap.  Each is dropped once used, which
-    # holds the peak near 27 B per slot
-    p, q = basis2.configs.T.astype(np.int32)
-    s = np.arange(2 * n - 3, dtype=np.int32)
-    site = np.arange(n, dtype=np.int32)[:, None]
-    head, mid = s < site - 1, s < 2 * site - 1
-    x = np.where(head, s, np.where(mid, s + 1 - site, (s + 3) // 2))[q]
-    x += head[q] & (s >= p[:, None])
-    x *= n
-    keeps_q = (~head & (mid | (s % 2 == 0)))[q]
-    keep = np.where(keeps_q, q[:, None], p[:, None])
-    keep += x
-    other = np.where(keeps_q, p[:, None], q[:, None])
-    other += x
-    del x, keeps_q
-    hi, lo = np.maximum(site, site.T), np.minimum(site, site.T)
-    cols = (hi * (hi - 1) // 2 + lo).take(keep)
-    del keep
-    vals = (2.0 * kappa * d).take(other)
-    del other
-    vals[np.arange(basis2.dim), p + q - 1] = e2  # mid slot of x = p
-    nz = vals != 0
-    indptr = np.zeros(basis2.dim + 1, dtype=np.int32)
-    np.cumsum(nz.sum(axis=1), out=indptr[1:])
-    h2 = CSRBlock(vals[nz], cols[nz], indptr, (basis2.dim,) * 2)
-
-    return {0: h0, 1: h1, 2: h2}, {0: sector_basis(n, 0), 1: sector_basis(n, 1), 2: basis2}
-
-
-def exchange_hamiltonian(lattice: Lattice, kappa: float) -> SpinHamiltonian:
-    """Pure excitation-exchange model: hops 2*kappa*d_ij, zero diagonal.
-
-    This is the bare dipolar interaction of parallel transition dipoles with
-    counter-rotating terms dropped.  It is the xi = kappa case of
-    :func:`full_hamiltonian`, whose sigma^z sigma^z weight then vanishes, so
-    the result stores ``xi == kappa``.
-    """
-    return SpinHamiltonian(kappa, kappa, lattice)
-
-
 def full_hamiltonian(lattice: Lattice, kappa: float, xi: float) -> SpinHamiltonian:
     """Heisenberg exchange plus Ising asymmetry.
 
-    Exchange 2*kappa*d_ij as in :func:`exchange_hamiltonian`; sigma^z sigma^z
-    weight (kappa - xi)*d_ij per unordered pair.  xi may take either sign;
-    xi = kappa reduces to the pure exchange model.  Returns at once: the
-    dynamics reads :meth:`SpinHamiltonian.dicke_sectors`, and the blocks
-    are assembled only on their first read.
+    Exchange 2*kappa*d_ij; sigma^z sigma^z weight (kappa - xi)*d_ij per
+    unordered pair.  xi may take either sign; xi = kappa is the pure
+    exchange model (the bare dipolar interaction of parallel transition
+    dipoles with counter-rotating terms dropped), whose sigma^z sigma^z
+    weight vanishes.  Returns at once: the dynamics reads
+    :meth:`SpinHamiltonian.dicke_sectors`, which builds the orbit blocks.
     """
     return SpinHamiltonian(kappa, xi, lattice)
 
@@ -370,10 +245,7 @@ def chi_eff(lattice: Lattice, kappa: float) -> float:
     sums the O(N) relative-site table on a periodic lattice, where every site
     sees the same neighbours, and the O(N^2) kernel on an open one.
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if not kappa < np.inf:
-        raise ValueError(f"kappa must be finite, got {kappa}")
+    _require_couplings(kappa)
     if lattice.n_sites < 2:
         raise ValueError("need at least two sites")
     n = lattice.n_sites
@@ -393,9 +265,8 @@ def gate_params(lattice: Lattice, kappa: float, xi: float, use_tilde: bool | Non
     ``use_tilde`` selects which coupling defines t_pi; default: the Ising
     projection chi_tilde when xi != 0, else chi_eff.
     """
+    _require_couplings(kappa, xi)
     chi = chi_eff(lattice, kappa)
-    if not abs(xi) < np.inf:
-        raise ValueError(f"xi must be finite, got {xi}")
     chit = (xi / kappa) * chi
     if use_tilde is None:
         use_tilde = xi != 0.0

@@ -62,10 +62,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import require_memory
-from .hamiltonian import ZETA3
+from .hamiltonian import ZETA3, _require_couplings
 from .lattice import Lattice, MomentumGrid, build_lattice, momentum_grid, relative_sites
 from .sin2 import _SLICE_BYTES, _sin2_sum
-from .spinwave import PERTURBATION_FLAG_LEVEL, _require_couplings
+from .spinwave import PERTURBATION_FLAG_LEVEL
 
 __all__ = [
     "PhononModel",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import require_memory
 from .dynamics import compute_trajectory
-from .hamiltonian import full_hamiltonian, gate_params
+from .hamiltonian import _require_couplings, full_hamiltonian, gate_params
 from .lattice import Lattice, MomentumGrid, build_lattice, momentum_grid, relative_sites
 from .sin2 import _sin2_sum
 
@@ -89,16 +89,6 @@ def dispersion(lattice: Lattice, kappa: float = 1.0) -> Dispersion:
     grid = momentum_grid(lattice)
     band, f0 = _unit_band(lattice, grid.kvecs)
     return Dispersion(grid=grid, omega=kappa * band, fourier_kernel=f0 - band / 2.0)
-
-
-def _require_couplings(kappa: float, xi: float = 0.0) -> None:
-    """Refuse a non-positive or non-finite kappa and a non-finite xi."""
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    if not kappa < np.inf:
-        raise ValueError(f"kappa must be finite, got {kappa}")
-    if not abs(xi) < np.inf:
-        raise ValueError(f"xi must be finite, got {xi}")
 
 
 def _require_cutoff(cutoff: int) -> None:

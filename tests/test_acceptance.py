@@ -20,7 +20,6 @@ from dipolarray.dynamics import (
 )
 from dipolarray.hamiltonian import (
     ZETA3,
-    exchange_hamiltonian,
     full_hamiltonian,
     gate_params,
 )
@@ -53,7 +52,7 @@ def test_criterion_1_phase_curve_reproduction():
     t0 = time.time()
     lat = periodic_chain(36)
     gp = gate_params(lat, 1.0, 0.0, use_tilde=False)
-    ham = exchange_hamiltonian(lat, 1.0)
+    ham = full_hamiltonian(lat, 1.0, 1.0)
     times = np.linspace(0.0, 4.5 * gp.t_pi, 500)
     traj = compute_trajectory(ham, times)
     ratio = gate_time(traj) / gp.t_pi
@@ -63,7 +62,7 @@ def test_criterion_1_phase_curve_reproduction():
     # larger system: the phase stays distorted and the zero moves past t_pi
     lat81 = periodic_chain(81)
     gp81 = gate_params(lat81, 1.0, 0.0, use_tilde=False)
-    ham81 = exchange_hamiltonian(lat81, 1.0)
+    ham81 = full_hamiltonian(lat81, 1.0, 1.0)
     t81 = np.linspace(0.0, 4.0 * gp81.t_pi, 280)
     traj81 = compute_trajectory(ham81, t81, auto_refine=False)
     try:
@@ -116,7 +115,7 @@ def test_criterion_2_gate_times_with_protection():
 def test_criterion_3_exact_eigenstate_protection():
     lat = periodic_chain(36)
     gp = gate_params(lat, 1.0, 0.0, use_tilde=False)
-    ham = exchange_hamiltonian(lat, 1.0)
+    ham = full_hamiltonian(lat, 1.0, 1.0)
     times = np.linspace(0.0, 4.0 * gp.t_pi, 300)
     traj = compute_trajectory(ham, times, auto_refine=False)
     dev0 = np.abs(np.abs(traj.c0) ** 2 - 1.0).max()
@@ -296,29 +295,30 @@ def test_criterion_10_phonon_decay():
 
 
 def test_criterion_11_property_suite(tmp_path):
-    lat = periodic_chain(16)
-    ham = full_hamiltonian(lat, 1.0, 0.1)
-    psi0 = dicke_state(ham.sectors[2])
+    from test_hamiltonian import brute_force, full_sectors, orbit_quotient
+
+    # the whole sector-2 block of the periodic chain 16, evolved by the
+    # library from the Dicke state, as a dense and as a scipy CSR input
+    h2, basis2 = full_sectors(periodic_chain(16), 1.0, 0.1)[2]
+    psi0 = dicke_state(basis2)
     times = np.linspace(0.0, 50.0, 60)
-    states_dense = evolve(ham.blocks[2].toarray(), psi0, times)
-    states_csr = evolve(sp.csr_matrix(ham.blocks[2]), psi0, times)
+    states_dense = evolve(h2.toarray(), psi0, times)
+    states_csr = evolve(sp.csr_matrix(h2), psi0, times)
     unit = max(
         np.abs(np.linalg.norm(states_dense, axis=1) - 1.0).max(),
         np.abs(np.linalg.norm(states_csr, axis=1) - 1.0).max(),
     )
-    h2 = ham.blocks[2].toarray()
+    h2 = h2.toarray()
     energies = np.real(np.einsum("ti,ij,tj->t", states_dense.conj(), h2, states_dense))
     e_dev = np.abs(energies - energies[0]).max() / max(abs(energies[0]), 1.0)
 
-    from test_hamiltonian import brute_force, sector_slice
+    # the library's orbit blocks against the 2^N Hamiltonian on the orbits
     worst = 0.0
     for n in (3, 4):
         lat_n = build_lattice("chain", n)
         hb = brute_force(lat_n, 1.0, 0.3, exchange_only=False)
-        h = full_hamiltonian(lat_n, 1.0, 0.3)
-        for s in (0, 1, 2):
-            ref = sector_slice(hb, h.sectors[s]).real
-            worst = max(worst, np.abs(h.blocks[s].toarray() - ref).max())
+        for s, block in full_hamiltonian(lat_n, 1.0, 0.3).blocks.items():
+            worst = max(worst, np.abs(block - orbit_quotient(hb, lat_n, s)).max())
 
     fwd = evolve(h2, psi0, [0.0, 33.0])[-1]
     back = evolve(-h2, fwd, [0.0, 33.0])[-1]

@@ -20,8 +20,9 @@ import dipolarray.sin2 as sin2_mod
 from dipolarray.basis import ResourceLimitError, dicke_state, sector_basis
 from dipolarray.cli import main
 from dipolarray.dynamics import GateNotReached, compute_trajectory, evolve, gate_time
-from dipolarray.hamiltonian import CSRBlock, exchange_hamiltonian, full_hamiltonian, gate_params
+from dipolarray.hamiltonian import full_hamiltonian, gate_params
 from dipolarray.lattice import build_lattice, momentum_grid
+from test_hamiltonian import dense, full_sectors
 
 
 def periodic_chain(n):
@@ -47,10 +48,10 @@ class TestEvolve:
 
     def test_two_site_exchange_oscillation(self):
         # |e g> under hop 2*kappa: population cos^2(2 kappa t)
-        h = exchange_hamiltonian(build_lattice("chain", 2), 1.0)
+        h1, _ = full_sectors(build_lattice("chain", 2), 1.0, 1.0)[1]
         psi0 = np.array([1.0, 0.0], dtype=complex)
         t = np.linspace(0.0, 3.0, 60)
-        states = evolve(h.blocks[1], psi0, t)
+        states = evolve(h1, psi0, t)
         pop = np.abs(states[:, 0]) ** 2
         assert np.allclose(pop, np.cos(2.0 * t) ** 2, atol=1e-12)
 
@@ -72,13 +73,13 @@ class TestEvolve:
         with pytest.raises(ValueError, match="non-decreasing"):
             evolve(np.eye(2), np.array([1.0, 0.0]), [0.0, 2.0, 1.0])
         with pytest.raises(ValueError, match="non-decreasing"):
-            compute_trajectory(exchange_hamiltonian(build_lattice("chain", 4), 1.0), [0.0, -1.0])
+            compute_trajectory(full_hamiltonian(build_lattice("chain", 4), 1.0, 1.0), [0.0, -1.0])
 
     def test_rejects_empty_times(self):
         with pytest.raises(ValueError, match="times must not be empty"):
             evolve(np.eye(2), np.array([1.0, 0.0]), [])
         with pytest.raises(ValueError, match="times must not be empty"):
-            compute_trajectory(exchange_hamiltonian(build_lattice("chain", 4), 1.0), [])
+            compute_trajectory(full_hamiltonian(build_lattice("chain", 4), 1.0, 1.0), [])
 
     @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf]], ids=["nan", "inf"])
     def test_rejects_non_finite_times(self, times):
@@ -91,7 +92,7 @@ class TestEvolve:
         with pytest.raises(ValueError, match="start at 0"):
             evolve(np.eye(2), np.array([1.0, 0.0]), [1.0, 2.0])
         with pytest.raises(ValueError, match="start at 0"):
-            compute_trajectory(exchange_hamiltonian(build_lattice("chain", 4), 1.0), [1.0, 2.0])
+            compute_trajectory(full_hamiltonian(build_lattice("chain", 4), 1.0, 1.0), [1.0, 2.0])
 
     def test_unitarity_both_paths(self):
         rng = np.random.default_rng(5)
@@ -107,12 +108,11 @@ class TestEvolve:
         assert np.abs(dense - sparse).max() < 1e-8
 
     def test_energy_conservation(self):
-        lat = periodic_chain(10)
-        h = full_hamiltonian(lat, 1.0, 0.1)
-        psi0 = dicke_state(h.sectors[2])
+        h2, basis2 = full_sectors(periodic_chain(10), 1.0, 0.1)[2]
+        psi0 = dicke_state(basis2)
         t = np.linspace(0.0, 40.0, 50)
-        states = evolve(h.blocks[2], psi0, t)
-        e = np.real(np.einsum("ti,ij,tj->t", states.conj(), h.blocks[2].toarray(), states))
+        states = evolve(h2, psi0, t)
+        e = np.real(np.einsum("ti,ij,tj->t", states.conj(), h2.toarray(), states))
         assert np.abs(e - e[0]).max() <= 1e-9 * max(abs(e[0]), 1.0)
 
     def test_time_reversal(self):
@@ -146,7 +146,8 @@ class TestSpectralEngine:
         # the eigh of the whole block it is given
         ham = full_hamiltonian(build_lattice("chain", 12), 1.0, 0.3)
         assert compute_trajectory(ham, [0.0]).diagnostics["reduced_dims"] == [1, 6, 36]
-        block, psi0 = ham.blocks[2].toarray(), dicke_state(ham.sectors[2])
+        h2, basis2 = full_sectors(ham.lattice, 1.0, 0.3)[2]
+        block, psi0 = h2.toarray(), dicke_state(basis2)
         monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 40 * 36**2 - 1)
         with pytest.raises(ResourceLimitError, match="quotient of dimension 36 or more needs"):
             compute_trajectory(ham, [0.0])
@@ -167,13 +168,6 @@ class TestSpectralEngine:
         assert 40 * cells(143) ** 2 <= basis_mod.MEMORY_BYTES_MAX < 40 * cells(144) ** 2
 
 
-def scipy_csr(block):
-    """``block`` as a scipy CSR array: a CSRBlock's own triple, else scipy's conversion."""
-    if isinstance(block, CSRBlock):
-        return sp.csr_array((block.data, block.indices, block.indptr), shape=block.shape)
-    return sp.csr_array(block)
-
-
 # (kind, n_sites) with n_sites <= 16 that every boundary accepts
 ORACLE_LATTICES = st.one_of(
     st.tuples(st.just("chain"), st.integers(min_value=3, max_value=16)),
@@ -182,7 +176,7 @@ ORACLE_LATTICES = st.one_of(
 
 
 def dense_spectral(block, psi0, times):
-    lam, vec = np.linalg.eigh(block.toarray())
+    lam, vec = np.linalg.eigh(dense(block))
     return (np.exp(-1j * np.outer(times, lam)) * (vec.conj().T @ psi0)) @ vec.T
 
 
@@ -199,13 +193,15 @@ def dense_spectral(block, psi0, times):
 @example(lattice=("chain", 5), boundary="periodic", xi=1.66053906892e-27, seed=0)
 def test_quotient_matches_dense_sector(lattice, boundary, xi, seed):
     kind, n_sites = lattice
-    ham = full_hamiltonian(build_lattice(kind, n_sites, boundary=boundary), 1.0, xi)
+    lat = build_lattice(kind, n_sites, boundary=boundary)
+    ham = full_hamiltonian(lat, 1.0, xi)
     t = np.linspace(0.0, 40.0, 25)
     traj = compute_trajectory(ham, t, auto_refine=False)
     diag = traj.diagnostics
-    for n, c in enumerate((traj.c0, traj.c1, traj.c2)):
-        psi0 = dicke_state(ham.sectors[n])
-        ref = dense_spectral(ham.blocks[n], psi0, t) @ psi0.conj()
+    sectors = full_sectors(lat, 1.0, xi)
+    for c, (block, basis) in zip((traj.c0, traj.c1, traj.c2), sectors):
+        psi0 = dicke_state(basis)
+        ref = dense_spectral(block, psi0, t) @ psi0.conj()
         np.testing.assert_allclose(c, ref, rtol=1e-10, atol=1e-12)
     if kind == "chain" and boundary == "periodic":
         # one orbit per pair distance 1 .. N/2, e.g. 6 of 66 states at N = 12
@@ -214,8 +210,9 @@ def test_quotient_matches_dense_sector(lattice, boundary, xi, seed):
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(ham.dim(2)) + 1j * rng.standard_normal(ham.dim(2))
     psi /= np.linalg.norm(psi)
-    ref = dense_spectral(ham.blocks[2], psi, t)
-    np.testing.assert_allclose(evolve(ham.blocks[2], psi, t), ref, rtol=1e-10, atol=1e-12)
+    h2 = sectors[2][0]
+    ref = dense_spectral(h2, psi, t)
+    np.testing.assert_allclose(evolve(h2, psi, t), ref, rtol=1e-10, atol=1e-12)
 
 
 SCIPY_TIMES = np.linspace(0.0, 40.0, 25)
@@ -229,7 +226,7 @@ def assert_matches_scipy(block, psi0):
     square and triangular lattices of up to 16 sites (both boundaries, xi =
     -1, 0, 0.4, 1) and the large sectors below, where a dense eigh of the
     same block stays closer to the orbit path."""
-    want = expm_multiply(-1j * scipy_csr(block), psi0, start=0.0, stop=SCIPY_TIMES[-1],
+    want = expm_multiply(-1j * sp.csr_array(block), psi0, start=0.0, stop=SCIPY_TIMES[-1],
                          num=len(SCIPY_TIMES), endpoint=True)
     np.testing.assert_allclose(evolve(block, psi0, SCIPY_TIMES), want, rtol=0, atol=1e-10)
     return want
@@ -237,23 +234,16 @@ def assert_matches_scipy(block, psi0):
 
 def assert_projections_match_scipy(ham, sectors=(0, 1, 2)):
     """compute_trajectory's projections of the Dicke states match the
-    assembled blocks' evolved by scipy within 1e-10; returns the trajectory."""
+    :func:`full_sectors` blocks' evolved by scipy within 1e-10; returns the
+    trajectory."""
     traj = compute_trajectory(ham, SCIPY_TIMES, auto_refine=False)
+    full = full_sectors(ham.lattice, ham.kappa, ham.xi)
     for n in sectors:
-        psi0 = dicke_state(ham.sectors[n])
-        want = assert_matches_scipy(ham.blocks[n], psi0) @ psi0.conj()
+        block, basis = full[n]
+        psi0 = dicke_state(basis)
+        want = assert_matches_scipy(block, psi0) @ psi0.conj()
         np.testing.assert_allclose((traj.c0, traj.c1, traj.c2)[n], want, rtol=0, atol=1e-10)
     return traj
-
-
-def assert_csr_matches_scipy(block):
-    """data, indices and indptr (values and dtypes) of scipy's CSR of the same entries."""
-    ref = sp.csr_array(block.toarray())
-    assert block.shape == ref.shape
-    for part in ("data", "indices", "indptr"):
-        got, want = getattr(block, part), getattr(ref, part)
-        assert got.dtype == want.dtype, part
-        assert np.array_equal(got, want), part
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,13 +255,12 @@ def assert_csr_matches_scipy(block):
 )
 def test_engine_matches_scipy_products(lattice, boundary, xi, seed):
     kind, n_sites = lattice
-    ham = full_hamiltonian(build_lattice(kind, n_sites, boundary=boundary), 1.0, xi)
-    for n in (0, 1, 2):
-        assert_csr_matches_scipy(ham.blocks[n])
+    lat = build_lattice(kind, n_sites, boundary=boundary)
+    ham = full_hamiltonian(lat, 1.0, xi)
     assert_projections_match_scipy(ham)
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(ham.dim(2)) + 1j * rng.standard_normal(ham.dim(2))
-    assert_matches_scipy(ham.blocks[2], psi / np.linalg.norm(psi))
+    assert_matches_scipy(full_sectors(lat, 1.0, xi)[2][0], psi / np.linalg.norm(psi))
 
 
 @pytest.mark.parametrize("kind, n_sites, boundary, xi, reduced", [
@@ -281,7 +270,6 @@ def test_engine_matches_scipy_products(lattice, boundary, xi, seed):
 ])
 def test_engine_matches_scipy_on_large_sector(kind, n_sites, boundary, xi, reduced):
     ham = full_hamiltonian(build_lattice(kind, n_sites, boundary=boundary), 1.0, xi)
-    assert_csr_matches_scipy(ham.blocks[2])
     traj = assert_projections_match_scipy(ham, sectors=(2,))
     assert traj.diagnostics["reduced_dims"][2] == reduced
 
@@ -322,22 +310,23 @@ def pair_orbit_labels(lattice):
 
 
 def assembled_spectra(ham):
-    """Spectra of the assembled sectors from the Dicke states: sectors 0 and
-    1 whole, sector 2 on the pair orbits of :func:`pair_orbit_labels`.  The
-    orbits are equitable: the sums S[i, c] of every row i into every orbit
-    c agree within 1e-13 of max |H_ij| across the rows of an orbit.  So the
-    Dicke state, constant on every orbit, evolves in their span, under the
-    quotient sqrt(|a| / |c|) S[f(a), c] from the first row f(a) of every
-    orbit a, whose few-term sums keep the roundoff of a large diagonal
-    small."""
-    h = scipy_csr(ham.blocks[2])
+    """Spectra of the :func:`full_sectors` blocks from the Dicke states:
+    sectors 0 and 1 whole, sector 2 on the pair orbits of
+    :func:`pair_orbit_labels`.  The orbits are equitable: the sums S[i, c]
+    of every row i into every orbit c agree within 1e-13 of max |H_ij|
+    across the rows of an orbit.  So the Dicke state, constant on every
+    orbit, evolves in their span, under the quotient sqrt(|a| / |c|)
+    S[f(a), c] from the first row f(a) of every orbit a, whose few-term sums
+    keep the roundoff of a large diagonal small."""
+    full = full_sectors(ham.lattice, ham.kappa, ham.xi)
+    h = full[2][0]
     labels = pair_orbit_labels(ham.lattice)
     indicator = sp.csr_array((np.ones(len(labels)), labels, np.arange(len(labels) + 1)))
     sums = (h @ indicator).toarray()
     first = np.unique(labels, return_index=True)[1]
     assert np.abs(sums - sums[first][labels]).max() <= 1e-13 * np.abs(h.data).max(initial=1.0)
     root = np.sqrt(np.bincount(labels))
-    spectra = [dyn_mod._weights(ham.blocks[n].toarray(), dicke_state(ham.sectors[n])) for n in (0, 1)]
+    spectra = [dyn_mod._weights(block, dicke_state(basis)) for block, basis in full[:2]]
     return spectra + [dyn_mod._weights(sums[first] * root[:, None] / root, root / np.sqrt(len(labels)))]
 
 
@@ -473,22 +462,6 @@ def test_chain_torus_orbits_are_the_pair_fold(n_sites, xi):
         assert np.array_equal(psi0, ref_psi0)
 
 
-def test_periodic_trajectory_reads_no_block(monkeypatch):
-    # no lattice of either boundary assembles a sector block for its dynamics
-    def refuse(*args):
-        raise AssertionError("sector blocks assembled")
-
-    monkeypatch.setattr(hamiltonian_mod, "_build", refuse)
-    for boundary in ("periodic", "open"):
-        for kind, n_sites in (("chain", 64), ("square", 49), ("triangular", 36)):
-            ham = full_hamiltonian(build_lattice(kind, n_sites, boundary=boundary), 1.0, 0.05)
-            traj = compute_trajectory(ham, np.linspace(0.0, 5.0, 20))
-            assert traj.diagnostics["sector_dims"] == [1, n_sites, n_sites * (n_sites - 1) // 2]
-            assert ham.vacuum_energy > 0.0
-    with pytest.raises(AssertionError, match="sector blocks assembled"):
-        full_hamiltonian(build_lattice("chain", 8), 1.0, 0.05).blocks
-
-
 def test_blocks_dropped_before_eigh():
     # open chain 81: the sector-2 quotient is its whole orbit block (k =
     # 1640); each block is diagonalized before the next one is built, so the
@@ -534,15 +507,6 @@ class TestBlockInput:
         lam, vec = np.linalg.eigh(h)
         ref = vec @ (np.exp(-0.7j * lam) * (vec.conj().T @ psi0))
         np.testing.assert_allclose(states[-1], ref, rtol=1e-12, atol=1e-14)
-
-    def test_block_storage(self):
-        rng = np.random.default_rng(3)
-        a = np.where(rng.random((7, 7)) < 0.4, rng.standard_normal((7, 7)), 0.0)
-        block = CSRBlock.from_dense(a)
-        assert_csr_matches_scipy(block)
-        assert np.array_equal(block.toarray(), a)
-        assert np.array_equal(np.asarray(block), a)
-        assert block.nnz == np.count_nonzero(a)
 
     def test_dense_copy_within_memory_budget(self, monkeypatch):
         # 16 bytes an entry for the dense copy and the Hermitian check's
@@ -657,7 +621,7 @@ def test_projections_bounded_by_slices():
 class TestDickeProjections:
     def test_initial_values(self):
         lat = periodic_chain(8)
-        traj = compute_trajectory(exchange_hamiltonian(lat, 1.0), np.linspace(0, 10, 50))
+        traj = compute_trajectory(full_hamiltonian(lat, 1.0, 1.0), np.linspace(0, 10, 50))
         assert traj.c0[0] == pytest.approx(1.0)
         assert traj.c1[0] == pytest.approx(1.0)
         assert traj.c2[0] == pytest.approx(1.0)
@@ -668,7 +632,7 @@ class TestDickeProjections:
         lat = periodic_chain(12)
         gp = gate_params(lat, 1.0, 0.0, use_tilde=False)
         t = np.linspace(0.0, 4.0 * gp.t_pi, 200)
-        traj = compute_trajectory(exchange_hamiltonian(lat, 1.0), t)
+        traj = compute_trajectory(full_hamiltonian(lat, 1.0, 1.0), t)
         assert np.abs(np.abs(traj.c0) - 1.0).max() <= 1e-10
         assert np.abs(np.abs(traj.c1) - 1.0).max() <= 1e-10
 
@@ -677,10 +641,11 @@ class TestDickeProjections:
         # independently evolved projections
         lat = periodic_chain(8)
         h = full_hamiltonian(lat, 1.0, 0.2)
-        blocks = [h.blocks[n].toarray() for n in (0, 1, 2)]
+        sectors = full_sectors(lat, 1.0, 0.2)
+        blocks = [dense(block) for block, _ in sectors]
         dims = [b.shape[0] for b in blocks]
         big = block_diag(*blocks)
-        parts = [dicke_state(h.sectors[n]) for n in (0, 1, 2)]
+        parts = [dicke_state(basis) for _, basis in sectors]
         psi0 = np.concatenate([p / np.sqrt(3.0) for p in parts])
         t = np.linspace(0.0, 30.0, 40)
         states = evolve(big, psi0, t)
@@ -728,7 +693,7 @@ class TestNonlinearPhase:
             assert np.array_equal(got, want)
 
     def test_grid_diagnostics_without_refinement(self):
-        traj = compute_trajectory(exchange_hamiltonian(periodic_chain(8), 1.0),
+        traj = compute_trajectory(full_hamiltonian(periodic_chain(8), 1.0, 1.0),
                                   np.linspace(0.0, 5.0, 13), auto_refine=False)
         diag = traj.diagnostics
         assert (diag["grid_points"], diag["grid_refinements"]) == (13, 0)
@@ -759,7 +724,7 @@ class TestGateTime:
         # a bracket below one ulp cannot be halved: bisection must end there
         lat = periodic_chain(8)
         t_pi = gate_params(lat, 1.0, 0.0).t_pi
-        traj = compute_trajectory(exchange_hamiltonian(lat, 1.0), np.linspace(0.0, 1.5 * t_pi, 60))
+        traj = compute_trajectory(full_hamiltonian(lat, 1.0, 1.0), np.linspace(0.0, 1.5 * t_pi, 60))
         coarse = gate_time(traj)
         monkeypatch.setattr(dyn_mod, "GATE_REL_TOL", 1e-300)
         assert gate_time(traj) == pytest.approx(coarse, rel=1e-4)
@@ -828,7 +793,7 @@ class TestTrajectoryCsv:
         path = tmp_path / "phase_gate" / "trajectory.csv"
         lat = periodic_chain(6)
         t_pi = gate_params(lat, 1.0, 0.0).t_pi
-        traj = compute_trajectory(exchange_hamiltonian(lat, 1.0), np.linspace(0, 3.0 * t_pi, 20))
+        traj = compute_trajectory(full_hamiltonian(lat, 1.0, 1.0), np.linspace(0, 3.0 * t_pi, 20))
         data = np.genfromtxt(path, delimiter=",", names=True)
         assert set(data.dtype.names) == {
             "t", "re_c0", "im_c0", "re_c1", "im_c1", "re_c2", "im_c2",

@@ -6,19 +6,16 @@ import pytest
 import scipy.sparse as sp
 
 import dipolarray.hamiltonian as hamiltonian_mod
-from dipolarray.basis import ResourceLimitError, dicke_state
+from dipolarray.basis import dicke_state, sector_basis
 from dipolarray.dynamics import _weights
 from dipolarray.hamiltonian import (
     ZETA3,
-    CSRBlock,
-    _zz_diagonals,
     chi_eff,
-    exchange_hamiltonian,
     full_hamiltonian,
     gate_params,
     theta_analytic,
 )
-from dipolarray.lattice import build_lattice, coupling_kernel
+from dipolarray.lattice import _point_group_maps, build_lattice, coupling_kernel
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -76,13 +73,17 @@ def sector_slice(h_full, basis):
 
 def coo_sector2_block(lattice, kappa, xi):
     """Two-excitation block assembled hop by hop in COO form, then summed
-    with the diagonal: the reference for the sorted-CSR assembly."""
+    with the diagonal: (kappa - xi)(D - 2 cut), with D = sum_{i<j} d_ij and
+    cut the couplings of the pair's two sites to the rest (the pairs with
+    exactly one site excited)."""
     d = coupling_kernel(lattice)
     n = lattice.n_sites
-    _, _, e2, basis2 = _zz_diagonals(d, kappa - xi)
+    basis2 = sector_basis(n, 2)
     dim2 = basis2.dim
     a = basis2.configs[:, 0]
     b = basis2.configs[:, 1]
+    row = d.sum(axis=1)
+    e2 = (kappa - xi) * (0.5 * row.sum() - 2.0 * (row[a] + row[b] - 2.0 * d[a, b]))
     rows, cols, vals = [], [], []
     idx = np.arange(dim2)
     for c in range(n):
@@ -105,83 +106,95 @@ def coo_sector2_block(lattice, kappa, xi):
     return sp.csr_array((vals, (rows, cols)), shape=(dim2, dim2)) + sp.diags_array(e2)
 
 
-@pytest.mark.parametrize("kind,sizes", [
-    ("chain", (2, 3, 4, 5, 6, 7, 8, 13, 36, 64, 81)),
-    ("square", (4, 9, 16, 25, 36, 49, 64, 81)),
-    ("triangular", (4, 9, 16, 25, 36, 49, 64, 81)),
-])
-def test_sector2_csr_matches_coo_assembly(kind, sizes):
-    # bitwise: same entries, same order, same index dtypes; xi = kappa has
-    # an all-zero diagonal, which both leave out
-    for n in sizes:
-        for boundary in ("open", "periodic"):
-            lat = build_lattice(kind, n, boundary=boundary)
-            for kappa, xi in ((1.0, 0.0), (1.0, 0.05), (1.0, -0.4), (1.0, 1.0), (1.3, 1.3)):
-                block = full_hamiltonian(lat, kappa, xi).blocks[2]
-                ref = coo_sector2_block(lat, kappa, xi)
-                assert block.shape == ref.shape
-                for part in ("data", "indices", "indptr"):
-                    got, want = getattr(block, part), getattr(ref, part)
-                    assert got.dtype == want.dtype, (kind, n, boundary, xi, part)
-                    assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (kind, n, boundary, xi, part)
-                if xi == kappa:
-                    assert block.nnz == block.shape[0] * (2 * n - 4)
+def full_sectors(lattice, kappa, xi):
+    """The whole sectors n = 0, 1, 2 of the model, the oracle for the orbit
+    blocks: (block, basis) per sector in the colex order of
+    ``sector_basis``, sectors 0 and 1 dense and sector 2 the scipy CSR of
+    :func:`coo_sector2_block`."""
+    d = coupling_kernel(lattice)
+    n = lattice.n_sites
+    row = d.sum(axis=1)
+    total = 0.5 * row.sum()
+    h1 = 2.0 * kappa * d
+    np.fill_diagonal(h1, (kappa - xi) * (total - 2.0 * row))
+    blocks = [np.array([[(kappa - xi) * total]]), h1, coo_sector2_block(lattice, kappa, xi)]
+    return [(block, sector_basis(n, s)) for s, block in enumerate(blocks)]
+
+
+def dense(block):
+    """A block of :func:`full_sectors` as a dense array."""
+    return block.toarray() if sp.issparse(block) else block
+
+
+def orbit_quotient(h_full, lattice, n_exc):
+    """B^T H B on sector ``n_exc`` of an open lattice, H the 2^N matrix and
+    B's columns the normalized indicators of the orbits of the sector's
+    configurations under the point-group maps, ordered by their least colex
+    rank as :meth:`SpinHamiltonian.dicke_sectors` orders them."""
+    basis = sector_basis(lattice.n_sites, n_exc)
+    images = np.sort(_point_group_maps(lattice)[:, basis.configs], axis=-1)
+    ranks = sum(np.vectorize(comb)(images[..., t], t + 1) for t in range(n_exc))
+    labels = np.unique(np.min(ranks, axis=0, initial=np.iinfo(np.int64).max), return_inverse=True)[1].ravel()
+    indicators = np.zeros((basis.dim, labels.max() + 1))
+    indicators[np.arange(basis.dim), labels] = 1.0
+    indicators /= np.sqrt(indicators.sum(axis=0))
+    return indicators.T @ sector_slice(h_full, basis).real @ indicators
 
 
 class TestBruteForceOracle:
     @pytest.mark.parametrize("kind,n", [("chain", 3), ("chain", 4), ("triangular", 4)])
     @pytest.mark.parametrize("xi,exchange_only", [(0.0, True), (0.0, False), (0.3, False), (-0.7, False), (1.0, False)])
     def test_sector_blocks_match_full_space(self, kind, n, xi, exchange_only):
+        # the oracle's whole sectors, and the library's orbit blocks on
+        # them, against the 2^N construction
         lat = build_lattice(kind, n)
         kappa = 1.0
         hb = brute_force(lat, kappa, xi, exchange_only)
         assert np.abs(hb - hb.conj().T).max() < 1e-14
-        h = exchange_hamiltonian(lat, kappa) if exchange_only else full_hamiltonian(lat, kappa, xi)
-        for sector in (0, 1, 2):
-            block = h.blocks[sector].toarray()
-            ref = sector_slice(hb, h.sectors[sector])
+        xi = kappa if exchange_only else xi
+        for block, basis in full_sectors(lat, kappa, xi):
+            ref = sector_slice(hb, basis)
             assert np.abs(ref.imag).max() < 1e-14
-            assert np.abs(block - ref.real).max() < 1e-12
+            assert np.abs(dense(block) - ref.real).max() < 1e-12
+        for sector, block in full_hamiltonian(lat, kappa, xi).blocks.items():
+            assert np.abs(block - orbit_quotient(hb, lat, sector)).max() < 1e-12
 
     def test_single_site_diagonal_matches_oracle(self):
         # one-excitation diagonal entries against the full-space construction
         lat = build_lattice("chain", 3)
         hb = brute_force(lat, 1.0, 0.4, exchange_only=False)
-        h = full_hamiltonian(lat, 1.0, 0.4)
-        ref = sector_slice(hb, h.sectors[1])
-        assert np.allclose(np.diag(h.blocks[1].toarray()), np.diag(ref.real))
+        h1, basis1 = full_sectors(lat, 1.0, 0.4)[1]
+        ref = sector_slice(hb, basis1)
+        assert np.allclose(np.diag(h1), np.diag(ref.real))
 
 
 class TestExchangeHamiltonian:
     def test_n2_one_excitation_eigenvalues(self):
-        h = exchange_hamiltonian(build_lattice("chain", 2), 1.0)
-        assert np.allclose(np.linalg.eigvalsh(h.blocks[1].toarray()), [-2.0, 2.0])
+        h1, _ = full_sectors(build_lattice("chain", 2), 1.0, 1.0)[1]
+        assert np.allclose(np.linalg.eigvalsh(h1), [-2.0, 2.0])
 
     def test_n2_two_excitation_block_is_zero(self):
-        h = exchange_hamiltonian(build_lattice("chain", 2), 1.0)
-        assert h.blocks[2].shape == (1, 1)
-        assert h.blocks[2].toarray()[0, 0] == 0.0
+        h2, _ = full_sectors(build_lattice("chain", 2), 1.0, 1.0)[2]
+        assert h2.shape == (1, 1)
+        assert h2.toarray()[0, 0] == 0.0
 
     def test_zero_diagonal(self):
-        h = exchange_hamiltonian(build_lattice("chain", 5), 2.0)
-        for n in (0, 1, 2):
-            block = h.blocks[n].toarray()
-            assert np.all(np.diag(block) == 0.0)
+        for block, _ in full_sectors(build_lattice("chain", 5), 2.0, 2.0):
+            assert np.all(np.diag(dense(block)) == 0.0)
 
     @pytest.mark.parametrize("kind,n,boundary", [("chain", 6, "open"), ("square", 9, "periodic"), ("triangular", 9, "periodic")])
     def test_hermiticity(self, kind, n, boundary):
         lat = build_lattice(kind, n, boundary=boundary)
-        for h in (exchange_hamiltonian(lat, 1.0), full_hamiltonian(lat, 1.0, 0.2)):
-            for s in (0, 1, 2):
-                block = h.blocks[s].toarray()
+        for xi in (1.0, 0.2):
+            for block, _ in full_sectors(lat, 1.0, xi):
+                block = dense(block)
                 assert np.abs(block - block.T).max() == 0.0
 
     def test_collective_states_are_eigenvectors_periodic(self):
         lat = build_lattice("chain", 12, boundary="periodic")
-        h = exchange_hamiltonian(lat, 1.0)
-        for n in (0, 1):
-            psi = dicke_state(h.sectors[n])
-            hp = h.blocks[n].toarray() @ psi
+        for block, basis in full_sectors(lat, 1.0, 1.0)[:2]:
+            psi = dicke_state(basis)
+            hp = block @ psi
             e = np.vdot(psi, hp)
             assert np.linalg.norm(hp - e * psi) <= 1e-12
 
@@ -189,31 +202,20 @@ class TestExchangeHamiltonian:
 class TestFullHamiltonian:
     @pytest.mark.parametrize("kappa, xi", [(1.0, np.nan), (np.inf, 0.1), (1.0, -np.inf)])
     def test_rejects_non_finite_couplings(self, kappa, xi):
-        # refused before assembly rather than as a non-invariant quotient
-        with pytest.raises(ValueError, match="need a positive finite kappa and a finite xi"):
+        # refused up front, by the check chi_eff and gate_params share
+        with pytest.raises(ValueError, match="(kappa|xi) must be finite"):
             full_hamiltonian(build_lattice("chain", 6), kappa, xi)
 
     def test_xi_zero_adds_only_diagonal(self):
         lat = build_lattice("chain", 5)
-        hx = exchange_hamiltonian(lat, 1.0)
-        hf = full_hamiltonian(lat, 1.0, 0.0)
+        hx = full_sectors(lat, 1.0, 1.0)
+        hf = full_sectors(lat, 1.0, 0.0)
         for n in (1, 2):
-            a = hx.blocks[n].toarray()
-            b = hf.blocks[n].toarray()
+            a = dense(hx[n][0])
+            b = dense(hf[n][0])
             off = b - np.diag(np.diag(b))
             assert np.allclose(off, a - np.diag(np.diag(a)))
-        assert hf.vacuum_energy != 0.0
-
-    def test_xi_equal_kappa_is_pure_exchange(self):
-        for kind, n, boundary in [("chain", 5, "open"), ("square", 9, "periodic"),
-                                  ("triangular", 9, "periodic")]:
-            lat = build_lattice(kind, n, boundary=boundary)
-            hx = exchange_hamiltonian(lat, 1.3)
-            hf = full_hamiltonian(lat, 1.3, 1.3)
-            assert hx.xi == 1.3
-            for s in (0, 1, 2):
-                for part in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(hx.blocks[s], part), getattr(hf.blocks[s], part))
+        assert full_hamiltonian(lat, 1.0, 0.0).vacuum_energy != 0.0
 
     def test_projection_identity(self):
         # <2|H_I|2> - 2<1|H_I|1> + <0|H_I|0> = -2 chi_tilde
@@ -221,54 +223,28 @@ class TestFullHamiltonian:
             lat = build_lattice(kind, n, boundary=boundary)
             kappa, xi = 1.0, 0.37
             expect = []
-            for ham in (full_hamiltonian(lat, kappa, xi), full_hamiltonian(lat, kappa, 0.0)):
+            for sectors in (full_sectors(lat, kappa, xi), full_sectors(lat, kappa, 0.0)):
                 vals = []
-                for s in (0, 1, 2):
-                    psi = dicke_state(ham.sectors[s])
-                    vals.append(np.real(np.vdot(psi, ham.blocks[s].toarray() @ psi)))
+                for block, basis in sectors:
+                    psi = dicke_state(basis)
+                    vals.append(np.real(np.vdot(psi, block @ psi)))
                 expect.append(vals[2] - 2 * vals[1] + vals[0])
             second_diff_hi = expect[0] - expect[1]
             chit = (xi / kappa) * chi_eff(lat, kappa)
             assert second_diff_hi == pytest.approx(-2.0 * chit, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [5, 64])
-    def test_blocks_are_csr(self, n):
-        # one storage for small and large sectors (C(64, 2) = 2016): int32
-        # indices, columns strictly ascending within every row
-        h = full_hamiltonian(build_lattice("chain", n), 1.0, 0.1)
-        for s in (0, 1, 2):
-            block = h.blocks[s]
-            assert isinstance(block, CSRBlock)
-            assert block.indices.dtype == block.indptr.dtype == np.int32
-            assert block.indptr[0] == 0 and block.indptr[-1] == block.nnz == len(block.indices)
-            rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
-            key = rows.astype(np.int64) * block.shape[1] + block.indices
-            assert np.all(np.diff(key) > 0)
-            assert h.is_sparse(s)
-            assert h.dim(s) == h.sectors[s].dim
-
-
-    @pytest.mark.parametrize("kind, boundary, largest", [
-        ("chain", "periodic", 342), ("chain", "open", 342),
-        ("square", "periodic", 324), ("triangular", "periodic", 324),
-    ])
-    def test_assembly_cap_admits_up_to_largest(self, monkeypatch, kind, boundary, largest):
-        # the guard runs on the first block read, before any table is built:
-        # past it, the kernel stub stops the build
-        class Admitted(Exception):
-            pass
-
-        def stop(lattice):
-            raise Admitted
-
-        monkeypatch.setattr(hamiltonian_mod, "coupling_kernel", stop)
-        with pytest.raises(Admitted):
-            full_hamiltonian(build_lattice(kind, largest, boundary=boundary), 1.0, 0.05).blocks
-        bigger = largest + 1 if kind == "chain" else (int(largest**0.5) + 1) ** 2
-        ham = full_hamiltonian(build_lattice(kind, bigger, boundary=boundary), 1.0, 0.05)
-        assert ham.dim(2) == bigger * (bigger - 1) // 2
-        with pytest.raises(ResourceLimitError, match="two-excitation assembly"):
-            ham.blocks
+    def test_blocks_are_the_orbit_blocks(self):
+        # blocks[n] is bitwise the dicke_sectors block, dense, on any size:
+        # the periodic chain 4000 has 2000 pair orbits of C(4000, 2) pairs
+        for lat in (build_lattice("square", 36, boundary="periodic"), build_lattice("triangular", 19)):
+            ham = full_hamiltonian(lat, 1.0, 0.05)
+            blocks = ham.blocks
+            for n, (block, _) in enumerate(ham.dicke_sectors()):
+                assert blocks[n].dtype == block.dtype and np.array_equal(blocks[n], block)
+                assert not ham.is_sparse(n)
+        ham = full_hamiltonian(build_lattice("chain", 4000, boundary="periodic"), 1.0, 0.05)
+        assert [block.shape for block in ham.blocks.values()] == [(1, 1), (1, 1), (2000, 2000)]
+        assert ham.dim(2) == comb(4000, 2)
 
 
 def traced_peak(fn, *args):
@@ -278,16 +254,6 @@ def traced_peak(fn, *args):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-@pytest.mark.parametrize("kind, n, boundary", [
-    ("chain", 100, "open"), ("square", 64, "open"), ("triangular", 64, "open"), ("square", 64, "periodic"),
-])
-def test_assembly_estimate_bounds_peak(kind, n, boundary):
-    # the guard's 27 B per slot covers the slot tables' peak (25.3-26.7 B)
-    lattice = build_lattice(kind, n, boundary=boundary)
-    _, peak = traced_peak(hamiltonian_mod._build, lattice, 1.0, 0.05)
-    assert peak <= comb(n, 2) * (2 * n - 3) * 27
 
 
 ORBIT_PEAK_LATTICES = [("chain", 64, "periodic"), ("chain", 400, "periodic"), ("square", 400, "periodic"),

@@ -38,14 +38,10 @@ def test_one_memory_budget(name):
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "dipolarray.hamiltonian"])
 def test_assembled_blocks_stay_in_hamiltonian(name):
     # the library evolves the orbit blocks of SpinHamiltonian.dicke_sectors:
-    # only hamiltonian names CSRBlock, and no other module reads the
-    # assembled .blocks or .sectors
+    # no other module reads .blocks or .sectors
     nodes = list(ast.walk(ast.parse(inspect.getsource(importlib.import_module(name)))))
-    named = [n.lineno for n in nodes if (isinstance(n, ast.Name) and n.id == "CSRBlock")
-             or (isinstance(n, ast.Attribute) and n.attr == "CSRBlock")
-             or (isinstance(n, ast.ImportFrom) and any(a.name == "CSRBlock" for a in n.names))]
     reads = [n.lineno for n in nodes if isinstance(n, ast.Attribute) and n.attr in ("blocks", "sectors")]
-    assert (named, reads) == ([], [])
+    assert reads == []
 
 
 def np_attributes(node: ast.AST, names: tuple[str, ...]) -> list[int]:

@@ -7,7 +7,7 @@ import pytest
 import dipolarray.sin2 as sin2_mod
 import dipolarray.spinwave as spinwave_mod
 from dipolarray.basis import ResourceLimitError
-from dipolarray.hamiltonian import ZETA3, exchange_hamiltonian
+from dipolarray.hamiltonian import ZETA3
 from dipolarray.phonon import build_phonon_model, gamma2
 from dipolarray.lattice import build_lattice, momentum_grid, relative_sites
 from dipolarray.spinwave import (
@@ -19,6 +19,7 @@ from dipolarray.spinwave import (
     perturbative_decay2,
     spin_wave_energies,
 )
+from test_hamiltonian import full_sectors
 from test_kernel import split_slice_bytes
 
 
@@ -114,8 +115,8 @@ class TestDispersion:
         # one-excitation block eigenvalues are 2 kappa F_k: the dispersion is
         # their distance below the uniform mode
         lat = periodic("chain", 14)
-        h = exchange_hamiltonian(lat, 1.0)
-        evals = np.sort(np.linalg.eigvalsh(h.blocks[1].toarray()))
+        h1, _ = full_sectors(lat, 1.0, 1.0)[1]
+        evals = np.sort(np.linalg.eigvalsh(h1))
         g = momentum_grid(lat)
         fk = fourier_kernel(lat, g.kvecs)
         assert np.allclose(np.sort(2.0 * fk), evals, atol=1e-10)
