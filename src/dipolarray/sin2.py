@@ -41,18 +41,30 @@ def _sin2_sum(blocks, times: np.ndarray):
     tables, from sin and cos at the fine step, the coarse step and t_0 only:
     rows [n, 2n) follow from rows [0, n) by F(x + y) = F(x) (1 - F(y)) + F(y)
     and the step doubles by F(2y) = F(y) (2 - F(y)), neither of which has a 1
-    - cos in it.  It then sums over the modes with one complex GEMM.  Each
-    phase carries a few ulps more than h_m t rounded once, so a sum differs
-    from the direct one at that level; small phases keep their relative
-    precision.  The sin^2 sum also has an absolute floor, which the direct
-    route lacks: F_a - F_a F_b + F_b rounds terms of size up to 2, and each
-    doubled table row adds a rounding of |1 - F| ~ 1, so it is about
-    sqrt(T) eps sum_m |c_m| min(1, x_m^2).  It shows near the zeros of
-    sin^2, where the phases' rounding moves the sum least: beyond that
-    part, 40-digit mpmath measured at most 0.8 of it (T <= 5000, phases to
-    940).  On any other grid the phase is h_m t rounded exactly as
-    ``h[m] * times`` (or the dot product), and one sin^2 table, or a sin and
-    a cos table with s, is contracted with the weights.
+    - cos in it.  Each tabulated phase carries a few ulps more than h_m t
+    rounded once.
+
+    On the 1-D grid the two phases of a point share their sign, and the
+    slice sums F_a - F_a F_b + F_b over the modes with one complex GEMM;
+    small phases keep their relative precision.  The sin^2 sum also has an
+    absolute floor, which the direct route lacks: F_a - F_a F_b + F_b rounds
+    terms of size up to 2, and each doubled table row adds a rounding of |1
+    - F| ~ 1, so it is about sqrt(T) eps sum_m |c_m| min(1, x_m^2).  It
+    shows near the zeros of sin^2, where the phases' rounding moves the sum
+    least: beyond that part, 40-digit mpmath measured at most 0.8 of it (T
+    <= 5000, phases to 940).
+
+    On a product grid the two axes' phases may cancel, and there that floor
+    would be eps sum_m |c_m| min(1, X_m^2) for axis phases of size X_m, far
+    above sin^2 of their small sum.  So the tables are taken at half the
+    phase, e^{ix} = 1 - F(x / 2), and every (point, mode) gets e^{ix_a}
+    e^{ix_b}: its imaginary part sin x_a cos x_b + cos x_a sin x_b rounds
+    as the phase x_a + x_b does, as the direct route's dot product h_m . t
+    does.  sin^2 x and sin x cos x are contracted with the weights, (T x
+    modes) tables as on the direct route but without its T x modes sines.
+    On any other grid the phase is h_m t rounded exactly as ``h[m] *
+    times`` (or the dot product), and one sin^2 table, or a sin and a cos
+    table with s, is contracted with the weights.
 
     ``blocks`` may be a generator: each block is cut into slices whose
     (slice x phases) tables fit ``_SLICE_BYTES``, and the slices run one at a
@@ -72,6 +84,9 @@ def _sin2_sum(blocks, times: np.ndarray):
                 h = h[:, 0]
             if split is None:
                 mode_bytes = 8 * (1 + len(s)) * max(len(times), 1)
+            elif times.ndim == 2:
+                # the axis tables, then e^{ix} and one real table per point
+                mode_bytes = 32 * (split.a + split.b) + 24 * len(times)
             else:
                 # the coarse and fine tables and the weighted fine table
                 mode_bytes = 16 * (split.a + split.b * (1 + sum(map(_columns, (c, *s)))))
@@ -83,7 +98,7 @@ def _sin2_sum(blocks, times: np.ndarray):
     def partial(part):
         c, h, *s = part
         if split is not None:
-            return split_sums(c, h, s)
+            return (product_sums if times.ndim == 2 else split_sums)(c, h, s)
         x = np.multiply(h[:, None], times) if h.ndim == 1 else h @ times.T
         if not s:
             np.sin(x, out=x)
@@ -115,6 +130,18 @@ def _sin2_sum(blocks, times: np.ndarray):
         wc = weights[0].shape[1]
         sums = [0.5 * z[:, :wc].real, -z[:, wc:].imag][:1 + len(s)]
         return [x if w.ndim == 2 else x[:, 0] for x, w in zip(sums, (c, *s))]
+
+    def product_sums(c, h, s):
+        # e^{ix} = 1 - F(x / 2) of the two axes' phases, multiplied at every
+        # (point, mode): rows a B + b, as the product grid's
+        ea = 1.0 - factor_table(np.dot(h, split.coarse) / 2.0, split.a,
+                                np.dot(h, split.t0) / 2.0 if np.any(split.t0) else None)
+        eb = 1.0 - factor_table(np.dot(h, split.fine) / 2.0, split.b)
+        e = np.multiply(ea[:, None], eb).reshape(len(times), len(h))
+        sums = [np.square(e.imag) @ c]
+        if s:
+            sums.append(2.0 * (np.multiply(e.real, e.imag) @ s[0]))
+        return sums
 
     def factor_table(step, count, start=None):
         # F(start + r step), r < count, as (count x modes): rows [n, 2n)
