@@ -2,20 +2,19 @@
 
 Core pipeline: build a lattice geometry and its r^-3 coupling kernel, build
 the spin Hamiltonian per excitation sector on the orbits of the lattice's
-symmetry group, evolve the symmetric collective states to extract the
-nonlinear phase and gate time, and quantify decoherence from non-symmetric
-couplings (spin-wave channel) and crystal phonons.
+symmetry group, take the symmetric collective states' projections from the
+spectra of those orbit blocks (the one evolution path, in
+:func:`compute_trajectory`) to extract the nonlinear phase and gate time,
+and quantify decoherence from non-symmetric couplings (spin-wave channel)
+and crystal phonons.  Every size-dependent table is checked against one
+memory budget (:mod:`dipolarray.basis`) and refused with
+:class:`ResourceLimitError` before it is built.
 """
 
 __version__ = "0.1.0"
 
-from .basis import ResourceLimitError, dicke_state, sector_basis
-from .dynamics import (
-    GateNotReached,
-    compute_trajectory,
-    evolve,
-    gate_time,
-)
+from .basis import ResourceLimitError
+from .dynamics import GateNotReached, compute_trajectory, gate_time
 from .hamiltonian import (
     EffectiveGateParams,
     chi_eff,
@@ -28,7 +27,6 @@ from .phonon import (
     PhononModel,
     UnstableCrystalError,
     build_phonon_model,
-    dynamical_matrix,
     gamma1_fgr,
     gamma1_time,
     gamma2,
@@ -58,15 +56,12 @@ __all__ = [
     "build_lattice",
     "coupling_kernel",
     "momentum_grid",
-    "sector_basis",
-    "dicke_state",
     "ResourceLimitError",
     "full_hamiltonian",
     "chi_eff",
     "gate_params",
     "theta_analytic",
     "EffectiveGateParams",
-    "evolve",
     "compute_trajectory",
     "gate_time",
     "GateNotReached",
@@ -86,7 +81,6 @@ __all__ = [
     "PhononModel",
     "UnstableCrystalError",
     "build_phonon_model",
-    "dynamical_matrix",
     "sound_speeds",
     "gamma1_time",
     "gamma1_fgr",

@@ -283,7 +283,12 @@ def run_mpm_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
             sum_cutoff=(int, 100_000),
             asymptote_check=(bool, True))
 def run_dispersion(cfg: dict, outdir: Path, workers: int) -> dict:
+    if not (cfg["n_sites"] or cfg["asymptote_check"]):
+        raise ConfigError("config key 'n_sites': 0 with asymptote_check = false leaves nothing to compute")
     summary = {}
+    # the check refuses an unsupported kind or cutoff before the table is written
+    if cfg["asymptote_check"]:
+        summary["asymptotes"] = dispersion_asymptote_check(cfg["kind"], cfg["kappa"], cfg["sum_cutoff"])
     if cfg["n_sites"]:
         lat = build_lattice(cfg["kind"], cfg["n_sites"], boundary="periodic")
         disp = dispersion(lat, cfg["kappa"])
@@ -292,8 +297,6 @@ def run_dispersion(cfg: dict, outdir: Path, workers: int) -> dict:
                    [f"k{c}" for c in range(kvecs.shape[1])] + ["omega", "fourier_kernel"],
                    [kvecs, disp.omega, disp.fourier_kernel])
         summary["grid_points"] = len(kvecs)
-    if cfg["asymptote_check"]:
-        summary["asymptotes"] = dispersion_asymptote_check(cfg["kind"], cfg["kappa"], cfg["sum_cutoff"])
     return summary
 
 

@@ -5,8 +5,6 @@ Times are in units of hbar/kappa.  Evolution is exact and has one engine,
 on numpy alone: a dense Hermitian block is diagonalized once, and the
 projection of the evolved state on the initial one is the spectral sum
 C(t) = sum_j w_j exp(-i lambda_j t), one sin^2 kernel call for all sectors.
-:func:`evolve` diagonalizes the whole block it is given, a dense array or
-anything with ``toarray()`` (a scipy sparse matrix), copied dense first.
 
 :func:`compute_trajectory` takes each sector's block and initial state from
 :meth:`~dipolarray.hamiltonian.SpinHamiltonian.dicke_sectors`: the Dicke
@@ -16,7 +14,7 @@ the point group of an open patch (about C(N, 2)/|G|).  The group leaves the
 Dicke state invariant, so the orbit block is an exact quotient, with no
 tolerance, and the C(N, 2)-row sector is never built.  A dense eigh of
 dimension k needs about 40 k^2 bytes, and past the memory budget
-``basis.MEMORY_BYTES_MAX`` the orbit builder and :func:`evolve` raise
+``basis.MEMORY_BYTES_MAX`` the orbit builder raises
 :class:`~dipolarray.basis.ResourceLimitError` before it.  A
 :class:`Trajectory` keeps lambda and w of sectors 0, 1 and 2, all that
 :func:`gate_time` needs off the grid.
@@ -38,18 +36,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
-from .basis import _require_eigh_memory, require_memory
 from .hamiltonian import SpinHamiltonian
 from .sin2 import _sin2_sum
 
 __all__ = [
     "Trajectory",
     "GateNotReached",
-    "evolve",
     "compute_trajectory",
     "gate_time",
 ]
@@ -96,41 +91,6 @@ def _time_grid(times) -> np.ndarray:
     if np.any(np.diff(times) < 0):
         raise ValueError("times must be non-decreasing")
     return times
-
-
-def evolve(block, psi0: np.ndarray, times) -> np.ndarray:
-    """States exp(-1j*H*t) psi0 at the requested times, shape (T, dim).
-
-    ``block`` is a Hermitian matrix: a dense array, or anything with
-    ``toarray()``, whose dense copy is checked against the memory budget,
-    as is its eigh.  ``psi0`` must be normalized and as long as the block;
-    ``times`` must be non-decreasing and start at 0.  A block with a
-    non-finite entry, or one that differs from its conjugate transpose by
-    more than 1e-12 of its largest entry, raises ``ValueError``.
-    """
-    times = _time_grid(times)
-    if hasattr(block, "toarray"):
-        # the copy and the Hermitian check's difference, 8 bytes an entry each
-        require_memory(16 * prod(block.shape), "a dense copy of the block needs", f"for shape {block.shape}")
-        block = block.toarray()
-    h = np.asarray(block)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"block must be a square matrix, got shape {h.shape}")
-    _require_eigh_memory(len(h))
-    psi0 = np.asarray(psi0)
-    if psi0.shape != (h.shape[0],):
-        raise ValueError(f"psi0 has shape {psi0.shape}, block has shape {h.shape}")
-    nrm = np.linalg.norm(psi0)
-    if not abs(nrm - 1.0) <= 1e-9:
-        raise ValueError(f"initial state not normalized (|psi| = {nrm})")
-    scale = float(np.abs(h).max(initial=0.0))
-    if not scale < np.inf:
-        raise ValueError(f"block entries must be finite, got max |H_ij| = {scale}")
-    defect = float(np.abs(h - h.conj().T).max(initial=0.0))
-    if defect > 1e-12 * scale:
-        raise ValueError(f"block is not Hermitian: max |H - H^dagger| = {defect:.3g}")
-    lam, vec = np.linalg.eigh(h)
-    return (np.exp(-1j * np.outer(times, lam)) * (vec.conj().T @ psi0)) @ vec.T
 
 
 def _weights(block: np.ndarray, psi0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

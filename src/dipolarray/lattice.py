@@ -4,9 +4,10 @@ All positions are in units of the lattice spacing ``a``, so a lattice does
 not store it; it only enters when converting dressed molecular parameters
 to absolute energies, as an argument of :mod:`dipolarray.stark`.  Periodic
 lattices use minimum-image displacements: :func:`displacements` is the
-O(N^2) pair table the coupling kernel needs, :func:`relative_sites` its O(N)
-row r_j - r_0, which is all a translation-invariant lattice sum (spin-wave
-dispersion, phonons) needs.
+O(N^2) pair table the coupling kernel needs, checked against the memory
+budget ``basis.MEMORY_BYTES_MAX`` before it is built, :func:`relative_sites`
+its O(N) row r_j - r_0, which is all a translation-invariant lattice sum
+(spin-wave dispersion, phonons) needs.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .basis import require_memory
 
 __all__ = [
     "Lattice",
@@ -117,9 +120,7 @@ def build_lattice(kind: str, n_sites: int, boundary: str = "open") -> Lattice:
         side = int(round(np.sqrt(n_sites)))
         if side * side != n_sites:
             raise ValueError(f"square lattice needs a perfect-square n_sites, got {n_sites}")
-        positions = np.array(
-            [(i, j) for i in range(side) for j in range(side)], dtype=float
-        )
+        positions = np.indices((side, side)).reshape(2, -1).T.astype(float)  # (i, j), i major
         if boundary == "periodic":
             period = np.array([[float(side), 0.0], [0.0, float(side)]])
     else:  # triangular
@@ -148,17 +149,12 @@ def build_lattice(kind: str, n_sites: int, boundary: str = "open") -> Lattice:
 
 def _triangular_patch(n_sites: int) -> np.ndarray:
     """Compact patch of the triangular lattice: sites sorted by distance from
-    the origin, ties broken row by row."""
+    the origin, ties broken row by row, on the exact integer key
+    |i a1 + j a2|^2 = i^2 + ij + j^2, then j, then i."""
     radius = int(np.ceil(np.sqrt(n_sites))) + 2
-    cand = []
-    for j in range(-radius, radius + 1):
-        for i in range(-radius, radius + 1):
-            p = i * _TRI_A1 + j * _TRI_A2
-            cand.append((round(float(p @ p), 9), j, i, p))
-    cand.sort(key=lambda t: t[:3])
-    if len(cand) < n_sites:
-        raise ValueError("internal: candidate patch too small")
-    return np.array([t[3] for t in cand[:n_sites]])
+    j, i = np.indices((2 * radius + 1,) * 2).reshape(2, -1) - radius
+    order = np.lexsort((i, j, i * i + i * j + j * j))[:n_sites]
+    return i[order, None] * _TRI_A1 + j[order, None] * _TRI_A2
 
 
 def _cell(lattice: Lattice) -> np.ndarray:
@@ -233,6 +229,10 @@ def displacements(lattice: Lattice) -> np.ndarray:
     Minimum-image displacements on periodic lattices (shortest among the
     neighboring torus images).
     """
+    n, dim = lattice.positions.shape
+    # the table and the kernel's temporaries: 16 (D + 1) bytes a pair
+    # under tracemalloc, on either boundary, and one row for the rest
+    require_memory(16 * (dim + 1) * n * (n + 1), "pair tables need", f"for {n} sites")
     pos = lattice.positions
     return _minimum_image(pos[:, None, :] - pos[None, :, :], lattice)
 

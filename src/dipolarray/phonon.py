@@ -71,7 +71,6 @@ __all__ = [
     "PhononModel",
     "PhononDecay",
     "UnstableCrystalError",
-    "dynamical_matrix",
     "build_phonon_model",
     "sound_speeds",
     "gamma1_time",
@@ -104,16 +103,6 @@ def _lattice_sums(rel: np.ndarray, qvecs: np.ndarray) -> tuple[np.ndarray, np.nd
     c = np.column_stack([(6.0 / rn**5)[:, None] * pair.reshape(len(rel), dim * dim), 4.0 / rn**3])
     sums, force = _sin2_sum([(c, rel / 2.0, rel / (rn**5)[:, None])], qvecs)
     return sums[:, :-1].reshape(len(qvecs), dim, dim), sums[:, -1], force
-
-
-def dynamical_matrix(lattice: Lattice, qvec: np.ndarray) -> np.ndarray:
-    """Dimensionless D x D dynamical matrix at one quasi-momentum."""
-    if lattice.kind not in _SUPPORTED:
-        raise ValueError(f"unsupported crystal kind {lattice.kind!r}; expected {_SUPPORTED}")
-    if not lattice.periodic:
-        raise ValueError("dynamical matrix requires a periodic lattice")
-    qvec = np.atleast_1d(np.asarray(qvec, dtype=float))
-    return _lattice_sums(relative_sites(lattice), qvec[None, :])[0][0]
 
 
 @dataclass

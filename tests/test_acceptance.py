@@ -9,13 +9,12 @@ small-k slope target in criterion 6.
 import time
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
-from dipolarray.basis import dicke_state
+import dipolarray.dynamics as dyn_mod
 from dipolarray.dynamics import (
     GateNotReached,
     compute_trajectory,
-    evolve,
     gate_time,
 )
 from dipolarray.hamiltonian import (
@@ -235,14 +234,13 @@ def test_criterion_8_stark_limits():
 
 
 def test_criterion_9_phonon_bands():
-    from test_phonon import hessian_dynamical_1d_richardson
+    from test_phonon import dynamical_matrix, hessian_dynamical_1d_richardson
 
     gamma_dev = []
     for kind, n in (("chain", 64), ("triangular", 25)):
         model = build_phonon_model(build_lattice(kind, n, boundary="periodic"), 1e4, 3.0, 1.0)
         gamma_dev.append(np.abs(model.freqs[0]).max())
     lat = build_lattice("chain", 400, boundary="periodic")
-    from dipolarray.phonon import dynamical_matrix
     qs = 2 * np.pi * np.arange(1, 14) / 400
     f = np.array([np.sqrt(dynamical_matrix(lat, np.array([q]))[0, 0]) for q in qs])
     ratio = f / qs
@@ -295,22 +293,27 @@ def test_criterion_10_phonon_decay():
 
 
 def test_criterion_11_property_suite(tmp_path):
-    from test_hamiltonian import brute_force, full_sectors, orbit_quotient
+    from test_dynamics import scipy_projections
+    from test_hamiltonian import brute_force, dense, dicke, full_sectors, orbit_quotient
 
-    # the whole sector-2 block of the periodic chain 16, evolved by the
-    # library from the Dicke state, as a dense and as a scipy CSR input
-    h2, basis2 = full_sectors(periodic_chain(16), 1.0, 0.1)[2]
-    psi0 = dicke_state(basis2)
+    # the orbit spectrum (lambda, w) of sector 2 that compute_trajectory
+    # evolves on the periodic chain 16, against the whole sector-2 block
+    # evolved by scipy from the Dicke state psi0
+    lat = periodic_chain(16)
     times = np.linspace(0.0, 50.0, 60)
-    states_dense = evolve(h2.toarray(), psi0, times)
-    states_csr = evolve(sp.csr_matrix(h2), psi0, times)
-    unit = max(
-        np.abs(np.linalg.norm(states_dense, axis=1) - 1.0).max(),
-        np.abs(np.linalg.norm(states_csr, axis=1) - 1.0).max(),
-    )
-    h2 = h2.toarray()
-    energies = np.real(np.einsum("ti,ij,tj->t", states_dense.conj(), h2, states_dense))
-    e_dev = np.abs(energies - energies[0]).max() / max(abs(energies[0]), 1.0)
+    traj = compute_trajectory(full_hamiltonian(lat, 1.0, 0.1), times, auto_refine=False)
+    lam, w = traj.spectra[2]
+    h2 = dense(full_sectors(lat, 1.0, 0.1)[2][0])
+    psi0 = dicke(len(h2))
+    # unitarity: the return probability |C2|^2 and the weight the scipy
+    # state carries off psi0 add up to one
+    states = expm_multiply(-1j * h2, psi0, start=0.0, stop=times[-1], num=len(times), endpoint=True)
+    leaked = np.linalg.norm(states - traj.c2[:, None] * psi0, axis=1) ** 2
+    unit = np.abs(np.abs(traj.c2) ** 2 + leaked - 1.0).max()
+    # energy: the spectrum's mean energy, fixed in the engine's evolution,
+    # is the scipy state's at every time
+    energies = np.real(np.einsum("ti,ij,tj->t", states.conj(), h2, states))
+    e_dev = np.abs(energies - w @ lam).max() / max(abs(w @ lam), 1.0)
 
     # the library's orbit blocks against the 2^N Hamiltonian on the orbits
     worst = 0.0
@@ -320,9 +323,11 @@ def test_criterion_11_property_suite(tmp_path):
         for s, block in full_hamiltonian(lat_n, 1.0, 0.3).blocks.items():
             worst = max(worst, np.abs(block - orbit_quotient(hb, lat_n, s)).max())
 
-    fwd = evolve(h2, psi0, [0.0, 33.0])[-1]
-    back = evolve(-h2, fwd, [0.0, 33.0])[-1]
-    t_rev = np.abs(back - psi0).max()
+    # time reversal: the engine on the reversed spectrum (-lambda, w) runs
+    # the forward projections backwards, C_{-H}(t) = C_H(t)*, as scipy's
+    # evolution of psi0 under -H does
+    (back,) = dyn_mod._projections([(-lam, w)], times)
+    t_rev = max(np.abs(back - traj.c2.conj()).max(), np.abs(back - scipy_projections(-h2, psi0, times)).max())
 
     from dipolarray.cli import main
     cfg = tmp_path / "c.cfg"

@@ -222,6 +222,19 @@ n_field = 5
         assert peak < 4 * 2**20
         assert "quotient of dimension 5588 or more needs about 1191 MiB" in capsys.readouterr().err
 
+    def test_open_chain_pair_tables_refused(self, tmp_path, capsys):
+        # open chain N = 6000: the coupling kernel's pair tables would need
+        # about 1.1 GB, refused before gate_params builds them
+        cfg = write_cfg(tmp_path, "experiment = phase_gate\nn_sites = 6000\nxi_over_kappa = 0.05\n")
+        tracemalloc.start()
+        try:
+            assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert "pair tables need about 1099 MiB for 6000 sites" in capsys.readouterr().err
+
     def test_periodic_runs_past_the_assembly_cap(self, tmp_path, capsys):
         # periodic chain N = 400: assembling its C(400, 2) = 79 800 pair
         # states would need 1.7 GB, its 200 translation orbits take 3 MiB
@@ -269,8 +282,12 @@ n_samples = 60
     @pytest.mark.parametrize("text, budget, message", [
         # open lattices label pairs by point-group orbit (open chain 8: 4480 B);
         # the orbit tables of sector 2 on the periodic chain 8 need 1792 B
-        ("experiment = phase_gate\nn_sites = 8\n", 1000,
+        ("experiment = phase_gate\nn_sites = 8\n", 4000,
          "pair-orbit labels need about 0 MiB for 8 sites;"),
+        # the kernel's pair tables, which gate_params reads first on an open
+        # lattice, need 2304 B on the open chain 8
+        ("experiment = phase_gate\nn_sites = 8\n", 1000,
+         "pair tables need about 0 MiB for 8 sites;"),
         ("experiment = phase_gate\nn_sites = 8\nboundary = periodic\n", 1000,
          "orbit tables need about 0 MiB for 8 sites;"),
         # open chain 20: the reflection leaves at least 95 of its 190 pairs
@@ -286,7 +303,7 @@ n_samples = 60
          "dispersion tables need about 0 MiB at sum_cutoff = 1000;"),
         ("experiment = stark_sweep\nn_field = 2\n", 1000,
          "Stark rotor blocks need about 0 MiB at j_max = 20;"),
-    ], ids=["labels", "orbits", "quotient", "gamma2", "phonon_model", "dispersion", "stark"])
+    ], ids=["labels", "pair_tables", "orbits", "quotient", "gamma2", "phonon_model", "dispersion", "stark"])
     def test_memory_budget_exit_code(self, tmp_path, capsys, monkeypatch, text, budget, message):
         monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", budget)
         cfg = write_cfg(tmp_path, text)
@@ -334,6 +351,18 @@ n_samples = 60
         cfg = write_cfg(tmp_path, "experiment = dispersion\nkind = chain\nn_sites = 8\nsum_cutoff = 0\n")
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config error: cutoff must be at least 1" in capsys.readouterr().err
+        # refused before the grid table is written
+        assert not (tmp_path / "o" / "dispersion" / "dispersion.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind = triangular\nn_sites = 9\n", "unsupported lattice kind"),
+        ("n_sites = 0\nasymptote_check = false\n", "config key 'n_sites': 0 with asymptote_check = false"),
+    ], ids=["triangular_asymptotes", "nothing_to_compute"])
+    def test_dispersion_refusal_writes_no_table(self, tmp_path, capsys, text, message):
+        cfg = write_cfg(tmp_path, "experiment = dispersion\n" + text)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "dispersion" / "dispersion.csv").exists()
 
     def test_dispersion_negative_kappa_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "experiment = dispersion\nkind = chain\nn_sites = 8\nkappa = -1\n"

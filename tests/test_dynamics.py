@@ -17,12 +17,12 @@ import dipolarray.dynamics as dyn_mod
 import dipolarray.hamiltonian as hamiltonian_mod
 import dipolarray.lattice as lattice_mod
 import dipolarray.sin2 as sin2_mod
-from dipolarray.basis import ResourceLimitError, dicke_state, sector_basis
+from dipolarray.basis import ResourceLimitError
 from dipolarray.cli import main
-from dipolarray.dynamics import GateNotReached, compute_trajectory, evolve, gate_time
+from dipolarray.dynamics import GateNotReached, compute_trajectory, gate_time
 from dipolarray.hamiltonian import full_hamiltonian, gate_params
 from dipolarray.lattice import build_lattice, momentum_grid
-from test_hamiltonian import dense, full_sectors
+from test_hamiltonian import dense, dicke, full_sectors
 
 
 def periodic_chain(n):
@@ -34,128 +34,107 @@ def ideal_quadratic_hamiltonian(n_sites: int, chi: float) -> SimpleNamespace:
     compute_trajectory reads: per-sector constants chi*(N/2 - n)^2 (exact
     quadratic collective dephasing; Theta(t) = 2*chi*t)."""
     def dicke_sectors():
-        return [(chi * (n_sites / 2.0 - n) ** 2 * np.eye(comb(n_sites, n)), dicke_state(sector_basis(n_sites, n)))
+        return [(chi * (n_sites / 2.0 - n) ** 2 * np.eye(comb(n_sites, n)), dicke(comb(n_sites, n)))
                 for n in (0, 1, 2)]
 
     return SimpleNamespace(dicke_sectors=dicke_sectors, dim=lambda n: comb(n_sites, n))
 
 
+def engine(block, psi0, times):
+    """<psi0|exp(-iHt)|psi0> from the library's one evolution engine: the
+    spectrum and weights of :func:`~dipolarray.dynamics._weights`, summed by
+    :func:`~dipolarray.dynamics._projections`."""
+    (c,) = dyn_mod._projections([dyn_mod._weights(dense(block), psi0)], np.asarray(times, dtype=float))
+    return c
+
+
+def random_hermitian(seed, m):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, m))
+    psi0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return (a + a.T) / 2, psi0 / np.linalg.norm(psi0)
+
+
 class TestEvolve:
     def test_zero_hamiltonian_is_identity(self):
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-        states = evolve(np.zeros((3, 3)), psi0, [0.0, 1.0, 5.0])
-        assert np.allclose(states, psi0)
+        assert np.array_equal(engine(np.zeros((3, 3)), psi0, [0.0, 1.0, 5.0]), np.ones(3))
 
     def test_two_site_exchange_oscillation(self):
-        # |e g> under hop 2*kappa: population cos^2(2 kappa t)
+        # |e g> under hop 2*kappa: return probability cos^2(2 kappa t)
         h1, _ = full_sectors(build_lattice("chain", 2), 1.0, 1.0)[1]
-        psi0 = np.array([1.0, 0.0], dtype=complex)
         t = np.linspace(0.0, 3.0, 60)
-        states = evolve(h1, psi0, t)
-        pop = np.abs(states[:, 0]) ** 2
+        pop = np.abs(engine(h1, np.array([1.0, 0.0]), t)) ** 2
         assert np.allclose(pop, np.cos(2.0 * t) ** 2, atol=1e-12)
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="normalized"):
-            evolve(np.eye(2), np.array([1.0, 1.0]), [0.0, 1.0])
-
-    def test_rejects_non_finite_state(self):
-        with pytest.raises(ValueError, match="normalized"):
-            evolve(np.eye(2), np.array([np.nan, 0.0]), [0.0, 1.0])
-
-    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_rejects_non_finite_block(self, entry):
-        # a ValueError up front, not a LinAlgError from the eigh
-        with pytest.raises(ValueError, match="block entries must be finite"):
-            evolve(np.array([[entry, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]), [0.0, 1.0])
-
     def test_rejects_decreasing_times(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            evolve(np.eye(2), np.array([1.0, 0.0]), [0.0, 2.0, 1.0])
         with pytest.raises(ValueError, match="non-decreasing"):
             compute_trajectory(full_hamiltonian(build_lattice("chain", 4), 1.0, 1.0), [0.0, -1.0])
 
     def test_rejects_empty_times(self):
-        with pytest.raises(ValueError, match="times must not be empty"):
-            evolve(np.eye(2), np.array([1.0, 0.0]), [])
         with pytest.raises(ValueError, match="times must not be empty"):
             compute_trajectory(full_hamiltonian(build_lattice("chain", 4), 1.0, 1.0), [])
 
     @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf]], ids=["nan", "inf"])
     def test_rejects_non_finite_times(self, times):
         with pytest.raises(ValueError, match="times must be finite"):
-            evolve(np.eye(2), np.array([1.0, 0.0]), times)
-        with pytest.raises(ValueError, match="times must be finite"):
             compute_trajectory(full_hamiltonian(periodic_chain(8), 1.0, 0.1), times, auto_refine=False)
 
     def test_rejects_nonzero_start(self):
         with pytest.raises(ValueError, match="start at 0"):
-            evolve(np.eye(2), np.array([1.0, 0.0]), [1.0, 2.0])
-        with pytest.raises(ValueError, match="start at 0"):
             compute_trajectory(full_hamiltonian(build_lattice("chain", 4), 1.0, 1.0), [1.0, 2.0])
 
     def test_unitarity_both_paths(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((40, 40))
-        h = (a + a.T) / 2
-        psi0 = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        psi0 /= np.linalg.norm(psi0)
+        # the engine's projection against the states of the dense
+        # exponential, which stay normalized; |C(t)| never exceeds 1
+        h, psi0 = random_hermitian(5, 40)
         t = np.linspace(0.0, 8.0, 30)
-        dense = evolve(h, psi0, t)
-        sparse = evolve(sp.csr_matrix(h), psi0, t)
-        assert np.abs(np.linalg.norm(dense, axis=1) - 1.0).max() < 1e-10
-        assert np.abs(np.linalg.norm(sparse, axis=1) - 1.0).max() < 1e-10
-        assert np.abs(dense - sparse).max() < 1e-8
+        states = dense_spectral(h, psi0, t)
+        c = engine(h, psi0, t)
+        assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() < 1e-10
+        assert np.abs(c).max() <= 1.0 + 1e-12
+        assert np.abs(c - states @ psi0.conj()).max() < 1e-8
 
     def test_energy_conservation(self):
-        h2, basis2 = full_sectors(periodic_chain(10), 1.0, 0.1)[2]
-        psi0 = dicke_state(basis2)
-        t = np.linspace(0.0, 40.0, 50)
-        states = evolve(h2, psi0, t)
-        e = np.real(np.einsum("ti,ij,tj->t", states.conj(), h2.toarray(), states))
-        assert np.abs(e - e[0]).max() <= 1e-9 * max(abs(e[0]), 1.0)
+        # the mean energy sum_j w_j lambda_j of the orbit spectrum that
+        # compute_trajectory evolves is the energy of the whole sector-2
+        # state at every time
+        lat = periodic_chain(10)
+        lam, w = compute_trajectory(full_hamiltonian(lat, 1.0, 0.1), [0.0]).spectra[2]
+        h2 = dense(full_sectors(lat, 1.0, 0.1)[2][0])
+        states = dense_spectral(h2, dicke(len(h2)), np.linspace(0.0, 40.0, 50))
+        e = np.real(np.einsum("ti,ij,tj->t", states.conj(), h2, states))
+        assert np.abs(e - w @ lam).max() <= 1e-9 * max(abs(w @ lam), 1.0)
 
     def test_time_reversal(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((60, 60))
-        h = (a + a.T) / 2
-        psi0 = rng.standard_normal(60) + 1j * rng.standard_normal(60)
-        psi0 /= np.linalg.norm(psi0)
-        fwd = evolve(h, psi0, [0.0, 7.3])[-1]
-        back = evolve(sp.csr_matrix(-h), fwd, [0.0, 7.3])[-1]
-        assert np.abs(back - psi0).max() < 1e-8
+        # the engine under -H retraces its path under H: C_{-H}(t) = C_H(t)*
+        h, psi0 = random_hermitian(11, 60)
+        t = np.linspace(0.0, 7.3, 20)
+        assert np.abs(engine(-h, psi0, t) - engine(h, psi0, t).conj()).max() < 1e-8
 
 
 class TestSpectralEngine:
     def test_matches_dense_exponential(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((80, 80))
-        h = (a + a.T) / 2
-        v = rng.standard_normal(80) + 1j * rng.standard_normal(80)
-        v /= np.linalg.norm(v)
+        h, v = random_hermitian(2, 80)
         lam, vec = np.linalg.eigh(h)
         for dt in (0.05, 1.0, 20.0):
             ref = vec @ (np.exp(-1j * dt * lam) * (vec.conj().T @ v))
-            out = evolve(sp.csr_matrix(h), v, [0.0, dt])[-1]
-            assert np.abs(out - ref).max() < 1e-9
+            assert abs(engine(h, v, [0.0, dt])[-1] - v.conj() @ ref) < 1e-9
 
     def test_quotient_memory_cap(self, monkeypatch):
         # open chain 12: the reflection pairs the C(12, 2) = 66 two-excitation
-        # states into (66 + 6) / 2 = 36 point-group orbits.  The orbit builder
-        # refuses that quotient's eigh before its orbit tables; evolve checks
-        # the eigh of the whole block it is given
+        # states into (66 + 6) / 2 = 36 point-group orbits, whose projection
+        # is the whole sector's.  The orbit builder refuses that quotient's
+        # eigh before its orbit tables
         ham = full_hamiltonian(build_lattice("chain", 12), 1.0, 0.3)
-        assert compute_trajectory(ham, [0.0]).diagnostics["reduced_dims"] == [1, 6, 36]
-        h2, basis2 = full_sectors(ham.lattice, 1.0, 0.3)[2]
-        block, psi0 = h2.toarray(), dicke_state(basis2)
+        t = np.linspace(0.0, 10.0, 11)
+        traj = compute_trajectory(ham, t, auto_refine=False)
+        assert traj.diagnostics["reduced_dims"] == [1, 6, 36]
+        h2 = full_sectors(ham.lattice, 1.0, 0.3)[2][0]
+        np.testing.assert_allclose(traj.c2, dense_spectral(h2, dicke(66), t) @ dicke(66), rtol=0, atol=1e-12)
         monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 40 * 36**2 - 1)
         with pytest.raises(ResourceLimitError, match="quotient of dimension 36 or more needs"):
             compute_trajectory(ham, [0.0])
-        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 40 * 66**2)
-        evolve(block, psi0, [0.0])
-        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 40 * 66**2 - 1)
-        with pytest.raises(ResourceLimitError, match="quotient of dimension 66 or more needs"):
-            evolve(block, psi0, [0.0])
 
     def test_quotient_cap_admits_open_chain_to_143(self):
         # the open chain's sector-2 quotient has (C(N, 2) + N // 2) / 2 cells
@@ -166,7 +145,6 @@ class TestSpectralEngine:
             ham = full_hamiltonian(build_lattice("chain", n), 1.0, 0.3)
             assert compute_trajectory(ham, [0.0]).diagnostics["reduced_dims"][2] == cells(n)
         assert 40 * cells(143) ** 2 <= basis_mod.MEMORY_BYTES_MAX < 40 * cells(144) ** 2
-
 
 # (kind, n_sites) with n_sites <= 16 that every boundary accepts
 ORACLE_LATTICES = st.one_of(
@@ -199,49 +177,53 @@ def test_quotient_matches_dense_sector(lattice, boundary, xi, seed):
     traj = compute_trajectory(ham, t, auto_refine=False)
     diag = traj.diagnostics
     sectors = full_sectors(lat, 1.0, xi)
-    for c, (block, basis) in zip((traj.c0, traj.c1, traj.c2), sectors):
-        psi0 = dicke_state(basis)
-        ref = dense_spectral(block, psi0, t) @ psi0.conj()
+    for c, (block, configs) in zip((traj.c0, traj.c1, traj.c2), sectors):
+        psi0 = dicke(len(configs))
+        ref = dense_spectral(block, psi0, t) @ psi0
         np.testing.assert_allclose(c, ref, rtol=1e-10, atol=1e-12)
     if kind == "chain" and boundary == "periodic":
         # one orbit per pair distance 1 .. N/2, e.g. 6 of 66 states at N = 12
         assert diag["reduced_dims"][2] == n_sites // 2 < ham.dim(2)
-    # a state without symmetry evolves on the whole block
+    # a state without symmetry: the engine on the whole block
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal(ham.dim(2)) + 1j * rng.standard_normal(ham.dim(2))
     psi /= np.linalg.norm(psi)
     h2 = sectors[2][0]
-    ref = dense_spectral(h2, psi, t)
-    np.testing.assert_allclose(evolve(h2, psi, t), ref, rtol=1e-10, atol=1e-12)
+    ref = dense_spectral(h2, psi, t) @ psi.conj()
+    np.testing.assert_allclose(engine(h2, psi, t), ref, rtol=1e-10, atol=1e-12)
 
 
 SCIPY_TIMES = np.linspace(0.0, 40.0, 25)
 
 
+def scipy_projections(block, psi0, times=SCIPY_TIMES):
+    """<psi0|exp(-iHt)|psi0> on an even grid from 0 from scipy's
+    expm_multiply: a truncated Taylor series on the sparse block, no
+    eigendecomposition."""
+    states = expm_multiply(-1j * sp.csr_array(block), psi0, start=0.0, stop=times[-1], num=len(times),
+                           endpoint=True)
+    return states @ psi0.conj()
+
+
 def assert_matches_scipy(block, psi0):
-    """evolve's states from psi0 match scipy's expm_multiply (a truncated
-    Taylor series on the sparse block, no eigendecomposition) within 1e-10
-    over t <= 40; returns scipy's states.  The gap is mostly scipy's: up to
-    3.4e-12 on the states and 2.7e-11 on the projections over the chain,
-    square and triangular lattices of up to 16 sites (both boundaries, xi =
-    -1, 0, 0.4, 1) and the large sectors below, where a dense eigh of the
-    same block stays closer to the orbit path."""
-    want = expm_multiply(-1j * sp.csr_array(block), psi0, start=0.0, stop=SCIPY_TIMES[-1],
-                         num=len(SCIPY_TIMES), endpoint=True)
-    np.testing.assert_allclose(evolve(block, psi0, SCIPY_TIMES), want, rtol=0, atol=1e-10)
-    return want
+    """The engine's projections of psi0 on the whole block (:func:`engine`)
+    match scipy's within 1e-10 over t <= 40.  The gap is mostly scipy's: up
+    to 2.7e-11 on the projections over the chain, square and triangular
+    lattices of up to 16 sites (both boundaries, xi = -1, 0, 0.4, 1) and
+    the large sectors below, where a dense eigh of the same block stays
+    closer to the orbit path."""
+    np.testing.assert_allclose(engine(block, psi0, SCIPY_TIMES), scipy_projections(block, psi0), rtol=0, atol=1e-10)
 
 
 def assert_projections_match_scipy(ham, sectors=(0, 1, 2)):
-    """compute_trajectory's projections of the Dicke states match the
-    :func:`full_sectors` blocks' evolved by scipy within 1e-10; returns the
-    trajectory."""
+    """compute_trajectory's projections of the Dicke states, from the orbit
+    blocks, match scipy's on the :func:`full_sectors` blocks within 1e-10;
+    returns the trajectory."""
     traj = compute_trajectory(ham, SCIPY_TIMES, auto_refine=False)
     full = full_sectors(ham.lattice, ham.kappa, ham.xi)
     for n in sectors:
-        block, basis = full[n]
-        psi0 = dicke_state(basis)
-        want = assert_matches_scipy(block, psi0) @ psi0.conj()
+        block = full[n][0]
+        want = scipy_projections(block, dicke(block.shape[0]))
         np.testing.assert_allclose((traj.c0, traj.c1, traj.c2)[n], want, rtol=0, atol=1e-10)
     return traj
 
@@ -326,7 +308,7 @@ def assembled_spectra(ham):
     first = np.unique(labels, return_index=True)[1]
     assert np.abs(sums - sums[first][labels]).max() <= 1e-13 * np.abs(h.data).max(initial=1.0)
     root = np.sqrt(np.bincount(labels))
-    spectra = [dyn_mod._weights(block, dicke_state(basis)) for block, basis in full[:2]]
+    spectra = [dyn_mod._weights(block, dicke(len(block))) for block, _ in full[:2]]
     return spectra + [dyn_mod._weights(sums[first] * root[:, None] / root, root / np.sqrt(len(labels)))]
 
 
@@ -492,62 +474,6 @@ def test_open_chain_refused_before_any_large_table():
     assert peak < 4 * 2**20
 
 
-class TestBlockInput:
-    def test_scipy_input_is_sorted_and_summed(self):
-        # unsorted columns and duplicate entries, as a COO array may hold them:
-        # evolve reads the dense copy, whose duplicates are summed
-        rows = np.array([1, 0, 0, 1, 0, 2, 2])
-        cols = np.array([0, 2, 1, 0, 0, 2, 0])
-        vals = np.array([0.5, 2.0, 1.0, 0.5, 3.0, -1.0, 2.0])
-        coo = sp.coo_array((vals, (rows, cols)), shape=(3, 3))
-        h = np.array([[3.0, 1.0, 2.0], [1.0, 0.0, 0.0], [2.0, 0.0, -1.0]])
-        psi0 = np.array([0.6, 0.8j, 0.0])
-        states = evolve(coo, psi0, [0.0, 0.7])
-        assert np.array_equal(states, evolve(h, psi0, [0.0, 0.7]))
-        lam, vec = np.linalg.eigh(h)
-        ref = vec @ (np.exp(-0.7j * lam) * (vec.conj().T @ psi0))
-        np.testing.assert_allclose(states[-1], ref, rtol=1e-12, atol=1e-14)
-
-    def test_dense_copy_within_memory_budget(self, monkeypatch):
-        # 16 bytes an entry for the dense copy and the Hermitian check's
-        # difference, checked before the 40 bytes an entry of the eigh
-        psi0 = np.full(50, 1.0 / np.sqrt(50.0))
-        block = sp.csr_array(np.eye(50))
-        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 40 * 50**2)
-        evolve(block, psi0, [0.0, 1.0])
-        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 16 * 50**2 - 1)
-        with pytest.raises(ResourceLimitError, match=r"dense copy of the block needs .* for shape \(50, 50\)"):
-            evolve(block, psi0, [0.0, 1.0])
-        # a dense array is read in place, so only the eigh is checked
-        with pytest.raises(ResourceLimitError, match="quotient of dimension 50 or more needs"):
-            evolve(np.eye(50), psi0, [0.0, 1.0])
-
-    def test_rejects_state_of_other_length(self):
-        with pytest.raises(ValueError, match=r"psi0 has shape \(2,\), block has shape \(3, 3\)"):
-            evolve(np.eye(3), np.array([1.0, 0.0]), [0.0, 1.0])
-
-    def test_rejects_non_square_block(self):
-        with pytest.raises(ValueError, match="square"):
-            evolve(np.ones((2, 3)), np.array([1.0, 0.0]), [0.0, 1.0])
-
-    @pytest.mark.parametrize("block", [
-        np.array([[1.0, 2.0], [0.0, 1.0]]),  # upper triangle only
-        np.array([[1.0, 2.0j], [2.0j, 1.0]]),  # symmetric, not Hermitian
-        np.array([[1.0 + 1e-6j, 0.0], [0.0, 1.0]]),  # complex diagonal
-    ], ids=["triangular", "complex-symmetric", "complex-diagonal"])
-    def test_rejects_non_hermitian_block(self, block):
-        for form in (block, sp.csr_array(block)):
-            with pytest.raises(ValueError, match="not Hermitian"):
-                evolve(form, np.array([1.0, 0.0]), [0.0, 1.0])
-
-    def test_accepts_hermitian_complex_block(self):
-        h = np.array([[1.0, 2.0j], [-2.0j, -0.5]])
-        lam, vec = np.linalg.eigh(h)
-        psi0 = np.array([1.0, 0.0])
-        ref = vec @ (np.exp(-1j * 0.7 * lam) * (vec.conj().T @ psi0))
-        np.testing.assert_allclose(evolve(h, psi0, [0.0, 0.7])[-1], ref, rtol=1e-12, atol=1e-14)
-
-
 def expm1_projections(spectra, times):
     """The spectral sums as 1 + expm1(-i lambda t) @ w, each phase rounded
     once as t * lambda: the projections before the sin^2 kernel took them."""
@@ -645,10 +571,10 @@ class TestDickeProjections:
         blocks = [dense(block) for block, _ in sectors]
         dims = [b.shape[0] for b in blocks]
         big = block_diag(*blocks)
-        parts = [dicke_state(basis) for _, basis in sectors]
+        parts = [dicke(dim) for dim in dims]
         psi0 = np.concatenate([p / np.sqrt(3.0) for p in parts])
         t = np.linspace(0.0, 30.0, 40)
-        states = evolve(big, psi0, t)
+        states = dense_spectral(big, psi0, t)
         traj = compute_trajectory(h, t, auto_refine=False)
         ofs = np.cumsum([0] + dims)
         for n, cn in enumerate((traj.c0, traj.c1, traj.c2)):

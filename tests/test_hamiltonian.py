@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from math import comb
 
@@ -6,7 +7,6 @@ import pytest
 import scipy.sparse as sp
 
 import dipolarray.hamiltonian as hamiltonian_mod
-from dipolarray.basis import dicke_state, sector_basis
 from dipolarray.dynamics import _weights
 from dipolarray.hamiltonian import (
     ZETA3,
@@ -55,15 +55,15 @@ def brute_force(lattice, kappa, xi, exchange_only):
     return h
 
 
-def sector_slice(h_full, basis):
+def sector_slice(h_full, configs):
     """Rows/columns of the 2^N matrix for the given configuration order.
 
     Excited site i corresponds to bit (n-1-i) because the Kronecker product
     puts site 0 leftmost; basis order (e, g) makes bit value 0 = excited.
     """
-    n = basis.n_sites
+    n = len(h_full).bit_length() - 1
     idx = []
-    for cfg in basis.configs:
+    for cfg in configs:
         bits = dim = (1 << n) - 1  # all ones = all ground
         for site in cfg:
             bits &= ~(1 << (n - 1 - site))
@@ -78,10 +78,9 @@ def coo_sector2_block(lattice, kappa, xi):
     exactly one site excited)."""
     d = coupling_kernel(lattice)
     n = lattice.n_sites
-    basis2 = sector_basis(n, 2)
-    dim2 = basis2.dim
-    a = basis2.configs[:, 0]
-    b = basis2.configs[:, 1]
+    configs = colex_configs(n, 2)
+    dim2 = len(configs)
+    a, b = configs.T
     row = d.sum(axis=1)
     e2 = (kappa - xi) * (0.5 * row.sum() - 2.0 * (row[a] + row[b] - 2.0 * d[a, b]))
     rows, cols, vals = [], [], []
@@ -106,11 +105,31 @@ def coo_sector2_block(lattice, kappa, xi):
     return sp.csr_array((vals, (rows, cols)), shape=(dim2, dim2)) + sp.diags_array(e2)
 
 
+def colex_configs(n_sites, n_exc):
+    """All n_exc-subsets of the sites, rows of increasing site indices in
+    colexicographic order: the combinations of the descending sites come in
+    reverse colex order, each row descending, so both axes are flipped."""
+    descending = itertools.combinations(range(n_sites - 1, -1, -1), n_exc)
+    return np.array(list(descending), dtype=np.int64).reshape(comb(n_sites, n_exc), n_exc)[::-1, ::-1]
+
+
+def colex_ranks(configs):
+    """The colex rank sum_t C(c_t, t + 1) of every row of increasing site
+    indices (..., n_exc)."""
+    return sum((np.vectorize(comb, otypes=[np.int64])(configs[..., t], t + 1) for t in range(configs.shape[-1])),
+               np.zeros(configs.shape[:-1], dtype=np.int64))
+
+
+def dicke(dim):
+    """The symmetric (Dicke) state of a whole sector of ``dim`` rows."""
+    return np.full(dim, dim**-0.5)
+
+
 def full_sectors(lattice, kappa, xi):
     """The whole sectors n = 0, 1, 2 of the model, the oracle for the orbit
-    blocks: (block, basis) per sector in the colex order of
-    ``sector_basis``, sectors 0 and 1 dense and sector 2 the scipy CSR of
-    :func:`coo_sector2_block`."""
+    blocks: (block, configs) per sector in the order of
+    :func:`colex_configs`, sectors 0 and 1 dense and sector 2 the scipy CSR
+    of :func:`coo_sector2_block`."""
     d = coupling_kernel(lattice)
     n = lattice.n_sites
     row = d.sum(axis=1)
@@ -118,7 +137,7 @@ def full_sectors(lattice, kappa, xi):
     h1 = 2.0 * kappa * d
     np.fill_diagonal(h1, (kappa - xi) * (total - 2.0 * row))
     blocks = [np.array([[(kappa - xi) * total]]), h1, coo_sector2_block(lattice, kappa, xi)]
-    return [(block, sector_basis(n, s)) for s, block in enumerate(blocks)]
+    return [(block, colex_configs(n, s)) for s, block in enumerate(blocks)]
 
 
 def dense(block):
@@ -131,14 +150,14 @@ def orbit_quotient(h_full, lattice, n_exc):
     B's columns the normalized indicators of the orbits of the sector's
     configurations under the point-group maps, ordered by their least colex
     rank as :meth:`SpinHamiltonian.dicke_sectors` orders them."""
-    basis = sector_basis(lattice.n_sites, n_exc)
-    images = np.sort(_point_group_maps(lattice)[:, basis.configs], axis=-1)
-    ranks = sum(np.vectorize(comb)(images[..., t], t + 1) for t in range(n_exc))
-    labels = np.unique(np.min(ranks, axis=0, initial=np.iinfo(np.int64).max), return_inverse=True)[1].ravel()
-    indicators = np.zeros((basis.dim, labels.max() + 1))
-    indicators[np.arange(basis.dim), labels] = 1.0
+    configs = colex_configs(lattice.n_sites, n_exc)
+    images = np.sort(_point_group_maps(lattice)[:, configs], axis=-1)
+    labels = np.unique(np.min(colex_ranks(images), axis=0, initial=np.iinfo(np.int64).max),
+                       return_inverse=True)[1].ravel()
+    indicators = np.zeros((len(configs), labels.max() + 1))
+    indicators[np.arange(len(configs)), labels] = 1.0
     indicators /= np.sqrt(indicators.sum(axis=0))
-    return indicators.T @ sector_slice(h_full, basis).real @ indicators
+    return indicators.T @ sector_slice(h_full, configs).real @ indicators
 
 
 class TestBruteForceOracle:
@@ -152,8 +171,8 @@ class TestBruteForceOracle:
         hb = brute_force(lat, kappa, xi, exchange_only)
         assert np.abs(hb - hb.conj().T).max() < 1e-14
         xi = kappa if exchange_only else xi
-        for block, basis in full_sectors(lat, kappa, xi):
-            ref = sector_slice(hb, basis)
+        for block, configs in full_sectors(lat, kappa, xi):
+            ref = sector_slice(hb, configs)
             assert np.abs(ref.imag).max() < 1e-14
             assert np.abs(dense(block) - ref.real).max() < 1e-12
         for sector, block in full_hamiltonian(lat, kappa, xi).blocks.items():
@@ -163,8 +182,8 @@ class TestBruteForceOracle:
         # one-excitation diagonal entries against the full-space construction
         lat = build_lattice("chain", 3)
         hb = brute_force(lat, 1.0, 0.4, exchange_only=False)
-        h1, basis1 = full_sectors(lat, 1.0, 0.4)[1]
-        ref = sector_slice(hb, basis1)
+        h1, configs1 = full_sectors(lat, 1.0, 0.4)[1]
+        ref = sector_slice(hb, configs1)
         assert np.allclose(np.diag(h1), np.diag(ref.real))
 
 
@@ -192,8 +211,8 @@ class TestExchangeHamiltonian:
 
     def test_collective_states_are_eigenvectors_periodic(self):
         lat = build_lattice("chain", 12, boundary="periodic")
-        for block, basis in full_sectors(lat, 1.0, 1.0)[:2]:
-            psi = dicke_state(basis)
+        for block, _ in full_sectors(lat, 1.0, 1.0)[:2]:
+            psi = dicke(len(block))
             hp = block @ psi
             e = np.vdot(psi, hp)
             assert np.linalg.norm(hp - e * psi) <= 1e-12
@@ -225,8 +244,8 @@ class TestFullHamiltonian:
             expect = []
             for sectors in (full_sectors(lat, kappa, xi), full_sectors(lat, kappa, 0.0)):
                 vals = []
-                for block, basis in sectors:
-                    psi = dicke_state(basis)
+                for block, _ in sectors:
+                    psi = dicke(block.shape[0])
                     vals.append(np.real(np.vdot(psi, block @ psi)))
                 expect.append(vals[2] - 2 * vals[1] + vals[0])
             second_diff_hi = expect[0] - expect[1]

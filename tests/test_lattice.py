@@ -1,11 +1,18 @@
+import tracemalloc
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dipolarray.basis as basis_mod
 import dipolarray.lattice as lattice_mod
+from dipolarray.basis import ResourceLimitError
+from dipolarray.hamiltonian import gate_params
 from dipolarray.lattice import build_lattice, coupling_kernel, displacements, momentum_grid, relative_sites
 from dipolarray.phonon import _momentum_pairs
+from test_hamiltonian import traced_peak
 
 
 def solved_labels(grid):
@@ -107,6 +114,33 @@ def test_minimum_image_matches_loop(monkeypatch, kind, side):
         monkeypatch.setattr(lattice_mod, "_IMAGE_BLOCK_BYTES", block)
         assert displacements(lat).tobytes() == want.tobytes()
         assert relative_sites(lat).tobytes() == want[1:, 0].tobytes()
+
+
+def triangular_patch_loop(n_sites):
+    """The open triangular patch built candidate by candidate: every i a1 +
+    j a2 sorted by its squared distance rounded to 9 decimals, then j, then
+    i."""
+    radius = int(np.ceil(np.sqrt(n_sites))) + 2
+    cand = []
+    for j in range(-radius, radius + 1):
+        for i in range(-radius, radius + 1):
+            p = i * lattice_mod._TRI_A1 + j * lattice_mod._TRI_A2
+            cand.append((round(float(p @ p), 9), j, i, p))
+    cand.sort(key=lambda t: t[:3])
+    return np.array([t[3] for t in cand[:n_sites]])
+
+
+@pytest.mark.parametrize("n", [2, 7, 19, 37, 64, 100, 1000, 10000])
+def test_triangular_patch_matches_loop(n):
+    assert np.array_equal(build_lattice("triangular", n).positions, triangular_patch_loop(n))
+
+
+@pytest.mark.parametrize("n", [4, 9, 36, 400])
+def test_square_grid_matches_loop(n):
+    side = isqrt(n)
+    want = np.array([(i, j) for i in range(side) for j in range(side)], dtype=float)
+    for boundary in ("open", "periodic"):
+        assert np.array_equal(build_lattice("square", n, boundary=boundary).positions, want)
 
 
 class TestCouplingKernel:
@@ -305,3 +339,27 @@ def test_kernel_properties_random(kind, side, boundary):
     assert np.isclose(d[d > 0].max(), 1.0)
     # the O(N) reference row is the O(N^2) table's column 0, bit for bit
     assert np.array_equal(relative_sites(lat), displacements(lat)[1:, 0, :])
+
+
+@pytest.mark.parametrize("kind", ["chain", "square", "triangular"])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_pair_table_estimate_bounds_peak(kind, boundary):
+    lattice = build_lattice(kind, 900, boundary=boundary)
+    _, peak = traced_peak(coupling_kernel, lattice)
+    assert peak <= 16 * (lattice.dimension + 1) * 900 * 901
+
+
+def test_pair_table_refused_before_it_is_built(monkeypatch):
+    # open chain 2000: the kernel behind gate_params needs about 122 MiB
+    lattice = build_lattice("chain", 2000)
+    monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 32 * 2000 * 2001 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="^pair tables need about 122 MiB for 2000 sites;"):
+            gate_params(lattice, 1.0, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", 32 * 2000 * 2001)
+    gate_params(lattice, 1.0, 0.05)

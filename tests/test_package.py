@@ -55,7 +55,7 @@ def test_trig_only_in_the_kernel(name):
     # every lattice and mode sum takes its sines and cosines, and every
     # spectral sum of the projections its phase factors, from
     # sin2._sin2_sum, which slices and bounds them; dynamics keeps only the
-    # carrier's exp, the phase's cos and the states' exp
+    # carrier's exp and the phase's cos
     tree = ast.parse(inspect.getsource(importlib.import_module(name)))
     names = ("expm1",) if name == "dipolarray.dynamics" else ("sin", "cos")
     assert np_attributes(tree, names) == []

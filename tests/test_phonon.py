@@ -15,7 +15,6 @@ from dipolarray.lattice import build_lattice, momentum_grid, relative_sites
 from dipolarray.phonon import (
     UnstableCrystalError,
     build_phonon_model,
-    dynamical_matrix,
     gamma1_fgr,
     gamma1_time,
     gamma2,
@@ -35,6 +34,11 @@ def chain_model(n, beta=1e4, u_dd=3.0, kappa=1.0):
 
 def tri_model(n, beta=1e4, u_dd=3.0, kappa=1.0):
     return build_phonon_model(build_lattice("triangular", n, boundary="periodic"), beta, u_dd, kappa)
+
+
+def dynamical_matrix(lattice, qvec):
+    """D(q) at one quasi-momentum: the model's lattice sums on one row."""
+    return phonon_mod._lattice_sums(relative_sites(lattice), np.atleast_2d(qvec))[0][0]
 
 
 def with_matrices(monkeypatch, make):
@@ -160,9 +164,9 @@ class TestDynamicalMatrix:
 
     def test_rejects_square_and_open(self):
         with pytest.raises(ValueError, match="unsupported"):
-            dynamical_matrix(build_lattice("square", 16, boundary="periodic"), np.zeros(2))
+            build_phonon_model(build_lattice("square", 16, boundary="periodic"), 1e4, 3.0, 1.0)
         with pytest.raises(ValueError, match="periodic"):
-            dynamical_matrix(build_lattice("chain", 8), np.zeros(1))
+            build_phonon_model(build_lattice("chain", 8), 1e4, 3.0, 1.0)
 
 
 class TestSpectrum:
