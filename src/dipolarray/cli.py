@@ -8,10 +8,12 @@ at full double precision so identical configs byte-reproduce.
 Each experiment is one entry of ``EXPERIMENTS``: the ``@experiment``
 decorator on its ``run_*`` function registers the ``sim list`` help line,
 the config keys with their types and defaults, and the runner together, so
-adding an experiment means writing one decorated function.  ``--workers``
-runs the values of an ``mpm_sweep`` or the fields of a ``stark_sweep`` on a
-thread pool; every other experiment ignores it, and the outputs are the
-same for any worker count.
+adding an experiment means writing one decorated function.  A runner
+returns its summary and tables, and :func:`run` writes the run directory
+only then, so a refused run leaves no files.  ``--workers`` runs the values
+of an ``mpm_sweep`` or the fields of a ``stark_sweep`` on a thread pool;
+every other experiment ignores it, and the outputs are the same for any
+worker count.
 
 Exit codes: 0 success, 2 config error, 3 resource-cap error, 4 gate not
 reached, 5 numerical error (an ``ArithmeticError`` such as an unstable
@@ -81,7 +83,8 @@ EXIT_CODES = (
 class Experiment(NamedTuple):
     help: str                          # the line ``sim list`` shows
     keys: dict[str, tuple]             # config key -> (type, default); None: required
-    run: Callable[[dict, Path, int], dict]
+    # (cfg, workers) -> (summary, {CSV name, in write order: _write_csv's (header, columns[, preamble])})
+    run: Callable[[dict, int], tuple[dict, dict[str, tuple]]]
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
@@ -202,7 +205,7 @@ def _require_time_window(cfg: dict) -> None:
         raise ConfigError("config key 'n_samples': need at least 2 points")
 
 
-def _trajectory_run(cfg: dict, outdir: Path, xi_over_kappa: float, prefix: str = "trajectory") -> dict:
+def _trajectory_run(cfg: dict, xi_over_kappa: float) -> tuple[dict, tuple]:
     lat = build_lattice(cfg["kind"], cfg["n_sites"], boundary=cfg["boundary"])
     kappa = cfg["kappa"]
     use_tilde = xi_over_kappa != 0.0
@@ -215,24 +218,23 @@ def _trajectory_run(cfg: dict, outdir: Path, xi_over_kappa: float, prefix: str =
         tg = gate_time(traj)
     except GateNotReached:
         tg = None
-    _write_csv(outdir / f"{prefix}.csv",
-               ["t", "re_c0", "im_c0", "re_c1", "im_c1", "re_c2", "im_c2",
-                "fidelity", "theta", "abs_cos_half_theta"],
-               [traj.times, traj.c0.real, traj.c0.imag, traj.c1.real, traj.c1.imag,
-                traj.c2.real, traj.c2.imag, traj.fidelity, traj.theta, np.abs(traj.cos_half)])
+    table = (["t", "re_c0", "im_c0", "re_c1", "im_c1", "re_c2", "im_c2",
+              "fidelity", "theta", "abs_cos_half_theta"],
+             [traj.times, traj.c0.real, traj.c0.imag, traj.c1.real, traj.c1.imag,
+              traj.c2.real, traj.c2.imag, traj.fidelity, traj.theta, np.abs(traj.cos_half)])
     return {
         "chi_eff": gp.chi_eff,
         "chi_tilde_eff": gp.chi_tilde_eff,
         "t_pi": gp.t_pi,
         "t_pi_double_coupling": gp.t_pi / 2.0,  # the other pair-sum convention
-        "vacuum_energy": ham.vacuum_energy,
+        "vacuum_energy": float(traj.spectra[0][0][0]),  # sector 0: the 1 x 1 block (kappa - xi) D
         "gate_time": tg,
         "gate_time_over_t_pi": (tg / gp.t_pi) if tg is not None else None,
         "min_fidelity": float(traj.fidelity.min()),
         "max_decay": float((1.0 - traj.fidelity).max()),
         "gate_reached": tg is not None,
         "diagnostics": traj.diagnostics,
-    }
+    }, table
 
 
 @experiment("phase_gate", "collective-phase trajectory, gate time and t_pi for one array",
@@ -241,12 +243,12 @@ def _trajectory_run(cfg: dict, outdir: Path, xi_over_kappa: float, prefix: str =
             xi_over_kappa=(float, 0.0),
             t_max=(float, 4.0),        # window in units of t_pi
             n_samples=(int, 400))
-def run_phase_gate(cfg: dict, outdir: Path, workers: int) -> dict:
+def run_phase_gate(cfg: dict, workers: int) -> tuple[dict, dict]:
     _require_time_window(cfg)
-    summary = _trajectory_run(cfg, outdir, cfg["xi_over_kappa"])
+    summary, table = _trajectory_run(cfg, cfg["xi_over_kappa"])
     if not summary["gate_reached"]:
         raise GateNotReached("no gate zero inside the configured window")
-    return summary
+    return summary, {"trajectory.csv": table}
 
 
 @experiment("mpm_sweep", "gate time and fidelity floor versus the Ising-to-exchange ratio",
@@ -255,25 +257,24 @@ def run_phase_gate(cfg: dict, outdir: Path, workers: int) -> dict:
             xi_over_kappa_values=(str, None),  # comma-separated
             t_max=(float, 2.0),
             n_samples=(int, 400))
-def run_mpm_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
+def run_mpm_sweep(cfg: dict, workers: int) -> tuple[dict, dict]:
     _require_time_window(cfg)
     values = _parse_list(cfg, "xi_over_kappa_values", float)
-    # each value writes trajectory_xi_{v:g}.csv, so no two may share that name
+    # each value's table is trajectory_xi_{v:g}.csv, so no two may share that name
     names = [f"{v:g}" for v in values]
     clashes = [str(v) for v, name in zip(values, names) if names.count(name) > 1]
     if clashes:
         raise ConfigError(f"config key 'xi_over_kappa_values': {', '.join(clashes)} "
                           "share trajectory_xi_*.csv file names")
 
-    def one(v):
-        return _trajectory_run(cfg, outdir, v, prefix=f"trajectory_xi_{v:g}")
-
-    results = _parallel_map(one, values, workers)
+    runs = _parallel_map(lambda v: _trajectory_run(cfg, v), values, workers)
+    results = [summary for summary, _ in runs]
+    tables = {f"trajectory_xi_{name}.csv": table for name, (_, table) in zip(names, runs)}
     stats = ["t_pi", "gate_time", "min_fidelity", "max_decay"]
     # dtype=float turns a missed gate (gate_time None) into NaN
-    table = np.array([[r[k] for k in stats] for r in results], dtype=float)
-    _write_csv(outdir / "sweep.csv", ["xi_over_kappa"] + stats, [values, table])
-    return {"xi_over_kappa": values, "results": results}
+    sweep = np.array([[r[k] for k in stats] for r in results], dtype=float)
+    tables["sweep.csv"] = (["xi_over_kappa"] + stats, [values, sweep])
+    return {"xi_over_kappa": values, "results": results}, tables
 
 
 @experiment("dispersion", "excitation dispersion on a grid and/or its small-k asymptotes",
@@ -282,22 +283,20 @@ def run_mpm_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
             kappa=(float, 1.0),
             sum_cutoff=(int, 100_000),
             asymptote_check=(bool, True))
-def run_dispersion(cfg: dict, outdir: Path, workers: int) -> dict:
+def run_dispersion(cfg: dict, workers: int) -> tuple[dict, dict]:
     if not (cfg["n_sites"] or cfg["asymptote_check"]):
         raise ConfigError("config key 'n_sites': 0 with asymptote_check = false leaves nothing to compute")
-    summary = {}
-    # the check refuses an unsupported kind or cutoff before the table is written
+    summary, tables = {}, {}
     if cfg["asymptote_check"]:
         summary["asymptotes"] = dispersion_asymptote_check(cfg["kind"], cfg["kappa"], cfg["sum_cutoff"])
     if cfg["n_sites"]:
         lat = build_lattice(cfg["kind"], cfg["n_sites"], boundary="periodic")
         disp = dispersion(lat, cfg["kappa"])
         kvecs = disp.grid.kvecs
-        _write_csv(outdir / "dispersion.csv",
-                   [f"k{c}" for c in range(kvecs.shape[1])] + ["omega", "fourier_kernel"],
-                   [kvecs, disp.omega, disp.fourier_kernel])
+        tables["dispersion.csv"] = ([f"k{c}" for c in range(kvecs.shape[1])] + ["omega", "fourier_kernel"],
+                                    [kvecs, disp.omega, disp.fourier_kernel])
         summary["grid_points"] = len(kvecs)
-    return summary
+    return summary, tables
 
 
 def _molecule_from_config(cfg: dict) -> MolecularParams:
@@ -331,7 +330,7 @@ def _molecule_from_config(cfg: dict) -> MolecularParams:
             n_field=(int, 61),
             spacing_nm=(float, 300.0),
             j_max=(int, DEFAULT_J_MAX))
-def run_stark_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
+def run_stark_sweep(cfg: dict, workers: int) -> tuple[dict, dict]:
     mol = _molecule_from_config(cfg)
     if cfg["n_field"] < 2:
         raise ConfigError("config key 'n_field': need at least 2 points")
@@ -360,12 +359,11 @@ def run_stark_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
         f"# j_max = {cfg['j_max']}",
         f"# u_dd_convention = {CONVENTIONS['u_dd_definition']}",
     )
-    _write_csv(outdir / "stark.csv",
-               ["field_B_over_mu0", "mu_gg", "mu_ee", "mu_eg", "xi_over_kappa",
-                "b0_scaled", "kappa_joule", "xi_joule", "b0_joule", "u_dd_joule", "beta"],
-               [column("field"), mu_gg, mu_ee, column("mu_eg"), column("xi_over_kappa"),
-                mu_ee**2 - mu_gg**2, *map(column, ("kappa", "xi", "b0", "u_dd", "beta"))],
-               preamble=header_meta)
+    table = (["field_B_over_mu0", "mu_gg", "mu_ee", "mu_eg", "xi_over_kappa",
+              "b0_scaled", "kappa_joule", "xi_joule", "b0_joule", "u_dd_joule", "beta"],
+             [column("field"), mu_gg, mu_ee, column("mu_eg"), column("xi_over_kappa"),
+              mu_ee**2 - mu_gg**2, *map(column, ("kappa", "xi", "b0", "u_dd", "beta"))],
+             header_meta)
     return {
         "molecule": mol.name,
         "g_label": list(g_label),
@@ -374,7 +372,7 @@ def run_stark_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
         "spacing_nm": cfg["spacing_nm"],
         "first_xi_over_kappa": pairs[0].xi_over_kappa,
         "rows": len(pairs),
-    }
+    }, {"stark.csv": table}
 
 
 @experiment("phonon_bands", "crystal phonon branches and sound speeds",
@@ -382,14 +380,13 @@ def run_stark_sweep(cfg: dict, outdir: Path, workers: int) -> dict:
             n_sites=(int, None),
             beta=(float, 1.0e4),
             u_dd_over_kappa=(float, 3.0))
-def run_phonon_bands(cfg: dict, outdir: Path, workers: int) -> dict:
+def run_phonon_bands(cfg: dict, workers: int) -> tuple[dict, dict]:
     lat = build_lattice(cfg["kind"], cfg["n_sites"], boundary="periodic")
     model = build_phonon_model(lat, cfg["beta"], cfg["u_dd_over_kappa"], 1.0)
     kvecs, nb = model.grid.kvecs, model.n_branches
-    _write_csv(outdir / "bands.csv",
-               [f"q{c}" for c in range(kvecs.shape[1])] + [f"f{b}" for b in range(nb)],
-               [kvecs, model.freqs])
-    return {"sound_speeds": sound_speeds(model), "branches": nb}
+    return {"sound_speeds": sound_speeds(model), "branches": nb}, {
+        "bands.csv": ([f"q{c}" for c in range(kvecs.shape[1])] + [f"f{b}" for b in range(nb)],
+                      [kvecs, model.freqs])}
 
 
 @experiment("phonon_decay", "phonon-induced decay of collective excitations (+ golden-rule rate)",
@@ -404,7 +401,7 @@ def run_phonon_bands(cfg: dict, outdir: Path, workers: int) -> dict:
             n_samples=(int, 300),
             include_two_excitation=(bool, True),
             include_fgr=(bool, True))
-def run_phonon_decay(cfg: dict, outdir: Path, workers: int) -> dict:
+def run_phonon_decay(cfg: dict, workers: int) -> tuple[dict, dict]:
     _require_time_window(cfg)
     lat = build_lattice(cfg["kind"], cfg["n_sites"], boundary="periodic")
     kappa = 1.0
@@ -429,10 +426,9 @@ def run_phonon_decay(cfg: dict, outdir: Path, workers: int) -> dict:
         header += ["decay_2exc_full", "decay_2exc_dominant"]
         columns += [two.decay, two.decay_dominant]
         summary["gamma2_correction_ratio"] = two.correction_ratio
-    _write_csv(outdir / "decay.csv", header, columns)
     if cfg["include_fgr"]:
         summary["fgr"] = gamma1_fgr(model, xi, b0, cfg["temperature"])
-    return summary
+    return summary, {"decay.csv": (header, columns)}
 
 
 @experiment("scaling_fit", "power-law fit of maximum decay probability versus N",
@@ -442,7 +438,7 @@ def run_phonon_decay(cfg: dict, outdir: Path, workers: int) -> dict:
             boundary=(str, "periodic"),
             window_t_pi=(float, 2.0),
             include_exact=(bool, True))
-def run_scaling_fit(cfg: dict, outdir: Path, workers: int) -> dict:
+def run_scaling_fit(cfg: dict, workers: int) -> tuple[dict, dict]:
     n_values = _parse_list(cfg, "n_values", int)
     report = fgr_scaling_diagnostic(
         cfg["kind"], n_values, cfg["xi_over_kappa"],
@@ -451,11 +447,11 @@ def run_scaling_fit(cfg: dict, outdir: Path, workers: int) -> dict:
         boundary=cfg["boundary"],
     )
     exact = ["decay_max_exact"] if cfg["include_exact"] else []
-    _write_csv(outdir / "scaling.csv", ["n_sites", "decay_max_perturbative"] + exact,
-               [n_values, report["decay_max"]] + [report[k] for k in exact])
+    table = (["n_sites", "decay_max_perturbative"] + exact,
+             [n_values, report["decay_max"]] + [report[k] for k in exact])
     key = "alpha_1d" if cfg["kind"] == "chain" else "alpha_2d"
     report[key] = report["alpha"]
-    return report
+    return report, {"scaling.csv": table}
 
 
 def _parallel_map(fn, items, workers: int) -> list:
@@ -471,16 +467,19 @@ def _parallel_map(fn, items, workers: int) -> list:
 # ---------------------------------------------------------------------------
 
 def run(config_path: str | Path, out_dir: str | Path | None = None, workers: int = 1) -> Path:
-    """Execute one configured experiment; returns the output directory."""
+    """Execute one configured experiment, then write its output directory and
+    return it: a refused run leaves no files."""
     if workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
     cfg = parse_config(config_path)
+    summary, tables = EXPERIMENTS[cfg["experiment"]].run(cfg, workers)
     root = Path(out_dir) if out_dir else Path(os.environ.get(OUT_ROOT_ENV, "runs"))
     outdir = root / f"{cfg['experiment']}"
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "metadata.json",
                 {"config": cfg, "code_version": __version__, "conventions": CONVENTIONS})
-    summary = EXPERIMENTS[cfg["experiment"]].run(cfg, outdir, workers)
+    for name, table in tables.items():
+        _write_csv(outdir / name, *table)
     _write_json(outdir / "summary.json", summary)
     return outdir
 

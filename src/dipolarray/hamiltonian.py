@@ -72,11 +72,6 @@ class SpinHamiltonian:
     def blocks(self) -> dict[int, np.ndarray]:
         return {n: block for n, (block, _) in enumerate(self.dicke_sectors())}
 
-    @property
-    def vacuum_energy(self) -> float:
-        """(kappa - xi) * sum_{i<j} d_ij, from the kernel."""
-        return float((self.kappa - self.xi) * _pair_sum(self.lattice))
-
     def dim(self, n: int) -> int:
         """C(N, n)."""
         return comb(self.lattice.n_sites, n)

@@ -303,12 +303,18 @@ n_samples = 60
          "dispersion tables need about 0 MiB at sum_cutoff = 1000;"),
         ("experiment = stark_sweep\nn_field = 2\n", 1000,
          "Stark rotor blocks need about 0 MiB at j_max = 20;"),
-    ], ids=["labels", "pair_tables", "orbits", "quotient", "gamma2", "phonon_model", "dispersion", "stark"])
+        # 320 B a time-grid point: 60 samples fit 30 000 B, their first
+        # doubling to 119 points does not
+        ("experiment = phase_gate\nn_sites = 8\nboundary = periodic\nn_samples = 60\n", 30_000,
+         "time grid needs about 0 MiB for 119 points;"),
+    ], ids=["labels", "pair_tables", "orbits", "quotient", "gamma2", "phonon_model", "dispersion", "stark",
+            "time_grid"])
     def test_memory_budget_exit_code(self, tmp_path, capsys, monkeypatch, text, budget, message):
         monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", budget)
         cfg = write_cfg(tmp_path, text)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_RESOURCE
         assert f"resource limit: {message} cap is 0 MiB" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_stark_budget_covers_every_worker(self, tmp_path, capsys, monkeypatch):
         # one 21 x 21 block (j_max = 20) needs 32 * 441 = 14 112 B: the budget
@@ -575,31 +581,54 @@ def test_csv_writer_matches_per_value_format(tmp_path):
     assert (tmp_path / "out.csv").read_bytes() == ref.encode()
 
 
-# (config, exit code, files left under the output root; None: no output root)
+# (config, exit code) of refusals raised while parsing and inside runners
 EXIT_PATHS = {
     "gate_not_reached": ("experiment = phase_gate\nkind = chain\nn_sites = 10\nboundary = periodic\n"
-                         "t_max = 0.3\nn_samples = 60\n",
-                         EXIT_NO_GATE, ["phase_gate/metadata.json", "phase_gate/trajectory.csv"]),
+                         "t_max = 0.3\nn_samples = 60\n", EXIT_NO_GATE),
     "sweep_name_clash": ("experiment = mpm_sweep\nn_sites = 8\nboundary = periodic\n"
-                         "xi_over_kappa_values = 0.1, 0.1000001\nn_samples = 20\n",
-                         EXIT_CONFIG, ["mpm_sweep/metadata.json"]),
-    "parse_error": ("experiment = phase_gate\nn_sites = eight\n", EXIT_CONFIG, None),
-    "unstable_crystal": ("experiment = phonon_bands\nkind = chain\nn_sites = 8\n",
-                         EXIT_NUMERICAL, ["phonon_bands/metadata.json"]),
+                         "xi_over_kappa_values = 0.1, 0.1000001\nn_samples = 20\n", EXIT_CONFIG),
+    "parse_error": ("experiment = phase_gate\nn_sites = eight\n", EXIT_CONFIG),
+    "unstable_crystal": ("experiment = phonon_bands\nkind = chain\nn_sites = 8\n", EXIT_NUMERICAL),
+    "dispersion_triangular": ("experiment = dispersion\nkind = triangular\nn_sites = 9\n", EXIT_CONFIG),
 }
 
 
 @pytest.mark.parametrize("path", EXIT_PATHS)
 def test_files_left_on_exit_path(tmp_path, monkeypatch, path):
-    text, code, files = EXIT_PATHS[path]
+    text, code = EXIT_PATHS[path]
     if path == "unstable_crystal":
         with_matrices(monkeypatch, lambda m: -np.ones((m, 1, 1)))
     out = tmp_path / "o"
     assert main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == code
-    if files is None:
-        assert not out.exists()
-    else:
-        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == files
+    # the run directory is written only after the experiment returns
+    assert not out.exists()
+
+
+# a small config for every experiment
+TINY_CONFIGS = {
+    "phase_gate": "kind = chain\nn_sites = 8\nboundary = periodic\nt_max = 4.5\nn_samples = 60\n",
+    "mpm_sweep": "kind = chain\nn_sites = 8\nboundary = periodic\nxi_over_kappa_values = 0.05, 0.2\n"
+                 "n_samples = 60\n",
+    "dispersion": "kind = chain\nn_sites = 16\nsum_cutoff = 2000\n",
+    "stark_sweep": "n_field = 5\n",
+    "phonon_bands": "kind = triangular\nn_sites = 16\n",
+    "phonon_decay": "kind = chain\nn_sites = 12\nn_samples = 30\n",
+    "scaling_fit": "kind = chain\nn_values = 9, 16, 25\n",
+}
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_runner_writes_nothing_and_returns_every_table(tmp_path, monkeypatch, name):
+    cfg = write_cfg(tmp_path, f"experiment = {name}\n" + TINY_CONFIGS[name])
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    before = sorted(tmp_path.rglob("*"))
+    summary, tables = EXPERIMENTS[name].run(parse_config(cfg), 1)
+    assert sorted(tmp_path.rglob("*")) == before
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+    written = sorted(p.name for p in (tmp_path / "o" / name).glob("*.csv"))
+    assert sorted(tables) == written
 
 
 # a valid value for every key that some experiment requires

@@ -146,6 +146,26 @@ class TestSpectralEngine:
             assert compute_trajectory(ham, [0.0]).diagnostics["reduced_dims"][2] == cells(n)
         assert 40 * cells(143) ** 2 <= basis_mod.MEMORY_BYTES_MAX < 40 * cells(144) ** 2
 
+    @pytest.mark.parametrize("budget, points", [(60 * 320 - 1, 60), (60 * 320, 119)],
+                             ids=["first_grid", "doubling"])
+    def test_time_grid_memory_cap(self, monkeypatch, budget, points):
+        # 320 B a point: 60 requested points need 19 200 B, their first
+        # doubling 119 points; the periodic chain 8's orbit tables fit
+        ham = full_hamiltonian(build_lattice("chain", 8, boundary="periodic"), 1.0, 0.3)
+        monkeypatch.setattr(basis_mod, "MEMORY_BYTES_MAX", budget)
+        evaluated = []
+        projections = dyn_mod._projections
+
+        def spy(spectra, times):
+            evaluated.append(len(times))
+            return projections(spectra, times)
+
+        monkeypatch.setattr(dyn_mod, "_projections", spy)
+        with pytest.raises(ResourceLimitError, match=f"time grid needs about 0 MiB for {points} points"):
+            compute_trajectory(ham, np.linspace(0.0, 10.0, 60))
+        # refused before the projections on that grid
+        assert evaluated == [n for n in (60,) if n < points]
+
 # (kind, n_sites) with n_sites <= 16 that every boundary accepts
 ORACLE_LATTICES = st.one_of(
     st.tuples(st.just("chain"), st.integers(min_value=3, max_value=16)),

@@ -234,7 +234,10 @@ class TestFullHamiltonian:
             b = dense(hf[n][0])
             off = b - np.diag(np.diag(b))
             assert np.allclose(off, a - np.diag(np.diag(a)))
-        assert full_hamiltonian(lat, 1.0, 0.0).vacuum_energy != 0.0
+        # the vacuum energy is the 1 x 1 sector-0 block, (kappa - xi) D
+        vacuum = full_hamiltonian(lat, 1.0, 0.0).blocks[0]
+        assert vacuum.shape == (1, 1) and vacuum[0, 0] != 0.0
+        assert np.allclose(vacuum, hf[0][0], rtol=1e-14, atol=0.0)
 
     def test_projection_identity(self):
         # <2|H_I|2> - 2<1|H_I|1> + <0|H_I|0> = -2 chi_tilde
