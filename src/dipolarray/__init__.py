@@ -37,9 +37,7 @@ from .spinwave import (
     dispersion_asymptote_check,
     dispersion_curve,
     fgr_scaling_diagnostic,
-    fourier_kernel,
     perturbative_decay2,
-    spin_wave_energies,
 )
 from .stark import (
     MOLECULES,
@@ -68,8 +66,6 @@ __all__ = [
     "dispersion",
     "dispersion_curve",
     "dispersion_asymptote_check",
-    "fourier_kernel",
-    "spin_wave_energies",
     "perturbative_decay2",
     "fgr_scaling_diagnostic",
     "MolecularParams",

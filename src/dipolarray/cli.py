@@ -476,6 +476,10 @@ def run(config_path: str | Path, out_dir: str | Path | None = None, workers: int
     root = Path(out_dir) if out_dir else Path(os.environ.get(OUT_ROOT_ENV, "runs"))
     outdir = root / f"{cfg['experiment']}"
     outdir.mkdir(parents=True, exist_ok=True)
+    # a rerun replaces every file an earlier run wrote here, so no table of
+    # it is left beside the new ones
+    for stale in [outdir / "metadata.json", outdir / "summary.json", *outdir.glob("*.csv")]:
+        stale.unlink(missing_ok=True)
     _write_json(outdir / "metadata.json",
                 {"config": cfg, "code_version": __version__, "conventions": CONVENTIONS})
     for name, table in tables.items():

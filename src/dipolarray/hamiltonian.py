@@ -30,7 +30,8 @@ from math import comb
 import numpy as np
 
 from .basis import _require_eigh_memory, require_memory
-from .lattice import Lattice, _cell, _point_group, _point_group_maps, coupling_kernel, momentum_grid, relative_sites
+from .lattice import (Lattice, _point_group, _point_group_maps, _torus_cells, coupling_kernel, momentum_grid,
+                      relative_sites)
 
 __all__ = [
     "SpinHamiltonian",
@@ -165,9 +166,8 @@ def _torus_orbits(lattice: Lattice):
     grid = momentum_grid(lattice)
     couplings = _site_couplings(lattice)
     row = float(couplings.sum())
-    site = grid.index(np.rint(lattice.positions @ np.linalg.inv(_cell(lattice))).astype(np.int64))
     d = np.zeros(n)
-    d[site[1:]] = couplings  # d[g]: the coupling across group element g
+    d[_torus_cells(lattice, grid)[1:]] = couplings  # d[g]: the coupling across group element g
     # orbit of every group element by its least image; element 0, a class of
     # its own, sorts last and so takes the dropped label k
     least = grid.index(grid.coords @ _point_group(lattice)).min(axis=0)

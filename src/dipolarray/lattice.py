@@ -7,7 +7,8 @@ lattices use minimum-image displacements: :func:`displacements` is the
 O(N^2) pair table the coupling kernel needs, checked against the memory
 budget ``basis.MEMORY_BYTES_MAX`` before it is built, :func:`relative_sites`
 its O(N) row r_j - r_0, which is all a translation-invariant lattice sum
-(spin-wave dispersion, phonons) needs.
+(spin-wave dispersion, phonons) needs.  On a torus such a sum at every grid
+momentum is one discrete Fourier transform (:func:`_torus_sums`).
 """
 
 from __future__ import annotations
@@ -277,3 +278,34 @@ def momentum_grid(lattice: Lattice) -> MomentumGrid:
         frac = coords / side
         kvecs = frac[:, :1] * recip[0] + frac[:, 1:] * recip[1]
     return MomentumGrid(kvecs=kvecs, coords=coords, side=side, reciprocal_vectors=recip)
+
+
+def _torus_cells(lattice: Lattice, grid: MomentumGrid) -> np.ndarray:
+    """The grid row of each site's torus cell: its integer cell coordinates
+    modulo ``grid.side``, the element of Z_side^D that
+    :meth:`MomentumGrid.index` numbers."""
+    return grid.index(np.rint(lattice.positions @ np.linalg.inv(_cell(lattice))).astype(np.int64))
+
+
+def _torus_sums(lattice: Lattice, c: np.ndarray, s: np.ndarray | None = None):
+    """sum_j c_j sin^2(k.r_j / 2), and with ``s`` also sum_j s_j sin(k.r_j),
+    at every row k of :func:`momentum_grid`, over the sites r_j of
+    :func:`relative_sites`, whose rows the (N-1,) or (N-1, W) weights follow.
+
+    On the torus k.r_j is 2 pi times an integer over the side, so both are
+    read from one discrete Fourier transform F(k) = sum_j w_j e^{-i k.r_j} of
+    the weights placed on their sites' cells: (F(0) - Re F(k)) / 2 and
+    -Im F(k).  The sin^2 sums are exactly 0 at k = 0.
+    """
+    grid = momentum_grid(lattice)
+    n, dim = lattice.n_sites, lattice.dimension
+    given = (c,) if s is None else (c, s)
+    weights = [v.reshape(n - 1, -1) for v in given]
+    w = np.zeros((n, sum(v.shape[1] for v in weights)))
+    w[_torus_cells(lattice, grid)[1:]] = np.concatenate(weights, axis=1)
+    # cell row i + side j is w[j, i], so row k_1 + side k_2 of the transform is F(k)
+    f = np.fft.fftn(w.reshape((grid.side,) * dim + (-1,)), axes=range(dim)).reshape(n, -1)
+    wc = weights[0].shape[1]
+    sums = [(f[0, :wc].real - f[:, :wc].real) / 2.0, -f[:, wc:].imag]
+    sums = [x if v.ndim == 2 else x[:, 0] for x, v in zip(sums, given)]
+    return sums[0] if s is None else tuple(sums)

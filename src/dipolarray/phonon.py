@@ -27,13 +27,13 @@ the natural scale of the spectrum.
 Every lattice sum runs over the relative sites r_j - r_0 of
 :func:`dipolarray.lattice.relative_sites`, O(N) to build.
 :func:`build_phonon_model` takes D(q), the spin-wave band and the coupling
-force sum_j sin(q.r_j) r_j / |r_j|^5 for the whole grid from one pass of
-:func:`dipolarray.sin2._sin2_sum` (the force is its sine partner), then
-tabulates f_lambda(q), g_lambda(q) (0 at q = 0, where the acoustic modes are
-soft and uncoupled) and the spin-wave energies once, and every decay sum
-indexes those tables by grid point.  The decay sums use inversion symmetry:
-D(-q) = D(q), so q and -q give the same term up to roundoff.  The
-one-excitation sum runs over one q per pair
+force sum_j sin(q.r_j) r_j / |r_j|^5 for the whole grid from one Fourier
+transform of the torus, :func:`dipolarray.lattice._torus_sums` (the force
+is its sine partner), then tabulates f_lambda(q), g_lambda(q) (0 at q = 0,
+where the acoustic modes are soft and uncoupled) and the spin-wave energies
+once, and every decay sum indexes those tables by grid point.  The decay
+sums use inversion symmetry: D(-q) = D(q), so q and -q give the same term
+up to roundoff.  The one-excitation sum runs over one q per pair
 (:meth:`~dipolarray.lattice.MomentumGrid.pair_fold`), and the two-excitation
 sum over one unordered pair k <= k' per orbit {(k, k'), (-k, -k')}, with q =
 -(k + k') from the grid's integer momentum coordinates; each term carries
@@ -63,7 +63,7 @@ import numpy as np
 
 from .basis import require_memory
 from .hamiltonian import ZETA3, _require_couplings
-from .lattice import Lattice, MomentumGrid, build_lattice, momentum_grid, relative_sites
+from .lattice import Lattice, MomentumGrid, _torus_sums, build_lattice, momentum_grid, relative_sites
 from .sin2 import _SLICE_BYTES, _sin2_sum
 from .spinwave import PERTURBATION_FLAG_LEVEL
 
@@ -80,6 +80,9 @@ __all__ = [
 
 _SUPPORTED = ("chain", "triangular")
 
+# the sides of gamma1_fgr's refinement grids, in units of the model's side
+_FGR_GRID_FACTORS = (1, 2)
+
 
 class UnstableCrystalError(ArithmeticError):
     """The phonon spectrum is numerically unusable.
@@ -89,20 +92,20 @@ class UnstableCrystalError(ArithmeticError):
     """
 
 
-def _lattice_sums(rel: np.ndarray, qvecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lattice_sums(lattice: Lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """D(q) = sum_j 2 K(r_j) sin^2(q.r_j / 2) (M, D, D), the kappa = 1
     spin-wave band sum_j (4 / |r_j|^3) sin^2(q.r_j / 2) (M,) and the coupling
-    force sum_j sin(q.r_j) r_j / |r_j|^5 (M, D) at every row of ``qvecs``:
-    one :func:`~dipolarray.sin2._sin2_sum` pass with h = r_j / 2, one
-    weight column per matrix entry and the band, and the force as the sine
-    partner (sin(q.r_j) = sin(2 h_j . q))."""
+    force sum_j sin(q.r_j) r_j / |r_j|^5 (M, D) at every grid momentum: one
+    :func:`~dipolarray.lattice._torus_sums` call, one weight column per
+    matrix entry and the band, and the force as the sine partner."""
+    rel = relative_sites(lattice)
     rn = np.linalg.norm(rel, axis=1)
     nhat = rel / rn[:, None]
     dim = rel.shape[1]
     pair = 5.0 * nhat[:, :, None] * nhat[:, None, :] - np.eye(dim)  # (N-1, D, D)
     c = np.column_stack([(6.0 / rn**5)[:, None] * pair.reshape(len(rel), dim * dim), 4.0 / rn**3])
-    sums, force = _sin2_sum([(c, rel / 2.0, rel / (rn**5)[:, None])], qvecs)
-    return sums[:, :-1].reshape(len(qvecs), dim, dim), sums[:, -1], force
+    sums, force = _torus_sums(lattice, c, rel / (rn**5)[:, None])
+    return sums[:, :-1].reshape(-1, dim, dim), sums[:, -1], force
 
 
 @dataclass
@@ -139,8 +142,8 @@ class PhononModel:
 def build_phonon_model(lattice: Lattice, beta: float, u_dd: float, kappa: float) -> PhononModel:
     """Diagonalize the dynamical matrix and tabulate the couplings on the full grid.
 
-    D(q), the spin-wave band and the coupling force come from one kernel
-    pass (:func:`_lattice_sums`).  Raises
+    D(q), the spin-wave band and the coupling force come from one Fourier
+    transform (:func:`_lattice_sums`).  Raises
     :class:`~dipolarray.basis.ResourceLimitError` when the per-momentum
     tables would exceed the memory budget ``basis.MEMORY_BYTES_MAX``.
     """
@@ -149,13 +152,13 @@ def build_phonon_model(lattice: Lattice, beta: float, u_dd: float, kappa: float)
     if lattice.kind not in _SUPPORTED:
         raise ValueError(f"unsupported crystal kind {lattice.kind!r}; expected {_SUPPORTED}")
     _require_couplings(kappa)
-    # the per-momentum tables; the tracemalloc peak less the kernel's one
-    # slice (sin2._SLICE_BYTES) was 216 (chain) and 456 (triangular)
-    # bytes per site at N = 4096 and 8100, and 351 and 609 at N = 1024
+    # the per-momentum tables and the transform's; the tracemalloc peak of a
+    # first call was 242 (chain) and 258 (triangular) bytes per site and
+    # dimension at N = 4096 and 8100, and 346 and 450 at N = 1024
     n = lattice.n_sites
     require_memory(512 * lattice.dimension * n, "phonon tables need", f"for {n} sites")
     grid = momentum_grid(lattice)
-    dyn, band, force = _lattice_sums(relative_sites(lattice), grid.kvecs)
+    dyn, band, force = _lattice_sums(lattice)
     lam, vec = np.linalg.eigh(dyn)
     unstable = np.flatnonzero(lam.min(axis=1) < -1e-10)
     if len(unstable):
@@ -374,14 +377,13 @@ def _momentum_pairs(grid: MomentumGrid,
     return ik[keep], ikp[keep], iq[keep], np.where(code[keep] == code_neg[keep], 1, 2)
 
 
-def gamma1_fgr(model: PhononModel, xi: float, b0: float, temperature: float,
-               grid_factors=(1, 2)) -> dict:
+def gamma1_fgr(model: PhononModel, xi: float, b0: float, temperature: float) -> dict:
     """Golden-rule rate by Gaussian-broadened resonance quadrature.
 
     Deltas are broadened with a per-mode width of twice the local spacing of
-    the resonance variable; the rate is reported for a sequence of momentum
-    grids (``grid_factors`` scale the lattice) as a refinement study.  In 1D
-    the closed-form small-q limit
+    the resonance variable; the rate is reported on the model's momentum grid
+    and on the grid of twice its side (``_FGR_GRID_FACTORS``) as a refinement
+    study.  In 1D the closed-form small-q limit
 
         gamma ~ (xi + 4 b0)^2 sqrt(3 zeta(3)) sqrt(beta) k_B T / (4 u_dd^2)
 
@@ -390,7 +392,7 @@ def gamma1_fgr(model: PhononModel, xi: float, b0: float, temperature: float,
     lat = model.lattice
     side = model.grid.side
     rates = []
-    for fac in grid_factors:
+    for fac in _FGR_GRID_FACTORS:
         if fac == 1:  # the model's own grid
             m = model
         else:
@@ -399,7 +401,7 @@ def gamma1_fgr(model: PhononModel, xi: float, b0: float, temperature: float,
         rates.append(_fgr_rate(m, xi, b0, temperature))
     out = {
         "rates": rates,
-        "grid_factors": list(grid_factors),
+        "grid_factors": list(_FGR_GRID_FACTORS),
         "rate": rates[-1],
         "resonant": rates[-1] > 0.0,
     }

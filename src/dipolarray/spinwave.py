@@ -3,10 +3,11 @@ and finite-size decay-scaling diagnostics.
 
 Energies are in units of kappa (hbar = 1); momenta in units of 1/a.
 
-Every lattice and mode sum here (the band omega_k with h = r_j / 2 against
-the momenta, the Fourier kernel F_k = F_0 - omega_k / 2 kappa, the
-large-cutoff sums of :func:`dispersion_curve` and the perturbative decay)
-runs through the one sin^2 kernel of :mod:`dipolarray.sin2`.
+The band omega_k and the Fourier kernel F_k = F_0 - omega_k / 2 kappa on
+the torus's momentum grid come from one discrete Fourier transform
+(:func:`dipolarray.lattice._torus_sums`); the large-cutoff sums of
+:func:`dispersion_curve` and the perturbative decay run through the sin^2
+kernel of :mod:`dipolarray.sin2`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .basis import require_memory
 from .dynamics import compute_trajectory
 from .hamiltonian import _require_couplings, full_hamiltonian, gate_params
-from .lattice import Lattice, MomentumGrid, build_lattice, momentum_grid, relative_sites
+from .lattice import Lattice, MomentumGrid, _torus_sums, build_lattice, momentum_grid, relative_sites
 from .sin2 import _sin2_sum
 
 __all__ = [
@@ -27,8 +28,6 @@ __all__ = [
     "dispersion",
     "dispersion_curve",
     "dispersion_asymptote_check",
-    "fourier_kernel",
-    "spin_wave_energies",
     "perturbative_decay2",
     "fgr_scaling_diagnostic",
 ]
@@ -43,33 +42,17 @@ _SCALING_TIMES = 4000
 _DISPERSION_SITE_BYTES = {"chain": 25, "square": 34}
 
 
-def spin_wave_energies(lattice: Lattice, kvecs: np.ndarray, kappa: float = 1.0) -> np.ndarray:
-    """hbar*omega_k = kappa * sum_{j != 0} (4/|r_j|^3) sin^2(k.r_j / 2) on the
-    periodic lattice, by :func:`~dipolarray.sin2._sin2_sum` with h = r_j / 2.
+def _unit_band(lattice: Lattice) -> tuple[np.ndarray, float]:
+    """The kappa = 1 band sum_{j != 0} (4 / |r_j|^3) sin^2(k.r_j / 2) at
+    every row of the momentum grid and F_0 = sum_{j != 0} 1 / |r_j|^3, both
+    from one ``relative_sites`` table.
 
-    The energy of the uniform (k = 0) one-excitation mode minus the energy of
-    the k mode; non-negative for the repulsive kernel.
+    The band is the energy of the uniform (k = 0) one-excitation mode minus
+    that of the k mode, non-negative for the repulsive kernel; F_k = F_0 -
+    band / 2 (1 - cos x = 2 sin^2(x / 2)).
     """
-    _require_couplings(kappa)
-    return kappa * _unit_band(lattice, kvecs)[0]
-
-
-def fourier_kernel(lattice: Lattice, kvecs: np.ndarray) -> np.ndarray:
-    """F_k = a^3 sum_{j != 0} cos(k.r_j) / |r_j|^3 on the periodic lattice,
-    as F_0 - omega_k / 2 kappa from the kappa = 1 band
-    (1 - cos x = 2 sin^2(x / 2))."""
-    band, f0 = _unit_band(lattice, kvecs)
-    return f0 - band / 2.0
-
-
-def _unit_band(lattice: Lattice, kvecs: np.ndarray) -> tuple[np.ndarray, float]:
-    """The kappa = 1 band at ``kvecs`` and F_0 = sum_{j != 0} 1 / |r_j|^3,
-    both from one ``relative_sites`` table."""
-    if not lattice.periodic:
-        raise ValueError("spin-wave energies require a periodic lattice")
-    rel = relative_sites(lattice)
-    r3 = np.linalg.norm(rel, axis=1) ** 3
-    return _sin2_sum([(4.0 / r3, rel / 2.0)], np.atleast_2d(kvecs)), (1.0 / r3).sum()
+    r3 = np.linalg.norm(relative_sites(lattice), axis=1) ** 3
+    return _torus_sums(lattice, 4.0 / r3), (1.0 / r3).sum()
 
 
 @dataclass
@@ -87,7 +70,7 @@ def dispersion(lattice: Lattice, kappa: float = 1.0) -> Dispersion:
     and F_k = F_0 - band / 2."""
     _require_couplings(kappa)
     grid = momentum_grid(lattice)
-    band, f0 = _unit_band(lattice, grid.kvecs)
+    band, f0 = _unit_band(lattice)
     return Dispersion(grid=grid, omega=kappa * band, fourier_kernel=f0 - band / 2.0)
 
 
@@ -197,10 +180,9 @@ def perturbative_decay2(lattice: Lattice, xi: float, times, kappa: float = 1.0) 
         raise ValueError("perturbative decay needs a periodic lattice")
     times = np.asarray(times, dtype=float)
     n = lattice.n_sites
-    grid = momentum_grid(lattice)
-    reps, mult = grid.pair_fold()
-    kv = grid.kvecs[reps]
-    band, f0 = _unit_band(lattice, kv)
+    reps, mult = momentum_grid(lattice).pair_fold()
+    band, f0 = _unit_band(lattice)
+    band = band[reps]
     fk = f0 - band / 2.0
     om = kappa * band
     decay = (16.0 * xi**2 / n**2) * _sin2_sum([(mult * fk**2 / om**2, om)], times)

@@ -631,6 +631,19 @@ def test_runner_writes_nothing_and_returns_every_table(tmp_path, monkeypatch, na
     assert sorted(tables) == written
 
 
+def test_rerun_replaces_earlier_tables(tmp_path):
+    # a sweep over two values, then over one other, into the same --out:
+    # only the second run's tables are left beside a file no run writes
+    out, run_dir = tmp_path / "o", tmp_path / "o" / "mpm_sweep"
+    base = "experiment = mpm_sweep\nkind = chain\nn_sites = 8\nboundary = periodic\nn_samples = 60\n"
+    assert main(["run", write_cfg(tmp_path, base + "xi_over_kappa_values = 0.05, 0.2\n"), "--out", str(out)]) == EXIT_OK
+    assert (run_dir / "trajectory_xi_0.2.csv").exists()
+    (run_dir / "notes.txt").write_text("kept")
+    assert main(["run", write_cfg(tmp_path, base + "xi_over_kappa_values = 0.1\n"), "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "metadata.json", "notes.txt", "summary.json", "sweep.csv", "trajectory_xi_0.1.csv"]
+
+
 # a valid value for every key that some experiment requires
 REQUIRED_VALUES = {"n_sites": "8", "xi_over_kappa_values": "0.1"}
 FLOAT_KEYS = [(name, key) for name, exp in EXPERIMENTS.items()

@@ -1,7 +1,6 @@
-"""The sin^2 kernel's two routes: the split sums on evenly spaced grids and
-product momentum grids against direct per-element sums and mpmath, the
-direct route bitwise on every other grid, and the split route's trig
-budget."""
+"""The sin^2 kernel's two routes: the split sums on evenly spaced grids
+against direct per-element sums and mpmath, the direct route bitwise on
+every other grid, and the split route's trig budget and one workspace."""
 
 import tracemalloc
 from functools import reduce
@@ -12,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dipolarray.sin2 as sin2_mod
-from dipolarray.lattice import build_lattice, momentum_grid, relative_sites
+from dipolarray.lattice import build_lattice, relative_sites
 from dipolarray.sin2 import _sin2_sum, _time_split
 from dipolarray.spinwave import perturbative_decay2
 
@@ -21,28 +20,22 @@ EPS = np.finfo(float).eps
 
 def split_slice_bytes(times, modes: int, columns: int = 1) -> int:
     """A ``sin2._SLICE_BYTES`` that cuts a kernel call on the split grid
-    ``times`` into slices of ``modes`` modes.  On a 1-D grid, 16 bytes per
-    coarse, fine and weighted fine factor of a mode, with ``columns`` weight
-    and sine-partner columns; a (T, 1) grid splits as its one axis.  On a
-    product grid, 32 per coarse and fine row and 24 per point."""
-    times = np.asarray(times)
-    if times.ndim == 2 and times.shape[1] == 1:
-        times = times[:, 0]
+    ``times`` into slices of ``modes`` modes: 16 bytes per coarse, fine and
+    weighted fine factor of a mode, with ``columns`` weight and sine-partner
+    columns."""
     split = _time_split(times)
-    if times.ndim == 2:
-        return modes * (32 * (split.a + split.b) + 24 * len(times))
     return modes * 16 * (split.a + split.b * (1 + columns))
 
 
 def direct_sums(c, h, times, s=None):
-    """The kernel's direct route: per slice of modes, the
-    phases h[m] * times (or the dot products), one sin^2 table (and cos * sin
-    with s), contracted with the weights and added in slice order."""
+    """The kernel's direct route: per slice of modes, the phases h[m] *
+    times, one sin^2 table (and cos * sin with s), contracted with the
+    weights and added in slice order."""
     step = max(1, sin2_mod._SLICE_BYTES // (8 * (1 + (s is not None)) * len(times)))
     parts = []
     for start in range(0, max(len(c), 1), step):
         part = slice(start, start + step)
-        x = np.multiply(h[part, None], times) if h.ndim == 1 else h[part] @ times.T
+        x = np.multiply(h[part, None], times)
         sin = np.sin(x)
         terms = [c[part].T @ np.square(sin)]
         if s is not None:
@@ -53,15 +46,11 @@ def direct_sums(c, h, times, s=None):
 
 
 def per_element(c, h, times, s=None):
-    """Sums of every (time, mode) term, each phase rounded as t * h (or the
-    dot product t . h), with their sensitivity to the phases: sum |c| (sin^2 x
-    + X |sin 2x|), and sum |s| (|sin 2x| + 2 X |cos 2x|) for the sine partner,
-    X = sum_d |t_d h_d| the scale of the phase's rounding (|x| in 1-D)."""
-    if h.ndim == 1:
-        x = np.multiply.outer(times, h)
-        scale = np.abs(x)
-    else:
-        x, scale = times @ h.T, np.abs(times) @ np.abs(h).T
+    """Sums of every (time, mode) term, each phase rounded as t * h, with
+    their sensitivity to the phases: sum |c| (sin^2 x + |x sin 2x|), and
+    sum |s| (|sin 2x| + 2 |x cos 2x|) for the sine partner."""
+    x = np.multiply.outer(times, h)
+    scale = np.abs(x)
     sin2, sin2x = np.sin(x) ** 2, np.sin(2.0 * x)
     out = [(sin2 @ c, (sin2 + scale * np.abs(sin2x)) @ np.abs(c))]
     if s is not None:
@@ -176,57 +165,6 @@ def test_long_even_grid_matches_mpmath(t0):
     assert_matches_mpmath(times, (1, 316, 317, 50_000, 99_683, 99_998, 99_999))
 
 
-def lattice_momenta(kind: str, size: int) -> np.ndarray:
-    """The momenta of the periodic chain of ``size`` sites, or of the square
-    or triangular torus of side ``size``."""
-    return momentum_grid(build_lattice(kind, size if kind == "chain" else size * size, boundary="periodic")).kvecs
-
-
-@st.composite
-def momentum_grid_sums(draw):
-    kind = draw(st.sampled_from(["chain", "square", "triangular"]))
-    size = draw(st.integers(4, 700) if kind == "chain" else st.integers(2, 30))
-    kvecs = lattice_momenta(kind, size)
-    dim = kvecs.shape[1]
-    modes = draw(st.integers(min_value=0, max_value=24))
-    # |h| times the largest |k| from 1e-6 to 1e3 radians, any direction; a
-    # nonzero angle from 1e-100: below, a phase of sin(angle) |h| |k| makes
-    # the terms subnormal, where a last-ulp rounding is above any relative
-    # bound (as weight_array, no term underflows)
-    log_phase = np.array(draw(st.lists(st.floats(-6.0, 3.0), min_size=modes, max_size=modes)))
-    angle_draw = st.just(0.0) | st.floats(1e-100, 2.0 * np.pi)
-    angle = np.array(draw(st.lists(angle_draw, min_size=modes, max_size=modes)))
-    direction = np.column_stack([np.cos(angle), np.sin(angle)])[:, :dim]
-    if dim == 1:
-        direction = np.sign(direction) + (direction == 0)
-    h = direction * (10.0**log_phase / np.abs(kvecs).max())[:, None]
-    c = weight_array(draw, modes, draw(st.sampled_from([1, 3])), signed=False)
-    s = weight_array(draw, modes, draw(st.sampled_from([None, dim])), signed=True)
-    cuts = sorted(draw(st.lists(st.integers(0, modes), max_size=3)))
-    return kvecs, c, h, s, [0, *cuts, modes]
-
-
-@settings(max_examples=60, deadline=None)
-@given(case=momentum_grid_sums())
-# on the triangular torus 21 x 21 the two axis phases, 0.353 and -0.353,
-# cancel to x = h . k = 1.2e-5 at k = (3.291, 3.628): composing 1 - e^{2ix}
-# of the two axes there was off by 4.5 times the bound
-@example(case=(lattice_momenta("triangular", 21), np.array([1.0]), np.array([[0.10718602, -0.09724272]]),
-               np.array([1.0]), [0, 1]))
-def test_momentum_grid_matches_per_element_sums(case):
-    kvecs, c, h, s, edges = case
-    # the chain's (M, 1) grid splits as its one axis, the tori as products
-    assert _time_split(kvecs[:, 0] if kvecs.shape[1] == 1 else kvecs) is not None
-    blocks = ((c[a:b], h[a:b], s[a:b]) for a, b in zip(edges, edges[1:]))
-    got = _sin2_sum(blocks, kvecs)
-    for value, (want, sensitivity) in zip(got, per_element(c, h, kvecs, s)):
-        assert value.shape == want.shape
-        assert np.all(np.abs(value - want) <= 1e-12 * sensitivity)
-
-
-TRIANGULAR_GRID = momentum_grid(build_lattice("triangular", 49, boundary="periodic"))
-TRIANGULAR = TRIANGULAR_GRID.kvecs
-SQUARE_6X5 = np.column_stack([np.tile(np.arange(6.0), 5), np.repeat(np.arange(5.0), 6)]) * 0.4
 UNEVEN = {
     "geomspace": np.geomspace(1e-3, 50.0, 200),
     "three points": np.linspace(0.0, 50.0, 3),
@@ -234,10 +172,6 @@ UNEVEN = {
     "toward zero": np.linspace(50.0, 0.0, 200),
     "one point 16 ulps off": np.linspace(0.0, 50.0, 200) + np.where(np.arange(200) == 77, 16 * np.spacing(50.0), 0.0),
     "random": np.sort(np.random.default_rng(3).uniform(0.0, 50.0, 200)),
-    "pair_fold subset": TRIANGULAR[TRIANGULAR_GRID.pair_fold()[0]],
-    "permuted rows": TRIANGULAR[np.random.default_rng(4).permutation(49)],
-    "one row 16 ulps off": TRIANGULAR + 16 * np.spacing(np.abs(TRIANGULAR).max()) * (np.arange(49) == 30)[:, None],
-    "non-square M": SQUARE_6X5,
 }
 
 
@@ -245,7 +179,7 @@ UNEVEN = {
 def test_uneven_grid_bitwise_direct(monkeypatch, name):
     times = UNEVEN[name]
     rng = np.random.default_rng(5)
-    h, c, s = rng.uniform(-3.0, 3.0, (40, *times.shape[1:])), rng.random(40), rng.uniform(-1.0, 1.0, 40)
+    h, c, s = rng.uniform(-3.0, 3.0, 40), rng.random(40), rng.uniform(-1.0, 1.0, 40)
     assert _time_split(times) is None
     # 7-mode slices, so the partial sums of several slices are added
     monkeypatch.setattr(sin2_mod, "_SLICE_BYTES", 16 * len(times) * 7)
@@ -291,26 +225,20 @@ def trig_calls(monkeypatch):
     return calls
 
 
-def lattice_sum_blocks(kind: str, n: int):
-    """The phonon lattice sums' one block: the band weights, h = r_j / 2 and
-    the coupling force as the sine partner."""
-    rel = relative_sites(build_lattice(kind, n, boundary="periodic"))
-    rn = np.linalg.norm(rel, axis=1)
-    return [(4.0 / rn**3, rel / 2.0, rel / (rn**5)[:, None])]
-
-
-@pytest.mark.parametrize("grid", ["even 4000", "even 4000 from t0", "chain 300", "triangular 196"])
+@pytest.mark.parametrize("grid", ["even 4000", "even 4000 from t0", "chain 300"])
 def test_split_trig_budget(monkeypatch, grid):
     # at most 3 phases per mode (the fine step, the coarse step and the
-    # start) go through sin and cos, however many points the grid has
+    # start) go through sin and cos, however many points the grid has; on
+    # the momenta of the chain 300, the band weights at h = r_j / 2 with the
+    # coupling force as the sine partner
     if grid.startswith("even"):
         times = np.linspace(0.5 if grid.endswith("t0") else 0.0, 100.0, 4000)
         h = np.random.default_rng(7).uniform(-3.0, 3.0, 300)
         blocks = [(np.ones(300), h)]
     else:
-        kind, n = grid.split()
-        times = momentum_grid(build_lattice(kind, int(n), boundary="periodic")).kvecs
-        blocks = lattice_sum_blocks(kind, int(n))
+        times = 2.0 * np.pi * np.arange(300) / 300
+        x = relative_sites(build_lattice("chain", 300, boundary="periodic"))[:, 0]
+        blocks = [(4.0 / np.abs(x) ** 3, x / 2.0, x / np.abs(x) ** 5)]
     modes = len(blocks[0][0])
     calls = trig_calls(monkeypatch)
     _sin2_sum(blocks, times)
@@ -318,12 +246,27 @@ def test_split_trig_budget(monkeypatch, grid):
     assert 0 < sum(calls["cos"]) <= 3 * modes
 
 
-@pytest.mark.parametrize("name", ["geomspace", "pair_fold subset", "non-square M"])
+def test_split_tables_allocated_once_per_call(monkeypatch):
+    # 40 modes in 7-mode slices: the coarse, fine and weighted fine tables of
+    # all 6 slices share one workspace, and every other np.empty holds one
+    # step phase per mode of a slice
+    times = np.linspace(0.0, 50.0, 300)
+    h = np.random.default_rng(9).uniform(-3.0, 3.0, 40)
+    monkeypatch.setattr(sin2_mod, "_SLICE_BYTES", split_slice_bytes(times, 7, 3))
+    want = _sin2_sum([(np.ones((40, 2)), h, np.ones(40))], times)
+    sizes, empty = [], np.empty
+    monkeypatch.setattr(np, "empty", lambda shape, *a, **k: sizes.append(np.prod(shape)) or empty(shape, *a, **k))
+    got = _sin2_sum([(np.ones((40, 2)), h, np.ones(40))], times)
+    assert sum(size > 7 for size in sizes) == 1 and len(sizes) > 1
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("name", ["geomspace"])
 def test_direct_trig_count(monkeypatch, name):
     # off the split grids every (time, mode) phase goes through sin once,
     # and through cos once more with the sine partner
     times = UNEVEN[name]
-    h = np.random.default_rng(8).uniform(-3.0, 3.0, (40, *times.shape[1:]))
+    h = np.random.default_rng(8).uniform(-3.0, 3.0, 40)
     calls = trig_calls(monkeypatch)
     for s, cos_per_phase in (((), 0), ((np.ones(40),), 1)):
         for seen in calls.values():

@@ -20,7 +20,6 @@ from dipolarray.phonon import (
     gamma2,
     sound_speeds,
 )
-from dipolarray.spinwave import spin_wave_energies
 from test_hamiltonian import traced_peak
 from test_kernel import split_slice_bytes
 from test_lattice import solved_labels
@@ -36,17 +35,25 @@ def tri_model(n, beta=1e4, u_dd=3.0, kappa=1.0):
     return build_phonon_model(build_lattice("triangular", n, boundary="periodic"), beta, u_dd, kappa)
 
 
+def pair_hessians(rel):
+    """2 K(r_j) = (6 / |r_j|^5) (5 n n - 1) of every relative site, (N-1, D, D)."""
+    rn = np.linalg.norm(rel, axis=1)
+    nhat = rel / rn[:, None]
+    return (6.0 / rn**5)[:, None, None] * (5.0 * nhat[:, :, None] * nhat[:, None, :] - np.eye(rel.shape[1]))
+
+
 def dynamical_matrix(lattice, qvec):
-    """D(q) at one quasi-momentum: the model's lattice sums on one row."""
-    return phonon_mod._lattice_sums(relative_sites(lattice), np.atleast_2d(qvec))[0][0]
+    """D(q) = sum_j 2 K(r_j) sin^2(q.r_j / 2) at any quasi-momentum, summed
+    term by term."""
+    rel = relative_sites(lattice)
+    return np.einsum("j,jab->ab", np.sin(rel @ qvec / 2.0) ** 2, pair_hessians(rel))
 
 
 def with_matrices(monkeypatch, make):
     """Replace the dynamical matrices of the model's lattice sums by
-    ``make(number of momenta)``, keeping the band and force of the real pass."""
+    ``make(number of momenta)``, keeping the band and force of the real sums."""
     real = phonon_mod._lattice_sums
-    monkeypatch.setattr(phonon_mod, "_lattice_sums",
-                        lambda rel, qvecs: (make(len(qvecs)),) + real(rel, qvecs)[1:])
+    monkeypatch.setattr(phonon_mod, "_lattice_sums", lambda lattice: (make(lattice.n_sites),) + real(lattice)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +99,7 @@ class TestDynamicalMatrix:
     def test_zero_at_q0(self):
         for lat in (build_lattice("chain", 12, boundary="periodic"),
                     build_lattice("triangular", 16, boundary="periodic")):
+            assert not phonon_mod._lattice_sums(lat)[0][0].any()
             d = dynamical_matrix(lat, np.zeros(lat.dimension))
             assert np.abs(d).max() <= 1e-12
 
@@ -107,58 +115,43 @@ class TestDynamicalMatrix:
             assert num == pytest.approx(12.0 / dist**5, rel=1e-6)
 
     def test_zone_edge_matches_hessian_oracle(self):
+        # q = pi is grid row n / 2
         n = 32
-        f2 = dynamical_matrix(build_lattice("chain", n, boundary="periodic"), np.array([np.pi]))[0, 0]
+        f2 = phonon_mod._lattice_sums(build_lattice("chain", n, boundary="periodic"))[0][n // 2, 0, 0]
         oracle = hessian_dynamical_1d_richardson(n, np.pi)
         assert abs(f2 - oracle) / f2 <= 1e-6
 
     def test_generic_q_matches_hessian_oracle(self):
         n = 24
         q = 2 * np.pi * 5 / n
-        f2 = dynamical_matrix(build_lattice("chain", n, boundary="periodic"), np.array([q]))[0, 0]
+        f2 = phonon_mod._lattice_sums(build_lattice("chain", n, boundary="periodic"))[0][5, 0, 0]
         oracle = hessian_dynamical_1d_richardson(n, q)
         assert abs(f2 - oracle) / f2 <= 1e-6
 
     def test_hermitian_2d(self):
-        lat = build_lattice("triangular", 25, boundary="periodic")
-        g = momentum_grid(lat)
-        for q in g.kvecs[::5]:
-            d = dynamical_matrix(lat, q)
-            assert np.abs(d - d.T).max() < 1e-12
+        dyn = phonon_mod._lattice_sums(build_lattice("triangular", 25, boundary="periodic"))[0]
+        assert np.array_equal(dyn, dyn.transpose(0, 2, 1))
 
-    @pytest.mark.parametrize("slice_modes", [2, None])
     @pytest.mark.parametrize("kind, n", [("chain", 40), ("triangular", 49)])
-    def test_matches_one_minus_cos_oracle(self, monkeypatch, kind, n, slice_modes):
+    def test_matches_one_minus_cos_oracle(self, kind, n):
         lat = build_lattice(kind, n, boundary="periodic")
         rel = relative_sites(lat)
         q = momentum_grid(lat).kvecs
-        if slice_modes is not None:
-            # D^2 + 1 weight columns and D sine-partner columns per mode
-            columns = lat.dimension**2 + 1 + lat.dimension
-            monkeypatch.setattr(sin2_mod, "_SLICE_BYTES", split_slice_bytes(q, slice_modes, columns))
-        rn = np.linalg.norm(rel, axis=1)
-        nhat = rel / rn[:, None]
-        pair = 5.0 * nhat[:, :, None] * nhat[:, None, :] - np.eye(lat.dimension)
-        ref = np.einsum("qj,jab->qab", (1.0 - np.cos(q @ rel.T)) * (3.0 / rn**5), pair)
-        got = phonon_mod._lattice_sums(rel, q)[0]
+        ref = np.einsum("qj,jab->qab", (1.0 - np.cos(q @ rel.T)) / 2.0, pair_hessians(rel))
+        got = phonon_mod._lattice_sums(lat)[0]
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("slice_modes", [1, 7, None])
     @pytest.mark.parametrize("kind, n", [("chain", 40), ("triangular", 49)])
-    def test_force_and_band_match_dense_formulas(self, monkeypatch, kind, n, slice_modes):
-        # the sine partner of the same pass: sum_j sin(q.r_j) r_j / |r_j|^5,
-        # and the band of the same sin^2 tables against spin_wave_energies
+    def test_force_and_band_match_dense_formulas(self, kind, n):
+        # the sine partner of the same transform: sum_j sin(q.r_j) r_j /
+        # |r_j|^5, and the band sum_j (4 / |r_j|^3) sin^2(q.r_j / 2)
         lat = build_lattice(kind, n, boundary="periodic")
         rel = relative_sites(lat)
         q = momentum_grid(lat).kvecs
-        band_ref = spin_wave_energies(lat, q)
-        if slice_modes is not None:
-            # D^2 + 1 weight columns and D sine-partner columns per mode
-            columns = lat.dimension**2 + 1 + lat.dimension
-            monkeypatch.setattr(sin2_mod, "_SLICE_BYTES", split_slice_bytes(q, slice_modes, columns))
         rn = np.linalg.norm(rel, axis=1)
         ref = (np.sin(q @ rel.T) / rn**5) @ rel
-        _, band, force = phonon_mod._lattice_sums(rel, q)
+        band_ref = np.sin(q @ rel.T / 2.0) ** 2 @ (4.0 / rn**3)
+        _, band, force = phonon_mod._lattice_sums(lat)
         assert np.abs(force - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.abs(band - band_ref).max() <= 1e-13 * np.abs(band_ref).max()
 
@@ -200,9 +193,9 @@ class TestSpectrum:
         assert edge == pytest.approx(np.sqrt(46.5 * ZETA5), rel=1e-3)
 
     def test_1d_linear_small_q(self):
-        lat = build_lattice("chain", 400, boundary="periodic")
+        # grid rows 1 to 13 of the chain 400
         qs = 2 * np.pi * np.arange(1, 14) / 400
-        f = np.array([np.sqrt(dynamical_matrix(lat, np.array([q]))[0, 0]) for q in qs])
+        f = chain_model(400).freqs[1:14, 0]
         ratio = f / qs
         assert (ratio.max() - ratio.min()) / ratio.mean() < 0.03
         assert ratio[0] == pytest.approx(2.0 * np.sqrt(3.0 * ZETA3), rel=0.01)
@@ -270,8 +263,10 @@ class TestCouplingWeight:
         t = np.linspace(0, 40, 5)
         gamma1_time(m, 0.05, 0.1, 0.5, t)
         gamma2(m, 0.05, 0.1, 0.5, t)
-        gamma1_fgr(m, 0.05, 0.1, 0.5, grid_factors=(1,))
         assert calls == [1]
+        # one more for the doubled grid's own model, none for m's
+        gamma1_fgr(m, 0.05, 0.1, 0.5)
+        assert calls == [1, 1]
 
     def test_vanishing_frequency_refused_by_model(self, monkeypatch):
         with_matrices(monkeypatch, lambda m: np.zeros((m, 1, 1)))
@@ -469,12 +464,12 @@ class TestGamma2:
     @pytest.mark.parametrize("kind, n", [("chain", 1024), ("chain", 4096), ("triangular", 1024),
                                          ("triangular", 4096)])
     def test_estimates_bound_peaks(self, kind, n):
-        # build_phonon_model: 512 bytes per site and dimension beyond the
-        # kernel's one slice; gamma2: 704 per momentum and branch beyond that
-        # slice and one pair block
+        # build_phonon_model: 512 bytes per site and dimension; gamma2: 704
+        # per momentum and branch beyond the kernel's one slice and one pair
+        # block
         lat = build_lattice(kind, n, boundary="periodic")
         model, peak = traced_peak(build_phonon_model, lat, 1e4, 3.0, 1.0)
-        assert peak <= 512 * lat.dimension * n + sin2_mod._SLICE_BYTES
+        assert peak <= 512 * lat.dimension * n
         _, peak = traced_peak(gamma2, model, 0.05, 0.1, 0.5, np.linspace(0, 100, 3))
         assert peak <= 704 * model.n_branches * n + 2 * sin2_mod._SLICE_BYTES
 
@@ -624,26 +619,27 @@ class TestGoldenRule:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(phonon_mod, "build_phonon_model", counting)
-        rates = gamma1_fgr(m, 0.05, 0.1, 5.0, grid_factors=(1, 2))["rates"]
+        rates = gamma1_fgr(m, 0.05, 0.1, 5.0)["rates"]
         assert rates[0] == ref
         assert builds == [64]
 
     def test_1d_temperature_ratio(self):
-        m = chain_model(64)
-        r1 = gamma1_fgr(m, 0.05, 0.1, 5.0, grid_factors=(4,))["rate"]
-        r2 = gamma1_fgr(m, 0.05, 0.1, 10.0, grid_factors=(4,))["rate"]
+        # the rate on the doubled grid, chain 256
+        m = chain_model(128)
+        r1 = gamma1_fgr(m, 0.05, 0.1, 5.0)["rate"]
+        r2 = gamma1_fgr(m, 0.05, 0.1, 10.0)["rate"]
         assert r2 / r1 == pytest.approx(2.0, rel=0.05)
 
     def test_1d_nonzero_with_asymptote(self):
-        m = chain_model(64)
-        rep = gamma1_fgr(m, 0.05, 0.1, 5.0, grid_factors=(2, 4))
+        m = chain_model(128)
+        rep = gamma1_fgr(m, 0.05, 0.1, 5.0)
         assert rep["rate"] > 0
         assert rep["asymptote_1d"] > 0
 
     def test_2d_rate_decreases_under_refinement(self):
-        m = tri_model(36)
-        rep = gamma1_fgr(m, 0.05, 0.1, 5.0, grid_factors=(1, 2, 4))
-        rates = rep["rates"]
+        # triangular 36, 144 and 576: each call reports its grid and the doubled one
+        rates = (gamma1_fgr(tri_model(36), 0.05, 0.1, 5.0)["rates"]
+                 + gamma1_fgr(tri_model(144), 0.05, 0.1, 5.0)["rates"][1:])
         assert rates[0] > 0
         assert all(b < a for a, b in zip(rates, rates[1:]))
         assert rates[-1] < 0.75 * rates[0]

@@ -15,9 +15,7 @@ from dipolarray.spinwave import (
     dispersion_asymptote_check,
     dispersion_curve,
     fgr_scaling_diagnostic,
-    fourier_kernel,
     perturbative_decay2,
-    spin_wave_energies,
 )
 from test_hamiltonian import full_sectors
 from test_kernel import split_slice_bytes
@@ -33,17 +31,15 @@ class TestDispersion:
         assert d.omega[0] == 0.0
 
     def test_zone_edge_value(self):
-        lat = periodic("chain", 500)
-        om = spin_wave_energies(lat, np.array([[np.pi]]), 1.0)[0]
+        # k = pi is grid row N / 2 of an even chain
+        om = dispersion(periodic("chain", 500)).omega[250]
         assert om == pytest.approx(7.0 * ZETA3, rel=0.01)
 
     def test_even_in_k(self):
         for kind, n in [("chain", 12), ("square", 16), ("triangular", 16)]:
-            lat = periodic(kind, n)
-            g = momentum_grid(lat)
-            om_pos = spin_wave_energies(lat, g.kvecs, 1.0)
-            om_neg = spin_wave_energies(lat, -g.kvecs, 1.0)
-            assert np.allclose(om_pos, om_neg, atol=1e-12)
+            d = dispersion(periodic(kind, n))
+            om_neg = d.omega[d.grid.index(-d.grid.coords)]
+            assert np.allclose(d.omega, om_neg, atol=1e-12)
 
     def test_nonnegative(self):
         for kind, n in [("chain", 20), ("square", 25)]:
@@ -52,39 +48,32 @@ class TestDispersion:
 
     def test_open_boundary_rejected(self):
         open_chain = build_lattice("chain", 8)
-        with pytest.raises(ValueError):
-            dispersion(open_chain)
         with pytest.raises(ValueError, match="periodic lattice"):
-            spin_wave_energies(open_chain, np.array([[np.pi]]))
+            dispersion(open_chain)
 
-    @pytest.mark.parametrize("slice_modes", [3, None])
     @pytest.mark.parametrize("kind, n", [("chain", 40), ("square", 36), ("triangular", 49)])
-    def test_matches_dense_oracle(self, monkeypatch, kind, n, slice_modes):
+    def test_matches_dense_oracle(self, kind, n):
         lat = periodic(kind, n)
         kv = momentum_grid(lat).kvecs
-        if slice_modes is not None:
-            monkeypatch.setattr(sin2_mod, "_SLICE_BYTES", split_slice_bytes(kv, slice_modes))
         rel = relative_sites(lat)
         dense = (4.0 * np.sin(kv @ rel.T / 2.0) ** 2 / np.linalg.norm(rel, axis=1) ** 3).sum(axis=1)
-        assert np.allclose(spin_wave_energies(lat, kv, 1.0), dense, rtol=1e-12, atol=0)
+        assert np.allclose(dispersion(lat).omega, dense, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kind, n", [("chain", 16), ("triangular", 16)])
     def test_one_band_gives_omega_and_kernel(self, monkeypatch, kind, n):
-        # one sin^2 sum serves both, bitwise equal to the separate calls
+        # one torus sum serves both: omega = kappa band, F_k = F_0 - band / 2
         lat = periodic(kind, n)
-        kv = momentum_grid(lat).kvecs
-        calls, sin2_sum = [], spinwave_mod._sin2_sum
-        monkeypatch.setattr(spinwave_mod, "_sin2_sum", lambda *a: calls.append(1) or sin2_sum(*a))
+        calls, torus_sums = [], spinwave_mod._torus_sums
+        monkeypatch.setattr(spinwave_mod, "_torus_sums", lambda *a: calls.append(1) or torus_sums(*a))
         d = dispersion(lat, 1.7)
         assert len(calls) == 1
-        assert np.array_equal(d.omega, spin_wave_energies(lat, kv, 1.7))
-        assert np.array_equal(d.fourier_kernel, fourier_kernel(lat, kv))
+        band, f0 = spinwave_mod._unit_band(lat)
+        assert np.array_equal(d.omega, 1.7 * band)
+        assert np.array_equal(d.fourier_kernel, f0 - band / 2.0)
 
     @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
     def test_non_positive_kappa_rejected(self, kappa):
         lat = periodic("chain", 8)
-        with pytest.raises(ValueError, match="kappa must be positive"):
-            spin_wave_energies(lat, momentum_grid(lat).kvecs, kappa)
         with pytest.raises(ValueError, match="kappa must be positive"):
             dispersion(lat, kappa)
         for kind in ("chain", "square"):
@@ -94,8 +83,6 @@ class TestDispersion:
     def test_infinite_kappa_rejected(self):
         # inf passes "kappa > 0": the band would read [nan, inf, ...]
         lat = periodic("chain", 8)
-        with pytest.raises(ValueError, match="kappa must be finite"):
-            spin_wave_energies(lat, momentum_grid(lat).kvecs, np.inf)
         with pytest.raises(ValueError, match="kappa must be finite"):
             dispersion(lat, np.inf)
         for kind in ("chain", "square"):
@@ -117,11 +104,10 @@ class TestDispersion:
         lat = periodic("chain", 14)
         h1, _ = full_sectors(lat, 1.0, 1.0)[1]
         evals = np.sort(np.linalg.eigvalsh(h1))
-        g = momentum_grid(lat)
-        fk = fourier_kernel(lat, g.kvecs)
+        d = dispersion(lat)
+        fk = d.fourier_kernel
         assert np.allclose(np.sort(2.0 * fk), evals, atol=1e-10)
-        om = spin_wave_energies(lat, g.kvecs, 1.0)
-        assert np.allclose(om, 2.0 * (fk[0] - fk), atol=1e-10)
+        assert np.allclose(d.omega, 2.0 * (fk[0] - fk), atol=1e-10)
 
 
 class TestDispersionAsymptotes:
@@ -197,29 +183,29 @@ class TestDispersionAsymptotes:
         # the cutoff curve and the N-site grid value agree when N is large
         lat = periodic("chain", 400)
         k = 2.0 * np.pi * 50 / 400
-        om_grid = spin_wave_energies(lat, np.array([[k]]), 1.0)[0]
+        om_grid = dispersion(lat).omega[50]
         om_curve = dispersion_curve("chain", [k], cutoff=200)[0]
         assert om_grid == pytest.approx(om_curve, rel=1e-3)
 
 
 class TestFourierKernel:
     def test_k0_row_sum(self):
-        lat = periodic("chain", 300)
-        assert fourier_kernel(lat, np.zeros((1, 1)))[0] == pytest.approx(2.0 * ZETA3, rel=0.01)
+        fk = dispersion(periodic("chain", 300)).fourier_kernel
+        assert fk[0] == pytest.approx(2.0 * ZETA3, rel=0.01)
 
     def test_zone_edge_alternating_sum(self):
-        lat = periodic("chain", 300)
-        val = fourier_kernel(lat, np.array([[np.pi]]))[0]
+        # k = pi is grid row N / 2 of an even chain
+        val = dispersion(periodic("chain", 300)).fourier_kernel[150]
         assert val == pytest.approx(-1.5 * ZETA3, rel=0.01)
 
     def test_even(self):
-        lat = periodic("square", 25)
-        g = momentum_grid(lat)
-        assert np.allclose(fourier_kernel(lat, g.kvecs), fourier_kernel(lat, -g.kvecs), atol=1e-12)
+        d = dispersion(periodic("square", 25))
+        fk_neg = d.fourier_kernel[d.grid.index(-d.grid.coords)]
+        assert np.allclose(d.fourier_kernel, fk_neg, atol=1e-12)
 
     def test_requires_periodic(self):
         with pytest.raises(ValueError):
-            fourier_kernel(build_lattice("chain", 8), np.zeros((1, 1)))
+            dispersion(build_lattice("chain", 8))
 
     @pytest.mark.parametrize("kind, n", [("chain", 40), ("square", 36), ("triangular", 49)])
     def test_matches_cos_oracle(self, kind, n):
@@ -228,7 +214,7 @@ class TestFourierKernel:
         kv = momentum_grid(lat).kvecs
         rel = relative_sites(lat)
         dense = (np.cos(kv @ rel.T) / np.linalg.norm(rel, axis=1) ** 3).sum(axis=1)
-        assert np.abs(fourier_kernel(lat, kv) - dense).max() <= 1e-13 * dense[0]
+        assert np.abs(dispersion(lat).fourier_kernel - dense).max() <= 1e-13 * dense[0]
 
 
 class TestPerturbativeDecay:
@@ -244,22 +230,19 @@ class TestPerturbativeDecay:
         ratio = d.decay / t**2
         assert np.abs(ratio / ratio[0] - 1.0).max() < 0.01
         # coefficient: (16 xi^2/N^2) sum |F_k|^2
-        g = momentum_grid(lat)
-        reps, mult = g.pair_fold()
-        fk = fourier_kernel(lat, g.kvecs[reps])
+        reps, mult = momentum_grid(lat).pair_fold()
+        fk = dispersion(lat).fourier_kernel[reps]
         coef = 16 * 0.05**2 / 16**2 * (mult * fk**2).sum()
         assert ratio[0] == pytest.approx(coef, rel=1e-3)
 
     def test_fold_consistency(self):
         # folded half-grid sum equals the full-grid sum without k = 0
         for kind, n in [("chain", 12), ("chain", 13), ("square", 16)]:
-            lat = periodic(kind, n)
-            g = momentum_grid(lat)
-            om_all = spin_wave_energies(lat, g.kvecs, 1.0)
-            fk_all = fourier_kernel(lat, g.kvecs)
+            d = dispersion(periodic(kind, n))
+            om_all, fk_all = d.omega, d.fourier_kernel
             t = 3.7
             full = (fk_all[1:] ** 2 * np.sin(om_all[1:] * t) ** 2 / om_all[1:] ** 2).sum()
-            d = perturbative_decay2(lat, 1.0, np.array([0.0, t]))
+            d = perturbative_decay2(periodic(kind, n), 1.0, np.array([0.0, t]))
             half = d.decay[1] / (16.0 / n**2)
             assert abs(full - half) <= 1e-12 * max(full, 1.0)
 
@@ -297,28 +280,24 @@ class TestPerturbativeDecay:
 
 
 def perturbative_decay2_dense(lattice, xi, times):
-    """The perturbative sum with the whole (times x modes) sin array held."""
+    """The perturbative sum with the whole (times x modes) sin array held, on
+    the band of :func:`dispersion`."""
     n = lattice.n_sites
-    grid = momentum_grid(lattice)
-    reps, mult = grid.pair_fold()
-    kv = grid.kvecs[reps]
-    fk = fourier_kernel(lattice, kv)
-    om = spin_wave_energies(lattice, kv, 1.0)
+    d = dispersion(lattice)
+    reps, mult = d.grid.pair_fold()
+    fk, om = d.fourier_kernel[reps], d.omega[reps]
     s = np.sin(np.outer(times, om))
     return (16.0 * xi**2 / n**2) * ((mult * fk**2 / om**2) * s**2).sum(axis=1)
 
 
 def test_kernel_starts_no_thread(monkeypatch):
     # 2000 time points give 65-mode slices: several for chain 40's ~800
-    # gamma2 modes; 5-mode slices cut the model's 39 relative sites
+    # gamma2 modes
     lat = periodic("chain", 40)
     t = np.linspace(0.0, 60.0, 2000)
-    model_slice = split_slice_bytes(momentum_grid(lat).kvecs, 5, 3)
 
     def run():
-        with monkeypatch.context() as m:
-            m.setattr(sin2_mod, "_SLICE_BYTES", model_slice)
-            model = build_phonon_model(lat, 1e4, 3.0, 1.0)
+        model = build_phonon_model(lat, 1e4, 3.0, 1.0)
         decay = gamma2(model, 0.05, 0.1, 0.5, t).decay
         return [a.tobytes() for a in (model.freqs, model.pols, model.g, model.spin_energies, decay)]
 
