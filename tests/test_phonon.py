@@ -132,19 +132,30 @@ class TestDynamicalMatrix:
         dyn = phonon_mod._lattice_sums(build_lattice("triangular", 25, boundary="periodic"))[0]
         assert np.array_equal(dyn, dyn.transpose(0, 2, 1))
 
+    @pytest.mark.parametrize("u_dd", [2, None])
     @pytest.mark.parametrize("kind, n", [("chain", 40), ("triangular", 49)])
-    def test_matches_one_minus_cos_oracle(self, kind, n):
+    def test_matches_one_minus_cos_oracle(self, kind, n, u_dd):
+        # None: the lattice sums' D(q); a number: the model's squared mode
+        # energies at that u_dd, rebuilt from its branches and polarizations
         lat = build_lattice(kind, n, boundary="periodic")
         rel = relative_sites(lat)
         q = momentum_grid(lat).kvecs
         ref = np.einsum("qj,jab->qab", (1.0 - np.cos(q @ rel.T)) / 2.0, pair_hessians(rel))
-        got = phonon_mod._lattice_sums(lat)[0]
+        if u_dd is None:
+            got = phonon_mod._lattice_sums(lat)[0]
+        else:
+            m = build_phonon_model(lat, 1e4, u_dd, 1.0)
+            unit2 = m.phonon_energy_unit**2
+            got = np.einsum("qla,ql,qlb->qab", m.pols, m.freqs**2 * unit2, m.pols) / unit2
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("kappa", [1, 7, None])
     @pytest.mark.parametrize("kind, n", [("chain", 40), ("triangular", 49)])
-    def test_force_and_band_match_dense_formulas(self, kind, n):
+    def test_force_and_band_match_dense_formulas(self, kind, n, kappa):
         # the sine partner of the same transform: sum_j sin(q.r_j) r_j /
-        # |r_j|^5, and the band sum_j (4 / |r_j|^3) sin^2(q.r_j / 2)
+        # |r_j|^5, and the band sum_j (4 / |r_j|^3) sin^2(q.r_j / 2); None
+        # reads the lattice sums' kappa = 1 band, a number the model's
+        # spin energies at that kappa
         lat = build_lattice(kind, n, boundary="periodic")
         rel = relative_sites(lat)
         q = momentum_grid(lat).kvecs
@@ -152,6 +163,8 @@ class TestDynamicalMatrix:
         ref = (np.sin(q @ rel.T) / rn**5) @ rel
         band_ref = np.sin(q @ rel.T / 2.0) ** 2 @ (4.0 / rn**3)
         _, band, force = phonon_mod._lattice_sums(lat)
+        if kappa is not None:
+            band, band_ref = build_phonon_model(lat, 1e4, 3.0, kappa).spin_energies, kappa * band_ref
         assert np.abs(force - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.abs(band - band_ref).max() <= 1e-13 * np.abs(band_ref).max()
 

@@ -51,13 +51,16 @@ class TestDispersion:
         with pytest.raises(ValueError, match="periodic lattice"):
             dispersion(open_chain)
 
+    @pytest.mark.parametrize("kappa", [3, None])
     @pytest.mark.parametrize("kind, n", [("chain", 40), ("square", 36), ("triangular", 49)])
-    def test_matches_dense_oracle(self, kind, n):
+    def test_matches_dense_oracle(self, kind, n, kappa):
+        # None: the default kappa = 1
         lat = periodic(kind, n)
         kv = momentum_grid(lat).kvecs
         rel = relative_sites(lat)
         dense = (4.0 * np.sin(kv @ rel.T / 2.0) ** 2 / np.linalg.norm(rel, axis=1) ** 3).sum(axis=1)
-        assert np.allclose(dispersion(lat).omega, dense, rtol=1e-12, atol=0)
+        omega = dispersion(lat).omega if kappa is None else dispersion(lat, kappa).omega
+        assert np.allclose(omega, (kappa or 1.0) * dense, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kind, n", [("chain", 16), ("triangular", 16)])
     def test_one_band_gives_omega_and_kernel(self, monkeypatch, kind, n):
