@@ -4,7 +4,9 @@ and gate-time extraction.
 Times are in units of hbar/kappa.  Evolution is exact and has one engine,
 on numpy alone: a dense Hermitian block is diagonalized once, and the
 projection of the evolved state on the initial one is the spectral sum
-C(t) = sum_j w_j exp(-i lambda_j t), one sin^2 kernel call for all sectors.
+C(t) = sum_j w_j exp(-i lambda_j t).  One sin^2 kernel call sums every
+sector of more than one eigenvalue; a one-eigenvalue sector (sector 0
+always, sector 1 on a torus) is its carrier phase alone.
 
 :func:`compute_trajectory` takes each sector's block and initial state from
 :meth:`~dipolarray.hamiltonian.SpinHamiltonian.dicke_sectors`: the Dicke
@@ -15,10 +17,15 @@ Dicke state invariant, so the orbit block is an exact quotient, with no
 tolerance, and the C(N, 2)-row sector is never built.  A dense eigh of
 dimension k needs about 40 k^2 bytes, and past the memory budget
 ``basis.MEMORY_BYTES_MAX`` the orbit builder raises
-:class:`~dipolarray.basis.ResourceLimitError` before it; each time grid,
-the first and every doubling, is checked the same way before it is
-evaluated (about 320 bytes a point).  A :class:`Trajectory` keeps lambda
-and w of sectors 0, 1 and 2, all that :func:`gate_time` needs off the grid.
+:class:`~dipolarray.basis.ResourceLimitError` before it.  Each time grid
+is checked the same way (about 320 bytes a point): the given grid and its
+first doubling both before the first projection call, every later doubling
+before its own.  A :class:`Trajectory` keeps lambda and w of sectors 0, 1
+and 2, all that :func:`gate_time` needs off the grid.
+
+Each evaluation is one projection call: a trajectory evaluates one grid per
+doubling, the first grid being the even points of the first doubling, and
+:func:`gate_time` evaluates its bisection in rounds of three steps.
 
 Phase extraction: with X = C0* C2 and Y = (C0* C1)^2, the complex combination
 (X + Y)/2 factors as exp(i(arg X + arg Y)/2) * [ (|X|+|Y|) cos(rel/2)
@@ -53,6 +60,8 @@ __all__ = [
 
 # gate_time bisects its bracket down to this fraction of the gate time
 GATE_REL_TOL = 1e-4
+# bisection steps that one gate_time round of _projections evaluates
+_ROUND_STEPS = 3
 MAX_THETA_STEP = np.pi / 2
 MAX_REFINEMENTS = 6
 CLIP_WARN_EXCESS = 1e-6
@@ -75,14 +84,21 @@ def _projections(spectra, times: np.ndarray) -> tuple[np.ndarray, ...]:
     weights) spectrum: the carrier e^{-i lambda_d t} of its heaviest
     eigenvalue times 1 + sum_j w_j (e^{-i (lambda_j - lambda_d) t} - 1), that
     is 1 plus the sin^2 sum with weights -2 w at h = (lambda - lambda_d) / 2
-    and i times its sine partner with weights -w, one weight column per
-    spectrum of one :func:`~dipolarray.sin2._sin2_sum` call.  Each is exactly
-    1 at t = 0, and a one-term spectrum exactly its carrier."""
+    and i times its sine partner with weights -w.  Each is exactly 1 at t =
+    0.  A one-term spectrum is exactly its carrier and skips the kernel; the
+    others go through one :func:`~dipolarray.sin2._sin2_sum` call, each with
+    its own column of an identity as wide as ``spectra``, so the kernel cuts
+    and sums them as it would with every spectrum present."""
     heaviest = np.array([lam[np.argmax(w)] for lam, w in spectra])
-    re, im = _sin2_sum([(np.outer(-2.0 * w, unit), (lam - top) / 2.0, np.outer(-w, unit))
-                        for (lam, w), top, unit in zip(spectra, heaviest, np.eye(len(spectra)))], times)
+    units = np.eye(len(spectra))
+    summed = [d for d, (lam, _) in enumerate(spectra) if len(lam) > 1]
+    if summed:
+        re, im = _sin2_sum([(np.outer(-2.0 * spectra[d][1], units[d]), (spectra[d][0] - heaviest[d]) / 2.0,
+                             np.outer(-spectra[d][1], units[d])) for d in summed], times)
     carrier = np.exp(-1j * np.outer(times, heaviest))
-    return tuple(carrier[:, d] * (1.0 + re[:, d] + 1j * im[:, d]) for d in range(len(spectra)))
+    # bit for bit the factor the kernel route gives a one-term spectrum
+    return tuple(carrier[:, d] * ((1.0 + re[:, d] + 1j * im[:, d]) if d in summed else (1.0 + 0j))
+                 for d in range(len(spectra)))
 
 
 def _time_grid(times) -> np.ndarray:
@@ -145,9 +161,13 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
     at shared points; a large per-step change can alias into an apparently
     small one, so the confirmation doubling is what actually catches
     undersampling.  Each doubling interleaves the midpoints with the times
-    and evaluates the projections on the whole doubled grid at once.  The
-    returned trajectory uses the finest grid evaluated.  ``times`` must be
-    non-empty, non-decreasing and start at 0.  The sectors come from
+    and evaluates the projections on the whole doubled grid in one call.
+    The first doubling always runs, so the given grid is never evaluated on
+    its own: its phase is read off the even points of its doubling, and
+    the memory guard checks both before either is evaluated.  The returned
+    trajectory uses the finest grid evaluated; without ``auto_refine`` that
+    is the given grid, evaluated once.  ``times`` must be non-empty,
+    non-decreasing and start at 0.  The sectors come from
     ``ham.dicke_sectors()``: dense orbit blocks of the lattice's symmetry
     group, each diagonalized as it comes.
     """
@@ -155,14 +175,19 @@ def compute_trajectory(ham: SpinHamiltonian, times, auto_refine: bool = True) ->
     # each block is diagonalized before the next one is built
     spectra = tuple(_weights(block, psi0) for block, psi0 in ham.dicke_sectors())
     _require_grid_memory(len(times))
-    cs = _projections(spectra, times)
-    theta, cos_half, max_step = _extract_phase(*cs)
     refinements = 0
-    if auto_refine:
+    if not auto_refine:
+        cs = _projections(spectra, times)
+        theta, cos_half, _ = _extract_phase(*cs)
+    else:
+        theta = None
         for refinements in range(1, MAX_REFINEMENTS + 1):
             _require_grid_memory(2 * len(times) - 1)
             times = _interleave(times, 0.5 * (times[:-1] + times[1:]))
             cs = _projections(spectra, times)
+            if theta is None:
+                # the first doubling always runs: the first grid is its even points
+                theta, _, max_step = _extract_phase(*(c[::2] for c in cs))
             d_theta, cos_half, d_step = _extract_phase(*cs)
             consistent = (max_step <= MAX_THETA_STEP
                           and np.abs(d_theta[::2] - theta).max() <= MAX_THETA_STEP)
@@ -243,6 +268,15 @@ def gate_time(trajectory: Trajectory) -> float:
     records which ran.  Raises :class:`GateNotReached` when the signed cosine
     never changes sign inside the window.  Bisection stops at a relative
     bracket of ``GATE_REL_TOL`` or when floats cannot halve it.
+
+    The bisection runs in rounds of one :func:`_projections` call each.  A
+    round evaluates the 2^3 - 1 midpoints that the next three steps can
+    reach, computed as the steps compute them, and the steps take the same
+    decisions on them as on one point at a time; the first round also
+    evaluates the bracket ends.  Both stop rules are tested before every
+    step, so no round is evaluated that no step uses.  Rounds, not a whole
+    tree sized from the bracket, since a bracket from t = 0 has no depth
+    known in advance: no call holds more than 9 points.
     """
     c = trajectory.cos_half
     s = np.sign(c)
@@ -252,29 +286,49 @@ def gate_time(trajectory: Trajectory) -> float:
     i = int(flips[0])
     t_lo, t_hi = float(trajectory.times[i]), float(trajectory.times[i + 1])
 
-    def combination(t: float) -> complex:
-        c0, c1, c2 = (complex(proj[0]) for proj in _projections(trajectory.spectra, np.array([t])))
+    def combination(points: list[float]) -> np.ndarray:
+        c0, c1, c2 = _projections(trajectory.spectra, np.array(points))
         return 0.5 * (np.conj(c0) * c2 + (np.conj(c0) * c1) ** 2)
 
-    z_ref = combination(t_lo)
-    ref = z_ref / abs(z_ref)
+    def bisecting(lo: float, hi: float) -> bool:
+        mid = 0.5 * (lo + hi)
+        return (hi - lo) > GATE_REL_TOL * max(hi, 1e-300) and mid not in (lo, hi)
 
-    def signed(t: float) -> float:
-        # |z_ref| > 0 at t_lo, so t is past the zero where this is <= 0
-        return float(np.real(combination(t) * np.conj(ref)))
-
-    if signed(t_hi) > 0:
+    heap = _midpoint_heap(t_lo, t_hi) if bisecting(t_lo, t_hi) else []
+    z = combination([t_lo, t_hi, *heap])
+    # |z| > 0 at t_lo, so t is past the zero where the signed value is <= 0
+    ref = np.conj(z[0] / abs(z[0]))
+    signed = np.real(z * ref)
+    if signed[1] > 0:
         # the re-evaluated bracket disagrees with the grid: trust the grid
         c_lo, c_hi = float(c[i]), float(c[i + 1])
         tg = t_lo + (t_hi - t_lo) * c_lo / (c_lo - c_hi)
         method = "interpolation"
     else:
-        while (t_hi - t_lo) > GATE_REL_TOL * max(t_hi, 1e-300):
-            t_mid = 0.5 * (t_lo + t_hi)
-            if t_mid in (t_lo, t_hi):
-                break
-            t_lo, t_hi = (t_lo, t_mid) if signed(t_mid) <= 0 else (t_mid, t_hi)
+        signed, j = signed[2:], 0
+        while bisecting(t_lo, t_hi):
+            if j >= len(heap):
+                heap, j = _midpoint_heap(t_lo, t_hi), 0
+                signed = np.real(combination(heap) * ref)
+            # heap[j] is 0.5 * (t_lo + t_hi), and its halves are nodes 2j + 1 and 2j + 2
+            if signed[j] <= 0:
+                t_hi, j = heap[j], 2 * j + 1
+            else:
+                t_lo, j = heap[j], 2 * j + 2
         tg = 0.5 * (t_lo + t_hi)
         method = "bisection"
     trajectory.diagnostics["gate_time_method"] = method
     return tg
+
+
+def _midpoint_heap(lo: float, hi: float) -> list[float]:
+    """The midpoints of the next ``_ROUND_STEPS`` halvings of [lo, hi] as a
+    heap: node 0 halves [lo, hi], and node j's lower and upper halves are
+    nodes 2j + 1 and 2j + 2.  The heap is not sorted, so the kernel takes its
+    direct route and rounds each phase as a one-point call does."""
+    brackets = [(lo, hi)]
+    while len(brackets) < 2**_ROUND_STEPS - 1:
+        a, b = brackets[len(brackets) // 2]
+        mid = 0.5 * (a + b)
+        brackets += [(a, mid), (mid, b)]
+    return [0.5 * (a + b) for a, b in brackets]

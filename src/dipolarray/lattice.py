@@ -36,6 +36,11 @@ _TRI_A1 = np.array([1.0, 0.0])
 _TRI_A2 = np.array([0.5, np.sqrt(3.0) / 2.0])
 # the 25 stacked torus images of one block of _minimum_image, in bytes
 _IMAGE_BLOCK_BYTES = 2**20
+# _torus_sums sums a row term by term where every sin^2 sum is below this
+# fraction of its |F(0)|: (F(0) - Re F(k)) / 2 cancels more than 12 bits there
+_TORUS_DIRECT_FRACTION = 2.0**-12
+# (rows x sites) terms of one block of those rows
+_DIRECT_BLOCK_TERMS = 2**14
 
 
 @dataclass(frozen=True)
@@ -164,6 +169,11 @@ def _cell(lattice: Lattice) -> np.ndarray:
     return np.vstack([_TRI_A1, _TRI_A2]) if lattice.kind == "triangular" else np.eye(lattice.dimension)
 
 
+def _cell_coords(lattice: Lattice) -> np.ndarray:
+    """Integer coordinates (N, D) of every site in the cells of :func:`_cell`."""
+    return np.rint(lattice.positions @ np.linalg.inv(_cell(lattice))).astype(np.int64)
+
+
 def _point_group(lattice: Lattice) -> np.ndarray:
     """Integer matrices (G, D, D) of the lattice's point group, identity
     first: the chain's reflection, D4 of the square lattice, D6 of the
@@ -184,7 +194,7 @@ def _point_group_maps(lattice: Lattice) -> np.ndarray:
     """Site permutations (G, N) of an open patch, identity first: the maps of
     :func:`_point_group` about the centroid that carry the sites onto
     themselves.  Row g holds the image site of every site."""
-    own = np.rint(lattice.positions @ np.linalg.inv(_cell(lattice))).astype(np.int64)
+    own = _cell_coords(lattice)
     lo, span = own.min(axis=0), np.ptp(own, axis=0) + 1
     site = np.full(np.prod(span), -1)
     site[np.ravel_multi_index(tuple((own - lo).T), span)] = np.arange(lattice.n_sites)
@@ -284,7 +294,7 @@ def _torus_cells(lattice: Lattice, grid: MomentumGrid) -> np.ndarray:
     """The grid row of each site's torus cell: its integer cell coordinates
     modulo ``grid.side``, the element of Z_side^D that
     :meth:`MomentumGrid.index` numbers."""
-    return grid.index(np.rint(lattice.positions @ np.linalg.inv(_cell(lattice))).astype(np.int64))
+    return grid.index(_cell_coords(lattice))
 
 
 def _torus_sums(lattice: Lattice, c: np.ndarray, s: np.ndarray | None = None):
@@ -292,20 +302,45 @@ def _torus_sums(lattice: Lattice, c: np.ndarray, s: np.ndarray | None = None):
     at every row k of :func:`momentum_grid`, over the sites r_j of
     :func:`relative_sites`, whose rows the (N-1,) or (N-1, W) weights follow.
 
-    On the torus k.r_j is 2 pi times an integer over the side, so both are
-    read from one discrete Fourier transform F(k) = sum_j w_j e^{-i k.r_j} of
-    the weights placed on their sites' cells: (F(0) - Re F(k)) / 2 and
-    -Im F(k).  The sin^2 sums are exactly 0 at k = 0.
+    On the torus k.r_j is 2 pi times an integer p_j over the side, so both
+    are read from one discrete Fourier transform F(k) = sum_j w_j e^{-i
+    k.r_j} of the weights placed on their sites' cells: (F(0) - Re F(k)) / 2
+    and -Im F(k).  The sin^2 sums are exactly 0 at k = 0.  That difference
+    keeps about eps |F(0)| of absolute precision, so at the rows where every
+    sin^2 sum is below ``_TORUS_DIRECT_FRACTION`` of its |F(0)|, the sin^2
+    sums are summed term by term instead, from a table of
+    sin^2(pi p / side) over p in [-side / 2, side / 2), where a small phase
+    keeps its relative precision.  Such rows are the smallest momenta of a
+    long chain (about N / 220 of them, so about N^2 / 220 terms); a 2-D
+    torus has none below a side of a few thousand.
     """
     grid = momentum_grid(lattice)
-    n, dim = lattice.n_sites, lattice.dimension
+    n, dim, side = lattice.n_sites, lattice.dimension, grid.side
     given = (c,) if s is None else (c, s)
     weights = [v.reshape(n - 1, -1) for v in given]
+    cells = _cell_coords(lattice)
     w = np.zeros((n, sum(v.shape[1] for v in weights)))
-    w[_torus_cells(lattice, grid)[1:]] = np.concatenate(weights, axis=1)
+    w[grid.index(cells)[1:]] = np.concatenate(weights, axis=1)
     # cell row i + side j is w[j, i], so row k_1 + side k_2 of the transform is F(k)
-    f = np.fft.fftn(w.reshape((grid.side,) * dim + (-1,)), axes=range(dim)).reshape(n, -1)
+    f = np.fft.fftn(w.reshape((side,) * dim + (-1,)), axes=range(dim)).reshape(n, -1)
     wc = weights[0].shape[1]
-    sums = [(f[0, :wc].real - f[:, :wc].real) / 2.0, -f[:, wc:].imag]
+    sin2 = (f[0, :wc].real - f[:, :wc].real) / 2.0
+    # the rows k != 0 where every sin^2 sum is below the fraction of its F(0),
+    # the first column tested alone first; row 0 holds exact zeros
+    bound = _TORUS_DIRECT_FRACTION * np.abs(f[0, :wc].real)
+    direct = np.flatnonzero(np.abs(sin2[:, 0]) < bound[0])[1:]
+    if direct.size:
+        direct = direct[np.all(np.abs(sin2[direct]) < bound, axis=1)]
+        half = side // 2
+        table = np.sin(np.pi * (np.arange(side) - half) / side) ** 2
+        rel = cells[1:] - cells[0]
+        step = max(1, _DIRECT_BLOCK_TERMS // n)
+        for start in range(0, len(direct), step):
+            rows = direct[start:start + step]
+            p = grid.coords[rows] @ rel.T
+            p += half
+            p %= side
+            sin2[rows] = table[p] @ weights[0]
+    sums = [sin2, -f[:, wc:].imag]
     sums = [x if v.ndim == 2 else x[:, 0] for x, v in zip(sums, given)]
     return sums[0] if s is None else tuple(sums)

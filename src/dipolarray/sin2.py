@@ -5,10 +5,11 @@ sum_m s_m sin(2 h_m t).
 Its callers: in :mod:`dipolarray.spinwave` the large-cutoff dispersion sums
 and the perturbative decay; in :mod:`dipolarray.phonon` the decay sums,
 whose pair blocks arrive as a stream; in :mod:`dipolarray.dynamics` the
-Dicke projections of every sector, about a carrier phase each.  Evenly
-spaced grids take the split route, every other grid the direct one; see
-:func:`_sin2_sum`.  The lattice sums over a torus's momentum grid are one
-Fourier transform instead (:func:`dipolarray.lattice._torus_sums`).
+Dicke projections of every sector of more than one eigenvalue, about a
+carrier phase each.  Evenly spaced grids take the split route, every other
+grid the direct one; see :func:`_sin2_sum`.  The lattice sums over a
+torus's momentum grid are one Fourier transform instead
+(:func:`dipolarray.lattice._torus_sums`).
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import gc
 import tracemalloc
 import weakref
 from math import comb
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.linalg import block_diag
 from scipy.sparse.linalg import expm_multiply
 
 import dipolarray.basis as basis_mod
+import dipolarray.cli as cli_mod
 import dipolarray.dynamics as dyn_mod
 import dipolarray.hamiltonian as hamiltonian_mod
 import dipolarray.lattice as lattice_mod
@@ -163,8 +165,9 @@ class TestSpectralEngine:
         monkeypatch.setattr(dyn_mod, "_projections", spy)
         with pytest.raises(ResourceLimitError, match=f"time grid needs about 0 MiB for {points} points"):
             compute_trajectory(ham, np.linspace(0.0, 10.0, 60))
-        # refused before the projections on that grid
-        assert evaluated == [n for n in (60,) if n < points]
+        # the first grid and its doubling, the one grid evaluated first, are
+        # both checked before it: refused before any projection
+        assert evaluated == []
 
 # (kind, n_sites) with n_sites <= 16 that every boundary accepts
 ORACLE_LATTICES = st.one_of(
@@ -675,6 +678,11 @@ class TestGateTime:
         monkeypatch.setattr(dyn_mod, "GATE_REL_TOL", 1e-300)
         assert gate_time(traj) == pytest.approx(coarse, rel=1e-4)
         assert traj.diagnostics["gate_time_method"] == "bisection"
+        # the rounds end there too, bitwise where one point at a time does
+        steps = assert_replays_one_point(traj)
+        calls = spy_on(monkeypatch, dyn_mod, "_projections")
+        gate_time(traj)
+        assert steps > 30 and len(calls) == rounds(steps)
 
     @pytest.mark.parametrize("xi_over_kappa, window, method", [
         (0.05, 2.0, "bisection"),
@@ -728,6 +736,228 @@ class TestGateTime:
             traj = compute_trajectory(h, t, auto_refine=False)
             decays[xok] = (1.0 - traj.fidelity).max()
         assert decays[0.05] < decays[0.2]
+
+
+# ---------------------------------------------------------------------------
+# the batched gate bisection against the one-point bisection it replays
+# ---------------------------------------------------------------------------
+
+PROJECTIONS = dyn_mod._projections
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def kernel_projections(spectra, times):
+    """Every spectrum through one sin^2 kernel call, one-term spectra
+    included: the projections before those skipped the kernel."""
+    heaviest = np.array([lam[np.argmax(w)] for lam, w in spectra])
+    re, im = sin2_mod._sin2_sum([(np.outer(-2.0 * w, unit), (lam - top) / 2.0, np.outer(-w, unit))
+                                 for (lam, w), top, unit in zip(spectra, heaviest, np.eye(len(spectra)))], times)
+    carrier = np.exp(-1j * np.outer(times, heaviest))
+    return tuple(carrier[:, d] * (1.0 + re[:, d] + 1j * im[:, d]) for d in range(len(spectra)))
+
+
+def one_point_gate_time(trajectory):
+    """The bisection of gate_time with every bracket end and midpoint
+    evaluated by a one-point projection call of its own: (gate time, method,
+    bisection steps)."""
+    c = trajectory.cos_half
+    s = np.sign(c)
+    flips = np.where(s[:-1] * s[1:] < 0)[0]
+    if len(flips) == 0:
+        raise GateNotReached("no zero of cos(Theta/2) in the evolved window")
+    i = int(flips[0])
+    t_lo, t_hi = float(trajectory.times[i]), float(trajectory.times[i + 1])
+
+    def combination(t):
+        c0, c1, c2 = (complex(proj[0]) for proj in PROJECTIONS(trajectory.spectra, np.array([t])))
+        return 0.5 * (np.conj(c0) * c2 + (np.conj(c0) * c1) ** 2)
+
+    z_ref = combination(t_lo)
+    ref = z_ref / abs(z_ref)
+
+    def signed(t):
+        return float(np.real(combination(t) * np.conj(ref)))
+
+    steps = 0
+    if signed(t_hi) > 0:
+        c_lo, c_hi = float(c[i]), float(c[i + 1])
+        return t_lo + (t_hi - t_lo) * c_lo / (c_lo - c_hi), "interpolation", steps
+    while (t_hi - t_lo) > dyn_mod.GATE_REL_TOL * max(t_hi, 1e-300):
+        t_mid = 0.5 * (t_lo + t_hi)
+        if t_mid in (t_lo, t_hi):
+            break
+        steps += 1
+        t_lo, t_hi = (t_lo, t_mid) if signed(t_mid) <= 0 else (t_mid, t_hi)
+    return 0.5 * (t_lo + t_hi), "bisection", steps
+
+
+def assert_replays_one_point(trajectory):
+    """gate_time and its method bitwise the one-point bisection's; returns
+    that bisection's steps, or None where neither reaches a gate."""
+    try:
+        want, method, steps = one_point_gate_time(trajectory)
+    except GateNotReached:
+        with pytest.raises(GateNotReached):
+            gate_time(trajectory)
+        return None
+    assert gate_time(trajectory) == want
+    assert trajectory.diagnostics["gate_time_method"] == method
+    return steps
+
+
+def gate_trajectory(kind, boundary, n_sites, xi_over_kappa, window, samples, auto_refine=True):
+    """``samples`` points to ``window`` t_pi, xi/kappa with the tilde couplings."""
+    lat = build_lattice(kind, n_sites, boundary=boundary)
+    t_pi = gate_params(lat, 1.0, xi_over_kappa, use_tilde=True).t_pi
+    ham = full_hamiltonian(lat, 1.0, xi_over_kappa)
+    return compute_trajectory(ham, np.linspace(0.0, window * t_pi, samples), auto_refine=auto_refine)
+
+
+# (trajectory arguments, method): the gate_large benchmark tasks, the
+# criterion-2 grids of the acceptance tests, and an interpolation case
+GATE_CASES = {
+    "gate_large_chain": (("chain", "periodic", 64, 0.05, 1.19, 150), "bisection"),
+    "gate_large_square": (("square", "open", 64, 0.05, 0.99, 150), "bisection"),
+    "criterion_2_chain_36": (("chain", "periodic", 36, 0.05, 1.6, 420, False), "bisection"),
+    "criterion_2_chain_81": (("chain", "periodic", 81, 0.05, 1.6, 420, False), "bisection"),
+    "interpolation": (("square", "open", 64, 0.1, 1.2, 150), "interpolation"),
+}
+
+
+def bracket_from_zero():
+    """A trajectory whose grid's first interval holds the gate, which the
+    phase extraction never gives: C_0 = 1, C_1 = e^{-i t / 2} and C_2 mostly
+    e^{i t}, so that (X + Y) / 2 is close to cos t, on the grid 0, 2."""
+    spectra = ((np.array([0.0]), np.array([1.0])), (np.array([0.5]), np.array([1.0])),
+               (np.array([-1.0, -1.3]), np.array([0.9, 0.1])))
+    times = np.array([0.0, 2.0])
+    c0, c1, c2 = PROJECTIONS(spectra, times)
+    return dyn_mod.Trajectory(times, c0, c1, c2, np.abs(c2) ** 2, 2.0 * times, np.cos(times), spectra,
+                              {"gate_time_method": None})
+
+
+def rounds(steps):
+    """gate_time's calls for ``steps`` bisection steps: one round of 3 steps
+    a call, the first with the bracket ends, which it evaluates alone when
+    no step is needed."""
+    return max(1, -(-steps // 3))
+
+
+def spy_on(monkeypatch, module, name):
+    """Record the arguments of every call of ``module.name``."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestBatchedBisection:
+    @pytest.mark.parametrize("case", GATE_CASES)
+    def test_replays_one_point_bisection(self, monkeypatch, case):
+        args, method = GATE_CASES[case]
+        traj = gate_trajectory(*args)
+        steps = assert_replays_one_point(traj)
+        assert traj.diagnostics["gate_time_method"] == method
+        calls = spy_on(monkeypatch, dyn_mod, "_projections")
+        gate_time(traj)
+        assert len(calls) == rounds(steps)
+        assert max(len(times) for _, times in calls) <= 9
+
+    @pytest.mark.parametrize("name", ["phase_gate", "mpm_protected_gate", "mpm_sweep", "open_square_gate"])
+    def test_shipped_gate_configs(self, monkeypatch, tmp_path, name):
+        replayed = []
+
+        def checked(trajectory):
+            replayed.append(assert_replays_one_point(trajectory))
+            return gate_time(trajectory)
+
+        monkeypatch.setattr(cli_mod, "gate_time", checked)
+        assert main(["run", str(CONFIGS / f"{name}.cfg"), "--out", str(tmp_path)]) == 0
+        assert len(replayed) == (4 if name == "mpm_sweep" else 1)
+        assert None not in replayed
+
+    def test_bracket_from_zero(self, monkeypatch):
+        traj = bracket_from_zero()
+        steps = assert_replays_one_point(traj)
+        assert traj.diagnostics["gate_time_method"] == "bisection"
+        calls = spy_on(monkeypatch, dyn_mod, "_projections")
+        gate_time(traj)
+        assert steps > 9 and len(calls) == rounds(steps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lattice=st.one_of(
+           st.tuples(st.just("chain"), st.integers(4, 40)),
+           st.tuples(st.sampled_from(["square", "triangular"]), st.sampled_from([9, 16, 25, 36]))),
+       boundary=st.sampled_from(["open", "periodic"]),
+       xi_over_kappa=st.floats(0.01, 0.5),
+       window=st.floats(0.3, 3.0),
+       samples=st.integers(2, 200),
+       auto_refine=st.booleans())
+def test_batched_bisection_replays_drawn(lattice, boundary, xi_over_kappa, window, samples, auto_refine):
+    kind, n_sites = lattice
+    assert_replays_one_point(gate_trajectory(kind, boundary, n_sites, xi_over_kappa, window, samples, auto_refine))
+
+
+class TestKernelCalls:
+    def test_one_doubling_is_one_grid(self, monkeypatch):
+        ham = full_hamiltonian(periodic_chain(12), 1.0, 0.05)
+        t_pi = gate_params(periodic_chain(12), 1.0, 0.05, use_tilde=True).t_pi
+        calls = spy_on(monkeypatch, dyn_mod, "_projections")
+        traj = compute_trajectory(ham, np.linspace(0.0, 1.5 * t_pi, 60))
+        assert traj.diagnostics["grid_refinements"] == 1
+        assert [len(times) for _, times in calls] == [119]
+        assert np.array_equal(calls[0][1], traj.times)
+
+    @pytest.mark.parametrize("auto_refine", [True, False])
+    def test_one_point_grid(self, monkeypatch, auto_refine):
+        calls = spy_on(monkeypatch, dyn_mod, "_projections")
+        traj = compute_trajectory(full_hamiltonian(periodic_chain(8), 1.0, 0.3), [0.0], auto_refine=auto_refine)
+        assert [len(times) for _, times in calls] == [1]
+        assert (traj.diagnostics["grid_points"], traj.diagnostics["grid_refinements"]) == (1, int(auto_refine))
+        assert traj.c0[0] == traj.c1[0] == traj.c2[0] == traj.cos_half[0] == 1.0
+
+    @pytest.mark.parametrize("case", ["gate_large_chain", "gate_large_square"])
+    def test_gate_time_rounds(self, monkeypatch, case):
+        # 2 calls for the 6 steps that took 8 one-point calls, of at most the
+        # 2 bracket ends and 7 midpoints each
+        traj = gate_trajectory(*GATE_CASES[case][0])
+        steps = one_point_gate_time(traj)[2]
+        calls = spy_on(monkeypatch, dyn_mod, "_projections")
+        gate_time(traj)
+        assert steps == 6 and len(calls) == rounds(steps) == 2
+        assert [len(times) for _, times in calls] == [9, 7]
+
+    def test_one_term_spectra_skip_the_kernel(self, monkeypatch):
+        # a one-term spectrum is exactly its carrier, signed zeros included,
+        # with and without another spectrum in the kernel
+        rng = np.random.default_rng(7)
+        one_term = [(np.array([lam]), np.array([1.0])) for lam in (-1.5, -0.0, 0.0, 2.0)]
+        many = (rng.uniform(-3.0, 3.0, 40), rng.dirichlet(np.ones(40)))
+        times = np.linspace(0.0, 7.0, 50)
+        calls = spy_on(monkeypatch, dyn_mod, "_sin2_sum")
+        for spectra, blocks in ((one_term, []), ([one_term[0], many, *one_term[1:]], [1])):
+            calls.clear()
+            got = dyn_mod._projections(spectra, times)
+            assert [len(b) for b, _ in calls] == blocks
+            for g, want, (lam, _) in zip(got, kernel_projections(spectra, times), spectra):
+                assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
+                if len(lam) == 1:
+                    assert np.array_equal(g, np.exp(-1j * times * lam[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=projection_cases())
+def test_projections_bitwise_the_kernel_route(case):
+    # one-term spectra skip the kernel, the others keep their own columns
+    spectra, times = case
+    for got, want in zip(dyn_mod._projections(spectra, times), kernel_projections(spectra, times)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestTrajectoryCsv:

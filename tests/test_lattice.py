@@ -1,5 +1,5 @@
 import tracemalloc
-from math import isqrt
+from math import fsum, isqrt
 
 import numpy as np
 import pytest
@@ -373,6 +373,21 @@ def torus_sums(draw):
     c = draw(signed_weights((n - 1, *columns)))
     s = draw(st.none() | signed_weights((n - 1, lattice.dimension)))
     return lattice, c, s
+
+
+def test_torus_band_keeps_relative_precision_at_small_momenta():
+    # chain 5000: at its 8 smallest nonzero momenta the band is 3e-6 to 1e-4
+    # of F(0), where (F(0) - Re F(k)) / 2 kept about eps F(0) (8.6e-11 of the
+    # band at k_1); those rows are summed term by term
+    n = 5000
+    lat = build_lattice("chain", n, boundary="periodic")
+    r = relative_sites(lat)[:, 0]
+    c = 4.0 / np.abs(r) ** 3
+    band = _torus_sums(lat, c)
+    for m in (1, 2, 3, 4):
+        want = fsum(c * np.sin(np.pi * m * r / n) ** 2)
+        for row in (m, n - m):
+            assert abs(band[row] - want) <= 1e-12 * want
 
 
 @settings(max_examples=60, deadline=None)
